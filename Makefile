@@ -1,7 +1,7 @@
 GO ?= go
 TIMEOUT ?= 10m
 
-.PHONY: check build vet test race bench bench-smoke bench-json serve-smoke chaos-smoke cluster-smoke nemesis-smoke workload-smoke churn-smoke
+.PHONY: check build vet test race bench-check bench bench-smoke bench-json serve-smoke chaos-smoke cluster-smoke nemesis-smoke workload-smoke churn-smoke
 
 # check is what CI runs: build, vet, full test suite under the race detector.
 check: build vet race
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race -timeout $(TIMEOUT) ./...
+
+# bench-check vets and tests the repository benchmark. bench/ is a module of
+# its own (BENCHMARK.json, bench/README.md), so none of the targets above
+# compile it, yet it imports the internal packages read-only: this is what
+# tells a change to ir, core, interp, sim or service that it broke it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -timeout $(TIMEOUT) ./...
 
 # bench runs every committed benchmark at full benchtime: the robustness
 # guards at the repo root plus the hot-loop reference-vs-optimized pairs

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/estimates"
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // Optimization 1 — Function Clocking (paper Figure 4).
 //
@@ -62,20 +57,13 @@ func (p *passCtx) clockabilityAnalysis() map[string]int64 {
 // clockable function must not contain synchronization operations (its whole
 // clock is charged before it runs, so no lock inside could be sequenced).
 func (p *passCtx) isClockable(f *ir.Func, clockable map[string]int64) (avg int64, ok bool) {
-	if len(f.Blocks) == 0 || f.HasLoops() {
-		return 0, false
-	}
 	clockOf := func(b *ir.Block) (int64, bool) {
 		return p.analysisBlockClock(b, clockable)
 	}
 	clocks, err := ir.FunctionPathClocks(f, clockOf)
 	if err != nil {
-		// ErrUnclocked, ErrHasLoop and ErrTooManyPaths all mean "not
-		// clockable"; anything else is a structural bug.
-		if errors.Is(err, ir.ErrUnclocked) || errors.Is(err, ir.ErrHasLoop) ||
-			errors.Is(err, ir.ErrTooManyPaths) {
-			return 0, false
-		}
+		// An empty function, ErrHasLoop, ErrUnclocked and ErrTooManyPaths
+		// all mean "not clockable".
 		return 0, false
 	}
 	st := ir.Stats(clocks)
@@ -168,9 +156,4 @@ func (p *passCtx) classifyCall(ins *ir.Instr, clockable map[string]int64) (int64
 	// Unknown external function with no estimate: the paper's fallback is to
 	// ignore it ("One way is to ignore them", §III-B).
 	return 0, callClocked
-}
-
-// estimateFor exposes the builtin estimate used by instrumentation.
-func (p *passCtx) estimateFor(name string) (estimates.Estimate, bool) {
-	return p.est.Lookup(name)
 }

@@ -6,15 +6,20 @@ import (
 
 	"repro/internal/estimates"
 	"repro/internal/ir"
+	"repro/internal/splash"
 )
 
-func newCtx(t *testing.T, opt Options) *passCtx {
+// newCtx returns a pass context ready to run the block-level optimizations
+// on f.
+func newCtx(t *testing.T, f *ir.Func, opt Options) *passCtx {
 	t.Helper()
-	return &passCtx{
+	p := &passCtx{
 		cm:  ir.DefaultCostModel(),
 		est: estimates.DefaultTable(),
 		opt: opt.Defaults(),
 	}
+	p.enter(f)
+	return p
 }
 
 // countClockAdds returns the number of static clockadd instructions in f and
@@ -380,8 +385,8 @@ func TestOpt2aDiamond(t *testing.T) {
 	f.Block("merge").Clock = 1
 
 	before := sortedCopy(pathSums(t, f))
-	p := newCtx(t, Options{O2a: true})
-	moves := p.applyOpt2a(f)
+	p := newCtx(t, f, Options{O2a: true})
+	moves := p.applyOpt2a()
 	if moves == 0 {
 		t.Fatalf("O2a made no moves")
 	}
@@ -417,8 +422,8 @@ func TestOpt2aSkipsLoopHeaderMerge(t *testing.T) {
 	fb.Block("out").Ret(ir.R(i))
 	f := mb.M.Func("f")
 	f.Block("hdr").Clock = 7
-	p := newCtx(t, Options{O2a: true})
-	p.applyOpt2a(f)
+	p := newCtx(t, f, Options{O2a: true})
+	p.applyOpt2a()
 	if f.Block("hdr").Clock == 0 {
 		t.Fatalf("loop header clock must not be pushed up")
 	}
@@ -436,16 +441,16 @@ func TestOpt2aSkipsUnclockable(t *testing.T) {
 	f.Block("then").Clock = 3
 	f.Block("else").Clock = 5
 	f.Block("then").Unclockable = true
-	p := newCtx(t, Options{O2a: true})
-	if n := p.applyOpt2a(f); n != 0 {
+	p := newCtx(t, f, Options{O2a: true})
+	if n := p.applyOpt2a(); n != 0 {
 		t.Fatalf("O2a should skip unclockable successors, moved %d", n)
 	}
 }
 
 func TestOpt2bTriangleMovesUp(t *testing.T) {
 	f := buildTriangle(1, 2, 1, 90)
-	p := newCtx(t, Options{O2b: true})
-	if n := p.applyOpt2b(f); n != 1 {
+	p := newCtx(t, f, Options{O2b: true})
+	if n := p.applyOpt2b(); n != 1 {
 		t.Fatalf("O2b moves = %d, want 1", n)
 	}
 	if f.Block("upper").Clock != 2 || f.Block("lower").Clock != 0 {
@@ -456,8 +461,8 @@ func TestOpt2bTriangleMovesUp(t *testing.T) {
 
 func TestOpt2bRejectsLargeDivergence(t *testing.T) {
 	f := buildTriangle(50, 2, 60, 10)
-	p := newCtx(t, Options{O2b: true})
-	if n := p.applyOpt2b(f); n != 0 {
+	p := newCtx(t, f, Options{O2b: true})
+	if n := p.applyOpt2b(); n != 0 {
 		t.Fatalf("O2b should reject large divergence, moved %d", n)
 	}
 }
@@ -498,8 +503,8 @@ func TestOpt2bLoopDepthMovesDown(t *testing.T) {
 	f.Block("middle").Clock = 2
 	f.Block("lower").Clock = 5
 	f.Block("latch").Clock = 90
-	p := newCtx(t, Options{O2b: true})
-	if n := p.applyOpt2b(f); n != 1 {
+	p := newCtx(t, f, Options{O2b: true})
+	if n := p.applyOpt2b(); n != 1 {
 		t.Fatalf("O2b moves = %d, want 1", n)
 	}
 	if f.Block("upper").Clock != 0 || f.Block("lower").Clock != 6 {
@@ -532,8 +537,8 @@ func TestOpt3PaperExample(t *testing.T) {
 	set("b1", 30) // 38
 	set("b2", 21) // 29
 	set("merge", 1)
-	p := newCtx(t, Options{O3: true})
-	if n := p.applyOpt3(f); n != 1 {
+	p := newCtx(t, f, Options{O3: true})
+	if n := p.applyOpt3(); n != 1 {
 		t.Fatalf("O3 regions = %d, want 1", n)
 	}
 	if f.Block("root").Clock != 35 {
@@ -557,8 +562,8 @@ func TestOpt3RejectsDivergent(t *testing.T) {
 	f := mb.M.Func("f")
 	f.Block("a").Clock = 5
 	f.Block("b").Clock = 500
-	p := newCtx(t, Options{O3: true})
-	if n := p.applyOpt3(f); n != 0 {
+	p := newCtx(t, f, Options{O3: true})
+	if n := p.applyOpt3(); n != 0 {
 		t.Fatalf("O3 should reject divergent region")
 	}
 	if f.Block("b").Clock != 500 {
@@ -590,8 +595,8 @@ func TestOpt3StopsAtNonDominatedMerge(t *testing.T) {
 	// isolates the root region (entry dominates everything, so it would
 	// otherwise legitimately absorb shared).
 	f.Block("other").Clock = 1000
-	p := newCtx(t, Options{O3: true})
-	p.applyOpt3(f)
+	p := newCtx(t, f, Options{O3: true})
+	p.applyOpt3()
 	if f.Block("shared").Clock != 100 {
 		t.Fatalf("shared clock = %d, must be untouched", f.Block("shared").Clock)
 	}
@@ -613,8 +618,8 @@ func TestOpt4MergesLatch(t *testing.T) {
 	f := mb.M.Func("f")
 	f.Block("hdr").Clock = 5
 	f.Block("latch").Clock = 2
-	p := newCtx(t, Options{O4: true})
-	if n := p.applyOpt4(f); n != 1 {
+	p := newCtx(t, f, Options{O4: true})
+	if n := p.applyOpt4(); n != 1 {
 		t.Fatalf("O4 merges = %d, want 1", n)
 	}
 	if f.Block("hdr").Clock != 7 || f.Block("latch").Clock != 0 {
@@ -635,14 +640,14 @@ func TestOpt4RespectsThresholdAndOrder(t *testing.T) {
 	// Latch clock above threshold: no merge.
 	f.Block("hdr").Clock = 100
 	f.Block("latch").Clock = 50
-	p := newCtx(t, Options{O4: true})
-	if n := p.applyOpt4(f); n != 0 {
+	p := newCtx(t, f, Options{O4: true})
+	if n := p.applyOpt4(); n != 0 {
 		t.Fatalf("O4 should respect threshold")
 	}
 	// Latch clock >= header clock: no merge.
 	f.Block("hdr").Clock = 2
 	f.Block("latch").Clock = 5
-	if n := p.applyOpt4(f); n != 0 {
+	if n := p.applyOpt4(); n != 0 {
 		t.Fatalf("O4 should not merge latch >= header")
 	}
 }
@@ -674,4 +679,29 @@ func TestPresetNames(t *testing.T) {
 	if len(TableIPresets()) != 6 {
 		t.Fatalf("TableIPresets should list 6 rows")
 	}
+}
+
+// TestInstrumentAllocs pins what the shared per-function analysis, the
+// index-addressed sets and the one-pass splitter bought: before them,
+// Instrument(all) on radiosity made 4582 allocations (commit 71a39d6).
+func TestInstrumentAllocs(t *testing.T) {
+	b := splash.Radiosity(4)
+	const runs = 10
+	mods := make([]*ir.Module, runs+1) // AllocsPerRun warms up with one call
+	for i := range mods {
+		mods[i] = b.Module.Clone()
+	}
+	opt := OptAll
+	opt.Roots = []string{b.Entry}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		if _, err := Instrument(mods[next], nil, nil, opt); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if n > 4582/2 {
+		t.Errorf("Instrument(all) on radiosity: %v allocations, want at most %d", n, 4582/2)
+	}
+	t.Logf("Instrument(all) on radiosity: %v allocations", n)
 }

@@ -21,47 +21,46 @@ import "repro/internal/ir"
 // The function-level driver repeats the DFS until a pass makes no change,
 // matching APPLYOPT2A's modified loop.
 
-// applyOpt2a runs Optimization 2a on f; returns the number of clock moves.
-func (p *passCtx) applyOpt2a(f *ir.Func) int {
+// applyOpt2a runs Optimization 2a on p.f; returns the number of clock moves.
+func (p *passCtx) applyOpt2a() int {
 	moves := 0
+	visited := p.visited
 	for iter := 0; iter < maxOptIterations; iter++ {
-		preds := ir.Preds(f)
-		li := ir.NewLoopInfo(f)
-		visited := make(map[*ir.Block]bool, len(f.Blocks))
+		clear(visited)
 		modified := false
 		var walk func(b *ir.Block)
 		walk = func(b *ir.Block) {
-			if visited[b] {
+			if visited[b.Index] {
 				return
 			}
-			visited[b] = true
-			if p.meetsOpt2aCondNodeRequirements(b, preds) {
-				succs := distinctSuccs(b)
-				min := succs[0].Clock
+			visited[b.Index] = true
+			if p.meetsOpt2aCondNodeRequirements(b) {
+				succs := p.cfg.Succs[b.Index]
+				least := succs[0].Clock
 				for _, s := range succs[1:] {
-					min = minInt64(min, s.Clock)
+					least = min(least, s.Clock)
 				}
-				if min > 0 {
-					b.Clock += min
+				if least > 0 {
+					b.Clock += least
 					for _, s := range succs {
-						s.Clock -= min
+						s.Clock -= least
 					}
 					modified = true
 					moves++
 				}
-			} else if p.meetsOpt2aMergeNodeRequirements(b, preds, li) {
+			} else if p.meetsOpt2aMergeNodeRequirements(b) {
 				if b.Clock > 0 {
 					modified = true
 					moves++
 				}
-				p.pushClockUp(b, preds, li)
+				p.pushClockUp(b)
 			}
 			for _, s := range b.Term.Succs {
 				walk(s)
 			}
 		}
-		if f.Entry() != nil {
-			walk(f.Entry())
+		if p.f.Entry() != nil {
+			walk(p.f.Entry())
 		}
 		if !modified {
 			break
@@ -73,28 +72,15 @@ func (p *passCtx) applyOpt2a(f *ir.Func) int {
 // maxOptIterations is a defensive bound on optimization fixpoint loops.
 const maxOptIterations = 1000
 
-// distinctSuccs returns the unique successors of b in terminator order.
-func distinctSuccs(b *ir.Block) []*ir.Block {
-	var out []*ir.Block
-	seen := map[*ir.Block]bool{}
-	for _, s := range b.Term.Succs {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // meetsOpt2aCondNodeRequirements checks the condition-node shape: at least
 // two distinct successors, each reached only from b (so b dominates them and
 // they are not merge blocks), no unclocked calls anywhere involved, and no
 // self loops.
-func (p *passCtx) meetsOpt2aCondNodeRequirements(b *ir.Block, preds [][]*ir.Block) bool {
+func (p *passCtx) meetsOpt2aCondNodeRequirements(b *ir.Block) bool {
 	if b.Unclockable {
 		return false
 	}
-	succs := distinctSuccs(b)
+	succs := p.cfg.Succs[b.Index]
 	if len(succs) < 2 {
 		return false
 	}
@@ -102,7 +88,7 @@ func (p *passCtx) meetsOpt2aCondNodeRequirements(b *ir.Block, preds [][]*ir.Bloc
 		if s == b || s.Unclockable {
 			return false
 		}
-		if len(preds[s.Index]) != 1 {
+		if len(p.cfg.Preds[s.Index]) != 1 {
 			return false // merge block: not dominated solely through b
 		}
 	}
@@ -112,11 +98,11 @@ func (p *passCtx) meetsOpt2aCondNodeRequirements(b *ir.Block, preds [][]*ir.Bloc
 // meetsOpt2aMergeNodeRequirements checks the merge-node shape: two or more
 // predecessors, each of which has b as its only successor, none unclockable,
 // and b is not a loop header.
-func (p *passCtx) meetsOpt2aMergeNodeRequirements(b *ir.Block, preds [][]*ir.Block, li *ir.LoopInfo) bool {
-	if b.Unclockable || li.IsHeader(b) {
+func (p *passCtx) meetsOpt2aMergeNodeRequirements(b *ir.Block) bool {
+	if b.Unclockable || p.cfg.Loops.IsHeader(b) {
 		return false
 	}
-	bp := preds[b.Index]
+	bp := p.cfg.Preds[b.Index]
 	if len(bp) < 2 {
 		return false
 	}
@@ -124,7 +110,7 @@ func (p *passCtx) meetsOpt2aMergeNodeRequirements(b *ir.Block, preds [][]*ir.Blo
 		if pr == b || pr.Unclockable {
 			return false
 		}
-		ds := distinctSuccs(pr)
+		ds := p.cfg.Succs[pr.Index]
 		if len(ds) != 1 || ds[0] != b {
 			return false
 		}
@@ -135,16 +121,16 @@ func (p *passCtx) meetsOpt2aMergeNodeRequirements(b *ir.Block, preds [][]*ir.Blo
 // pushClockUp implements PUSHCLOCKUP (Figure 6, lines 24-34): move the merge
 // block's clock into every predecessor, cascading upward while predecessors
 // themselves meet the merge-node shape.
-func (p *passCtx) pushClockUp(b *ir.Block, preds [][]*ir.Block, li *ir.LoopInfo) {
+func (p *passCtx) pushClockUp(b *ir.Block) {
 	clock := b.Clock
 	if clock == 0 {
 		return
 	}
 	b.Clock = 0
-	for _, pr := range preds[b.Index] {
+	for _, pr := range p.cfg.Preds[b.Index] {
 		pr.Clock += clock
-		if p.meetsOpt2aMergeNodeRequirements(pr, preds, li) {
-			p.pushClockUp(pr, preds, li)
+		if p.meetsOpt2aMergeNodeRequirements(pr) {
+			p.pushClockUp(pr)
 		}
 	}
 }

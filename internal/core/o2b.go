@@ -18,20 +18,19 @@ import "repro/internal/ir"
 // exceeds the upper and the middle block has multiple successors, where an
 // upward move would diverge more.
 
-// applyOpt2b runs one DFS pass of Optimization 2b over f.
-func (p *passCtx) applyOpt2b(f *ir.Func) int {
+// applyOpt2b runs one DFS pass of Optimization 2b over p.f.
+func (p *passCtx) applyOpt2b() int {
 	moves := 0
-	preds := ir.Preds(f)
-	li := ir.NewLoopInfo(f)
-	visited := make(map[*ir.Block]bool, len(f.Blocks))
+	visited := p.visited
+	clear(visited)
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		if visited[b] {
+		if visited[b.Index] {
 			return
 		}
-		visited[b] = true
-		if sw, end, ok := p.meetsOpt2bRequirements(b, preds, li); ok {
-			if p.modifyOpt2bClocks(b, sw, end, li) {
+		visited[b.Index] = true
+		if sw, end, ok := p.meetsOpt2bRequirements(b); ok {
+			if p.modifyOpt2bClocks(b, sw, end) {
 				moves++
 			}
 		}
@@ -39,8 +38,8 @@ func (p *passCtx) applyOpt2b(f *ir.Func) int {
 			walk(s)
 		}
 	}
-	if f.Entry() != nil {
-		walk(f.Entry())
+	if p.f.Entry() != nil {
+		walk(p.f.Entry())
 	}
 	return moves
 }
@@ -49,14 +48,15 @@ func (p *passCtx) applyOpt2b(f *ir.Func) int {
 // successors, one of which (sw) reaches the other (end) among its own
 // successors; sw is reached only from b; end is reached only from b and sw;
 // all three blocks are clockable; end is not a loop header.
-func (p *passCtx) meetsOpt2bRequirements(b *ir.Block, preds [][]*ir.Block, li *ir.LoopInfo) (sw, end *ir.Block, ok bool) {
+func (p *passCtx) meetsOpt2bRequirements(b *ir.Block) (sw, end *ir.Block, ok bool) {
 	if b.Unclockable {
 		return nil, nil, false
 	}
-	succs := distinctSuccs(b)
+	succs := p.cfg.Succs[b.Index]
 	if len(succs) != 2 {
 		return nil, nil, false
 	}
+	preds, li := p.cfg.Preds, p.cfg.Loops
 	try := func(mid, merge *ir.Block) bool {
 		if mid == b || merge == b || mid == merge {
 			return false
@@ -65,7 +65,7 @@ func (p *passCtx) meetsOpt2bRequirements(b *ir.Block, preds [][]*ir.Block, li *i
 			return false
 		}
 		found := false
-		for _, ms := range distinctSuccs(mid) {
+		for _, ms := range p.cfg.Succs[mid.Index] {
 			if ms == merge {
 				found = true
 			}
@@ -94,11 +94,12 @@ func (p *passCtx) meetsOpt2bRequirements(b *ir.Block, preds [][]*ir.Block, li *i
 
 // modifyOpt2bClocks picks a direction, checks divergence, and moves the
 // clock. Reports whether a move happened.
-func (p *passCtx) modifyOpt2bClocks(upper, middle, lower *ir.Block, li *ir.LoopInfo) bool {
+func (p *passCtx) modifyOpt2bClocks(upper, middle, lower *ir.Block) bool {
+	li, middleSuccs := p.cfg.Loops, p.cfg.Succs[middle.Index]
 	moveDown := false
 	if li.Depth(upper) > li.Depth(lower) {
 		moveDown = true
-	} else if lower.Clock > upper.Clock && len(distinctSuccs(middle)) > 1 {
+	} else if lower.Clock > upper.Clock && len(middleSuccs) > 1 {
 		moveDown = true
 	}
 	var moved int64
@@ -114,7 +115,7 @@ func (p *passCtx) modifyOpt2bClocks(upper, middle, lower *ir.Block, li *ir.LoopI
 	// the upper block reaches the merge exactly once and the shift is
 	// precise — the paper's "that optimization, like part a, would have been
 	// precise" case — so no divergence test applies.
-	precise := len(distinctSuccs(middle)) == 1
+	precise := len(middleSuccs) == 1
 	if !precise {
 		// Divergence seen by paths that go upper→middle→(other successor):
 		// they lose `moved` when it goes down, or gain it when it goes up,
@@ -124,11 +125,11 @@ func (p *passCtx) modifyOpt2bClocks(upper, middle, lower *ir.Block, li *ir.LoopI
 		// the triangle region itself.
 		var pathClock int64
 		if l := li.InnermostLoop(middle); l != nil {
-			for b := range l.Blocks {
+			for _, b := range l.Blocks {
 				pathClock += b.Clock
 			}
 		} else {
-			pathClock = upper.Clock + middle.Clock + otherSuccClock(middle, lower)
+			pathClock = upper.Clock + middle.Clock + otherSuccClock(middleSuccs, lower)
 		}
 		if !moveDown {
 			pathClock += moved
@@ -150,9 +151,9 @@ func (p *passCtx) modifyOpt2bClocks(upper, middle, lower *ir.Block, li *ir.LoopI
 // otherSuccClock returns the clock of the middle block's non-merge successor
 // (the escape path used in the divergence estimate); zero when the middle
 // block only reaches the merge.
-func otherSuccClock(middle, merge *ir.Block) int64 {
+func otherSuccClock(middleSuccs []*ir.Block, merge *ir.Block) int64 {
 	var c int64
-	for _, s := range distinctSuccs(middle) {
+	for _, s := range middleSuccs {
 		if s != merge {
 			c += s.Clock
 		}

@@ -12,74 +12,83 @@ import "repro/internal/ir"
 // block the paths touched loses its clock. The search then resumes from the
 // successors of the touched blocks.
 
-// applyOpt3 runs Optimization 3 over f; returns the number of regions
+// applyOpt3 runs Optimization 3 over p.f; returns the number of regions
 // averaged.
-func (p *passCtx) applyOpt3(f *ir.Func) int {
-	if f.Entry() == nil {
+func (p *passCtx) applyOpt3() int {
+	if p.f.Entry() == nil {
 		return 0
 	}
 	moves := 0
-	dt := ir.NewDomTree(f)
-	li := ir.NewLoopInfo(f)
-	visited := make(map[*ir.Block]bool, len(f.Blocks))
+	visited := p.visited
+	clear(visited)
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		if visited[b] {
+		if visited[b.Index] {
 			return
 		}
-		visited[b] = true
-		if p.meetsOpt3Requirements(b, li) {
-			clocks, touched, ok := p.opt3PathClocks(b, dt, li)
-			if ok {
-				st := ir.Stats(clocks)
-				if p.meetsCriteria(st) && len(touched) > 1 {
-					avg := int64(st.Mean)
-					for tb := range touched {
-						tb.Clock = 0
-					}
-					b.Clock = avg
-					moves++
-					// Resume from successors of touched blocks outside the
-					// region (Figure 11, lines 13-16).
-					for tb := range touched {
-						visited[tb] = true
-						for _, s := range tb.Term.Succs {
-							if !touched[s] {
-								walk(s)
-							}
+		visited[b.Index] = true
+		if p.meetsOpt3Requirements(b) {
+			// The region's blocks sit on top of p.touched while the walk
+			// resumes below it: a nested region pushes and pops above them.
+			base := len(p.touched)
+			clocks, ok := p.opt3PathClocks(b)
+			end := len(p.touched)
+			var st ir.ClockStats // of no paths: meets no criteria
+			if ok && end-base > 1 {
+				st = ir.Stats(clocks)
+			}
+			if p.meetsCriteria(st) {
+				p.regions++
+				id := p.regions
+				for _, tb := range p.touched[base:end] {
+					tb.Clock = 0
+					p.region[tb.Index] = id
+				}
+				b.Clock = int64(st.Mean)
+				moves++
+				// Resume from successors of touched blocks outside the
+				// region (Figure 11, lines 13-16).
+				for i := base; i < end; i++ {
+					tb := p.touched[i]
+					visited[tb.Index] = true
+					for _, s := range tb.Term.Succs {
+						if p.region[s.Index] != id {
+							walk(s)
 						}
 					}
-					return
 				}
+				p.touched = p.touched[:base]
+				return
 			}
+			p.touched = p.touched[:base]
 		}
 		for _, s := range b.Term.Succs {
 			walk(s)
 		}
 	}
-	walk(f.Entry())
+	walk(p.f.Entry())
 	return moves
 }
 
 // meetsOpt3Requirements: the region root must be a clockable branch block
 // (averaging a straight line is Optimization 2a's job) and not a loop
 // header, whose region would include its own back edge.
-func (p *passCtx) meetsOpt3Requirements(b *ir.Block, li *ir.LoopInfo) bool {
-	if b.Unclockable || li.IsHeader(b) {
+func (p *passCtx) meetsOpt3Requirements(b *ir.Block) bool {
+	if b.Unclockable || p.cfg.Loops.IsHeader(b) {
 		return false
 	}
-	return len(distinctSuccs(b)) >= 2
+	return len(p.cfg.Succs[b.Index]) >= 2
 }
 
 // opt3PathClocks enumerates region path clocks from root. A path extends
 // into a successor only when the successor is dominated by root, is not
 // reached via a back edge, and is clockable; otherwise the path ends at the
-// current block (inclusive). Returns the path clocks and the set of blocks
-// included in any path.
-func (p *passCtx) opt3PathClocks(root *ir.Block, dt *ir.DomTree, li *ir.LoopInfo) ([]int64, map[*ir.Block]bool, bool) {
-	touched := map[*ir.Block]bool{}
-	var clocks []int64
-	onStack := map[*ir.Block]bool{}
+// current block (inclusive). Returns the path clocks, in scratch the next
+// call reuses, and pushes each block included in any path onto p.touched.
+func (p *passCtx) opt3PathClocks(root *ir.Block) ([]int64, bool) {
+	dt, li := p.cfg.Dom, p.cfg.Loops
+	base := len(p.touched)
+	clocks := p.clocks[:0]
 	ok := true
 	var walk func(b *ir.Block, acc int64)
 	walk = func(b *ir.Block, acc int64) {
@@ -87,14 +96,18 @@ func (p *passCtx) opt3PathClocks(root *ir.Block, dt *ir.DomTree, li *ir.LoopInfo
 			return
 		}
 		acc += b.Clock
-		touched[b] = true
+		if !p.pushed[b.Index] {
+			p.pushed[b.Index] = true
+			p.touched = append(p.touched, b)
+		}
 		if len(clocks) > ir.MaxPaths {
 			ok = false
 			return
 		}
 		// Decide which successors the path may continue into.
-		var next []*ir.Block
-		for _, s := range distinctSuccs(b) {
+		succs := p.cfg.Succs[b.Index]
+		first := len(p.next)
+		for _, s := range succs {
 			if li.IsBackEdge(b, s) {
 				continue // stop at back edges
 			}
@@ -111,28 +124,31 @@ func (p *passCtx) opt3PathClocks(root *ir.Block, dt *ir.DomTree, li *ir.LoopInfo
 			if s.Unclockable {
 				continue // stop before unclocked calls
 			}
-			if onStack[s] {
+			if p.onStack[s.Index] {
 				continue // irreducible cycle guard
 			}
-			next = append(next, s)
+			p.next = append(p.next, s)
 		}
-		if b.Term.Kind == ir.TermRet || len(next) == 0 {
+		last := len(p.next)
+		if b.Term.Kind == ir.TermRet || last == first {
 			clocks = append(clocks, acc)
 			return
 		}
 		// If some successors were cut off, those continuations end here too.
-		if len(next) < len(distinctSuccs(b)) {
+		if last-first < len(succs) {
 			clocks = append(clocks, acc)
 		}
-		onStack[b] = true
-		for _, s := range next {
-			walk(s, acc)
+		p.onStack[b.Index] = true
+		for i := first; i < last; i++ {
+			walk(p.next[i], acc)
 		}
-		delete(onStack, b)
+		p.onStack[b.Index] = false
+		p.next = p.next[:first]
 	}
 	walk(root, 0)
-	if !ok {
-		return nil, nil, false
+	p.clocks = clocks
+	for _, tb := range p.touched[base:] {
+		p.pushed[tb.Index] = false
 	}
-	return clocks, touched, true
+	return clocks, ok
 }

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/ir"
-
 // Optimization 4 — Loops (paper §IV-D).
 //
 // Loop increment blocks (the `for.inc` of a rotated loop) execute once per
@@ -13,11 +11,10 @@ import "repro/internal/ir"
 // runs for the final, failing iteration test), which is why the threshold
 // keeps it to small blocks.
 
-// applyOpt4 runs Optimization 4 on f; returns the number of merges.
-func (p *passCtx) applyOpt4(f *ir.Func) int {
+// applyOpt4 runs Optimization 4 on p.f; returns the number of merges.
+func (p *passCtx) applyOpt4() int {
 	moves := 0
-	li := ir.NewLoopInfo(f)
-	for _, be := range li.BackEdges {
+	for _, be := range p.cfg.Loops.BackEdges {
 		src, hdr := be.From, be.To
 		if src == hdr { // self loop: nothing to merge into
 			continue

@@ -15,6 +15,29 @@ type passCtx struct {
 	est       *estimates.Table
 	opt       Options
 	clockable map[string]int64
+
+	// f is the function O2a–O4 are working on and cfg its analysis, made
+	// once: after the split, the passes move Block.Clock but no block or edge.
+	f   *ir.Func
+	cfg *ir.CFG
+	// Sets over f's blocks by Block.Index: the pass walks' visited blocks,
+	// O3's path stack, the blocks its current path walk has pushed, and the
+	// region each block was averaged into.
+	visited, onStack, pushed []bool
+	region                   []int32
+	regions                  int32
+	// O3's stacks (blocks of the regions being resumed from, successors of
+	// the paths being walked) and the clocks of the last region's paths.
+	touched, next []*ir.Block
+	clocks        []int64
+}
+
+// enter analyzes f and sizes the scratch for it.
+func (p *passCtx) enter(f *ir.Func) {
+	p.f, p.cfg = f, ir.Analyze(f)
+	n := len(f.Blocks)
+	p.visited, p.onStack, p.pushed = make([]bool, n), make([]bool, n), make([]bool, n)
+	p.region, p.regions = make([]int32, n), 0
 }
 
 // Result reports what the pass did; the harness uses it for the "Clockable
@@ -47,8 +70,30 @@ func (r *Result) ClockableNames() []string {
 // Instrument runs the DetLock pass over m in place: it inserts clockadd
 // instructions realizing the logical clock of §III-A, applying the
 // optimizations selected in opt. The module must verify against the builtin
-// table beforehand. cm and est may be nil for defaults.
+// table beforehand, and is verified against it again afterwards. cm and est
+// may be nil for defaults.
 func Instrument(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Options) (*Result, error) {
+	p, res, err := analyze(m, cm, est, opt)
+	if err != nil {
+		return nil, err
+	}
+	p.materialize(res)
+	if err := m.Verify(p.est.Has); err != nil {
+		return nil, fmt.Errorf("core: instrumented module does not verify: %w", err)
+	}
+	return res, nil
+}
+
+// AnalyzeOnly runs the pipeline through the optimizations but does not
+// materialize clockadds; cmd/detviz uses it to print per-stage block clocks.
+func AnalyzeOnly(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Options) (*Result, error) {
+	_, res, err := analyze(m, cm, est, opt)
+	return res, err
+}
+
+// analyze runs everything up to materialization: it leaves every block's
+// final clock in Block.Clock.
+func analyze(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Options) (*passCtx, *Result, error) {
 	if cm == nil {
 		cm = ir.DefaultCostModel()
 	}
@@ -57,7 +102,7 @@ func Instrument(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Option
 	}
 	opt = opt.Defaults()
 	if err := m.Verify(est.Has); err != nil {
-		return nil, fmt.Errorf("core: module does not verify: %w", err)
+		return nil, nil, fmt.Errorf("core: module does not verify: %w", err)
 	}
 	p := &passCtx{m: m, cm: cm, est: est, opt: opt}
 	res := &Result{OptMoves: map[string]int{}}
@@ -75,69 +120,26 @@ func Instrument(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Option
 	p.assignBaseClocks()
 
 	// Block-level optimizations, in the paper's order.
+	blockOpts := opt.O2a || opt.O2b || opt.O3 || opt.O4
 	for _, f := range p.m.Funcs {
-		if _, isClocked := p.clockable[f.Name]; isClocked {
+		if _, isClocked := p.clockable[f.Name]; isClocked || !blockOpts {
 			continue
 		}
+		p.enter(f)
 		if opt.O2a {
-			res.OptMoves["O2a"] += p.applyOpt2a(f)
+			res.OptMoves["O2a"] += p.applyOpt2a()
 		}
 		if opt.O2b {
-			res.OptMoves["O2b"] += p.applyOpt2b(f)
+			res.OptMoves["O2b"] += p.applyOpt2b()
 		}
 		if opt.O3 {
-			res.OptMoves["O3"] += p.applyOpt3(f)
+			res.OptMoves["O3"] += p.applyOpt3()
 		}
 		if opt.O4 {
-			res.OptMoves["O4"] += p.applyOpt4(f)
+			res.OptMoves["O4"] += p.applyOpt4()
 		}
 	}
-
-	// Materialize clockadd instructions.
-	p.materialize(res)
-	if err := m.Verify(est.Has); err != nil {
-		return nil, fmt.Errorf("core: instrumented module does not verify: %w", err)
-	}
-	return res, nil
-}
-
-// AnalyzeOnly runs the pipeline through the optimizations but does not
-// materialize clockadds; cmd/detviz uses it to print per-stage block clocks.
-func AnalyzeOnly(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Options) (*Result, error) {
-	if cm == nil {
-		cm = ir.DefaultCostModel()
-	}
-	if est == nil {
-		est = estimates.DefaultTable()
-	}
-	opt = opt.Defaults()
-	if err := m.Verify(est.Has); err != nil {
-		return nil, fmt.Errorf("core: module does not verify: %w", err)
-	}
-	p := &passCtx{m: m, cm: cm, est: est, opt: opt}
-	res := &Result{OptMoves: map[string]int{}}
-	p.clockable = p.clockabilityAnalysis()
-	res.Clockable = p.clockable
-	res.BlocksSplit = p.splitAroundUnclockedCalls()
-	p.assignBaseClocks()
-	for _, f := range p.m.Funcs {
-		if _, isClocked := p.clockable[f.Name]; isClocked {
-			continue
-		}
-		if opt.O2a {
-			res.OptMoves["O2a"] += p.applyOpt2a(f)
-		}
-		if opt.O2b {
-			res.OptMoves["O2b"] += p.applyOpt2b(f)
-		}
-		if opt.O3 {
-			res.OptMoves["O3"] += p.applyOpt3(f)
-		}
-		if opt.O4 {
-			res.OptMoves["O4"] += p.applyOpt4(f)
-		}
-	}
-	return res, nil
+	return p, res, nil
 }
 
 // splitAroundUnclockedCalls isolates each call to an unclocked function —
@@ -155,10 +157,8 @@ func AnalyzeOnly(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Optio
 func (p *passCtx) splitAroundUnclockedCalls() int {
 	split := 0
 	for _, f := range p.m.Funcs {
-		// Iterate over a snapshot; splitting appends blocks.
-		for bi := 0; bi < len(f.Blocks); bi++ {
-			b := f.Blocks[bi]
-			for i := 0; i < len(b.Instrs); i++ {
+		split += f.SplitBlocks(func(b *ir.Block) (int, string) {
+			for i := range b.Instrs {
 				ins := &b.Instrs[i]
 				switch ins.Op {
 				case ir.OpLock, ir.OpUnlock, ir.OpBarrier, ir.OpSpawn, ir.OpJoin:
@@ -171,20 +171,18 @@ func (p *passCtx) splitAroundUnclockedCalls() int {
 					continue
 				}
 				if i > 0 {
-					// Move the call (and everything after) into a new block;
-					// re-examine it on a later iteration of the outer loop.
-					f.SplitAt(b, i, "call."+b.Name)
-					split++
-					break
+					// Move the call (and everything after) into a new block,
+					// which is examined next.
+					return i, "call." + b.Name
 				}
 				if len(b.Instrs) > 1 {
 					// Call is first: split the tail off after it.
-					f.SplitAt(b, 1, "split."+b.Name)
-					split++
+					return 1, "split." + b.Name
 				}
 				break
 			}
-		}
+			return -1, ""
+		})
 	}
 	return split
 }
@@ -221,7 +219,7 @@ func (p *passCtx) assignBaseClocks() {
 				case callDynamicBuiltin:
 					// Static part of the estimate; dynamic part is emitted at
 					// materialization as a scaled clockadd.
-					if e, ok := p.estimateFor(ins.Callee); ok {
+					if e, ok := p.est.Lookup(ins.Callee); ok {
 						clock += e.Base
 					}
 					b.Unclockable = true
@@ -241,8 +239,16 @@ func (p *passCtx) materialize(res *Result) {
 		if _, isClocked := p.clockable[f.Name]; isClocked {
 			continue
 		}
+		// One array holds the function's new instruction lists: every old
+		// instruction and a static update per block. The rare dynamic update
+		// may outgrow it; finished lists then stay where they are.
+		n := len(f.Blocks)
 		for _, b := range f.Blocks {
-			var out []ir.Instr
+			n += len(b.Instrs)
+		}
+		out := make([]ir.Instr, 0, n)
+		for _, b := range f.Blocks {
+			start := len(out)
 			static := b.Clock
 			emitStatic := func() {
 				if static > 0 {
@@ -256,10 +262,10 @@ func (p *passCtx) materialize(res *Result) {
 				emitStatic()
 			}
 			for i := range b.Instrs {
-				ins := b.Instrs[i]
+				ins := &b.Instrs[i]
 				if ins.Op == ir.OpCall {
-					if _, kind := p.classifyCall(&ins, p.clockable); kind == callDynamicBuiltin {
-						if e, ok := p.estimateFor(ins.Callee); ok && e.ArgIndex < len(ins.Args) {
+					if _, kind := p.classifyCall(ins, p.clockable); kind == callDynamicBuiltin {
+						if e, ok := p.est.Lookup(ins.Callee); ok && e.ArgIndex < len(ins.Args) {
 							// Charge the size-dependent part right before the
 							// call (ahead of time); the constant part is in
 							// the block's static clock.
@@ -273,20 +279,12 @@ func (p *passCtx) materialize(res *Result) {
 						}
 					}
 				}
-				out = append(out, ins)
+				out = append(out, *ins)
 			}
 			if p.opt.PlaceAtEnd {
 				emitStatic()
 			}
-			b.Instrs = out
+			b.Instrs = out[start:len(out):len(out)]
 		}
 	}
-}
-
-// minInt64 returns the smaller of a and b.
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

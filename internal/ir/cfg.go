@@ -1,28 +1,54 @@
 package ir
 
+import "slices"
+
 // CFG analyses: predecessors, reverse postorder, dominator tree, natural
 // loops and loop depth. These feed the DetLock optimizations: O2a needs
 // predecessors/merge-node structure and loop headers, O2b needs loop depth,
 // O3 needs dominance, O4 needs back edges.
 
-// Preds computes the predecessor lists of every block, indexed by Block.Index.
-func Preds(f *Func) [][]*Block {
-	f.reindex()
-	preds := make([][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Term.Succs {
-			preds[s.Index] = append(preds[s.Index], b)
-		}
-	}
-	return preds
+// CFG holds every control-flow analysis of one function, each computed once
+// by Analyze. It describes the block structure Analyze saw: clocks may move
+// afterwards, blocks and edges may not.
+type CFG struct {
+	// Preds[i] lists the predecessors of block i, one entry per edge.
+	Preds [][]*Block
+	// Succs[i] lists the distinct successors of block i in terminator order.
+	Succs [][]*Block
+	// RPO lists the blocks reachable from entry in reverse postorder.
+	RPO   []*Block
+	Dom   *DomTree
+	Loops *LoopInfo
 }
 
-// ReversePostorder returns the blocks reachable from entry in reverse
-// postorder (entry first).
-func ReversePostorder(f *Func) []*Block {
+// Analyze computes the CFG analyses of f.
+func Analyze(f *Func) *CFG {
 	f.reindex()
-	seen := make([]bool, len(f.Blocks))
-	var post []*Block
+	n := len(f.Blocks)
+	c := &CFG{Preds: make([][]*Block, n), Succs: make([][]*Block, n)}
+
+	// Predecessor lists are carved out of one array sized by the edge count.
+	deg := make([]int, n)
+	edges := 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Term.Succs {
+			deg[s.Index]++
+			edges++
+		}
+	}
+	back := make([]*Block, edges)
+	for i, d := range deg {
+		c.Preds[i], back = back[:0:d], back[d:]
+	}
+	for _, b := range f.Blocks {
+		c.Succs[b.Index] = distinct(b.Term.Succs)
+		for _, s := range b.Term.Succs {
+			c.Preds[s.Index] = append(c.Preds[s.Index], b)
+		}
+	}
+
+	seen := make([]bool, n)
+	post := make([]*Block, 0, n)
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
 		seen[b.Index] = true
@@ -33,18 +59,37 @@ func ReversePostorder(f *Func) []*Block {
 		}
 		post = append(post, b)
 	}
-	if len(f.Blocks) > 0 {
+	if n > 0 {
 		dfs(f.Blocks[0])
 	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
+	slices.Reverse(post)
+	c.RPO = post
+
+	c.Dom = newDomTree(n, c.RPO, c.Preds)
+	c.Loops = newLoopInfo(f, c.Dom, c.Preds)
+	return c
+}
+
+// distinct returns succs without repeats, in order: succs itself unless a
+// branch or switch names a target twice.
+func distinct(succs []*Block) []*Block {
+	var out []*Block
+	for i, s := range succs {
+		switch dup := slices.Contains(succs[:i], s); {
+		case dup && out == nil:
+			out = append(out, succs[:i]...)
+		case !dup && out != nil:
+			out = append(out, s)
+		}
 	}
-	return post
+	if out == nil {
+		return succs
+	}
+	return out
 }
 
 // DomTree holds immediate-dominator information for a function.
 type DomTree struct {
-	f *Func
 	// idom[i] is the immediate dominator of block i (nil for entry and for
 	// unreachable blocks).
 	idom []*Block
@@ -53,13 +98,10 @@ type DomTree struct {
 	rpoNum []int
 }
 
-// NewDomTree computes the dominator tree using the Cooper–Harvey–Kennedy
-// iterative algorithm over reverse postorder.
-func NewDomTree(f *Func) *DomTree {
-	f.reindex()
-	rpo := ReversePostorder(f)
-	n := len(f.Blocks)
-	dt := &DomTree{f: f, idom: make([]*Block, n), rpoNum: make([]int, n)}
+// newDomTree runs the Cooper–Harvey–Kennedy iterative algorithm over reverse
+// postorder.
+func newDomTree(n int, rpo []*Block, preds [][]*Block) *DomTree {
+	dt := &DomTree{idom: make([]*Block, n), rpoNum: make([]int, n)}
 	for i := range dt.rpoNum {
 		dt.rpoNum[i] = -1
 	}
@@ -69,7 +111,6 @@ func NewDomTree(f *Func) *DomTree {
 	if len(rpo) == 0 {
 		return dt
 	}
-	preds := Preds(f)
 	entry := rpo[0]
 	dt.idom[entry.Index] = entry // temporarily self, cleared below
 	for changed := true; changed; {
@@ -133,30 +174,36 @@ type BackEdge struct {
 	From, To *Block
 }
 
-// Loop is a natural loop: the header plus the body block set.
+// Loop is a natural loop: the header plus the body blocks.
 type Loop struct {
 	Header *Block
-	Blocks map[*Block]bool
+	// Blocks is the body, header first.
+	Blocks []*Block
+	in     []bool // membership by Block.Index
 }
 
 // Contains reports whether the loop body includes b.
-func (l *Loop) Contains(b *Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *Block) bool { return l.in[b.Index] }
+
+func (l *Loop) add(b *Block) {
+	l.in[b.Index] = true
+	l.Blocks = append(l.Blocks, b)
+}
 
 // LoopInfo aggregates back edges, natural loops and per-block loop depth.
 type LoopInfo struct {
 	BackEdges []BackEdge
 	Loops     []*Loop
 	// depth[i] is the loop nesting depth of block i (0 = not in any loop).
-	depth   []int
-	headers map[*Block]bool
+	depth []int
+	// header[i] is the loop block i heads, or nil.
+	header []*Loop
 }
 
-// NewLoopInfo detects natural loops via dominance-based back-edge detection.
-func NewLoopInfo(f *Func) *LoopInfo {
-	f.reindex()
-	dt := NewDomTree(f)
-	li := &LoopInfo{depth: make([]int, len(f.Blocks)), headers: map[*Block]bool{}}
-	preds := Preds(f)
+// newLoopInfo detects natural loops via dominance-based back-edge detection.
+func newLoopInfo(f *Func, dt *DomTree, preds [][]*Block) *LoopInfo {
+	n := len(f.Blocks)
+	li := &LoopInfo{depth: make([]int, n), header: make([]*Loop, n)}
 	for _, b := range f.Blocks {
 		if !dt.Reachable(b) {
 			continue
@@ -168,35 +215,34 @@ func NewLoopInfo(f *Func) *LoopInfo {
 		}
 	}
 	// Merge back edges with the same header into one natural loop.
-	byHeader := map[*Block]*Loop{}
+	var stack []*Block
 	for _, be := range li.BackEdges {
-		l := byHeader[be.To]
+		l := li.header[be.To.Index]
 		if l == nil {
-			l = &Loop{Header: be.To, Blocks: map[*Block]bool{be.To: true}}
-			byHeader[be.To] = l
+			l = &Loop{Header: be.To, in: make([]bool, n)}
+			l.add(be.To)
+			li.header[be.To.Index] = l
 			li.Loops = append(li.Loops, l)
-			li.headers[be.To] = true
 		}
 		// Standard natural-loop body collection: walk predecessors back from
 		// the latch until the header.
-		var stack []*Block
-		if !l.Blocks[be.From] {
-			l.Blocks[be.From] = true
+		if !l.Contains(be.From) {
+			l.add(be.From)
 			stack = append(stack, be.From)
 		}
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, p := range preds[x.Index] {
-				if !l.Blocks[p] && dt.Reachable(p) {
-					l.Blocks[p] = true
+				if !l.Contains(p) && dt.Reachable(p) {
+					l.add(p)
 					stack = append(stack, p)
 				}
 			}
 		}
 	}
 	for _, l := range li.Loops {
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			li.depth[b.Index]++
 		}
 	}
@@ -207,7 +253,7 @@ func NewLoopInfo(f *Func) *LoopInfo {
 func (li *LoopInfo) Depth(b *Block) int { return li.depth[b.Index] }
 
 // IsHeader reports whether b is a natural-loop header.
-func (li *LoopInfo) IsHeader(b *Block) bool { return li.headers[b] }
+func (li *LoopInfo) IsHeader(b *Block) bool { return li.header[b.Index] != nil }
 
 // IsBackEdge reports whether from->to is a back edge.
 func (li *LoopInfo) IsBackEdge(from, to *Block) bool {

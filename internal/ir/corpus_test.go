@@ -3,7 +3,6 @@ package ir_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -132,9 +131,28 @@ func TestCorpusGolden(t *testing.T) {
 		g, w := strings.Fields(got[i]), strings.Fields(want[i])
 		for c := range g {
 			if c >= len(w) || g[c] != w[c] {
-				t.Errorf("%s: %s differs from %s", g[0], fmt.Sprint(cols[c]), corpusFile)
+				t.Errorf("%s: %s differs from %s", g[0], cols[c], corpusFile)
 				break
 			}
+		}
+	}
+}
+
+// TestModuleStringAllocs pins the printer's allocations: the byte slice it
+// appends into, sized up front, and the string made of it.
+func TestModuleStringAllocs(t *testing.T) {
+	b := splash.Radiosity(corpusThreads)
+	for _, instrument := range []bool{false, true} {
+		m := b.Module.Clone()
+		if instrument {
+			opt := core.OptAll
+			opt.Roots = []string{b.Entry}
+			if _, err := core.Instrument(m, nil, nil, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = m.String() }); n > 2 {
+			t.Errorf("Module.String (instrumented=%v): %v allocations, want at most 2", instrument, n)
 		}
 	}
 }

@@ -15,7 +15,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -76,7 +76,7 @@ func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
-	return fmt.Sprintf("op(%d)", uint8(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // IsBinary reports whether the op takes two value operands A and B.
@@ -135,14 +135,6 @@ func R(r Reg) Operand { return Operand{Reg: r} }
 // Imm returns an immediate operand.
 func Imm(v int64) Operand { return Operand{Imm: v, IsImm: true, Reg: NoReg} }
 
-// String renders the operand in assembly syntax.
-func (o Operand) String() string {
-	if o.IsImm {
-		return fmt.Sprintf("%d", o.Imm)
-	}
-	return fmt.Sprintf("r%d", o.Reg)
-}
-
 // Instr is a single (non-terminator) instruction.
 //
 // Field use by opcode:
@@ -184,6 +176,10 @@ type Term struct {
 	Succs []*Block
 	Ret   Operand
 }
+
+// unset reports whether t is still the zero Term: the parser leaves one on a
+// block that is only ever named as a branch target (Verify reports it).
+func (t *Term) unset() bool { return t.Kind == TermJmp && len(t.Succs) == 0 }
 
 // Block is a basic block: a straight-line instruction list plus a terminator.
 type Block struct {
@@ -268,18 +264,23 @@ func (f *Func) reindex() {
 	}
 }
 
-// InsertBlockAfter inserts nb immediately after b in the block list.
-func (f *Func) InsertBlockAfter(b, nb *Block) {
-	at := b.Index + 1
-	f.Blocks = append(f.Blocks, nil)
-	copy(f.Blocks[at+1:], f.Blocks[at:])
-	f.Blocks[at] = nb
-	f.reindex()
-}
-
-// HasLoops reports whether the function's CFG contains a back edge.
+// HasLoops reports whether a cycle is reachable from the function's entry.
 func (f *Func) HasLoops() bool {
-	return len(NewLoopInfo(f).BackEdges) > 0
+	f.reindex()
+	// 0 unseen, 1 on the DFS stack, 2 finished.
+	state := make([]uint8, len(f.Blocks))
+	var cyclic func(b *Block) bool
+	cyclic = func(b *Block) bool {
+		state[b.Index] = 1
+		for _, s := range b.Term.Succs {
+			if state[s.Index] == 1 || state[s.Index] == 0 && cyclic(s) {
+				return true
+			}
+		}
+		state[b.Index] = 2
+		return false
+	}
+	return len(f.Blocks) > 0 && cyclic(f.Blocks[0])
 }
 
 // Global is a module-level memory region of Size int64 words, optionally with
@@ -397,37 +398,47 @@ func (m *Module) TotalBlockClock() int64 {
 	return t
 }
 
-// uniqueBlockName derives an unused block name from base.
-func uniqueBlockName(f *Func, base string) string {
-	if f.Block(base) == nil {
-		return base
-	}
-	for i := 1; ; i++ {
-		n := fmt.Sprintf("%s.%d", base, i)
-		if f.Block(n) == nil {
-			return n
+// SplitBlocks splits blocks wherever cut says to, in one pass that builds
+// the function's new block list. cut(b) returns the instruction index at
+// which to split b and the name wanted for the new block, or a negative index
+// to leave b whole. Instructions [i:] move to the new block, which is placed
+// right after b, inherits b's terminator and successors, and is offered to
+// cut in its turn; b jumps to it. A name already in use gets a ".N" suffix.
+// Clock metadata stays with b; callers decide how to redistribute. Returns
+// the number of splits.
+func (f *Func) SplitBlocks(cut func(b *Block) (i int, name string)) int {
+	out := make([]*Block, 0, 2*len(f.Blocks))
+	var used map[string]bool
+	for _, b := range f.Blocks {
+		for {
+			out = append(out, b)
+			i, base := cut(b)
+			if i < 0 {
+				break
+			}
+			if used == nil {
+				used = make(map[string]bool, 2*len(f.Blocks))
+				for _, x := range f.Blocks {
+					used[x.Name] = true
+				}
+			}
+			name := base
+			for n := 1; used[name]; n++ {
+				name = base + "." + strconv.Itoa(n)
+			}
+			used[name] = true
+			// The two halves share b's backing array; b's is capped so that
+			// an append to it cannot reach the new block's instructions.
+			nb := &Block{Name: name, Func: f, Instrs: b.Instrs[i:], Term: b.Term}
+			b.Instrs = b.Instrs[:i:i]
+			b.Term = Term{Kind: TermJmp, Succs: []*Block{nb}}
+			b = nb
 		}
 	}
-}
-
-// SplitAt splits block b at instruction index i (instructions [i:] move to a
-// new block). The new block inherits b's terminator and successors; b jumps
-// to it. Returns the new block. Clock metadata stays with b; callers decide
-// how to redistribute.
-func (f *Func) SplitAt(b *Block, i int, nameHint string) *Block {
-	if nameHint == "" {
-		nameHint = "split." + b.Name
-	}
-	nb := &Block{
-		Name: uniqueBlockName(f, nameHint),
-		Func: f,
-	}
-	nb.Instrs = append(nb.Instrs, b.Instrs[i:]...)
-	b.Instrs = b.Instrs[:i:i]
-	nb.Term = b.Term
-	b.Term = Term{Kind: TermJmp, Succs: []*Block{nb}}
-	f.InsertBlockAfter(b, nb)
-	return nb
+	splits := len(out) - len(f.Blocks)
+	f.Blocks = out
+	f.reindex()
+	return splits
 }
 
 // sanitizeName restricts names to the identifier charset accepted by the

@@ -68,7 +68,7 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestPreds(t *testing.T) {
 	_, f := buildDiamond(t)
-	preds := Preds(f)
+	preds := Analyze(f).Preds
 	merge := f.Block("merge")
 	if got := len(preds[merge.Index]); got != 2 {
 		t.Fatalf("merge preds = %d, want 2", got)
@@ -80,7 +80,7 @@ func TestPreds(t *testing.T) {
 
 func TestReversePostorder(t *testing.T) {
 	_, f := buildDiamond(t)
-	rpo := ReversePostorder(f)
+	rpo := Analyze(f).RPO
 	if len(rpo) != 4 {
 		t.Fatalf("rpo len = %d", len(rpo))
 	}
@@ -94,7 +94,7 @@ func TestReversePostorder(t *testing.T) {
 
 func TestDominators(t *testing.T) {
 	_, f := buildDiamond(t)
-	dt := NewDomTree(f)
+	dt := Analyze(f).Dom
 	entry := f.Block("entry")
 	then := f.Block("then")
 	els := f.Block("else")
@@ -121,7 +121,7 @@ func TestDominators(t *testing.T) {
 
 func TestDominatorsLoop(t *testing.T) {
 	_, f := buildLoop(t)
-	dt := NewDomTree(f)
+	dt := Analyze(f).Dom
 	header := f.Block("header")
 	body := f.Block("body")
 	latch := f.Block("latch")
@@ -136,7 +136,7 @@ func TestDominatorsLoop(t *testing.T) {
 
 func TestLoopInfo(t *testing.T) {
 	_, f := buildLoop(t)
-	li := NewLoopInfo(f)
+	li := Analyze(f).Loops
 	if len(li.BackEdges) != 1 {
 		t.Fatalf("back edges = %d, want 1", len(li.BackEdges))
 	}
@@ -178,7 +178,7 @@ func TestNestedLoopDepth(t *testing.T) {
 	fb.Block("outer.latch").Jmp("outer")
 	fb.Block("exit").Ret(Imm(0))
 	f := mb.M.Func("f")
-	li := NewLoopInfo(f)
+	li := Analyze(f).Loops
 	if got := li.Depth(f.Block("inner")); got != 2 {
 		t.Fatalf("inner depth = %d, want 2", got)
 	}
@@ -198,21 +198,37 @@ func TestHasLoops(t *testing.T) {
 	}
 }
 
+// splitOnce returns a SplitBlocks cut that splits target at i, once.
+func splitOnce(target *Block, i int, name string) func(*Block) (int, string) {
+	return func(b *Block) (int, string) {
+		if b != target {
+			return -1, ""
+		}
+		target = nil
+		return i, name
+	}
+}
+
 func TestSplitAt(t *testing.T) {
 	_, f := buildDiamond(t)
 	entry := f.Entry()
-	nb := f.SplitAt(entry, 1, "")
+	if n := f.SplitBlocks(splitOnce(entry, 1, "split.entry")); n != 1 {
+		t.Fatalf("SplitBlocks = %d splits, want 1", n)
+	}
+	nb := f.Blocks[1]
 	if len(entry.Instrs) != 1 {
 		t.Fatalf("entry kept %d instrs", len(entry.Instrs))
 	}
 	if entry.Term.Kind != TermJmp || entry.Term.Succs[0] != nb {
-		t.Fatalf("entry should jmp to split block")
+		t.Fatalf("entry should jmp to the split block, which follows it")
 	}
-	if nb.Term.Kind != TermBr {
-		t.Fatalf("split block should inherit br terminator")
+	if nb.Name != "split.entry" || nb.Term.Kind != TermBr {
+		t.Fatalf("split block %q should inherit br terminator", nb.Name)
 	}
-	if f.Blocks[1] != nb {
-		t.Fatalf("split block should be inserted after entry")
+	for i, b := range f.Blocks {
+		if b.Index != i {
+			t.Fatalf("block %q index %d at position %d", b.Name, b.Index, i)
+		}
 	}
 	if err := f.Module.Verify(nil); err != nil {
 		t.Fatalf("Verify after split: %v", err)
@@ -222,12 +238,48 @@ func TestSplitAt(t *testing.T) {
 func TestSplitAtZeroKeepsEmptyBlock(t *testing.T) {
 	_, f := buildDiamond(t)
 	entry := f.Entry()
-	nb := f.SplitAt(entry, 0, "tail")
+	f.SplitBlocks(splitOnce(entry, 0, "tail"))
 	if len(entry.Instrs) != 0 {
 		t.Fatalf("entry should be empty after split at 0")
 	}
-	if len(nb.Instrs) != 1 {
+	if nb := f.Blocks[1]; nb.Name != "tail" || len(nb.Instrs) != 1 {
 		t.Fatalf("tail should hold the instruction")
+	}
+}
+
+// TestSplitBlocksChain splits one block twice in a single pass: the new block
+// is offered to cut again, and the halves must not share appendable capacity.
+func TestSplitBlocksChain(t *testing.T) {
+	mb := NewModule("m")
+	fb := mb.Func("f")
+	r := fb.Reg("r")
+	bb := fb.Block("entry")
+	for i := 0; i < 4; i++ {
+		bb.Const(r, int64(i))
+	}
+	bb.Ret(R(r))
+	f := fb.F
+	n := f.SplitBlocks(func(b *Block) (int, string) {
+		if len(b.Instrs) > 1 {
+			return 1, "tail"
+		}
+		return -1, ""
+	})
+	if n != 3 || len(f.Blocks) != 4 {
+		t.Fatalf("%d splits, %d blocks; want 3 and 4", n, len(f.Blocks))
+	}
+	for i, want := range []string{"entry", "tail", "tail.1", "tail.2"} {
+		b := f.Blocks[i]
+		if b.Name != want || len(b.Instrs) != 1 || b.Instrs[0].A.Imm != int64(i) {
+			t.Fatalf("block %d = %q %v, want %q holding const %d", i, b.Name, b.Instrs, want, i)
+		}
+	}
+	f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, Instr{Op: OpConst, Dst: r, A: Imm(99)})
+	if f.Blocks[1].Instrs[0].A.Imm != 1 {
+		t.Fatalf("append to the first half overwrote the second")
+	}
+	if f.Blocks[3].Term.Kind != TermRet {
+		t.Fatalf("last block should hold the original terminator")
 	}
 }
 
@@ -342,8 +394,8 @@ func TestVerifyLockRange(t *testing.T) {
 
 func TestUniqueBlockNames(t *testing.T) {
 	_, f := buildDiamond(t)
-	b1 := f.SplitAt(f.Entry(), 0, "then")
-	if b1.Name == "then" {
+	f.SplitBlocks(splitOnce(f.Entry(), 0, "then"))
+	if b1 := f.Blocks[1]; b1.Name == "then" {
 		t.Fatalf("split block stole existing name")
 	}
 }
@@ -370,17 +422,5 @@ func TestSanitizeName(t *testing.T) {
 	got := sanitizeName("_Z17intersection_typeP6 patch?")
 	if strings.ContainsAny(got, " ?") {
 		t.Fatalf("sanitize left bad runes: %q", got)
-	}
-}
-
-func TestInsertBlockAfterMaintainsIndices(t *testing.T) {
-	_, f := buildDiamond(t)
-	nb := &Block{Name: "x", Func: f}
-	nb.Term = Term{Kind: TermRet, Ret: Imm(0)}
-	f.InsertBlockAfter(f.Blocks[1], nb)
-	for i, b := range f.Blocks {
-		if b.Index != i {
-			t.Fatalf("block %q index %d at position %d", b.Name, b.Index, i)
-		}
 	}
 }

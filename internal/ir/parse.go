@@ -7,9 +7,10 @@ import (
 )
 
 // Parse reads the textual IR format produced by Module.String. It is used by
-// cmd/detlock to load .dir program files and by round-trip tests.
+// cmd/detlock to load .dir program files, by the service for every submitted
+// program, and by round-trip tests. It reads src once, front to back.
 func Parse(src string) (*Module, error) {
-	p := &parser{lines: strings.Split(src, "\n")}
+	p := &parser{src: src, globals: map[string]*Global{}, blocks: map[string]*Block{}}
 	return p.parseModule()
 }
 
@@ -23,8 +24,20 @@ func MustParse(src string) *Module {
 }
 
 type parser struct {
-	lines []string
-	pos   int
+	src  string
+	off  int // offset in src of the next unread line
+	line int // number of the last line read, from 1
+
+	globals map[string]*Global // the module's globals by name
+	blocks  map[string]*Block  // the current function's blocks by name
+	fwd     []*Block           // ... and in order of first mention
+	// Instruction lists are carved out of chunks shared by consecutive
+	// blocks: chunk[start:] is the open block's list so far.
+	chunk []Instr
+	start int
+	// maxReg is the current function's highest destination register so far
+	// (to begin with, its declared count less one).
+	maxReg Reg
 }
 
 type parseError struct {
@@ -37,16 +50,21 @@ func (e *parseError) Error() string {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &parseError{line: p.pos, msg: fmt.Sprintf(format, args...)}
+	return &parseError{line: p.line, msg: fmt.Sprintf(format, args...)}
 }
 
 // next returns the next significant line (comments and blanks stripped),
 // or "" at EOF.
 func (p *parser) next() string {
-	for p.pos < len(p.lines) {
-		ln := p.lines[p.pos]
-		p.pos++
-		if i := strings.Index(ln, ";"); i >= 0 {
+	// The text after the last newline is a line too, even when empty.
+	for p.off <= len(p.src) {
+		ln := p.src[p.off:]
+		if i := strings.IndexByte(ln, '\n'); i >= 0 {
+			ln = ln[:i]
+		}
+		p.off += len(ln) + 1
+		p.line++
+		if i := strings.IndexByte(ln, ';'); i >= 0 {
 			ln = ln[:i]
 		}
 		ln = strings.TrimSpace(ln)
@@ -114,17 +132,51 @@ func (p *parser) parseGlobal(m *Module, ln string) error {
 	if err != nil {
 		return p.errf("bad global size: %v", err)
 	}
-	g := m.AddGlobal(fields[0], size)
-	if initPart != "" {
-		for _, tok := range strings.Split(initPart, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
-			if err != nil {
-				return p.errf("bad global initializer: %v", err)
-			}
-			g.Init = append(g.Init, v)
+	// As Module.AddGlobal: a repeated name resizes the first definition.
+	g := p.globals[fields[0]]
+	if g == nil {
+		g = &Global{Name: fields[0], Size: size}
+		p.globals[g.Name] = g
+		m.Globals = append(m.Globals, g)
+	} else if size > g.Size {
+		g.Size = size
+	}
+	for more := initPart != ""; more; {
+		var tok string
+		tok, initPart, more = strings.Cut(initPart, ",")
+		v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
+		if err != nil {
+			return p.errf("bad global initializer: %v", err)
 		}
+		g.Init = append(g.Init, v)
 	}
 	return nil
+}
+
+// block returns the current function's block of that name, creating it,
+// unplaced, if this is its first mention.
+func (p *parser) block(f *Func, name string) *Block {
+	b := p.blocks[name]
+	if b == nil {
+		b = &Block{Name: name, Func: f, Index: -1}
+		p.blocks[name] = b
+		p.fwd = append(p.fwd, b)
+	}
+	return b
+}
+
+// emit appends ins to the open block cur.
+func (p *parser) emit(cur *Block, ins Instr) {
+	if len(p.chunk) == cap(p.chunk) {
+		// Chunk full: the open block's list moves to the head of a new one
+		// of 128 instructions, or enough to double the list.
+		open := p.chunk[p.start:]
+		p.chunk = append(make([]Instr, 0, max(128, 2*len(open))), open...)
+		p.start = 0
+	}
+	p.chunk = append(p.chunk, ins)
+	// Capped, so that an append to this list cannot reach the next block's.
+	cur.Instrs = p.chunk[p.start:len(p.chunk):len(p.chunk)]
 }
 
 // parseFunc parses "func name(r0, r1) regs N {" through the closing "}".
@@ -137,7 +189,7 @@ func (p *parser) parseFunc(m *Module, header string) (*Func, error) {
 	f := &Func{Name: strings.TrimSpace(header[len("func "):open]), Module: m}
 	params := strings.TrimSpace(header[open+1 : close])
 	if params != "" {
-		f.NumParams = len(strings.Split(params, ","))
+		f.NumParams = strings.Count(params, ",") + 1
 	}
 	rest := strings.TrimSpace(header[close+1:])
 	rest = strings.TrimSuffix(rest, "{")
@@ -152,10 +204,13 @@ func (p *parser) parseFunc(m *Module, header string) (*Func, error) {
 		f.NumRegs = f.NumParams
 	}
 
-	// Buffer the body so labels can be pre-scanned: blocks must be created
-	// in label order (not first-reference order) for printing to round-trip.
-	var body []string
-	bodyStart := p.pos
+	// Blocks are placed in label order (not first-mention order) so that
+	// printing round-trips; a target with no label of its own goes after
+	// them, for verification to report as an unterminated block.
+	clear(p.blocks)
+	p.fwd = p.fwd[:0]
+	var cur *Block
+	p.maxReg = Reg(f.NumRegs - 1)
 	for {
 		ln := p.next()
 		if ln == "" {
@@ -164,53 +219,36 @@ func (p *parser) parseFunc(m *Module, header string) (*Func, error) {
 		if ln == "}" {
 			break
 		}
-		body = append(body, ln)
-	}
-	for _, ln := range body {
 		if strings.HasSuffix(ln, ":") {
 			name := strings.TrimSuffix(ln, ":")
-			if f.Block(name) != nil {
-				return nil, &parseError{line: bodyStart, msg: fmt.Sprintf("duplicate block label %q", name)}
+			cur = p.block(f, name)
+			if cur.Index >= 0 {
+				return nil, p.errf("duplicate block label %q", name)
 			}
-			b := &Block{Name: name, Func: f, Index: len(f.Blocks)}
-			f.Blocks = append(f.Blocks, b)
-		}
-	}
-	getBlock := func(name string) *Block {
-		if b := f.Block(name); b != nil {
-			return b
-		}
-		// Terminator target with no label in this function: create it so
-		// verification reports it as an unterminated block.
-		b := &Block{Name: name, Func: f, Index: len(f.Blocks)}
-		f.Blocks = append(f.Blocks, b)
-		return b
-	}
-	var cur *Block
-	maxReg := Reg(f.NumRegs - 1)
-	bump := func(r Reg) {
-		if r > maxReg {
-			maxReg = r
-		}
-	}
-	for _, ln := range body {
-		if strings.HasSuffix(ln, ":") {
-			cur = f.Block(strings.TrimSuffix(ln, ":"))
+			cur.Index = len(f.Blocks)
+			f.Blocks = append(f.Blocks, cur)
+			p.start = len(p.chunk)
 			continue
 		}
 		if cur == nil {
 			return nil, p.errf("instruction before first block label: %q", ln)
 		}
-		done, err := p.parseLine(f, cur, ln, getBlock, bump)
-		if err != nil {
+		if !cur.Term.unset() {
+			return nil, p.errf("block %q already has its terminator: %q", cur.Name, ln)
+		}
+		if err := p.parseLine(f, cur, ln); err != nil {
 			return nil, err
 		}
-		_ = done
 	}
-	if int(maxReg)+1 > f.NumRegs {
-		f.NumRegs = int(maxReg) + 1
+	for _, b := range p.fwd {
+		if b.Index < 0 {
+			b.Index = len(f.Blocks)
+			f.Blocks = append(f.Blocks, b)
+		}
 	}
-	f.reindex()
+	if int(p.maxReg)+1 > f.NumRegs {
+		f.NumRegs = int(p.maxReg) + 1
+	}
 	return f, nil
 }
 
@@ -249,29 +287,36 @@ var textOps = map[string]Op{
 	"lt": OpLT, "le": OpLE, "gt": OpGT, "ge": OpGE,
 }
 
+// oneOperandOps are the instructions written "<mnemonic> <operand>".
+var oneOperandOps = [...]struct {
+	prefix string
+	op     Op
+}{{"lock ", OpLock}, {"unlock ", OpUnlock}, {"barrier ", OpBarrier}, {"join ", OpJoin}, {"print ", OpPrint}}
+
 // parseLine parses one instruction or terminator line into cur.
-func (p *parser) parseLine(f *Func, cur *Block, ln string, getBlock func(string) *Block, bump func(Reg)) (bool, error) {
+func (p *parser) parseLine(f *Func, cur *Block, ln string) error {
 	// Terminators.
 	switch {
 	case strings.HasPrefix(ln, "jmp "):
-		cur.Term = Term{Kind: TermJmp, Succs: []*Block{getBlock(strings.TrimSpace(ln[4:]))}}
-		return true, nil
+		cur.Term = Term{Kind: TermJmp, Succs: []*Block{p.block(f, strings.TrimSpace(ln[4:]))}}
+		return nil
 	case strings.HasPrefix(ln, "br "):
-		parts := strings.Split(ln[3:], ",")
-		if len(parts) != 3 {
-			return false, p.errf("br wants 'br cond, then, else': %q", ln)
+		condTok, rest, _ := strings.Cut(ln[3:], ",")
+		then, els, ok := strings.Cut(rest, ",")
+		if !ok || strings.Contains(els, ",") {
+			return p.errf("br wants 'br cond, then, else': %q", ln)
 		}
-		cond, err := p.parseOperand(parts[0])
+		cond, err := p.parseOperand(condTok)
 		if err != nil {
-			return false, err
+			return err
 		}
 		cur.Term = Term{Kind: TermBr, Cond: cond, Succs: []*Block{
-			getBlock(strings.TrimSpace(parts[1])),
-			getBlock(strings.TrimSpace(parts[2])),
+			p.block(f, strings.TrimSpace(then)),
+			p.block(f, strings.TrimSpace(els)),
 		}}
-		return true, nil
+		return nil
 	case strings.HasPrefix(ln, "switch "):
-		return true, p.parseSwitch(cur, ln, getBlock)
+		return p.parseSwitch(f, cur, ln)
 	case strings.HasPrefix(ln, "ret"):
 		rest := strings.TrimSpace(strings.TrimPrefix(ln, "ret"))
 		ret := Imm(0)
@@ -279,11 +324,11 @@ func (p *parser) parseLine(f *Func, cur *Block, ln string, getBlock func(string)
 			var err error
 			ret, err = p.parseOperand(rest)
 			if err != nil {
-				return false, err
+				return err
 			}
 		}
 		cur.Term = Term{Kind: TermRet, Ret: ret}
-		return true, nil
+		return nil
 	}
 
 	// Non-destination instructions.
@@ -293,153 +338,129 @@ func (p *parser) parseLine(f *Func, cur *Block, ln string, getBlock func(string)
 		ob := strings.Index(rest, "[")
 		cb := strings.Index(rest, "]")
 		if ob < 0 || cb < ob {
-			return false, p.errf("store wants 'store sym[idx], val': %q", ln)
+			return p.errf("store wants 'store sym[idx], val': %q", ln)
 		}
 		sym := strings.TrimSpace(rest[:ob])
 		idx, err := p.parseOperand(rest[ob+1 : cb])
 		if err != nil {
-			return false, err
+			return err
 		}
 		after := strings.TrimSpace(rest[cb+1:])
 		after = strings.TrimPrefix(after, ",")
 		val, err := p.parseOperand(after)
 		if err != nil {
-			return false, err
+			return err
 		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpStore, Sym: sym, A: idx, B: val})
-		return false, nil
-	case strings.HasPrefix(ln, "lock "):
-		a, err := p.parseOperand(ln[5:])
-		if err != nil {
-			return false, err
-		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpLock, A: a})
-		return false, nil
-	case strings.HasPrefix(ln, "unlock "):
-		a, err := p.parseOperand(ln[7:])
-		if err != nil {
-			return false, err
-		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpUnlock, A: a})
-		return false, nil
-	case strings.HasPrefix(ln, "barrier "):
-		a, err := p.parseOperand(ln[8:])
-		if err != nil {
-			return false, err
-		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpBarrier, A: a})
-		return false, nil
-	case strings.HasPrefix(ln, "join "):
-		a, err := p.parseOperand(ln[5:])
-		if err != nil {
-			return false, err
-		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpJoin, A: a})
-		return false, nil
-	case strings.HasPrefix(ln, "print "):
-		a, err := p.parseOperand(ln[6:])
-		if err != nil {
-			return false, err
-		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpPrint, A: a})
-		return false, nil
+		p.emit(cur, Instr{Op: OpStore, Sym: sym, A: idx, B: val})
+		return nil
 	case strings.HasPrefix(ln, "clockadd "):
-		return false, p.parseClockAdd(cur, ln[9:])
+		return p.parseClockAdd(cur, ln[9:])
 	case strings.HasPrefix(ln, "call "):
 		ins, err := p.parseCall(NoReg, ln[5:])
 		if err != nil {
-			return false, err
+			return err
 		}
-		cur.Instrs = append(cur.Instrs, ins)
-		return false, nil
+		p.emit(cur, ins)
+		return nil
+	}
+
+	for _, u := range oneOperandOps {
+		if rest, ok := strings.CutPrefix(ln, u.prefix); ok {
+			a, err := p.parseOperand(rest)
+			if err != nil {
+				return err
+			}
+			p.emit(cur, Instr{Op: u.op, A: a})
+			return nil
+		}
 	}
 
 	// Destination instructions: "rN = ...".
 	eq := strings.Index(ln, "=")
 	if eq < 0 {
-		return false, p.errf("unrecognized instruction %q", ln)
+		return p.errf("unrecognized instruction %q", ln)
 	}
 	dst, err := p.parseReg(ln[:eq])
 	if err != nil {
-		return false, err
+		return err
 	}
-	bump(dst)
+	if dst > p.maxReg {
+		p.maxReg = dst
+	}
 	rhs := strings.TrimSpace(ln[eq+1:])
 	switch {
 	case strings.HasPrefix(rhs, "const "):
 		v, err := strconv.ParseInt(strings.TrimSpace(rhs[6:]), 10, 64)
 		if err != nil {
-			return false, p.errf("bad const: %v", err)
+			return p.errf("bad const: %v", err)
 		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpConst, Dst: dst, A: Imm(v)})
-		return false, nil
+		p.emit(cur, Instr{Op: OpConst, Dst: dst, A: Imm(v)})
+		return nil
 	case rhs == "tid":
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpTid, Dst: dst})
-		return false, nil
+		p.emit(cur, Instr{Op: OpTid, Dst: dst})
+		return nil
 	case rhs == "nthreads":
-		cur.Instrs = append(cur.Instrs, Instr{Op: OpNThreads, Dst: dst})
-		return false, nil
+		p.emit(cur, Instr{Op: OpNThreads, Dst: dst})
+		return nil
 	case strings.HasPrefix(rhs, "load "):
 		rest := rhs[5:]
 		ob := strings.Index(rest, "[")
 		cb := strings.Index(rest, "]")
 		if ob < 0 || cb < ob {
-			return false, p.errf("load wants 'load sym[idx]': %q", ln)
+			return p.errf("load wants 'load sym[idx]': %q", ln)
 		}
 		idx, err := p.parseOperand(rest[ob+1 : cb])
 		if err != nil {
-			return false, err
+			return err
 		}
-		cur.Instrs = append(cur.Instrs, Instr{
-			Op: OpLoad, Dst: dst, Sym: strings.TrimSpace(rest[:ob]), A: idx,
-		})
-		return false, nil
+		p.emit(cur, Instr{Op: OpLoad, Dst: dst, Sym: strings.TrimSpace(rest[:ob]), A: idx})
+		return nil
 	case strings.HasPrefix(rhs, "call "):
 		ins, err := p.parseCall(dst, rhs[5:])
 		if err != nil {
-			return false, err
+			return err
 		}
-		cur.Instrs = append(cur.Instrs, ins)
-		return false, nil
+		p.emit(cur, ins)
+		return nil
 	case strings.HasPrefix(rhs, "spawn "):
 		ins, err := p.parseCall(dst, rhs[6:])
 		if err != nil {
-			return false, err
+			return err
 		}
 		ins.Op = OpSpawn
-		cur.Instrs = append(cur.Instrs, ins)
-		return false, nil
+		p.emit(cur, ins)
+		return nil
 	}
 	// Unary/binary mnemonics.
 	sp := strings.Index(rhs, " ")
 	if sp < 0 {
-		return false, p.errf("unrecognized rhs %q", rhs)
+		return p.errf("unrecognized rhs %q", rhs)
 	}
 	op, ok := textOps[rhs[:sp]]
 	if !ok {
-		return false, p.errf("unknown op %q", rhs[:sp])
+		return p.errf("unknown op %q", rhs[:sp])
 	}
-	operands := strings.Split(rhs[sp+1:], ",")
-	a, err := p.parseOperand(operands[0])
+	aTok, bTok, two := strings.Cut(rhs[sp+1:], ",")
+	a, err := p.parseOperand(aTok)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if op.IsUnary() {
-		if len(operands) != 1 {
-			return false, p.errf("%s wants one operand", op)
+		if two {
+			return p.errf("%s wants one operand", op)
 		}
-		cur.Instrs = append(cur.Instrs, Instr{Op: op, Dst: dst, A: a})
-		return false, nil
+		p.emit(cur, Instr{Op: op, Dst: dst, A: a})
+		return nil
 	}
-	if len(operands) != 2 {
-		return false, p.errf("%s wants two operands", op)
+	if !two || strings.Contains(bTok, ",") {
+		return p.errf("%s wants two operands", op)
 	}
-	b, err := p.parseOperand(operands[1])
+	b, err := p.parseOperand(bTok)
 	if err != nil {
-		return false, err
+		return err
 	}
-	cur.Instrs = append(cur.Instrs, Instr{Op: op, Dst: dst, A: a, B: b})
-	return false, nil
+	p.emit(cur, Instr{Op: op, Dst: dst, A: a, B: b})
+	return nil
 }
 
 func (p *parser) parseCall(dst Reg, rest string) (Instr, error) {
@@ -451,7 +472,10 @@ func (p *parser) parseCall(dst Reg, rest string) (Instr, error) {
 	ins := Instr{Op: OpCall, Dst: dst, Callee: strings.TrimSpace(rest[:ob])}
 	argstr := strings.TrimSpace(rest[ob+1 : cb])
 	if argstr != "" {
-		for _, tok := range strings.Split(argstr, ",") {
+		ins.Args = make([]Operand, 0, strings.Count(argstr, ",")+1)
+		for more := true; more; {
+			var tok string
+			tok, argstr, more = strings.Cut(argstr, ",")
 			a, err := p.parseOperand(tok)
 			if err != nil {
 				return Instr{}, err
@@ -494,11 +518,11 @@ func (p *parser) parseClockAdd(cur *Block, rest string) error {
 		}
 		ins.A = Imm(v)
 	}
-	cur.Instrs = append(cur.Instrs, ins)
+	p.emit(cur, ins)
 	return nil
 }
 
-func (p *parser) parseSwitch(cur *Block, ln string, getBlock func(string) *Block) error {
+func (p *parser) parseSwitch(f *Func, cur *Block, ln string) error {
 	rest := strings.TrimSpace(ln[len("switch "):])
 	ob := strings.Index(rest, "[")
 	cb := strings.Index(rest, "]")
@@ -513,17 +537,21 @@ func (p *parser) parseSwitch(cur *Block, ln string, getBlock func(string) *Block
 	t := Term{Kind: TermSwitch, Cond: cond}
 	inner := strings.TrimSpace(rest[ob+1 : cb])
 	if inner != "" {
-		for _, pair := range strings.Split(inner, ",") {
-			kv := strings.Split(pair, ":")
-			if len(kv) != 2 {
+		n := strings.Count(inner, ",") + 1
+		t.Cases, t.Succs = make([]int64, 0, n), make([]*Block, 0, n+1)
+		for more := true; more; {
+			var pair string
+			pair, inner, more = strings.Cut(inner, ",")
+			val, target, ok := strings.Cut(pair, ":")
+			if !ok || strings.Contains(target, ":") {
 				return p.errf("switch case wants 'v: blk': %q", pair)
 			}
-			v, err := strconv.ParseInt(strings.TrimSpace(kv[0]), 10, 64)
+			v, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
 			if err != nil {
 				return p.errf("bad switch case value: %v", err)
 			}
 			t.Cases = append(t.Cases, v)
-			t.Succs = append(t.Succs, getBlock(strings.TrimSpace(kv[1])))
+			t.Succs = append(t.Succs, p.block(f, strings.TrimSpace(target)))
 		}
 	}
 	def := strings.TrimSpace(rest[cb+1:])
@@ -532,7 +560,7 @@ func (p *parser) parseSwitch(cur *Block, ln string, getBlock func(string) *Block
 	if def == "" {
 		return p.errf("switch missing default target: %q", ln)
 	}
-	t.Succs = append(t.Succs, getBlock(def))
+	t.Succs = append(t.Succs, p.block(f, def))
 	cur.Term = t
 	return nil
 }

@@ -193,26 +193,38 @@ entry:  ; clock=99 annotations are ignored on reparse
 	}
 }
 
+// ParseErrorCases are sources Parse must reject, with a fragment of the
+// error. Exported to the package's external tests: FuzzParse seeds from them.
+var ParseErrorCases = []struct {
+	Name, Src, Want string
+}{
+	{"no module", "func f() {\nentry:\n ret 0\n}", "expected 'module"},
+	{"bad op", "module m\nfunc f() regs 1 {\nentry:\n r0 = frob r0, r0\n ret 0\n}", "unknown op"},
+	{"instr before label", "module m\nfunc f() regs 1 {\n r0 = const 1\n}", "before first block label"},
+	{"bad operand", "module m\nfunc f() regs 1 {\nentry:\n r0 = add rX, 1\n ret 0\n}", "bad operand"},
+	{"eof in func", "module m\nfunc f() regs 1 {\nentry:\n ret 0\n", "unexpected EOF"},
+	{"bad global", "module m\nglobal g\n", "global wants"},
+	{"switch no default", "module m\nfunc f() regs 1 {\nentry:\n switch r0, [0: a],\na:\n ret 0\n}", "missing default"},
+	// Code after a block's terminator used to be accepted, and the last
+	// terminator silently won: this one parsed into a block returning 7.
+	{"instr after terminator", "module m\nfunc f() regs 2 {\nentry:\n r0 = const 1\n jmp exit\n r1 = const 7\n ret r1\nexit:\n ret r0\n}",
+		`line 6: block "entry" already has its terminator: "r1 = const 7"`},
+	{"second terminator", "module m\nfunc f() regs 1 {\nentry:\n ret 0\n ret 1\n}",
+		`line 5: block "entry" already has its terminator: "ret 1"`},
+	// Reported at the label's line, not the function header's.
+	{"duplicate label", "module m\nfunc f() regs 1 {\na:\n jmp b\nb:\n ret 0\na:\n ret 1\n}", `line 7: duplicate block label "a"`},
+	{"duplicate label after forward reference", "module m\nfunc f() regs 1 {\na:\n jmp b\nb:\n ret 0\n\nb:\n ret 1\n}", `line 8: duplicate block label "b"`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"no module", "func f() {\nentry:\n ret 0\n}", "expected 'module"},
-		{"bad op", "module m\nfunc f() regs 1 {\nentry:\n r0 = frob r0, r0\n ret 0\n}", "unknown op"},
-		{"instr before label", "module m\nfunc f() regs 1 {\n r0 = const 1\n}", "before first block label"},
-		{"bad operand", "module m\nfunc f() regs 1 {\nentry:\n r0 = add rX, 1\n ret 0\n}", "bad operand"},
-		{"eof in func", "module m\nfunc f() regs 1 {\nentry:\n ret 0\n", "unexpected EOF"},
-		{"bad global", "module m\nglobal g\n", "global wants"},
-		{"switch no default", "module m\nfunc f() regs 1 {\nentry:\n switch r0, [0: a],\na:\n ret 0\n}", "missing default"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(tc.src)
+	for _, tc := range ParseErrorCases {
+		t.Run(tc.Name, func(t *testing.T) {
+			_, err := Parse(tc.Src)
 			if err == nil {
 				t.Fatalf("Parse should fail")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err %q missing %q", err, tc.want)
+			if !strings.Contains(err.Error(), tc.Want) {
+				t.Fatalf("err %q missing %q", err, tc.Want)
 			}
 		})
 	}

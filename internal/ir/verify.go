@@ -15,20 +15,27 @@ import (
 // builtin (nil means no builtins are allowed).
 func (m *Module) Verify(builtinOK func(name string) bool) error {
 	var errs []error
-	seen := map[string]bool{}
+	// A name resolves to its first definition, as in Module.Func and Global.
+	funcs, globals := make(map[string]*Func, len(m.Funcs)), make(map[string]bool, len(m.Globals))
+	for _, g := range m.Globals {
+		globals[g.Name] = true
+	}
 	for _, f := range m.Funcs {
-		if seen[f.Name] {
+		if funcs[f.Name] != nil {
 			errs = append(errs, fmt.Errorf("duplicate function %q", f.Name))
+			continue
 		}
-		seen[f.Name] = true
-		if err := m.verifyFunc(f, builtinOK); err != nil {
+		funcs[f.Name] = f
+	}
+	for _, f := range m.Funcs {
+		if err := m.verifyFunc(f, funcs, globals, builtinOK); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-func (m *Module) verifyFunc(f *Func, builtinOK func(string) bool) error {
+func (m *Module) verifyFunc(f *Func, funcs map[string]*Func, globals map[string]bool, builtinOK func(string) bool) error {
 	var errs []error
 	bad := func(b *Block, format string, args ...any) {
 		errs = append(errs, fmt.Errorf("%s.%s: %s", f.Name, b.Name, fmt.Sprintf(format, args...)))
@@ -39,14 +46,14 @@ func (m *Module) verifyFunc(f *Func, builtinOK func(string) bool) error {
 	if f.NumParams > f.NumRegs {
 		errs = append(errs, fmt.Errorf("%s: %d params but only %d regs", f.Name, f.NumParams, f.NumRegs))
 	}
-	inFunc := map[*Block]bool{}
-	names := map[string]bool{}
+	// A successor belongs to f exactly when f's block of that name is it.
+	byName := make(map[string]*Block, len(f.Blocks))
 	for _, b := range f.Blocks {
-		inFunc[b] = true
-		if names[b.Name] {
+		if byName[b.Name] != nil {
 			errs = append(errs, fmt.Errorf("%s: duplicate block name %q", f.Name, b.Name))
+			continue
 		}
-		names[b.Name] = true
+		byName[b.Name] = b
 	}
 	checkOperand := func(b *Block, o Operand) {
 		if !o.IsImm && (o.Reg < 0 || int(o.Reg) >= f.NumRegs) {
@@ -77,13 +84,13 @@ func (m *Module) verifyFunc(f *Func, builtinOK func(string) bool) error {
 			case ins.Op == OpLoad:
 				checkReg(b, ins.Dst)
 				checkOperand(b, ins.A)
-				if m.Global(ins.Sym) == nil {
+				if !globals[ins.Sym] {
 					bad(b, "load of undefined global %q", ins.Sym)
 				}
 			case ins.Op == OpStore:
 				checkOperand(b, ins.A)
 				checkOperand(b, ins.B)
-				if m.Global(ins.Sym) == nil {
+				if !globals[ins.Sym] {
 					bad(b, "store to undefined global %q", ins.Sym)
 				}
 			case ins.Op == OpSpawn:
@@ -91,7 +98,7 @@ func (m *Module) verifyFunc(f *Func, builtinOK func(string) bool) error {
 				for _, a := range ins.Args {
 					checkOperand(b, a)
 				}
-				callee := m.Func(ins.Callee)
+				callee := funcs[ins.Callee]
 				if callee == nil {
 					bad(b, "spawn of undefined function %q", ins.Callee)
 				} else if len(ins.Args) != callee.NumParams {
@@ -104,7 +111,7 @@ func (m *Module) verifyFunc(f *Func, builtinOK func(string) bool) error {
 				for _, a := range ins.Args {
 					checkOperand(b, a)
 				}
-				callee := m.Func(ins.Callee)
+				callee := funcs[ins.Callee]
 				if callee == nil {
 					if builtinOK == nil || !builtinOK(ins.Callee) {
 						bad(b, "call to undefined function %q", ins.Callee)
@@ -158,7 +165,7 @@ func (m *Module) verifyFunc(f *Func, builtinOK func(string) bool) error {
 			bad(b, "missing terminator")
 		}
 		for _, s := range b.Term.Succs {
-			if !inFunc[s] {
+			if byName[s.Name] != s {
 				bad(b, "successor %q belongs to another function", s.Name)
 			}
 		}

@@ -54,7 +54,7 @@ func TestDominatorsMatchDefinition(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		m := Generate(seed, Default())
 		for _, f := range m.Funcs {
-			dt := ir.NewDomTree(f)
+			dt := ir.Analyze(f).Dom
 			reach := reachable(f)
 			for _, a := range f.Blocks {
 				if !reach[a] {
@@ -80,7 +80,7 @@ func TestEntryDominatesEverything(t *testing.T) {
 	for seed := uint64(20); seed <= 40; seed++ {
 		m := Generate(seed, Default())
 		for _, f := range m.Funcs {
-			dt := ir.NewDomTree(f)
+			dt := ir.Analyze(f).Dom
 			reach := reachable(f)
 			for _, b := range f.Blocks {
 				if reach[b] && !dt.Dominates(f.Entry(), b) {
@@ -95,7 +95,7 @@ func TestIdomIsStrictDominator(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		m := Generate(seed, Default())
 		for _, f := range m.Funcs {
-			dt := ir.NewDomTree(f)
+			dt := ir.Analyze(f).Dom
 			for _, b := range f.Blocks {
 				id := dt.Idom(b)
 				if id == nil {
@@ -116,10 +116,10 @@ func TestLoopHeadersDominateBodies(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		m := Generate(seed, Default())
 		for _, f := range m.Funcs {
-			dt := ir.NewDomTree(f)
-			li := ir.NewLoopInfo(f)
+			cfg := ir.Analyze(f)
+			dt, li := cfg.Dom, cfg.Loops
 			for _, l := range li.Loops {
-				for b := range l.Blocks {
+				for _, b := range l.Blocks {
 					if !dt.Dominates(l.Header, b) {
 						t.Fatalf("seed %d %s: header %s must dominate body %s",
 							seed, f.Name, l.Header.Name, b.Name)
@@ -142,7 +142,7 @@ func TestGeneratedLoopsTerminate(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		m := Generate(seed, Default())
 		for _, f := range m.Funcs {
-			rpo := ir.ReversePostorder(f)
+			rpo := ir.Analyze(f).RPO
 			reach := reachable(f)
 			if len(rpo) != len(reach) {
 				t.Fatalf("seed %d %s: rpo %d blocks, reachable %d",

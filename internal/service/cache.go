@@ -4,8 +4,10 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"hash"
+	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -118,14 +120,13 @@ func (c *lruCache) remove(key string) {
 	}
 }
 
-// instrEntry is one instrumentation-cache value. The modules are treated as
-// immutable after insertion: every simulation clones before executing, and
-// harness runs clone internally.
+// instrEntry is one instrumentation-cache value. The module is immutable
+// after insertion and has passed Module.Verify in this form: simulations run
+// it directly and concurrently, since the interpreter only reads a module
+// (all run state lives in interp.Machine).
 type instrEntry struct {
-	// raw is the parsed, uninstrumented module (overhead rows re-instrument
-	// from it under harness modes).
-	raw *ir.Module
-	// mod is the instrumented module (== raw for baseline jobs).
+	// mod is the module jobs run: instrumented in place after parsing, or
+	// as parsed for baseline jobs.
 	mod *ir.Module
 	// text is mod's canonical printed form — the content address the result
 	// cache keys on.
@@ -184,14 +185,22 @@ func entryFromPeer(res *Result, req *Request) *resultEntry {
 // instrKey is the content address of an instrumentation: the exact source
 // text plus every option that changes the instrumented module.
 func instrKey(req *Request) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "src\x00%s\x00entry\x00%s\x00", req.Source, req.Entry)
+	mode, preset := "\x00preset\x00", req.Preset
 	if req.Baseline {
-		fmt.Fprint(h, "baseline")
-	} else {
-		fmt.Fprintf(h, "preset\x00%s", req.Preset)
+		mode, preset = "\x00baseline", ""
+	}
+	h := sha256.New()
+	for _, s := range [...]string{"src\x00", req.Source, "\x00entry\x00", req.Entry, mode, preset} {
+		hashString(h, s)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashString writes s to h without the copy that []byte(s), passed through
+// the hash.Hash interface, would allocate: both keys are computed for every
+// job, hits included, over a whole program text.
+func hashString(h hash.Hash, s string) {
+	h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 }
 
 // resultKey is the content address of a simulation: the instrumented
@@ -200,7 +209,14 @@ func instrKey(req *Request) string {
 // invariant under it — makespans are not.
 func resultKey(moduleText string, req *Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "mod\x00%s\x00threads\x00%d\x00entry\x00%s\x00det\x00%t\x00race\x00%t\x00seed\x00%d",
-		moduleText, req.Threads, req.Entry, !req.Baseline, req.Race, req.PerturbSeed)
+	hashString(h, "mod\x00")
+	hashString(h, moduleText)
+	b := append(make([]byte, 0, 96), "\x00threads\x00"...)
+	b = strconv.AppendInt(b, int64(req.Threads), 10)
+	b = append(append(b, "\x00entry\x00"...), req.Entry...)
+	b = strconv.AppendBool(append(b, "\x00det\x00"...), !req.Baseline)
+	b = strconv.AppendBool(append(b, "\x00race\x00"...), req.Race)
+	b = strconv.AppendInt(append(b, "\x00seed\x00"...), req.PerturbSeed, 10)
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }

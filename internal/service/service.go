@@ -1008,7 +1008,8 @@ func (s *Service) peerFill(ctx context.Context, key string, j *job, ie *instrEnt
 }
 
 // instrumented returns the cached instrumentation for req, building it on a
-// miss: parse, verify, instrument (unless baseline), print.
+// miss: parse, instrument in place (verify only, if baseline), print. Either
+// way the module is verified here, once, in the form every job will run.
 func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bool, error) {
 	ik := instrKey(req)
 	if v, ok := s.instr.get(ik); ok {
@@ -1018,28 +1019,32 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 	s.ctr.instrMisses.Add(1)
 
 	start := time.Now()
-	raw, err := ir.Parse(req.Source)
+	mod, err := ir.Parse(req.Source)
 	lat.ParseNS = time.Since(start).Nanoseconds()
 	s.ctr.parse.record(lat.ParseNS)
 	if err != nil {
 		return nil, false, fmt.Errorf("service: parse: %w", err)
 	}
 
-	ie := &instrEntry{raw: raw, mod: raw}
-	if !req.Baseline {
+	ie := &instrEntry{mod: mod}
+	if req.Baseline {
+		if err := mod.Verify(s.est.Has); err != nil {
+			// Worded as by interp.NewMachine, which made this check per run.
+			return nil, false, fmt.Errorf("service: interp: %w", err)
+		}
+	} else {
 		start = time.Now()
-		mod := raw.Clone()
 		opt := harness.PresetByKey(req.Preset)
 		opt.Roots = []string{req.Entry}
-		pass, err := core.Instrument(mod, s.costs, s.est, opt)
+		// Instrument ends by verifying the module it leaves behind.
+		ie.pass, err = core.Instrument(mod, s.costs, s.est, opt)
 		lat.InstrumentNS = time.Since(start).Nanoseconds()
 		s.ctr.instrument.record(lat.InstrumentNS)
 		if err != nil {
 			return nil, false, fmt.Errorf("service: instrument: %w", err)
 		}
-		ie.mod, ie.pass = mod, pass
 	}
-	ie.text = ie.mod.String()
+	ie.text = mod.String()
 	s.instr.add(ik, ie)
 	return ie, false, nil
 }
@@ -1051,7 +1056,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 // mutates engine state, so uncancelled runs are bitwise identical with or
 // without a deadline configured.
 func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*resultEntry, error) {
-	mod := ie.mod.Clone()
+	mod := ie.mod
 	cfg := interp.Config{
 		Module:     mod,
 		Costs:      s.costs,
@@ -1059,6 +1064,7 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 		Threads:    req.Threads,
 		Entry:      req.Entry,
 		JitterSeed: req.PerturbSeed,
+		SkipVerify: true, // verified when the entry was built
 	}
 	if req.Race {
 		cfg.Race = &interp.RaceConfig{Policy: interp.RaceFailFast}
@@ -1134,7 +1140,7 @@ func (s *Service) assemble(j *job, ie *instrEntry, ent *resultEntry, cached, ins
 		res.Schedule = ent.schedule
 	}
 	if j.req.Artifacts.OverheadRow {
-		row, err := s.overheadRow(ie, &j.req, ent, lat)
+		row, err := s.overheadRow(&j.req, ent, lat)
 		if err != nil {
 			return nil, err
 		}
@@ -1145,17 +1151,23 @@ func (s *Service) assemble(j *job, ie *instrEntry, ent *resultEntry, cached, ins
 }
 
 // overheadRow returns the entry's Table-I-style row, computing and caching
-// it on first request (three extra simulations via the harness).
-func (s *Service) overheadRow(ie *instrEntry, req *Request, ent *resultEntry, lat *StageLatency) (*harness.OverheadRow, error) {
+// it on first request (three extra simulations via the harness). The harness
+// instruments from the uninstrumented module, which no cache keeps: the rare
+// request for a row parses the source again.
+func (s *Service) overheadRow(req *Request, ent *resultEntry, lat *StageLatency) (*harness.OverheadRow, error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.overhead != nil {
 		return ent.overhead, nil
 	}
 	start := time.Now()
+	raw, err := ir.Parse(req.Source)
+	if err != nil {
+		return nil, fmt.Errorf("service: overhead row: %w", err)
+	}
 	r := harness.NewRunner()
 	r.Threads = req.Threads
-	b := &splash.Benchmark{Name: "job", Module: ie.raw, Threads: req.Threads, Entry: req.Entry}
+	b := &splash.Benchmark{Name: "job", Module: raw, Threads: req.Threads, Entry: req.Entry}
 	row, err := r.OverheadRowFor(b, harness.PresetByKey(req.Preset))
 	lat.OverheadNS = time.Since(start).Nanoseconds()
 	s.ctr.overhead.record(lat.OverheadNS)
