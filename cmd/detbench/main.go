@@ -12,8 +12,6 @@
 //	detbench -bench name        # restrict Table I/II to one benchmark
 //	detbench -race              # fail-fast race detection on deterministic runs
 //	detbench -j N               # worker pool for the sweep (default GOMAXPROCS)
-//	detbench -bench-json PATH   # write the BENCH_PR4.json benchmark report
-//	detbench -bench-short       # single-rep smoke variant of -bench-json
 //	detbench -cpuprofile PATH   # write a pprof CPU profile of the run
 //	detbench -memprofile PATH   # write an end-of-run heap profile
 //
@@ -50,8 +48,6 @@ func main() {
 		race     = flag.Bool("race", false, "enable fail-fast race detection on deterministic runs")
 		jobs     = flag.Int("j", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 
-		benchJSON  = flag.String("bench-json", "", "write the benchmark report (BENCH_PR4.json schema) to this path and exit")
-		benchShort = flag.Bool("bench-short", false, "single-repetition -bench-json smoke run (committed numbers use full reps)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this path")
 	)
@@ -76,9 +72,6 @@ func main() {
 	}
 	if *diag != "" && !knownBench(*diag) {
 		usage("unknown -diag %q (want one of %v)", *diag, splash.Names())
-	}
-	if *benchShort && *benchJSON == "" {
-		usage("-bench-short requires -bench-json")
 	}
 	workers := *jobs
 	if workers == 0 {
@@ -139,13 +132,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detbench:", err)
 		finish()
 		os.Exit(1)
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(r, *benchJSON, *benchShort); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	if *table1 || *all {

@@ -9,8 +9,6 @@
 //	         [-journal PATH] [-deadline DUR] [-max-retries N] \
 //	         [-peers A,B,C] [-seed-peers A,B] [-self ADDR] [-shards N] \
 //	         [-standby ADDR] [-ship-path PATH]
-//	detserve -smoke
-//	detserve -cluster-smoke
 //	detserve -journal PATH -verify-journal
 //	detserve -journal PATH -scrub
 //
@@ -26,10 +24,10 @@
 //	GET  /readyz         readiness (503 while joining, draining,
 //	                     journal-degraded, or divergence circuit breaker
 //	                     open).
-//	     /internal/v1/*  cluster peer protocol (result fill, offers, work
-//	                     stealing, journal shipping, gossip, join/handoff) —
-//	                     see internal/cluster.
-//	POST /v1/cluster/join   seed side of the dynamic-membership bootstrap.
+//	     /internal/v1/*  cluster peer protocol: result, offer, steal, complete,
+//	                     ship, gossip, join, handoff, handoff-journal, digest.
+//	                     Every body travels with its CRC32C in X-Detserve-Sum
+//	                     and is refused (422) without it — see DESIGN.md §11.
 //	POST /v1/cluster/drain  start a graceful drain (202; handoff + leave
 //	                        proceed in the background).
 //	GET  /v1/cluster/stats  cluster counters, membership view, peer liveness.
@@ -73,27 +71,22 @@
 // -pprof localhost:6060), keeping the profiling surface off the job API's
 // address. See README "Profiling".
 //
-// -smoke runs the self-test used by `make serve-smoke`: start an in-process
-// server on a random port, submit the same program twice, and verify the
-// second response is a cache hit with an identical schedule hash.
-//
 // -verify-journal runs a read-only integrity scan of the -journal log (CRC
-// frames, record structure, torn tail) and prints the JSON report; it exits
-// nonzero when damage is found. -scrub additionally repairs the log offline:
-// damaged lines move to a `<journal>.quarantine` sidecar and the log is
-// rewritten without them — the same pass server startup runs automatically.
+// frames — a line without one is damage — record structure, torn tail) and
+// prints the JSON report; it exits nonzero when damage is found. -scrub
+// additionally repairs the log offline: damaged lines move to a
+// `<journal>.quarantine` sidecar and the log is rewritten without them — the
+// same pass server startup runs automatically.
 // See DESIGN.md §11.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -107,40 +100,48 @@ import (
 	"repro/internal/service"
 )
 
-func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue       = flag.Int("queue", 0, "job queue depth (0 = default 256)")
-		instrCache  = flag.Int("instr-cache", 0, "instrumentation cache entries (0 = default)")
-		resultCache = flag.Int("result-cache", 0, "result cache entries (0 = default)")
-		selfCheck   = flag.Float64("self-check", 0, "fraction of cache hits to re-execute and verify (0..1)")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		journal     = flag.String("journal", "", "durable job journal path (empty = no durability)")
-		deadlineF   = flag.Duration("deadline", 0, "default per-job execution deadline (0 = unbounded)")
-		maxRetries  = flag.Int("max-retries", 2, "transient-failure retries per job (0 disables)")
-		smoke       = flag.Bool("smoke", false, "run the cache-coherence smoke test and exit")
-		scrubF      = flag.Bool("scrub", false, "repair the -journal log offline (quarantine damaged records, rewrite), print the JSON report, exit")
-		verifyF     = flag.Bool("verify-journal", false, "read-only integrity scan of the -journal log, print the JSON report, exit (nonzero on damage)")
+// invocation is a validated command line: what to run and with which
+// configuration.
+type invocation struct {
+	addr, pprofAddr string
+	// scrub / verify select the offline journal modes instead of serving.
+	scrub, verify bool
+	cluster       cluster.Config
+}
 
-		self         = flag.String("self", "", "advertised cluster address (default: -addr)")
-		peersF       = flag.String("peers", "", "comma-separated peer addresses (enables sharded peer cache fill and work stealing)")
-		seedPeersF   = flag.String("seed-peers", "", "comma-separated seed addresses for dynamic membership (join via gossip); empty value bootstraps a new cluster")
-		standby      = flag.String("standby", "", "standby address to ship the job journal to")
-		shards       = flag.Int("shards", 0, "virtual shards per node on the hash ring (0 = default 64)")
-		shipPath     = flag.String("ship-path", "", "act as a standby: persist shipped journal records here")
-		clusterSmoke = flag.Bool("cluster-smoke", false, "run the 3-node kill-one-mid-sweep smoke test and exit")
+// parseArgs parses and validates the command line. Validation happens up
+// front with typed, per-flag messages (the detbench pattern): a bad
+// invocation gets one short precise complaint, never a mid-startup error
+// with a stack of context. onError is the flag package's own syntax-error
+// policy (main exits, tests continue).
+func parseArgs(args []string, onError flag.ErrorHandling) (*invocation, error) {
+	fs := flag.NewFlagSet("detserve", onError)
+	var (
+		addr        = fs.String("addr", ":8080", "listen address")
+		workers     = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		queue       = fs.Int("queue", 0, "job queue depth (0 = default 256)")
+		instrCache  = fs.Int("instr-cache", 0, "instrumentation cache entries (0 = default)")
+		resultCache = fs.Int("result-cache", 0, "result cache entries (0 = default)")
+		selfCheck   = fs.Float64("self-check", 0, "fraction of cache hits to re-execute and verify (0..1)")
+		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
+		journal     = fs.String("journal", "", "durable job journal path (empty = no durability)")
+		deadlineF   = fs.Duration("deadline", 0, "default per-job execution deadline (0 = unbounded)")
+		maxRetries  = fs.Int("max-retries", 2, "transient-failure retries per job (0 disables)")
+		scrubF      = fs.Bool("scrub", false, "repair the -journal log offline (quarantine damaged records, rewrite), print the JSON report, exit")
+		verifyF     = fs.Bool("verify-journal", false, "read-only integrity scan of the -journal log, print the JSON report, exit (nonzero on damage)")
+
+		self       = fs.String("self", "", "advertised cluster address (default: -addr)")
+		peersF     = fs.String("peers", "", "comma-separated peer addresses (enables sharded peer cache fill and work stealing)")
+		seedPeersF = fs.String("seed-peers", "", "comma-separated seed addresses for dynamic membership (join via gossip); empty value bootstraps a new cluster")
+		standby    = fs.String("standby", "", "standby address to ship the job journal to")
+		shards     = fs.Int("shards", 0, "virtual shards per node on the hash ring (0 = default 64)")
+		shipPath   = fs.String("ship-path", "", "act as a standby: persist shipped journal records here")
 	)
-	flag.Parse()
-	// Validate flags up front with typed, per-flag messages (the detbench
-	// pattern): a bad invocation gets a short precise complaint and exit 2,
-	// never a mid-startup error with a stack of context.
-	usage := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "detserve: "+format+"\n", args...)
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if flag.NArg() != 0 {
-		usage("unexpected arguments %v (detserve takes flags only)", flag.Args())
+	if fs.NArg() != 0 {
+		return nil, fmt.Errorf("unexpected arguments %v (detserve takes flags only)", fs.Args())
 	}
 	for _, f := range []struct {
 		name  string
@@ -151,14 +152,14 @@ func main() {
 		{"-shards", *shards}, {"-max-retries", *maxRetries},
 	} {
 		if f.value < 0 {
-			usage("%s must be >= 0 (got %d)", f.name, f.value)
+			return nil, fmt.Errorf("%s must be >= 0 (got %d)", f.name, f.value)
 		}
 	}
 	if *selfCheck < 0 || *selfCheck > 1 {
-		usage("-self-check must be in [0,1] (got %g)", *selfCheck)
+		return nil, fmt.Errorf("-self-check must be in [0,1] (got %g)", *selfCheck)
 	}
 	if *deadlineF < 0 {
-		usage("-deadline must be >= 0 (got %v)", *deadlineF)
+		return nil, fmt.Errorf("-deadline must be >= 0 (got %v)", *deadlineF)
 	}
 	// Journal-family paths fail fast here, not after the listener is up: a
 	// typo'd directory must never let the server run thinking it is durable.
@@ -170,117 +171,107 @@ func main() {
 		}
 		dir := filepath.Dir(f.path)
 		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			usage("%s %q: parent directory %q does not exist", f.name, f.path, dir)
+			return nil, fmt.Errorf("%s %q: parent directory %q does not exist", f.name, f.path, dir)
 		}
 		if st, err := os.Stat(f.path); err == nil && st.IsDir() {
-			usage("%s %q is a directory, want a file path", f.name, f.path)
+			return nil, fmt.Errorf("%s %q is a directory, want a file path", f.name, f.path)
 		}
 	}
 	if *journal != "" && *shipPath != "" && *journal == *shipPath {
-		usage("-journal and -ship-path must be different files (both %q)", *journal)
+		return nil, fmt.Errorf("-journal and -ship-path must be different files (both %q)", *journal)
 	}
 	if *standby != "" && *journal == "" {
-		usage("-standby ships the job journal and requires -journal PATH")
+		return nil, errors.New("-standby ships the job journal and requires -journal PATH")
 	}
 	if (*scrubF || *verifyF) && *journal == "" {
-		usage("-scrub and -verify-journal require -journal PATH")
-	}
-	if *smoke && *clusterSmoke {
-		usage("-smoke and -cluster-smoke are mutually exclusive")
+		return nil, errors.New("-scrub and -verify-journal require -journal PATH")
 	}
 	// -seed-peers "" is meaningful (bootstrap a new cluster), so presence is
 	// detected, not inferred from the value.
 	seedMode := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "seed-peers" {
 			seedMode = true
 		}
 	})
 	if seedMode && *peersF != "" {
-		usage("-peers and -seed-peers are mutually exclusive (static list vs gossip-joined membership)")
+		return nil, errors.New("-peers and -seed-peers are mutually exclusive (static list vs gossip-joined membership)")
 	}
 
-	cfg := service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		InstrCacheSize:  *instrCache,
-		ResultCacheSize: *resultCache,
-		SelfCheckRate:   *selfCheck,
-		JournalPath:     *journal,
-		DefaultDeadline: *deadlineF,
-		MaxRetries:      *maxRetries,
-	}
+	inv := &invocation{addr: *addr, pprofAddr: *pprofAddr, scrub: *scrubF, verify: *verifyF, cluster: cluster.Config{
+		Self:          *self,
+		Standby:       *standby,
+		VirtualShards: *shards,
+		ShipPath:      *shipPath,
+		Peers:         splitList(*peersF),
+		Service: service.Config{
+			Workers:         *workers,
+			QueueDepth:      *queue,
+			InstrCacheSize:  *instrCache,
+			ResultCacheSize: *resultCache,
+			SelfCheckRate:   *selfCheck,
+			JournalPath:     *journal,
+			DefaultDeadline: *deadlineF,
+			MaxRetries:      *maxRetries,
+		},
+	}}
 	if *maxRetries == 0 {
-		cfg.MaxRetries = -1 // Config 0 means "default"; the flag's 0 means off
+		inv.cluster.Service.MaxRetries = -1 // Config 0 means "default"; the flag's 0 means off
 	}
+	if inv.cluster.Self == "" {
+		inv.cluster.Self = *addr
+	}
+	if seedMode {
+		// Non-nil selects dynamic membership, even when empty.
+		inv.cluster.SeedPeers = append([]string{}, splitList(*seedPeersF)...)
+	}
+	return inv, nil
+}
 
-	if *scrubF || *verifyF {
-		rep, err := service.ScrubJournal(nil, *journal, *scrubF)
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(v string) []string {
+	var out []string
+	for _, p := range strings.Split(v, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func main() {
+	inv, err := parseArgs(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detserve: %v\n", err)
+		os.Exit(2)
+	}
+	if inv.scrub || inv.verify {
+		rep, err := service.ScrubJournal(nil, inv.cluster.Service.JournalPath, inv.scrub)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "detserve: scrub:", err)
 			os.Exit(1)
 		}
 		out, _ := json.MarshalIndent(rep, "", "  ")
 		fmt.Println(string(out))
-		if *verifyF && !*scrubF && (rep.Quarantined > 0 || rep.TornBytes > 0) {
+		if !inv.scrub && (rep.Quarantined > 0 || rep.TornBytes > 0) {
 			os.Exit(1) // verify mode flags damage without repairing it
 		}
 		return
 	}
-
-	if *smoke {
-		if err := runSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "detserve: smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("detserve: smoke OK")
-		return
-	}
-	if *clusterSmoke {
-		if err := runClusterSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "detserve: cluster-smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("detserve: cluster-smoke OK")
-		return
-	}
-
-	ccfg := cluster.Config{
-		Self:          *self,
-		Standby:       *standby,
-		VirtualShards: *shards,
-		ShipPath:      *shipPath,
-		Service:       cfg,
-	}
-	if ccfg.Self == "" {
-		ccfg.Self = *addr
-	}
-	for _, p := range strings.Split(*peersF, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			ccfg.Peers = append(ccfg.Peers, p)
-		}
-	}
-	if seedMode {
-		ccfg.SeedPeers = []string{} // non-nil selects dynamic membership
-		for _, p := range strings.Split(*seedPeersF, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				ccfg.SeedPeers = append(ccfg.SeedPeers, p)
-			}
-		}
-	}
-
-	if err := serve(*addr, *pprofAddr, ccfg); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal during the drain kills as usual
+	if err := serve(ctx, inv.addr, inv.pprofAddr, inv.cluster); err != nil {
 		fmt.Fprintln(os.Stderr, "detserve:", err)
 		os.Exit(1)
 	}
 }
 
-// serve runs the HTTP server until SIGINT/SIGTERM, then drains: the listener
-// closes first, then the service finishes every accepted job. The service
-// always runs inside a cluster node — with no peers and no standby that is
-// provably the bare engine, and either way the node contributes /healthz,
-// /readyz and the /internal/v1 peer protocol to the same listener.
-func serve(addr, pprofAddr string, ccfg cluster.Config) error {
+// serve runs the HTTP server until ctx is done (SIGINT/SIGTERM in main), then
+// drains and closes the listener. The service always runs inside a cluster
+// node — with no peers and no standby that is provably the bare engine, and
+// either way the node contributes /healthz, /readyz and the /internal/v1 peer
+// protocol to the same listener.
+func serve(ctx context.Context, addr, pprofAddr string, ccfg cluster.Config) error {
 	// Open, not New: a front end asked for durability must refuse to start
 	// without it rather than silently running degraded.
 	node, err := cluster.Open(ccfg)
@@ -290,9 +281,6 @@ func serve(addr, pprofAddr string, ccfg cluster.Config) error {
 	svc := node.Service()
 	cfg := ccfg.Service
 	srv := &http.Server{Addr: addr, Handler: mountNode(newHandler(svc), node)}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	errCh := make(chan error, 1)
 	if pprofAddr != "" {
@@ -355,7 +343,6 @@ func serve(addr, pprofAddr string, ccfg cluster.Config) error {
 		return err
 	case <-ctx.Done():
 	}
-	stop()
 	fmt.Println("detserve: shutting down: graceful drain (handoff, rebalance, journal transfer), then exit")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -486,126 +473,4 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 		"error": err.Error(),
 		"kind":  service.Classify(err),
 	})
-}
-
-// smokeProgram is the README quickstart program: four threads contending on
-// one lock.
-const smokeProgram = `
-module quickstart
-locks 1
-global counter 1
-
-func main() regs 6 {
-entry:
-  r0 = tid
-  r1 = const 0
-  jmp loop
-loop:
-  r2 = lt r1, 4
-  br r2, body, done
-body:
-  lock 0
-  r3 = load counter[0]
-  r3 = add r3, 1
-  store counter[0], r3
-  unlock 0
-  r1 = add r1, 1
-  jmp loop
-done:
-  ret r1
-}
-`
-
-// runSmoke starts the server on a loopback port, submits smokeProgram twice
-// through the real HTTP stack, and verifies the second response is a result-
-// cache hit with an identical schedule hash — the end-to-end proof that the
-// content-addressed cache respects weak determinism.
-func runSmoke(cfg service.Config) error {
-	cfg.SelfCheckRate = 1 // verify every hit during the smoke test
-	svc := service.New(cfg)
-	defer svc.Close(context.Background())
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: newHandler(svc)}
-	go srv.Serve(ln)
-	defer srv.Shutdown(context.Background())
-	base := "http://" + ln.Addr().String()
-
-	body, err := json.Marshal(service.Request{Source: smokeProgram})
-	if err != nil {
-		return err
-	}
-	submit := func() (*service.Result, error) {
-		resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		payload, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, payload)
-		}
-		var res service.Result
-		if err := json.Unmarshal(payload, &res); err != nil {
-			return nil, err
-		}
-		return &res, nil
-	}
-
-	first, err := submit()
-	if err != nil {
-		return fmt.Errorf("first submission: %w", err)
-	}
-	if first.Cached {
-		return fmt.Errorf("first submission unexpectedly hit the cache")
-	}
-	second, err := submit()
-	if err != nil {
-		return fmt.Errorf("second submission: %w", err)
-	}
-	if !second.Cached {
-		return fmt.Errorf("second submission missed the cache")
-	}
-	if !second.SelfChecked {
-		return fmt.Errorf("second submission skipped the determinism self-check")
-	}
-	if second.ScheduleHash != first.ScheduleHash {
-		return fmt.Errorf("schedule hash changed across identical submissions: %s vs %s",
-			first.ScheduleHash, second.ScheduleHash)
-	}
-
-	// A malformed request must be a 400, not a server fault.
-	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", bytes.NewReader([]byte(`{"source":"","threads":-1}`)))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		return fmt.Errorf("invalid request returned %d, want 400", resp.StatusCode)
-	}
-
-	// Counters reflect the run.
-	stats, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		return err
-	}
-	defer stats.Body.Close()
-	var snap service.StatsSnapshot
-	if err := json.NewDecoder(stats.Body).Decode(&snap); err != nil {
-		return err
-	}
-	if snap.ResultCacheHits < 1 || snap.Divergences != 0 {
-		return fmt.Errorf("bad counters: hits=%d divergences=%d", snap.ResultCacheHits, snap.Divergences)
-	}
-
-	fmt.Printf("detserve: smoke: hash %s, cache hit verified, %d self-checks, 0 divergences\n",
-		second.ScheduleHash, snap.SelfChecks)
-	return nil
 }

@@ -296,7 +296,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 	}
 	net.Heal("node-a", "node-b")
 	if _, ok := a.Service().ResultByKey(keys[0]); ok {
-		t.Fatal("owner already has the entry; the repair pull would be vacuous")
+		t.Fatal("owner already has the entry; the repair pull would prove nothing")
 	}
 	if n := a.RepairOnce(ctx); n == 0 {
 		t.Fatal("repair round reconciled nothing")

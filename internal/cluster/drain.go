@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -148,27 +147,8 @@ func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
 		n.svc.AbortStolen(sj.ID)
 		return
 	}
-	body, err := json.Marshal(handoffMsg{Origin: n.cfg.Self, Jobs: []service.StolenJob{sj}})
-	if err != nil {
-		n.svc.AbortStolen(sj.ID)
-		return
-	}
-	hctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(hctx, http.MethodPost, "http://"+owner+"/internal/v1/handoff", bytes.NewReader(body))
-	if err != nil {
-		n.svc.AbortStolen(sj.ID)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setSum(req.Header, body)
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		n.svc.AbortStolen(sj.ID)
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+	msg := handoffMsg{Origin: n.cfg.Self, Jobs: []service.StolenJob{sj}}
+	if _, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/handoff", msg, nil); err != nil {
 		n.svc.AbortStolen(sj.ID)
 		return
 	}
@@ -195,33 +175,16 @@ func (n *Node) handoffJournal(ctx context.Context) error {
 	if successor == "" {
 		return nil
 	}
-	body, err := json.Marshal(journalHandoffMsg{From: n.cfg.Self, Lines: lines, Sum: sumLines(lines)})
-	if err != nil {
-		return err
-	}
-	hctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(hctx, http.MethodPost, "http://"+successor+"/internal/v1/handoff-journal", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setSum(req.Header, body)
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("journal handoff to %s: %w", successor, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
+	msg := journalHandoffMsg{From: n.cfg.Self, Lines: lines, Sum: sumLines(lines)}
+	status, err := n.call(ctx, http.MethodPost, successor, "/internal/v1/handoff-journal", msg, nil)
+	switch {
+	case err == nil:
 		n.ctr.journalHandoffs.Add(1)
 		return nil
-	case http.StatusConflict:
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("journal handoff to %s: %w: successor's cross-check refused the segment: %s",
-			successor, diag.ErrDivergence, strings.TrimSpace(string(msg)))
+	case status == http.StatusConflict:
+		return fmt.Errorf("journal handoff: %w: successor's cross-check refused the segment: %w", diag.ErrDivergence, err)
 	default:
-		return fmt.Errorf("journal handoff to %s: status %d", successor, resp.StatusCode)
+		return fmt.Errorf("journal handoff: %w", err)
 	}
 }
 
@@ -230,20 +193,12 @@ func (n *Node) handoffJournal(ctx context.Context) error {
 // that is itself draining refuses — the sender aborts locally rather than
 // ping-ponging work between two exits.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad handoff body", http.StatusBadRequest)
-		return
-	}
-	if err := verifySum(r.Header, body, "handoff"); err != nil {
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
 	var msg handoffMsg
-	if err := json.Unmarshal(body, &msg); err != nil || msg.Origin == "" {
-		http.Error(w, "bad handoff body", http.StatusBadRequest)
+	if !n.accept(w, r, &msg) {
+		return
+	}
+	if msg.Origin == "" {
+		http.Error(w, "bad handoff body: no origin", http.StatusBadRequest)
 		return
 	}
 	n.mu.Lock()
@@ -262,34 +217,25 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 			n.runStolen(context.Background(), msg.Origin, sj)
 		}()
 	}
-	w.WriteHeader(http.StatusNoContent)
+	reply(w, http.StatusNoContent, nil)
 }
 
 // handleHandoffJournal accepts journal segment ownership from a leaving
 // node — after proving the segment reproduces. Accepted segments are
 // persisted as a sidecar next to our own journal when one is configured.
 func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad journal handoff body", http.StatusBadRequest)
-		return
-	}
-	if err := verifySum(r.Header, body, "journal handoff"); err != nil {
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
 	var msg journalHandoffMsg
-	if err := json.Unmarshal(body, &msg); err != nil || msg.From == "" {
-		http.Error(w, "bad journal handoff body", http.StatusBadRequest)
+	if !n.accept(w, r, &msg) {
 		return
 	}
-	if msg.Sum != 0 && sumLines(msg.Lines) != msg.Sum {
+	if msg.From == "" {
+		http.Error(w, "bad journal handoff body: no sender", http.StatusBadRequest)
+		return
+	}
+	if sumLines(msg.Lines) != msg.Sum {
 		err := &diag.CorruptionError{Source: "journal handoff from " + msg.From,
 			Detail: "segment lines do not match their checksum"}
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
+		n.reportPeerCorruption("", err)
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
@@ -310,7 +256,7 @@ func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n.ctr.journalHandoffsRecv.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+	reply(w, http.StatusNoContent, nil)
 }
 
 // handleDrainRequest is the operator endpoint POST /v1/cluster/drain: start a

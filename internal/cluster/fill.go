@@ -1,11 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/service"
@@ -99,38 +95,18 @@ func (n *Node) fetchHedged(ctx context.Context, owner, key string) *service.Resu
 	return nil
 }
 
-// fetchResult issues one GET /internal/v1/result to owner.
+// fetchResult issues one GET /internal/v1/result to owner; a 404 is a clean
+// miss. A reply that fails verification never becomes a served result: call
+// quarantines the owner and the caller falls back to local recomputation —
+// slower, never wrong.
 func (n *Node) fetchResult(ctx context.Context, owner, key string) (*service.Result, error) {
-	url := "http://" + owner + "/internal/v1/result?key=" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil // clean miss
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fill %s: status %d", owner, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("fill %s: %w", owner, err)
-	}
-	// Verify before decoding: a corrupt peer response must never become a
-	// served result. Detection quarantines the peer and falls back to local
-	// recomputation — slower, never wrong.
-	if err := verifySum(resp.Header, body, "fill from "+owner); err != nil {
-		n.reportPeerCorruption(owner, err)
-		return nil, err
-	}
 	var res service.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, fmt.Errorf("fill %s: %w", owner, err)
+	status, err := n.call(ctx, http.MethodGet, owner, "/internal/v1/result?key="+key, nil, &res)
+	if status == http.StatusNotFound {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &res, nil
 }
@@ -149,9 +125,7 @@ func (n *Node) offer(key string, res *service.Result, req *service.Request) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FillTimeout)
-		defer cancel()
-		n.sendOffer(ctx, owner, key, res, req)
+		n.sendOffer(context.Background(), owner, key, res, req)
 	}()
 }
 
@@ -159,37 +133,17 @@ func (n *Node) offer(key string, res *service.Result, req *service.Request) {
 // async offer hook, the rebalance push, and the repair backfill all funnel
 // through it, so the counters mean the same thing on every path.
 func (n *Node) sendOffer(ctx context.Context, owner, key string, res *service.Result, req *service.Request) error {
-	body, err := json.Marshal(offerMsg{Res: res, Req: req})
-	if err != nil {
-		n.ctr.offerFails.Add(1)
-		return err
-	}
-	url := "http://" + owner + "/internal/v1/offer?key=" + key
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		n.ctr.offerFails.Add(1)
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	setSum(hreq.Header, body)
-	resp, err := n.cfg.Client.Do(hreq)
-	if err != nil {
-		n.ctr.offerFails.Add(1)
-		return err
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
+	status, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/offer?key="+key, offerMsg{Res: res, Req: req}, nil)
+	switch {
+	case err == nil:
 		n.ctr.offersSent.Add(1)
-		return nil
-	case http.StatusConflict:
+	case status == http.StatusConflict:
 		// The owner's cached entry disagrees with ours: a determinism
 		// divergence, counted on both sides and policed by the owner's
 		// breaker.
 		n.ctr.offerDivergences.Add(1)
-		return fmt.Errorf("offer %s: divergence (409)", owner)
 	default:
 		n.ctr.offerFails.Add(1)
-		return fmt.Errorf("offer %s: status %d", owner, resp.StatusCode)
 	}
+	return err
 }

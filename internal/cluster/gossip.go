@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 )
@@ -83,44 +80,14 @@ func (n *Node) gossipNow(ctx context.Context) {
 // exchangeView runs one push-pull exchange with peer: send our view, merge
 // the reply. Reports success; failures are counted and otherwise ignored —
 // gossip is redundant by design, and a missed exchange only delays
-// convergence.
+// convergence. A corrupt view never advances the config epoch: call verifies
+// before it decodes.
 func (n *Node) exchangeView(ctx context.Context, peer string) bool {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
 	defer cancel()
-	body, err := json.Marshal(gossipMsg{From: n.cfg.Self, View: n.members.viewClone()})
-	if err != nil {
-		n.ctr.gossipFails.Add(1)
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+peer+"/internal/v1/gossip", bytes.NewReader(body))
-	if err != nil {
-		n.ctr.gossipFails.Add(1)
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setSum(req.Header, body)
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		n.ctr.gossipFails.Add(1)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		n.ctr.gossipFails.Add(1)
-		return false
-	}
-	reply, err := io.ReadAll(resp.Body)
-	if err != nil {
-		n.ctr.gossipFails.Add(1)
-		return false
-	}
-	// A corrupt view must never advance the config epoch: verify, then decode.
-	if err := verifySum(resp.Header, reply, "gossip from "+peer); err != nil {
-		n.reportPeerCorruption(peer, err)
-		return false
-	}
 	var rv View
-	if err := json.Unmarshal(reply, &rv); err != nil {
+	_, err := n.call(ctx, http.MethodPost, peer, "/internal/v1/gossip", gossipMsg{From: n.cfg.Self, View: n.members.viewClone()}, &rv)
+	if err != nil {
 		n.ctr.gossipFails.Add(1)
 		return false
 	}
@@ -139,34 +106,15 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not clustered", http.StatusNotFound)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad gossip body", http.StatusBadRequest)
-		return
-	}
-	if err := verifySum(r.Header, body, "gossip"); err != nil {
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
 	var msg gossipMsg
-	if err := json.Unmarshal(body, &msg); err != nil {
-		http.Error(w, "bad gossip body: "+err.Error(), http.StatusBadRequest)
+	if !n.accept(w, r, &msg) {
 		return
 	}
 	if n.members.merge(msg.View) {
 		n.ctr.gossipMerges.Add(1)
 		n.syncRing()
 	}
-	reply, err := json.Marshal(n.members.viewClone())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	setSum(w.Header(), reply)
-	w.Write(reply)
+	reply(w, http.StatusOK, n.members.viewClone())
 }
 
 // digestReport is the body of GET /internal/v1/digest without parameters:
@@ -193,7 +141,7 @@ func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 	owner := r.URL.Query().Get("owner")
 	if owner == "" {
 		rep := digestReport{Node: n.cfg.Self, Epoch: n.members.epoch(), Digest: n.members.digest(), Ring: n.ringNodeList()}
-		writeSummed(w, rep)
+		reply(w, http.StatusOK, rep)
 		return
 	}
 	if b := r.URL.Query().Get("bucket"); b != "" {
@@ -202,20 +150,8 @@ func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad bucket", http.StatusBadRequest)
 			return
 		}
-		writeSummed(w, n.bucketKeys(owner, bucket))
+		reply(w, http.StatusOK, n.bucketKeys(owner, bucket))
 		return
 	}
-	writeSummed(w, n.bucketDigests(owner))
-}
-
-// writeSummed marshals v with the wire checksum header set.
-func writeSummed(w http.ResponseWriter, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	setSum(w.Header(), body)
-	w.Write(body)
+	reply(w, http.StatusOK, n.bucketDigests(owner))
 }

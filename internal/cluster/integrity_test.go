@@ -214,6 +214,7 @@ func TestShipBatchCorruptionRejected(t *testing.T) {
 	batch.Sum = sumLines(batch.Lines) ^ 0xdeadbeef
 	body, _ := json.Marshal(&batch)
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, "http://standby/internal/v1/ship", bytes.NewReader(body))
+	setSum(req.Header, body) // the body arrived intact; its lines are what lie
 	resp, err := net.Client("evil").Do(req)
 	if err != nil {
 		t.Fatalf("tampered ship POST: %v", err)

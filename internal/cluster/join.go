@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/diag"
@@ -71,36 +68,8 @@ func (n *Node) Join(ctx context.Context) error {
 
 // joinVia runs the bootstrap handshake against one seed.
 func (n *Node) joinVia(ctx context.Context, seed string) error {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	body, err := json.Marshal(gossipMsg{From: n.cfg.Self, View: n.members.viewClone()})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+seed+"/internal/v1/join", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setSum(req.Header, body)
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("join %s: %w", seed, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("join %s: status %d", seed, resp.StatusCode)
-	}
-	reply, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("join %s: %w", seed, err)
-	}
-	if err := verifySum(resp.Header, reply, "join reply from "+seed); err != nil {
-		n.reportPeerCorruption(seed, err)
-		return err
-	}
 	var jr joinReply
-	if err := json.Unmarshal(reply, &jr); err != nil {
+	if _, err := n.call(ctx, http.MethodPost, seed, "/internal/v1/join", gossipMsg{From: n.cfg.Self, View: n.members.viewClone()}, &jr); err != nil {
 		return fmt.Errorf("join %s: %w", seed, err)
 	}
 	// Divergence cross-check before admission: the seed's journaled history
@@ -119,8 +88,7 @@ func (n *Node) joinVia(ctx context.Context, seed string) error {
 	return nil
 }
 
-// handleJoin is the seed side of the bootstrap handshake (mounted at both
-// /internal/v1/join and the operator-facing /v1/cluster/join). It merges the
+// handleJoin is the seed side of the bootstrap handshake. It merges the
 // joiner's announcement and replies with the full view plus the journal
 // snapshot the joiner cross-checks.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -139,25 +107,17 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node is draining", http.StatusServiceUnavailable)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad join body", http.StatusBadRequest)
-		return
-	}
-	if err := verifySum(r.Header, body, "join"); err != nil {
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
 	var msg gossipMsg
-	if err := json.Unmarshal(body, &msg); err != nil || msg.From == "" {
-		http.Error(w, "bad join body", http.StatusBadRequest)
+	if !n.accept(w, r, &msg) {
+		return
+	}
+	if msg.From == "" {
+		http.Error(w, "bad join body: no sender", http.StatusBadRequest)
 		return
 	}
 	if n.members.merge(msg.View) {
 		n.syncRing()
 	}
 	n.ctr.joinsServed.Add(1)
-	writeSummed(w, joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords()})
+	reply(w, http.StatusOK, joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords()})
 }

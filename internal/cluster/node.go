@@ -230,7 +230,7 @@ func Open(cfg Config) (*Node, error) {
 		cfg.Service.Offer = n.offer
 	}
 	if cfg.Standby != "" {
-		n.shipper = newShipper(cfg.Self, cfg.Standby, cfg.Client)
+		n.shipper = newShipper(n, cfg.Standby)
 		cfg.Service.ShipRecord = n.shipper.record
 	}
 	if cfg.ShipPath != "" {
@@ -494,7 +494,6 @@ func (n *Node) buildMux() {
 	mux.HandleFunc("/internal/v1/handoff", n.handleHandoff)
 	mux.HandleFunc("/internal/v1/handoff-journal", n.handleHandoffJournal)
 	mux.HandleFunc("/internal/v1/digest", n.handleDigest)
-	mux.HandleFunc("/v1/cluster/join", n.handleJoin)
 	mux.HandleFunc("/v1/cluster/drain", n.handleDrainRequest)
 	mux.HandleFunc("/v1/cluster/stats", n.handleClusterStats)
 	n.mux = mux
@@ -574,15 +573,8 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "miss", http.StatusNotFound)
 		return
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	n.ctr.fillsServed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	setSum(w.Header(), body)
-	w.Write(body)
+	reply(w, http.StatusOK, res)
 }
 
 // offerMsg is the body of /internal/v1/offer: the computed result plus,
@@ -595,34 +587,20 @@ type offerMsg struct {
 
 // handleOffer installs a peer-computed result into the local cache. A
 // divergence (offer conflicting with a cached entry) is 409 — the offering
-// peer logs it; both sides count it. Bare service.Result bodies (the pre-
-// membership wire form) are still accepted.
+// peer logs it; both sides count it.
 func (n *Node) handleOffer(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		http.Error(w, "missing key", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad offer body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := verifySum(r.Header, body, "offer"); err != nil {
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
 	var msg offerMsg
-	if err := json.Unmarshal(body, &msg); err != nil || msg.Res == nil {
-		// Legacy shape: the body is the bare result.
-		var res service.Result
-		if err := json.Unmarshal(body, &res); err != nil {
-			http.Error(w, "bad offer body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		msg = offerMsg{Res: &res}
+	if !n.accept(w, r, &msg) {
+		return
+	}
+	if msg.Res == nil {
+		http.Error(w, "bad offer body: no result", http.StatusBadRequest)
+		return
 	}
 	if err := n.svc.OfferResultFrom(key, msg.Res, msg.Req); err != nil {
 		if errors.Is(err, diag.ErrDivergence) {
@@ -632,7 +610,7 @@ func (n *Node) handleOffer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	reply(w, http.StatusNoContent, nil)
 }
 
 // handleSteal lends up to ?max= queued jobs to the calling peer.
@@ -643,9 +621,7 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 			max = parsed
 		}
 	}
-	jobs := n.svc.StealQueued(max)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(jobs)
+	reply(w, http.StatusOK, n.svc.StealQueued(max))
 }
 
 // completeMsg is the body of /internal/v1/complete: a stolen job's outcome.
@@ -660,24 +636,16 @@ type completeMsg struct {
 // A corrupt completion is rejected: the job stays lent and the reclaim timer
 // re-enqueues it locally — delayed, never wrong.
 func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad completion body", http.StatusBadRequest)
-		return
-	}
-	if err := verifySum(r.Header, body, "complete"); err != nil {
-		n.ctr.corruptDetected.Add(1)
-		n.svc.ReportCorruption(err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
 	var msg completeMsg
-	if err := json.Unmarshal(body, &msg); err != nil || msg.ID == "" {
-		http.Error(w, "bad completion body", http.StatusBadRequest)
+	if !n.accept(w, r, &msg) {
+		return
+	}
+	if msg.ID == "" {
+		http.Error(w, "bad completion body: no job id", http.StatusBadRequest)
 		return
 	}
 	n.svc.CompleteStolen(msg.ID, msg.Result)
-	w.WriteHeader(http.StatusNoContent)
+	reply(w, http.StatusNoContent, nil)
 }
 
 // handleShip receives a journal-shipping batch (standby side).
@@ -687,19 +655,17 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch shipBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		http.Error(w, "bad ship body: "+err.Error(), http.StatusBadRequest)
+	if !n.accept(w, r, &batch) {
 		return
 	}
 	if err := n.standby.apply(&batch); err != nil {
 		if errors.Is(err, diag.ErrCorruption) {
-			// The batch's lines do not match its checksum: wire damage. The
-			// batch is discarded unapplied; 409 makes the shipper open a
-			// fresh epoch with a snapshot, which supersedes the lost lines —
-			// corruption repair rides the existing resync path.
+			// The batch's lines do not match its checksum. The batch is
+			// discarded unapplied; 409 makes the shipper open a fresh epoch
+			// with a snapshot, which supersedes the lost lines — corruption
+			// repair rides the existing resync path.
 			n.ctr.shipCorrupt.Add(1)
-			n.ctr.corruptDetected.Add(1)
-			n.svc.ReportCorruption(err)
+			n.reportPeerCorruption("", err)
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
@@ -712,5 +678,5 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	reply(w, http.StatusNoContent, nil)
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -166,9 +165,7 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 		// Missing here: pull the peer's entry through the checksummed fetch
 		// path and install it through the policed offer path (hash-verified;
 		// a conflicting concurrent entry surfaces as a divergence).
-		fctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-		res, err := n.fetchResult(fctx, peer, rk.Key)
-		cancel()
+		res, err := n.fetchResult(ctx, peer, rk.Key)
 		if err != nil || res == nil {
 			return false, err
 		}
@@ -209,47 +206,16 @@ func peek(svc *service.Service, key string) (string, bool) {
 // fetchBucketDigests runs repair round 1 against peer.
 func (n *Node) fetchBucketDigests(ctx context.Context, peer string) (*bucketSummary, error) {
 	var sum bucketSummary
-	if err := n.getSummed(ctx, peer, "/internal/v1/digest?owner="+n.cfg.Self, &sum); err != nil {
-		return nil, err
-	}
-	return &sum, nil
+	_, err := n.call(ctx, http.MethodGet, peer, "/internal/v1/digest?owner="+n.cfg.Self, nil, &sum)
+	return &sum, err
 }
 
 // fetchBucketKeys runs repair round 2 against peer.
 func (n *Node) fetchBucketKeys(ctx context.Context, peer string, bucket int) ([]repairKey, error) {
 	var keys []repairKey
 	path := fmt.Sprintf("/internal/v1/digest?owner=%s&bucket=%d", n.cfg.Self, bucket)
-	if err := n.getSummed(ctx, peer, path, &keys); err != nil {
-		return nil, err
-	}
-	return keys, nil
-}
-
-// getSummed issues one checksummed GET to peer and decodes the JSON reply.
-func (n *Node) getSummed(ctx context.Context, peer, path string, v any) error {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s: status %d", peer, path, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if err := verifySum(resp.Header, body, "repair from "+peer); err != nil {
-		n.reportPeerCorruption(peer, err)
-		return err
-	}
-	return json.Unmarshal(body, v)
+	_, err := n.call(ctx, http.MethodGet, peer, path, nil, &keys)
+	return keys, err
 }
 
 // RebalanceOnce pushes the pending key-movement diff (computed by syncRing
@@ -288,10 +254,7 @@ func (n *Node) RebalanceOnce(ctx context.Context) int {
 		if !ok {
 			continue
 		}
-		octx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-		err := n.sendOffer(octx, to, key, res, req)
-		cancel()
-		if err == nil {
+		if n.sendOffer(ctx, to, key, res, req) == nil {
 			n.ctr.rebalanceMoves.Add(1)
 			pushed++
 		}

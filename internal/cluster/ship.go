@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -41,8 +39,8 @@ type shipBatch struct {
 	Snapshot bool     `json:"snapshot,omitempty"`
 	Lines    [][]byte `json:"lines"`
 	// Sum is the CRC32C over the concatenated Lines; the standby verifies it
-	// before applying. 0 means unchecked (legacy shipper, or empty batch).
-	Sum uint32 `json:"sum,omitempty"`
+	// before applying.
+	Sum uint32 `json:"sum"`
 }
 
 // maxShipBuffer bounds the unacked line buffer; past it the shipper drops
@@ -51,9 +49,8 @@ const maxShipBuffer = 4096
 
 // shipper accumulates journal lines and flushes them to the standby.
 type shipper struct {
-	self    string
+	node    *Node // the exchange goes through node.call
 	standby string
-	client  Doer
 
 	// flushMu serializes flushes (ticker, Close); mu guards the buffer and
 	// is held only for memory operations — record() runs under the origin
@@ -69,8 +66,8 @@ type shipper struct {
 	snapshot func() [][]byte
 }
 
-func newShipper(self, standby string, client Doer) *shipper {
-	return &shipper{self: self, standby: standby, client: client, resync: true}
+func newShipper(node *Node, standby string) *shipper {
+	return &shipper{node: node, standby: standby, resync: true}
 }
 
 // record is the service.Config.ShipRecord hook: buffer one line, never block.
@@ -93,14 +90,14 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 	defer sh.flushMu.Unlock()
 
 	sh.mu.Lock()
-	batch := shipBatch{From: sh.self, Epoch: sh.epoch, Seq: sh.seq, Lines: sh.buf}
+	batch := shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch, Seq: sh.seq, Lines: sh.buf}
 	resync := sh.resync
 	sh.mu.Unlock()
 	if resync {
 		// New epoch: the snapshot supersedes everything previously streamed
 		// AND everything currently buffered (buffered records are already
 		// folded into the live table the snapshot renders).
-		batch = shipBatch{From: sh.self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true}
+		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true}
 		if sh.snapshot != nil {
 			batch.Lines = sh.snapshot()
 		}
@@ -136,29 +133,11 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 // post sends one batch; a 409 maps to errShipGap.
 func (sh *shipper) post(ctx context.Context, batch *shipBatch) error {
 	batch.Sum = sumLines(batch.Lines)
-	body, err := json.Marshal(batch)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+sh.standby+"/internal/v1/ship", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := sh.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		return nil
-	case http.StatusConflict:
+	status, err := sh.node.call(ctx, http.MethodPost, sh.standby, "/internal/v1/ship", batch, nil)
+	if status == http.StatusConflict {
 		return fmt.Errorf("ship %s: %w", sh.standby, errShipGap)
-	default:
-		return fmt.Errorf("ship %s: status %d", sh.standby, resp.StatusCode)
 	}
+	return err
 }
 
 // ShipFlush pushes one pending journal batch to the standby (loop body of
@@ -217,13 +196,11 @@ func (st *standbyStore) apply(batch *shipBatch) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Verify before any byte lands: a damaged batch must not reach the
-	// takeover journal. Sum 0 is a legacy (or empty) batch, unchecked.
-	if batch.Sum != 0 {
-		if got := sumLines(batch.Lines); got != batch.Sum {
-			return &diag.CorruptionError{
-				Source: fmt.Sprintf("ship batch from %s (epoch %d seq %d)", batch.From, batch.Epoch, batch.Seq),
-				Detail: fmt.Sprintf("batch checksum mismatch (declared %08x, computed %08x over %d lines)", batch.Sum, got, len(batch.Lines)),
-			}
+	// takeover journal.
+	if got := sumLines(batch.Lines); got != batch.Sum {
+		return &diag.CorruptionError{
+			Source: fmt.Sprintf("ship batch from %s (epoch %d seq %d)", batch.From, batch.Epoch, batch.Seq),
+			Detail: fmt.Sprintf("batch checksum mismatch (declared %08x, computed %08x over %d lines)", batch.Sum, got, len(batch.Lines)),
 		}
 	}
 	if batch.Snapshot {

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/service"
@@ -56,28 +54,13 @@ func (n *Node) StealOnce(ctx context.Context) int {
 	return len(jobs)
 }
 
-// stealFrom asks victim for up to max queued jobs.
+// stealFrom asks victim for up to max queued jobs. The reply carries program
+// text, so it is verified like any result: a damaged reply is dropped whole
+// (the jobs stay lent and the victim's reclaim timer re-enqueues them).
 func (n *Node) stealFrom(ctx context.Context, victim string, max int) ([]service.StolenJob, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	url := fmt.Sprintf("http://%s/internal/v1/steal?max=%d", victim, max)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("steal %s: status %d", victim, resp.StatusCode)
-	}
 	var jobs []service.StolenJob
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		return nil, fmt.Errorf("steal %s: %w", victim, err)
-	}
-	return jobs, nil
+	_, err := n.call(ctx, http.MethodPost, victim, "/internal/v1/steal?max="+strconv.Itoa(max), nil, &jobs)
+	return jobs, err
 }
 
 // runStolen executes one borrowed job and reports the outcome to its origin.
@@ -96,26 +79,10 @@ func (n *Node) runStolen(ctx context.Context, origin string, sj service.StolenJo
 // delivery failure is tolerable: the origin's reclaim timer re-enqueues the
 // job, and our wasted execution is just that — wasted, not wrong.
 func (n *Node) postComplete(ctx context.Context, origin, id string, res *service.Result) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	body, err := json.Marshal(completeMsg{ID: id, Result: res})
-	if err != nil {
-		return
-	}
-	url := "http://" + origin + "/internal/v1/complete"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setSum(req.Header, body)
-	resp, err := n.cfg.Client.Do(req)
+	_, err := n.call(ctx, http.MethodPost, origin, "/internal/v1/complete", completeMsg{ID: id, Result: res}, nil)
 	if err != nil {
 		n.ctr.completeFails.Add(1)
-		return
-	}
-	resp.Body.Close()
-	if res != nil {
+	} else if res != nil {
 		n.ctr.completesSent.Add(1)
 	}
 }

@@ -37,6 +37,9 @@ type Doer interface {
 //     probability (connection reset before delivery).
 //   - CorruptResponses flips one byte of each response body with a seeded
 //     deterministic probability — the fault the integrity plane must catch.
+//   - StripSums drops the wire-checksum header from everything crossing a
+//     link, as a header-rewriting proxy would: every peer message must then
+//     be refused, never decoded unverified.
 //
 // All knobs are per directed link and take effect immediately; the same
 // injection script yields the same observable failures on every run.
@@ -48,8 +51,9 @@ type LoopNet struct {
 
 // linkState is one directed link's degradations.
 type linkState struct {
-	cut     bool
-	latency time.Duration
+	cut       bool
+	stripSums bool
+	latency   time.Duration
 	// flake/corrupt fire with their rate against their own deterministic
 	// stream; draws happen in request order under the net lock.
 	flakeRate   float64
@@ -158,6 +162,15 @@ func (l *LoopNet) CorruptResponses(from, to string, rate float64, seed int64) {
 	}
 }
 
+// StripSums drops the X-Detserve-Sum header from every request and response
+// travelling between from and to, in both directions, bodies untouched.
+func (l *LoopNet) StripSums(from, to string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.link(from, to).stripSums = true
+	l.link(to, from).stripSums = true
+}
+
 // Client returns the Doer a node at address from uses to reach its peers.
 func (l *LoopNet) Client(from string) Doer {
 	return &loopClient{net: l, from: from}
@@ -181,6 +194,7 @@ func (c *loopClient) Do(req *http.Request) (*http.Response, error) {
 	severed := fwd.cut
 	ackLost := rev.cut
 	latency := fwd.latency
+	stripReq, stripResp := fwd.stripSums, rev.stripSums
 	flaked := fwd.flakeRand != nil && fwd.flakeRand.Float() < fwd.flakeRate
 	var corruptAt int = -1
 	if rev.corruptRand != nil && rev.corruptRand.Float() < rev.corruptRate {
@@ -210,7 +224,11 @@ func (c *loopClient) Do(req *http.Request) (*http.Response, error) {
 	done := make(chan *http.Response, 1)
 	go func() {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req.Clone(req.Context()))
+		delivered := req.Clone(req.Context())
+		if stripReq {
+			delivered.Header.Del(sumHeader)
+		}
+		h.ServeHTTP(rec, delivered)
 		done <- rec.Result()
 	}()
 	select {
@@ -223,6 +241,9 @@ func (c *loopClient) Do(req *http.Request) (*http.Response, error) {
 		}
 		if corruptAt >= 0 {
 			corruptResponse(resp, corruptAt)
+		}
+		if stripResp {
+			resp.Header.Del(sumHeader)
 		}
 		return resp, nil
 	case <-req.Context().Done():

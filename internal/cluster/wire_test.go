@@ -1,0 +1,456 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/diag"
+	"repro/internal/service"
+)
+
+// backlog pins n's single worker on the slow plug job and submits reqs behind
+// it, so the queue holds exactly those jobs until the plug finishes. Returns
+// their ids.
+func backlog(t *testing.T, n *Node, reqs []service.Request) []string {
+	t.Helper()
+	plug := mustSubmit(t, n, service.Request{Source: slowSrc, Threads: 1})
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if v, err := n.Service().Lookup(plug); err == nil && v.Status != service.StatusQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the plug job never left the queue")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		ids[i] = mustSubmit(t, n, req)
+	}
+	return ids
+}
+
+// wantLocal waits for every id on n and requires the reference core, computed
+// on n itself: whatever a damaged exchange did, the job finished, at home,
+// with the right answer.
+func wantLocal(t *testing.T, n *Node, ids []string, reqs []service.Request) {
+	t.Helper()
+	for i, id := range ids {
+		res := waitResult(t, n.Service(), id)
+		if res.Remote {
+			t.Fatalf("job %s was completed remotely through a link that verifies nothing", id)
+		}
+		ref, err := n.Service().ExecuteDetached(context.Background(), reqs[i])
+		if err != nil {
+			t.Fatalf("reference execution: %v", err)
+		}
+		if coreOf(res) != coreOf(ref) {
+			t.Fatalf("job %s core %s, want %s", id, coreOf(res), coreOf(ref))
+		}
+	}
+}
+
+func variants(src string, n int) []service.Request {
+	reqs := make([]service.Request, n)
+	for i := range reqs {
+		reqs[i] = service.Request{Source: src, PerturbSeed: int64(i)}
+	}
+	return reqs
+}
+
+// TestStripSumsRejectsEveryMessage: a link that drops X-Detserve-Sum (a
+// header-rewriting proxy) must make every one of the ten peer messages fail
+// closed. Per message: the side that would have decoded the bytes refuses
+// them and counts it (corrupt_payloads on the node, corruption_events on its
+// service), nothing the message carried is installed or served, and the work
+// it was about still completes — by local recompute, reclaim, or a retry
+// once the link is honest again.
+func TestStripSumsRejectsEveryMessage(t *testing.T) {
+	ctx := context.Background()
+	peers := []string{"node-a", "node-b"}
+	oneWorker := func(c *Config) {
+		c.Service.Workers = 1
+		c.Service.StealReclaim = 50 * time.Millisecond
+	}
+
+	// Each case runs its exchange between a fresh node-a and node-b whose
+	// link strips checksums, and returns the node that had to refuse.
+	cases := []struct {
+		name string
+		run  func(t *testing.T, net *LoopNet, dir string) (refuser *Node, cleanup func())
+	}{
+		{"fill", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
+			req, _ := keyOwnedBy(t, a, srcOf(t, "ocean"), false)
+			want := waitResult(t, b.Service(), mustSubmit(t, b, req))
+			net.StripSums("node-a", "node-b")
+			got := waitResult(t, a.Service(), mustSubmit(t, a, req))
+			if got.PeerFilled || coreOf(got) != coreOf(want) {
+				t.Fatalf("fill through a stripping link: peer_filled=%v core %s, want local recompute of %s", got.PeerFilled, coreOf(got), coreOf(want))
+			}
+			if !a.Peers()["node-b"].Quarantined {
+				t.Fatal("the owner whose reply could not be verified was not quarantined")
+			}
+			return a, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"offer", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
+			net.StripSums("node-a", "node-b")
+			req, key := keyOwnedBy(t, a, srcOf(t, "ocean"), false)
+			waitResult(t, a.Service(), mustSubmit(t, a, req))
+			for deadline := time.Now().Add(5 * time.Second); a.Stats().OfferFails == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the stripped offer never failed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if _, ok := b.Service().ResultByKey(key); ok {
+				t.Fatal("owner installed an offer it could not verify")
+			}
+			return b, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"steal", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, oneWorker)
+			reqs := variants(srcOf(t, "volrend"), 3)
+			ids := backlog(t, b, reqs)
+			net.StripSums("node-a", "node-b")
+			if jobs, err := a.stealFrom(ctx, "node-b", 2); !errors.Is(err, diag.ErrCorruption) {
+				t.Fatalf("stealFrom = %d jobs, err %v; want ErrCorruption", len(jobs), err)
+			}
+			if b.Service().Snapshot().JobsStolen != 2 {
+				t.Fatal("test staging broke: the victim lent nothing")
+			}
+			wantLocal(t, b, ids, reqs)
+			if b.Service().Snapshot().StealReclaims != 2 {
+				t.Fatalf("lent jobs were not reclaimed: %+v", b.Service().Snapshot())
+			}
+			return a, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"complete", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, oneWorker)
+			reqs := variants(srcOf(t, "volrend"), 2)
+			ids := backlog(t, b, reqs)
+			jobs, err := a.stealFrom(ctx, "node-b", 1)
+			if err != nil || len(jobs) != 1 {
+				t.Fatalf("honest steal: %d jobs, err %v", len(jobs), err)
+			}
+			net.StripSums("node-a", "node-b")
+			a.runStolen(ctx, "node-b", jobs[0])
+			if st := a.Stats(); st.CompleteFails != 1 || st.CompletesSent != 0 {
+				t.Fatalf("stripped completion counted as sent: %+v", st)
+			}
+			wantLocal(t, b, ids, reqs)
+			return b, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"ship", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			shipPath := filepath.Join(dir, "shipped.journal")
+			b := tnode(t, net, "node-b", nil, func(c *Config) { c.ShipPath = shipPath })
+			a := tnode(t, net, "node-a", nil, func(c *Config) {
+				c.Standby = "node-b"
+				c.Service.JournalPath = filepath.Join(dir, "a.journal")
+			})
+			net.StripSums("node-a", "node-b")
+			id := mustSubmit(t, a, service.Request{Source: srcOf(t, "ocean")})
+			want := coreOf(waitResult(t, a.Service(), id))
+			if sent, err := a.ShipFlush(ctx); err == nil {
+				t.Fatalf("stripped ship batch accepted (%d lines)", sent)
+			}
+			if fi, err := os.Stat(shipPath); err != nil || fi.Size() != 0 {
+				t.Fatalf("standby journal took unverified bytes: %v, err %v", fi, err)
+			}
+			// The stream is intact on the shipper: an honest link delivers it.
+			net.HealAll()
+			if sent, err := a.ShipFlush(ctx); err != nil || sent == 0 {
+				t.Fatalf("flush after heal: sent %d, err %v", sent, err)
+			}
+			b.Close(ctx)
+			svc, err := Takeover(shipPath, service.Config{Workers: 1})
+			if err != nil {
+				t.Fatalf("takeover: %v", err)
+			}
+			if got := coreOf(waitResult(t, svc, id)); got != want {
+				t.Fatalf("takeover core %s, want %s", got, want)
+			}
+			return b, func() { a.Close(ctx); svc.Close(ctx) }
+		}},
+		{"gossip", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
+			net.StripSums("node-a", "node-b")
+			a.members.bumpSelf(StateDraining) // news worth spreading
+			before := b.Epoch()
+			if a.exchangeView(ctx, "node-b") {
+				t.Fatal("view exchange succeeded through a stripping link")
+			}
+			if b.Epoch() != before || a.Stats().GossipFails != 1 {
+				t.Fatalf("unverified view merged: epoch %d → %d, sender stats %+v", before, b.Epoch(), a.Stats())
+			}
+			net.HealAll()
+			if !a.exchangeView(ctx, "node-b") || b.Epoch() != a.Epoch() {
+				t.Fatalf("views did not converge after heal: %d vs %d", a.Epoch(), b.Epoch())
+			}
+			return b, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"join", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a := dnode(t, net, "node-a", []string{}, nil)
+			b := dnode(t, net, "node-b", []string{"node-a"}, nil)
+			net.StripSums("node-a", "node-b")
+			if err := b.Join(ctx); err == nil {
+				t.Fatal("Join succeeded through a stripping link")
+			}
+			if _, known := a.View().Members["node-b"]; known || readyzCode(b) != http.StatusServiceUnavailable {
+				t.Fatalf("unverified join announcement merged (seed knows joiner: %v)", known)
+			}
+			net.HealAll()
+			if err := b.Join(ctx); err != nil || a.ViewDigest() != b.ViewDigest() {
+				t.Fatalf("Join after heal: %v", err)
+			}
+			return a, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"handoff", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, oneWorker), tnode(t, net, "node-b", peers, nil)
+			reqs, _ := reqsOwnedBy(t, a, srcOf(t, "volrend"), "node-b", 2)
+			ids := backlog(t, a, reqs)
+			net.StripSums("node-a", "node-b")
+			for _, sj := range a.Service().StealQueued(2) {
+				a.handoffJob(ctx, sj)
+			}
+			if a.Stats().HandoffJobsSent != 0 || b.Stats().HandoffJobsRecv != 0 {
+				t.Fatalf("unverified handoff went through: sent %d, received %d", a.Stats().HandoffJobsSent, b.Stats().HandoffJobsRecv)
+			}
+			wantLocal(t, a, ids, reqs)
+			return b, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"handoff-journal", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a := tnode(t, net, "node-a", peers, func(c *Config) { c.Service.JournalPath = filepath.Join(dir, "a.journal") })
+			b := tnode(t, net, "node-b", peers, func(c *Config) { c.Service.JournalPath = filepath.Join(dir, "b.journal") })
+			waitResult(t, a.Service(), mustSubmit(t, a, service.Request{Source: srcOf(t, "ocean")}))
+			net.StripSums("node-a", "node-b")
+			if err := a.handoffJournal(ctx); err == nil {
+				t.Fatal("journal segment accepted through a stripping link")
+			}
+			if side, _ := filepath.Glob(filepath.Join(dir, "b.journal.handoff-*")); len(side) != 0 || b.Stats().JournalHandoffsRecv != 0 {
+				t.Fatalf("successor persisted an unverified segment: %v", side)
+			}
+			net.HealAll()
+			if err := a.handoffJournal(ctx); err != nil {
+				t.Fatalf("journal handoff after heal: %v", err)
+			}
+			return b, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		{"digest", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
+			// b holds an entry a owns and never received: repair's job.
+			net.Partition("node-a", "node-b")
+			reqs, keys := reqsOwnedBy(t, a, srcOf(t, "raytrace"), "node-a", 1)
+			want := waitResult(t, b.Service(), mustSubmit(t, b, reqs[0]))
+			for deadline := time.Now().Add(5 * time.Second); b.Stats().OfferFails == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("partitioned offer never failed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			net.HealAll()
+			net.StripSums("node-a", "node-b")
+			if n := a.RepairOnce(ctx); n != 0 {
+				t.Fatalf("repair reconciled %d keys from digests it could not verify", n)
+			}
+			if _, ok := a.Service().ResultByKey(keys[0]); ok {
+				t.Fatal("repair pulled an entry through a stripping link")
+			}
+			got := waitResult(t, a.Service(), mustSubmit(t, a, reqs[0]))
+			if coreOf(got) != coreOf(want) {
+				t.Fatalf("owner recompute core %s, want %s", coreOf(got), coreOf(want))
+			}
+			return a, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			refuser, cleanup := tc.run(t, NewLoopNet(), t.TempDir())
+			defer cleanup()
+			if n := refuser.Stats().CorruptPayloads; n == 0 {
+				t.Errorf("%s: corrupt_payloads = 0 after refusing an unverifiable %s message", refuser.Name(), tc.name)
+			}
+			if n := refuser.Service().Snapshot().CorruptionEvents; n == 0 {
+				t.Errorf("%s: corruption_events = 0 after refusing an unverifiable %s message", refuser.Name(), tc.name)
+			}
+		})
+	}
+}
+
+// TestStealReplyCorruptionRejected: one flipped bit in a /internal/v1/steal
+// reply (which carries program text) used to make the stealer run a different
+// program and post that result back under the origin's job id. The reply is
+// now verified like every other: the stealer drops it whole, counts it and
+// quarantines the victim; the lent jobs are reclaimed and finish at home.
+func TestStealReplyCorruptionRejected(t *testing.T) {
+	net := NewLoopNet()
+	ctx := context.Background()
+	peers := []string{"node-a", "node-b"}
+	victim := tnode(t, net, "node-a", peers, func(c *Config) {
+		c.Service.Workers = 1
+		c.Service.StealReclaim = 50 * time.Millisecond
+	})
+	thief := tnode(t, net, "node-b", peers, nil)
+	defer victim.Close(ctx)
+	defer thief.Close(ctx)
+
+	reqs := variants(srcOf(t, "volrend"), 4)
+	ids := backlog(t, victim, reqs)
+	thief.ProbeOnce(ctx) // learn the victim's queue depth
+	net.CorruptResponses("node-a", "node-b", 1, 7)
+	if n := thief.StealOnce(ctx); n != 0 {
+		t.Fatalf("stole %d jobs from a reply that failed its checksum", n)
+	}
+	st := thief.Stats()
+	if st.CorruptPayloads != 1 || st.PeerQuarantines != 1 || st.StealsDone != 0 || st.CompletesSent != 0 {
+		t.Fatalf("thief stats after a corrupt steal reply: %+v", st)
+	}
+	if thief.Service().Snapshot().CorruptionEvents != 1 {
+		t.Fatal("thief's service never heard about the corrupt reply")
+	}
+	if victim.Service().Snapshot().JobsStolen == 0 {
+		t.Fatal("test staging broke: the victim lent nothing, so no program text crossed the wire")
+	}
+	wantLocal(t, victim, ids, reqs)
+}
+
+// replayDoer answers every request with one canned status-200 response: the
+// client half of FuzzPeerMessage.
+type replayDoer struct {
+	sum  atomic.Pointer[string]
+	body atomic.Pointer[[]byte]
+}
+
+func (d *replayDoer) Do(*http.Request) (*http.Response, error) {
+	resp := &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(*d.body.Load()))}
+	if sum := *d.sum.Load(); sum != "" {
+		resp.Header.Set(sumHeader, sum)
+	}
+	return resp, nil
+}
+
+// FuzzPeerMessage feeds arbitrary (checksum header, body) pairs through both
+// ends of the peer protocol, for all ten message types: as a request into
+// every handler (the body-carrying ones all decode through accept), and as a
+// reply into every decoder call serves. The invariant is the protocol's one
+// rule — bytes are decoded only if the header is exactly their CRC32C — so a
+// pair that does not verify is always 422 / ErrCorruption, a pair that does
+// never is, and nothing panics either way.
+//
+// Run with: go test -run '^$' -fuzz FuzzPeerMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/cluster/
+func FuzzPeerMessage(f *testing.F) {
+	res := &service.Result{ScheduleHash: "00ff", ScheduleLen: 1}
+	req := &service.Request{Source: "module m"}
+	view := staticView([]string{"node-a", "node-b"})
+	line := [][]byte{[]byte("#c1 00000000 2 {}\n")}
+	for _, msg := range []any{
+		res,                          // fill reply
+		offerMsg{Res: res, Req: req}, // offer
+		[]service.StolenJob{{ID: "job-1", Req: *req}},                                         // steal reply
+		completeMsg{ID: "job-1", Result: res},                                                 // complete
+		shipBatch{From: "node-b", Epoch: 1, Snapshot: true, Lines: line, Sum: sumLines(line)}, // ship
+		gossipMsg{From: "node-b", View: view},                                                 // gossip, join
+		view,                                                                                  // gossip reply
+		joinReply{View: view, Snapshot: line},                                                 // join reply
+		handoffMsg{Origin: "node-b"},                                                          // handoff
+		journalHandoffMsg{From: "node-b", Lines: line, Sum: sumLines(line)},                   // handoff-journal
+		bucketSummary{},                                                                       // digest reply, round 1
+		[]repairKey{{Key: "k", Hash: "h"}},                                                    // digest reply, round 2
+	} {
+		body, err := json.Marshal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fmt.Sprintf("%08x", bodySum(body)), body)
+		f.Add(fmt.Sprintf("%08x", bodySum(body)^1), body)
+		f.Add("", body)
+	}
+	f.Add("0", []byte{})
+	f.Add("+0000000", []byte{})
+	f.Add("00000000", []byte{})
+
+	doer := &replayDoer{}
+	node, err := Open(Config{
+		Self: "node-a", Peers: []string{"node-a", "node-b"}, Client: doer,
+		ProbeInterval: -1, StealInterval: -1, ShipInterval: -1, RepairInterval: -1,
+		ShipPath: filepath.Join(f.TempDir(), "shipped.journal"),
+		Service:  service.Config{Workers: 1, DefaultDeadline: time.Second},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { node.Close(context.Background()) })
+
+	requests := []struct {
+		method, path string
+		decodes      bool // the handler reads a body, through accept
+	}{
+		{http.MethodGet, "/internal/v1/result?key=k", false},
+		{http.MethodPost, "/internal/v1/offer?key=k", true},
+		{http.MethodPost, "/internal/v1/steal?max=1", false},
+		{http.MethodPost, "/internal/v1/complete", true},
+		{http.MethodPost, "/internal/v1/ship", true},
+		{http.MethodPost, "/internal/v1/gossip", true},
+		{http.MethodPost, "/internal/v1/join", true},
+		{http.MethodPost, "/internal/v1/handoff", true},
+		{http.MethodPost, "/internal/v1/handoff-journal", true},
+		{http.MethodGet, "/internal/v1/digest?owner=node-a&bucket=0", false},
+	}
+	replies := []struct {
+		path string
+		out  func() any
+	}{
+		{"/internal/v1/result?key=k", func() any { return new(service.Result) }},
+		{"/internal/v1/offer?key=k", func() any { return nil }},
+		{"/internal/v1/steal?max=1", func() any { return new([]service.StolenJob) }},
+		{"/internal/v1/complete", func() any { return nil }},
+		{"/internal/v1/ship", func() any { return nil }},
+		{"/internal/v1/gossip", func() any { return new(View) }},
+		{"/internal/v1/join", func() any { return new(joinReply) }},
+		{"/internal/v1/handoff", func() any { return nil }},
+		{"/internal/v1/handoff-journal", func() any { return nil }},
+		{"/internal/v1/digest?owner=node-a", func() any { return new(bucketSummary) }},
+		{"/internal/v1/digest?owner=node-a&bucket=0", func() any { return new([]repairKey) }},
+	}
+
+	f.Fuzz(func(t *testing.T, sum string, body []byte) {
+		declared, err := hex.DecodeString(sum)
+		verifies := err == nil && len(declared) == 4 && binary.BigEndian.Uint32(declared) == bodySum(body)
+		for _, rq := range requests {
+			r := httptest.NewRequest(rq.method, rq.path, bytes.NewReader(body))
+			if sum != "" {
+				r.Header.Set(sumHeader, sum)
+			}
+			rec := httptest.NewRecorder()
+			node.Handler().ServeHTTP(rec, r)
+			if rq.decodes && (rec.Code == http.StatusUnprocessableEntity) == verifies {
+				t.Fatalf("%s: status %d for header %q over %q (verifies: %v)", rq.path, rec.Code, sum, body, verifies)
+			}
+			if rec.Code/100 == 2 && rec.Header().Get(sumHeader) == "" {
+				t.Fatalf("%s: %d reply without a checksum", rq.path, rec.Code)
+			}
+		}
+		doer.sum.Store(&sum)
+		doer.body.Store(&body)
+		for _, rp := range replies {
+			_, err := node.call(context.Background(), http.MethodPost, "node-b", rp.path, nil, rp.out())
+			if errors.Is(err, diag.ErrCorruption) == verifies {
+				t.Fatalf("reply to %s: err %v for header %q over %q (verifies: %v)", rp.path, err, sum, body, verifies)
+			}
+		}
+	})
+}

@@ -109,8 +109,8 @@ type Runner struct {
 
 	// dcache shares decoded instruction streams across the sweep's machines
 	// and cache memoizes benchmark construction and instrumentation
-	// (prep.go). Both are pointers, so Runner copies (BenchSuite flips
-	// Reference on a copy) share them; zero-value Runners run uncached.
+	// (prep.go). Both are pointers, so Runner copies (a copy with
+	// Reference flipped, say) share them; zero-value Runners run uncached.
 	dcache *interp.DCache
 	cache  *prepCache
 }

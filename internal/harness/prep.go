@@ -48,9 +48,9 @@ type instrumented struct {
 	clockable int
 }
 
-// prepCache is shared by pointer across Runner copies (BenchSuite clones
-// the Runner to flip Reference), so the reference and optimized sweeps
-// prepare identical inputs.
+// prepCache is shared by pointer across Runner copies (a caller clones the
+// Runner to flip Reference), so the reference and optimized sweeps prepare
+// identical inputs.
 type prepCache struct {
 	mu       sync.Mutex
 	bench    map[benchKey]*splash.Benchmark

@@ -56,7 +56,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 
 	schedules := 20
 	if testing.Short() {
-		schedules = 5 // chaos-smoke: a fast slice of the property
+		schedules = 5 // -short: a fast slice of the property
 	}
 	for seed := int64(1); seed <= int64(schedules); seed++ {
 		seed := seed

@@ -13,12 +13,9 @@ import (
 //
 // so recovery can tell a damaged record from an intact one byte-for-byte
 // instead of trusting the JSON parser's opinion (a bit flip inside a string
-// literal parses fine and silently changes a job). The format is backward
-// compatible: a line starting with '{' is a legacy unframed record and is
-// accepted as-is, so logs written before framing replay unchanged, and a
-// mixed log (legacy prefix, framed tail) replays too. Lines starting with
-// anything else are damage by definition — the journal only ever wrote the
-// two shapes above.
+// literal parses fine and silently changes a job). A line of any other shape
+// — bare JSON included — is damage by definition: the journal only ever
+// writes frames, and bytes that cannot be verified are never replayed.
 
 // castagnoli is the CRC32C polynomial table; Castagnoli is the standard
 // storage-integrity checksum (iSCSI, ext4, Btrfs) with hardware support on
@@ -39,14 +36,10 @@ func frameLine(payload []byte) []byte {
 }
 
 // unframeLine validates one journal line (without its trailing newline) and
-// returns the record payload. Legacy '{'-prefixed lines pass through
-// unverified; framed lines must parse exactly and match both their declared
-// length and CRC. Any failure is reported as a *diag.CorruptionError-shaped
-// reason string for the quarantine sidecar.
+// returns the record payload: the frame must parse exactly and match both its
+// declared length and CRC. Any failure is reported as a
+// *diag.CorruptionError-shaped reason string for the quarantine sidecar.
 func unframeLine(line []byte) ([]byte, error) {
-	if len(line) > 0 && line[0] == '{' {
-		return line, nil // legacy unframed record
-	}
 	if !bytes.HasPrefix(line, []byte(frameMagic)) {
 		return nil, fmt.Errorf("unrecognized framing (line starts %q)", clip(line, 12))
 	}

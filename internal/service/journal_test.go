@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -175,14 +174,11 @@ func TestJournalReplaysIncomplete(t *testing.T) {
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	req := Request{Source: "m", Threads: 4, Entry: "main", Preset: "all"}
-	rec := func(r journalRecord) string {
-		b, _ := json.Marshal(r)
-		return string(b) + "\n"
-	}
+	rec := func(r journalRecord) string { return string(recLine(t, &r)) }
 	content := rec(journalRecord{Type: recSubmitted, ID: "job-1", Req: &req}) +
 		rec(journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: "aa"}}) +
 		rec(journalRecord{Type: recSubmitted, ID: "job-2", Req: &req}) +
-		`{"type":"completed","id":"job-2","resu` // torn mid-write
+		`{"type":"completed","id":"job-2","resu` // torn mid-write (and unframed: truncated, never parsed)
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -398,34 +394,37 @@ func TestJournalRecoveryCrossCheckDivergence(t *testing.T) {
 // Run with: go test -fuzz=FuzzJournalReplay ./internal/service/
 // Seed corpus: testdata/fuzz/FuzzJournalReplay/ (checked in).
 func FuzzJournalReplay(f *testing.F) {
+	framed := func(payload string) string { return string(frameLine([]byte(payload))) }
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"type":"submitted","id":"job-1","req":{"source":"module m"}}` + "\n"))
+	f.Add([]byte(framed(`{"type":"submitted","id":"job-1","req":{"source":"module m"}}`)))
 	// Torn tail: a complete record then a crash mid-write.
-	f.Add([]byte(`{"type":"submitted","id":"job-1","req":{"source":"module m"}}` + "\n" +
+	f.Add([]byte(framed(`{"type":"submitted","id":"job-1","req":{"source":"module m"}}`) +
 		`{"type":"completed","id":"job-1","resu`))
-	// Truncated UTF-8 / raw binary damage inside a line.
-	f.Add([]byte("{\"type\":\"submitted\",\"id\":\"job-\xff\xfe\x01\"\n"))
-	// Interior garbage between two valid records.
-	f.Add([]byte(`{"type":"submitted","id":"a","req":{"source":"module m"}}` + "\n" +
+	// Truncated UTF-8 / raw binary damage inside a correctly framed line.
+	f.Add([]byte(framed("{\"type\":\"submitted\",\"id\":\"job-\xff\xfe\x01\"")))
+	// Interior damage between two valid records: noise, and a bare-JSON
+	// record (an unframed line is damage, however well it parses).
+	f.Add([]byte(framed(`{"type":"submitted","id":"a","req":{"source":"module m"}}`) +
 		"!!not json!!\n" +
-		`{"type":"submitted","id":"b","req":{"source":"module m"}}` + "\n"))
+		`{"type":"submitted","id":"bare","req":{"source":"module m"}}` + "\n" +
+		framed(`{"type":"submitted","id":"b","req":{"source":"module m"}}`)))
 	// Records the service never writes: empty id, unknown type, finish with
 	// no matching submit.
-	f.Add([]byte(`{"type":"submitted","id":"","req":{"source":"module m"}}` + "\n" +
-		`{"type":"frobnicated","id":"x"}` + "\n" +
-		`{"type":"completed","id":"ghost","result":{"schedule_hash":"00"}}` + "\n"))
+	f.Add([]byte(framed(`{"type":"submitted","id":"","req":{"source":"module m"}}`) +
+		framed(`{"type":"frobnicated","id":"x"}`) +
+		framed(`{"type":"completed","id":"ghost","result":{"schedule_hash":"00"}}`)))
 	// A long line of noise (scaled-down stand-in for an oversized record).
 	f.Add(append(bytes.Repeat([]byte{'A'}, 1<<16), '\n'))
-	// CRC-framed records: an intact one, one with a flipped payload byte
-	// (checksum must reject), and a mixed legacy/framed/garbage log.
-	framed := frameLine([]byte(`{"type":"submitted","id":"f1","req":{"source":"module m"}}`))
-	f.Add(append([]byte(nil), framed...))
-	flipped := append([]byte(nil), framed...)
+	// An intact frame, one with a flipped payload byte (checksum must
+	// reject), and a log mixing frames with malformed frame headers.
+	intact := framed(`{"type":"submitted","id":"f1","req":{"source":"module m"}}`)
+	f.Add([]byte(intact))
+	flipped := []byte(intact)
 	flipped[len(flipped)-3] ^= 0x01
 	f.Add(flipped)
-	f.Add([]byte(string(framed) +
-		`{"type":"submitted","id":"f2","req":{"source":"module m"}}` + "\n" +
+	f.Add([]byte(intact +
+		framed(`{"type":"submitted","id":"f2","req":{"source":"module m"}}`) +
 		"#c1 zzzzzzzz 4 !!!!\n" +
 		"#c1 00000000\n"))
 
@@ -492,10 +491,10 @@ func FuzzJournalReplay(f *testing.F) {
 func TestJournalOversizedRecordQuarantined(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	var buf bytes.Buffer
-	buf.WriteString(`{"type":"submitted","id":"keep","req":{"source":"module m"}}` + "\n")
+	buf.Write(frameLine([]byte(`{"type":"submitted","id":"keep","req":{"source":"module m"}}`)))
 	buf.Write(bytes.Repeat([]byte{'z'}, maxJournalRecord+2))
 	buf.WriteByte('\n')
-	buf.WriteString(`{"type":"submitted","id":"after","req":{"source":"module m"}}` + "\n")
+	buf.Write(frameLine([]byte(`{"type":"submitted","id":"after","req":{"source":"module m"}}`)))
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,14 +37,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameLegacyPassthrough(t *testing.T) {
-	legacy := []byte(`{"type":"submitted","id":"x"}`)
-	got, err := unframeLine(legacy)
-	if err != nil {
-		t.Fatalf("legacy line rejected: %v", err)
-	}
-	if !bytes.Equal(got, legacy) {
-		t.Fatal("legacy line altered by unframe")
+// TestFrameRejectsUnframed: a bare-JSON line is not a record. The journal
+// only ever writes frames, so bytes without one cannot be verified and are
+// never replayed, however well they parse.
+func TestFrameRejectsUnframed(t *testing.T) {
+	if got, err := unframeLine([]byte(`{"type":"submitted","id":"x"}`)); err == nil {
+		t.Fatalf("unframed line accepted as payload %q", got)
 	}
 }
 
@@ -124,6 +124,21 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 			image:    [][]byte{sub("a"), flip(sub("b")), fin("b")},
 			wantJobs: []string{"a"},
 			wantQuar: 2,
+		},
+		{
+			name: "unframed record in the interior is quarantined",
+			// Bare JSON that would parse as job b: without a frame it cannot
+			// be verified, so it goes to the sidecar like any other damage.
+			image:    [][]byte{sub("a"), []byte(`{"type":"submitted","id":"b","req":{"source":"module m"}}` + "\n"), sub("c")},
+			wantJobs: []string{"a", "c"},
+			wantQuar: 1,
+		},
+		{
+			name:        "unframed record as the last line is a torn tail",
+			image:       [][]byte{sub("a"), sub("b"), []byte(`{"type":"submitted","id":"c","req":{"source":"module m"}}`)},
+			wantJobs:    []string{"a", "b"},
+			wantQuar:    0,
+			wantTornFix: true,
 		},
 		{
 			name:        "torn tail truncated without quarantine",
@@ -268,5 +283,49 @@ func TestScrubJournalVerifyAndApply(t *testing.T) {
 	clean, _ := os.ReadFile(path)
 	if !bytes.Equal(clean, good) {
 		t.Fatalf("clean log = %q, want only the intact record", clean)
+	}
+}
+
+// TestUnframedLineIsDamage pins the acceptance wording end to end: a bare-JSON
+// line in the interior of a journal is reported by the read-only scan
+// (-verify-journal), lands in the quarantine sidecar on recovery with
+// journal_quarantined incremented, and the same line as an unterminated last
+// line is truncated as a torn tail — in neither position is it replayed.
+func TestUnframedLineIsDamage(t *testing.T) {
+	req := Request{Source: "module m"}
+	sub := func(id string) []byte { return recLine(t, &journalRecord{Type: recSubmitted, ID: id, Req: &req}) }
+	bare := `{"type":"submitted","id":"bare","req":{"source":"module m"}}`
+	image := bytes.Join([][]byte{sub("a"), []byte(bare + "\n"), sub("b"), []byte(bare)}, nil)
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := ScrubJournal(nil, path, false)
+	if err != nil {
+		t.Fatalf("verify scrub: %v", err)
+	}
+	if rep.Records != 2 || rep.Quarantined != 1 || rep.TornBytes != len(bare) {
+		t.Fatalf("verify report %+v, want 2 records, 1 quarantined, %d torn bytes", rep, len(bare))
+	}
+
+	svc, err := Open(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer svc.Close(context.Background())
+	snap := svc.Snapshot()
+	if snap.JournalQuarantined != 1 || snap.RecoveredJobs != 2 {
+		t.Fatalf("journal_quarantined %d, recovered_jobs %d, want 1 and 2", snap.JournalQuarantined, snap.RecoveredJobs)
+	}
+	if _, err := svc.Lookup("bare"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("the unframed record was replayed: Lookup = %v", err)
+	}
+	side, err := os.ReadFile(path + ".quarantine")
+	if err != nil || !bytes.Contains(side, []byte(bare)) {
+		t.Fatalf("quarantine sidecar does not hold the unframed line (err %v): %q", err, side)
+	}
+	if log, _ := os.ReadFile(path); bytes.Contains(log, []byte(`"id":"bare"`)) {
+		t.Fatalf("the unframed line survived recovery in the log: %q", log)
 	}
 }

@@ -12,7 +12,7 @@ import (
 var emptyChurnFP = nemesis.Fingerprint(nil)
 
 // TestChurnChaosProperty is the membership-churn acceptance property: across
-// 20 seeded schedules (abridged under -short for the churn-smoke target), a
+// 20 seeded schedules (abridged under -short), a
 // dynamic-membership cluster under seeded join/drain churn must
 //
 //   - lose and duplicate nothing: every submitted job completes exactly once;
