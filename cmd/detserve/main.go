@@ -122,7 +122,7 @@ func parseArgs(args []string, onError flag.ErrorHandling) (*invocation, error) {
 		queue       = fs.Int("queue", 0, "job queue depth (0 = default 256)")
 		instrCache  = fs.Int("instr-cache", 0, "instrumentation cache entries (0 = default)")
 		resultCache = fs.Int("result-cache", 0, "result cache entries (0 = default)")
-		selfCheck   = fs.Float64("self-check", 0, "fraction of cache hits to re-execute and verify (0..1)")
+		selfCheck   = fs.Float64("self-check", 0, "fraction of cache hits and peer fills to re-execute and verify (0..1)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		journal     = fs.String("journal", "", "durable job journal path (empty = no durability)")
 		deadlineF   = fs.Duration("deadline", 0, "default per-job execution deadline (0 = unbounded)")

@@ -83,8 +83,8 @@ func runChaosSchedule(t *testing.T, seed int64, variants []chaosVariant) {
 				Workers:       2,
 				JournalPath:   filepath.Join(dir, name+".journal"),
 				StealReclaim:  50 * time.Millisecond,
-				PeerCheckRate: 0.25,
-				PeerCheckSeed: seed,
+				SelfCheckRate: 0.25,
+				SelfCheckSeed: seed,
 			},
 		})
 		if err != nil {

@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/diag"
 	"repro/internal/service"
 )
 
@@ -267,6 +270,73 @@ func TestDrainMidLoad(t *testing.T) {
 	}
 }
 
+// TestDrainRefusedWhenJournalAgreesWithWrongCache is the cluster-level twin of
+// the service's cache-blind snapshot check. node-b's journal and cache agree on
+// a wrong schedule hash (it took an unchecked peer fill of a planted entry),
+// and by the time it drains the successor's own cache holds that same entry —
+// so a receiver-side check that asked the cache would compare the wrong hash
+// with itself. The successor recomputes instead: 409, nothing accepted, and
+// the drainer's journal file stays behind, still durable.
+func TestDrainRefusedWhenJournalAgreesWithWrongCache(t *testing.T) {
+	net := NewLoopNet()
+	dir := t.TempDir()
+	a := dnode(t, net, "node-a", []string{}, func(c *Config) {
+		c.Service.JournalPath = filepath.Join(dir, "a.journal")
+	})
+	bJournal := filepath.Join(dir, "b.journal")
+	b := dnode(t, net, "node-b", []string{"node-a"}, func(c *Config) {
+		c.Service.JournalPath = bJournal
+	})
+	defer a.Close(context.Background())
+	ctx := context.Background()
+	if err := b.Join(ctx); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+
+	// Plant, under a key node-a owns, another request's self-consistent entry.
+	reqs, keys := reqsOwnedBy(t, a, srcOf(t, "raytrace"), "node-a", 1)
+	otherReq := service.Request{Source: srcOf(t, "water-nsq"), PerturbSeed: 7}
+	waitResult(t, a.Service(), mustSubmit(t, a, otherReq))
+	otherKey, err := a.Service().KeyFor(otherReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted, ok := a.Service().ResultByKey(otherKey)
+	if !ok {
+		t.Fatal("staging entry missing")
+	}
+	if err := a.Service().OfferResult(keys[0], planted, &reqs[0]); err != nil {
+		t.Fatalf("planting wrong entry: %v", err)
+	}
+
+	// node-b misses, fills from the owner (no sampled cross-check configured)
+	// and journals the wrong hash as its completion.
+	got := waitResult(t, b.Service(), mustSubmit(t, b, reqs[0]))
+	if !got.PeerFilled || got.ScheduleHash != planted.ScheduleHash {
+		t.Fatalf("staging broke: peer_filled=%v hash=%s, want a fill of %s", got.PeerFilled, got.ScheduleHash, planted.ScheduleHash)
+	}
+
+	err = b.Drain(ctx)
+	if !errors.Is(err, diag.ErrDivergence) {
+		t.Fatalf("Drain = %v, want the successor's cross-check to refuse the segment (ErrDivergence)", err)
+	}
+	if st := a.Stats(); st.JournalHandoffsRecv != 0 {
+		t.Fatalf("successor accepted %d journal segments whose history does not reproduce", st.JournalHandoffsRecv)
+	}
+	if st := b.Stats(); st.JournalHandoffs != 0 {
+		t.Fatalf("drainer counts %d journal handoffs after a refusal", st.JournalHandoffs)
+	}
+	if snap := a.Service().Snapshot(); snap.Divergences != 1 {
+		t.Fatalf("successor divergences = %d, want 1", snap.Divergences)
+	}
+	if fi, err := os.Stat(bJournal); err != nil || fi.Size() == 0 {
+		t.Fatalf("drainer's journal did not stay behind: %v", err)
+	}
+	if sides, _ := filepath.Glob(filepath.Join(dir, "a.journal.handoff-*")); len(sides) != 0 {
+		t.Fatalf("successor persisted a refused segment: %v", sides)
+	}
+}
+
 // TestAntiEntropyRepair covers both repair arms: a missing entry on the
 // owner is pulled back from a peer holding it, and a divergent peer copy
 // loses to deterministic recompute — flagged, counted, and quarantined.
@@ -329,7 +399,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 	if !ok {
 		t.Fatal("staging entry missing")
 	}
-	if err := b.Service().OfferResultFrom(keys[1], planted, nil); err != nil {
+	if err := b.Service().OfferResult(keys[1], planted, nil); err != nil {
 		t.Fatalf("planting divergent entry: %v", err)
 	}
 	if a.RepairOnce(ctx) == 0 {

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strings"
 
 	"repro/internal/diag"
 	"repro/internal/service"
+	"repro/internal/vfs"
 )
 
 // Graceful leave. Drain walks a node out of the cluster without losing or
@@ -107,27 +108,7 @@ func (n *Node) Drain(ctx context.Context) error {
 	return handoffErr
 }
 
-// Leave removes this node abruptly but announcedly: the tombstone spreads
-// and the node closes (finishing what is queued locally), with no handoff
-// and no rebalance. Everything it uniquely cached is recomputed by the
-// survivors — slower, never wrong. The nemesis "leave" fault uses it.
-func (n *Node) Leave(ctx context.Context) error {
-	n.mu.Lock()
-	if n.closed || n.draining {
-		n.mu.Unlock()
-		return nil
-	}
-	n.draining = true
-	n.mu.Unlock()
-	if n.members != nil {
-		n.members.bumpSelf(StateLeft)
-		n.syncRing()
-		n.gossipNow(ctx)
-	}
-	return n.Close(ctx)
-}
-
-// Draining reports whether a Drain or Leave is in progress (or done).
+// Draining reports whether a Drain is in progress (or done).
 func (n *Node) Draining() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -144,12 +125,12 @@ func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
 		}
 	}
 	if owner == "" || owner == n.cfg.Self || !n.members.alive(owner) {
-		n.svc.AbortStolen(sj.ID)
+		n.svc.CompleteStolen(sj.ID, nil)
 		return
 	}
 	msg := handoffMsg{Origin: n.cfg.Self, Jobs: []service.StolenJob{sj}}
 	if _, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/handoff", msg, nil); err != nil {
-		n.svc.AbortStolen(sj.ID)
+		n.svc.CompleteStolen(sj.ID, nil)
 		return
 	}
 	n.ctr.handoffJobsSent.Add(1)
@@ -204,7 +185,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	refusing := n.draining || n.closed
 	n.mu.Unlock()
-	if refusing || n.svc.Draining() {
+	if refusing || errors.Is(n.svc.Ready(), service.ErrDraining) {
 		http.Error(w, "receiver is draining", http.StatusConflict)
 		return
 	}
@@ -240,17 +221,14 @@ func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Divergence cross-check: re-execute a sample before accepting ownership.
-	if err := n.svc.CheckSnapshotRecords(r.Context(), msg.Lines, joinCheckMax); err != nil {
+	if err := n.svc.CheckSnapshotRecords(r.Context(), msg.Lines); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	if path := n.cfg.Service.JournalPath; path != "" {
+		// Durable before the 204: the sender gives up the segment on it.
 		side := path + ".handoff-" + strings.NewReplacer(":", "_", "/", "_").Replace(msg.From)
-		var buf bytes.Buffer
-		for _, line := range msg.Lines {
-			buf.Write(line)
-		}
-		if err := os.WriteFile(side, buf.Bytes(), 0o644); err != nil {
+		if err := vfs.ReplaceFile(n.cfg.Service.FS, side+".tmp", side, bytes.Join(msg.Lines, nil)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

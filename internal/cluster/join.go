@@ -17,21 +17,16 @@ import (
 //     journal snapshot — the same resync payload the shipping plane sends a
 //     standby that lost the stream;
 //  3. the newcomer verifies the payload the hard way: frames are checked,
-//     and up to joinCheckMax journaled completions are re-executed on the
-//     newcomer's own deterministic core. A seed whose history does not
-//     reproduce is refused — joining a divergent cluster would be adopting
-//     its wrongness;
+//     and the first few journaled completions are re-executed on the
+//     newcomer's own deterministic core (service.CheckSnapshotRecords). A
+//     seed whose history does not reproduce is refused — joining a divergent
+//     cluster would be adopting its wrongness;
 //  4. only then does the newcomer bump itself active (advancing the config
 //     epoch), rebuild its ring, and push the new view to everyone it now
 //     knows, so the cluster starts routing the newcomer's key ranges to it.
 //
 // Steps run against each seed in order until one admits; a cluster is
 // joinable as long as any seed answers.
-
-// joinCheckMax bounds the journaled completions a joiner re-executes during
-// bootstrap. Small on purpose: the check is a spot audit that any divergence
-// fails loudly, not a full replay.
-const joinCheckMax = 2
 
 // joinReply is a seed's answer: its view and a journal snapshot for the
 // divergence cross-check.
@@ -76,7 +71,7 @@ func (n *Node) joinVia(ctx context.Context, seed string) error {
 	// must reproduce byte-identically on our core. Refusing here is the whole
 	// point — a newcomer must prove it computes what the cluster computes
 	// before it starts owning the cluster's keys.
-	if err := n.svc.CheckSnapshotRecords(ctx, jr.Snapshot, joinCheckMax); err != nil {
+	if err := n.svc.CheckSnapshotRecords(ctx, jr.Snapshot); err != nil {
 		return fmt.Errorf("join %s: bootstrap cross-check: %w", seed, err)
 	}
 	n.members.merge(jr.View)

@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/nemesis"
 	"repro/internal/service"
+	"repro/internal/vfs"
 )
 
 // TestClusterNemesisProperty is the cluster's network-fault acceptance
@@ -89,8 +91,8 @@ func runNemesisClusterSchedule(t *testing.T, seed int64, variants []chaosVariant
 				Workers:       2,
 				JournalPath:   filepath.Join(dir, name+".journal"),
 				StealReclaim:  50 * time.Millisecond,
-				PeerCheckRate: 0.25,
-				PeerCheckSeed: seed,
+				SelfCheckRate: 0.25,
+				SelfCheckSeed: seed,
 				// Corruption detections feed the breaker by design; the
 				// property needs admission to stay open through them so the
 				// accounting (not the shedding) is what's under test.
@@ -180,5 +182,58 @@ func runNemesisClusterSchedule(t *testing.T, seed int64, variants []chaosVariant
 		if err := nodes[name].Close(ctx); err != nil {
 			t.Fatalf("close %s: %v", name, err)
 		}
+	}
+}
+
+// TestStandbySnapshotFsyncFault: the standby's shipped journal goes through
+// the service's filesystem seam, so a disk that fails the snapshot's fsync
+// makes the standby answer non-2xx — the batch is not acknowledged, the
+// shipped file keeps its previous image — and once the disk recovers the
+// shipper's next snapshot resync lands.
+func TestStandbySnapshotFsyncFault(t *testing.T) {
+	net := NewLoopNet()
+	dir := t.TempDir()
+	shipPath := filepath.Join(dir, "shipped.journal")
+	ffs := nemesis.NewFaultFS(nemesis.New(1), vfs.OS{}, nemesis.FaultFSConfig{SyncErrRate: 1})
+	standby := tnode(t, net, "standby", nil, func(c *Config) {
+		c.ShipPath = shipPath
+		c.Service.FS = ffs
+	})
+	primary := tnode(t, net, "primary", nil, func(c *Config) {
+		c.Standby = "standby"
+		c.Service.JournalPath = filepath.Join(dir, "primary.journal")
+	})
+	ctx := context.Background()
+	defer standby.Close(ctx)
+	defer primary.Close(ctx)
+	id := mustSubmit(t, primary, service.Request{Source: srcOf(t, "ocean")})
+	want := coreOf(waitResult(t, primary.Service(), id))
+
+	ffs.Arm(true)
+	if sent, err := primary.ShipFlush(ctx); err == nil {
+		t.Fatalf("snapshot whose fsync failed was acknowledged (%d lines)", sent)
+	}
+	if raw, _ := os.ReadFile(shipPath); len(raw) != 0 {
+		t.Fatalf("unacknowledged snapshot reached the shipped journal (%d bytes)", len(raw))
+	}
+	if _, err := os.Stat(shipPath + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed snapshot left its temp file behind: %v", err)
+	}
+	ffs.Arm(false)
+	if sent, err := primary.ShipFlush(ctx); err != nil || sent == 0 {
+		t.Fatalf("resync after the disk recovered: sent %d, err %v", sent, err)
+	}
+	if st := primary.Stats(); st.ShipFails != 1 || st.ShipBatches != 1 {
+		t.Fatalf("ship stats = %+v, want one failure then one batch", st)
+	}
+
+	standby.Close(ctx)
+	svc, err := Takeover(shipPath, service.Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("Takeover: %v", err)
+	}
+	defer svc.Close(ctx)
+	if got := coreOf(waitResult(t, svc, id)); got != want {
+		t.Fatalf("takeover core %s, want %s", got, want)
 	}
 }

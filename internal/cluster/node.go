@@ -11,9 +11,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/service"
+	"repro/internal/vfs"
 )
 
 // Config wires one cluster node.
@@ -112,6 +113,11 @@ func (c *Config) withDefaults() {
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
+	if c.Service.FS == nil {
+		// The node's own durable files (the standby's shipped journal, the
+		// journal-handoff sidecar) go through the service's filesystem seam.
+		c.Service.FS = vfs.OS{}
+	}
 	if c.VirtualShards <= 0 {
 		c.VirtualShards = 64
 	}
@@ -187,7 +193,7 @@ type Node struct {
 	// gmu guards the seeded gossip peer-selection stream and the repair
 	// round-robin cursor.
 	gmu       sync.Mutex
-	grand     *det.Rand
+	grand     *detrand.Rand
 	repairIdx int
 
 	stop chan struct{}
@@ -225,7 +231,7 @@ func Open(cfg Config) (*Node, error) {
 		}
 	}
 	if clustered {
-		n.grand = det.NewRand(cfg.GossipSeed, gossipStream(cfg.Self))
+		n.grand = detrand.New(cfg.GossipSeed, gossipStream(cfg.Self))
 		cfg.Service.Fill = n.fill
 		cfg.Service.Offer = n.offer
 	}
@@ -234,7 +240,7 @@ func Open(cfg Config) (*Node, error) {
 		cfg.Service.ShipRecord = n.shipper.record
 	}
 	if cfg.ShipPath != "" {
-		st, err := openStandbyStore(cfg.ShipPath)
+		st, err := openStandbyStore(cfg.Service.FS, cfg.ShipPath)
 		if err != nil {
 			return nil, err
 		}
@@ -602,7 +608,7 @@ func (n *Node) handleOffer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad offer body: no result", http.StatusBadRequest)
 		return
 	}
-	if err := n.svc.OfferResultFrom(key, msg.Res, msg.Req); err != nil {
+	if err := n.svc.OfferResult(key, msg.Res, msg.Req); err != nil {
 		if errors.Is(err, diag.ErrDivergence) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return

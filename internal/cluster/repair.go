@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-
-	"repro/internal/service"
 )
 
 // Anti-entropy repair. Ring churn, missed offers, and plain bit rot all
@@ -160,7 +158,7 @@ func (n *Node) RepairOnce(ctx context.Context) int {
 // cache. Reports whether anything changed (a pull, a local repair, or a peer
 // divergence flagged).
 func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (bool, error) {
-	local, ok := peek(n.svc, rk.Key)
+	held, _, ok := n.svc.ExportResult(rk.Key) // a peek: no recency effect, no counter
 	if !ok {
 		// Missing here: pull the peer's entry through the checksummed fetch
 		// path and install it through the policed offer path (hash-verified;
@@ -169,13 +167,13 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 		if err != nil || res == nil {
 			return false, err
 		}
-		if err := n.svc.OfferResultFrom(rk.Key, res, nil); err != nil {
+		if err := n.svc.OfferResult(rk.Key, res, nil); err != nil {
 			return false, err
 		}
 		n.ctr.repairPulls.Add(1)
 		return true, nil
 	}
-	if local == rk.Hash {
+	if held.ScheduleHash == rk.Hash {
 		return false, nil
 	}
 	// Copies disagree: recompute decides. RecheckResult returning nil means
@@ -189,18 +187,8 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 	}
 	n.ctr.repairDivergences.Add(1)
 	n.reportPeerCorruption(peer, fmt.Errorf("cluster: repair %s: peer %s holds schedule hash %s, deterministic recompute holds %s",
-		rk.Key[:12], peer, rk.Hash, local))
+		rk.Key[:12], peer, rk.Hash, held.ScheduleHash))
 	return true, nil
-}
-
-// peek looks up a key's schedule hash in svc's cache without recency effects.
-func peek(svc *service.Service, key string) (string, bool) {
-	for _, ck := range svc.CacheScan() {
-		if ck.Key == key {
-			return ck.ScheduleHash, true
-		}
-	}
-	return "", false
 }
 
 // fetchBucketDigests runs repair round 1 against peer.

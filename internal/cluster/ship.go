@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/service"
+	"repro/internal/vfs"
 )
 
 // Journal shipping: the origin's journal feeds its logical append stream
@@ -61,9 +63,6 @@ type shipper struct {
 	epoch   int64
 	seq     int64 // sequence of buf[0]
 	resync  bool  // next flush must open a new epoch with a snapshot
-
-	// snapshot renders the origin journal's live table; set by the node.
-	snapshot func() [][]byte
 }
 
 func newShipper(node *Node, standby string) *shipper {
@@ -97,10 +96,8 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 		// New epoch: the snapshot supersedes everything previously streamed
 		// AND everything currently buffered (buffered records are already
 		// folded into the live table the snapshot renders).
-		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true}
-		if sh.snapshot != nil {
-			batch.Lines = sh.snapshot()
-		}
+		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true,
+			Lines: sh.node.svc.JournalSnapshotRecords()}
 	} else if len(batch.Lines) == 0 {
 		return 0, nil
 	}
@@ -147,9 +144,6 @@ func (n *Node) ShipFlush(ctx context.Context) (int, error) {
 	if n.shipper == nil {
 		return 0, nil
 	}
-	if n.shipper.snapshot == nil {
-		n.shipper.snapshot = n.svc.JournalSnapshotRecords
-	}
 	sent, err := n.shipper.flush(ctx)
 	if err != nil {
 		n.ctr.shipFails.Add(1)
@@ -169,8 +163,9 @@ var errShipGap = errors.New("shipping stream gap: resync required")
 // file a takeover service can open directly.
 type standbyStore struct {
 	mu    sync.Mutex
+	fsys  vfs.FS
 	path  string
-	f     *os.File
+	f     vfs.File
 	epoch int64
 	next  int64 // next expected seq in epoch
 }
@@ -180,15 +175,15 @@ type standbyStore struct {
 // the first batch necessarily gaps, draws a 409, and arrives again as a
 // snapshot. Standby restart recovery falls out of the protocol with no
 // special case.
-func openStandbyStore(path string) (*standbyStore, error) {
+func openStandbyStore(fsys vfs.FS, path string) (*standbyStore, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("standby: mkdir: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("standby: open %s: %w", path, err)
 	}
-	return &standbyStore{path: path, f: f, epoch: -1}, nil
+	return &standbyStore{fsys: fsys, path: path, f: f, epoch: -1}, nil
 }
 
 // apply folds one shipped batch into the store.
@@ -205,34 +200,17 @@ func (st *standbyStore) apply(batch *shipBatch) error {
 	}
 	if batch.Snapshot {
 		// New epoch: atomically replace the file with the snapshot.
-		tmp := st.path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("standby: snapshot temp: %w", err)
+		if err := vfs.ReplaceFile(st.fsys, st.path+".tmp", st.path, bytes.Join(batch.Lines, nil)); err != nil {
+			return fmt.Errorf("standby: snapshot: %w", err)
 		}
-		for _, line := range batch.Lines {
-			if _, err := f.Write(line); err != nil {
-				f.Close()
-				return fmt.Errorf("standby: snapshot write: %w", err)
-			}
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("standby: snapshot sync: %w", err)
-		}
-		f.Close()
-		if err := os.Rename(tmp, st.path); err != nil {
-			return fmt.Errorf("standby: snapshot rename: %w", err)
-		}
-		old := st.f
-		nf, err := os.OpenFile(st.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		nf, err := st.fsys.OpenFile(st.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("standby: reopen: %w", err)
 		}
-		st.f = nf
-		if old != nil {
-			old.Close()
+		if st.f != nil {
+			st.f.Close()
 		}
+		st.f = nf
 		st.epoch = batch.Epoch
 		st.next = batch.Seq + int64(len(batch.Lines))
 		return nil

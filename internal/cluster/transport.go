@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 )
 
 // Doer is the one-method transport the cluster needs: *http.Client satisfies
@@ -57,9 +57,9 @@ type linkState struct {
 	// flake/corrupt fire with their rate against their own deterministic
 	// stream; draws happen in request order under the net lock.
 	flakeRate   float64
-	flakeRand   *det.Rand
+	flakeRand   *detrand.Rand
 	corruptRate float64
-	corruptRand *det.Rand
+	corruptRand *detrand.Rand
 }
 
 // NewLoopNet returns an empty in-memory network.
@@ -141,7 +141,7 @@ func (l *LoopNet) Flake(from, to string, rate float64, seed int64) {
 	defer l.mu.Unlock()
 	st := l.link(from, to)
 	st.flakeRate = rate
-	st.flakeRand = det.NewRand(seed, 1)
+	st.flakeRand = detrand.New(seed, 1)
 	if rate <= 0 {
 		st.flakeRand = nil
 	}
@@ -156,7 +156,7 @@ func (l *LoopNet) CorruptResponses(from, to string, rate float64, seed int64) {
 	defer l.mu.Unlock()
 	st := l.link(from, to)
 	st.corruptRate = rate
-	st.corruptRand = det.NewRand(seed, 2)
+	st.corruptRand = detrand.New(seed, 2)
 	if rate <= 0 {
 		st.corruptRand = nil
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/diag"
 )
 
@@ -45,41 +46,12 @@ type FaultInjectorConfig struct {
 	PanicAt map[int]int64
 }
 
-// Rand is the fault-injection harnesses' deterministic xorshift64 stream:
-// dependency-free, reproducible from its seed alone. It is exported so
-// higher-layer chaos harnesses (the service layer's crash/restart and
-// worker-panic injection) draw their perturbation schedules from the same
-// generator family the runtime-level injector uses — one seed format, one
-// stream discipline, directly comparable chaos schedules across layers.
-type Rand struct{ state uint64 }
+// Rand and NewRand are internal/detrand's generator under the names this
+// package exported it by first; they remain only because bench/ uses them.
+type Rand = detrand.Rand
 
-// NewRand derives a stream from (seed, stream id); the id separates streams
-// of the same seed the way the runtime injector separates per-thread streams.
-func NewRand(seed int64, id int) *Rand {
-	// Mix the seed and id so streams differ per id; keep non-zero.
-	return &Rand{state: uint64(seed)*2654435761 + uint64(id)*0x9e3779b9 + 1}
-}
-
-// Next returns the next value of the stream.
-func (r *Rand) Next() uint64 {
-	// xorshift64: deterministic, dependency-free.
-	v := r.state
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	r.state = v
-	return v
-}
-
-// Float returns the next value scaled into [0, 1).
-func (r *Rand) Float() float64 {
-	return float64(r.Next()>>11) / float64(1<<53)
-}
-
-// IntN returns a value in [0, n); n must be positive.
-func (r *Rand) IntN(n int) int {
-	return int(r.Next() % uint64(n))
-}
+// NewRand is detrand.New.
+func NewRand(seed int64, id int) *Rand { return detrand.New(seed, id) }
 
 // NewFaultInjector builds an injector from cfg.
 func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector {

@@ -24,6 +24,7 @@ import (
 	"math"
 	"unsafe"
 
+	"repro/internal/detrand"
 	"repro/internal/estimates"
 	"repro/internal/ir"
 	"repro/internal/sim"
@@ -284,9 +285,9 @@ type Thread struct {
 	// counter overflow.
 	kendoAccum int64
 
-	// jitterState is the per-thread xorshift state for physical-timing
-	// perturbation (Config.JitterSeed); 0 means not yet initialized.
-	jitterState uint64
+	// jitter is the per-thread stream for physical-timing perturbation,
+	// seeded from (Config.JitterSeed, tid) so it depends only on configuration.
+	jitter detrand.Rand
 
 	// plain short-circuits Step to the decoded dispatcher: set when the
 	// machine runs optimized (non-reference) with jitter disabled.
@@ -338,6 +339,7 @@ func newThread(m *Machine, tid int, entry *ir.Func) *Thread {
 // here so the mirrors can never go stale).
 func (m *Machine) thread(tid int) *Thread {
 	t := &Thread{mach: m, tid: tid}
+	t.jitter = detrand.FromState(uint64(m.cfg.JitterSeed)*0x9E3779B97F4A7C15 + uint64(tid)*2654435761 + 1)
 	t.plain = !m.cfg.Reference && m.cfg.JitterAmp <= 0
 	t.kendo = m.cfg.Mode == ModeKendo
 	t.maxCycles = m.cfg.MaxStepCycles
@@ -410,24 +412,9 @@ func (t *Thread) StepInto(st *sim.Step) error {
 		err = t.stepFast(st)
 	}
 	if err == nil && t.mach.cfg.JitterAmp > 0 {
-		st.Cycles += t.nextJitter()
+		st.Cycles += int64(t.jitter.Next() % uint64(t.mach.cfg.JitterAmp+1))
 	}
 	return err
-}
-
-// nextJitter draws the next perturbation from the thread's xorshift stream,
-// seeded from (JitterSeed, tid) so it depends only on configuration.
-func (t *Thread) nextJitter() int64 {
-	if t.jitterState == 0 {
-		t.jitterState = uint64(t.mach.cfg.JitterSeed)*0x9E3779B97F4A7C15 +
-			uint64(t.tid)*2654435761 + 1
-	}
-	v := t.jitterState
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	t.jitterState = v
-	return int64(v % uint64(t.mach.cfg.JitterAmp+1))
 }
 
 func (t *Thread) step() (sim.Step, error) {

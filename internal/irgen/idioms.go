@@ -16,6 +16,7 @@ package irgen
 import (
 	"fmt"
 
+	"repro/internal/detrand"
 	"repro/internal/ir"
 )
 
@@ -63,8 +64,8 @@ const idiomMaxThreads = 16
 // the idiom's own synchronization). cfg bounds the embedded straight-line
 // work the same way Generate does.
 func GenerateIdiom(id Idiom, seed uint64, cfg Config) *ir.Module {
-	r := rng(seed ^ 0xA5F152E9D3B7C681)
-	r.next() // decouple the first draw from raw seed bits
+	r := detrand.FromState(seed ^ 0xA5F152E9D3B7C681)
+	r.Next() // decouple the first draw from raw seed bits
 	mb := ir.NewModule(fmt.Sprintf("idiom_%s_%d", id, seed))
 	switch id {
 	case IdiomCondvar:
@@ -87,11 +88,11 @@ func GenerateIdiom(id Idiom, seed uint64, cfg Config) *ir.Module {
 }
 
 // seededWork emits 1..n straight-line ops folding into acc, drawn from r.
-func seededWork(bb *ir.BlockBuilder, r *rng, acc ir.Reg, maxLen int) {
+func seededWork(bb *ir.BlockBuilder, r *detrand.Rand, acc ir.Reg, maxLen int) {
 	ops := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpXor, ir.OpOr}
-	n := 1 + r.intn(maxLen)
+	n := 1 + r.IntN(maxLen)
 	for i := 0; i < n; i++ {
-		bb.Bin(ops[r.intn(len(ops))], acc, ir.R(acc), ir.Imm(int64(1+r.intn(97))))
+		bb.Bin(ops[r.IntN(len(ops))], acc, ir.R(acc), ir.Imm(int64(1+r.IntN(97))))
 	}
 }
 
@@ -100,7 +101,7 @@ func seededWork(bb *ir.BlockBuilder, r *rng, acc ir.Reg, maxLen int) {
 // (the "condvar" mutex). Thread 0 starts immediately; thread t>0 spin-waits
 // on stage[t-1], then folds in val[t-1] — a happens-before chain through
 // lock 0 orders every publish before the successor's read.
-func buildCondvar(mb *ir.ModuleBuilder, r *rng, cfg Config) {
+func buildCondvar(mb *ir.ModuleBuilder, r *detrand.Rand, cfg Config) {
 	mb.Global("stage", idiomMaxThreads)
 	mb.Global("val", idiomMaxThreads)
 	mb.Locks(1)
@@ -113,8 +114,8 @@ func buildCondvar(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	entry := fb.Block("entry")
 	entry.Tid(tid)
 	entry.Mov(acc, ir.R(tid))
-	entry.Bin(ir.OpMul, acc, ir.R(acc), ir.Imm(int64(3+r.intn(29))))
-	entry.Bin(ir.OpAdd, acc, ir.R(acc), ir.Imm(int64(1+r.intn(50))))
+	entry.Bin(ir.OpMul, acc, ir.R(acc), ir.Imm(int64(3+r.IntN(29))))
+	entry.Bin(ir.OpAdd, acc, ir.R(acc), ir.Imm(int64(1+r.IntN(50))))
 	// Thread 0 has no predecessor.
 	entry.Bin(ir.OpEQ, tmp, ir.R(tid), ir.Imm(0))
 	entry.Br(ir.R(tmp), "work", "wait")
@@ -149,8 +150,8 @@ func buildCondvar(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 // each writing mem[phase*stride + tid] then crossing barrier 0, then reading
 // the ring neighbor's slot from the phase just completed. Slots are distinct
 // per (phase, tid), so the only cross-thread edges are the barrier ones.
-func buildBarrierPhases(mb *ir.ModuleBuilder, r *rng, cfg Config) {
-	phases := 2 + r.intn(3)
+func buildBarrierPhases(mb *ir.ModuleBuilder, r *detrand.Rand, cfg Config) {
+	phases := 2 + r.IntN(3)
 	mb.Global("mem", int64(phases*idiomMaxThreads))
 	mb.Barriers(1)
 
@@ -166,7 +167,7 @@ func buildBarrierPhases(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	bb.Tid(tid)
 	bb.NThreads(n)
 	bb.Mov(acc, ir.R(tid))
-	bb.Bin(ir.OpAdd, acc, ir.R(acc), ir.Imm(int64(7+r.intn(41))))
+	bb.Bin(ir.OpAdd, acc, ir.R(acc), ir.Imm(int64(7+r.IntN(41))))
 	for p := 0; p < phases; p++ {
 		seededWork(bb, r, acc, cfg.MaxBodyLen)
 		bb.Bin(ir.OpAdd, idx, ir.R(tid), ir.Imm(int64(p*idiomMaxThreads)))
@@ -191,12 +192,12 @@ func buildBarrierPhases(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 // writes while still holding lock 0 — so registered readers and in-progress
 // writes exclude each other, while readers read concurrently outside the
 // gate. Ownership is respected: each mutex is released by its acquirer.
-func buildRWLock(mb *ir.ModuleBuilder, r *rng, cfg Config) {
+func buildRWLock(mb *ir.ModuleBuilder, r *detrand.Rand, cfg Config) {
 	shared := 8
 	mb.Global("rw", 1)
 	mb.Global("data", int64(shared))
 	mb.Locks(2)
-	rounds := 1 + r.intn(3)
+	rounds := 1 + r.IntN(3)
 
 	fb := mb.Func("main")
 	tid := fb.Reg("tid")
@@ -207,7 +208,7 @@ func buildRWLock(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	entry := fb.Block("entry")
 	entry.Tid(tid)
 	entry.Mov(acc, ir.R(tid))
-	entry.Bin(ir.OpMul, acc, ir.R(acc), ir.Imm(int64(5+r.intn(23))))
+	entry.Bin(ir.OpMul, acc, ir.R(acc), ir.Imm(int64(5+r.IntN(23))))
 	entry.Bin(ir.OpAnd, tmp, ir.R(tid), ir.Imm(1))
 	entry.Br(ir.R(tmp), "read0", "write0")
 
@@ -232,8 +233,8 @@ func buildRWLock(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 		back.Jmp(fmt.Sprintf("wpoll%d", round))
 		crit := fb.Block(fmt.Sprintf("wcrit%d", round))
 		seededWork(crit, r, acc, cfg.MaxBodyLen)
-		for i := 0; i < 2+r.intn(3); i++ {
-			slot := int64(r.intn(shared))
+		for i := 0; i < 2+r.IntN(3); i++ {
+			slot := int64(r.IntN(shared))
 			crit.Load(tmp, "data", ir.Imm(slot))
 			crit.Bin(ir.OpAdd, tmp, ir.R(tmp), ir.R(acc))
 			crit.Store("data", ir.Imm(slot), ir.R(tmp))
@@ -249,8 +250,8 @@ func buildRWLock(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 		rd.Bin(ir.OpAdd, rc, ir.R(rc), ir.Imm(1))
 		rd.Store("rw", ir.Imm(0), ir.R(rc))
 		rd.Unlock(ir.Imm(0))
-		for i := 0; i < 2+r.intn(3); i++ {
-			rd.Load(tmp, "data", ir.Imm(int64(r.intn(shared))))
+		for i := 0; i < 2+r.IntN(3); i++ {
+			rd.Load(tmp, "data", ir.Imm(int64(r.IntN(shared))))
 			rd.Bin(ir.OpXor, acc, ir.R(acc), ir.R(tmp))
 		}
 		rd.Lock(ir.Imm(0))
@@ -272,9 +273,9 @@ func buildRWLock(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 // produce perProd items each; the rest consume until the global consumed
 // count reaches prods*perProd. With n==1 there are no consumers and the
 // lone producer just fills and exits — the ring never deadlocks.
-func buildRing(mb *ir.ModuleBuilder, r *rng, cfg Config) {
-	capacity := int64(4 << r.intn(2)) // 4 or 8
-	perProd := int64(2 + r.intn(4))
+func buildRing(mb *ir.ModuleBuilder, r *detrand.Rand, cfg Config) {
+	capacity := int64(4 << r.IntN(2)) // 4 or 8
+	perProd := int64(2 + r.IntN(4))
 	mb.Global("ring", 8+capacity)
 	mb.Locks(1)
 
@@ -299,7 +300,7 @@ func buildRing(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	entry.Bin(ir.OpDiv, prods, ir.R(prods), ir.Imm(2))
 	entry.Bin(ir.OpMul, total, ir.R(prods), ir.Imm(perProd))
 	entry.Mov(acc, ir.R(tid))
-	entry.Bin(ir.OpMul, acc, ir.R(acc), ir.Imm(int64(11+r.intn(31))))
+	entry.Bin(ir.OpMul, acc, ir.R(acc), ir.Imm(int64(11+r.IntN(31))))
 	entry.Const(i, 0)
 	entry.Bin(ir.OpLT, tmp, ir.R(tid), ir.R(prods))
 	entry.Br(ir.R(tmp), "produce", "consume")
@@ -318,7 +319,7 @@ func buildRing(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	store := fb.Block("store")
 	store.Bin(ir.OpMul, tmp, ir.R(tid), ir.Imm(perProd))
 	store.Bin(ir.OpAdd, tmp, ir.R(tmp), ir.R(i))
-	store.Bin(ir.OpXor, tmp, ir.R(tmp), ir.Imm(int64(r.intn(127))))
+	store.Bin(ir.OpXor, tmp, ir.R(tmp), ir.Imm(int64(r.IntN(127))))
 	store.Bin(ir.OpAnd, cnt, ir.R(head), ir.Imm(capacity-1))
 	store.Bin(ir.OpAdd, cnt, ir.R(cnt), ir.Imm(8))
 	store.Store("ring", ir.R(cnt), ir.R(tmp))
@@ -377,8 +378,8 @@ func buildRing(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 // task at a time; every task executed calls into a generated function pool
 // (the same machinery Generate uses), so stolen work carries real
 // computation. Task counts only decrease, so the scan terminates.
-func buildDeque(mb *ir.ModuleBuilder, r *rng, cfg Config) {
-	perThread := int64(2 + r.intn(4))
+func buildDeque(mb *ir.ModuleBuilder, r *detrand.Rand, cfg Config) {
+	perThread := int64(2 + r.IntN(4))
 	init := make([]int64, idiomMaxThreads)
 	for t := range init {
 		init[t] = perThread
@@ -412,7 +413,7 @@ func buildDeque(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	entry.Tid(tid)
 	entry.NThreads(n)
 	entry.Mov(acc, ir.R(tid))
-	entry.Bin(ir.OpAdd, acc, ir.R(acc), ir.Imm(int64(13+r.intn(37))))
+	entry.Bin(ir.OpAdd, acc, ir.R(acc), ir.Imm(int64(13+r.IntN(37))))
 	entry.Jmp("own")
 
 	// Drain own deque.
@@ -425,7 +426,7 @@ func buildDeque(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	ownpop.Bin(ir.OpSub, cnt, ir.R(cnt), ir.Imm(1))
 	ownpop.Store("tasks", ir.R(tid), ir.R(cnt))
 	ownpop.Unlock(ir.R(tid))
-	ownpop.Call(tmp, pool[r.intn(len(pool))], ir.R(acc))
+	ownpop.Call(tmp, pool[r.IntN(len(pool))], ir.R(acc))
 	ownpop.Bin(ir.OpXor, acc, ir.R(acc), ir.R(tmp))
 	ownpop.Jmp("own")
 	ownempty := fb.Block("ownempty")
@@ -450,7 +451,7 @@ func buildDeque(mb *ir.ModuleBuilder, r *rng, cfg Config) {
 	steal.Bin(ir.OpSub, cnt, ir.R(cnt), ir.Imm(1))
 	steal.Store("tasks", ir.R(v), ir.R(cnt))
 	steal.Unlock(ir.R(v))
-	steal.Call(tmp, pool[r.intn(len(pool))], ir.R(acc))
+	steal.Call(tmp, pool[r.IntN(len(pool))], ir.R(acc))
 	steal.Bin(ir.OpXor, acc, ir.R(acc), ir.R(tmp))
 	steal.Const(v, 0)
 	steal.Jmp("scan")

@@ -13,6 +13,7 @@ package irgen
 import (
 	"fmt"
 
+	"repro/internal/detrand"
 	"repro/internal/ir"
 )
 
@@ -37,31 +38,9 @@ func Default() Config {
 	return Config{Funcs: 4, MaxDepth: 4, MaxBodyLen: 6, LoopIters: 5, Threads: 2}
 }
 
-// rng is a small deterministic xorshift PRNG.
-type rng uint64
-
-func (r *rng) next() uint64 {
-	v := uint64(*r)
-	if v == 0 {
-		v = 0x9E3779B97F4A7C15
-	}
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	*r = rng(v)
-	return v
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
 // gen carries generation state for one function.
 type gen struct {
-	r       *rng
+	r       *detrand.Rand
 	cfg     Config
 	fb      *ir.FuncBuilder
 	acc     ir.Reg // running value; printed at the end of main
@@ -74,7 +53,7 @@ type gen struct {
 // Generate builds a random module from seed. The module always verifies and
 // always terminates (loops have constant bounds).
 func Generate(seed uint64, cfg Config) *ir.Module {
-	r := rng(seed)
+	r := detrand.FromState(seed)
 	mb := ir.NewModule(fmt.Sprintf("gen_%d", seed))
 	mb.Global("mem", 256)
 	if cfg.WithSync {
@@ -97,11 +76,6 @@ func Generate(seed uint64, cfg Config) *ir.Module {
 		panic(fmt.Sprintf("irgen: generated module does not verify: %v", err))
 	}
 	return mb.M
-}
-
-func (g *gen) newBlock(hint string) *ir.BlockBuilder {
-	g.blockID++
-	return g.fb.Block(fmt.Sprintf("%s%d", hint, g.blockID))
 }
 
 // buildFunc emits a function body: entry -> structure -> ret acc.
@@ -138,7 +112,7 @@ func (g *gen) buildMain() {
 
 // structure emits a random structure into cur, ending with a jump to next.
 func (g *gen) structure(cur *ir.BlockBuilder, depth int, next string, sync bool) {
-	n := 1 + g.r.intn(3)
+	n := 1 + g.r.IntN(3)
 	for i := 0; i < n; i++ {
 		last := i == n-1
 		target := next
@@ -159,7 +133,7 @@ func (g *gen) newBlockName(hint string) string {
 
 // one emits one random construct into cur and terminates it toward next.
 func (g *gen) one(cur *ir.BlockBuilder, depth int, next string, sync bool) {
-	choice := g.r.intn(10)
+	choice := g.r.IntN(10)
 	switch {
 	case depth <= 0 || choice < 3: // straight-line body
 		g.body(cur)
@@ -167,7 +141,7 @@ func (g *gen) one(cur *ir.BlockBuilder, depth int, next string, sync bool) {
 	case choice < 6: // if/else diamond
 		g.body(cur)
 		cond := g.tmp
-		cur.Bin(ir.OpAnd, cond, ir.R(g.acc), ir.Imm(int64(1+g.r.intn(3))))
+		cur.Bin(ir.OpAnd, cond, ir.R(g.acc), ir.Imm(int64(1+g.r.IntN(3))))
 		thenN := g.newBlockName("then")
 		elseN := g.newBlockName("else")
 		cur.Br(ir.R(cond), thenN, elseN)
@@ -176,7 +150,7 @@ func (g *gen) one(cur *ir.BlockBuilder, depth int, next string, sync bool) {
 		eb := g.fb.Block(elseN)
 		g.structure(eb, depth-1, next, false)
 	case choice < 8: // bounded loop
-		iters := 1 + g.r.intn(g.cfg.LoopIters)
+		iters := 1 + g.r.IntN(g.cfg.LoopIters)
 		ivar := g.fb.Reg(g.newBlockName("$i"))
 		cur.Const(ivar, 0)
 		hdrN := g.newBlockName("hdr")
@@ -193,7 +167,7 @@ func (g *gen) one(cur *ir.BlockBuilder, depth int, next string, sync bool) {
 		latch.Jmp(hdrN)
 	case choice < 9 && len(g.callees) > 0: // call into the pool
 		g.body(cur)
-		callee := g.callees[g.r.intn(len(g.callees))]
+		callee := g.callees[g.r.IntN(len(g.callees))]
 		cur.Call(g.tmp, callee, ir.R(g.acc))
 		cur.Bin(ir.OpXor, g.acc, ir.R(g.acc), ir.R(g.tmp))
 		cur.Jmp(next)
@@ -201,7 +175,7 @@ func (g *gen) one(cur *ir.BlockBuilder, depth int, next string, sync bool) {
 		idx := g.scratch
 		cur.Bin(ir.OpAnd, idx, ir.R(g.acc), ir.Imm(255))
 		if sync {
-			lockID := int64(g.r.intn(4))
+			lockID := int64(g.r.IntN(4))
 			cur.Lock(ir.Imm(lockID))
 			cur.Load(g.tmp, "mem", ir.R(idx))
 			cur.Bin(ir.OpAdd, g.tmp, ir.R(g.tmp), ir.Imm(1))
@@ -218,10 +192,10 @@ func (g *gen) one(cur *ir.BlockBuilder, depth int, next string, sync bool) {
 // body emits random straight-line arithmetic.
 func (g *gen) body(cur *ir.BlockBuilder) {
 	ops := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpXor, ir.OpAnd, ir.OpOr}
-	n := 1 + g.r.intn(g.cfg.MaxBodyLen)
+	n := 1 + g.r.IntN(g.cfg.MaxBodyLen)
 	for i := 0; i < n; i++ {
-		op := ops[g.r.intn(len(ops))]
-		imm := int64(1 + g.r.intn(97))
+		op := ops[g.r.IntN(len(ops))]
+		imm := int64(1 + g.r.IntN(97))
 		cur.Bin(op, g.acc, ir.R(g.acc), ir.Imm(imm))
 	}
 }

@@ -8,8 +8,8 @@
 // tolerance checkable).
 //
 // The engine's one structural idea is *per-fault-class partitioned RNG
-// streams*: every fault class draws from its own det.Rand stream derived from
-// (seed, class id), and no class ever reads another's stream. Adding,
+// streams*: every fault class draws from its own detrand.Rand stream derived
+// from (seed, class id), and no class ever reads another's stream. Adding,
 // removing, or re-rating the ops of one class therefore cannot shift the
 // timeline of any other class — storage faults stay put when network faults
 // are toggled — which keeps schedules comparable across harness versions and
@@ -32,11 +32,12 @@ import (
 	"hash/fnv"
 	"sync"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 )
 
-// Fault classes. Each owns one RNG stream; the ids are part of a seed's
-// schedule identity and must never be renumbered.
+// Fault classes. Each owns one RNG stream; the ids (10–15) live in
+// internal/detrand's class table and must never be renumbered. A class
+// outside the table still partitions deterministically (its name is hashed).
 const (
 	ClassProcess   = "process"
 	ClassStorage   = "storage"
@@ -47,32 +48,6 @@ const (
 	// and flap schedules against the dynamic membership plane.
 	ClassMembership = "membership"
 )
-
-// streamID maps a class to its fixed det.Rand stream id.
-func streamID(class string) int {
-	switch class {
-	case ClassMembership:
-		// id 10 sits below the original block so the unknown-class fallback
-		// (16 + hash) stays exactly where it has always been.
-		return 10
-	case ClassProcess:
-		return 11
-	case ClassStorage:
-		return 12
-	case ClassNetwork:
-		return 13
-	case ClassIntegrity:
-		return 14
-	case ClassWorkload:
-		return 15
-	default:
-		// Unknown classes get a stable id derived from the name, so custom
-		// harness classes still partition deterministically.
-		h := fnv.New32a()
-		h.Write([]byte(class))
-		return 16 + int(h.Sum32()%1009)
-	}
-}
 
 // Event is one fault (or workload) injection: where in the schedule it fires,
 // which class and op, the target it lands on, and a small op-specific
@@ -94,41 +69,20 @@ func (e Event) String() string {
 	return s
 }
 
-// Engine is one seeded schedule's state: the partitioned streams plus the
-// executed timeline and online observations.
+// Engine is one seeded schedule's state: the partitioned streams (Stream is
+// the registry's: the same (seed, class) always yields the same stream) plus
+// the executed timeline and online observations.
 type Engine struct {
-	seed int64
+	*detrand.Streams
 
 	mu           sync.Mutex
-	streams      map[string]*det.Rand
 	timeline     []Event
 	observations []Event
 }
 
 // New builds an engine for seed. Engines are cheap; one per schedule run.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed, streams: make(map[string]*det.Rand)}
-}
-
-// Seed returns the schedule's seed.
-func (n *Engine) Seed() int64 { return n.seed }
-
-// Stream returns the class's partitioned RNG stream, creating it on first
-// use. The same (seed, class) always yields the same stream, and distinct
-// classes never share state.
-func (n *Engine) Stream(class string) *det.Rand {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.streamLocked(class)
-}
-
-func (n *Engine) streamLocked(class string) *det.Rand {
-	r, ok := n.streams[class]
-	if !ok {
-		r = det.NewRand(n.seed, streamID(class))
-		n.streams[class] = r
-	}
-	return r
+	return &Engine{Streams: detrand.NewStreams(seed, detrand.NemesisAdhocBase)}
 }
 
 // Record appends one executed plan event to the timeline. Harnesses call it

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 	"repro/internal/diag"
 )
 
@@ -13,7 +13,7 @@ import (
 // lock boundaries inside a deterministic run, this one perturbs the service
 // around the runs — worker panics mid-job, journal write errors, and (driven
 // by the tests via Service.Kill) SIGTERM-style crashes mid-queue. Both draw
-// their perturbation schedules from the same det.Rand xorshift streams, so a
+// their perturbation schedules from the same detrand.Rand xorshift streams, so a
 // chaos schedule is a pure function of its seed and the order of injection
 // points, reproducible across runs.
 //
@@ -41,7 +41,7 @@ type chaos struct {
 	cfg FaultConfig
 
 	mu      sync.Mutex
-	panics  *det.Rand
+	panics  *detrand.Rand
 	appends int64
 }
 
@@ -49,7 +49,7 @@ func newChaos(cfg *FaultConfig) *chaos {
 	if cfg == nil {
 		return nil
 	}
-	return &chaos{cfg: *cfg, panics: det.NewRand(cfg.Seed, 1)}
+	return &chaos{cfg: *cfg, panics: detrand.New(cfg.Seed, 1)}
 }
 
 // workerPanic decides whether this job attempt should panic; the draw

@@ -233,7 +233,7 @@ func TestStealReclaim(t *testing.T) {
 		t.Skip("worker drained the queue before the steal")
 	}
 	if len(stolen) > 1 {
-		svc.AbortStolen(stolen[1].ID) // explicit hand-back
+		svc.CompleteStolen(stolen[1].ID, nil) // explicit hand-back
 	}
 	// The rest are reclaimed by timer; every job must complete locally.
 	for _, id := range ids {
@@ -280,7 +280,7 @@ func TestPeerFillAndOffer(t *testing.T) {
 	// Offer → install → serve.
 	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())
-	if err := svc.OfferResult(oceanOffer.key, oceanOffer.res); err != nil {
+	if err := svc.OfferResult(oceanOffer.key, oceanOffer.res, nil); err != nil {
 		t.Fatalf("OfferResult: %v", err)
 	}
 	got, ok := svc.ResultByKey(oceanOffer.key)
@@ -299,7 +299,7 @@ func TestPeerFillAndOffer(t *testing.T) {
 	// A tampered offer (hash does not match its schedule) is refused.
 	bad := *oceanOffer.res
 	bad.ScheduleHash = "deadbeefdeadbeef"
-	if err := svc.OfferResult("some-key", &bad); err == nil {
+	if err := svc.OfferResult("some-key", &bad, nil); err == nil {
 		t.Fatal("self-inconsistent offer accepted")
 	}
 
@@ -307,7 +307,7 @@ func TestPeerFillAndOffer(t *testing.T) {
 	// counted, breaker fed — the cached entry stands.
 	conflict := *rayOffer.res
 	conflict.Schedule = rayOffer.res.Schedule
-	if err := svc.OfferResult(oceanOffer.key, &conflict); !errors.Is(err, diag.ErrDivergence) {
+	if err := svc.OfferResult(oceanOffer.key, &conflict, nil); !errors.Is(err, diag.ErrDivergence) {
 		t.Fatalf("conflicting offer error = %v, want ErrDivergence", err)
 	}
 	if snap := svc.Snapshot(); snap.Divergences == 0 {
@@ -317,7 +317,7 @@ func TestPeerFillAndOffer(t *testing.T) {
 	// Fill hook, happy path: the result is served PeerFilled and the 100%
 	// cross-check re-executes it locally without divergence.
 	fills := 0
-	filled := New(Config{Workers: 1, PeerCheckRate: 1, Fill: func(ctx context.Context, key string, req *Request) *Result {
+	filled := New(Config{Workers: 1, SelfCheckRate: 1, Fill: func(ctx context.Context, key string, req *Request) *Result {
 		fills++
 		if key == oceanOffer.key {
 			return oceanOffer.res
@@ -359,7 +359,7 @@ func TestPeerFillAndOffer(t *testing.T) {
 	// Fill returning a self-consistent but WRONG result (a different
 	// program's answer): the mandatory cross-check catches it as a typed
 	// divergence — never silently served.
-	lying := New(Config{Workers: 1, PeerCheckRate: 1, Fill: func(ctx context.Context, key string, req *Request) *Result {
+	lying := New(Config{Workers: 1, SelfCheckRate: 1, Fill: func(ctx context.Context, key string, req *Request) *Result {
 		return rayOffer.res
 	}})
 	defer lying.Close(context.Background())

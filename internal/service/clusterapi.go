@@ -71,10 +71,12 @@ func (s *Service) StealQueued(max int) []StolenJob {
 // normal finish path (journaling, counters, breaker feedback). Completions
 // for unknown, reclaimed, or already-finished ids are dropped: determinism
 // makes duplicate executions interchangeable, so a late completion is
-// harmless, never a double finish.
+// harmless, never a double finish. A nil result hands the job back at once —
+// the stealer could not execute it: it re-enqueues locally, and the origin's
+// own pipeline re-discovers any deterministic failure with its typed report.
 func (s *Service) CompleteStolen(id string, res *Result) {
 	if res == nil {
-		s.AbortStolen(id)
+		s.reclaimLent(id)
 		return
 	}
 	s.mu.Lock()
@@ -92,14 +94,6 @@ func (s *Service) CompleteStolen(id string, res *Result) {
 	r.JobID = id
 	r.Remote = true
 	s.finish(j, &r, nil)
-}
-
-// AbortStolen hands a lent job back immediately — the stealer could not (or
-// would not) execute it. The job re-enqueues locally, and any deterministic
-// failure it carries is re-discovered by the origin's own pipeline with its
-// full typed report.
-func (s *Service) AbortStolen(id string) {
-	s.reclaimLent(id)
 }
 
 // reclaimLent pulls a lent job back into the local queue (reclaim timer
@@ -144,25 +138,13 @@ func (s *Service) reclaimLent(id string) {
 // creating a job record — the execution path a work-stealer uses for jobs it
 // borrowed from a peer. Panics are contained exactly like worker attempts;
 // deadlines come from the request (or Config.DefaultDeadline).
-func (s *Service) ExecuteDetached(ctx context.Context, req Request) (res *Result, err error) {
+func (s *Service) ExecuteDetached(ctx context.Context, req Request) (*Result, error) {
 	if err := normalize(&req); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	stop := context.AfterFunc(s.rootCtx, cancel)
-	defer stop()
+	ctx, cancel, _ := s.jobContext(ctx, &req)
 	defer cancel()
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if deadline > 0 {
-		var cancelDL context.CancelFunc
-		ctx, cancelDL = context.WithTimeout(ctx, deadline)
-		defer cancelDL()
-	}
-	j := &job{id: "detached", req: req}
-	return s.attempt(ctx, j)
+	return s.attempt(ctx, &job{id: "detached", req: req})
 }
 
 // ResultByKey serves a peer's fill request from the local result cache: the
@@ -183,19 +165,14 @@ func (s *Service) ResultByKey(key string) (*Result, bool) {
 
 // OfferResult installs a peer-computed entry into the local result cache —
 // the backfill path by which a non-owner that had to recompute locally
-// populates the shard owner. The offered schedule must hash to the claimed
-// ScheduleHash; an offer that disagrees with an existing entry is a
-// determinism divergence: it is rejected, counted, and fed to the circuit
-// breaker, and the existing entry stands.
-func (s *Service) OfferResult(key string, res *Result) error {
-	return s.OfferResultFrom(key, res, nil)
-}
-
-// OfferResultFrom is OfferResult with the originating request attached, when
-// the offering node knows it. A req-carrying entry is recheckable: the
-// anti-entropy repair loop can arbitrate a later divergence on this key by
-// deterministic recompute instead of having to evict blindly.
-func (s *Service) OfferResultFrom(key string, res *Result, req *Request) error {
+// populates the shard owner, and what rebalance pushes and repair pulls
+// install through. The offered schedule must be self-consistent; an offer
+// that disagrees with an existing entry is a divergence: rejected and
+// accounted, and the existing entry stands. req is the originating request
+// when the offering node knows it (else nil): it makes the entry recheckable
+// — repair can arbitrate a later divergence on this key by recompute instead
+// of evicting blindly.
+func (s *Service) OfferResult(key string, res *Result, req *Request) error {
 	if res == nil || res.Schedule == nil {
 		return &diag.MisuseError{Op: "service.OfferResult", ThreadID: -1, Kind: diag.ErrBadConfig,
 			Detail: "offer without a schedule"}
@@ -203,24 +180,20 @@ func (s *Service) OfferResultFrom(key string, res *Result, req *Request) error {
 	if s.degraded.Load() {
 		return nil // cache is off; accepting would be a silent no-op anyway
 	}
-	if fmt.Sprintf("%016x", res.Schedule.Hash()) != res.ScheduleHash || res.Schedule.Len() != res.ScheduleLen {
+	if !selfConsistent(res) {
 		s.ctr.peerFillRejects.Add(1)
 		return &diag.MisuseError{Op: "service.OfferResult", ThreadID: -1, Kind: diag.ErrBadConfig,
 			Detail: "offered schedule does not hash to its claimed ScheduleHash"}
 	}
+	offered := entryFromPeer(res, req)
 	if v, ok := s.results.get(key); ok {
-		ent := v.(*resultEntry)
-		if ent.res.ScheduleHash != res.ScheduleHash {
-			err := fmt.Errorf("service: offered result for %s: %w: cached schedule hash %s, offered %s",
-				key[:12], diag.ErrDivergence, ent.res.ScheduleHash, res.ScheduleHash)
-			s.ctr.divergences.Add(1)
-			s.ctr.failures.record("", "divergence", err.Error())
-			s.breaker.onDivergence()
-			return err
+		err := claimOf(v.(*resultEntry)).mismatch(fmt.Sprintf("offered result for %.12s", key), offered)
+		if err != nil {
+			s.diverged("", err)
 		}
-		return nil
+		return err
 	}
-	s.results.add(key, entryFromPeer(res, req))
+	s.results.add(key, offered)
 	s.ctr.offers.Add(1)
 	return nil
 }
@@ -272,11 +245,6 @@ func (s *Service) KeyFor(req Request) (string, error) {
 // export and work-stealing peers key on.
 func (s *Service) QueueDepth() int {
 	return len(s.queue)
-}
-
-// Degraded reports whether the journal-degradation latch has tripped.
-func (s *Service) Degraded() bool {
-	return s.degraded.Load()
 }
 
 // JournalSnapshotRecords renders the journal's live job table as

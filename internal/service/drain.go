@@ -1,14 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/diag"
 )
 
 // This file is the service's graceful-leave and anti-entropy surface: what the
@@ -25,13 +20,6 @@ func (s *Service) StartDrain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-}
-
-// Draining reports whether StartDrain has been called.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // DrainWait blocks until every accepted job has reached a terminal state:
@@ -72,13 +60,10 @@ func (s *Service) drained() bool {
 }
 
 // CacheKey summarizes one result-cache entry for the repair plane: the
-// content-addressed key, the schedule hash the entry claims, and whether the
-// entry stores its originating request (and can therefore be re-verified by
-// deterministic recompute).
+// content-addressed key and the schedule hash the entry claims.
 type CacheKey struct {
-	Key          string `json:"key"`
-	ScheduleHash string `json:"schedule_hash"`
-	Verifiable   bool   `json:"verifiable"`
+	Key          string
+	ScheduleHash string
 }
 
 // CacheScan enumerates the result cache in key order — the deterministic
@@ -97,7 +82,7 @@ func (s *Service) CacheScan() []CacheKey {
 			continue
 		}
 		ent := v.(*resultEntry)
-		out = append(out, CacheKey{Key: k, ScheduleHash: ent.res.ScheduleHash, Verifiable: ent.req != nil})
+		out = append(out, CacheKey{Key: k, ScheduleHash: ent.res.ScheduleHash})
 	}
 	return out
 }
@@ -121,135 +106,4 @@ func (s *Service) ExportResult(key string) (*Result, *Request, bool) {
 		req = &rc
 	}
 	return exportEntry(ent), req, true
-}
-
-// EvictResult drops a result-cache entry (rebalanced away, or quarantined by
-// a repair decision made at the cluster layer).
-func (s *Service) EvictResult(key string) {
-	s.results.remove(key)
-}
-
-// RecheckResult arbitrates a suspect result-cache entry by deterministic
-// recompute — the repair loop calls it when a peer's digest disagrees with
-// ours on a key. Outcomes:
-//
-//   - nil: the stored entry reproduced exactly; the local copy is sound (and
-//     the disagreeing peer is the suspect).
-//   - *diag.CorruptionError: the local entry was wrong or unverifiable. It is
-//     quarantined — evicted, never served again — and when recompute was
-//     possible the freshly computed entry replaces it, with the divergence
-//     counted and fed to the admission circuit breaker.
-func (s *Service) RecheckResult(ctx context.Context, key string) error {
-	if s.degraded.Load() {
-		return nil
-	}
-	v, ok := s.results.peek(key)
-	if !ok {
-		return nil
-	}
-	ent := v.(*resultEntry)
-	if ent.req == nil {
-		s.results.remove(key)
-		return &diag.CorruptionError{Source: "result cache",
-			Detail: fmt.Sprintf("entry %.12s carries no originating request; evicted as unverifiable", key)}
-	}
-	var lat StageLatency
-	ie, _, err := s.instrumented(ent.req, &lat)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		s.results.remove(key)
-		return &diag.CorruptionError{Source: "result cache",
-			Detail: fmt.Sprintf("entry %.12s could not be re-instrumented: %v; evicted", key, err)}
-	}
-	fresh, err := s.simulate(ctx, ie, ent.req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		s.results.remove(key)
-		return &diag.CorruptionError{Source: "result cache",
-			Detail: fmt.Sprintf("entry %.12s could not be re-executed: %v; evicted", key, err)}
-	}
-	if fresh.res.ScheduleHash == ent.res.ScheduleHash {
-		return nil
-	}
-	// The stored entry disagrees with its own deterministic recompute: the
-	// copy is damaged. Replace it with the recompute — that IS the repair —
-	// and report the divergence.
-	s.results.add(key, fresh)
-	s.ctr.divergences.Add(1)
-	s.ctr.failures.record("", "corruption",
-		fmt.Sprintf("repair recheck %.12s: stored schedule hash %s, recompute produced %s", key, ent.res.ScheduleHash, fresh.res.ScheduleHash))
-	s.breaker.onDivergence()
-	return &diag.CorruptionError{Source: "result cache",
-		Detail: fmt.Sprintf("entry %.12s diverged from deterministic recompute (stored %s, fresh %s); replaced", key, ent.res.ScheduleHash, fresh.res.ScheduleHash)}
-}
-
-// CheckSnapshotRecords cross-checks a peer-supplied journal snapshot (the
-// shipping resync payload) by re-execution: up to maxChecks completed records
-// are paired with their submitted requests and re-run through the detached
-// pipeline, and the schedule hashes must match. This is the divergence
-// cross-check a joining node runs on its bootstrap payload and a drain
-// successor runs on a transferred journal segment — state transfer is proved
-// correct, not just copied. Frame or parse damage returns a typed
-// *diag.CorruptionError; a hash mismatch returns a divergence error, counted
-// and fed to the circuit breaker.
-func (s *Service) CheckSnapshotRecords(ctx context.Context, lines [][]byte, maxChecks int) error {
-	reqs := make(map[string]*Request)
-	type completion struct{ id, hash string }
-	var completed []completion
-	for _, line := range lines {
-		payload, err := unframeLine(bytes.TrimRight(line, "\n"))
-		if err != nil {
-			return &diag.CorruptionError{Source: "journal snapshot", Detail: err.Error()}
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return &diag.CorruptionError{Source: "journal snapshot", Detail: fmt.Sprintf("record does not parse: %v", err)}
-		}
-		switch rec.Type {
-		case recSubmitted:
-			if rec.Req != nil {
-				reqs[rec.ID] = rec.Req
-			}
-		case recCompleted:
-			if rec.Result != nil {
-				completed = append(completed, completion{rec.ID, rec.Result.ScheduleHash})
-			}
-		}
-	}
-	checked := 0
-	for _, c := range completed {
-		if maxChecks > 0 && checked >= maxChecks {
-			break
-		}
-		req, ok := reqs[c.id]
-		if !ok {
-			continue
-		}
-		res, err := s.ExecuteDetached(ctx, *req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			err = fmt.Errorf("service: snapshot cross-check %s: %w: journaled completion could not be reproduced: %w",
-				c.id, diag.ErrDivergence, err)
-			s.ctr.divergences.Add(1)
-			s.ctr.failures.record(c.id, "divergence", err.Error())
-			s.breaker.onDivergence()
-			return err
-		}
-		if res.ScheduleHash != c.hash {
-			err := fmt.Errorf("service: snapshot cross-check %s: %w: journaled schedule hash %s, re-execution produced %s",
-				c.id, diag.ErrDivergence, c.hash, res.ScheduleHash)
-			s.ctr.divergences.Add(1)
-			s.ctr.failures.record(c.id, "divergence", err.Error())
-			s.breaker.onDivergence()
-			return err
-		}
-		checked++
-	}
-	return nil
 }

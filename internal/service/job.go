@@ -150,9 +150,10 @@ type job struct {
 	// bytes is the request's admission-control weight (source size),
 	// released when the job finishes.
 	bytes int64
-	// verify marks an internal recovery cross-check job (not client
-	// visible): re-execute req and compare against the journaled hash.
-	verify *verifySpec
+	// verify marks an internal recovery cross-check job (not client visible,
+	// not in the job table): recompute req and hold it to the journaled claim
+	// of the recovered job whose id it shares.
+	verify *claim
 	// reclaim re-enqueues the job if a work-stealing peer that borrowed it
 	// never reports back (armed only while lent).
 	reclaim *time.Timer
@@ -164,13 +165,6 @@ type job struct {
 	// errKind overrides Classify for journal-recovered failures, whose
 	// typed report structure does not survive serialization.
 	errKind string
-}
-
-// verifySpec is the recovery determinism cross-check: target is the
-// recovered job id, wantHash its journaled schedule hash.
-type verifySpec struct {
-	target   string
-	wantHash string
 }
 
 // presets maps the accepted preset names; values are resolved through

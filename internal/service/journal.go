@@ -289,32 +289,39 @@ func (j *journal) appendLocked(rec *journalRecord) error {
 }
 
 // snapshotRecords renders the live job table as compaction-style record
-// lines (one submitted record per job, plus its finish record when done) —
-// the bounded resync payload journal shipping falls back to when the standby
-// lost the stream.
+// lines — the bounded resync payload journal shipping falls back to when the
+// standby lost the stream.
 func (j *journal) snapshotRecords() [][]byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	lines, _ := j.renderLocked() // on a marshal error: the lines before it
+	return lines
+}
+
+// renderLocked renders the live job table in first-seen order — one submitted
+// record per job, plus its finish record when done: the snapshot payload and
+// the compacted log's image. It stops at the first record that does not
+// marshal, so a compaction never drops a live job silently.
+func (j *journal) renderLocked() ([][]byte, error) {
 	var out [][]byte
-	emit := func(rec *journalRecord) {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return
-		}
-		out = append(out, frameLine(b))
-	}
 	for _, id := range j.order {
 		jj := j.live[id]
-		emit(&journalRecord{Type: recSubmitted, ID: jj.id, Req: &jj.req})
-		if jj.done {
-			if jj.result != nil {
-				emit(&journalRecord{Type: recCompleted, ID: jj.id, Result: jj.result})
-			} else {
-				emit(&journalRecord{Type: recFailed, ID: jj.id, Error: jj.errMsg, Kind: jj.errKind})
+		recs := []*journalRecord{{Type: recSubmitted, ID: jj.id, Req: &jj.req}}
+		switch {
+		case jj.done && jj.result != nil:
+			recs = append(recs, &journalRecord{Type: recCompleted, ID: jj.id, Result: jj.result})
+		case jj.done:
+			recs = append(recs, &journalRecord{Type: recFailed, ID: jj.id, Error: jj.errMsg, Kind: jj.errKind})
+		}
+		for _, rec := range recs {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				return out, err
 			}
+			out = append(out, frameLine(b))
 		}
 	}
-	return out
+	return out, nil
 }
 
 // flushLocked hands the pending buffer to the OS and, when sync is set,
@@ -340,8 +347,8 @@ func (j *journal) flushLocked(sync bool) error {
 
 // maybeCompactLocked rewrites the log when it holds more than compactEvery
 // records and at least twice the live-job count: one submitted record per
-// job plus its finish record. The rewrite is crash-safe — temp file, fsync,
-// atomic rename — so a crash mid-compaction leaves the old log intact.
+// job plus its finish record. The rewrite is crash-safe (vfs.ReplaceFile), so
+// a crash mid-compaction leaves the old log intact.
 func (j *journal) maybeCompactLocked() error {
 	if j.rawRecords+j.pendingRecs <= j.compactEvery || j.rawRecords+j.pendingRecs <= 2*len(j.live) {
 		return nil
@@ -349,61 +356,13 @@ func (j *journal) maybeCompactLocked() error {
 	if err := j.flushLocked(true); err != nil {
 		return err
 	}
-	tmpPath := j.path + ".compact"
-	tmp, err := j.fsys.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	lines, err := j.renderLocked()
+	if err == nil {
+		err = vfs.ReplaceFile(j.fsys, j.path+".compact", j.path, bytes.Join(lines, nil))
+	}
 	if err != nil {
 		j.broken = true
 		return fmt.Errorf("journal: compact: %w", err)
-	}
-	var buf bytes.Buffer
-	records := 0
-	write := func(rec *journalRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		buf.Write(frameLine(b))
-		records++
-		return nil
-	}
-	for _, id := range j.order {
-		jj := j.live[id]
-		// The submitted record's error must reach the outer check even when
-		// the job is not done — a swallowed marshal failure here would drop
-		// a live job's only record from the compacted log.
-		err := write(&journalRecord{Type: recSubmitted, ID: jj.id, Req: &jj.req})
-		if err == nil && jj.done {
-			if jj.result != nil {
-				err = write(&journalRecord{Type: recCompleted, ID: jj.id, Result: jj.result})
-			} else {
-				err = write(&journalRecord{Type: recFailed, ID: jj.id, Error: jj.errMsg, Kind: jj.errKind})
-			}
-		}
-		if err != nil {
-			tmp.Close()
-			j.fsys.Remove(tmpPath)
-			j.broken = true
-			return fmt.Errorf("journal: compact: %w", err)
-		}
-	}
-	if _, err := tmp.Write(buf.Bytes()); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		j.fsys.Remove(tmpPath)
-		j.broken = true
-		return fmt.Errorf("journal: compact write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		j.fsys.Remove(tmpPath)
-		j.broken = true
-		return fmt.Errorf("journal: compact close: %w", err)
-	}
-	if err := j.fsys.Rename(tmpPath, j.path); err != nil {
-		j.fsys.Remove(tmpPath)
-		j.broken = true
-		return fmt.Errorf("journal: compact rename: %w", err)
 	}
 	old := j.f
 	f, err := j.fsys.OpenFile(j.path, os.O_WRONLY, 0o644)
@@ -418,7 +377,7 @@ func (j *journal) maybeCompactLocked() error {
 	}
 	old.Close()
 	j.f = f
-	j.rawRecords = records
+	j.rawRecords = len(lines)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diag"
 	"repro/internal/splash"
 )
 
@@ -428,7 +429,25 @@ func FuzzJournalReplay(f *testing.F) {
 		"#c1 zzzzzzzz 4 !!!!\n" +
 		"#c1 00000000\n"))
 
+	// The snapshot check is the scanner's second entrance (peer-supplied
+	// bytes instead of a file): it must refuse exactly what recovery would
+	// quarantine or truncate, and reach a verdict on everything else.
+	svc := New(Config{Workers: 1})
+	f.Cleanup(func() { svc.Close(context.Background()) })
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		scan := scanJournal(data)
+		damaged := len(scan.quarantined) > 0 || scan.tornBytes > 0
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		err := svc.CheckSnapshotRecords(ctx, [][]byte{data})
+		cancel()
+		if damaged != errors.Is(err, diag.ErrCorruption) {
+			t.Fatalf("snapshot check of a %d-quarantine, %d-torn-byte image: err = %v", len(scan.quarantined), scan.tornBytes, err)
+		}
+		if !damaged && err != nil && !errors.Is(err, diag.ErrDivergence) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("snapshot check of a clean image: err = %v, want nil or a divergence", err)
+		}
+
 		path := filepath.Join(t.TempDir(), "fuzz.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 	"repro/internal/diag"
 )
 
@@ -52,18 +52,18 @@ func retryable(err error) bool {
 var errContainedPanic = errors.New("contained worker panic")
 
 // backoff computes retry delays: exponential from Base, capped at Max, with
-// full deterministic jitter drawn from a det.Rand stream — the same
+// full deterministic jitter drawn from a detrand.Rand stream — the same
 // generator family every injector in the repo uses, so retry schedules in
 // tests are a pure function of Config.RetrySeed.
 type backoff struct {
 	base, max time.Duration
 
 	mu  sync.Mutex
-	rng *det.Rand
+	rng *detrand.Rand
 }
 
 func newBackoff(base, max time.Duration, seed int64) *backoff {
-	return &backoff{base: base, max: max, rng: det.NewRand(seed, 2)}
+	return &backoff{base: base, max: max, rng: detrand.New(seed, 2)}
 }
 
 // delay returns the pause before retry attempt n (n = 1 for the first

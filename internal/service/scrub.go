@@ -109,22 +109,13 @@ func scanJournal(raw []byte) scanResult {
 				seen[rec.ID] = true
 				res.jobs++
 			}
-		case recCompleted:
+		case recCompleted, recFailed:
 			if !seen[rec.ID] {
 				quarantine(fmt.Sprintf("finish record for unknown job %s (its submitted record is missing or damaged)", rec.ID))
 				continue
 			}
-			if rec.Result == nil {
+			if rec.Type == recCompleted && rec.Result == nil {
 				quarantine("completed record without result")
-				continue
-			}
-			if !done[rec.ID] {
-				done[rec.ID] = true
-				res.finished++
-			}
-		case recFailed:
-			if !seen[rec.ID] {
-				quarantine(fmt.Sprintf("finish record for unknown job %s (its submitted record is missing or damaged)", rec.ID))
 				continue
 			}
 			if !done[rec.ID] {
@@ -178,34 +169,11 @@ func writeQuarantine(fsys vfs.FS, path string, entries []quarantineEntry) error 
 	return f.Close()
 }
 
-// rewriteLog atomically replaces the journal at path with the clean image:
-// temp file, fsync, rename — the same crash-safety discipline compaction
-// uses, reusing the `.compact` temp name so the startup sweep covers both.
+// rewriteLog atomically replaces the journal at path with the clean image,
+// reusing compaction's `.compact` temp name so the startup sweep covers both.
 func rewriteLog(fsys vfs.FS, path string, clean []byte) error {
-	tmpPath := path + ".compact"
-	tmp, err := fsys.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := vfs.ReplaceFile(fsys, path+".compact", path, clean); err != nil {
 		return fmt.Errorf("journal: scrub rewrite: %w", err)
-	}
-	if _, err := tmp.Write(clean); err == nil {
-		err = tmp.Sync()
-	} else {
-		tmp.Close()
-		fsys.Remove(tmpPath)
-		return fmt.Errorf("journal: scrub rewrite: %w", err)
-	}
-	if err != nil {
-		tmp.Close()
-		fsys.Remove(tmpPath)
-		return fmt.Errorf("journal: scrub rewrite: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpPath)
-		return fmt.Errorf("journal: scrub rewrite close: %w", err)
-	}
-	if err := fsys.Rename(tmpPath, path); err != nil {
-		fsys.Remove(tmpPath)
-		return fmt.Errorf("journal: scrub rewrite rename: %w", err)
 	}
 	return nil
 }

@@ -71,8 +71,11 @@ type Config struct {
 	InstrCacheSize int
 	// ResultCacheSize bounds the LRU result cache (default 512 entries).
 	ResultCacheSize int
-	// SelfCheckRate is the fraction of result-cache hits to re-execute and
-	// compare against the stored schedule (0 disables, 1 checks every hit).
+	// SelfCheckRate is the fraction of answers the service did not just
+	// compute — result-cache hits and peer-filled results — to re-execute
+	// and compare against the stored or transferred schedule (0 disables, 1
+	// checks every one). A mismatch is a typed divergence that fails the job
+	// and feeds the admission circuit breaker.
 	SelfCheckRate float64
 	// SelfCheckSeed seeds the deterministic sampling stream.
 	SelfCheckSeed int64
@@ -146,14 +149,6 @@ type Config struct {
 	// lock: implementations must buffer and return, never block or call
 	// back into the service.
 	ShipRecord func(line []byte)
-	// PeerCheckRate is the fraction of peer-filled results to re-execute
-	// locally and cross-check against the peer's schedule (0 disables, 1
-	// checks every fill); PeerCheckSeed seeds the deterministic sampling
-	// stream. A mismatch is a typed divergence that fails the job and feeds
-	// the admission circuit breaker — a wrong peer answer is never served
-	// silently.
-	PeerCheckRate float64
-	PeerCheckSeed int64
 	// StealReclaim bounds how long a stolen (lent-to-a-peer) job may stay
 	// out before the service reclaims it and re-enqueues it locally
 	// (default 5s). Determinism makes the duplicate execution harmless: a
@@ -224,11 +219,10 @@ type Service struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	instr     *lruCache
-	results   *lruCache
-	check     *sampler
-	peerCheck *sampler
-	ctr       counters
+	instr   *lruCache
+	results *lruCache
+	check   *sampler
+	ctr     counters
 
 	journal  *journal // nil when no journal is configured
 	degraded atomic.Bool
@@ -262,19 +256,18 @@ func New(cfg Config) *Service {
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		jobs:      make(map[string]*job),
-		lent:      make(map[string]*job),
-		queue:     make(chan *job, cfg.QueueDepth),
-		instr:     newLRU(cfg.InstrCacheSize),
-		results:   newLRU(cfg.ResultCacheSize),
-		check:     newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
-		peerCheck: newSampler(cfg.PeerCheckRate, cfg.PeerCheckSeed),
-		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		back:      newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
-		chaos:     newChaos(cfg.Faults),
-		costs:     ir.DefaultCostModel(),
-		est:       estimates.DefaultTable(),
+		cfg:     cfg,
+		jobs:    make(map[string]*job),
+		lent:    make(map[string]*job),
+		queue:   make(chan *job, cfg.QueueDepth),
+		instr:   newLRU(cfg.InstrCacheSize),
+		results: newLRU(cfg.ResultCacheSize),
+		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
+		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
+		chaos:   newChaos(cfg.Faults),
+		costs:   ir.DefaultCostModel(),
+		est:     estimates.DefaultTable(),
 	}
 	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
 
@@ -317,14 +310,15 @@ func (s *Service) installRecovered(replayed []*journalJob) []*job {
 		if n, ok := numericID(jj.id); ok && n > s.seq {
 			s.seq = n
 		}
+		j := &job{id: jj.id, req: jj.req, done: closedCh}
+		s.jobs[jj.id] = j
+		s.ctr.recovered.Add(1)
 		switch {
 		case !jj.done:
 			// Incomplete: the crash interrupted it; re-execute. Determinism
 			// makes the re-run provably identical to the lost one.
-			j := &job{id: jj.id, req: jj.req, status: StatusQueued, done: make(chan struct{}), bytes: int64(len(jj.req.Source))}
-			s.jobs[jj.id] = j
+			j.status, j.done, j.bytes = StatusQueued, make(chan struct{}), int64(len(jj.req.Source))
 			s.inflight.Add(j.bytes)
-			s.ctr.recovered.Add(1)
 			enqueue = append(enqueue, j)
 		case jj.result != nil:
 			// Completed: serve the journaled result immediately, and queue a
@@ -332,24 +326,19 @@ func (s *Service) installRecovered(replayed []*journalJob) []*job {
 			// hashes — recovery trusts determinism but verifies it.
 			res := *jj.result
 			res.JobID = jj.id
-			j := &job{id: jj.id, req: jj.req, status: StatusDone, done: closedCh, result: &res}
-			s.jobs[jj.id] = j
-			s.ctr.recovered.Add(1)
+			j.status, j.result = StatusDone, &res
 			enqueue = append(enqueue, &job{
-				id:     jj.id + "#verify",
+				id:     jj.id,
 				req:    jj.req,
 				status: StatusQueued,
 				done:   make(chan struct{}),
-				verify: &verifySpec{target: jj.id, wantHash: res.ScheduleHash},
+				verify: &claim{hash: res.ScheduleHash},
 			})
 		default:
 			// Failed: the report's rendering and kind survive; the typed
 			// structure does not. Deterministic failures re-verify trivially
 			// if resubmitted — no cross-check needed.
-			j := &job{id: jj.id, req: jj.req, status: StatusFailed, done: closedCh,
-				err: errors.New(jj.errMsg), errKind: jj.errKind}
-			s.jobs[jj.id] = j
-			s.ctr.recovered.Add(1)
+			j.status, j.err, j.errKind = StatusFailed, errors.New(jj.errMsg), jj.errKind
 		}
 	}
 	return enqueue
@@ -719,27 +708,8 @@ func (s *Service) runJob(j *job) {
 	}
 	s.setStatus(j, StatusRunning)
 
-	// The job context merges three cancellation sources: service shutdown
-	// (rootCtx, via Kill), the synchronous submitter's disconnect
-	// (clientCtx), and the job's deadline. The sim engine polls it
-	// cooperatively, so cancellation lands mid-simulation, not after.
-	base := j.clientCtx
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
-	stop := context.AfterFunc(s.rootCtx, cancel)
-	defer stop()
+	ctx, cancel, deadline := s.jobContext(j.clientCtx, &j.req)
 	defer cancel()
-	deadline := s.cfg.DefaultDeadline
-	if j.req.DeadlineMS > 0 {
-		deadline = time.Duration(j.req.DeadlineMS) * time.Millisecond
-	}
-	if deadline > 0 {
-		var cancelDL context.CancelFunc
-		ctx, cancelDL = context.WithTimeout(ctx, deadline)
-		defer cancelDL()
-	}
 
 	var res *Result
 	var err error
@@ -770,6 +740,28 @@ func (s *Service) runJob(j *job) {
 		err = &diag.RetryError{Op: "service.job " + j.id, Attempts: attempts, Last: err}
 	}
 	s.finish(j, res, err)
+}
+
+// jobContext merges an execution's three cancellation sources: service
+// shutdown (rootCtx, via Kill), the submitter's context (nil when
+// asynchronous) and the request's deadline (else Config.DefaultDeadline;
+// returned for the timeout report). The sim engine polls the context
+// cooperatively, so cancellation lands mid-simulation, not after.
+func (s *Service) jobContext(base context.Context, req *Request) (context.Context, context.CancelFunc, time.Duration) {
+	if base == nil {
+		base = context.Background()
+	}
+	ctx, cancel := context.WithCancel(base)
+	stop := context.AfterFunc(s.rootCtx, cancel)
+	deadline := s.cfg.DefaultDeadline
+	if req.DeadlineMS > 0 {
+		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	}
+	cancelDL := context.CancelFunc(func() {})
+	if deadline > 0 {
+		ctx, cancelDL = context.WithTimeout(ctx, deadline)
+	}
+	return ctx, func() { cancelDL(); stop(); cancel() }, deadline
 }
 
 // attempt is one panic-contained execution of the job's pipeline; the chaos
@@ -809,7 +801,9 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	s.inflight.Add(-j.bytes)
 	if err != nil {
 		s.ctr.failed.Add(1)
-		s.ctr.failures.record(j.id, kind, err.Error())
+		if !errors.Is(err, diag.ErrDivergence) { // diverged already recorded it
+			s.ctr.failures.record(j.id, kind, err.Error())
+		}
 		// Shutdown-canceled failures are crash artifacts, not job outcomes:
 		// they stay out of the journal so recovery re-executes the job (a
 		// genuine deterministic failure reproduces on the re-run anyway).
@@ -820,13 +814,11 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		s.ctr.completed.Add(1)
 		s.journalFinished(j, res, "", "")
 	}
-	// Breaker feedback: divergences are the trip signal; any clean
-	// completion is the close/decay signal. Other failures (deadlock, race,
-	// timeout) are program- or policy-level and say nothing about the
-	// service's own soundness.
-	if errors.Is(err, diag.ErrDivergence) {
-		s.breaker.onDivergence()
-	} else if err == nil {
+	// Breaker feedback: any clean completion is the close/decay signal. The
+	// trip signal, a divergence, was fed where the cross-check failed
+	// (diverged). Other failures (deadlock, race, timeout) are program- or
+	// policy-level and say nothing about the service's own soundness.
+	if err == nil {
 		s.breaker.onSuccess()
 	}
 	close(j.done)
@@ -842,56 +834,6 @@ func (s *Service) retainLocked(j *job) {
 		s.doneOrder = s.doneOrder[1:]
 		delete(s.jobs, victim)
 	}
-}
-
-// runVerify is the recovery determinism cross-check: re-execute a journaled
-// completed job's request and compare schedule hashes. A mismatch means the
-// journal and the pipeline disagree — a typed divergence that flips the
-// recovered job to failed and feeds the circuit breaker, never a silently
-// wrong answer served from the log.
-func (s *Service) runVerify(j *job) {
-	defer close(j.done)
-	s.ctr.recoverChecks.Add(1)
-	hash, err := func() (hash string, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				hash, err = "", fmt.Errorf("service: recovery check %s: contained panic: %v", j.verify.target, r)
-			}
-		}()
-		var lat StageLatency
-		ie, _, err := s.instrumented(&j.req, &lat)
-		if err != nil {
-			return "", err
-		}
-		ent, err := s.simulate(s.rootCtx, ie, &j.req)
-		if err != nil {
-			return "", err
-		}
-		return ent.res.ScheduleHash, nil
-	}()
-	if s.rootCtx.Err() != nil {
-		return // shutdown raced the check; the next restart redoes it
-	}
-	if err == nil && hash == j.verify.wantHash {
-		s.breaker.onSuccess()
-		return
-	}
-	if err == nil {
-		err = fmt.Errorf("service: recovery cross-check: %w: journaled schedule hash %s, re-execution produced %s",
-			diag.ErrDivergence, j.verify.wantHash, hash)
-	} else {
-		err = fmt.Errorf("service: recovery cross-check: %w: journaled result could not be reproduced: %w",
-			diag.ErrDivergence, err)
-	}
-	s.ctr.divergences.Add(1)
-	s.ctr.failures.record(j.verify.target, "divergence", err.Error())
-	s.breaker.onDivergence()
-	s.mu.Lock()
-	if target, ok := s.jobs[j.verify.target]; ok {
-		target.status, target.err, target.result, target.errKind = StatusFailed, err, nil, "divergence"
-	}
-	s.mu.Unlock()
-	s.journalFinished(&job{id: j.verify.target}, nil, err.Error(), "divergence")
 }
 
 func (s *Service) setStatus(j *job, st Status) {
@@ -923,8 +865,7 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 			selfChecked := false
 			if s.check.sample() {
 				s.ctr.selfChecks.Add(1)
-				if err := s.selfCheck(ctx, ie, req, ent); err != nil {
-					s.ctr.divergences.Add(1)
+				if err := s.crossCheck(ctx, "self-check", j.id, req, claimOf(ent)); err != nil {
 					return nil, err
 				}
 				selfChecked = true
@@ -936,7 +877,7 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 		// before paying for a local simulation. Fill failure is never an
 		// error — a nil entry falls through to local recomputation.
 		if s.cfg.Fill != nil {
-			ent, err := s.peerFill(ctx, rk, j, ie)
+			ent, err := s.peerFill(ctx, rk, j)
 			if err != nil {
 				return nil, err // peer-fill cross-check divergence
 			}
@@ -970,37 +911,27 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 }
 
 // peerFill asks the cluster layer for a result-cache entry computed
-// elsewhere, validates its self-consistency, and (at Config.PeerCheckRate)
-// cross-checks it by local re-execution. Returns (nil, nil) whenever the
-// peer path cannot produce a trustworthy entry — the caller recomputes
-// locally and the client never sees a peer failure. The only error returned
-// is a typed divergence: the peer's schedule and a local re-execution
-// disagreed, which is a soundness failure that must not be served.
-func (s *Service) peerFill(ctx context.Context, key string, j *job, ie *instrEntry) (*resultEntry, error) {
+// elsewhere, validates its self-consistency, and — when the self-check
+// sampler picks it — cross-checks it by local recompute. Returns (nil, nil)
+// whenever the peer path cannot produce a trustworthy entry: the caller
+// recomputes locally and the client never sees a peer failure. The only
+// errors are the cross-check's: a typed divergence (a soundness failure that
+// must not be served) or the job context's own expiry.
+func (s *Service) peerFill(ctx context.Context, key string, j *job) (*resultEntry, error) {
 	pr := s.cfg.Fill(ctx, key, &j.req)
 	if pr == nil || pr.Schedule == nil {
 		return nil, nil
 	}
-	// Self-consistency: the transferred schedule must hash to the claimed
-	// ScheduleHash and match the claimed length. A corrupted transfer is
-	// treated as a miss, not an answer.
-	if fmt.Sprintf("%016x", pr.Schedule.Hash()) != pr.ScheduleHash || pr.Schedule.Len() != pr.ScheduleLen {
+	// A corrupted transfer is treated as a miss, not an answer.
+	if !selfConsistent(pr) {
 		s.ctr.peerFillRejects.Add(1)
 		return nil, nil
 	}
 	ent := entryFromPeer(pr, &j.req)
-	if s.peerCheck.sample() {
+	if s.check.sample() {
 		s.ctr.peerChecks.Add(1)
-		fresh, err := s.simulate(ctx, ie, &j.req)
-		if err != nil {
-			// The local pipeline refuses a request the peer claims to have
-			// completed — surface it as the job's own (typed) failure rather
-			// than serving an answer the local engine cannot reproduce.
+		if err := s.crossCheck(ctx, "peer-fill cross-check", j.id, &j.req, claimOf(ent)); err != nil {
 			return nil, err
-		}
-		if d := trace.Compare(ent.schedule, fresh.schedule); d.Diverged {
-			s.ctr.divergences.Add(1)
-			return nil, fmt.Errorf("service: peer-fill cross-check: %w", trace.DivergenceError(1, d))
 		}
 	}
 	s.ctr.peerFills.Add(1)
@@ -1109,20 +1040,6 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 	rc := *req
 	ent.req = &rc
 	return ent, nil
-}
-
-// selfCheck re-executes a cache hit and compares the fresh schedule against
-// the stored one. A mismatch is the weak-determinism contract failing under
-// the service — returned as the typed divergence report.
-func (s *Service) selfCheck(ctx context.Context, ie *instrEntry, req *Request, ent *resultEntry) error {
-	fresh, err := s.simulate(ctx, ie, req)
-	if err != nil {
-		return fmt.Errorf("service: self-check re-execution: %w", err)
-	}
-	if d := trace.Compare(ent.schedule, fresh.schedule); d.Diverged {
-		return trace.DivergenceError(1, d)
-	}
-	return nil
 }
 
 // assemble builds the job-facing result from a cache entry, honoring the

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/detrand"
 )
 
 // counters aggregates service-lifetime statistics. All fields are atomics:
@@ -302,40 +304,29 @@ type StatsSnapshot struct {
 	Stages map[string]StageStats `json:"stage_latency"`
 }
 
-// sampler draws deterministic pseudo-random booleans for the self-check.
-// An xorshift64* stream seeded by Config.SelfCheckSeed makes the sampled
-// subset reproducible for a given submission order.
+// sampler draws deterministic pseudo-random booleans for the sampled
+// cross-checks (cache-hit self-checks and peer-fill checks share it); seeded
+// by Config.SelfCheckSeed, the subset is reproducible per submission order.
 type sampler struct {
-	mu        sync.Mutex
-	state     uint64
-	threshold uint64 // sample when next() < threshold
+	rate float64
+
+	mu  sync.Mutex
+	rng *detrand.Rand
 }
 
 func newSampler(rate float64, seed int64) *sampler {
 	if rate <= 0 {
 		return nil
 	}
-	if rate > 1 {
-		rate = 1
-	}
-	s := &sampler{state: uint64(seed)*2685821657736338717 + 1}
-	s.threshold = uint64(rate * float64(^uint64(0)>>1))
-	if rate >= 1 {
-		s.threshold = ^uint64(0)
-	}
-	return s
+	return &sampler{rate: rate, rng: detrand.New(seed, 3)}
 }
 
-// sample returns true for approximately rate of calls.
+// sample returns true for approximately rate of calls (every call at rate 1).
 func (s *sampler) sample() bool {
 	if s == nil {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.state ^= s.state >> 12
-	s.state ^= s.state << 25
-	s.state ^= s.state >> 27
-	v := s.state * 2685821657736338717
-	return v>>1 < s.threshold
+	return s.rng.Float() < s.rate
 }

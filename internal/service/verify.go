@@ -1,0 +1,215 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+
+	"repro/internal/diag"
+	"repro/internal/trace"
+)
+
+// The verifier. DetLock's contract — same program, same seed, same lock
+// order, same schedule hash — lets the service police itself by re-execution
+// (Aviram et al.: re-execution is a proof). Every site holding bytes that
+// claim to be a result (DESIGN §9 tabulates them) states that proof through
+// this file: recompute never looks at a stored result, so a check cannot be
+// satisfied by the bytes it is checking; claim.mismatch is the one
+// comparison; selfConsistent the one test that a transferred schedule is the
+// one its summary describes; diverged the one place a failed check is
+// counted, recorded and fed to the admission circuit breaker.
+
+// claim is what a cross-check holds a recompute to: the schedule hash that
+// stored, journaled or peer-supplied bytes assert, and the schedule itself
+// when those bytes carry one.
+type claim struct {
+	hash     string
+	schedule *trace.Schedule // nil when only the hash is known
+}
+
+func claimOf(ent *resultEntry) claim {
+	return claim{hash: ent.res.ScheduleHash, schedule: ent.schedule}
+}
+
+// mismatch is nil when fresh's schedule hash — and, where the claim carries
+// its schedule, every event — agrees with the claim; otherwise a typed
+// divergence naming the first differing event (or just both hashes).
+func (c claim) mismatch(site string, fresh *resultEntry) error {
+	if c.schedule != nil {
+		if d := trace.Compare(c.schedule, fresh.schedule); d.Diverged {
+			return fmt.Errorf("service: %s: %w", site, trace.DivergenceError(1, d))
+		}
+	}
+	if c.hash != fresh.res.ScheduleHash {
+		return fmt.Errorf("service: %s: %w: schedule hash %s claimed, %s found",
+			site, diag.ErrDivergence, c.hash, fresh.res.ScheduleHash)
+	}
+	return nil
+}
+
+// selfConsistent reports whether a transferred result's schedule is the one
+// its summary describes: it hashes to ScheduleHash and has ScheduleLen events.
+func selfConsistent(res *Result) bool {
+	return fmt.Sprintf("%016x", res.Schedule.Hash()) == res.ScheduleHash && res.Schedule.Len() == res.ScheduleLen
+}
+
+// recompute executes req from scratch: the instrumentation cache (a pure
+// function of the source), then a fresh panic-contained simulation. It never
+// reads the result cache and never calls the Fill or Offer hooks — the
+// result is this node's own deterministic core's, whatever anyone has stored.
+func (s *Service) recompute(ctx context.Context, req *Request) (ent *resultEntry, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ent, err = nil, fmt.Errorf("service: recompute: %w: %v", errContainedPanic, r)
+		}
+	}()
+	r := *req
+	if err := normalize(&r); err != nil {
+		return nil, err
+	}
+	var lat StageLatency
+	ie, _, err := s.instrumented(&r, &lat)
+	if err != nil {
+		return nil, err
+	}
+	return s.simulate(ctx, ie, &r)
+}
+
+// verdict recomputes req and holds the outcome to c: the fresh entry and nil
+// when the claim reproduces; the context's error when the recompute was
+// interrupted (no verdict either way); otherwise diag.ErrDivergence — the
+// schedules differ, or c claims "completed" for a request this node cannot.
+func (s *Service) verdict(ctx context.Context, site string, req *Request, c claim) (*resultEntry, error) {
+	fresh, err := s.recompute(ctx, req)
+	switch {
+	case err == nil:
+		return fresh, c.mismatch(site, fresh)
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	default:
+		return nil, fmt.Errorf("service: %s: %w: the claimed result could not be reproduced: %v", site, diag.ErrDivergence, err)
+	}
+}
+
+// crossCheck is verdict plus the bookkeeping: a divergence is accounted
+// through diverged under id before it is returned.
+func (s *Service) crossCheck(ctx context.Context, site, id string, req *Request, c claim) error {
+	_, err := s.verdict(ctx, site, req, c)
+	if errors.Is(err, diag.ErrDivergence) {
+		s.diverged(id, err)
+	}
+	return err
+}
+
+// diverged accounts one failed cross-check: the divergences counter, the
+// failure ring (under the error's Classify kind) and the breaker's trip signal.
+func (s *Service) diverged(id string, err error) {
+	s.ctr.divergences.Add(1)
+	s.ctr.failures.record(id, Classify(err), err.Error())
+	s.breaker.onDivergence()
+}
+
+// runVerify is the recovery cross-check: recompute a journaled completed
+// job's request and hold it to the journaled hash. On a mismatch the journal
+// and the pipeline disagree: the recovered job flips to failed and the verdict
+// is journaled — never a silently wrong answer served from the log.
+func (s *Service) runVerify(j *job) {
+	defer close(j.done)
+	s.ctr.recoverChecks.Add(1)
+	err := s.crossCheck(s.rootCtx, "recovery cross-check", j.id, &j.req, *j.verify)
+	switch {
+	case err == nil:
+		s.breaker.onSuccess()
+		return
+	case !errors.Is(err, diag.ErrDivergence):
+		return // shutdown raced the check; the next restart redoes it
+	}
+	s.mu.Lock()
+	if t, ok := s.jobs[j.id]; ok {
+		t.status, t.err, t.result, t.errKind = StatusFailed, err, nil, "divergence"
+	}
+	s.mu.Unlock()
+	s.journalFinished(j, nil, err.Error(), "divergence")
+}
+
+// RecheckResult arbitrates a suspect result-cache entry by deterministic
+// recompute — the repair loop calls it when a peer's digest disagrees with
+// ours on a key. nil: the stored entry reproduced, the local copy is sound
+// (and the disagreeing peer is the suspect). *diag.CorruptionError: the local
+// entry was wrong or unverifiable and is never served again — the recompute
+// replaced it (that IS the repair) or, with nothing to recompute from, it was
+// evicted; a failed recompute is accounted as a divergence. The context's
+// error: the recheck was interrupted and nothing changed.
+func (s *Service) RecheckResult(ctx context.Context, key string) error {
+	if s.degraded.Load() {
+		return nil
+	}
+	v, ok := s.results.peek(key)
+	if !ok {
+		return nil
+	}
+	ent := v.(*resultEntry)
+	if ent.req == nil {
+		s.results.remove(key)
+		return &diag.CorruptionError{Source: "result cache",
+			Detail: fmt.Sprintf("entry %.12s carries no originating request; evicted as unverifiable", key)}
+	}
+	fresh, err := s.verdict(ctx, "repair recheck", ent.req, claimOf(ent))
+	if !errors.Is(err, diag.ErrDivergence) {
+		return err // reproduced, or interrupted
+	}
+	outcome := "evicted"
+	if fresh != nil {
+		s.results.add(key, fresh)
+		outcome = "replaced"
+	} else {
+		s.results.remove(key)
+	}
+	cerr := &diag.CorruptionError{Source: "result cache", Detail: fmt.Sprintf("entry %.12s %s: %v", key, outcome, err)}
+	s.diverged("", cerr)
+	return cerr
+}
+
+// snapshotChecks bounds the journaled completions a snapshot check
+// recomputes. Small on purpose: the check is a spot audit that any divergence
+// fails loudly, not a full replay.
+const snapshotChecks = 2
+
+// CheckSnapshotRecords cross-checks a peer-supplied journal snapshot (the
+// shipping resync payload) — what a joining node runs on its bootstrap
+// payload and a drain successor on a transferred journal segment, so state
+// transfer is proved correct, not just copied. The first snapshotChecks
+// completed records are recomputed from their submitted requests on this
+// node's own core (never through the result cache, which the same peer may
+// have filled) and held to the journaled hashes; a mismatch is a divergence,
+// accounted like every other. The lines go through the journal's own scanner:
+// whatever recovery would quarantine or truncate is a *diag.CorruptionError.
+func (s *Service) CheckSnapshotRecords(ctx context.Context, lines [][]byte) error {
+	scan := scanJournal(bytes.Join(lines, nil))
+	if len(scan.quarantined) > 0 || scan.tornBytes > 0 {
+		return &diag.CorruptionError{Source: "journal snapshot",
+			Detail: fmt.Sprintf("%d damaged lines, %d torn trailing bytes", len(scan.quarantined), scan.tornBytes)}
+	}
+	reqs := make(map[string]*Request)
+	checked := 0
+	for _, rec := range scan.recs {
+		switch rec.Type {
+		case recSubmitted:
+			if _, dup := reqs[rec.ID]; !dup {
+				reqs[rec.ID] = rec.Req // first submit wins, as in replay
+			}
+		case recCompleted:
+			if checked == snapshotChecks {
+				return nil
+			}
+			// The scanner admits a finish record only after its submit.
+			err := s.crossCheck(ctx, "snapshot cross-check "+rec.ID, rec.ID, reqs[rec.ID], claim{hash: rec.Result.ScheduleHash})
+			if err != nil {
+				return err
+			}
+			checked++
+		}
+	}
+	return nil
+}

@@ -1,11 +1,12 @@
 // Package vfs is the minimal filesystem seam the durability layer writes
 // through. The journal (internal/service) and every other crash-safety
-// artifact perform their file I/O against the FS interface instead of the os
+// artifact (the cluster standby's shipped journal, the journal-handoff
+// sidecar) perform their file I/O against the FS interface instead of the os
 // package, so a test harness can stand between the service and the disk and
 // inject the failures real disks produce — short writes, fsync errors,
 // ENOSPC — without patching the code under test. internal/nemesis.FaultFS is
-// that harness; OS is the production implementation and the package's only
-// other export.
+// that harness; OS is the production implementation, and ReplaceFile is the
+// one temp-file-then-rename rewrite all of them share.
 //
 // The interface is deliberately tiny: exactly the operations the journal's
 // crash-safety story uses (append, fsync, truncate-to-prefix, atomic
@@ -15,6 +16,7 @@
 package vfs
 
 import (
+	"fmt"
 	"io"
 	"os"
 )
@@ -60,3 +62,29 @@ func (OS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
 func (OS) Remove(name string) error { return os.Remove(name) }
+
+// ReplaceFile atomically and durably replaces path with data: the bytes go to
+// tmp in one Write, are fsynced, and only then renamed over path, so a crash
+// at any point leaves either the old file or the complete new one. On failure
+// tmp is removed (best effort) and path is untouched.
+func ReplaceFile(fsys FS, tmp, path string, data []byte) error {
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("replace %s: %w", path, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return fmt.Errorf("replace %s: %w", path, err)
+	}
+	return nil
+}

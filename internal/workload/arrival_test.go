@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/diag"
@@ -120,6 +121,28 @@ func TestTimelineValidation(t *testing.T) {
 		var mis *diag.MisuseError
 		if !errors.As(err, &mis) || !errors.Is(err, diag.ErrBadConfig) {
 			t.Fatalf("%+v: err = %v, want typed MisuseError/ErrBadConfig", cfg, err)
+		}
+	}
+}
+
+// TestClosedLoopClientStreamsDistinct: per-client think labels hash into a
+// bounded id range. The committed 8-client shape is collision-free; at 11
+// clients think/9 and think/10 land on one id — two "independent" clients
+// would draw the identical think stream — so the timeline is refused with a
+// typed error naming both labels instead of aliasing them.
+func TestClosedLoopClientStreamsDistinct(t *testing.T) {
+	cfg := ArrivalConfig{Shape: ShapeClosed, Jobs: 64, RatePerSec: 1000, Clients: 8}
+	if _, err := Timeline(NewPartitionedRNG(1), cfg); err != nil {
+		t.Fatalf("8 clients: %v", err)
+	}
+	cfg.Clients = 11
+	_, err := Timeline(NewPartitionedRNG(1), cfg)
+	if !errors.Is(err, diag.ErrBadConfig) {
+		t.Fatalf("11 clients: err = %v, want ErrBadConfig", err)
+	}
+	for _, label := range []string{`"think/9"`, `"think/10"`} {
+		if !strings.Contains(err.Error(), label) {
+			t.Fatalf("11 clients: error does not name %s: %v", label, err)
 		}
 	}
 }

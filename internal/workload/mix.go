@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 	"repro/internal/irgen"
 )
 
@@ -152,7 +152,7 @@ func Synthesize(rng *PartitionedRNG, spec MixSpec) (*Mix, error) {
 	return m, nil
 }
 
-func pickWeighted(r *det.Rand, fams []family, total int) family {
+func pickWeighted(r *detrand.Rand, fams []family, total int) family {
 	n := r.IntN(total)
 	for _, f := range fams {
 		if n < f.weight {
@@ -164,7 +164,7 @@ func pickWeighted(r *det.Rand, fams []family, total int) family {
 }
 
 // Pick draws one program for an arrival from the mix stream.
-func (m *Mix) Pick(r *det.Rand) Program {
+func (m *Mix) Pick(r *detrand.Rand) Program {
 	return m.Progs[r.IntN(len(m.Progs))]
 }
 

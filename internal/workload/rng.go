@@ -7,18 +7,13 @@
 // runner producing deterministic, byte-identical result tables.
 //
 // Randomness is partitioned per subsystem exactly like internal/nemesis:
-// each class of decision draws from its own det.Rand stream derived from
+// each class of decision draws from its own detrand.Rand stream derived from
 // (seed, class id), so changing how many draws one class consumes never
 // shifts another class's timeline — the arrival shape can change without
 // perturbing which programs the mix picks, and vice versa.
 package workload
 
-import (
-	"hash/fnv"
-	"sync"
-
-	"repro/internal/det"
-)
+import "repro/internal/detrand"
 
 // Stream classes. Every seeded decision in the workload plane belongs to
 // exactly one class.
@@ -33,55 +28,13 @@ const (
 	ClassThink = "think"
 )
 
-// streamID maps a class to its fixed det.Rand stream id. The ids live in a
-// different range from the nemesis plane's (11..15) so a shared seed never
-// aliases workload draws with fault-schedule draws. Unknown labels hash into
-// a disjoint range, so ad-hoc streams (e.g. per-client think streams) are
-// stable too.
-func streamID(class string) int {
-	switch class {
-	case ClassArrival:
-		return 31
-	case ClassMix:
-		return 32
-	case ClassPayload:
-		return 33
-	case ClassThink:
-		return 34
-	default:
-		h := fnv.New32a()
-		h.Write([]byte(class))
-		return 1101 + int(h.Sum32()%1009)
-	}
-}
-
-// PartitionedRNG hands out one independent deterministic stream per class
-// label. Safe for concurrent use; each stream itself must be consumed from
-// one goroutine (the driver serializes all draws).
-type PartitionedRNG struct {
-	seed    int64
-	mu      sync.Mutex
-	streams map[string]*det.Rand
-}
+// PartitionedRNG is detrand's stream registry under the name bench/ uses. The
+// class ids (31–34) share detrand's table with the nemesis plane's, so one
+// seed never aliases workload draws with fault-schedule draws; other labels
+// (the per-client think streams) hash into the workload ad-hoc range.
+type PartitionedRNG = detrand.Streams
 
 // NewPartitionedRNG returns a partitioned source rooted at seed.
 func NewPartitionedRNG(seed int64) *PartitionedRNG {
-	return &PartitionedRNG{seed: seed, streams: map[string]*det.Rand{}}
-}
-
-// Seed returns the root seed.
-func (p *PartitionedRNG) Seed() int64 { return p.seed }
-
-// Stream returns the class's stream, creating it on first use. The same
-// (seed, class) always yields the same sequence regardless of which other
-// classes were used before.
-func (p *PartitionedRNG) Stream(class string) *det.Rand {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, ok := p.streams[class]
-	if !ok {
-		r = det.NewRand(p.seed, streamID(class))
-		p.streams[class] = r
-	}
-	return r
+	return detrand.NewStreams(seed, detrand.WorkloadAdhocBase)
 }
