@@ -27,18 +27,23 @@ bench-check:
 
 # bench runs every committed benchmark at full benchtime: the robustness
 # guards at the repo root plus the hot-loop reference-vs-optimized pairs
-# (interpreter dispatch, engine scheduler, race detector on/off).
+# (interpreter dispatch, engine scheduler, race detector on/off) and the
+# service's result-cache hit on a 1 kB and a 36 kB program, which must read
+# alike: a hit costs the request's configuration, not its text.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDetRuntimeWatchdog|BenchmarkRaceDetectorOff' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkRaceDetector' -benchmem ./internal/interp/
 	$(GO) test -run '^$$' -bench BenchmarkEngineSweep -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench BenchmarkDoHit -benchmem ./internal/service/
 
-# bench-smoke is the CI variant: one iteration of each hot-loop benchmark,
-# enough to catch a broken benchmark or an allocation regression without
-# paying full measurement time.
+# bench-smoke is the CI variant: one iteration of each hot-loop benchmark
+# (a thousand cache hits, so the two sizes' ns/op can be read against each
+# other), enough to catch a broken benchmark or an allocation regression
+# without paying full measurement time.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkRaceDetector' -benchtime 1x -benchmem ./internal/interp/
 	$(GO) test -run '^$$' -bench BenchmarkEngineSweep -benchtime 1x -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench BenchmarkDoHit -benchtime 1000x -benchmem ./internal/service/
 
 # serve-smoke proves detserve end to end over real loopback HTTP (the tests in
 # cmd/detserve, also part of `make test`): the real server answers a repeated

@@ -19,10 +19,11 @@ import (
 //
 // The harness wires one DCache per Runner: a table sweep builds hundreds of
 // machines over a handful of modules, and sharing removes every decode
-// after the first per (function, mode). Machines still keep a private
-// lock-free map in front of this one, so the dispatch loop never takes the
-// mutex. Concurrent machines may race to decode the same key; both results
-// are identical and either may win — publication is last-write.
+// after the first per (function, mode); the service wires one per cached
+// module, freed with it. Machines still keep a private lock-free map in
+// front of this one, so the dispatch loop never takes the mutex. Concurrent
+// machines may race to decode the same key; both results are identical and
+// either may win — publication is last-write.
 type DCache struct {
 	mu sync.Mutex
 	m  map[dckey]*dcode
@@ -46,14 +47,15 @@ func (c *DCache) get(k dckey) *dcode {
 	return c.m[k]
 }
 
-func (c *DCache) put(k dckey, dc *dcode) {
+// publish adds a machine's streams once all are complete (Machine.decode).
+// Unbounded: an entry pins its function's module, which both owners hold
+// anyway — the service's cache dies with its one module, and a Runner
+// memoizes every module it is handed (harness/prep.go).
+func (c *DCache) publish(k dckey, streams map[*ir.Func]*dcode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Functions live as long as their module; bound the cache so a
-	// long-lived Runner fed a stream of distinct modules (the service
-	// layer) cannot grow it without limit.
-	if len(c.m) >= 4096 {
-		c.m = map[dckey]*dcode{}
+	for fn, dc := range streams {
+		k.fn = fn
+		c.m[k] = dc
 	}
-	c.m[k] = dc
 }

@@ -296,17 +296,20 @@ func (m *Machine) decode(fn *ir.Func) *dcode {
 		return dc
 	}
 	shared := m.cfg.DCache
-	var key dckey
-	if shared != nil {
-		key = dckey{fn: fn, cm: m.cm, est: m.est, kendo: m.cfg.Mode == ModeKendo}
-		if dc := shared.get(key); dc != nil {
-			m.dcache[fn] = dc
-			return dc
-		}
+	if shared == nil {
+		return m.decodeFn(fn)
 	}
+	key := dckey{fn: fn, cm: m.cm, est: m.est, kendo: m.cfg.Mode == ModeKendo}
+	if dc := shared.get(key); dc != nil {
+		m.dcache[fn] = dc
+		return dc
+	}
+	m.decoding++
 	dc := m.decodeFn(fn)
-	if shared != nil {
-		shared.put(key, dc)
+	if m.decoding--; m.decoding == 0 {
+		// Under recursion a finished stream can call one that is still being
+		// filled: nothing is shared before the outermost decode has returned.
+		shared.publish(key, m.dcache)
 	}
 	return dc
 }

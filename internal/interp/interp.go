@@ -139,7 +139,8 @@ type Machine struct {
 	// dcache memoizes decoded instruction streams per function (decode.go):
 	// a lock-free per-machine view in front of the optional shared
 	// Config.DCache.
-	dcache map[*ir.Func]*dcode
+	dcache   map[*ir.Func]*dcode
+	decoding int // decode calls in progress; the outermost one publishes
 
 	// Stats.
 	InstrsExecuted int64

@@ -3,14 +3,15 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
-	"hash"
 	"strconv"
 	"sync"
 	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/trace"
 )
@@ -20,9 +21,9 @@ import (
 // pairs produce identical schedules and cycle counts, so a stored result IS
 // the result of re-execution. Two layers:
 //
-//   - the instrumentation cache maps hash(IR source, Options) to the
-//     instrumented module and pass statistics — instrumentation is a pure
-//     function of (source, options);
+//   - the instrumentation cache maps (IR source, options) — the request
+//     fields themselves, it never leaves the process — to the instrumented
+//     module and pass statistics: instrumentation is a pure function of them;
 //   - the result cache maps hash(instrumented module, SimConfig) to the
 //     simulation outcome — keyed on the *instrumented* text so two sources
 //     that instrument to the same module share one entry.
@@ -34,84 +35,76 @@ import (
 // serving a wrong answer.
 
 // lruCache is a small bounded LRU: map + intrusive recency list.
-type lruCache struct {
+type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	ll    *list.List // of *lruEntry[K, V]; front = most recently used
+	items map[K]*list.Element
 }
 
-type lruEntry struct {
-	key string
-	val any
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+func newLRU[K comparable, V any](capacity int) *lruCache[K, V] {
+	return &lruCache[K, V]{cap: capacity, ll: list.New(), items: make(map[K]*list.Element)}
 }
 
-// get returns the cached value and marks it most recently used.
-func (c *lruCache) get(key string) (any, bool) {
+// get returns the cached value and marks it most recently used; peek leaves
+// recency alone — maintenance traffic (repair) must not reorder the LRU.
+func (c *lruCache[K, V]) get(key K) (V, bool)  { return c.lookup(key, true) }
+func (c *lruCache[K, V]) peek(key K) (V, bool) { return c.lookup(key, false) }
+
+func (c *lruCache[K, V]) lookup(key K, touch bool) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+	if el, hit := c.items[key]; hit {
+		if touch {
+			c.ll.MoveToFront(el)
+		}
+		val, ok = el.Value.(*lruEntry[K, V]).val, true
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return val, ok
 }
 
 // add inserts (or refreshes) a key, evicting the least recently used entry
 // beyond capacity.
-func (c *lruCache) add(key string, val any) {
+func (c *lruCache[K, V]) add(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).val = val
+		el.Value.(*lruEntry[K, V]).val = val
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
-func (c *lruCache) len() int {
+func (c *lruCache[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-// peek returns the cached value without marking it used — enumeration paths
-// (repair scans) must not let maintenance traffic reorder the LRU.
-func (c *lruCache) peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*lruEntry).val, true
-}
-
-// keys returns every cached key, most recently used first, without touching
+// each calls f on every entry, most recently used first, without touching
 // recency. The anti-entropy repair loop enumerates the result cache with it.
-func (c *lruCache) keys() []string {
+func (c *lruCache[K, V]) each(f func(K, V)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruEntry).key)
+		ent := el.Value.(*lruEntry[K, V])
+		f(ent.key, ent.val)
 	}
-	return out
 }
 
 // remove evicts a key (repair quarantine); missing keys are a no-op.
-func (c *lruCache) remove(key string) {
+func (c *lruCache[K, V]) remove(key K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -128,11 +121,14 @@ type instrEntry struct {
 	// mod is the module jobs run: instrumented in place after parsing, or
 	// as parsed for baseline jobs.
 	mod *ir.Module
-	// text is mod's canonical printed form — the content address the result
-	// cache keys on.
-	text string
+	// keyState is the SHA-256 state after "mod\x00" and mod's canonical
+	// printed text — the content address every result key of this module
+	// resumes from (resultKey).
+	keyState []byte
 	// pass holds instrumentation statistics (nil for baseline jobs).
 	pass *core.Result
+	// decoded holds mod's decoded instruction streams; freed with the entry.
+	decoded *interp.DCache
 }
 
 // resultEntry is one result-cache value: the canonical outcome of a
@@ -182,35 +178,41 @@ func entryFromPeer(res *Result, req *Request) *resultEntry {
 	return ent
 }
 
-// instrKey is the content address of an instrumentation: the exact source
-// text plus every option that changes the instrumented module.
-func instrKey(req *Request) string {
-	mode, preset := "\x00preset\x00", req.Preset
-	if req.Baseline {
-		mode, preset = "\x00baseline", ""
-	}
-	h := sha256.New()
-	for _, s := range [...]string{"src\x00", req.Source, "\x00entry\x00", req.Entry, mode, preset} {
-		hashString(h, s)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// instrKey addresses an instrumentation: the exact source text plus every
+// option that changes the instrumented module. The map compares the fields
+// themselves, so a lookup costs a map hash and a memeq over the source.
+type instrKey struct {
+	source, entry, preset string
+	baseline              bool
 }
 
-// hashString writes s to h without the copy that []byte(s), passed through
-// the hash.Hash interface, would allocate: both keys are computed for every
-// job, hits included, over a whole program text.
-func hashString(h hash.Hash, s string) {
-	h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
+func instrKeyOf(req *Request) instrKey {
+	if req.Baseline { // not instrumented: the preset cannot matter
+		return instrKey{source: req.Source, entry: req.Entry, baseline: true}
+	}
+	return instrKey{source: req.Source, entry: req.Entry, preset: req.Preset}
+}
+
+// moduleKeyState hashes the per-module prefix of a result key and returns
+// the digest's state. It runs once per instrEntry, over a whole program text.
+func moduleKeyState(moduleText string) []byte {
+	h := sha256.New()
+	h.Write([]byte("mod\x00"))
+	// No []byte(moduleText): passed through hash.Hash it would be copied.
+	h.Write(unsafe.Slice(unsafe.StringData(moduleText), len(moduleText)))
+	state, _ := h.(encoding.BinaryMarshaler).MarshalBinary() // a SHA-256 digest's never fails
+	return state
 }
 
 // resultKey is the content address of a simulation: the instrumented
-// module's printed text plus every SimConfig field that can change the
-// outcome. PerturbSeed is included even though deterministic schedules are
-// invariant under it — makespans are not.
-func resultKey(moduleText string, req *Request) string {
+// module's printed text (resumed from moduleKeyState) plus every SimConfig
+// field that can change the outcome. PerturbSeed is included even though
+// deterministic schedules are invariant under it — makespans are not.
+func resultKey(keyState []byte, req *Request) string {
 	h := sha256.New()
-	hashString(h, "mod\x00")
-	hashString(h, moduleText)
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(keyState); err != nil {
+		panic(err) // keyState only ever comes from moduleKeyState
+	}
 	b := append(make([]byte, 0, 96), "\x00threads\x00"...)
 	b = strconv.AppendInt(b, int64(req.Threads), 10)
 	b = append(append(b, "\x00entry\x00"...), req.Entry...)

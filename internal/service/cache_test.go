@@ -2,12 +2,13 @@ package service
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[string, int](2)
 	c.add("a", 1)
 	c.add("b", 2)
 	if _, ok := c.get("a"); !ok {
@@ -29,7 +30,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Refreshing an existing key must not grow the cache.
 	c.add("c", 4)
-	if v, _ := c.get("c"); v.(int) != 4 {
+	if v, _ := c.get("c"); v != 4 {
 		t.Fatalf("refresh did not replace value: %v", v)
 	}
 	if c.len() != 2 {
@@ -48,7 +49,7 @@ func TestLRUConcurrentEviction(t *testing.T) {
 		ops        = 2000
 		keyspace   = 32 // 4× capacity: constant eviction pressure
 	)
-	c := newLRU(capacity)
+	c := newLRU[string, int](capacity)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -58,7 +59,7 @@ func TestLRUConcurrentEviction(t *testing.T) {
 				k := (g*7 + i) % keyspace // overlapping, shifted walks
 				key := fmt.Sprintf("k%d", k)
 				if v, ok := c.get(key); ok {
-					if v.(int) != k {
+					if v != k {
 						t.Errorf("key %s returned value %v", key, v)
 						return
 					}
@@ -98,7 +99,9 @@ func TestLRUConcurrentEviction(t *testing.T) {
 func TestCacheKeySensitivity(t *testing.T) {
 	base := Request{Source: "module m", Entry: "main", Threads: 4, Preset: "all"}
 
-	if instrKey(&base) != instrKey(&base) {
+	// The instrumentation key is compared field by field, never hashed: a
+	// source built at run time must equal the same text held elsewhere.
+	if copied := (Request{Source: strings.Clone(base.Source), Entry: "main", Preset: "all"}); instrKeyOf(&copied) != instrKeyOf(&base) {
 		t.Fatal("instrKey not stable")
 	}
 	variants := []Request{
@@ -108,24 +111,31 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{Source: "module m", Entry: "main", Threads: 4, Preset: "all", Baseline: true},
 	}
 	for i, v := range variants {
-		if instrKey(&v) == instrKey(&base) {
+		if instrKeyOf(&v) == instrKeyOf(&base) {
 			t.Errorf("instr variant %d collided with base", i)
 		}
 	}
 	// Threads, seed, and race do not affect instrumentation…
 	same := base
 	same.Threads, same.PerturbSeed, same.Race = 8, 99, true
-	if instrKey(&same) != instrKey(&base) {
+	if instrKeyOf(&same) != instrKeyOf(&base) {
 		t.Error("sim-only fields leaked into instrKey")
 	}
+	// …nor does the preset of a module that is not instrumented…
+	b1, b2 := variants[3], variants[3]
+	b2.Preset = "O2"
+	if instrKeyOf(&b1) != instrKeyOf(&b2) {
+		t.Error("baseline instrKey depends on the preset")
+	}
 	// …but all affect the result key.
-	if resultKey("mod", &same) == resultKey("mod", &base) {
+	mod, modA, modB := moduleKeyState("mod"), moduleKeyState("modA"), moduleKeyState("modB")
+	if resultKey(mod, &same) == resultKey(mod, &base) {
 		t.Error("resultKey ignored sim config changes")
 	}
-	if resultKey("modA", &base) == resultKey("modB", &base) {
+	if resultKey(modA, &base) == resultKey(modB, &base) {
 		t.Error("resultKey ignored module text")
 	}
-	if resultKey("mod", &base) != resultKey("mod", &base) {
+	if resultKey(mod, &base) != resultKey(moduleKeyState("mod"), &base) {
 		t.Error("resultKey not stable")
 	}
 }

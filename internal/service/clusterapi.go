@@ -155,12 +155,12 @@ func (s *Service) ResultByKey(key string) (*Result, bool) {
 	if s.degraded.Load() {
 		return nil, false
 	}
-	v, ok := s.results.get(key)
+	ent, ok := s.results.get(key)
 	if !ok {
 		return nil, false
 	}
 	s.ctr.peerServes.Add(1)
-	return exportEntry(v.(*resultEntry)), true
+	return exportEntry(ent), true
 }
 
 // OfferResult installs a peer-computed entry into the local result cache —
@@ -186,8 +186,8 @@ func (s *Service) OfferResult(key string, res *Result, req *Request) error {
 			Detail: "offered schedule does not hash to its claimed ScheduleHash"}
 	}
 	offered := entryFromPeer(res, req)
-	if v, ok := s.results.get(key); ok {
-		err := claimOf(v.(*resultEntry)).mismatch(fmt.Sprintf("offered result for %.12s", key), offered)
+	if ent, ok := s.results.get(key); ok {
+		err := claimOf(ent).mismatch(fmt.Sprintf("offered result for %.12s", key), offered)
 		if err != nil {
 			s.diverged("", err)
 		}
@@ -233,12 +233,11 @@ func (s *Service) KeyFor(req Request) (string, error) {
 	if err := normalize(&req); err != nil {
 		return "", err
 	}
-	var lat StageLatency
-	ie, _, err := s.instrumented(&req, &lat)
+	ie, _, err := s.instrumented(&req, new(StageLatency))
 	if err != nil {
 		return "", err
 	}
-	return resultKey(ie.text, &req), nil
+	return resultKey(ie.keyState, &req), nil
 }
 
 // QueueDepth reports the current queue backlog — the signal health probes

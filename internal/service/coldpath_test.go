@@ -2,11 +2,21 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/estimates"
+	"repro/internal/harness"
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// The cache keys are content addresses that ring ownership, journals and
+// The result key is a content address that ring ownership, journals and
 // peers' caches depend on: the literals below were computed on the commit
 // before the keys stopped being formatted through fmt (71a39d6).
 func TestKeyLiterals(t *testing.T) {
@@ -15,17 +25,11 @@ func TestKeyLiterals(t *testing.T) {
 		Entry:  "main", Preset: "O2", Threads: 3, PerturbSeed: -42, Race: true,
 	}
 	text := "module m\n\nfunc main() regs 1 {\nentry:\n  ret 0\n}\n"
-	if got, want := instrKey(&req), "3ad0c5a942cf3de1ac606b0cf1b43f8a3d6913f165fd990119af0f231ca0d192"; got != want {
-		t.Errorf("instrKey = %s, want %s", got, want)
-	}
-	if got, want := resultKey(text, &req), "ae1727bdd03da5de8f409fff2fc23038ee3e3b70dfe7e3ac0d1f9d3c10409250"; got != want {
+	if got, want := resultKey(moduleKeyState(text), &req), "ae1727bdd03da5de8f409fff2fc23038ee3e3b70dfe7e3ac0d1f9d3c10409250"; got != want {
 		t.Errorf("resultKey = %s, want %s", got, want)
 	}
 	req.Baseline, req.Race = true, false
-	if got, want := instrKey(&req), "09bca99f92e506de7548677efc08c9caaf9cde9f767cac0c28f358246d2b2ba0"; got != want {
-		t.Errorf("baseline instrKey = %s, want %s", got, want)
-	}
-	if got, want := resultKey("x", &req), "84a03aff2daa950eeaf2bd39aaefe9f20120d3a8482ab1e832dc9cb8c41fccc1"; got != want {
+	if got, want := resultKey(moduleKeyState("x"), &req), "84a03aff2daa950eeaf2bd39aaefe9f20120d3a8482ab1e832dc9cb8c41fccc1"; got != want {
 		t.Errorf("baseline resultKey = %s, want %s", got, want)
 	}
 }
@@ -73,9 +77,58 @@ func TestVerifyAtInsertion(t *testing.T) {
 	}
 }
 
+// referenceCore computes a request's result core without the service, on the
+// reference interpreter, scheduler and race detector: code the optimized
+// path the service runs (decoded streams included) does not share.
+func referenceCore(t testing.TB, req Request) Result {
+	t.Helper()
+	if err := normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ir.Parse(req.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, est := ir.DefaultCostModel(), estimates.DefaultTable()
+	policy := sim.PolicyFCFS
+	if !req.Baseline {
+		policy = sim.PolicyDet
+		opt := harness.PresetByKey(req.Preset)
+		opt.Roots = []string{req.Entry}
+		if _, err := core.Instrument(mod, costs, est, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := interp.Config{
+		Module: mod, Costs: costs, Estimates: est, Threads: req.Threads,
+		Entry: req.Entry, JitterSeed: req.PerturbSeed, Reference: true,
+	}
+	if req.Race {
+		cfg.Race = &interp.RaceConfig{Policy: interp.RaceFailFast, Reference: true}
+	}
+	mach, threads, err := interp.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := sim.New(sim.Config{
+		Policy: policy, NumLocks: mod.NumLocks, NumBarriers: mod.NumBars,
+		RecordTrace: true, Observer: mach.Observer(), Reference: true,
+	}, interp.Programs(threads)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := trace.FromSim(stats.Trace)
+	return Result{
+		ScheduleHash: fmt.Sprintf("%016x", sched.Hash()), ScheduleLen: sched.Len(),
+		Cycles: stats.Makespan, WaitCycles: stats.WaitCycles,
+		Acquisitions: stats.Acquisitions, ClockUpdates: mach.ClockUpdates,
+	}
+}
+
 // TestSharedModuleRuns runs one cached module from many jobs at once, baseline
-// and instrumented: simulations no longer clone it, so under -race this
-// fails if the interpreter or the engine writes to a module.
+// and instrumented: simulations do not clone it and share the entry's decoded
+// streams, so under -race this fails if the interpreter or the engine writes
+// to either. Every core must be the reference pipeline's.
 func TestSharedModuleRuns(t *testing.T) {
 	s := New(Config{Workers: 4, SelfCheckRate: 1})
 	defer s.Kill()
@@ -89,12 +142,21 @@ func TestSharedModuleRuns(t *testing.T) {
 				defer wg.Done()
 				// Distinct seeds: each job misses the result cache and
 				// simulates on the one cached module.
-				res, err := s.Do(context.Background(), Request{Source: src, Baseline: baseline, PerturbSeed: int64(i)})
+				req := Request{Source: src, Baseline: baseline, PerturbSeed: int64(i)}
+				res, err := s.Do(context.Background(), req)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				hashes[i] = res.ScheduleHash
+				got := Result{
+					ScheduleHash: res.ScheduleHash, ScheduleLen: res.ScheduleLen,
+					Cycles: res.Cycles, WaitCycles: res.WaitCycles,
+					Acquisitions: res.Acquisitions, ClockUpdates: res.ClockUpdates,
+				}
+				if want := referenceCore(t, req); !reflect.DeepEqual(got, want) {
+					t.Errorf("baseline %v seed %d: core %+v, reference %+v", baseline, i, got, want)
+				}
 			}()
 		}
 		wg.Wait()
@@ -109,4 +171,41 @@ func TestSharedModuleRuns(t *testing.T) {
 	if n := s.instr.len(); n != 2 {
 		t.Fatalf("instrumentation cache holds %d entries, want 2", n)
 	}
+}
+
+// TestWarmEntryDecodesNothing: the first simulation of an entry decodes its
+// module into the entry's DCache; every later one, on any worker, must find
+// the streams there and allocate strictly less.
+func TestWarmEntryDecodesNothing(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Kill()
+	req := Request{Source: splashSources(t)["radiosity"]}
+	if err := normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(ie *instrEntry) {
+		if _, err := s.simulate(context.Background(), ie, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun(1, f) calls f twice, once to warm up: two fresh entries.
+	var fresh []*instrEntry
+	for range 2 {
+		ie, hit, err := s.instrumented(&req, new(StageLatency))
+		if err != nil || hit {
+			t.Fatalf("hit %v, err %v", hit, err)
+		}
+		fresh = append(fresh, ie)
+		s.instr.remove(instrKeyOf(&req))
+	}
+	warmEntry := fresh[0]
+	cold := testing.AllocsPerRun(1, func() {
+		simulate(fresh[0])
+		fresh = fresh[1:]
+	})
+	warm := testing.AllocsPerRun(5, func() { simulate(warmEntry) })
+	if warm >= cold {
+		t.Fatalf("warm simulation allocates %.0f, the entry's first %.0f", warm, cold)
+	}
+	t.Logf("allocations per simulation: first %.0f, warm %.0f", cold, warm)
 }

@@ -73,17 +73,11 @@ func (s *Service) CacheScan() []CacheKey {
 	if s.degraded.Load() {
 		return nil
 	}
-	keys := s.results.keys()
-	sort.Strings(keys)
-	out := make([]CacheKey, 0, len(keys))
-	for _, k := range keys {
-		v, ok := s.results.peek(k)
-		if !ok {
-			continue
-		}
-		ent := v.(*resultEntry)
+	var out []CacheKey
+	s.results.each(func(k string, ent *resultEntry) {
 		out = append(out, CacheKey{Key: k, ScheduleHash: ent.res.ScheduleHash})
-	}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -95,11 +89,10 @@ func (s *Service) ExportResult(key string) (*Result, *Request, bool) {
 	if s.degraded.Load() {
 		return nil, nil, false
 	}
-	v, ok := s.results.peek(key)
+	ent, ok := s.results.peek(key)
 	if !ok {
 		return nil, nil, false
 	}
-	ent := v.(*resultEntry)
 	var req *Request
 	if ent.req != nil {
 		rc := *ent.req

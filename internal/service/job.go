@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/diag"
@@ -167,17 +168,6 @@ type job struct {
 	errKind string
 }
 
-// presets maps the accepted preset names; values are resolved through
-// harness.PresetByKey so the service and CLI agree.
-func validPreset(name string) bool {
-	for _, k := range harness.PresetKeys() {
-		if k == name {
-			return true
-		}
-	}
-	return false
-}
-
 // normalize validates a request and fills defaults. Every rejection is a
 // typed *diag.MisuseError with ThreadID -1 (configuration-level), following
 // the facade's validation conventions.
@@ -203,7 +193,7 @@ func normalize(req *Request) error {
 	if req.Preset == "" {
 		req.Preset = "all"
 	}
-	if !validPreset(req.Preset) {
+	if !slices.Contains(harness.PresetKeys(), req.Preset) { // the CLI's keys (harness.PresetByKey)
 		return misuse(diag.ErrBadConfig, fmt.Sprintf("unknown preset %q (want one of %v)", req.Preset, harness.PresetKeys()))
 	}
 	if req.Race && req.Baseline {

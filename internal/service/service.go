@@ -219,8 +219,8 @@ type Service struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	instr   *lruCache
-	results *lruCache
+	instr   *lruCache[instrKey, *instrEntry]
+	results *lruCache[string, *resultEntry]
 	check   *sampler
 	ctr     counters
 
@@ -260,8 +260,8 @@ func Open(cfg Config) (*Service, error) {
 		jobs:    make(map[string]*job),
 		lent:    make(map[string]*job),
 		queue:   make(chan *job, cfg.QueueDepth),
-		instr:   newLRU(cfg.InstrCacheSize),
-		results: newLRU(cfg.ResultCacheSize),
+		instr:   newLRU[instrKey, *instrEntry](cfg.InstrCacheSize),
+		results: newLRU[string, *resultEntry](cfg.ResultCacheSize),
 		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
@@ -379,19 +379,23 @@ func (s *Service) degrade(err error) {
 // is ErrClosed. When a journal is configured, the submitted record is
 // durable (fsynced) before the id is returned.
 func (s *Service) Submit(req Request) (string, error) {
-	return s.submit(nil, req)
+	j, err := s.submit(nil, req)
+	if err != nil {
+		return "", err
+	}
+	return j.id, nil
 }
 
-func (s *Service) submit(clientCtx context.Context, req Request) (string, error) {
+func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	if err := normalize(&req); err != nil {
 		s.ctr.rejected.Add(1)
 		s.ctr.rejects.bump(Classify(err))
-		return "", err
+		return nil, err
 	}
-	misuse := func(kind error, detail string) (string, error) {
+	misuse := func(kind error, detail string) (*job, error) {
 		s.ctr.rejected.Add(1)
 		s.ctr.rejects.bump(Classify(kind))
-		return "", &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail}
+		return nil, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail}
 	}
 	// Admission control, cheapest checks first; all run before any journal
 	// write or pipeline work, so overload sheds at near-zero cost.
@@ -450,7 +454,7 @@ func (s *Service) submit(clientCtx context.Context, req Request) (string, error)
 		}
 		s.mu.Unlock()
 		s.ctr.accepted.Add(1)
-		return id, nil
+		return j, nil
 	default:
 		// The queue filled between the pre-check and here. The submitted
 		// record may already be durable, so journal a terminal rejection —
@@ -474,7 +478,8 @@ func (s *Service) journalFinished(j *job, res *Result, errMsg, errKind string) {
 }
 
 // Wait blocks until the job completes (or ctx is done) and returns its
-// result or structured failure.
+// result or structured failure. Finished jobs are only retained up to
+// Config.RetainJobs: an id evicted since is ErrUnknownJob.
 func (s *Service) Wait(ctx context.Context, id string) (*Result, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -482,6 +487,10 @@ func (s *Service) Wait(ctx context.Context, id string) (*Result, error) {
 	if !ok {
 		return nil, &diag.MisuseError{Op: "service.Wait", ThreadID: -1, Kind: ErrUnknownJob, Detail: id}
 	}
+	return s.wait(ctx, j)
+}
+
+func (s *Service) wait(ctx context.Context, j *job) (*Result, error) {
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -499,13 +508,14 @@ func (s *Service) Wait(ctx context.Context, id string) (*Result, error) {
 // ?wait=1 path, the tests, and the smoke target use. The context is attached
 // to the job itself, not just the wait: a synchronous client that goes away
 // (an abandoned HTTP request) cancels its job's execution instead of leaving
-// it pinning a worker and a retained result forever.
+// it pinning a worker and a retained result forever. Do waits on the job it
+// submitted, not on its id, whose record retention may already have evicted.
 func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
-	id, err := s.submit(ctx, req)
+	j, err := s.submit(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return s.Wait(ctx, id)
+	return s.wait(ctx, j)
 }
 
 // Lookup returns a job's current view.
@@ -857,11 +867,10 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 	}
 
 	cacheOn := !s.degraded.Load()
-	rk := resultKey(ie.text, req)
+	rk := resultKey(ie.keyState, req)
 	if cacheOn {
-		if v, ok := s.results.get(rk); ok {
+		if ent, ok := s.results.get(rk); ok {
 			s.ctr.resultHits.Add(1)
-			ent := v.(*resultEntry)
 			selfChecked := false
 			if s.check.sample() {
 				s.ctr.selfChecks.Add(1)
@@ -942,10 +951,10 @@ func (s *Service) peerFill(ctx context.Context, key string, j *job) (*resultEntr
 // miss: parse, instrument in place (verify only, if baseline), print. Either
 // way the module is verified here, once, in the form every job will run.
 func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bool, error) {
-	ik := instrKey(req)
-	if v, ok := s.instr.get(ik); ok {
+	ik := instrKeyOf(req)
+	if ie, ok := s.instr.get(ik); ok {
 		s.ctr.instrHits.Add(1)
-		return v.(*instrEntry), true, nil
+		return ie, true, nil
 	}
 	s.ctr.instrMisses.Add(1)
 
@@ -957,7 +966,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 		return nil, false, fmt.Errorf("service: parse: %w", err)
 	}
 
-	ie := &instrEntry{mod: mod}
+	ie := &instrEntry{mod: mod, decoded: interp.NewDCache()}
 	if req.Baseline {
 		if err := mod.Verify(s.est.Has); err != nil {
 			// Worded as by interp.NewMachine, which made this check per run.
@@ -975,7 +984,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 			return nil, false, fmt.Errorf("service: instrument: %w", err)
 		}
 	}
-	ie.text = mod.String()
+	ie.keyState = moduleKeyState(mod.String())
 	s.instr.add(ik, ie)
 	return ie, false, nil
 }
@@ -996,6 +1005,7 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 		Entry:      req.Entry,
 		JitterSeed: req.PerturbSeed,
 		SkipVerify: true, // verified when the entry was built
+		DCache:     ie.decoded,
 	}
 	if req.Race {
 		cfg.Race = &interp.RaceConfig{Policy: interp.RaceFailFast}

@@ -205,7 +205,7 @@ func TestServiceSelfCheckDetectsCorruption(t *testing.T) {
 	// the first event's thread id.
 	svc.results.mu.Lock()
 	for _, el := range svc.results.items {
-		ent := el.Value.(*lruEntry).val.(*resultEntry)
+		ent := el.Value.(*lruEntry[string, *resultEntry]).val
 		bad := trace.New()
 		for i, e := range ent.schedule.Events() {
 			if i == 0 {

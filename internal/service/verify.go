@@ -68,8 +68,7 @@ func (s *Service) recompute(ctx context.Context, req *Request) (ent *resultEntry
 	if err := normalize(&r); err != nil {
 		return nil, err
 	}
-	var lat StageLatency
-	ie, _, err := s.instrumented(&r, &lat)
+	ie, _, err := s.instrumented(&r, new(StageLatency))
 	if err != nil {
 		return nil, err
 	}
@@ -145,11 +144,10 @@ func (s *Service) RecheckResult(ctx context.Context, key string) error {
 	if s.degraded.Load() {
 		return nil
 	}
-	v, ok := s.results.peek(key)
+	ent, ok := s.results.peek(key)
 	if !ok {
 		return nil
 	}
-	ent := v.(*resultEntry)
 	if ent.req == nil {
 		s.results.remove(key)
 		return &diag.CorruptionError{Source: "result cache",
