@@ -39,9 +39,12 @@ bench:
 # bench-smoke is the CI variant: one iteration of each hot-loop benchmark
 # (a thousand cache hits, so the two sizes' ns/op can be read against each
 # other), enough to catch a broken benchmark or an allocation regression
-# without paying full measurement time.
+# without paying full measurement time. BenchmarkRaceOverheadThreads prints
+# the bytes and objects of one detected run per program and thread count
+# (radiosity/threads=4/detector=true is the line TestRaceRunAllocBudget bounds).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkRaceDetector' -benchtime 1x -benchmem ./internal/interp/
+	$(GO) test -run '^$$' -bench BenchmarkRaceOverheadThreads -benchtime 1x -benchmem ./internal/harness/
 	$(GO) test -run '^$$' -bench BenchmarkEngineSweep -benchtime 1x -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkDoHit -benchtime 1000x -benchmem ./internal/service/
 

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/interp"
 	"repro/internal/sim"
 	"repro/internal/splash"
 )
@@ -137,39 +136,12 @@ func TestEquivalenceTableBytes(t *testing.T) {
 // compares the formatted report bytes: the epoch fast path must not change
 // any race report.
 func TestEquivalenceRaceReports(t *testing.T) {
-	for _, name := range splash.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, b := range raceGoldenPrograms(t)[:len(splash.Names())] {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			reports := func(ref bool) []string {
-				b, err := splash.New(name, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := b.Module.Clone()
-				if _, err := splash.InjectRaceProbe(m, b.Entry); err != nil {
-					t.Fatal(err)
-				}
-				mach, threads, err := interp.NewMachine(interp.Config{
-					Module:    m,
-					Threads:   b.Threads,
-					Entry:     b.Entry,
-					Race:      &interp.RaceConfig{Policy: interp.RaceReport, Reference: ref},
-					Reference: ref,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng := sim.New(sim.Config{
-					Policy:      sim.PolicyDet,
-					NumLocks:    m.NumLocks,
-					NumBarriers: m.NumBars,
-					Observer:    mach.Observer(),
-					Reference:   ref,
-				}, interp.Programs(threads))
-				if _, err := eng.Run(); err != nil {
-					t.Fatal(err)
-				}
+				mach := raceReportRun(t, b, ref, 0)
 				var out []string
 				for _, re := range mach.Races() {
 					out = append(out, re.Error())

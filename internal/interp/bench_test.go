@@ -1,8 +1,8 @@
 package interp
 
 // Hot-loop benchmarks for the decoded-dispatch interpreter and the race
-// detector, plus the allocation guard for the detector's pooled epoch
-// buffers. `make bench` runs these alongside the sim and top-level suites;
+// detector, plus the allocation guard for the detector's slab-owned shadow
+// state. `make bench` runs these alongside the sim and top-level suites;
 // BENCH_PR4.json records the shipped numbers (see EXPERIMENTS.md).
 
 import (
@@ -137,29 +137,35 @@ func BenchmarkRaceDetectorOff(b *testing.B) {
 	}
 }
 
-// TestRaceDetectorSteadyStateAllocs pins the detector's pooled buffers:
-// after a warm round allocates the shadow epochs (and poisons the
-// deliberately racy cells), further accesses — same-epoch refreshes,
-// foreign-write rewrites, and read-slot churn across truncating writes —
-// reuse the pooled vc copies and reclaimed read slots, so the access path
-// allocates nothing.
+// TestRaceDetectorSteadyStateAllocs pins the detector's slab ownership: after
+// a warm round has carved the read lists (and poisoned the deliberately racy
+// cells), further accesses — same-epoch refreshes, foreign-write rewrites, and
+// read-slot churn across truncating writes — store two pointers and allocate
+// nothing, and a new sync epoch (each thread takes and drops a lock between
+// its rounds) costs one slab-carved snapshot per thread, not a vector-clock
+// copy per touched cell: the few doubling slab chunks round to zero per
+// pattern.
 func TestRaceDetectorSteadyStateAllocs(t *testing.T) {
 	m := ir.MustParse(raceSrc)
 	d := newRaceDetector(RaceConfig{Policy: RaceReport}, m, 4)
+	fn := m.Func("main")
+	load := &raceSite{sym: "data", fn: fn, block: fn.Blocks[2], pc: 0}
+	store := &raceSite{sym: "data", fn: fn, block: fn.Blocks[2], pc: 2}
 	pattern := func() {
 		for tid := 0; tid < 4; tid++ {
 			for a := int64(0); a < 8; a++ {
-				if d.access(tid, "data", a, a, false, "main", "body", 0) != nil {
-					t.Fatal("unexpected fail-fast error")
-				}
-				if d.access(tid, "data", a, a, true, "main", "body", 2) != nil {
-					t.Fatal("unexpected fail-fast error")
+				for _, site := range []*raceSite{load, store} {
+					if d.access(tid, site, a, a, site == store) != nil {
+						t.Fatal("unexpected fail-fast error")
+					}
 				}
 			}
+			d.Acquired(tid, 0)
+			d.Released(tid, 0)
 		}
 	}
-	pattern() // warm: allocate epoch entries and reports once
-	if n := testing.AllocsPerRun(20, pattern); n > 0 {
+	pattern() // warm: carve read lists, build reports once
+	if n := testing.AllocsPerRun(100, pattern); n > 0 {
 		t.Errorf("steady-state race detection allocates %.1f times per pattern, want 0", n)
 	}
 }

@@ -156,15 +156,16 @@ type dinstr struct {
 // dinstrSize is the dispatch stride of the unchecked pc walk in stepFast.
 const dinstrSize = unsafe.Sizeof(dinstr{})
 
-// daux holds the cold operands of calls, spawns, switches, and the IR site
-// identity that the race detector and error paths report.
+// daux holds the cold operands of calls, spawns and switches, and the IR
+// position of loads and stores.
 type daux struct {
-	sym      string // load/store global symbol
-	block    string // source block name (race sites, error messages)
-	bpc      int32  // instruction index within the source block
+	// site is what the race detector takes per access, by pointer (streams
+	// are immutable once published); the bounds-check error reads its symbol.
+	// First field: &aux[i].site is &aux[i], which stepFast computes anyway.
+	site     raceSite
 	callee   *dcode // decoded user callee (dCall)
 	calleeFn *ir.Func
-	name     string // callee name (errors) / builtin name
+	name     string // callee / builtin name; block name for dBadTerm (errors)
 	est      estimate
 	bkind    builtinKind
 	retDst   int32   // caller-frame destination register for dCall results
@@ -405,7 +406,7 @@ func (m *Machine) decodeFn(fn *ir.Func) *dcode {
 				}
 				// Unknown symbols keep glen 0: every access faults with the
 				// reference path's "out of bounds (size 0)" message.
-				addAux(&d, daux{sym: ins.Sym, block: b.Name, bpc: int32(pc)})
+				addAux(&d, daux{site: raceSite{sym: ins.Sym, fn: fn, block: b, pc: int32(pc)}})
 			case ins.Op == ir.OpCall:
 				argRegs := decodeArgs(ins.Args)
 				if callee := m.mod.Func(ins.Callee); callee != nil {
@@ -505,7 +506,7 @@ func (m *Machine) decodeFn(fn *ir.Func) *dcode {
 			term.a = operand(b.Term.Ret)
 		default:
 			term.op = dBadTerm
-			addAux(&term, daux{block: b.Name})
+			addAux(&term, daux{name: b.Name})
 		}
 		instrs = append(instrs, term)
 	}
@@ -653,7 +654,6 @@ func (t *Thread) stepFast(st *sim.Step) error {
 	chunk := t.chunk
 	missRate := t.missRate
 	missPenalty := t.missPenalty
-	race := m.race
 	gp := m.gptrs // global base pointers, indexed by dinstr.gslot
 
 	fr := t.top()
@@ -800,7 +800,7 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			if idx < 0 || idx >= int64(d.glen) {
 				flush(fr, pc, kacc, retired, stores, misses)
 				return t.errf("load %s[%d] out of bounds (size %d)",
-					ax[d.aux].sym, idx, d.glen)
+					ax[d.aux].site.sym, idx, d.glen)
 			}
 			if missRate >= 0 {
 				h := uint64(d.gbase+idx) * 0x9E3779B97F4A7C15
@@ -809,10 +809,8 @@ func (t *Thread) stepFast(st *sim.Step) error {
 					cycles += missPenalty
 				}
 			}
-			if race != nil {
-				au := &ax[d.aux]
-				if err := race.access(t.tid, au.sym, idx, d.gbase+idx, false,
-					fr.fn.Name, au.block, int(au.bpc)); err != nil {
+			if m.race != nil {
+				if err := t.raceCheck(&ax[d.aux].site, idx, d.gbase+idx, false); err != nil {
 					flush(fr, pc, kacc, retired, stores, misses)
 					return err
 				}
@@ -823,7 +821,7 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			if idx < 0 || idx >= int64(d.glen) {
 				flush(fr, pc, kacc, retired, stores, misses)
 				return t.errf("store %s[%d] out of bounds (size %d)",
-					ax[d.aux].sym, idx, d.glen)
+					ax[d.aux].site.sym, idx, d.glen)
 			}
 			if missRate >= 0 {
 				h := uint64(d.gbase+idx) * 0x9E3779B97F4A7C15
@@ -832,10 +830,8 @@ func (t *Thread) stepFast(st *sim.Step) error {
 					cycles += missPenalty
 				}
 			}
-			if race != nil {
-				au := &ax[d.aux]
-				if err := race.access(t.tid, au.sym, idx, d.gbase+idx, true,
-					fr.fn.Name, au.block, int(au.bpc)); err != nil {
+			if m.race != nil {
+				if err := t.raceCheck(&ax[d.aux].site, idx, d.gbase+idx, true); err != nil {
 					flush(fr, pc, kacc, retired, stores, misses)
 					return err
 				}
@@ -988,7 +984,7 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			pc = fr.dpc
 		case dBadTerm:
 			flush(fr, pc, kacc, retired, stores, misses)
-			return t.errf("missing terminator in %s", ax[d.aux].block)
+			return t.errf("missing terminator in %s", ax[d.aux].name)
 		default:
 			flush(fr, pc, kacc, retired, stores, misses)
 			return t.errf("unknown opcode %v", ax[d.aux].irop)

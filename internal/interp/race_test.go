@@ -2,7 +2,9 @@ package interp
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/diag"
 	"repro/internal/ir"
@@ -335,5 +337,79 @@ func TestJitterPerturbsPhysicalTime(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("jitter never changed the makespan across seeds 1..4")
+	}
+}
+
+// The layout the detector's cost rests on, checked by the compiler: a
+// remembered access is two pointers, a shadow cell at most 48 bytes (an array
+// length cannot be negative, nor a constant index out of range).
+var (
+	_ [48 - unsafe.Sizeof(shadowCell{})]byte
+	_ = [1]struct{}{}[unsafe.Sizeof(raceEpoch{})-16]
+)
+
+// A cell remembers an access as a pointer to the accessor's snapshot of that
+// sync epoch, so a report built after the accessor has moved on must print
+// the clocks and lockset of the access, not of the present.
+func TestRaceReportKeepsAccessEpoch(t *testing.T) {
+	m := ir.MustParse(raceWWSrc)
+	fn := m.Func("main")
+	site := &raceSite{sym: "shared", fn: fn, block: fn.Blocks[0], pc: 1}
+	d := newRaceDetector(RaceConfig{Policy: RaceReport}, m, 2)
+	d.Acquired(1, 0)
+	if err := d.access(1, site, 0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	then := d.cur[1]
+	// Thread 1 moves on three sync epochs: clock 1 → 3, lockset {0} → {}.
+	d.Released(1, 0)
+	d.Acquired(1, 1)
+	d.Released(1, 1)
+	if d.cur[1] == then || d.vcs[1][1] != 3 || d.locksets[1] != nil {
+		t.Fatalf("thread 1 did not move on: clock %d, lockset %v", d.vcs[1][1], d.locksets[1])
+	}
+	if err := d.access(0, site, 0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.races) != 1 {
+		t.Fatalf("races = %d, want 1", len(d.races))
+	}
+	got := d.races[0].Second
+	want := diag.RaceAccess{Thread: 1, Write: true, Clock: 1, VC: []int64{0, 1}, Lockset: []int{0}, Site: "main.entry+1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("thread 1's side of the report is %+v, want the access's epoch %+v", got, want)
+	}
+}
+
+// Locksets are interned: returning to a set held before reuses its slice, the
+// empty set is nil, and a snapshot's set is never mutated under it.
+func TestRaceLocksetsInterned(t *testing.T) {
+	d := newRaceDetector(RaceConfig{}, ir.MustParse(raceLockedSrc), 2)
+	d.Acquired(0, 1)
+	one := d.locksets[0]
+	d.Acquired(0, 0)
+	both := d.locksets[0]
+	if !reflect.DeepEqual(one, []int{1}) || !reflect.DeepEqual(both, []int{0, 1}) {
+		t.Fatalf("locksets %v then %v, want [1] then [0 1]", one, both)
+	}
+	d.Released(0, 0)
+	if &d.locksets[0][0] != &one[0] {
+		t.Error("release back to {1} built a new slice")
+	}
+	d.Acquired(0, 0)
+	if &d.locksets[0][0] != &both[0] {
+		t.Error("re-acquire back to {0 1} built a new slice")
+	}
+	d.Released(0, 0)
+	d.Released(0, 1)
+	if d.locksets[0] != nil {
+		t.Errorf("empty lockset is %v, want nil", d.locksets[0])
+	}
+	d.Acquired(1, 1)
+	if &d.locksets[1][0] != &one[0] {
+		t.Error("single-lock sets are not shared across threads")
+	}
+	if !reflect.DeepEqual(one, []int{1}) || !reflect.DeepEqual(both, []int{0, 1}) {
+		t.Errorf("interned sets mutated: %v, %v", one, both)
 	}
 }
