@@ -42,11 +42,14 @@ bench:
 # without paying full measurement time. BenchmarkRaceOverheadThreads prints
 # the bytes and objects of one detected run per program and thread count
 # (radiosity/threads=4/detector=true is the line TestRaceRunAllocBudget bounds).
+# BenchmarkFillRoundTrip is one peer fill between two LoopNet nodes: ns, bytes
+# and allocations per fill, and the reply's size on the wire.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkRaceDetector' -benchtime 1x -benchmem ./internal/interp/
 	$(GO) test -run '^$$' -bench BenchmarkRaceOverheadThreads -benchtime 1x -benchmem ./internal/harness/
 	$(GO) test -run '^$$' -bench BenchmarkEngineSweep -benchtime 1x -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkDoHit -benchtime 1000x -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench BenchmarkFillRoundTrip -benchtime 1x -benchmem ./internal/cluster/
 
 # serve-smoke proves detserve end to end over real loopback HTTP (the tests in
 # cmd/detserve, also part of `make test`): the real server answers a repeated

@@ -25,9 +25,11 @@
 //	                     journal-degraded, or divergence circuit breaker
 //	                     open).
 //	     /internal/v1/*  cluster peer protocol: result, offer, steal, complete,
-//	                     ship, gossip, join, handoff, handoff-journal, digest.
-//	                     Every body travels with its CRC32C in X-Detserve-Sum
-//	                     and is refused (422) without it — see DESIGN.md §11.
+//	                     handoff (binary frames) and ship, gossip, join,
+//	                     handoff-journal, digest (JSON). Every body travels
+//	                     with its CRC32C in X-Detserve-Sum and is refused
+//	                     (422) without it, or (413) past 256 MB — see
+//	                     DESIGN.md §11.
 //	POST /v1/cluster/drain  start a graceful drain (202; handoff + leave
 //	                        proceed in the background).
 //	GET  /v1/cluster/stats  cluster counters, membership view, peer liveness.

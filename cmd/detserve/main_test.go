@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -381,6 +382,37 @@ func TestClusterSmoke(t *testing.T) {
 		}
 		hashes[j.seed] = view.Result.ScheduleHash
 	}
+
+	// A peer fill over real sockets: the binary frame travels through
+	// net/http, not only LoopNet. A perturbation the sweep never used is
+	// computed on its ring owner, then asked of another node, which must
+	// answer from the owner's cache. (A fresh one each try: right after the
+	// restart a prober may still hold the victim down and skip the fill.)
+	filled := false
+	for seed, deadline := int64(100), time.Now().Add(15*time.Second); !filled && time.Now().Before(deadline); seed++ {
+		req := service.Request{Source: quickstart, PerturbSeed: seed}
+		key, err := members[0].node.Service().KeyFor(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := slices.Index(addrs, members[0].node.Owner(key))
+		body, _ := json.Marshal(req)
+		var computed, fetched service.Result
+		if code := post(t, addrs[owner], "/v1/jobs?wait=1", body, &computed); code != http.StatusOK {
+			t.Fatalf("owner %d: status %d", owner, code)
+		}
+		if code := post(t, addrs[(owner+1)%nNodes], "/v1/jobs?wait=1", body, &fetched); code != http.StatusOK {
+			t.Fatalf("non-owner: status %d", code)
+		}
+		if fetched.ScheduleHash != computed.ScheduleHash {
+			t.Fatalf("seed %d: schedule hash %s on the owner, %s on its peer", seed, computed.ScheduleHash, fetched.ScheduleHash)
+		}
+		filled = fetched.PeerFilled
+	}
+	if !filled {
+		t.Fatal("no result arrived peer_filled over loopback HTTP")
+	}
+
 	for i, addr := range addrs {
 		var snap service.StatsSnapshot
 		getJSON(t, addr, "/v1/stats", &snap)

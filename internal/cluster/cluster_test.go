@@ -31,7 +31,7 @@ func coreOf(r *service.Result) string {
 // tnode opens a node on net with background loops disabled — tests drive
 // ProbeOnce / StealOnce / ShipFlush directly so every schedule is
 // deterministic.
-func tnode(t *testing.T, net *LoopNet, self string, peers []string, mut func(*Config)) *Node {
+func tnode(t testing.TB, net *LoopNet, self string, peers []string, mut func(*Config)) *Node {
 	t.Helper()
 	cfg := Config{
 		Self:          self,
@@ -57,7 +57,7 @@ func tnode(t *testing.T, net *LoopNet, self string, peers []string, mut func(*Co
 }
 
 // waitResult waits for id on svc with a bounded deadline.
-func waitResult(t *testing.T, svc *service.Service, id string) *service.Result {
+func waitResult(t testing.TB, svc *service.Service, id string) *service.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -141,7 +141,7 @@ func TestMembershipFailureThreshold(t *testing.T) {
 
 // keyOwnedBy finds a request variant whose result key is (or is not) owned
 // by the given node, so fill/offer tests can pin the topology they exercise.
-func keyOwnedBy(t *testing.T, n *Node, src string, want bool) (service.Request, string) {
+func keyOwnedBy(t testing.TB, n *Node, src string, want bool) (service.Request, string) {
 	t.Helper()
 	for seed := int64(0); seed < 64; seed++ {
 		req := service.Request{Source: src, PerturbSeed: seed}
@@ -252,7 +252,7 @@ func TestPeerFillHitFallbackAndOffer(t *testing.T) {
 	}
 }
 
-func mustSubmit(t *testing.T, n *Node, req service.Request) string {
+func mustSubmit(t testing.TB, n *Node, req service.Request) string {
 	t.Helper()
 	id, err := n.Service().Submit(req)
 	if err != nil {

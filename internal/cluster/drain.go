@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/bin"
 	"repro/internal/diag"
 	"repro/internal/service"
 	"repro/internal/vfs"
@@ -41,8 +42,17 @@ import (
 // handoffMsg is the body of /internal/v1/handoff: queued jobs the draining
 // origin lends to their new ring owner.
 type handoffMsg struct {
-	Origin string              `json:"origin"`
-	Jobs   []service.StolenJob `json:"jobs"`
+	Origin string
+	Jobs   stolenJobs
+}
+
+func (m *handoffMsg) AppendBinary(b []byte) []byte {
+	return m.Jobs.AppendBinary(bin.AppendString(b, m.Origin))
+}
+
+func (m *handoffMsg) DecodeBinary(r *bin.Reader) {
+	m.Origin = r.String()
+	m.Jobs.DecodeBinary(r)
 }
 
 // journalHandoffMsg is the body of /internal/v1/handoff-journal: the leaving
@@ -128,8 +138,8 @@ func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
 		n.svc.CompleteStolen(sj.ID, nil)
 		return
 	}
-	msg := handoffMsg{Origin: n.cfg.Self, Jobs: []service.StolenJob{sj}}
-	if _, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/handoff", msg, nil); err != nil {
+	msg := handoffMsg{Origin: n.cfg.Self, Jobs: stolenJobs{sj}}
+	if _, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/handoff", &msg, nil); err != nil {
 		n.svc.CompleteStolen(sj.ID, nil)
 		return
 	}

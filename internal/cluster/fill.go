@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net/http"
+	"time"
 
 	"repro/internal/service"
 )
@@ -19,8 +20,10 @@ import (
 // answered within Config.HedgeAfter — the standard tail-latency hedge, but
 // capped at exactly one extra request so a struggling owner sees at most 2×
 // load, not a retry storm. Each attempt runs under its own child context,
-// cancelled the moment it loses: the straggler's goroutine and connection are
-// released when the winner returns, not when the shared deadline expires.
+// the only one built per attempt: it carries that one deadline and is
+// cancelled the moment the attempt loses, so the straggler's goroutine and
+// connection are released when the winner returns, not when the deadline
+// expires.
 
 // fill is the service.Config.Fill hook.
 func (n *Node) fill(ctx context.Context, key string, req *service.Request) *service.Result {
@@ -33,9 +36,7 @@ func (n *Node) fill(ctx context.Context, key string, req *service.Request) *serv
 		return nil // degradation: down owner means local recomputation
 	}
 	n.ctr.fillAttempts.Add(1)
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	res := n.fetchHedged(ctx, owner, key)
+	res := n.fetchHedged(ctx, time.Now().Add(n.cfg.FillTimeout), owner, key)
 	if res == nil {
 		n.ctr.fillMisses.Add(1)
 		return nil
@@ -44,11 +45,11 @@ func (n *Node) fill(ctx context.Context, key string, req *service.Request) *serv
 	return res
 }
 
-// fetchHedged races the primary fetch against a delayed hedge. Every attempt
-// gets its own cancellable child context; when one attempt wins, the losers
-// are cancelled immediately so no request goroutine outlives the answer by
-// more than its cancellation handling.
-func (n *Node) fetchHedged(ctx context.Context, owner, key string) *service.Result {
+// fetchHedged races the primary fetch against a delayed hedge, both bounded
+// by deadline. Every attempt gets its own cancellable child context; when one
+// attempt wins, the losers are cancelled immediately so no request goroutine
+// outlives the answer by more than its cancellation handling.
+func (n *Node) fetchHedged(ctx context.Context, deadline time.Time, owner, key string) *service.Result {
 	type outcome struct {
 		res *service.Result
 		idx int
@@ -62,7 +63,7 @@ func (n *Node) fetchHedged(ctx context.Context, owner, key string) *service.Resu
 	}()
 	launch := func() {
 		idx := len(cancels)
-		actx, cancel := context.WithCancel(ctx)
+		actx, cancel := context.WithDeadline(ctx, deadline)
 		cancels = append(cancels, cancel)
 		go func() {
 			res, err := n.fetchResult(actx, owner, key)
@@ -95,13 +96,14 @@ func (n *Node) fetchHedged(ctx context.Context, owner, key string) *service.Resu
 	return nil
 }
 
-// fetchResult issues one GET /internal/v1/result to owner; a 404 is a clean
-// miss. A reply that fails verification never becomes a served result: call
-// quarantines the owner and the caller falls back to local recomputation —
-// slower, never wrong.
+// fetchResult issues one GET /internal/v1/result to owner under ctx, which
+// carries fill's deadline (hence exchange: call would stack a second one); a
+// 404 is a clean miss. A reply that fails verification never becomes a served
+// result: exchange quarantines the owner and the caller falls back to local
+// recomputation — slower, never wrong.
 func (n *Node) fetchResult(ctx context.Context, owner, key string) (*service.Result, error) {
 	var res service.Result
-	status, err := n.call(ctx, http.MethodGet, owner, "/internal/v1/result?key="+key, nil, &res)
+	status, err := n.exchange(ctx, http.MethodGet, owner, "/internal/v1/result?key="+key, nil, &res)
 	if status == http.StatusNotFound {
 		return nil, nil
 	}
@@ -133,7 +135,7 @@ func (n *Node) offer(key string, res *service.Result, req *service.Request) {
 // async offer hook, the rebalance push, and the repair backfill all funnel
 // through it, so the counters mean the same thing on every path.
 func (n *Node) sendOffer(ctx context.Context, owner, key string, res *service.Result, req *service.Request) error {
-	status, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/offer?key="+key, offerMsg{Res: res, Req: req}, nil)
+	status, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/offer?key="+key, &offerMsg{Res: res, Req: req}, nil)
 	switch {
 	case err == nil:
 		n.ctr.offersSent.Add(1)

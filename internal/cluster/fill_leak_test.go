@@ -19,11 +19,18 @@ type countingDoer struct {
 	inflight  atomic.Int64
 	started   atomic.Int64
 	cancelled atomic.Int64
+
+	mu        sync.Mutex
+	deadlines []time.Time // each request's context deadline
 }
 
 func (d *countingDoer) Do(req *http.Request) (*http.Response, error) {
 	d.started.Add(1)
 	d.inflight.Add(1)
+	deadline, _ := req.Context().Deadline()
+	d.mu.Lock()
+	d.deadlines = append(d.deadlines, deadline)
+	d.mu.Unlock()
 	defer d.inflight.Add(-1)
 	resp, err := d.inner.Do(req)
 	if req.Context().Err() != nil {
@@ -99,6 +106,14 @@ func TestHedgedFillCancelsLoser(t *testing.T) {
 	}
 	if got := counting.started.Load(); got != 2 {
 		t.Fatalf("started %d fill requests, want 2 (primary + hedge)", got)
+	}
+	// One deadline bounds the exchange end to end: the hedge does not get a
+	// fresh FillTimeout of its own.
+	counting.mu.Lock()
+	first, second := counting.deadlines[0], counting.deadlines[1]
+	counting.mu.Unlock()
+	if first.IsZero() || !first.Equal(second) || first.After(start.Add(61*time.Second)) {
+		t.Fatalf("attempt deadlines %v and %v, want both FillTimeout after the fill began (%v)", first, second, start)
 	}
 
 	// The loser must drain promptly: its context was cancelled by the

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bin"
 	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/service"
@@ -587,8 +588,16 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 // when the offering node knows it, the originating request — which makes the
 // installed entry recheckable by the owner's anti-entropy repair loop.
 type offerMsg struct {
-	Res *service.Result  `json:"res"`
-	Req *service.Request `json:"req,omitempty"`
+	Res *service.Result
+	Req *service.Request
+}
+
+func (m *offerMsg) AppendBinary(b []byte) []byte {
+	return appendOptional(appendOptional(b, m.Res), m.Req)
+}
+
+func (m *offerMsg) DecodeBinary(r *bin.Reader) {
+	m.Res, m.Req = decodeOptional[service.Result](r), decodeOptional[service.Request](r)
 }
 
 // handleOffer installs a peer-computed result into the local cache. A
@@ -627,15 +636,24 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 			max = parsed
 		}
 	}
-	reply(w, http.StatusOK, n.svc.StealQueued(max))
+	jobs := stolenJobs(n.svc.StealQueued(max))
+	reply(w, http.StatusOK, &jobs)
 }
 
 // completeMsg is the body of /internal/v1/complete: a stolen job's outcome.
 // A nil Result is an abort — the stealer could not execute the job and hands
 // it back.
 type completeMsg struct {
-	ID     string          `json:"id"`
-	Result *service.Result `json:"result"`
+	ID     string
+	Result *service.Result
+}
+
+func (m *completeMsg) AppendBinary(b []byte) []byte {
+	return appendOptional(bin.AppendString(b, m.ID), m.Result)
+}
+
+func (m *completeMsg) DecodeBinary(r *bin.Reader) {
+	m.ID, m.Result = r.String(), decodeOptional[service.Result](r)
 }
 
 // handleComplete installs a stolen job's remotely computed result (or abort).

@@ -58,7 +58,7 @@ func (n *Node) StealOnce(ctx context.Context) int {
 // text, so it is verified like any result: a damaged reply is dropped whole
 // (the jobs stay lent and the victim's reclaim timer re-enqueues them).
 func (n *Node) stealFrom(ctx context.Context, victim string, max int) ([]service.StolenJob, error) {
-	var jobs []service.StolenJob
+	var jobs stolenJobs
 	_, err := n.call(ctx, http.MethodPost, victim, "/internal/v1/steal?max="+strconv.Itoa(max), nil, &jobs)
 	return jobs, err
 }
@@ -79,7 +79,7 @@ func (n *Node) runStolen(ctx context.Context, origin string, sj service.StolenJo
 // delivery failure is tolerable: the origin's reclaim timer re-enqueues the
 // job, and our wasted execution is just that — wasted, not wrong.
 func (n *Node) postComplete(ctx context.Context, origin, id string, res *service.Result) {
-	_, err := n.call(ctx, http.MethodPost, origin, "/internal/v1/complete", completeMsg{ID: id, Result: res}, nil)
+	_, err := n.call(ctx, http.MethodPost, origin, "/internal/v1/complete", &completeMsg{ID: id, Result: res}, nil)
 	if err != nil {
 		n.ctr.completeFails.Add(1)
 	} else if res != nil {

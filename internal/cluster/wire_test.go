@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -344,9 +343,10 @@ func (d *replayDoer) Do(*http.Request) (*http.Response, error) {
 }
 
 // FuzzPeerMessage feeds arbitrary (checksum header, body) pairs through both
-// ends of the peer protocol, for all ten message types: as a request into
-// every handler (the body-carrying ones all decode through accept), and as a
-// reply into every decoder call serves. The invariant is the protocol's one
+// ends of the peer protocol, for all ten message types in both encodings
+// (five binary frames, five JSON): as a request into every handler (the
+// body-carrying ones all decode through accept), and as a reply into every
+// decoder call serves. The invariant is the protocol's one
 // rule — bytes are decoded only if the header is exactly their CRC32C — so a
 // pair that does not verify is always 422 / ErrCorruption, a pair that does
 // never is, and nothing panics either way.
@@ -357,43 +357,43 @@ func FuzzPeerMessage(f *testing.F) {
 	req := &service.Request{Source: "module m"}
 	view := staticView([]string{"node-a", "node-b"})
 	line := [][]byte{[]byte("#c1 00000000 2 {}\n")}
+	jobs := stolenJobs{{ID: "job-1", Req: *req}}
 	for _, msg := range []any{
-		res,                          // fill reply
-		offerMsg{Res: res, Req: req}, // offer
-		[]service.StolenJob{{ID: "job-1", Req: *req}},                                         // steal reply
-		completeMsg{ID: "job-1", Result: res},                                                 // complete
+		res,                                    // fill reply
+		&offerMsg{Res: res, Req: req},          // offer
+		&jobs,                                  // steal reply
+		&completeMsg{ID: "job-1", Result: res}, // complete
+		&handoffMsg{Origin: "node-b", Jobs: jobs},                                             // handoff
 		shipBatch{From: "node-b", Epoch: 1, Snapshot: true, Lines: line, Sum: sumLines(line)}, // ship
 		gossipMsg{From: "node-b", View: view},                                                 // gossip, join
 		view,                                                                                  // gossip reply
 		joinReply{View: view, Snapshot: line},                                                 // join reply
-		handoffMsg{Origin: "node-b"},                                                          // handoff
 		journalHandoffMsg{From: "node-b", Lines: line, Sum: sumLines(line)},                   // handoff-journal
 		bucketSummary{},                                                                       // digest reply, round 1
 		[]repairKey{{Key: "k", Hash: "h"}},                                                    // digest reply, round 2
 	} {
-		body, err := json.Marshal(msg)
+		body, _, err := encode(msg)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(fmt.Sprintf("%08x", bodySum(body)), body)
 		f.Add(fmt.Sprintf("%08x", bodySum(body)^1), body)
 		f.Add("", body)
+		if _, framed := msg.(frameMsg); !framed {
+			continue
+		}
+		// A frame cut at every length, each cut correctly summed so that it
+		// reaches the decoder.
+		for n := 0; n < len(body); n++ {
+			f.Add(fmt.Sprintf("%08x", bodySum(body[:n])), body[:n])
+		}
 	}
 	f.Add("0", []byte{})
 	f.Add("+0000000", []byte{})
 	f.Add("00000000", []byte{})
 
 	doer := &replayDoer{}
-	node, err := Open(Config{
-		Self: "node-a", Peers: []string{"node-a", "node-b"}, Client: doer,
-		ProbeInterval: -1, StealInterval: -1, ShipInterval: -1, RepairInterval: -1,
-		ShipPath: filepath.Join(f.TempDir(), "shipped.journal"),
-		Service:  service.Config{Workers: 1, DefaultDeadline: time.Second},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { node.Close(context.Background()) })
+	node := frameNode(f, doer)
 
 	requests := []struct {
 		method, path string
@@ -416,7 +416,7 @@ func FuzzPeerMessage(f *testing.F) {
 	}{
 		{"/internal/v1/result?key=k", func() any { return new(service.Result) }},
 		{"/internal/v1/offer?key=k", func() any { return nil }},
-		{"/internal/v1/steal?max=1", func() any { return new([]service.StolenJob) }},
+		{"/internal/v1/steal?max=1", func() any { return new(stolenJobs) }},
 		{"/internal/v1/complete", func() any { return nil }},
 		{"/internal/v1/ship", func() any { return nil }},
 		{"/internal/v1/gossip", func() any { return new(View) }},

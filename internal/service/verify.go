@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -51,7 +53,11 @@ func (c claim) mismatch(site string, fresh *resultEntry) error {
 // selfConsistent reports whether a transferred result's schedule is the one
 // its summary describes: it hashes to ScheduleHash and has ScheduleLen events.
 func selfConsistent(res *Result) bool {
-	return fmt.Sprintf("%016x", res.Schedule.Hash()) == res.ScheduleHash && res.Schedule.Len() == res.ScheduleLen
+	var raw [8]byte
+	var digits [16]byte // ScheduleHash is %016x: compared without building it
+	binary.BigEndian.PutUint64(raw[:], res.Schedule.Hash())
+	hex.Encode(digits[:], raw[:])
+	return string(digits[:]) == res.ScheduleHash && res.Schedule.Len() == res.ScheduleLen
 }
 
 // recompute executes req from scratch: the instrumentation cache (a pure
