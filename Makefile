@@ -44,12 +44,16 @@ bench:
 # (radiosity/threads=4/detector=true is the line TestRaceRunAllocBudget bounds).
 # BenchmarkFillRoundTrip is one peer fill between two LoopNet nodes: ns, bytes
 # and allocations per fill, and the reply's size on the wire.
+# BenchmarkServeHit is BenchmarkDoHit's two programs through detserve's
+# mounted handler: what the HTTP front end adds around a hit, per request and
+# per body byte.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkRaceDetector' -benchtime 1x -benchmem ./internal/interp/
 	$(GO) test -run '^$$' -bench BenchmarkRaceOverheadThreads -benchtime 1x -benchmem ./internal/harness/
 	$(GO) test -run '^$$' -bench BenchmarkEngineSweep -benchtime 1x -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkDoHit -benchtime 1000x -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench BenchmarkFillRoundTrip -benchtime 1x -benchmem ./internal/cluster/
+	$(GO) test -run '^$$' -bench BenchmarkServeHit -benchtime 1000x -benchmem ./cmd/detserve/
 
 # serve-smoke proves detserve end to end over real loopback HTTP (the tests in
 # cmd/detserve, also part of `make test`): the real server answers a repeated

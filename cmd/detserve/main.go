@@ -14,10 +14,13 @@
 //
 // Endpoints:
 //
-//	POST /v1/jobs        submit a job (body: service.Request JSON).
-//	                     ?wait=1 blocks until the job completes and returns
-//	                     the result (or the structured failure) directly; a
-//	                     client that disconnects cancels its job.
+//	POST /v1/jobs        submit a job (body: service.Request JSON, at most
+//	                     8 MB). ?wait=1 blocks until the job completes and
+//	                     returns the result (or the structured failure)
+//	                     directly; a client that disconnects cancels its job.
+//	                     encoding/json defines both formats; plain requests
+//	                     and results take a one-pass codec that writes the
+//	                     same bytes (DESIGN.md §7, Front end).
 //	GET  /v1/jobs/{id}   job status/result (service.JobView JSON).
 //	GET  /v1/stats       service counters (service.StatsSnapshot JSON).
 //	GET  /healthz        liveness + queue depth (200 while the process runs).
@@ -50,7 +53,9 @@
 // cache keys and journal segment ownership to the surviving owners, spreads
 // its tombstone, and exits. See DESIGN.md §13.
 //
-// Status codes: 400 for configuration misuse, 404 for unknown jobs, 422 for
+// Status codes: 400 for configuration misuse and undecodable requests, 404 for
+// unknown jobs, 413 (kind body_too_large) for a request body over 8 MB —
+// refused unread when its Content-Length says so — 422 for
 // jobs that failed with a structured report (deadlock, race, divergence),
 // 429 with a Retry-After header when the bounded queue is full or load
 // shedding is active, 500 when a job exhausted its transient-failure retry
@@ -83,18 +88,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -387,24 +393,72 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// newHandler wires the service into a Go 1.22 pattern-routing mux.
+// maxJobBody bounds a POST /v1/jobs body. pooledBodyCap is the largest buffer
+// bodyPool keeps: program texts are heavy-tailed, and a buffer grown for one
+// 1 MB program must not stay pinned behind a stream of 1 kB ones.
+const (
+	maxJobBody    = 8 << 20
+	pooledBodyCap = 64 << 10
+)
+
+// bodyPool holds the buffers POST /v1/jobs reads a request into and, once the
+// request is decoded out of it, builds the reply in.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readJobBody reads the request's body into buf, grown once from the declared
+// length. A body over maxJobBody is a *http.MaxBytesError: unread when its
+// declared length already says so, otherwise abandoned one byte past the cap.
+func readJobBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
+	if r.ContentLength > maxJobBody {
+		return &http.MaxBytesError{Limit: maxJobBody}
+	}
+	// ReadFrom wants MinRead free bytes before every read, the one that
+	// reports EOF included.
+	buf.Reset()
+	buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxJobBody))
+	return err
+}
+
+// newHandler wires the service into a Go 1.22 pattern-routing mux. POST
+// /v1/jobs reads, decodes and answers through one pooled buffer; encoding/json
+// defines both formats, and whatever the one-pass codecs decline is
+// json.Unmarshal's and writeJSON's to handle as before (DESIGN §7, Front end).
 func newHandler(svc *service.Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req service.Request
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= pooledBodyCap {
+				bodyPool.Put(buf)
+			}
+		}()
+		if err := readJobBody(w, r, buf); err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, code, fmt.Errorf("read body: %w", err))
 			return
 		}
-		if err := json.Unmarshal(body, &req); err != nil {
+		var req service.Request
+		if err := service.DecodeRequestJSON(buf.Bytes(), &req); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return
 		}
-		if r.URL.Query().Get("wait") == "1" {
+		// The common query without url.ParseQuery's map.
+		if r.URL.RawQuery == "wait=1" || r.URL.Query().Get("wait") == "1" {
 			res, err := svc.Do(r.Context(), req)
 			if err != nil {
 				writeErr(w, statusFor(err), err)
+				return
+			}
+			// req holds copies of its strings: the buffer is free for the reply.
+			buf.Reset()
+			if out, ok := res.AppendJSONIndent(buf.AvailableBuffer()); ok {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(out)
 				return
 			}
 			writeJSON(w, http.StatusOK, res)
@@ -471,8 +525,9 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	if ra := service.RetryAfter(err); ra > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", ra))
 	}
-	writeJSON(w, code, map[string]string{
-		"error": err.Error(),
-		"kind":  service.Classify(err),
-	})
+	kind := service.Classify(err)
+	if code == http.StatusRequestEntityTooLarge {
+		kind = "body_too_large" // the front end's refusal: the service never saw a request
+	}
+	writeJSON(w, code, map[string]string{"error": err.Error(), "kind": kind})
 }

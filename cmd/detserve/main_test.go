@@ -10,7 +10,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -19,6 +22,15 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/diag"
 	"repro/internal/service"
+	"repro/internal/splash"
+)
+
+// What TestServeHitAllocs measured when written (3,672 bytes in 32 objects,
+// the test's own recorder and request bookkeeping included; 9,176 in 51
+// before the one-pass front end), plus 10 %.
+const (
+	hitBytesBudget   = 4040
+	hitObjectsBudget = 35
 )
 
 // quickstart is the README quickstart program: four threads contending on
@@ -178,8 +190,8 @@ func waitReady(t *testing.T, addr string) {
 	}
 }
 
-// post submits body to addr+path and decodes a JSON reply into out.
-func post(t *testing.T, addr, path string, body []byte, out any) int {
+// postRaw submits body to addr+path and returns the status and the reply's bytes.
+func postRaw(t *testing.T, addr, path string, body []byte) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -187,12 +199,19 @@ func post(t *testing.T, addr, path string, body []byte, out any) int {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	if out != nil && resp.StatusCode/100 == 2 {
+	return resp.StatusCode, raw
+}
+
+// post is postRaw with a 2xx reply decoded into out.
+func post(t *testing.T, addr, path string, body []byte, out any) int {
+	t.Helper()
+	code, raw := postRaw(t, addr, path, body)
+	if out != nil && code/100 == 2 {
 		if err := json.Unmarshal(raw, out); err != nil {
 			t.Fatalf("POST %s: decode %q: %v", path, raw, err)
 		}
 	}
-	return resp.StatusCode
+	return code
 }
 
 func getJSON(t *testing.T, addr, path string, out any) int {
@@ -243,6 +262,40 @@ func TestServeSmoke(t *testing.T) {
 			second.Cached, second.SelfChecked, second.ScheduleHash, first.ScheduleHash)
 	}
 
+	// The reply's bytes are frozen: a hit, built by the append encoder, is
+	// what encoding/json writes for the value it decodes to.
+	code, raw := postRaw(t, addr, "/v1/jobs?wait=1", body)
+	var hit service.Result
+	if err := json.Unmarshal(raw, &hit); err != nil || code != http.StatusOK || !hit.Cached {
+		t.Fatalf("hit: status %d, decode %v, body %s", code, err, raw)
+	}
+	if want, _ := json.MarshalIndent(hit, "", "  "); string(raw) != string(want)+"\n" {
+		t.Fatalf("hit body:\n%s\nwant encoding/json's:\n%s", raw, want)
+	}
+
+	// The same program spelled as only encoding/json reads it — \u escapes,
+	// an upper-case key, an unknown field — is the same job.
+	src, _ := json.Marshal(quickstart)
+	odd := `{"SOURCE":` + strings.ReplaceAll(string(src), `\n`, `\u000a`) + `,"comment":[1,{"x":null}]}`
+	var viaJSON service.Result
+	if code := post(t, addr, "/v1/jobs?wait=1", []byte(odd), &viaJSON); code != http.StatusOK || viaJSON.ScheduleHash != first.ScheduleHash {
+		t.Fatalf("odd-but-legal request: status %d, hash %s, want %s", code, viaJSON.ScheduleHash, first.ScheduleHash)
+	}
+	// wait=1 is found however the query spells it.
+	if code := post(t, addr, "/v1/jobs?x=1&wait=1", body, &viaJSON); code != http.StatusOK || viaJSON.ScheduleHash != first.ScheduleHash {
+		t.Fatalf("?x=1&wait=1: status %d, hash %s", code, viaJSON.ScheduleHash)
+	}
+
+	// Malformed JSON is diagnosed by encoding/json, in its words.
+	for _, bad := range []string{`{"source":"a",}`, `{"threads":"four"}`, `{"source":"a"} x`, ``} {
+		wantErr := json.Unmarshal([]byte(bad), new(service.Request))
+		var reply struct{ Error, Kind string }
+		code, raw := postRaw(t, addr, "/v1/jobs?wait=1", []byte(bad))
+		if err := json.Unmarshal(raw, &reply); err != nil || code != http.StatusBadRequest || reply.Error != "decode request: "+wantErr.Error() {
+			t.Fatalf("malformed %q: status %d, body %s; want 400 and %q", bad, code, raw, "decode request: "+wantErr.Error())
+		}
+	}
+
 	// Status mapping over the wire: malformed request 400, unknown job 404,
 	// and a peer message without its checksum 422.
 	if code := post(t, addr, "/v1/jobs?wait=1", []byte(`{"source":"","threads":-1}`), nil); code != http.StatusBadRequest {
@@ -258,7 +311,7 @@ func TestServeSmoke(t *testing.T) {
 
 	var snap service.StatsSnapshot
 	getJSON(t, addr, "/v1/stats", &snap)
-	if snap.ResultCacheHits < 1 || snap.SelfChecks < 1 || snap.Divergences != 0 || snap.CorruptionEvents != 1 {
+	if snap.ResultCacheHits < 4 || snap.SelfChecks < 1 || snap.Divergences != 0 || snap.CorruptionEvents != 1 {
 		t.Fatalf("counters: hits=%d self-checks=%d divergences=%d corruption_events=%d",
 			snap.ResultCacheHits, snap.SelfChecks, snap.Divergences, snap.CorruptionEvents)
 	}
@@ -419,5 +472,156 @@ func TestClusterSmoke(t *testing.T) {
 		if snap.Divergences != 0 || snap.CorruptionEvents != 0 {
 			t.Fatalf("node %d observed %d divergences, %d corruption events", i, snap.Divergences, snap.CorruptionEvents)
 		}
+	}
+}
+
+// countingBody is a request body of endless filler that counts what is read
+// of it.
+type countingBody struct{ read int64 }
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	c.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestJobBodyCap: a body over the cap is 413 with a kind of its own — unread
+// when its Content-Length says so, abandoned one byte past the cap when it is
+// chunked — and a body at the cap is read whole.
+func TestJobBodyCap(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Kill()
+	h := newHandler(svc)
+	for _, tc := range []struct {
+		name               string
+		declared           int64
+		wantCode           int
+		wantKind           string
+		wantRead, wantMore int64 // read at least wantRead, at most wantMore
+	}{
+		{"declared over the cap", maxJobBody + 1, http.StatusRequestEntityTooLarge, "body_too_large", 0, 0},
+		{"chunked", -1, http.StatusRequestEntityTooLarge, "body_too_large", maxJobBody + 1, maxJobBody + 1},
+		{"declared at the cap", maxJobBody, http.StatusBadRequest, "error", maxJobBody, maxJobBody + 1},
+	} {
+		body := &countingBody{}
+		var rd io.Reader = body
+		if tc.declared >= 0 {
+			rd = io.LimitReader(body, tc.declared)
+		}
+		r := httptest.NewRequest("POST", "/v1/jobs?wait=1", rd)
+		r.ContentLength = tc.declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var reply struct{ Error, Kind string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != tc.wantCode || reply.Kind != tc.wantKind {
+			t.Errorf("%s: status %d, body %s; want %d and kind %q", tc.name, rec.Code, rec.Body, tc.wantCode, tc.wantKind)
+		}
+		if body.read < tc.wantRead || body.read > tc.wantMore {
+			t.Errorf("%s: %d bytes read, want %d..%d", tc.name, body.read, tc.wantRead, tc.wantMore)
+		}
+	}
+}
+
+// TestLargeBodyLeavesThePool: a buffer grown for one large program is dropped,
+// not handed to the next 1 kB request.
+func TestLargeBodyLeavesThePool(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Kill()
+	h := newHandler(svc)
+	large := []byte(`{"source":"` + strings.Repeat("x", 1<<20) + `"}`)
+	for i := 0; i < 8; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/jobs?wait=1", bytes.NewReader(large)))
+		buf := bodyPool.Get().(*bytes.Buffer)
+		if buf.Cap() > pooledBodyCap {
+			t.Fatalf("the pool handed out a %d-byte buffer after a %d-byte request; it keeps at most %d", buf.Cap(), len(large), pooledBodyCap)
+		}
+		bodyPool.Put(buf)
+	}
+}
+
+// hitBodies are the two request sizes a hit is measured on, as
+// internal/service's hitPrograms are: the histogram example (the size of a
+// generated pool program) and the radiosity text the paper's sweep submits.
+func hitBodies(t testing.TB) map[string][]byte {
+	t.Helper()
+	small, err := os.ReadFile("../../examples/programs/histogram.dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	radiosity, err := splash.New("radiosity", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for name, src := range map[string]string{"1kB": string(small), "36kB": radiosity.Module.String()} {
+		out[name], _ = json.Marshal(service.Request{Source: src})
+	}
+	return out
+}
+
+// warmHandler is the mounted handler of a bare node with body's job already
+// in the result cache, and one request through it.
+func warmHandler(t testing.TB, body []byte) (serveHit func(), done func()) {
+	t.Helper()
+	node, err := cluster.Open(cluster.Config{Self: "127.0.0.1:0", Service: service.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mountNode(newHandler(node.Service()), node)
+	rd := bytes.NewReader(nil)
+	r := httptest.NewRequest("POST", "/v1/jobs?wait=1", rd)
+	r.ContentLength = int64(len(body))
+	serveHit = func() {
+		rd.Reset(body)
+		r.Body = io.NopCloser(rd)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"schedule_hash": "`)) {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serveHit() // the miss
+	return serveHit, func() { node.Close(context.Background()) }
+}
+
+// BenchmarkServeHit is a result-cache hit through the mounted handler: what
+// the HTTP front end adds around Service.Do, per request and per body byte.
+func BenchmarkServeHit(b *testing.B) {
+	for _, name := range []string{"1kB", "36kB"} {
+		body := hitBodies(b)[name]
+		b.Run(name, func(b *testing.B) {
+			serveHit, done := warmHandler(b, body)
+			defer done()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveHit()
+			}
+		})
+	}
+}
+
+// TestServeHitAllocs pins what one 1 kB hit allocates through the handler,
+// recorder and request bookkeeping included, at what it measured when written
+// plus 10 %. Bytes as well as objects: the objects alone would not have seen
+// io.ReadAll's 20 kB.
+func TestServeHitAllocs(t *testing.T) {
+	serveHit, done := warmHandler(t, hitBodies(t)["1kB"])
+	defer done()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	objects := testing.AllocsPerRun(runs, serveHit)
+	runtime.ReadMemStats(&after)
+	bytesPerHit := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one more
+	t.Logf("1 kB hit: %d bytes, %.0f objects", bytesPerHit, objects)
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed: the buffer is reallocated that often")
+	}
+	if bytesPerHit > hitBytesBudget || objects > hitObjectsBudget {
+		t.Fatalf("a 1 kB hit allocates %d bytes in %.0f objects; pinned at %d and %d", bytesPerHit, objects, hitBytesBudget, hitObjectsBudget)
 	}
 }

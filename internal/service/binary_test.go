@@ -149,10 +149,11 @@ func TestBinaryMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecCoversEveryField fails when a type the hand codec walks
-// gains, loses or retypes a field. JSON picked new fields up by itself;
-// binary.go (and trace/binary.go for Event) does not: add the field there, to
-// randRequest / randResult above, and only then to these literals.
+// TestBinaryCodecCoversEveryField fails when a type a hand codec walks gains,
+// loses or retypes a field. encoding/json picks new fields up by itself;
+// binary.go (and trace/binary.go for Event) and json.go's one-pass Request
+// decoder and Result encoder do not: add the field to binary.go, to json.go,
+// to randRequest / randResult above, and only then to these literals.
 func TestBinaryCodecCoversEveryField(t *testing.T) {
 	for _, tc := range []struct {
 		v    any

@@ -1,0 +1,229 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/detrand"
+)
+
+// detloadBody is what a client of POST /v1/jobs sends: json.Marshal of a
+// Request around a real program text.
+func detloadBody(t testing.TB) []byte {
+	t.Helper()
+	body, err := json.Marshal(Request{Source: hitPrograms(t)["1kB"], Threads: 4, Preset: "all", PerturbSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// decodeSeeds are the shapes the one-pass decoder takes, followed by the ones
+// it must leave to encoding/json. TestDecodeRequestFastPath pins which is
+// which; FuzzDecodeRequest starts from all of them.
+var decodeSeeds = struct{ taken, declined []string }{
+	taken: []string{
+		`{}`,
+		` { } `,
+		`{"source":""}`,
+		`{"source":"module m\nlocks 1\n\tx \"q\" \\ \/ \b\f\r"}`,
+		`{"source":"a","entry":"main","threads":4,"preset":"O2","baseline":true,"perturb_seed":-7,"race":false,"deadline_ms":123456789012345678,"artifacts":{"schedule":true,"stats":false,"overhead_row":true}}`,
+		"{\n  \"artifacts\" : { } ,\r\n\t\"threads\" : 0 , \"source\" : \"s\"\n}\n",
+		`{"perturb_seed":-0,"threads":-999999999999999999}`,
+		`{"source":"` + "\x7f~ !#[]" + `"}`,
+	},
+	declined: []string{
+		`{"source":"\u0041"}`,
+		`{"Source":"a"}`,
+		`{"source":"a","source":"b"}`,
+		`{"artifacts":{"stats":true},"artifacts":{"schedule":true}}`,
+		`{"artifacts":{"stats":true,"stats":false}}`,
+		`{"source":null}`,
+		`{"artifacts":null}`,
+		`null`,
+		`{"threads":1.0}`,
+		`{"threads":1e3}`,
+		`{"threads":01}`,
+		`{"threads":-}`,
+		`{"threads":-01}`,
+		`{"threads":"4"}`,
+		`{"perturb_seed":12345678901234567890}`,
+		`{"perturb_seed":9223372036854775807}`,
+		`{"deadline_ms":-9223372036854775808}`,
+		`{"source":"caf` + "\xc3\xa9" + `"}`,
+		`{"source":"bad` + "\xff\xfe" + `utf8"}`,
+		"{\"source\":\"a\nb\"}",
+		`{"source":"a\x"}`,
+		`{"source":"a\'"}`,
+		`{"source":"a\`,
+		`{"source":"a`,
+		`{"sourc\u0065":"a"}`,
+		`{"unknown":1,"source":"a"}`,
+		`{"race":True}`,
+		`{"race":tru}`,
+		`{"race":1}`,
+		`{"baseline":falsey}`,
+		`[]`,
+		`"source"`,
+		``,
+		` `,
+		`{`,
+		`{"source"}`,
+		`{"source":"a",}`,
+		`{"source":"a"} x`,
+		`{"source":"a"}{}`,
+		`{"source":"a"}` + "\x00",
+		`{"source" "a"}`,
+		`{,}`,
+		"\xef\xbb\xbf{}",
+	},
+}
+
+// TestDecodeRequestFastPath: the one-pass decoder takes the plain shapes — a
+// regression that declines everything would pass every differential test and
+// show only as a slower benchmark — and declines each shape whose meaning or
+// diagnosis is encoding/json's to give.
+func TestDecodeRequestFastPath(t *testing.T) {
+	take := func(body string) bool {
+		var req Request
+		d := reqDecoder{body: []byte(body)}
+		return d.request(&req)
+	}
+	for _, body := range append([]string{string(detloadBody(t))}, decodeSeeds.taken...) {
+		if !take(body) {
+			t.Errorf("declined a plain request: %.80q", body)
+		}
+	}
+	for _, body := range decodeSeeds.declined {
+		if take(body) {
+			t.Errorf("took a request it must leave to encoding/json: %q", body)
+		}
+	}
+	// Every program the repository ships is plain once marshalled.
+	for name, src := range splashSources(t) {
+		body, _ := json.Marshal(Request{Source: src})
+		if !take(string(body)) {
+			t.Errorf("declined %s's request", name)
+		}
+	}
+}
+
+// checkDecode is the decoder's whole contract: on any bytes it answers as
+// json.Unmarshal into a zero Request does — the same error text, or the same
+// value.
+func checkDecode(t *testing.T, body []byte) {
+	t.Helper()
+	var want Request
+	wantErr := json.Unmarshal(body, &want)
+	got := Request{Source: "stale", Threads: 9, Artifacts: Artifacts{Stats: true}} // a reused value is overwritten
+	gotErr := DecodeRequestJSON(body, &got)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%q:\n got error %v\nwant error %v", body, gotErr, wantErr)
+	}
+	if wantErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q:\n got %+v\nwant %+v", body, got, want)
+	}
+}
+
+func FuzzDecodeRequest(f *testing.F) {
+	f.Add(detloadBody(f))
+	for _, body := range append(decodeSeeds.taken, decodeSeeds.declined...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
+}
+
+// TestDecodeRequestMatchesJSON drives the same contract from generated
+// requests: marshalled plainly, indented, and with every source byte escaped
+// the long way.
+func TestDecodeRequestMatchesJSON(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		req := randRequest(detrand.New(seed, 0))
+		plain, _ := json.Marshal(req)
+		indented, _ := json.MarshalIndent(req, "\t", " ")
+		checkDecode(t, plain)
+		checkDecode(t, indented)
+		checkDecode(t, bytes.ReplaceAll(plain, []byte(`\n`), []byte(`\u000a`)))
+		for cut := 0; cut < len(plain); cut += 1 + len(plain)/40 {
+			checkDecode(t, plain[:cut])
+		}
+	}
+}
+
+// needsEncoder is the test's own statement of what AppendJSONIndent hands
+// over: bytes json.Encoder would not write verbatim.
+func needsEncoder(s string) bool {
+	for _, c := range []byte(s) {
+		if c < 0x20 || c >= 0x80 || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func encoderBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestAppendJSONIndentMatchesEncoder freezes the public reply: for every
+// result the append encoder accepts it writes json.Encoder's bytes, and it
+// accepts exactly the results with no schedule, no overhead row and no string
+// that needs escaping.
+func TestAppendJSONIndentMatchesEncoder(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := detrand.New(seed, 0)
+		res := randResult(rng)
+
+		wantOK := res.Schedule == nil && res.Overhead == nil && !needsEncoder(res.JobID) && !needsEncoder(res.ScheduleHash)
+		for _, name := range res.Clockable {
+			wantOK = wantOK && !needsEncoder(name)
+		}
+		prefix := []byte("kept")
+		out, ok := res.AppendJSONIndent(prefix)
+		if ok != wantOK || (!ok && len(out) != len(prefix)) {
+			t.Fatalf("seed %d: accepted %v (appended %d bytes), want %v: %+v", seed, ok, len(out)-len(prefix), wantOK, res)
+		}
+
+		// The same draw restricted to what the encoder accepts.
+		res.Schedule, res.Overhead = nil, nil
+		res.JobID, res.ScheduleHash = fmt.Sprintf("j-%d", seed), fmt.Sprintf("%016x", rng.Next())
+		for i := range res.Clockable {
+			res.Clockable[i] = fmt.Sprintf("fn_%d.x", i)
+		}
+		if seed%7 == 0 {
+			res.Clockable = []string{}
+		}
+		out, ok = res.AppendJSONIndent(prefix)
+		if want := encoderBytes(t, res); !ok || !bytes.Equal(out[len(prefix):], want) || !bytes.HasPrefix(out, prefix) {
+			t.Fatalf("seed %d: accepted %v\n got %s\nwant %s", seed, ok, out, want)
+		}
+		for name, v := range map[string]bool{"cached": res.Cached, "instr_cached": res.InstrCached, "self_checked": res.SelfChecked,
+			"peer_filled": res.PeerFilled, "remote": res.Remote, "overhead_ns": res.Stage.OverheadNS != 0,
+			"clockable nil": res.Clockable == nil, "clockable many": len(res.Clockable) > 1, "negative": res.Cycles < 0} {
+			seen[fmt.Sprint(name, "=", v)] = true
+		}
+		seen[fmt.Sprint("clockable empty=", res.Clockable != nil && len(res.Clockable) == 0)] = true
+	}
+	if len(seen) != 20 {
+		t.Fatalf("the seeds covered %d of 20 field states: %v", len(seen), seen)
+	}
+	for _, s := range []string{`"`, `\`, "<", ">", "&", "\x00", "\x1f", "\n", "é", "\xff"} {
+		for _, res := range []*Result{{JobID: "a" + s}, {ScheduleHash: s + "a"}, {Clockable: []string{"ok", s}}} {
+			if _, ok := res.AppendJSONIndent(nil); ok {
+				t.Errorf("accepted a result holding %q", s)
+			}
+		}
+	}
+}
