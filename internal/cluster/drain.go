@@ -74,7 +74,7 @@ func (n *Node) Drain(ctx context.Context) error {
 	}
 	n.draining = true
 	n.mu.Unlock()
-	n.ctr.drains.Add(1)
+	n.ctr.Drains.Add(1)
 
 	if n.members == nil {
 		n.svc.StartDrain()
@@ -143,7 +143,7 @@ func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
 		n.svc.CompleteStolen(sj.ID, nil)
 		return
 	}
-	n.ctr.handoffJobsSent.Add(1)
+	n.ctr.HandoffJobsSent.Add(1)
 }
 
 // handoffJournal transfers journal segment ownership to the first live ring
@@ -170,7 +170,7 @@ func (n *Node) handoffJournal(ctx context.Context) error {
 	status, err := n.call(ctx, http.MethodPost, successor, "/internal/v1/handoff-journal", msg, nil)
 	switch {
 	case err == nil:
-		n.ctr.journalHandoffs.Add(1)
+		n.ctr.JournalHandoffs.Add(1)
 		return nil
 	case status == http.StatusConflict:
 		return fmt.Errorf("journal handoff: %w: successor's cross-check refused the segment: %w", diag.ErrDivergence, err)
@@ -200,7 +200,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, sj := range msg.Jobs {
-		n.ctr.handoffJobsRecv.Add(1)
+		n.ctr.HandoffJobsRecv.Add(1)
 		sj := sj
 		n.wg.Add(1)
 		go func() {
@@ -243,7 +243,7 @@ func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	n.ctr.journalHandoffsRecv.Add(1)
+	n.ctr.JournalHandoffsRecv.Add(1)
 	reply(w, http.StatusNoContent, nil)
 }
 

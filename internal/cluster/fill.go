@@ -32,16 +32,16 @@ func (n *Node) fill(ctx context.Context, key string, req *service.Request) *serv
 		return nil // we are the owner (or there is no ring): the miss is authoritative
 	}
 	if !n.members.alive(owner) {
-		n.ctr.fillSkips.Add(1)
+		n.ctr.FillSkips.Add(1)
 		return nil // degradation: down owner means local recomputation
 	}
-	n.ctr.fillAttempts.Add(1)
+	n.ctr.FillAttempts.Add(1)
 	res := n.fetchHedged(ctx, time.Now().Add(n.cfg.FillTimeout), owner, key)
 	if res == nil {
-		n.ctr.fillMisses.Add(1)
+		n.ctr.FillMisses.Add(1)
 		return nil
 	}
-	n.ctr.fillHits.Add(1)
+	n.ctr.FillHits.Add(1)
 	return res
 }
 
@@ -86,7 +86,7 @@ func (n *Node) fetchHedged(ctx context.Context, deadline time.Time, owner, key s
 				return out.res // deferred cancels cut the straggler loose
 			}
 		case <-hedge.C:
-			n.ctr.fillHedges.Add(1)
+			n.ctr.FillHedges.Add(1)
 			pending++
 			launch()
 		case <-ctx.Done():
@@ -138,14 +138,14 @@ func (n *Node) sendOffer(ctx context.Context, owner, key string, res *service.Re
 	status, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/offer?key="+key, &offerMsg{Res: res, Req: req}, nil)
 	switch {
 	case err == nil:
-		n.ctr.offersSent.Add(1)
+		n.ctr.OffersSent.Add(1)
 	case status == http.StatusConflict:
 		// The owner's cached entry disagrees with ours: a determinism
 		// divergence, counted on both sides and policed by the owner's
 		// breaker.
-		n.ctr.offerDivergences.Add(1)
+		n.ctr.OfferDivergences.Add(1)
 	default:
-		n.ctr.offerFails.Add(1)
+		n.ctr.OfferFails.Add(1)
 	}
 	return err
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Membership dissemination. Dynamic clusters spread the versioned view by
-// seeded push-pull gossip: each round this node picks Config.GossipFanout
+// seeded push-pull gossip: each round this node picks gossipFanout
 // targets from its own partitioned deterministic RNG stream, POSTs its view,
 // and merges the reply. Because View.Merge is a join-semilattice, exchange
 // order cannot matter — any gossip schedule that eventually connects the
@@ -17,6 +17,14 @@ import (
 // (join admitted, drain started, node left) additionally push to every
 // tracked peer at once, so the config epoch advances cluster-wide in one
 // round-trip instead of waiting out gossip rounds.
+
+// gossipFanout is the peers contacted per gossip round; gossipSeed seeds
+// every node's peer-selection stream (partitioned per node by gossipStream),
+// and every churn fingerprint in EXPERIMENTS.md is a function of it.
+const (
+	gossipFanout = 2
+	gossipSeed   = 1
+)
 
 // gossipMsg is the body of /internal/v1/gossip (and the join handshake): the
 // sender's name and full view. The reply body is the receiver's (merged)
@@ -39,10 +47,7 @@ func (n *Node) GossipOnce(ctx context.Context) int {
 	if len(candidates) == 0 {
 		return 0
 	}
-	fanout := n.cfg.GossipFanout
-	if fanout > len(candidates) {
-		fanout = len(candidates)
-	}
+	fanout := min(gossipFanout, len(candidates))
 	// Deterministic sampling without replacement from the node's own stream.
 	n.gmu.Lock()
 	picks := make([]string, 0, fanout)
@@ -59,7 +64,7 @@ func (n *Node) GossipOnce(ctx context.Context) int {
 			ok++
 		}
 	}
-	n.ctr.gossipRounds.Add(1)
+	n.ctr.GossipRounds.Add(1)
 	return ok
 }
 
@@ -88,12 +93,12 @@ func (n *Node) exchangeView(ctx context.Context, peer string) bool {
 	var rv View
 	_, err := n.call(ctx, http.MethodPost, peer, "/internal/v1/gossip", gossipMsg{From: n.cfg.Self, View: n.members.viewClone()}, &rv)
 	if err != nil {
-		n.ctr.gossipFails.Add(1)
+		n.ctr.GossipFails.Add(1)
 		return false
 	}
-	n.ctr.gossipSent.Add(1)
+	n.ctr.GossipSent.Add(1)
 	if n.members.merge(rv) {
-		n.ctr.gossipMerges.Add(1)
+		n.ctr.GossipMerges.Add(1)
 		n.syncRing()
 	}
 	return true
@@ -111,7 +116,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n.members.merge(msg.View) {
-		n.ctr.gossipMerges.Add(1)
+		n.ctr.GossipMerges.Add(1)
 		n.syncRing()
 	}
 	reply(w, http.StatusOK, n.members.viewClone())

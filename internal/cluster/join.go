@@ -77,7 +77,7 @@ func (n *Node) joinVia(ctx context.Context, seed string) error {
 	n.members.merge(jr.View)
 	n.members.bumpSelf(StateActive)
 	n.syncRing()
-	n.ctr.joins.Add(1)
+	n.ctr.Joins.Add(1)
 	// Push admission to everyone we now know — new ranges route immediately.
 	n.gossipNow(ctx)
 	return nil
@@ -113,6 +113,6 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if n.members.merge(msg.View) {
 		n.syncRing()
 	}
-	n.ctr.joinsServed.Add(1)
+	n.ctr.JoinsServed.Add(1)
 	reply(w, http.StatusOK, joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords()})
 }

@@ -85,16 +85,7 @@ func baseMembership(self string, client Doer, timeout time.Duration, threshold i
 // steal from itself). Empty strings are skipped.
 func newMembership(self string, peers []string, client Doer, timeout time.Duration, threshold int) *membership {
 	m := baseMembership(self, client, timeout, threshold)
-	seen := map[string]bool{self: true, "": true}
-	names := []string{self}
-	for _, p := range peers {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		names = append(names, p)
-	}
-	m.view = staticView(names)
+	m.view = staticView(append([]string{self}, dedupePeers(self, peers)...))
 	m.syncPeersLocked()
 	return m
 }

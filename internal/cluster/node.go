@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bin"
@@ -78,16 +79,10 @@ type Config struct {
 	// (default 200ms); <0 disables the background gossiper (tests drive
 	// GossipOnce directly).
 	GossipInterval time.Duration
-	// GossipFanout is the peers contacted per gossip round (default 2).
-	GossipFanout int
-	// GossipSeed seeds the deterministic peer-selection stream (default 1).
-	GossipSeed int64
 
 	// RepairInterval is the anti-entropy period (default 2s); <0 disables
 	// the background repair loop (tests drive RepairOnce directly).
 	RepairInterval time.Duration
-	// RepairMax bounds the keys re-verified per repair round (default 128).
-	RepairMax int
 }
 
 // Validate rejects contradictory cluster configurations with a typed
@@ -149,17 +144,8 @@ func (c *Config) withDefaults() {
 	if c.GossipInterval == 0 {
 		c.GossipInterval = 200 * time.Millisecond
 	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = 2
-	}
-	if c.GossipSeed == 0 {
-		c.GossipSeed = 1
-	}
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 2 * time.Second
-	}
-	if c.RepairMax <= 0 {
-		c.RepairMax = 128
 	}
 }
 
@@ -175,7 +161,7 @@ type Node struct {
 	shipper *shipper
 	standby *standbyStore
 	mux     *http.ServeMux
-	ctr     counters
+	ctr     statsOf[atomic.Int64]
 
 	// ringMu guards the mutable consistent-hash ring, rebuilt whenever the
 	// membership view's config epoch advances. ring is nil while no member
@@ -232,7 +218,7 @@ func Open(cfg Config) (*Node, error) {
 		}
 	}
 	if clustered {
-		n.grand = detrand.New(cfg.GossipSeed, gossipStream(cfg.Self))
+		n.grand = detrand.New(gossipSeed, gossipStream(cfg.Self))
 		cfg.Service.Fill = n.fill
 		cfg.Service.Offer = n.offer
 	}
@@ -346,7 +332,7 @@ func (n *Node) syncRing() {
 	n.ringEpoch = epoch
 	n.ringBuilt = true
 	n.ringMu.Unlock()
-	n.ctr.ringRebuilds.Add(1)
+	n.ctr.RingRebuilds.Add(1)
 
 	if old == nil || nr == nil || n.svc == nil {
 		return
@@ -580,7 +566,7 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "miss", http.StatusNotFound)
 		return
 	}
-	n.ctr.fillsServed.Add(1)
+	n.ctr.FillsServed.Add(1)
 	reply(w, http.StatusOK, res)
 }
 
@@ -688,7 +674,7 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 			// discarded unapplied; 409 makes the shipper open a fresh epoch
 			// with a snapshot, which supersedes the lost lines — corruption
 			// repair rides the existing resync path.
-			n.ctr.shipCorrupt.Add(1)
+			n.ctr.ShipCorrupt.Add(1)
 			n.reportPeerCorruption("", err)
 			http.Error(w, err.Error(), http.StatusConflict)
 			return

@@ -34,6 +34,9 @@ import (
 // repairBuckets is the digest fan-out: keys bucket by FNV(key) % repairBuckets.
 const repairBuckets = 16
 
+// repairMax bounds the keys re-verified per repair round.
+const repairMax = 128
+
 // bucketDigest is one bucket's summary in the round-1 reply.
 type bucketSummary struct {
 	Digests [repairBuckets]string `json:"digests"`
@@ -97,7 +100,7 @@ func (n *Node) bucketKeys(owner string, bucket int) []repairKey {
 }
 
 // RepairOnce runs one anti-entropy round against the next ring peer in
-// round-robin order, bounded by Config.RepairMax reconciled keys. Returns
+// round-robin order, bounded by repairMax reconciled keys. Returns
 // the number of entries pulled, fixed, or flagged divergent. Synchronous —
 // the background loop calls it on a ticker, and deterministic tests call it
 // directly.
@@ -118,14 +121,14 @@ func (n *Node) RepairOnce(ctx context.Context) int {
 	peer := peers[n.repairIdx%len(peers)]
 	n.repairIdx++
 	n.gmu.Unlock()
-	n.ctr.repairRounds.Add(1)
+	n.ctr.RepairRounds.Add(1)
 
 	theirs, err := n.fetchBucketDigests(ctx, peer)
 	if err != nil {
 		return 0
 	}
 	ours := n.bucketDigests(n.cfg.Self)
-	repaired, budget := 0, n.cfg.RepairMax
+	repaired, budget := 0, repairMax
 	for b := 0; b < repairBuckets && budget > 0; b++ {
 		if theirs.Digests[b] == ours.Digests[b] {
 			continue
@@ -170,7 +173,7 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 		if err := n.svc.OfferResult(rk.Key, res, nil); err != nil {
 			return false, err
 		}
-		n.ctr.repairPulls.Add(1)
+		n.ctr.RepairPulls.Add(1)
 		return true, nil
 	}
 	if held.ScheduleHash == rk.Hash {
@@ -182,10 +185,10 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 		if ctx.Err() != nil {
 			return false, ctx.Err()
 		}
-		n.ctr.repairFixes.Add(1) // our copy was wrong; recompute repaired/evicted it
+		n.ctr.RepairFixes.Add(1) // our copy was wrong; recompute repaired/evicted it
 		return true, nil
 	}
-	n.ctr.repairDivergences.Add(1)
+	n.ctr.RepairDivergences.Add(1)
 	n.reportPeerCorruption(peer, fmt.Errorf("cluster: repair %s: peer %s holds schedule hash %s, deterministic recompute holds %s",
 		rk.Key[:12], peer, rk.Hash, held.ScheduleHash))
 	return true, nil
@@ -243,7 +246,7 @@ func (n *Node) RebalanceOnce(ctx context.Context) int {
 			continue
 		}
 		if n.sendOffer(ctx, to, key, res, req) == nil {
-			n.ctr.rebalanceMoves.Add(1)
+			n.ctr.RebalanceMoves.Add(1)
 			pushed++
 		}
 	}

@@ -146,12 +146,12 @@ func (n *Node) ShipFlush(ctx context.Context) (int, error) {
 	}
 	sent, err := n.shipper.flush(ctx)
 	if err != nil {
-		n.ctr.shipFails.Add(1)
+		n.ctr.ShipFails.Add(1)
 		return 0, err
 	}
 	if sent > 0 {
-		n.ctr.shipBatches.Add(1)
-		n.ctr.shipLines.Add(int64(sent))
+		n.ctr.ShipBatches.Add(1)
+		n.ctr.ShipLines.Add(int64(sent))
 	}
 	return sent, nil
 }

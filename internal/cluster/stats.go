@@ -1,148 +1,72 @@
 package cluster
 
-import "sync/atomic"
+import "repro/internal/telemetry"
 
-// counters is the node's cluster-layer telemetry (the inner service keeps
-// its own; these count only cross-node traffic).
-type counters struct {
-	fillAttempts     atomic.Int64
-	fillHits         atomic.Int64
-	fillMisses       atomic.Int64
-	fillSkips        atomic.Int64 // owner down: skipped straight to local compute
-	fillHedges       atomic.Int64
-	fillsServed      atomic.Int64 // fills answered for peers
-	offersSent       atomic.Int64
-	offerFails       atomic.Int64
-	offerDivergences atomic.Int64
-	stealsDone       atomic.Int64 // jobs borrowed from peers
-	completesSent    atomic.Int64
-	completeFails    atomic.Int64
-	shipBatches      atomic.Int64
-	shipLines        atomic.Int64
-	shipFails        atomic.Int64
+// statsOf is the node's cluster-layer telemetry, declared once (the inner
+// service keeps its own; these count only cross-node traffic). A field of
+// type C is a counter: at C = atomic.Int64 (Node.ctr) it is the live cell, at
+// C = int64 the value Stats loaded from it. Epoch and MemberState are gauges
+// read from the membership view; in Node.ctr they stay zero.
+type statsOf[C any] struct {
+	FillAttempts     C `json:"fill_attempts,omitempty"`
+	FillHits         C `json:"fill_hits,omitempty"`
+	FillMisses       C `json:"fill_misses,omitempty"`
+	FillSkips        C `json:"fill_skips,omitempty"` // owner down: skipped straight to local compute
+	FillHedges       C `json:"fill_hedges,omitempty"`
+	FillsServed      C `json:"fills_served,omitempty"` // fills answered for peers
+	OffersSent       C `json:"offers_sent,omitempty"`
+	OfferFails       C `json:"offer_fails,omitempty"`
+	OfferDivergences C `json:"offer_divergences,omitempty"`
+	StealsDone       C `json:"steals_done,omitempty"` // jobs borrowed from peers
+	CompletesSent    C `json:"completes_sent,omitempty"`
+	CompleteFails    C `json:"complete_fails,omitempty"`
+	ShipBatches      C `json:"ship_batches,omitempty"`
+	ShipLines        C `json:"ship_lines,omitempty"`
+	ShipFails        C `json:"ship_fails,omitempty"`
 
 	// Integrity counters: peer payloads that failed their checksum (any
 	// direction), ship batches rejected as corrupt, and peers newly
 	// quarantined for serving corrupt bytes.
-	corruptDetected atomic.Int64
-	shipCorrupt     atomic.Int64
-	peerQuarantines atomic.Int64
+	CorruptPayloads C `json:"corrupt_payloads,omitempty"`
+	ShipCorrupt     C `json:"ship_corrupt,omitempty"`
+	PeerQuarantines C `json:"peer_quarantines,omitempty"`
 
-	// Membership-plane counters: ring rebuilds (config epoch advances),
-	// gossip traffic, join/drain lifecycle events, and the handoff, rebalance
-	// and anti-entropy repair work churn triggers.
-	ringRebuilds        atomic.Int64
-	gossipRounds        atomic.Int64
-	gossipSent          atomic.Int64
-	gossipFails         atomic.Int64
-	gossipMerges        atomic.Int64
-	joins               atomic.Int64
-	joinsServed         atomic.Int64
-	drains              atomic.Int64
-	handoffJobsSent     atomic.Int64
-	handoffJobsRecv     atomic.Int64
-	journalHandoffs     atomic.Int64
-	journalHandoffsRecv atomic.Int64
-	rebalanceMoves      atomic.Int64
-	repairRounds        atomic.Int64
-	repairPulls         atomic.Int64
-	repairFixes         atomic.Int64
-	repairDivergences   atomic.Int64
+	// Membership-plane counters. Epoch and MemberState describe the current
+	// view (zero/empty in single-node mode); the rest count, since the node
+	// opened: ring rebuilds (config epoch advances), gossip traffic,
+	// join/drain lifecycle events, and the handoff, rebalance and
+	// anti-entropy repair work churn triggers.
+	Epoch               int64  `json:"epoch,omitempty"`
+	MemberState         string `json:"member_state,omitempty"`
+	RingRebuilds        C      `json:"ring_rebuilds,omitempty"`
+	GossipRounds        C      `json:"gossip_rounds,omitempty"`
+	GossipSent          C      `json:"gossip_sent,omitempty"`
+	GossipFails         C      `json:"gossip_fails,omitempty"`
+	GossipMerges        C      `json:"gossip_merges,omitempty"`
+	Joins               C      `json:"joins,omitempty"`
+	JoinsServed         C      `json:"joins_served,omitempty"`
+	Drains              C      `json:"drains,omitempty"`
+	HandoffJobsSent     C      `json:"handoff_jobs_sent,omitempty"`
+	HandoffJobsRecv     C      `json:"handoff_jobs_recv,omitempty"`
+	JournalHandoffs     C      `json:"journal_handoffs,omitempty"`
+	JournalHandoffsRecv C      `json:"journal_handoffs_recv,omitempty"`
+	RebalanceMoves      C      `json:"rebalance_moves,omitempty"`
+	RepairRounds        C      `json:"repair_rounds,omitempty"`
+	RepairPulls         C      `json:"repair_pulls,omitempty"`
+	RepairFixes         C      `json:"repair_fixes,omitempty"`
+	RepairDivergences   C      `json:"repair_divergences,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the node's cluster counters.
-type Stats struct {
-	FillAttempts     int64 `json:"fill_attempts,omitempty"`
-	FillHits         int64 `json:"fill_hits,omitempty"`
-	FillMisses       int64 `json:"fill_misses,omitempty"`
-	FillSkips        int64 `json:"fill_skips,omitempty"`
-	FillHedges       int64 `json:"fill_hedges,omitempty"`
-	FillsServed      int64 `json:"fills_served,omitempty"`
-	OffersSent       int64 `json:"offers_sent,omitempty"`
-	OfferFails       int64 `json:"offer_fails,omitempty"`
-	OfferDivergences int64 `json:"offer_divergences,omitempty"`
-	StealsDone       int64 `json:"steals_done,omitempty"`
-	CompletesSent    int64 `json:"completes_sent,omitempty"`
-	CompleteFails    int64 `json:"complete_fails,omitempty"`
-	ShipBatches      int64 `json:"ship_batches,omitempty"`
-	ShipLines        int64 `json:"ship_lines,omitempty"`
-	ShipFails        int64 `json:"ship_fails,omitempty"`
-
-	// Integrity counters: checksum failures detected on peer payloads, ship
-	// batches rejected as corrupt, and peers quarantined for serving them.
-	CorruptPayloads int64 `json:"corrupt_payloads,omitempty"`
-	ShipCorrupt     int64 `json:"ship_corrupt,omitempty"`
-	PeerQuarantines int64 `json:"peer_quarantines,omitempty"`
-
-	// Membership-plane counters. Epoch and MemberState describe the current
-	// view (zero/empty in single-node mode); the rest count lifecycle and
-	// repair work since the node opened.
-	Epoch               int64  `json:"epoch,omitempty"`
-	MemberState         string `json:"member_state,omitempty"`
-	RingRebuilds        int64  `json:"ring_rebuilds,omitempty"`
-	GossipRounds        int64  `json:"gossip_rounds,omitempty"`
-	GossipSent          int64  `json:"gossip_sent,omitempty"`
-	GossipFails         int64  `json:"gossip_fails,omitempty"`
-	GossipMerges        int64  `json:"gossip_merges,omitempty"`
-	Joins               int64  `json:"joins,omitempty"`
-	JoinsServed         int64  `json:"joins_served,omitempty"`
-	Drains              int64  `json:"drains,omitempty"`
-	HandoffJobsSent     int64  `json:"handoff_jobs_sent,omitempty"`
-	HandoffJobsRecv     int64  `json:"handoff_jobs_recv,omitempty"`
-	JournalHandoffs     int64  `json:"journal_handoffs,omitempty"`
-	JournalHandoffsRecv int64  `json:"journal_handoffs_recv,omitempty"`
-	RebalanceMoves      int64  `json:"rebalance_moves,omitempty"`
-	RepairRounds        int64  `json:"repair_rounds,omitempty"`
-	RepairPulls         int64  `json:"repair_pulls,omitempty"`
-	RepairFixes         int64  `json:"repair_fixes,omitempty"`
-	RepairDivergences   int64  `json:"repair_divergences,omitempty"`
-}
+type Stats = statsOf[int64]
 
 // Stats snapshots the cluster counters.
 func (n *Node) Stats() Stats {
-	var epoch int64
-	var state string
+	var st Stats
+	telemetry.Load(&n.ctr, &st)
 	if n.members != nil {
-		epoch = n.members.epoch()
-		state = string(n.members.selfState())
+		st.Epoch = n.members.epoch()
+		st.MemberState = string(n.members.selfState())
 	}
-	return Stats{
-		Epoch:               epoch,
-		MemberState:         state,
-		RingRebuilds:        n.ctr.ringRebuilds.Load(),
-		GossipRounds:        n.ctr.gossipRounds.Load(),
-		GossipSent:          n.ctr.gossipSent.Load(),
-		GossipFails:         n.ctr.gossipFails.Load(),
-		GossipMerges:        n.ctr.gossipMerges.Load(),
-		Joins:               n.ctr.joins.Load(),
-		JoinsServed:         n.ctr.joinsServed.Load(),
-		Drains:              n.ctr.drains.Load(),
-		HandoffJobsSent:     n.ctr.handoffJobsSent.Load(),
-		HandoffJobsRecv:     n.ctr.handoffJobsRecv.Load(),
-		JournalHandoffs:     n.ctr.journalHandoffs.Load(),
-		JournalHandoffsRecv: n.ctr.journalHandoffsRecv.Load(),
-		RebalanceMoves:      n.ctr.rebalanceMoves.Load(),
-		RepairRounds:        n.ctr.repairRounds.Load(),
-		RepairPulls:         n.ctr.repairPulls.Load(),
-		RepairFixes:         n.ctr.repairFixes.Load(),
-		RepairDivergences:   n.ctr.repairDivergences.Load(),
-		FillAttempts:        n.ctr.fillAttempts.Load(),
-		FillHits:            n.ctr.fillHits.Load(),
-		FillMisses:          n.ctr.fillMisses.Load(),
-		FillSkips:           n.ctr.fillSkips.Load(),
-		FillHedges:          n.ctr.fillHedges.Load(),
-		FillsServed:         n.ctr.fillsServed.Load(),
-		OffersSent:          n.ctr.offersSent.Load(),
-		OfferFails:          n.ctr.offerFails.Load(),
-		OfferDivergences:    n.ctr.offerDivergences.Load(),
-		StealsDone:          n.ctr.stealsDone.Load(),
-		CompletesSent:       n.ctr.completesSent.Load(),
-		CompleteFails:       n.ctr.completeFails.Load(),
-		ShipBatches:         n.ctr.shipBatches.Load(),
-		ShipLines:           n.ctr.shipLines.Load(),
-		ShipFails:           n.ctr.shipFails.Load(),
-		CorruptPayloads:     n.ctr.corruptDetected.Load(),
-		ShipCorrupt:         n.ctr.shipCorrupt.Load(),
-		PeerQuarantines:     n.ctr.peerQuarantines.Load(),
-	}
+	return st
 }

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -63,5 +65,32 @@ func TestClusterStatsWire(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("/v1/cluster/stats payload moved\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSnapshotLoadsEveryCounter: Stats is telemetry.Load plus the two view
+// gauges. Every live cell gets a distinct value and each must arrive, with
+// the gauges still set beside them.
+func TestSnapshotLoadsEveryCounter(t *testing.T) {
+	net := NewLoopNet()
+	n := tnode(t, net, "a", []string{"a", "b"}, nil)
+	defer n.Close(context.Background())
+
+	live := reflect.ValueOf(&n.ctr).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		if c, ok := live.Field(i).Addr().Interface().(*atomic.Int64); ok {
+			c.Store(int64(1000 + i))
+		}
+	}
+	st := reflect.ValueOf(n.Stats())
+	for i := 0; i < st.NumField(); i++ {
+		name, got := st.Type().Field(i).Name, st.Field(i)
+		if _, cell := live.Field(i).Addr().Interface().(*atomic.Int64); cell {
+			if got.Int() != int64(1000+i) {
+				t.Errorf("counter %s = %d, want %d", name, got.Int(), 1000+i)
+			}
+		} else if got.IsZero() {
+			t.Errorf("gauge %s is zero", name)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func (n *Node) StealOnce(ctx context.Context) int {
 	if err != nil || len(jobs) == 0 {
 		return 0
 	}
-	n.ctr.stealsDone.Add(int64(len(jobs)))
+	n.ctr.StealsDone.Add(int64(len(jobs)))
 	for _, sj := range jobs {
 		n.runStolen(ctx, victim, sj)
 	}
@@ -81,9 +81,9 @@ func (n *Node) runStolen(ctx context.Context, origin string, sj service.StolenJo
 func (n *Node) postComplete(ctx context.Context, origin, id string, res *service.Result) {
 	_, err := n.call(ctx, http.MethodPost, origin, "/internal/v1/complete", &completeMsg{ID: id, Result: res}, nil)
 	if err != nil {
-		n.ctr.completeFails.Add(1)
+		n.ctr.CompleteFails.Add(1)
 	} else if res != nil {
-		n.ctr.completesSent.Add(1)
+		n.ctr.CompletesSent.Add(1)
 	}
 }
 

@@ -196,9 +196,9 @@ func sumLines(lines [][]byte) uint32 {
 // "" when the damaged bytes were a request: its sender is not known from
 // verified bytes, so nobody is quarantined.
 func (n *Node) reportPeerCorruption(peer string, err error) {
-	n.ctr.corruptDetected.Add(1)
+	n.ctr.CorruptPayloads.Add(1)
 	if n.members != nil && n.members.quarantine(peer) {
-		n.ctr.peerQuarantines.Add(1)
+		n.ctr.PeerQuarantines.Add(1)
 	}
 	n.svc.ReportCorruption(err)
 }

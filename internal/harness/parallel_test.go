@@ -6,34 +6,23 @@ import (
 	"repro/internal/splash"
 )
 
-// twoBenches returns a cheap two-benchmark subset so the sweep runs twice
+// twoBenches is a cheap two-benchmark subset so the sweep runs twice
 // (sequential + parallel) without the full Table I cost.
-func twoBenches(t *testing.T, r *Runner) []*splash.Benchmark {
-	t.Helper()
-	var out []*splash.Benchmark
-	for _, name := range []string{"ocean", "volrend"} {
-		b, err := splash.New(name, r.Threads)
-		if err != nil {
-			t.Fatalf("splash.New(%s): %v", name, err)
-		}
-		out = append(out, b)
-	}
-	return out
-}
+var twoBenches = []string{"ocean", "volrend"}
 
 // TestTableIParallelByteIdentical: the worker-pool sweep must render the
 // exact bytes of the sequential sweep — parallelism may only change
 // wall-clock time, never a single table cell.
 func TestTableIParallelByteIdentical(t *testing.T) {
 	seq := NewRunner()
-	seqRep, err := seq.tableIReport(twoBenches(t, seq))
+	seqRep, err := seq.tableIReport(twoBenches)
 	if err != nil {
 		t.Fatalf("sequential sweep: %v", err)
 	}
 
 	par := NewRunner()
 	par.Workers = 4
-	parRep, err := par.tableIReport(twoBenches(t, par))
+	parRep, err := par.tableIReport(twoBenches)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -51,14 +40,14 @@ func TestTableIParallelByteIdentical(t *testing.T) {
 // order.
 func TestTableIIParallelByteIdentical(t *testing.T) {
 	seq := NewRunner()
-	seqRep, err := seq.tableIIReport(twoBenches(t, seq))
+	seqRep, err := seq.tableIIReport(twoBenches)
 	if err != nil {
 		t.Fatalf("sequential sweep: %v", err)
 	}
 
 	par := NewRunner()
 	par.Workers = 4
-	parRep, err := par.tableIIReport(twoBenches(t, par))
+	parRep, err := par.tableIIReport(twoBenches)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -99,5 +88,23 @@ func TestOverheadRowMatchesTableI(t *testing.T) {
 	}
 	if row.Clockable != col.Clockable {
 		t.Fatalf("clockable %d != %d", row.Clockable, col.Clockable)
+	}
+}
+
+// TestTablesShareModules: every table resolves its benchmarks through
+// benchFor, so on one Runner Table II's DetLock cell finds the clone Table I
+// instrumented for the same module instead of building a module of its own.
+func TestTablesShareModules(t *testing.T) {
+	r := NewRunner()
+	if _, err := r.tableIReport([]string{"volrend"}); err != nil {
+		t.Fatal(err)
+	}
+	benches, clones := len(r.cache.bench), len(r.cache.inst)
+	if _, err := r.tableIIReport([]string{"volrend"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.cache.bench) != benches || len(r.cache.inst) != clones {
+		t.Fatalf("Table II built its own inputs: %d → %d benchmarks, %d → %d instrumented clones",
+			benches, len(r.cache.bench), clones, len(r.cache.inst))
 	}
 }

@@ -111,6 +111,21 @@ func (r *Runner) benchFor(name string) (*splash.Benchmark, error) {
 	return b, nil
 }
 
+// benchesFor is benchFor over names, in order: every table goes through it,
+// so one Runner's tables share modules, and with them the instrumentation
+// cache (keyed by module pointer) and the DCache (keyed by *ir.Func).
+func (r *Runner) benchesFor(names []string) ([]*splash.Benchmark, error) {
+	benches := make([]*splash.Benchmark, len(names))
+	for i, name := range names {
+		b, err := r.benchFor(name)
+		if err != nil {
+			return nil, err
+		}
+		benches[i] = b
+	}
+	return benches, nil
+}
+
 // instrument returns mod's instrumented clone under opt, cached per
 // (module, options, entry). The lock is held across core.Instrument so
 // concurrent workers requesting the same cell share one result.

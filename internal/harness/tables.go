@@ -30,28 +30,28 @@ type TableIReport struct {
 // a worker pool; every cell is an independent deterministic simulation, so
 // the rendered report is byte-identical to the sequential sweep.
 func (r *Runner) TableI() (*TableIReport, error) {
-	return r.tableIReport(splash.All(r.Threads))
+	return r.tableIReport(splash.Names())
 }
 
 // TableIFor runs a single benchmark's Table I column (used by benches).
 func (r *Runner) TableIFor(name string) (*BenchTableI, error) {
-	b, err := r.benchFor(name)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.tableIReport([]*splash.Benchmark{b})
+	rep, err := r.tableIReport([]string{name})
 	if err != nil {
 		return nil, err
 	}
 	return rep.Columns[0], nil
 }
 
-func (r *Runner) tableIReport(benches []*splash.Benchmark) (*TableIReport, error) {
+func (r *Runner) tableIReport(names []string) (*TableIReport, error) {
+	benches, err := r.benchesFor(names)
+	if err != nil {
+		return nil, err
+	}
 	keys := PresetKeys()
 	// Cell layout per benchmark: [baseline, {clocks-only, det} × preset].
 	per := 1 + 2*len(keys)
 	runs := make([]*RunResult, len(benches)*per)
-	err := r.runAll(len(runs), func(i int) error {
+	err = r.runAll(len(runs), func(i int) error {
 		b := benches[i/per]
 		slot := i % per
 		var res *RunResult
@@ -197,27 +197,27 @@ type TableIIReport struct {
 // did manually (§V-C). Like TableI, the (benchmark × mode × chunk) cells run
 // on the worker pool when Runner.Workers > 1 with byte-identical output.
 func (r *Runner) TableII() (*TableIIReport, error) {
-	return r.tableIIReport(splash.All(r.Threads))
+	return r.tableIIReport(splash.Names())
 }
 
 // TableIIFor runs one benchmark's Table II row.
 func (r *Runner) TableIIFor(name string) (*BenchTableII, error) {
-	b, err := r.benchFor(name)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.tableIIReport([]*splash.Benchmark{b})
+	rep, err := r.tableIIReport([]string{name})
 	if err != nil {
 		return nil, err
 	}
 	return rep.Rows[0], nil
 }
 
-func (r *Runner) tableIIReport(benches []*splash.Benchmark) (*TableIIReport, error) {
+func (r *Runner) tableIIReport(names []string) (*TableIIReport, error) {
+	benches, err := r.benchesFor(names)
+	if err != nil {
+		return nil, err
+	}
 	// Cell layout per benchmark: [baseline, det(all), kendo × chunk].
 	per := 2 + len(r.KendoChunks)
 	runs := make([]*RunResult, len(benches)*per)
-	err := r.runAll(len(runs), func(i int) error {
+	err = r.runAll(len(runs), func(i int) error {
 		b := benches[i/per]
 		slot := i % per
 		var res *RunResult

@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // ModuleBuilder constructs a Module programmatically. It is the API used by
 // the synthetic SPLASH-like workload generators (package splash) and by tests.
 type ModuleBuilder struct {
@@ -64,11 +62,6 @@ func (fb *FuncBuilder) Reg(name string) Reg {
 	return r
 }
 
-// Temp allocates an anonymous register.
-func (fb *FuncBuilder) Temp() Reg {
-	return fb.Reg(fmt.Sprintf("$t%d", fb.F.NumRegs))
-}
-
 // Block creates (or returns) the named block and makes it current.
 func (fb *FuncBuilder) Block(name string) *BlockBuilder {
 	name = sanitizeName(name)
@@ -109,14 +102,6 @@ func (bb *BlockBuilder) Bin(op Op, dst Reg, a, b Operand) *BlockBuilder {
 		panic("ir: Bin with non-binary op " + op.String())
 	}
 	return bb.add(Instr{Op: op, Dst: dst, A: a, B: b})
-}
-
-// Un appends a unary instruction.
-func (bb *BlockBuilder) Un(op Op, dst Reg, a Operand) *BlockBuilder {
-	if !op.IsUnary() {
-		panic("ir: Un with non-unary op " + op.String())
-	}
-	return bb.add(Instr{Op: op, Dst: dst, A: a})
 }
 
 // Load reads mem[sym][idx] into dst.
@@ -173,12 +158,6 @@ func (bb *BlockBuilder) Spawn(dst Reg, callee string, args ...Operand) *BlockBui
 // Join blocks until the thread with handle h finishes.
 func (bb *BlockBuilder) Join(h Operand) *BlockBuilder {
 	return bb.add(Instr{Op: OpJoin, A: h})
-}
-
-// Nop appends a no-effect instruction costing like a mov (used to pad block
-// bodies in synthetic workloads).
-func (bb *BlockBuilder) Nop(scratch Reg) *BlockBuilder {
-	return bb.add(Instr{Op: OpMov, Dst: scratch, A: R(scratch)})
 }
 
 // Jmp terminates the block with an unconditional jump.

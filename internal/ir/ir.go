@@ -98,15 +98,6 @@ func (o Op) IsUnary() bool {
 	return false
 }
 
-// IsCompare reports whether the op is a comparison producing 0 or 1.
-func (o Op) IsCompare() bool {
-	switch o {
-	case OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE:
-		return true
-	}
-	return false
-}
-
 // HasDst reports whether the instruction writes a destination register.
 func (o Op) HasDst() bool {
 	switch o {
@@ -202,27 +193,6 @@ type Block struct {
 
 // Succs returns the block's successors (aliasing the terminator's slice).
 func (b *Block) Succs() []*Block { return b.Term.Succs }
-
-// HasCall reports whether the block contains any call instruction.
-func (b *Block) HasCall() bool {
-	for i := range b.Instrs {
-		if b.Instrs[i].Op == OpCall {
-			return true
-		}
-	}
-	return false
-}
-
-// Calls returns the callee names appearing in the block, in order.
-func (b *Block) Calls() []string {
-	var out []string
-	for i := range b.Instrs {
-		if b.Instrs[i].Op == OpCall {
-			out = append(out, b.Instrs[i].Callee)
-		}
-	}
-	return out
-}
 
 // Func is a function: named, with NumParams parameters (registers 0..NumParams-1),
 // a register file of NumRegs registers, and a list of basic blocks whose first

@@ -23,7 +23,7 @@ import (
 // recovery cross-check divergences. A divergence means the service's cache
 // soundness claim failed — the one state in which serving more traffic makes
 // things worse — so repeated divergences (Config.BreakerThreshold) open the
-// circuit and shed all submissions (ErrCircuitOpen) for Config.BreakerCooldown.
+// circuit and shed all submissions (ErrCircuitOpen) for breakerCooldown.
 // The breaker then half-opens: one probe job is admitted, and its fate —
 // divergence or not — re-opens or closes the circuit.
 
@@ -46,13 +46,15 @@ func RetryAfter(err error) int {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
 		return 1 // the queue drains at job-execution speed; retry soon
 	case errors.Is(err, ErrCircuitOpen):
-		return int(defaultBreakerCooldown / time.Second)
+		return int(breakerCooldown / time.Second)
 	default:
 		return 0
 	}
 }
 
-const defaultBreakerCooldown = 30 * time.Second
+// breakerCooldown is how long an open circuit sheds submissions before it
+// half-opens, and what RetryAfter tells a shed client to wait.
+const breakerCooldown = 30 * time.Second
 
 // breaker state machine states.
 type breakerState uint8
@@ -92,9 +94,6 @@ type breaker struct {
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	if threshold <= 0 {
 		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
 	}
 	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }

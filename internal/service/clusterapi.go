@@ -60,7 +60,7 @@ func (s *Service) StealQueued(max int) []StolenJob {
 		s.lent[j.id] = j
 		id := j.id
 		j.reclaim = time.AfterFunc(s.cfg.StealReclaim, func() { s.reclaimLent(id) })
-		s.ctr.stolen.Add(1)
+		s.ctr.JobsStolen.Add(1)
 		s.mu.Unlock()
 		out = append(out, StolenJob{ID: j.id, Req: j.req})
 	}
@@ -121,7 +121,7 @@ func (s *Service) reclaimLent(id string) {
 		return
 	}
 	j.status = StatusQueued
-	s.ctr.stealReclaims.Add(1)
+	s.ctr.StealReclaims.Add(1)
 	select {
 	case s.queue <- j:
 		s.mu.Unlock()
@@ -159,7 +159,7 @@ func (s *Service) ResultByKey(key string) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.ctr.peerServes.Add(1)
+	s.ctr.PeerServes.Add(1)
 	return exportEntry(ent), true
 }
 
@@ -181,7 +181,7 @@ func (s *Service) OfferResult(key string, res *Result, req *Request) error {
 		return nil // cache is off; accepting would be a silent no-op anyway
 	}
 	if !selfConsistent(res) {
-		s.ctr.peerFillRejects.Add(1)
+		s.ctr.PeerFillRejects.Add(1)
 		return &diag.MisuseError{Op: "service.OfferResult", ThreadID: -1, Kind: diag.ErrBadConfig,
 			Detail: "offered schedule does not hash to its claimed ScheduleHash"}
 	}
@@ -194,7 +194,7 @@ func (s *Service) OfferResult(key string, res *Result, req *Request) error {
 		return err
 	}
 	s.results.add(key, offered)
-	s.ctr.offers.Add(1)
+	s.ctr.PeerOffers.Add(1)
 	return nil
 }
 

@@ -345,6 +345,9 @@ func (j *journal) flushLocked(sync bool) error {
 	return nil
 }
 
+// journalCompactEvery is the compactEvery a Service opens its journal with.
+const journalCompactEvery = 4096
+
 // maybeCompactLocked rewrites the log when it holds more than compactEvery
 // records and at least twice the live-job count: one submitted record per
 // job plus its finish record. The rewrite is crash-safe (vfs.ReplaceFile), so

@@ -39,6 +39,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/splash"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vfs"
 )
@@ -89,9 +90,6 @@ type Config struct {
 	// JournalFsyncEvery batches completion-record fsyncs (default 16;
 	// submitted records are always fsynced before Submit returns).
 	JournalFsyncEvery int
-	// JournalCompactEvery triggers log compaction once the raw record count
-	// exceeds it and twice the live-job count (default 4096).
-	JournalCompactEvery int
 	// FS is the filesystem the journal writes through (default the real
 	// one). Fault-injection harnesses substitute a vfs implementation that
 	// produces short writes, fsync errors, and ENOSPC.
@@ -115,10 +113,9 @@ type Config struct {
 	// ErrOverloaded.
 	MaxInflightBytes int64
 	// BreakerThreshold is the divergence count that opens the admission
-	// circuit breaker (default 3); BreakerCooldown is how long it stays open
-	// before half-opening a probe (default 30s).
+	// circuit breaker (default 3); it stays open for breakerCooldown before
+	// half-opening a probe.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// RetainJobs bounds the finished-job records kept for Lookup/Wait
 	// (default 4096); beyond it the oldest finished jobs are evicted.
@@ -172,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.JournalFsyncEvery <= 0 {
 		c.JournalFsyncEvery = 16
 	}
-	if c.JournalCompactEvery <= 0 {
-		c.JournalCompactEvery = 4096
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
 	}
@@ -222,7 +216,17 @@ type Service struct {
 	instr   *lruCache[instrKey, *instrEntry]
 	results *lruCache[string, *resultEntry]
 	check   *sampler
-	ctr     counters
+
+	// Telemetry. ctr holds every counter cell (statsOf, stats.go); the rest
+	// is the live state behind the snapshot's gauges that nothing else holds.
+	ctr            statsOf[atomic.Int64]
+	rejects        rejectCounters
+	queueHighWater atomic.Int64
+	failures       *ring[FailureRecord]
+	latParse       *stageAgg
+	latInstrument  *stageAgg
+	latSimulate    *stageAgg
+	latOverhead    *stageAgg
 
 	journal  *journal // nil when no journal is configured
 	degraded atomic.Bool
@@ -263,24 +267,30 @@ func Open(cfg Config) (*Service, error) {
 		instr:   newLRU[instrKey, *instrEntry](cfg.InstrCacheSize),
 		results: newLRU[string, *resultEntry](cfg.ResultCacheSize),
 		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: newBreaker(cfg.BreakerThreshold, breakerCooldown),
 		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
 		chaos:   newChaos(cfg.Faults),
 		costs:   ir.DefaultCostModel(),
 		est:     estimates.DefaultTable(),
+
+		failures:      newRing[FailureRecord](failureRingSize),
+		latParse:      newStageAgg(),
+		latInstrument: newStageAgg(),
+		latSimulate:   newStageAgg(),
+		latOverhead:   newStageAgg(),
 	}
 	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
 
 	var recovered []*job
 	if cfg.JournalPath != "" {
-		jn, replayed, err := openJournal(cfg.FS, cfg.JournalPath, cfg.JournalFsyncEvery, cfg.JournalCompactEvery, s.chaos, cfg.ShipRecord)
+		jn, replayed, err := openJournal(cfg.FS, cfg.JournalPath, cfg.JournalFsyncEvery, journalCompactEvery, s.chaos, cfg.ShipRecord)
 		if err != nil {
 			return nil, err
 		}
 		s.journal = jn
 		if jn.quarantined > 0 {
-			s.ctr.quarantined.Add(int64(jn.quarantined))
-			s.ctr.corruptions.Add(int64(jn.quarantined))
+			s.ctr.JournalQuarantined.Add(int64(jn.quarantined))
+			s.ctr.CorruptionEvents.Add(int64(jn.quarantined))
 		}
 		recovered = s.installRecovered(replayed)
 	}
@@ -312,7 +322,7 @@ func (s *Service) installRecovered(replayed []*journalJob) []*job {
 		}
 		j := &job{id: jj.id, req: jj.req, done: closedCh}
 		s.jobs[jj.id] = j
-		s.ctr.recovered.Add(1)
+		s.ctr.RecoveredJobs.Add(1)
 		switch {
 		case !jj.done:
 			// Incomplete: the crash interrupted it; re-execute. Determinism
@@ -367,9 +377,9 @@ func numericID(id string) (int64, bool) {
 // whose durability story just broke.
 func (s *Service) degrade(err error) {
 	if s.degraded.CompareAndSwap(false, true) {
-		s.ctr.failures.record("", "journal", fmt.Sprintf("journal degraded: %v", err))
+		s.failures.push(FailureRecord{Kind: "journal", Error: fmt.Sprintf("journal degraded: %v", err)})
 	}
-	s.ctr.journalErrors.Add(1)
+	s.ctr.JournalErrors.Add(1)
 }
 
 // Submit validates and enqueues a job, returning its id. Rejections are
@@ -388,13 +398,13 @@ func (s *Service) Submit(req Request) (string, error) {
 
 func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	if err := normalize(&req); err != nil {
-		s.ctr.rejected.Add(1)
-		s.ctr.rejects.bump(Classify(err))
+		s.ctr.JobsRejected.Add(1)
+		s.rejects.bump(Classify(err))
 		return nil, err
 	}
 	misuse := func(kind error, detail string) (*job, error) {
-		s.ctr.rejected.Add(1)
-		s.ctr.rejects.bump(Classify(kind))
+		s.ctr.JobsRejected.Add(1)
+		s.rejects.bump(Classify(kind))
 		return nil, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail}
 	}
 	// Admission control, cheapest checks first; all run before any journal
@@ -449,11 +459,11 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		s.inflight.Add(bytes)
 		// High-water update under s.mu: depth can only grow at this one
 		// site, so a load/compare/store pair cannot lose a larger value.
-		if d := int64(len(s.queue)); d > s.ctr.queueHighWater.Load() {
-			s.ctr.queueHighWater.Store(d)
+		if d := int64(len(s.queue)); d > s.queueHighWater.Load() {
+			s.queueHighWater.Store(d)
 		}
 		s.mu.Unlock()
-		s.ctr.accepted.Add(1)
+		s.ctr.JobsAccepted.Add(1)
 		return j, nil
 	default:
 		// The queue filled between the pre-check and here. The submitted
@@ -540,57 +550,32 @@ func (s *Service) Lookup(id string) (*JobView, error) {
 	return v, nil
 }
 
-// Snapshot returns the service counters.
+// Snapshot returns the service counters: every cell of s.ctr loaded into the
+// field it is declared as, then the gauges, each read from what holds it.
 func (s *Service) Snapshot() StatsSnapshot {
-	breakerState, breakerTrips := s.breaker.snapshot()
-	snap := StatsSnapshot{
-		JobsAccepted:       s.ctr.accepted.Load(),
-		JobsCompleted:      s.ctr.completed.Load(),
-		JobsFailed:         s.ctr.failed.Load(),
-		JobsRejected:       s.ctr.rejected.Load(),
-		QueueDepth:         len(s.queue),
-		QueueCap:           cap(s.queue),
-		Workers:            s.cfg.Workers,
-		QueueHighWater:     int(s.ctr.queueHighWater.Load()),
-		RejectByCause:      s.ctr.rejects.snapshot(),
-		InstrCacheHits:     s.ctr.instrHits.Load(),
-		InstrCacheMisses:   s.ctr.instrMisses.Load(),
-		InstrCacheSize:     s.instr.len(),
-		ResultCacheHits:    s.ctr.resultHits.Load(),
-		ResultCacheMisses:  s.ctr.resultMisses.Load(),
-		ResultCacheSize:    s.results.len(),
-		SelfChecks:         s.ctr.selfChecks.Load(),
-		Divergences:        s.ctr.divergences.Load(),
-		Retries:            s.ctr.retries.Load(),
-		Timeouts:           s.ctr.timeouts.Load(),
-		InflightBytes:      s.inflight.Load(),
-		MaxInflightBytes:   s.cfg.MaxInflightBytes,
-		JournalEnabled:     s.journal != nil,
-		JournalDegraded:    s.degraded.Load(),
-		JournalErrors:      s.ctr.journalErrors.Load(),
-		RecoveredJobs:      s.ctr.recovered.Load(),
-		RecoveryChecks:     s.ctr.recoverChecks.Load(),
-		JournalQuarantined: s.ctr.quarantined.Load(),
-		CorruptionEvents:   s.ctr.corruptions.Load(),
-		BreakerState:       breakerState,
-		BreakerTrips:       breakerTrips,
-		PeerFills:          s.ctr.peerFills.Load(),
-		PeerFillRejects:    s.ctr.peerFillRejects.Load(),
-		PeerFillChecks:     s.ctr.peerChecks.Load(),
-		PeerServes:         s.ctr.peerServes.Load(),
-		PeerOffers:         s.ctr.offers.Load(),
-		JobsStolen:         s.ctr.stolen.Load(),
-		StealReclaims:      s.ctr.stealReclaims.Load(),
-		RecentFailures:     s.ctr.failures.snapshot(),
-		Stages: map[string]StageStats{
-			"parse":      s.ctr.parse.snapshot(),
-			"instrument": s.ctr.instrument.snapshot(),
-			"simulate":   s.ctr.simulate.snapshot(),
-			"overhead":   s.ctr.overhead.snapshot(),
-		},
-	}
+	var snap StatsSnapshot
+	telemetry.Load(&s.ctr, &snap)
+	snap.QueueDepth = len(s.queue)
+	snap.QueueCap = cap(s.queue)
+	snap.Workers = s.cfg.Workers
+	snap.QueueHighWater = int(s.queueHighWater.Load())
+	snap.RejectByCause = s.rejects.snapshot()
+	snap.InstrCacheSize = s.instr.len()
+	snap.ResultCacheSize = s.results.len()
+	snap.InflightBytes = s.inflight.Load()
+	snap.MaxInflightBytes = s.cfg.MaxInflightBytes
+	snap.JournalEnabled = s.journal != nil
+	snap.JournalDegraded = s.degraded.Load()
 	if s.journal != nil {
 		snap.JournalJobs, snap.JournalFinished = s.journal.snapshotLive()
+	}
+	snap.BreakerState, snap.BreakerTrips = s.breaker.snapshot()
+	snap.RecentFailures = s.failures.snapshot()
+	snap.Stages = map[string]StageStats{
+		"parse":      s.latParse.snapshot(),
+		"instrument": s.latInstrument.snapshot(),
+		"simulate":   s.latSimulate.snapshot(),
+		"overhead":   s.latOverhead.snapshot(),
 	}
 	return snap
 }
@@ -655,9 +640,9 @@ func (s *Service) Kill() {
 // enough of them in a row should stop admission rather than keep racing the
 // fault.
 func (s *Service) ReportCorruption(err error) {
-	s.ctr.corruptions.Add(1)
+	s.ctr.CorruptionEvents.Add(1)
 	if err != nil {
-		s.ctr.failures.record("", "corruption", err.Error())
+		s.failures.push(FailureRecord{Kind: "corruption", Error: err.Error()})
 	}
 	s.breaker.onDivergence()
 }
@@ -730,7 +715,7 @@ func (s *Service) runJob(j *job) {
 		if err == nil || !retryable(err) || attempts > s.cfg.MaxRetries {
 			break
 		}
-		s.ctr.retries.Add(1)
+		s.ctr.Retries.Add(1)
 		if serr := sleepCtx(ctx, s.back.delay(attempts)); serr != nil {
 			err = serr // the deadline expired mid-backoff
 			break
@@ -741,11 +726,11 @@ func (s *Service) runJob(j *job) {
 	case errors.Is(err, context.DeadlineExceeded):
 		// Deadline expiry: typed timeout, never retried.
 		err = &diag.TimeoutError{Op: "service.job " + j.id, Deadline: deadline, Cause: context.DeadlineExceeded}
-		s.ctr.timeouts.Add(1)
+		s.ctr.Timeouts.Add(1)
 	case errors.Is(err, context.Canceled):
 		// Client disconnect or shutdown: same typed family, no deadline.
 		err = &diag.TimeoutError{Op: "service.job " + j.id, Cause: context.Canceled}
-		s.ctr.timeouts.Add(1)
+		s.ctr.Timeouts.Add(1)
 	case retryable(err) && attempts > 1:
 		err = &diag.RetryError{Op: "service.job " + j.id, Attempts: attempts, Last: err}
 	}
@@ -810,9 +795,9 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	s.mu.Unlock()
 	s.inflight.Add(-j.bytes)
 	if err != nil {
-		s.ctr.failed.Add(1)
+		s.ctr.JobsFailed.Add(1)
 		if !errors.Is(err, diag.ErrDivergence) { // diverged already recorded it
-			s.ctr.failures.record(j.id, kind, err.Error())
+			s.failures.push(FailureRecord{JobID: j.id, Kind: kind, Error: err.Error()})
 		}
 		// Shutdown-canceled failures are crash artifacts, not job outcomes:
 		// they stay out of the journal so recovery re-executes the job (a
@@ -821,7 +806,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 			s.journalFinished(j, nil, err.Error(), kind)
 		}
 	} else {
-		s.ctr.completed.Add(1)
+		s.ctr.JobsCompleted.Add(1)
 		s.journalFinished(j, res, "", "")
 	}
 	// Breaker feedback: any clean completion is the close/decay signal. The
@@ -870,10 +855,10 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 	rk := resultKey(ie.keyState, req)
 	if cacheOn {
 		if ent, ok := s.results.get(rk); ok {
-			s.ctr.resultHits.Add(1)
+			s.ctr.ResultCacheHits.Add(1)
 			selfChecked := false
 			if s.check.sample() {
-				s.ctr.selfChecks.Add(1)
+				s.ctr.SelfChecks.Add(1)
 				if err := s.crossCheck(ctx, "self-check", j.id, req, claimOf(ent)); err != nil {
 					return nil, err
 				}
@@ -881,7 +866,7 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 			}
 			return s.assemble(j, ie, ent, true, instrHit, selfChecked, &lat)
 		}
-		s.ctr.resultMisses.Add(1)
+		s.ctr.ResultCacheMisses.Add(1)
 		// Shard miss: ask the cluster layer to fill from the key's owner
 		// before paying for a local simulation. Fill failure is never an
 		// error — a nil entry falls through to local recomputation.
@@ -904,7 +889,7 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 	start := time.Now()
 	ent, err := s.simulate(ctx, ie, req)
 	lat.SimulateNS = time.Since(start).Nanoseconds()
-	s.ctr.simulate.record(lat.SimulateNS)
+	s.latSimulate.record(lat.SimulateNS)
 	if err != nil {
 		return nil, err
 	}
@@ -933,17 +918,17 @@ func (s *Service) peerFill(ctx context.Context, key string, j *job) (*resultEntr
 	}
 	// A corrupted transfer is treated as a miss, not an answer.
 	if !selfConsistent(pr) {
-		s.ctr.peerFillRejects.Add(1)
+		s.ctr.PeerFillRejects.Add(1)
 		return nil, nil
 	}
 	ent := entryFromPeer(pr, &j.req)
 	if s.check.sample() {
-		s.ctr.peerChecks.Add(1)
+		s.ctr.PeerFillChecks.Add(1)
 		if err := s.crossCheck(ctx, "peer-fill cross-check", j.id, &j.req, claimOf(ent)); err != nil {
 			return nil, err
 		}
 	}
-	s.ctr.peerFills.Add(1)
+	s.ctr.PeerFills.Add(1)
 	return ent, nil
 }
 
@@ -953,15 +938,15 @@ func (s *Service) peerFill(ctx context.Context, key string, j *job) (*resultEntr
 func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bool, error) {
 	ik := instrKeyOf(req)
 	if ie, ok := s.instr.get(ik); ok {
-		s.ctr.instrHits.Add(1)
+		s.ctr.InstrCacheHits.Add(1)
 		return ie, true, nil
 	}
-	s.ctr.instrMisses.Add(1)
+	s.ctr.InstrCacheMisses.Add(1)
 
 	start := time.Now()
 	mod, err := ir.Parse(req.Source)
 	lat.ParseNS = time.Since(start).Nanoseconds()
-	s.ctr.parse.record(lat.ParseNS)
+	s.latParse.record(lat.ParseNS)
 	if err != nil {
 		return nil, false, fmt.Errorf("service: parse: %w", err)
 	}
@@ -979,7 +964,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 		// Instrument ends by verifying the module it leaves behind.
 		ie.pass, err = core.Instrument(mod, s.costs, s.est, opt)
 		lat.InstrumentNS = time.Since(start).Nanoseconds()
-		s.ctr.instrument.record(lat.InstrumentNS)
+		s.latInstrument.record(lat.InstrumentNS)
 		if err != nil {
 			return nil, false, fmt.Errorf("service: instrument: %w", err)
 		}
@@ -1097,7 +1082,7 @@ func (s *Service) overheadRow(req *Request, ent *resultEntry, lat *StageLatency)
 	b := &splash.Benchmark{Name: "job", Module: raw, Threads: req.Threads, Entry: req.Entry}
 	row, err := r.OverheadRowFor(b, harness.PresetByKey(req.Preset))
 	lat.OverheadNS = time.Since(start).Nanoseconds()
-	s.ctr.overhead.record(lat.OverheadNS)
+	s.latOverhead.record(lat.OverheadNS)
 	if err != nil {
 		return nil, fmt.Errorf("service: overhead row: %w", err)
 	}

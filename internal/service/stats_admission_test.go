@@ -42,7 +42,8 @@ entry:
 // per-cause rejection counters expose admission behavior directly. One
 // worker is pinned by a slow plug job; the queue is filled to capacity
 // (high water = capacity), overflowed (queue_full counts), and poked with an
-// invalid request (misuse counts).
+// invalid request (misuse counts); a submission refused by a draining node
+// is the node's doing and counts as draining, not as the client's misuse.
 func TestQueueHighWaterAndRejectCauses(t *testing.T) {
 	const depth = 4
 	s := New(Config{Workers: 1, QueueDepth: depth})
@@ -106,6 +107,18 @@ func TestQueueHighWaterAndRejectCauses(t *testing.T) {
 		if _, err := s.Wait(ctx, id); err != nil {
 			t.Fatalf("accepted job %s failed: %v", id, err)
 		}
+	}
+
+	s.StartDrain()
+	if _, err := s.Submit(Request{Source: fastProgram, Entry: "main", Threads: 1}); Classify(err) != "draining" {
+		t.Fatalf("submit while draining: Classify = %q (%v), want draining", Classify(err), err)
+	}
+	snap = s.Snapshot()
+	if got := snap.RejectByCause["draining"]; got != 1 {
+		t.Fatalf("RejectByCause[draining] = %d, want 1", got)
+	}
+	if got := snap.RejectByCause["misuse"]; got != 1 {
+		t.Fatalf("RejectByCause[misuse] = %d after a draining rejection, want it still 1", got)
 	}
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)

@@ -2,11 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Nothing outside stats.go names a /v1/stats field, so nothing but this file
@@ -85,5 +90,46 @@ func TestStatsWire(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("/v1/stats payload moved\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSnapshotLoadsEveryCounter: Snapshot is telemetry.Load plus gauge
+// assignments, so a cell it skipped, or a gauge line that overwrote a counter,
+// would show nowhere else. Every live cell gets a distinct value, every gauge
+// but the (empty) queue's depth is driven off zero, and the snapshot must
+// carry all of them.
+func TestSnapshotLoadsEveryCounter(t *testing.T) {
+	s := New(Config{Workers: 1, BreakerThreshold: 1, JournalPath: filepath.Join(t.TempDir(), "journal.jsonl")})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	defer s.Close(ctx)
+	if _, err := s.Do(ctx, Request{Source: fastProgram, Entry: "main", Threads: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{}); err == nil {
+		t.Fatal("empty request accepted")
+	}
+	s.ReportCorruption(errors.New("injected"))
+	s.degrade(errors.New("injected"))
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	s.queueHighWater.Store(1) // the worker may have taken the job before its depth was read
+
+	live := reflect.ValueOf(&s.ctr).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		if c, ok := live.Field(i).Addr().Interface().(*atomic.Int64); ok {
+			c.Store(int64(1000 + i))
+		}
+	}
+	snap := reflect.ValueOf(s.Snapshot())
+	for i := 0; i < snap.NumField(); i++ {
+		name, got := snap.Type().Field(i).Name, snap.Field(i)
+		if _, cell := live.Field(i).Addr().Interface().(*atomic.Int64); cell {
+			if got.Int() != int64(1000+i) {
+				t.Errorf("counter %s = %d, want %d", name, got.Int(), 1000+i)
+			}
+		} else if got.IsZero() && name != "QueueDepth" {
+			t.Errorf("gauge %s is zero", name)
+		}
 	}
 }

@@ -110,8 +110,8 @@ func (s *Service) crossCheck(ctx context.Context, site, id string, req *Request,
 // diverged accounts one failed cross-check: the divergences counter, the
 // failure ring (under the error's Classify kind) and the breaker's trip signal.
 func (s *Service) diverged(id string, err error) {
-	s.ctr.divergences.Add(1)
-	s.ctr.failures.record(id, Classify(err), err.Error())
+	s.ctr.Divergences.Add(1)
+	s.failures.push(FailureRecord{JobID: id, Kind: Classify(err), Error: err.Error()})
 	s.breaker.onDivergence()
 }
 
@@ -121,7 +121,7 @@ func (s *Service) diverged(id string, err error) {
 // is journaled — never a silently wrong answer served from the log.
 func (s *Service) runVerify(j *job) {
 	defer close(j.done)
-	s.ctr.recoverChecks.Add(1)
+	s.ctr.RecoveryChecks.Add(1)
 	err := s.crossCheck(s.rootCtx, "recovery cross-check", j.id, &j.req, *j.verify)
 	switch {
 	case err == nil:

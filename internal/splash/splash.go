@@ -129,15 +129,3 @@ func padBlock(bb *ir.BlockBuilder, scratch ir.Reg, n int) {
 		bb.Bin(ir.OpAdd, scratch, ir.R(scratch), ir.Imm(int64(i|1)))
 	}
 }
-
-// lcg appends an LCG step (r = r*1103515245 + 12345 mod m, non-negative) —
-// the deterministic pseudo-random driver used by several workloads.
-func lcg(bb *ir.BlockBuilder, r ir.Reg, tmp ir.Reg, m int64) {
-	bb.Bin(ir.OpMul, r, ir.R(r), ir.Imm(1103515245))
-	bb.Bin(ir.OpAdd, r, ir.R(r), ir.Imm(12345))
-	bb.Bin(ir.OpMod, r, ir.R(r), ir.Imm(m))
-	// mod can be negative for negative operands; fold into [0, m).
-	bb.Bin(ir.OpLT, tmp, ir.R(r), ir.Imm(0))
-	bb.Bin(ir.OpMul, tmp, ir.R(tmp), ir.Imm(m))
-	bb.Bin(ir.OpAdd, r, ir.R(r), ir.R(tmp))
-}

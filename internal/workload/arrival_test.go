@@ -107,6 +107,16 @@ func TestBurstyIsBursty(t *testing.T) {
 	}
 }
 
+// TestTraceShapeReplaysTimeline: a recorded timeline handed back through
+// ShapeTrace is the same timeline.
+func TestTraceShapeReplaysTimeline(t *testing.T) {
+	evs := tlOf(t, 9, ArrivalConfig{Shape: ShapeClosed, Jobs: 200, RatePerSec: 1000})
+	replay := tlOf(t, 1, ArrivalConfig{Shape: ShapeTrace, Jobs: len(evs), Trace: evs})
+	if TimelineFingerprint(replay) != TimelineFingerprint(evs) {
+		t.Fatal("trace replay changed the timeline")
+	}
+}
+
 func TestTimelineValidation(t *testing.T) {
 	bad := []ArrivalConfig{
 		{Shape: ShapePoisson, Jobs: 0, RatePerSec: 1},

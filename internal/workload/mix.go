@@ -74,13 +74,10 @@ func MixByName(name string) (MixSpec, error) {
 type Mix struct {
 	Spec  MixSpec
 	Progs []Program
-	// families[i] is the family tag of Progs[i] (for table breakdowns).
-	families []string
 }
 
 // family is one weighted program source during synthesis.
 type family struct {
-	tag    string
 	weight int
 	gen    func(seed uint64) ( /* name */ string, /* source */ string)
 }
@@ -106,7 +103,7 @@ func Synthesize(rng *PartitionedRNG, spec MixSpec) (*Mix, error) {
 	if spec.GenericWeight > 0 {
 		cfg := spec.Gen
 		cfg.WithSync = spec.GenericSync
-		fams = append(fams, family{tag: "generic", weight: spec.GenericWeight, gen: func(seed uint64) (string, string) {
+		fams = append(fams, family{weight: spec.GenericWeight, gen: func(seed uint64) (string, string) {
 			return fmt.Sprintf("generic/%d", seed), irgen.Generate(seed, cfg).String()
 		}})
 	}
@@ -119,7 +116,7 @@ func Synthesize(rng *PartitionedRNG, spec MixSpec) (*Mix, error) {
 	for _, id := range ids {
 		if w := spec.IdiomWeights[id]; w > 0 {
 			id, cfg := id, spec.Gen
-			fams = append(fams, family{tag: string(id), weight: w, gen: func(seed uint64) (string, string) {
+			fams = append(fams, family{weight: w, gen: func(seed uint64) (string, string) {
 				return fmt.Sprintf("%s/%d", id, seed), irgen.GenerateIdiom(id, seed, cfg).String()
 			}})
 		}
@@ -147,7 +144,6 @@ func Synthesize(rng *PartitionedRNG, spec MixSpec) (*Mix, error) {
 		}
 		seen[name] = true
 		m.Progs = append(m.Progs, Program{Name: name, Source: src, Threads: spec.Threads})
-		m.families = append(m.families, f.tag)
 	}
 	return m, nil
 }
@@ -166,13 +162,4 @@ func pickWeighted(r *detrand.Rand, fams []family, total int) family {
 // Pick draws one program for an arrival from the mix stream.
 func (m *Mix) Pick(r *detrand.Rand) Program {
 	return m.Progs[r.IntN(len(m.Progs))]
-}
-
-// Families returns the per-family program counts of the pool, sorted by tag.
-func (m *Mix) Families() map[string]int {
-	out := map[string]int{}
-	for _, tag := range m.families {
-		out[tag]++
-	}
-	return out
 }
