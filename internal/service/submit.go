@@ -1,0 +1,232 @@
+package service
+
+// The life of a job as its submitter and its waiters see it: admission, id,
+// submit record, the queue, the published outcome, Wait / Do / Lookup. Reads
+// against DESIGN §9 (admission control, the journal's durability contract,
+// retention) and §8, *The hit path*.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"repro/internal/diag"
+)
+
+// Submit validates and enqueues a job, returning its id. Rejections are
+// typed: validation failures are *diag.MisuseError (ErrBadConfig /
+// ErrRaceBackend kinds), a full queue is ErrQueueFull, load shedding is
+// ErrOverloaded, an open circuit breaker is ErrCircuitOpen, a closed service
+// is ErrClosed. When a journal is configured, the submitted record is
+// durable (fsynced) before the id is returned.
+func (s *Service) Submit(req Request) (string, error) {
+	j, err := s.submit(nil, req)
+	if err != nil {
+		return "", err
+	}
+	return j.id, nil
+}
+
+func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
+	if err := normalize(&req); err != nil {
+		s.ctr.JobsRejected.Add(1)
+		s.rejects.bump(Classify(err))
+		return nil, err
+	}
+	misuse := func(kind error, detail string) (*job, error) {
+		s.ctr.JobsRejected.Add(1)
+		s.rejects.bump(Classify(kind))
+		return nil, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail}
+	}
+	// Admission control, cheapest checks first; all run before any journal
+	// write or pipeline work, so overload sheds at near-zero cost.
+	if !s.breaker.allow() {
+		return misuse(ErrCircuitOpen, "determinism divergences tripped the breaker")
+	}
+	bytes := int64(len(req.Source))
+	if s.inflight.Load()+bytes > s.cfg.MaxInflightBytes {
+		return misuse(ErrOverloaded, fmt.Sprintf("in-flight bytes %d + request %d exceed limit %d",
+			s.inflight.Load(), bytes, s.cfg.MaxInflightBytes))
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return misuse(ErrClosed, "")
+	}
+	if s.draining {
+		s.mu.Unlock()
+		return misuse(ErrDraining, "node is draining; submit elsewhere")
+	}
+	// Reserve the id first and journal outside the lock: the submitted
+	// record must be durable before the client sees the id, and must exist
+	// before any completion record for the same id can be appended.
+	if len(s.queue) == cap(s.queue) {
+		s.mu.Unlock()
+		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
+	}
+	s.seq++
+	id := fmt.Sprintf("job-%d", s.seq)
+	j := &job{id: id, req: req, status: StatusQueued, done: make(chan struct{}), clientCtx: clientCtx, bytes: bytes}
+	s.jobs[id] = j
+	s.mu.Unlock()
+
+	if s.journal != nil && !s.degraded.Load() {
+		if err := s.journal.appendSubmitted(id, &req); err != nil {
+			// Durability is gone but the service is not: degrade (journaling
+			// off, result cache off) and keep serving.
+			s.degrade(err)
+		}
+	}
+
+	s.mu.Lock()
+	if s.closed {
+		delete(s.jobs, id)
+		s.mu.Unlock()
+		s.journalFinished(j, nil, ErrClosed.Error(), "closed")
+		return misuse(ErrClosed, "")
+	}
+	select {
+	case s.queue <- j:
+		s.inflight.Add(bytes)
+		// High-water update under s.mu: depth can only grow at this one
+		// site, so a load/compare/store pair cannot lose a larger value.
+		if d := int64(len(s.queue)); d > s.queueHighWater.Load() {
+			s.queueHighWater.Store(d)
+		}
+		s.mu.Unlock()
+		s.ctr.JobsAccepted.Add(1)
+		return j, nil
+	default:
+		// The queue filled between the pre-check and here. The submitted
+		// record may already be durable, so journal a terminal rejection —
+		// otherwise a restart would resurrect a job the client was told was
+		// refused.
+		delete(s.jobs, id)
+		s.mu.Unlock()
+		s.journalFinished(j, nil, ErrQueueFull.Error(), "queue_full")
+		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
+	}
+}
+
+// journalFinished appends a job's finish record, degrading on write errors.
+func (s *Service) journalFinished(j *job, res *Result, errMsg, errKind string) {
+	if s.journal == nil || s.degraded.Load() {
+		return
+	}
+	if err := s.journal.appendFinished(j.id, res, errMsg, errKind); err != nil {
+		s.degrade(err)
+	}
+}
+
+// Wait blocks until the job completes (or ctx is done) and returns its
+// result or structured failure. Finished jobs are only retained up to
+// Config.RetainJobs: an id evicted since is ErrUnknownJob.
+func (s *Service) Wait(ctx context.Context, id string) (*Result, error) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return nil, &diag.MisuseError{Op: "service.Wait", ThreadID: -1, Kind: ErrUnknownJob, Detail: id}
+	}
+	return s.wait(ctx, j)
+}
+
+func (s *Service) wait(ctx context.Context, j *job) (*Result, error) {
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.err != nil {
+		return nil, j.err
+	}
+	return j.result, nil
+}
+
+// Do submits a job and waits for it — the synchronous convenience the HTTP
+// ?wait=1 path, the tests, and the smoke target use. The context is attached
+// to the job itself, not just the wait: a synchronous client that goes away
+// (an abandoned HTTP request) cancels its job's execution instead of leaving
+// it pinning a worker and a retained result forever. Do waits on the job it
+// submitted, not on its id, whose record retention may already have evicted.
+func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
+	j, err := s.submit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return s.wait(ctx, j)
+}
+
+// Lookup returns a job's current view.
+func (s *Service) Lookup(id string) (*JobView, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, &diag.MisuseError{Op: "service.Lookup", ThreadID: -1, Kind: ErrUnknownJob, Detail: id}
+	}
+	v := &JobView{ID: j.id, Status: j.status, Result: j.result}
+	if j.err != nil {
+		v.Error = j.err.Error()
+		if j.errKind != "" {
+			// Journal-recovered failures keep their original classification;
+			// the typed report structure did not survive serialization.
+			v.ErrorKind = j.errKind
+		} else {
+			v.ErrorKind = Classify(j.err)
+		}
+	}
+	return v, nil
+}
+
+// finish publishes a job's outcome: status, counters, journal finish record,
+// failure ring, breaker feedback, admission release, retention eviction.
+func (s *Service) finish(j *job, res *Result, err error) {
+	kind := Classify(err)
+	s.mu.Lock()
+	if err != nil {
+		j.status, j.err = StatusFailed, err
+	} else {
+		j.status, j.result = StatusDone, res
+	}
+	s.retainLocked(j)
+	s.mu.Unlock()
+	s.inflight.Add(-j.bytes)
+	if err != nil {
+		s.ctr.JobsFailed.Add(1)
+		if !errors.Is(err, diag.ErrDivergence) { // diverged already recorded it
+			s.failures.push(FailureRecord{JobID: j.id, Kind: kind, Error: err.Error()})
+		}
+		// Shutdown-canceled failures are crash artifacts, not job outcomes:
+		// they stay out of the journal so recovery re-executes the job (a
+		// genuine deterministic failure reproduces on the re-run anyway).
+		if s.rootCtx.Err() == nil {
+			s.journalFinished(j, nil, err.Error(), kind)
+		}
+	} else {
+		s.ctr.JobsCompleted.Add(1)
+		s.journalFinished(j, res, "", "")
+	}
+	// Breaker feedback: any clean completion is the close/decay signal. The
+	// trip signal, a divergence, was fed where the cross-check failed
+	// (diverged). Other failures (deadlock, race, timeout) are program- or
+	// policy-level and say nothing about the service's own soundness.
+	if err == nil {
+		s.breaker.onSuccess()
+	}
+	close(j.done)
+}
+
+// retainLocked appends j to the finished order and evicts the oldest
+// finished jobs beyond Config.RetainJobs, so a long-running service's job
+// table cannot grow without bound. Callers hold s.mu.
+func (s *Service) retainLocked(j *job) {
+	s.doneOrder = append(s.doneOrder, j.id)
+	for len(s.doneOrder) > s.cfg.RetainJobs {
+		victim := s.doneOrder[0]
+		s.doneOrder = s.doneOrder[1:]
+		delete(s.jobs, victim)
+	}
+}
