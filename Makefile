@@ -38,8 +38,9 @@ bench:
 
 # bench-smoke is the CI variant: one iteration of each hot-loop benchmark
 # (a thousand cache hits, so the two sizes' ns/op can be read against each
-# other), enough to catch a broken benchmark or an allocation regression
-# without paying full measurement time. BenchmarkRaceOverheadThreads prints
+# other; the BenchmarkDoHit pattern also selects BenchmarkDoHitParallel, the
+# same 1 kB hit from every processor at once), enough to catch a broken
+# benchmark or an allocation regression without paying full measurement time. BenchmarkRaceOverheadThreads prints
 # the bytes and objects of one detected run per program and thread count
 # (radiosity/threads=4/detector=true is the line TestRaceRunAllocBudget bounds).
 # BenchmarkFillRoundTrip is one peer fill between two LoopNet nodes: ns, bytes
@@ -75,6 +76,6 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-LOC_CEILING = 23550
+LOC_CEILING = 23619
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

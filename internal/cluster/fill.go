@@ -19,11 +19,11 @@ import (
 // end to end, and a single hedged retry fires if the first attempt has not
 // answered within Config.HedgeAfter — the standard tail-latency hedge, but
 // capped at exactly one extra request so a struggling owner sees at most 2×
-// load, not a retry storm. Each attempt runs under its own child context,
-// the only one built per attempt: it carries that one deadline and is
-// cancelled the moment the attempt loses, so the straggler's goroutine and
-// connection are released when the winner returns, not when the deadline
-// expires.
+// load, not a retry storm. The first attempt runs on the caller's goroutine;
+// only a hedge that actually fires costs a second one. Both run under one
+// context carrying that one deadline, cancelled the moment either has an
+// answer, so the straggler's goroutine and connection are released when the
+// winner returns, not when the deadline expires.
 
 // fill is the service.Config.Fill hook.
 func (n *Node) fill(ctx context.Context, key string, req *service.Request) *service.Result {
@@ -45,55 +45,27 @@ func (n *Node) fill(ctx context.Context, key string, req *service.Request) *serv
 	return res
 }
 
-// fetchHedged races the primary fetch against a delayed hedge, both bounded
-// by deadline. Every attempt gets its own cancellable child context; when one
-// attempt wins, the losers are cancelled immediately so no request goroutine
-// outlives the answer by more than its cancellation handling.
+// fetchHedged fetches key from owner on the caller's goroutine and, if that
+// has not answered within HedgeAfter, a second time beside it; the first
+// answer wins and cancels the other attempt. A first attempt that fails while
+// the hedge is out leaves the answer to the hedge.
 func (n *Node) fetchHedged(ctx context.Context, deadline time.Time, owner, key string) *service.Result {
-	type outcome struct {
-		res *service.Result
-		idx int
-	}
-	results := make(chan outcome, 2) // buffered: a late loser never blocks
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel() // returning cuts a hedge still in flight loose
+	hedged := make(chan *service.Result, 1)
+	hedge := time.AfterFunc(n.cfg.HedgeAfter, func() {
+		n.ctr.FillHedges.Add(1)
+		res, _ := n.fetchResult(ctx, owner, key)
+		if res != nil {
+			cancel() // the hedge won: the caller is still inside the first attempt
 		}
-	}()
-	launch := func() {
-		idx := len(cancels)
-		actx, cancel := context.WithDeadline(ctx, deadline)
-		cancels = append(cancels, cancel)
-		go func() {
-			res, err := n.fetchResult(actx, owner, key)
-			if err != nil {
-				res = nil
-			}
-			results <- outcome{res, idx}
-		}()
+		hedged <- res
+	})
+	res, _ := n.fetchResult(ctx, owner, key) // an error is a miss
+	if hedge.Stop() || res != nil {
+		return res
 	}
-	launch()
-	hedge := newTimer(n.cfg.HedgeAfter)
-	defer hedge.Stop()
-	pending := 1
-	for pending > 0 {
-		select {
-		case out := <-results:
-			pending--
-			cancels[out.idx]() // attempt finished; release its context now
-			if out.res != nil {
-				return out.res // deferred cancels cut the straggler loose
-			}
-		case <-hedge.C:
-			n.ctr.FillHedges.Add(1)
-			pending++
-			launch()
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	return nil
+	return <-hedged // the hedge fired, and answers within ctx like any attempt
 }
 
 // fetchResult issues one GET /internal/v1/result to owner under ctx, which

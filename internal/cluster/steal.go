@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/service"
 )
@@ -85,13 +84,4 @@ func (n *Node) postComplete(ctx context.Context, origin, id string, res *service
 	} else if res != nil {
 		n.ctr.CompletesSent.Add(1)
 	}
-}
-
-// newTimer wraps time.NewTimer for the hedge; split out so the zero-delay
-// case (tests that want an immediate hedge) still goes through a channel.
-func newTimer(d time.Duration) *time.Timer {
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	return time.NewTimer(d)
 }

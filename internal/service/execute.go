@@ -73,26 +73,28 @@ func (s *Service) runJob(j *job) {
 	s.finish(j, res, err)
 }
 
-// jobContext merges an execution's three cancellation sources: service
-// shutdown (rootCtx, via Kill), the submitter's context (nil when
-// asynchronous) and the request's deadline (else Config.DefaultDeadline;
+// jobContext merges an execution's three cancellation sources into one
+// context: service shutdown (rootCtx, via Kill), the submitter's context (nil
+// when asynchronous) and the request's deadline (else Config.DefaultDeadline;
 // returned for the timeout report). The sim engine polls the context
 // cooperatively, so cancellation lands mid-simulation, not after.
 func (s *Service) jobContext(base context.Context, req *Request) (context.Context, context.CancelFunc, time.Duration) {
 	if base == nil {
 		base = context.Background()
 	}
-	ctx, cancel := context.WithCancel(base)
-	stop := context.AfterFunc(s.rootCtx, cancel)
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-	cancelDL := context.CancelFunc(func() {})
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if deadline > 0 {
-		ctx, cancelDL = context.WithTimeout(ctx, deadline)
+		ctx, cancel = context.WithTimeout(base, deadline)
+	} else {
+		ctx, cancel = context.WithCancel(base)
 	}
-	return ctx, func() { cancelDL(); stop(); cancel() }, deadline
+	stop := context.AfterFunc(s.rootCtx, cancel)
+	return ctx, func() { stop(); cancel() }, deadline
 }
 
 // attempt is one panic-contained execution of the job's pipeline; the chaos
@@ -123,47 +125,103 @@ func (s *Service) setStatus(j *job, st Status) {
 	s.mu.Unlock()
 }
 
+// found is what lookup learned about a request. A job that reaches the queue
+// carries it from its submitter to its worker, so nothing is counted, and the
+// self-check sampler is not drawn, twice for one job.
+type found struct {
+	ie       *instrEntry  // nil: not cached when last probed
+	instrHit bool         // ie came from the cache rather than from a build
+	key      string       // result key, once ie is known
+	ent      *resultEntry // nil: not cached when last probed
+	sampled  bool         // the sampler picked this hit for a self-check
+}
+
+// lookup probes the two caches for what f does not hold yet and builds
+// nothing: the instrumentation entry, then — keyed from it — the result
+// entry, with the sampler's draw for a hit. It runs on the submitter's
+// goroutine for every job and again on the worker's for one that was queued,
+// because the entry may have arrived while the job waited. Callers skip it
+// while the service is journal-degraded.
+func (s *Service) lookup(req *Request, f *found) {
+	if f.ie == nil {
+		ie, ok := s.instr.get(instrKeyOf(req))
+		if !ok {
+			return
+		}
+		s.ctr.InstrCacheHits.Add(1)
+		f.ie, f.instrHit = ie, true
+	}
+	if f.ent != nil {
+		return
+	}
+	if f.key == "" {
+		f.key = resultKey(f.ie.keyState, req)
+	}
+	if ent, ok := s.results.get(f.key); ok {
+		s.ctr.ResultCacheHits.Add(1)
+		f.ent, f.sampled = ent, s.check.sample()
+	}
+}
+
+// cleanHit reports whether f answers req with nothing left to run: a cached
+// result the sampler did not pick, whose overhead row, if req wants one, is
+// already computed. Only such a job is finished by its submitter; a sampled
+// self-check or a first overhead row is a simulation (or three), and
+// simulations stay inside the Workers bound.
+func (f *found) cleanHit(req *Request) bool {
+	if f.ent == nil || f.sampled {
+		return false
+	}
+	if !req.Artifacts.OverheadRow {
+		return true
+	}
+	f.ent.mu.Lock()
+	defer f.ent.mu.Unlock()
+	return f.ent.overhead != nil
+}
+
 // execute runs the cached pipeline: instrumentation cache → result cache →
 // simulate on miss (or on a sampled self-check). While the service is
 // journal-degraded the result cache is bypassed entirely: every answer is
 // freshly computed, trading speed for soundness the broken journal can no
 // longer police.
 func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
-	req := &j.req
+	req, f := &j.req, &j.found
 	var lat StageLatency
 
-	ie, instrHit, err := s.instrumented(req, &lat)
-	if err != nil {
-		return nil, err
+	if f.ie == nil {
+		var err error
+		if f.ie, f.instrHit, err = s.instrumented(req, &lat); err != nil {
+			return nil, err
+		}
 	}
 
 	cacheOn := !s.degraded.Load()
-	rk := resultKey(ie.keyState, req)
 	if cacheOn {
-		if ent, ok := s.results.get(rk); ok {
-			s.ctr.ResultCacheHits.Add(1)
+		s.lookup(req, f)
+		if f.ent != nil {
 			selfChecked := false
-			if s.check.sample() {
+			if f.sampled {
 				s.ctr.SelfChecks.Add(1)
-				if err := s.crossCheck(ctx, "self-check", j.id, req, claimOf(ent)); err != nil {
+				if err := s.crossCheck(ctx, "self-check", j.id, req, claimOf(f.ent)); err != nil {
 					return nil, err
 				}
 				selfChecked = true
 			}
-			return s.assemble(j, ie, ent, true, instrHit, selfChecked, &lat)
+			return s.assemble(j, f.ent, true, f.instrHit, selfChecked, &lat)
 		}
 		s.ctr.ResultCacheMisses.Add(1)
 		// Shard miss: ask the cluster layer to fill from the key's owner
 		// before paying for a local simulation. Fill failure is never an
 		// error — a nil entry falls through to local recomputation.
 		if s.cfg.Fill != nil {
-			ent, err := s.peerFill(ctx, rk, j)
+			ent, err := s.peerFill(ctx, f.key, j)
 			if err != nil {
 				return nil, err // peer-fill cross-check divergence
 			}
 			if ent != nil {
-				s.results.add(rk, ent)
-				res, err := s.assemble(j, ie, ent, false, instrHit, false, &lat)
+				s.results.add(f.key, ent)
+				res, err := s.assemble(j, ent, false, f.instrHit, false, &lat)
 				if res != nil {
 					res.PeerFilled = true
 				}
@@ -173,21 +231,21 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 	}
 
 	start := time.Now()
-	ent, err := s.simulate(ctx, ie, req)
+	ent, err := s.simulate(ctx, f.ie, req)
 	lat.SimulateNS = time.Since(start).Nanoseconds()
 	s.latSimulate.record(lat.SimulateNS)
 	if err != nil {
 		return nil, err
 	}
 	if cacheOn {
-		s.results.add(rk, ent)
+		s.results.add(f.key, ent)
 		// Freshly computed under a cluster: offer the entry to the key's
 		// shard owner so the next fill from any node hits.
 		if s.cfg.Offer != nil {
-			s.cfg.Offer(rk, exportEntry(ent), &j.req)
+			s.cfg.Offer(f.key, exportEntry(ent), &j.req)
 		}
 	}
-	return s.assemble(j, ie, ent, false, instrHit, false, &lat)
+	return s.assemble(j, ent, false, f.instrHit, false, &lat)
 }
 
 // peerFill asks the cluster layer for a result-cache entry computed
@@ -325,7 +383,7 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 
 // assemble builds the job-facing result from a cache entry, honoring the
 // requested artifacts.
-func (s *Service) assemble(j *job, ie *instrEntry, ent *resultEntry, cached, instrCached, selfChecked bool, lat *StageLatency) (*Result, error) {
+func (s *Service) assemble(j *job, ent *resultEntry, cached, instrCached, selfChecked bool, lat *StageLatency) (*Result, error) {
 	res := ent.res // copy
 	res.JobID = j.id
 	res.Cached = cached

@@ -158,6 +158,9 @@ type job struct {
 	// reclaim re-enqueues the job if a work-stealing peer that borrowed it
 	// never reports back (armed only while lent).
 	reclaim *time.Timer
+	// found is what the submitter's lookup learned, for the worker; written
+	// before the job is queued, cleared when it finishes.
+	found found
 
 	// Guarded by the owning service's mu.
 	status Status

@@ -99,9 +99,12 @@ type journal struct {
 	order []string
 
 	// chaos injects write errors (nil-safe); broken marks the journal
-	// permanently degraded after an unrecovered write error.
+	// permanently degraded after an unrecovered write error; closed marks
+	// one a clean shutdown has flushed and closed, which takes no more
+	// records (errJournalClosed) but is not a fault.
 	chaos  *chaos
 	broken bool
+	closed bool
 
 	// quarantined counts the damaged lines the opening scrub pass moved to
 	// the `.quarantine` sidecar — the boot's detected-corruption tally.
@@ -265,6 +268,9 @@ func (j *journal) appendFinished(id string, res *Result, errMsg, errKind string)
 // a standby needs to replay (replay is last-finish-wins, so the stream and
 // its compaction are interchangeable).
 func (j *journal) appendLocked(rec *journalRecord) error {
+	if j.closed {
+		return errJournalClosed
+	}
 	if err := j.chaos.journalErr(); err != nil {
 		j.broken = true
 		return err
@@ -398,7 +404,7 @@ func (j *journal) close() error {
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
-	j.f = nil
+	j.f, j.closed = nil, true
 	return err
 }
 
@@ -432,4 +438,7 @@ func (j *journal) snapshotLive() (jobs, finished int) {
 	return len(j.live), finished
 }
 
-var errJournalBroken = fmt.Errorf("journal unwritable")
+var (
+	errJournalBroken = fmt.Errorf("journal unwritable")
+	errJournalClosed = fmt.Errorf("journal closed")
+)

@@ -536,3 +536,28 @@ func TestJournalOversizedRecordQuarantined(t *testing.T) {
 		t.Fatalf("oversized line not scrubbed away: file is %d bytes", fi.Size())
 	}
 }
+
+// TestJournalAppendAfterClose: a journal that a clean shutdown closed takes
+// no more records and says so; it used to dereference its nil file.
+func TestJournalAppendAfterClose(t *testing.T) {
+	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Source: fastProgram}
+	if err := jn.appendSubmitted("job-1", &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.appendSubmitted("job-2", &req); !errors.Is(err, errJournalClosed) {
+		t.Errorf("appendSubmitted after close: %v, want errJournalClosed", err)
+	}
+	if err := jn.appendFinished("job-1", &Result{}, "", ""); !errors.Is(err, errJournalClosed) {
+		t.Errorf("appendFinished after close: %v, want errJournalClosed", err)
+	}
+	if err := jn.close(); err != nil {
+		t.Errorf("second close: %v", err)
+	}
+}

@@ -9,16 +9,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/diag"
 )
 
-// Submit validates and enqueues a job, returning its id. Rejections are
+// Submit validates and admits a job, returning its id. Rejections are
 // typed: validation failures are *diag.MisuseError (ErrBadConfig /
 // ErrRaceBackend kinds), a full queue is ErrQueueFull, load shedding is
 // ErrOverloaded, an open circuit breaker is ErrCircuitOpen, a closed service
 // is ErrClosed. When a journal is configured, the submitted record is
-// durable (fsynced) before the id is returned.
+// durable (fsynced) before the id is returned. A job the result cache
+// already answers is finished before Submit returns; everything else is
+// queued for a worker.
 func (s *Service) Submit(req Request) (string, error) {
 	j, err := s.submit(nil, req)
 	if err != nil {
@@ -65,18 +68,49 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
 	}
 	s.seq++
-	id := fmt.Sprintf("job-%d", s.seq)
+	id := string(strconv.AppendInt(append(make([]byte, 0, 24), "job-"...), s.seq, 10))
 	j := &job{id: id, req: req, status: StatusQueued, done: make(chan struct{}), clientCtx: clientCtx, bytes: bytes}
 	s.jobs[id] = j
+	// From here until the job is finished or queued this goroutine is work in
+	// flight, counted like a worker (and taken, like StealQueued's off-pool
+	// runs, under s.mu while !closed): Close flushes and closes the journal
+	// only after the records written below, and Kill waits for them.
+	s.wg.Add(1)
+	defer s.wg.Done()
 	s.mu.Unlock()
 
 	if s.journal != nil && !s.degraded.Load() {
-		if err := s.journal.appendSubmitted(id, &req); err != nil {
+		if err := s.journal.appendSubmitted(id, &req); errors.Is(err, errJournalClosed) {
+			s.mu.Lock()
+			delete(s.jobs, id)
+			s.mu.Unlock()
+			return misuse(ErrClosed, "")
+		} else if err != nil {
 			// Durability is gone but the service is not: degrade (journaling
 			// off, result cache off) and keep serving.
 			s.degrade(err)
 		}
 	}
+
+	// A job whose context is already dead is the worker's to fail, untouched,
+	// as it always was. For any other the caches are probed here, outside
+	// s.mu — they have their own locks, and held across these lookups s.mu
+	// serialises every submitter behind one hash and two LRU probes (DESIGN
+	// §8, *The hit path*). A clean hit is finished on the spot, through the
+	// finish every job ends in; a worker could add nothing to it.
+	if !s.degraded.Load() && s.rootCtx.Err() == nil && (clientCtx == nil || clientCtx.Err() == nil) {
+		s.lookup(&j.req, &j.found)
+		if j.found.cleanHit(&j.req) {
+			s.inflight.Add(bytes)
+			s.ctr.JobsAccepted.Add(1)
+			var lat StageLatency
+			res, err := s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
+			s.finish(j, res, err)
+			return j, nil
+		}
+	}
+	// Everything else needs a worker, which gets what lookup found along with
+	// the job (j.found) and so neither counts it nor draws the sampler again.
 
 	s.mu.Lock()
 	if s.closed {
@@ -109,11 +143,13 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 }
 
 // journalFinished appends a job's finish record, degrading on write errors.
+// A journal Close has already closed is not one: the record is left to
+// recovery, which re-executes the job.
 func (s *Service) journalFinished(j *job, res *Result, errMsg, errKind string) {
 	if s.journal == nil || s.degraded.Load() {
 		return
 	}
-	if err := s.journal.appendFinished(j.id, res, errMsg, errKind); err != nil {
+	if err := s.journal.appendFinished(j.id, res, errMsg, errKind); err != nil && !errors.Is(err, errJournalClosed) {
 		s.degrade(err)
 	}
 }
@@ -191,6 +227,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	} else {
 		j.status, j.result = StatusDone, res
 	}
+	j.found = found{} // a retained record must not pin evicted cache entries
 	s.retainLocked(j)
 	s.mu.Unlock()
 	s.inflight.Add(-j.bytes)
