@@ -39,7 +39,9 @@ bench:
 # bench-smoke is the CI variant: one iteration of each hot-loop benchmark
 # (a thousand cache hits, so the two sizes' ns/op can be read against each
 # other; the BenchmarkDoHit pattern also selects BenchmarkDoHitParallel, the
-# same 1 kB hit from every processor at once), enough to catch a broken
+# same 1 kB hit from every processor at once, and BenchmarkDoHitJournaled, the
+# same hit on a journaled service, whose syncs/op is 2 / JournalFsyncEvery =
+# 0.125 and was 1 while a hit's submit record synced alone), enough to catch a broken
 # benchmark or an allocation regression without paying full measurement time. BenchmarkRaceOverheadThreads prints
 # the bytes and objects of one detected run per program and thread count
 # (radiosity/threads=4/detector=true is the line TestRaceRunAllocBudget bounds).
@@ -76,6 +78,16 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-LOC_CEILING = 23619
+# PR 24, +245. journal.go +178: code +92 (the leader / follower commit path —
+# appended / committed / cond, awaitLocked, commitLocked, settleLocked,
+# quiesceLocked — about 60; the reservation — record type, reserve loop,
+# reservationLine, jobID, numericID moved here from service.go — about 32;
+# flushLocked and the in-place torn-tail truncation gone), comments +74 (the
+# record-by-record contract in its header), blank +12. scrub.go +40 (the
+# scanner knows the type; damaged / idFloor / repaired), frame.go +18
+# (appendFrame in place of a Sprintf), submit.go +12 (the probe before the
+# record), stats.go +8 (two gauges), service.go -10, vfs / faultfs -5
+# (Truncate), doc comments in cmd/detserve and the facade +4.
+LOC_CEILING = 23864
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

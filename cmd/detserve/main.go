@@ -62,9 +62,11 @@
 // budget, 503 with Retry-After while the divergence circuit breaker is open
 // or the server is shutting down, 504 for jobs canceled by their deadline.
 //
-// Durability: -journal PATH arms the append-only JSONL job journal. Accepted
-// jobs are fsynced before their id is returned and survive crashes: on
-// restart, completed jobs are served from the journal (and re-verified by
+// Durability: -journal PATH arms the append-only JSONL job journal. A job that
+// is queued, or whose id is all the client gets, is fsynced before the reply
+// and survives crashes (a ?wait=1 request answered from the result cache has
+// its result at once and its records written with the next batch: after a
+// crash its id may be unknown, and is never issued again): on restart, completed jobs are served from the journal (and re-verified by
 // background re-execution), incomplete ones are re-executed — weak
 // determinism guarantees the recovered results are identical. A journal that
 // cannot be opened aborts startup; one that breaks mid-flight degrades the

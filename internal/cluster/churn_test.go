@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -123,6 +124,11 @@ func TestJoinBootstrap(t *testing.T) {
 
 	if err := b.Join(ctx); err != nil {
 		t.Fatalf("Join after heal: %v", err)
+	}
+	// The seed's log opens with its id reservation; the snapshot the joiner
+	// just checked is the job table without it.
+	if !bytes.Contains(mustRead(t, filepath.Join(dir, "a.journal")), reservedType) {
+		t.Fatal("the seed's journal holds no reservation")
 	}
 	if err := b.Join(ctx); err != nil {
 		t.Fatalf("Join is not idempotent once admitted: %v", err)

@@ -117,6 +117,4 @@ func (ff *faultFile) Sync() error {
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
 
-func (ff *faultFile) Truncate(size int64) error { return ff.f.Truncate(size) }
-
 func (ff *faultFile) Seek(offset int64, whence int) (int64, error) { return ff.f.Seek(offset, whence) }

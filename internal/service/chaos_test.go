@@ -75,12 +75,20 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 				Faults:            &FaultConfig{Seed: seed, WorkerPanicRate: 0.15},
 			}
 
-			acked := map[string]int{} // job id → variant index
+			acked := map[string]int{}  // job id → variant index, ids Submit returned
+			issued := map[string]int{} // every id ever returned → its incarnation
+			var answered []string      // ids Do returned
 			kills := 1 + rng.IntN(3)
-			for {
+			for life := 0; ; life++ {
 				svc, err := Open(cfg)
 				if err != nil {
 					t.Fatalf("Open: %v", err)
+				}
+				issue := func(id string) {
+					if was, ok := issued[id]; ok {
+						t.Fatalf("%s issued by incarnation %d and again by incarnation %d", id, was, life)
+					}
+					issued[id] = life
 				}
 				// Submit every variant not yet acknowledged under some id. A
 				// variant whose previous submission died unacknowledged is
@@ -102,7 +110,33 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("submit variant %d: %v", i, err)
 					}
+					issue(id)
 					acked[id] = i
+				}
+				// Repeats. The Submit is a hit (or joins a miss) whose caller holds
+				// only the id, so it returns after a sync; a Do on a variant
+				// nothing has computed yet waits for it; the Dos behind it are
+				// clean hits whose records stay in the batch buffer, which the
+				// kill below drops.
+				for r := rng.IntN(4); r > 0 && !interrupted; r-- {
+					vi := rng.IntN(len(variants))
+					id, err := svc.Submit(reqOf(variants[vi]))
+					if err != nil {
+						t.Fatalf("resubmit variant %d: %v", vi, err)
+					}
+					issue(id)
+					acked[id] = vi
+					for range 1 + rng.IntN(3) {
+						res, err := svc.Do(context.Background(), reqOf(variants[vi]))
+						if err != nil {
+							t.Fatalf("Do variant %d: %v", vi, err)
+						}
+						if got := coreOf(res); got != ref[vi] {
+							t.Fatalf("Do variant %d: core %s, want reference %s", vi, got, ref[vi])
+						}
+						issue(res.JobID)
+						answered = append(answered, res.JobID)
+					}
 				}
 				if kills > 0 && !interrupted {
 					// Let the pool run partway into the queue, then crash.
@@ -133,9 +167,17 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 				if snap.JournalDegraded {
 					t.Fatal("journal degraded during crash/restart schedule")
 				}
-				if snap.JournalJobs != len(acked) {
-					t.Fatalf("journal holds %d jobs, want exactly the %d acknowledged (lost or duplicated)",
-						snap.JournalJobs, len(acked))
+				// Every id Submit returned, and of the ids Do returned those whose
+				// records no kill dropped: nothing else, nothing twice.
+				known := 0
+				for _, id := range answered {
+					if _, err := svc.Lookup(id); err == nil {
+						known++
+					}
+				}
+				if snap.JournalJobs != len(acked)+known {
+					t.Fatalf("journal holds %d jobs, want exactly the %d acknowledged and the %d of %d answered through Do that survived (lost or duplicated)",
+						snap.JournalJobs, len(acked), known, len(answered))
 				}
 				if err := svc.Close(context.Background()); err != nil {
 					t.Fatalf("final Close: %v", err)

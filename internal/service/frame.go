@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // Journal line framing. Every record the journal writes is wrapped in a
@@ -29,10 +30,27 @@ func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // frameMagic opens every framed line; the "1" is a format version.
 const frameMagic = "#c1 "
 
-// frameLine wraps a marshaled record payload in a framed line (with trailing
-// newline). The payload must not contain '\n' (encoding/json never emits one).
+// appendFrame appends payload to dst as one framed line (trailing newline
+// included): the journal frames a record straight into its pending buffer.
+// The payload must not contain '\n' (encoding/json never emits one).
+func appendFrame(dst, payload []byte) []byte {
+	const hexDigits = "0123456789abcdef"
+	dst = append(dst, frameMagic...)
+	sum := checksum(payload)
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[sum>>shift&0xf])
+	}
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(len(payload)), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, payload...)
+	return append(dst, '\n')
+}
+
+// frameLine is appendFrame into a line of its own (a header is at most 35
+// bytes).
 func frameLine(payload []byte) []byte {
-	return []byte(fmt.Sprintf("%s%08x %d %s\n", frameMagic, checksum(payload), len(payload), payload))
+	return appendFrame(make([]byte, 0, len(payload)+36), payload)
 }
 
 // unframeLine validates one journal line (without its trailing newline) and
@@ -48,8 +66,8 @@ func unframeLine(line []byte) ([]byte, error) {
 	if sp != 8 {
 		return nil, fmt.Errorf("malformed frame header (bad checksum field)")
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(rest[:8]), "%08x", &want); err != nil {
+	want, err := strconv.ParseUint(string(rest[:8]), 16, 32)
+	if err != nil {
 		return nil, fmt.Errorf("malformed frame header (checksum not hex)")
 	}
 	rest = rest[9:]
@@ -57,15 +75,15 @@ func unframeLine(line []byte) ([]byte, error) {
 	if sp <= 0 {
 		return nil, fmt.Errorf("malformed frame header (missing length)")
 	}
-	var n int
-	if _, err := fmt.Sscanf(string(rest[:sp]), "%d", &n); err != nil || n < 0 {
+	n, err := strconv.ParseUint(string(rest[:sp]), 10, 31)
+	if err != nil {
 		return nil, fmt.Errorf("malformed frame header (length not decimal)")
 	}
 	payload := rest[sp+1:]
-	if len(payload) != n {
+	if uint64(len(payload)) != n {
 		return nil, fmt.Errorf("length mismatch (declared %d, found %d bytes)", n, len(payload))
 	}
-	if got := checksum(payload); got != want {
+	if got := checksum(payload); got != uint32(want) {
 		return nil, fmt.Errorf("checksum mismatch (declared %08x, computed %08x)", want, got)
 	}
 	return payload, nil

@@ -48,6 +48,30 @@ func BenchmarkDoHit(b *testing.B) {
 	}
 }
 
+// BenchmarkDoHitJournaled is the 1 kB hit on a journaled service. Both of its
+// records are written, and neither waits for the disk alone: syncs/op is the
+// share of a commit one hit pays for, 2 records in JournalFsyncEvery (0.125
+// at the default 16; 1 before a hit's submit record joined the batch).
+func BenchmarkDoHitJournaled(b *testing.B) {
+	fsys := newGateFS()
+	s, err := Open(Config{Workers: 1, JournalPath: filepath.Join(b.TempDir(), "journal.jsonl"), FS: fsys})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Kill()
+	req := Request{Source: hitPrograms(b)["1kB"]}
+	mustDo(b, s, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := fsys.syncs.Load()
+	for i := 0; i < b.N; i++ {
+		if res, err := s.Do(context.Background(), req); err != nil || !res.Cached {
+			b.Fatalf("res %+v, err %v", res, err)
+		}
+	}
+	b.ReportMetric(float64(fsys.syncs.Load()-before)/float64(b.N), "syncs/op")
+}
+
 // BenchmarkDoHitParallel is the same hit from every processor at once. A hit
 // is finished by its submitter, so what submitters wait on each other for is
 // the two short s.mu sections (id, finish) and the caches' own locks. Moving

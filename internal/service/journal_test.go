@@ -114,8 +114,10 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-recovery submit: %v", err)
 	}
-	if id != "job-6" {
-		t.Fatalf("post-recovery id = %s, want job-6 (sequence continues past journal)", id)
+	// Past the journal's reservation, not just its records: the reader cannot
+	// know that no hit's records were lost above job-5.
+	if want := jobID(reserveBlock + 1); id != want {
+		t.Fatalf("post-recovery id = %s, want %s (sequence continues past the journal's reservation)", id, want)
 	}
 }
 
@@ -217,7 +219,8 @@ func TestJournalTornTail(t *testing.T) {
 // TestJournalCompaction: duplicate finish records (the signature of repeated
 // crash/recover cycles) push the raw log past the compaction trigger; the
 // rewrite keeps one submitted + one finish record per job, preserves replay,
-// and shrinks the file.
+// and shrinks the file. The reservation is no job's record: it is the image's
+// first line and counts toward neither side of the trigger.
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	jn, _, err := openJournal(nil, path, 1, 8, nil, nil)
@@ -227,7 +230,7 @@ func TestJournalCompaction(t *testing.T) {
 	req := Request{Source: "m"}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("job-%d", i+1)
-		if err := jn.appendSubmitted(id, &req); err != nil {
+		if err := jn.appendSubmitted(id, &req, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,8 +253,11 @@ func TestJournalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(raw), "\n"); n != 6 {
-		t.Fatalf("compacted log has %d lines, want 6", n)
+	if !bytes.HasPrefix(raw, reservationLine(reserveBlock)) {
+		t.Fatalf("compacted log does not open with the reservation: %q", raw)
+	}
+	if n := strings.Count(string(raw), "\n"); n != 7 {
+		t.Fatalf("compacted log has %d lines, want 7 (the reservation + 6)", n)
 	}
 	// Replay after compaction: last finish wins.
 	_, jobs, err := openJournal(nil, path, 1, 8, nil, nil)
@@ -429,6 +435,17 @@ func FuzzJournalReplay(f *testing.F) {
 		"#c1 zzzzzzzz 4 !!!!\n" +
 		"#c1 00000000\n"))
 
+	// Reservations: a log that holds them between its job records, one whose
+	// id is no job-N, one with more digits than the service ever issues, and
+	// one cut through by the crash.
+	f.Add([]byte(framed(`{"type":"reserved","id":"job-1024"}`) +
+		framed(`{"type":"submitted","id":"job-1024","req":{"source":"module m"}}`) +
+		framed(`{"type":"reserved","id":"job-2048"}`) +
+		framed(`{"type":"submitted","id":"job-1025","req":{"source":"module m"}}`) +
+		framed(`{"type":"reserved","id":"job-x"}`) +
+		framed(`{"type":"reserved","id":"job-99999999999999999999"}`) +
+		`#c1 4d2a1e27 35 {"type":"reserved","id":"job-30`))
+
 	// The snapshot check is the scanner's second entrance (peer-supplied
 	// bytes instead of a file): it must refuse exactly what recovery would
 	// quarantine or truncate, and reach a verdict on everything else.
@@ -456,6 +473,11 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("openJournal rejected arbitrary bytes instead of truncating: %v", err)
 		}
+		// Ids continue above every id the log shows, damaged lines or not.
+		floor := jn.reserved
+		if floor < scan.maxID || (damaged && floor < scan.maxID+reserveBlock) {
+			t.Fatalf("ids continue from %d; the log shows %d and %d damaged lines", floor, scan.maxID, scan.damaged())
+		}
 		seen := make(map[string]bool, len(jobs))
 		for _, jj := range jobs {
 			if jj.id == "" {
@@ -471,7 +493,7 @@ func FuzzJournalReplay(f *testing.F) {
 		for seen[probe] {
 			probe += "x"
 		}
-		if err := jn.appendSubmitted(probe, &Request{Source: "module m"}); err != nil {
+		if err := jn.appendSubmitted(probe, &Request{Source: "module m"}, true); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
 		if err := jn.appendFinished(probe, &Result{ScheduleHash: "feedface00000000"}, "", ""); err != nil {
@@ -481,9 +503,13 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("close after repair: %v", err)
 		}
 		// ...and replay back to exactly the pre-damage jobs plus the probe.
-		_, jobs2, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+		jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil, nil)
 		if err != nil {
 			t.Fatalf("reopen after repair: %v", err)
+		}
+		defer jn2.kill()
+		if jn2.reserved < floor {
+			t.Fatalf("ids continued from %d, and from %d after the repair removed the damaged lines", floor, jn2.reserved)
 		}
 		if len(jobs2) != len(jobs)+1 {
 			t.Fatalf("reopen replayed %d jobs, want %d", len(jobs2), len(jobs)+1)
@@ -545,13 +571,13 @@ func TestJournalAppendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Source: fastProgram}
-	if err := jn.appendSubmitted("job-1", &req); err != nil {
+	if err := jn.appendSubmitted("job-1", &req, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := jn.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.appendSubmitted("job-2", &req); !errors.Is(err, errJournalClosed) {
+	if err := jn.appendSubmitted("job-2", &req, true); !errors.Is(err, errJournalClosed) {
 		t.Errorf("appendSubmitted after close: %v, want errJournalClosed", err)
 	}
 	if err := jn.appendFinished("job-1", &Result{}, "", ""); !errors.Is(err, errJournalClosed) {

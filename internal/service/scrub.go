@@ -21,7 +21,8 @@ import (
 // What quarantines: a failed CRC frame, unparseable JSON, an empty job id, an
 // unknown record type, a submitted record with no request, a finish record
 // for a job with no submitted record (a "ghost" — its submit was itself
-// damaged), and a completed record with no result. What does not: duplicate
+// damaged), a completed record with no result, and a reservation whose id is
+// not a job-N. What does not: duplicate
 // submitted records and repeated finish records are legitimate products of
 // crash-recovery re-execution and replay handles them (first-submit-wins,
 // last-finish-wins); blank lines are kept; a torn final line (no trailing
@@ -54,6 +55,35 @@ type scanResult struct {
 	tornBytes int
 	// jobs/finished count distinct jobs seen and how many have a finish.
 	jobs, finished int
+	// maxID is the highest N among the job-N ids of the lines that parsed,
+	// reservations included (those are in keep, not in recs: they belong to
+	// no job).
+	maxID int64
+}
+
+// damaged counts the lines the scan could not read: the quarantined ones and
+// a torn tail.
+func (r *scanResult) damaged() int {
+	n := len(r.quarantined)
+	if r.tornBytes > 0 {
+		n++
+	}
+	return n
+}
+
+// idFloor is the id no job of the scanned log was issued above: the greater
+// of the highest reservation and the highest id seen, plus one block for
+// every line that could not be read — any of them may have been a
+// reservation, and a reservation raises the mark by exactly reserveBlock.
+func (r *scanResult) idFloor() int64 {
+	return r.maxID + int64(r.damaged())*reserveBlock
+}
+
+// repaired is the image a damaged log is replaced by: the valid lines, then a
+// reservation at idFloor — once the damaged lines are gone, nothing else says
+// that ids may have been issued under them.
+func (r *scanResult) repaired() []byte {
+	return append(r.keep[:len(r.keep):len(r.keep)], reservationLine(r.idFloor())...)
 }
 
 // scanJournal classifies every line of a journal image. Pure function: no
@@ -99,7 +129,17 @@ func scanJournal(raw []byte) scanResult {
 			quarantine("record without job id")
 			continue
 		}
+		n, numeric := numericID(rec.ID)
+		res.maxID = max(res.maxID, n)
 		switch rec.Type {
+		case recReserved:
+			if !numeric {
+				quarantine(fmt.Sprintf("reservation %q is not a job-N id", rec.ID))
+				continue
+			}
+			keep.Write(line)
+			keep.WriteByte('\n')
+			continue
 		case recSubmitted:
 			if rec.Req == nil {
 				quarantine("submitted record without request")
@@ -221,7 +261,7 @@ func ScrubJournal(fsys vfs.FS, path string, apply bool) (ScrubReport, error) {
 		Quarantined: len(res.quarantined),
 		TornBytes:   res.tornBytes,
 	}
-	if !apply || (len(res.quarantined) == 0 && res.tornBytes == 0) {
+	if !apply || res.damaged() == 0 {
 		return rep, nil
 	}
 	if len(res.quarantined) > 0 {
@@ -229,7 +269,7 @@ func ScrubJournal(fsys vfs.FS, path string, apply bool) (ScrubReport, error) {
 			rep.QuarantinePath = path + ".quarantine"
 		}
 	}
-	if err := rewriteLog(fsys, path, res.keep); err != nil {
+	if err := rewriteLog(fsys, path, res.repaired()); err != nil {
 		return rep, err
 	}
 	rep.Rewritten = true

@@ -85,8 +85,10 @@ type Config struct {
 	// guarantees identical results), completed ones are served from the log
 	// and cross-checked by re-execution in the background.
 	JournalPath string
-	// JournalFsyncEvery batches completion-record fsyncs (default 16;
-	// submitted records are always fsynced before Submit returns).
+	// JournalFsyncEvery batches the fsyncs of records nobody waits on —
+	// completion records, and the submitted record of a result-cache hit
+	// answered through Do (default 16; any other submitted record is fsynced
+	// before Submit returns).
 	JournalFsyncEvery int
 	// FS is the filesystem the journal writes through (default the real
 	// one). Fault-injection harnesses substitute a vfs implementation that
@@ -286,6 +288,9 @@ func Open(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.journal = jn
+		// Ids continue above everything the log reserved or used, so a tail of
+		// records a crash lost cannot cause one to be issued twice.
+		s.seq = jn.reserved
 		if jn.quarantined > 0 {
 			s.ctr.JournalQuarantined.Add(int64(jn.quarantined))
 			s.ctr.CorruptionEvents.Add(int64(jn.quarantined))
@@ -308,16 +313,15 @@ func Open(cfg Config) (*Service, error) {
 
 // installRecovered folds the replayed journal into the job table: finished
 // jobs are served from the journal (successful ones additionally scheduled
-// for the background determinism cross-check), incomplete ones re-enqueued
-// for execution. Returns the jobs to enqueue, submission order preserved.
+// for the background determinism cross-check) and retained like any other
+// finished job, oldest first, up to Config.RetainJobs; incomplete ones are
+// re-enqueued for execution. Returns the jobs to enqueue, submission order
+// preserved.
 func (s *Service) installRecovered(replayed []*journalJob) []*job {
 	var enqueue []*job
 	closedCh := make(chan struct{})
 	close(closedCh)
 	for _, jj := range replayed {
-		if n, ok := numericID(jj.id); ok && n > s.seq {
-			s.seq = n
-		}
 		j := &job{id: jj.id, req: jj.req, done: closedCh}
 		s.jobs[jj.id] = j
 		s.ctr.RecoveredJobs.Add(1)
@@ -348,25 +352,11 @@ func (s *Service) installRecovered(replayed []*journalJob) []*job {
 			// if resubmitted — no cross-check needed.
 			j.status, j.err, j.errKind = StatusFailed, errors.New(jj.errMsg), jj.errKind
 		}
+		if jj.done {
+			s.retainLocked(j) // Open has not published s yet: nobody to lock against
+		}
 	}
 	return enqueue
-}
-
-// numericID parses the N of "job-N" ids so a recovered service continues
-// its id sequence past everything in the journal.
-func numericID(id string) (int64, bool) {
-	const prefix = "job-"
-	if len(id) <= len(prefix) || id[:len(prefix)] != prefix {
-		return 0, false
-	}
-	var n int64
-	for _, c := range id[len(prefix):] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	return n, true
 }
 
 // degrade marks the service journal-degraded: journaling stops, and the
@@ -397,7 +387,7 @@ func (s *Service) Snapshot() StatsSnapshot {
 	snap.JournalEnabled = s.journal != nil
 	snap.JournalDegraded = s.degraded.Load()
 	if s.journal != nil {
-		snap.JournalJobs, snap.JournalFinished = s.journal.snapshotLive()
+		snap.JournalJobs, snap.JournalFinished, snap.JournalSyncs, snap.JournalRecords = s.journal.snapshotLive()
 	}
 	snap.BreakerState, snap.BreakerTrips = s.breaker.snapshot()
 	snap.RecentFailures = s.failures.snapshot()

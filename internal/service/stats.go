@@ -226,6 +226,14 @@ type statsOf[C any] struct {
 	RecentFailures []FailureRecord `json:"recent_failures,omitempty"`
 
 	Stages map[string]StageStats `json:"stage_latency"`
+
+	// JournalSyncs counts the journal's commits (one Write + Sync each) and
+	// JournalRecords the job records they made durable, so syncs per job can
+	// be read off a running service. They belong with the journal fields and
+	// come last so that every line the endpoint already printed keeps its
+	// place.
+	JournalSyncs   int64 `json:"journal_syncs,omitempty"`
+	JournalRecords int64 `json:"journal_records,omitempty"`
 }
 
 // StatsSnapshot is the GET /v1/stats payload.

@@ -1,15 +1,14 @@
 package service
 
 // The life of a job as its submitter and its waiters see it: admission, id,
-// submit record, the queue, the published outcome, Wait / Do / Lookup. Reads
-// against DESIGN §9 (admission control, the journal's durability contract,
-// retention) and §8, *The hit path*.
+// cache probe, submit record, the queue, the published outcome, Wait / Do /
+// Lookup. Reads against DESIGN §9 (admission control, the journal's
+// durability contract, retention) and §8, *The hit path*.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/diag"
 )
@@ -19,9 +18,9 @@ import (
 // ErrRaceBackend kinds), a full queue is ErrQueueFull, load shedding is
 // ErrOverloaded, an open circuit breaker is ErrCircuitOpen, a closed service
 // is ErrClosed. When a journal is configured, the submitted record is
-// durable (fsynced) before the id is returned. A job the result cache
-// already answers is finished before Submit returns; everything else is
-// queued for a worker.
+// durable (fsynced) before the id is returned — the id is all this caller
+// holds. A job the result cache already answers is finished before Submit
+// returns; everything else is queued for a worker.
 func (s *Service) Submit(req Request) (string, error) {
 	j, err := s.submit(nil, req)
 	if err != nil {
@@ -60,15 +59,14 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		s.mu.Unlock()
 		return misuse(ErrDraining, "node is draining; submit elsewhere")
 	}
-	// Reserve the id first and journal outside the lock: the submitted
-	// record must be durable before the client sees the id, and must exist
-	// before any completion record for the same id can be appended.
+	// Take the id first and journal outside the lock: the submitted record
+	// must exist before any completion record for the same id is appended.
 	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
 	}
 	s.seq++
-	id := string(strconv.AppendInt(append(make([]byte, 0, 24), "job-"...), s.seq, 10))
+	id := jobID(s.seq)
 	j := &job{id: id, req: req, status: StatusQueued, done: make(chan struct{}), clientCtx: clientCtx, bytes: bytes}
 	s.jobs[id] = j
 	// From here until the job is finished or queued this goroutine is work in
@@ -79,35 +77,49 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	defer s.wg.Done()
 	s.mu.Unlock()
 
+	// A job whose context is already dead is the worker's to fail, untouched,
+	// as it always was. For any other the caches are probed here, outside
+	// s.mu — they have their own locks, and held across these lookups s.mu
+	// serialises every submitter behind one hash and two LRU probes (DESIGN
+	// §8, *The hit path*) — and before the submit record, because what the
+	// probe finds decides whether anyone has to wait for the disk.
+	hit := false
+	if !s.degraded.Load() && s.rootCtx.Err() == nil && (clientCtx == nil || clientCtx.Err() == nil) {
+		s.lookup(&j.req, &j.found)
+		hit = j.found.cleanHit(&j.req)
+	}
+
 	if s.journal != nil && !s.degraded.Load() {
-		if err := s.journal.appendSubmitted(id, &req); errors.Is(err, errJournalClosed) {
+		// A crash can lose a job only while somebody still waits for it: one
+		// that needs a worker, or one whose caller was handed nothing but an
+		// id (Submit: clientCtx == nil). Those return after the sync that
+		// covers their record. A clean hit through Do leaves with its result,
+		// so its record rides with the batch its finish record commits in.
+		durable := !hit || clientCtx == nil
+		if err := s.journal.appendSubmitted(id, &req, durable); errors.Is(err, errJournalClosed) {
 			s.mu.Lock()
 			delete(s.jobs, id)
 			s.mu.Unlock()
 			return misuse(ErrClosed, "")
 		} else if err != nil {
 			// Durability is gone but the service is not: degrade (journaling
-			// off, result cache off) and keep serving.
+			// off, result cache off) and keep serving. What the probe found
+			// is not served either: the job goes to a worker, which computes
+			// it afresh.
 			s.degrade(err)
+			hit = false
 		}
 	}
 
-	// A job whose context is already dead is the worker's to fail, untouched,
-	// as it always was. For any other the caches are probed here, outside
-	// s.mu — they have their own locks, and held across these lookups s.mu
-	// serialises every submitter behind one hash and two LRU probes (DESIGN
-	// §8, *The hit path*). A clean hit is finished on the spot, through the
-	// finish every job ends in; a worker could add nothing to it.
-	if !s.degraded.Load() && s.rootCtx.Err() == nil && (clientCtx == nil || clientCtx.Err() == nil) {
-		s.lookup(&j.req, &j.found)
-		if j.found.cleanHit(&j.req) {
-			s.inflight.Add(bytes)
-			s.ctr.JobsAccepted.Add(1)
-			var lat StageLatency
-			res, err := s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
-			s.finish(j, res, err)
-			return j, nil
-		}
+	// A clean hit is finished on the spot, through the finish every job ends
+	// in; a worker could add nothing to it.
+	if hit {
+		s.inflight.Add(bytes)
+		s.ctr.JobsAccepted.Add(1)
+		var lat StageLatency
+		res, err := s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
+		s.finish(j, res, err)
+		return j, nil
 	}
 	// Everything else needs a worker, which gets what lookup found along with
 	// the job (j.found) and so neither counts it nor draws the sampler again.

@@ -9,9 +9,8 @@
 // one temp-file-then-rename rewrite all of them share.
 //
 // The interface is deliberately tiny: exactly the operations the journal's
-// crash-safety story uses (append, fsync, truncate-to-prefix, atomic
-// temp-file-then-rename replacement, sidecar append, cleanup sweep). Growing
-// it means growing the failure surface every FaultFS schedule must cover, so
+// crash-safety story uses (append, fsync, atomic temp-file-then-rename
+// replacement, sidecar append, cleanup sweep). Growing it means growing the failure surface every FaultFS schedule must cover, so
 // additions should be resisted until a caller genuinely needs them.
 package vfs
 
@@ -44,8 +43,6 @@ type File interface {
 	// Sync is the fsync barrier: after a successful Sync every previously
 	// written byte is durable.
 	Sync() error
-	// Truncate cuts the file to size (torn-tail repair).
-	Truncate(size int64) error
 	// Seek positions the write cursor (reopen-for-append).
 	Seek(offset int64, whence int) (int64, error)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestOSRoundTrip drives the production FS through every operation the
-// durability layer uses: create/append, fsync, truncate-to-prefix, seek to
-// the end and keep writing, rename over an existing file, remove.
+// durability layer uses: create/append, fsync, reopen, seek to the end and
+// keep writing, rename over an existing file, remove.
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	fsys := OS{}
@@ -23,14 +23,17 @@ func TestOSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("first\nsecond\ntorn")); err != nil {
+	if _, err := f.Write([]byte("first\nsecond\n")); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Torn-tail repair: cut to the last whole line, then append after it.
-	if err := f.Truncate(int64(len("first\nsecond\n"))); err != nil {
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen for append, as the journal does after a recovery or a compaction.
+	if f, err = fsys.OpenFile(path, os.O_RDWR, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if end, err := f.Seek(0, io.SeekEnd); err != nil || end != int64(len("first\nsecond\n")) {
@@ -43,7 +46,7 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, err := fsys.ReadFile(path); err != nil || string(got) != "first\nsecond\nthird\n" {
-		t.Fatalf("after truncate+append: %q, %v", got, err)
+		t.Fatalf("after reopen+append: %q, %v", got, err)
 	}
 
 	// Rename replaces an existing target and removes the source name.

@@ -57,7 +57,9 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // OpenService starts a service like NewService but returns journal
 // open/recovery errors, for callers that should refuse to run without the
 // durability they asked for. With ServiceConfig.JournalPath set, accepted
-// jobs are fsynced before Submit returns and survive crashes: restart
+// jobs are fsynced before Submit returns and survive crashes (a Do answered
+// from the result cache returns its result at once; its records follow with
+// the next batch): restart
 // re-executes incomplete jobs (weak determinism guarantees identical
 // results) and serves completed ones from the log, cross-checking them by
 // background re-execution.
