@@ -1,7 +1,7 @@
 GO ?= go
 TIMEOUT ?= 10m
 
-.PHONY: check build vet test race bench-check bench bench-smoke serve-smoke workload-smoke loc loc-check
+.PHONY: check build vet test race bench-check bench bench-smoke serve-smoke workload-smoke loc loc-check deadcode
 
 # check is what CI runs: build, vet, full test suite under the race detector.
 check: build vet race
@@ -71,6 +71,13 @@ serve-smoke:
 workload-smoke:
 	$(GO) run ./cmd/detload -smoke -j 4
 
+# deadcode runs the dead-export guard (deadcode_test.go, also part of `make
+# test`) verbosely: it names every exported identifier under internal/ that no
+# non-test file of the module or of bench/, and no other package's test,
+# references, then prints the allowlist of those that stay, with reasons.
+deadcode:
+	$(GO) test -count=1 -run 'TestNoDeadExports|TestDeadExportsFixture' -v .
+
 # loc prints the non-test Go line count ROADMAP's size bar is stated in.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
@@ -78,16 +85,18 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# PR 24, +245. journal.go +178: code +92 (the leader / follower commit path —
-# appended / committed / cond, awaitLocked, commitLocked, settleLocked,
-# quiesceLocked — about 60; the reservation — record type, reserve loop,
-# reservationLine, jobID, numericID moved here from service.go — about 32;
-# flushLocked and the in-place torn-tail truncation gone), comments +74 (the
-# record-by-record contract in its header), blank +12. scrub.go +40 (the
-# scanner knows the type; damaged / idFloor / repaired), frame.go +18
-# (appendFrame in place of a Sprintf), submit.go +12 (the probe before the
-# record), stats.go +8 (two gauges), service.go -10, vfs / faultfs -5
-# (Truncate), doc comments in cmd/detserve and the facade +4.
-LOC_CEILING = 23864
+# Last moved by -391: 280 lines deleted, 111 moved into _test.go files (which
+# the count leaves out, so they are no reduction). Deleted: internal/kendo (105),
+# ir.MeetsClockableCriteria, RegionPathClocks and the stop predicate behind
+# it, Module.TotalBlockClock, Block.Succs, BlockBuilder.Spawn / Join,
+# sim.ErrDeadlock, interp.Machine.Spawned, workload.Outcome.Cores,
+# cluster.Node.Draining, estimates.Table.Len, nemesis's observation log and
+# its ten writers, the second wait-for cycle walk (sim and det share
+# diag.FindCycle), detload's scenario builder (workload.Scenarios is the one)
+# and knownShape / knownBench, the handlers' method and "not clustered" /
+# "not a standby" branches (the mux's method patterns). Moved: LoopNet's
+# test-only fault controls (64), estimates.Table.Format / Names (24),
+# harness.Runner.SweepSeconds (18), det.NewFaultInjector (5).
+LOC_CEILING = 23473
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

@@ -30,6 +30,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 
 	"repro/internal/harness"
 	"repro/internal/splash"
@@ -67,10 +68,10 @@ func main() {
 	if *jobs < 0 {
 		usage("-j must be >= 0 (got %d)", *jobs)
 	}
-	if *bench != "" && !knownBench(*bench) {
+	if *bench != "" && !slices.Contains(splash.Names(), *bench) {
 		usage("unknown -bench %q (want one of %v)", *bench, splash.Names())
 	}
-	if *diag != "" && !knownBench(*diag) {
+	if *diag != "" && !slices.Contains(splash.Names(), *diag) {
 		usage("unknown -diag %q (want one of %v)", *diag, splash.Names())
 	}
 	workers := *jobs
@@ -194,16 +195,6 @@ func printColumn(col *harness.BenchTableI) {
 			key, col.ClocksPct[key], b.PaperClockOverheadPct[key],
 			col.DetPct[key], b.PaperDetOverheadPct[key])
 	}
-}
-
-// knownBench reports whether name is one of the splash workloads.
-func knownBench(name string) bool {
-	for _, n := range splash.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // runDiag prints raw per-run numbers (makespan, wait cycles, clock updates)

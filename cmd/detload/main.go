@@ -28,45 +28,54 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 
 	"repro/internal/workload"
 )
 
-func main() {
+// invocation is one parsed command line.
+type invocation struct {
+	seed      int64
+	jobs      int
+	workers   int
+	annex     bool
+	scenarios []workload.Scenario
+}
+
+func parseArgs(args []string, onError flag.ErrorHandling) (*invocation, error) {
+	fs := flag.NewFlagSet("detload", onError)
 	var (
-		seed    = flag.Int64("seed", 1, "matrix seed")
-		jobs    = flag.Int("jobs", 100000, "arrivals per scenario")
-		smoke   = flag.Bool("smoke", false, "quick run: 1000 arrivals per scenario")
-		shape   = flag.String("shape", "", "restrict to one arrival shape")
-		mixName = flag.String("mix", "blend", "job mix name")
-		nodes   = flag.Int("nodes", 0, "restrict to one topology (0 = sweep 1 and 3)")
-		nemesis = flag.String("nemesis", "", "transport nemesis for cluster scenarios (none, flaky, slow)")
-		rate    = flag.Float64("rate", 2000, "mean arrivals per second")
-		pool    = flag.Int("j", 0, "scenario worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-		annex   = flag.Bool("annex", false, "also print the wall-clock annex")
+		seed    = fs.Int64("seed", 1, "matrix seed")
+		jobs    = fs.Int("jobs", 100000, "arrivals per scenario")
+		smoke   = fs.Bool("smoke", false, "quick run: 1000 arrivals per scenario")
+		shape   = fs.String("shape", "", "restrict to one arrival shape")
+		mixName = fs.String("mix", "blend", "job mix name")
+		nodes   = fs.Int("nodes", 0, "restrict to one topology (0 = sweep 1 and 3)")
+		nemesis = fs.String("nemesis", "", "transport nemesis for cluster scenarios (none, flaky, slow)")
+		rate    = fs.Float64("rate", 2000, "mean arrivals per second")
+		pool    = fs.Int("j", 0, "scenario worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
+		annex   = fs.Bool("annex", false, "also print the wall-clock annex")
 	)
-	flag.Parse()
-	usage := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "detload: "+format+"\n", args...)
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if flag.NArg() != 0 {
-		usage("unexpected arguments %v", flag.Args())
+	if fs.NArg() != 0 {
+		return nil, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 	if *jobs < 1 {
-		usage("-jobs must be >= 1 (got %d)", *jobs)
+		return nil, fmt.Errorf("-jobs must be >= 1 (got %d)", *jobs)
 	}
 	if *rate <= 0 {
-		usage("-rate must be positive (got %g)", *rate)
+		return nil, fmt.Errorf("-rate must be positive (got %g)", *rate)
 	}
 	if *pool < 0 {
-		usage("-j must be >= 0 (got %d)", *pool)
+		return nil, fmt.Errorf("-j must be >= 0 (got %d)", *pool)
 	}
-	if *shape != "" && !knownShape(workload.Shape(*shape)) {
-		usage("unknown -shape %q (want one of %v)", *shape, workload.Shapes())
+	if *shape != "" && !slices.Contains(workload.Shapes(), workload.Shape(*shape)) {
+		return nil, fmt.Errorf("unknown -shape %q (want one of %v)", *shape, workload.Shapes())
 	}
 	if *nodes != 0 && *nodes < 1 {
-		usage("-nodes must be >= 1 (got %d)", *nodes)
+		return nil, fmt.Errorf("-nodes must be >= 1 (got %d)", *nodes)
 	}
 	var nem workload.Nemesis
 	switch *nemesis {
@@ -77,11 +86,11 @@ func main() {
 	case "slow":
 		nem = workload.NemesisSlow
 	default:
-		usage("unknown -nemesis %q (want none, flaky, or slow)", *nemesis)
+		return nil, fmt.Errorf("unknown -nemesis %q (want none, flaky, or slow)", *nemesis)
 	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
-		usage("%v", err)
+		return nil, err
 	}
 	if *smoke {
 		*jobs = 1000
@@ -90,14 +99,27 @@ func main() {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	return &invocation{
+		seed:      *seed,
+		jobs:      *jobs,
+		workers:   workers,
+		annex:     *annex,
+		scenarios: workload.Scenarios(workload.Shape(*shape), mix, *nodes, nem, *jobs, *rate),
+	}, nil
+}
 
-	scenarios := buildScenarios(*shape, mix, *nodes, nem, *jobs, *rate)
+func main() {
+	inv, err := parseArgs(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detload: %v\n", err)
+		os.Exit(2)
+	}
 	results := workload.RunMatrix(context.Background(), workload.MatrixConfig{
-		Seed:      *seed,
-		Scenarios: scenarios,
-		Parallel:  workers,
+		Seed:      inv.seed,
+		Scenarios: inv.scenarios,
+		Parallel:  inv.workers,
 	})
-	fmt.Printf("detload matrix: seed %d, %d scenarios, %d jobs each\n\n", *seed, len(scenarios), *jobs)
+	fmt.Printf("detload matrix: seed %d, %d scenarios, %d jobs each\n\n", inv.seed, len(inv.scenarios), inv.jobs)
 	fmt.Print(workload.RenderTable(results))
 	failed := false
 	for _, r := range results {
@@ -105,7 +127,7 @@ func main() {
 			failed = true
 		}
 	}
-	if *annex {
+	if inv.annex {
 		fmt.Println()
 		fmt.Print(workload.RenderAnnex(results))
 		fmt.Println("\n(annex columns are wall-clock measurements; only the main table is run-to-run comparable)")
@@ -113,59 +135,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// buildScenarios assembles the sweep. With no restrictions this is the
-// default matrix; -shape/-nodes/-nemesis narrow or override cells.
-func buildScenarios(shape string, mix workload.MixSpec, nodes int, nem workload.Nemesis, jobs int, rate float64) []workload.Scenario {
-	shapes := workload.Shapes()
-	if shape != "" {
-		shapes = []workload.Shape{workload.Shape(shape)}
-	}
-	topologies := []int{1, 3}
-	if nodes != 0 {
-		topologies = []int{nodes}
-	}
-	var scs []workload.Scenario
-	for _, sh := range shapes {
-		for _, n := range topologies {
-			cellNem := workload.NemesisNone
-			if n > 1 {
-				cellNem = nem
-			}
-			name := fmt.Sprintf("%s/%s/n%d", sh, mix.Name, n)
-			if cellNem != workload.NemesisNone {
-				name += "+" + string(cellNem)
-			}
-			scs = append(scs, workload.Scenario{
-				Name:    name,
-				Arrival: workload.ArrivalConfig{Shape: sh, Jobs: jobs, RatePerSec: rate},
-				Mix:     mix,
-				Nodes:   n,
-				Nemesis: cellNem,
-			})
-		}
-	}
-	// The default sweep keeps one adversarial-transport cell even when no
-	// -nemesis was asked for, so the table always witnesses that transport
-	// faults leave the deterministic columns unchanged.
-	if shape == "" && nodes == 0 && nem == workload.NemesisNone {
-		scs = append(scs, workload.Scenario{
-			Name:    fmt.Sprintf("poisson/%s/n3+flaky", mix.Name),
-			Arrival: workload.ArrivalConfig{Shape: workload.ShapePoisson, Jobs: jobs, RatePerSec: rate},
-			Mix:     mix,
-			Nodes:   3,
-			Nemesis: workload.NemesisFlaky,
-		})
-	}
-	return scs
-}
-
-func knownShape(s workload.Shape) bool {
-	for _, sh := range workload.Shapes() {
-		if sh == s {
-			return true
-		}
-	}
-	return false
 }

@@ -1,0 +1,685 @@
+package detlock_test
+
+// The dead-export guard. An exported identifier declared in a non-test file
+// under internal/ must be referenced by some non-test file of the module or
+// of bench/ (a module of its own that compiles against internal/), or by
+// another package's tests. One that only its own package's tests reach is
+// code kept alive for its tests; one that nothing reaches is dead. A
+// reference from inside the body of a flagged export does not count, so
+// what only flagged code uses is flagged with it.
+//
+// References are resolved by go/types, so a method is told apart from every
+// other method of the same name. Exempt are methods that satisfy an
+// interface (called through it, never by name) and methods of the types the
+// root facade aliases, which are public API whether or not the module calls
+// them. Anything else that must stay goes in deadExportAllowlist with its
+// reason. `make deadcode` runs the guard verbosely and prints the allowlist.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// deadExportAllowlist names exports the guard would flag that stay, each
+// with the reason it stays. Keys are spelled as the guard reports them.
+var deadExportAllowlist = map[string]string{}
+
+func TestNoDeadExports(t *testing.T) {
+	found, err := deadExports(".", "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, d := range found {
+		seen[d.name] = true
+		if _, ok := deadExportAllowlist[d.name]; !ok {
+			t.Errorf("%s: %s is %s: delete it, move it into a _test.go file, or allowlist it with a reason", d.pos, d.name, d.why)
+		}
+	}
+	names := make([]string, 0, len(deadExportAllowlist))
+	for name := range deadExportAllowlist {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	t.Logf("allowlist: %d entries", len(names))
+	for _, name := range names {
+		if !seen[name] {
+			t.Errorf("allowlisted %s is no longer flagged: drop it from deadExportAllowlist", name)
+		}
+		t.Logf("allowed: %s — %s", name, deadExportAllowlist[name])
+	}
+}
+
+// TestDeadExportsFixture runs the guard on a tree made for it: an export
+// that only its own package's tests, or only flagged exports, use is
+// flagged, and one that another package's test or the bench module uses is
+// not, nor is a method that satisfies an interface or belongs to a type the
+// facade aliases.
+func TestDeadExportsFixture(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module fix\n\ngo 1.22\n")
+	write("fix.go", "package fix\n\nimport \"fix/internal/a\"\n\ntype T = a.Public\n\nvar _ = a.Used\n")
+	write("internal/a/a.go", `package a
+
+func Used()        { Via() }
+func Via()         {}
+func OwnTestOnly() {}
+func OtherTest()   {}
+func BenchOnly()   {}
+func Nobody()      { DeadOnly() }
+func DeadOnly()    {}
+
+type Public struct{}
+
+func (Public) Facade() {}
+
+type S struct{}
+
+func (S) String() string { return "" }
+func (S) Extra()         {}
+`)
+	write("internal/a/a_test.go", "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { OwnTestOnly(); S{}.Extra() }\n")
+	write("internal/b/b.go", "package b\n")
+	write("internal/b/b_test.go", "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { a.OtherTest() }\n")
+	write("bench/go.mod", "module fix/bench\n\ngo 1.22\n")
+	write("bench/main.go", "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n")
+
+	found, err := deadExports(root, filepath.Join(root, "bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range found {
+		got = append(got, d.name+": "+d.why)
+	}
+	want := []string{
+		"a.DeadOnly: referenced only by flagged exports",
+		"a.Nobody: referenced nowhere",
+		"a.OwnTestOnly: referenced only by its own package's tests",
+		"a.S.Extra: referenced only by its own package's tests",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("flagged:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+type deadExport struct {
+	name string // package under internal/, then the identifier: "ir.Module.Clone"
+	pos  string
+	why  string
+}
+
+// deadExports loads the module at root and the modules in extra, and
+// reports root's exported internal identifiers that no qualifying file
+// references, sorted by name.
+func deadExports(root string, extra ...string) ([]deadExport, error) {
+	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}}
+	var modPath string
+	for i, dir := range append([]string{root}, extra...) {
+		path, err := l.loadModule(dir)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			modPath = path
+		}
+	}
+	paths := make([]string, 0, len(l.pkgs))
+	for path := range l.pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	if err := l.loadStd(root); err != nil {
+		return nil, err
+	}
+	for _, path := range paths {
+		if err := l.record(path); err != nil {
+			return nil, err
+		}
+	}
+
+	exempt, err := l.exemptMethods(modPath)
+	if err != nil {
+		return nil, err
+	}
+	var candidates []string
+	where := map[string]deadExport{}
+	for _, path := range paths {
+		rel, ok := strings.CutPrefix(path, modPath+"/internal/")
+		if !ok {
+			continue
+		}
+		pkg := l.prod[path]
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			var decls []types.Object
+			if obj.Exported() {
+				decls = append(decls, obj)
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok {
+					for i := 0; i < named.NumMethods(); i++ {
+						if m := named.Method(i); m.Exported() && !exempt[m] {
+							decls = append(decls, m)
+						}
+					}
+				}
+			}
+			for _, d := range decls {
+				key := objKey(d)
+				candidates = append(candidates, key)
+				where[key] = deadExport{name: rel + strings.TrimPrefix(key, path), pos: l.fset.Position(d.Pos()).String()}
+			}
+		}
+	}
+
+	// A reference from inside a flagged export's body does not keep
+	// anything alive: flag until nothing more is.
+	dead := map[string]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, key := range candidates {
+			if !dead[key] && !l.live(key, dead) {
+				dead[key], changed = true, true
+			}
+		}
+	}
+	var out []deadExport
+	for _, key := range candidates {
+		if !dead[key] {
+			continue
+		}
+		var by []string
+		if l.uses[key][ownTest] {
+			by = append(by, "its own package's tests")
+		}
+		if len(l.uses[key]) > len(by) {
+			by = append(by, "flagged exports")
+		}
+		d := where[key]
+		d.why = "referenced nowhere"
+		if len(by) > 0 {
+			d.why = "referenced only by " + strings.Join(by, " and ")
+		}
+		out = append(out, d)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
+}
+
+// live reports whether key has a reference that counts: another package's
+// test, or a non-test file outside the body of key itself and of every
+// export in dead.
+func (l *loader) live(key string, dead map[string]bool) bool {
+	for who := range l.uses[key] {
+		if who == otherTest || who != ownTest && who != key && !dead[who] {
+			return true
+		}
+	}
+	return false
+}
+
+// Who references an identifier: a test, or a non-test file — from inside
+// the body of an exported function, method or type, named by its objKey, or
+// from anywhere else ("").
+const (
+	ownTest   = "own test"
+	otherTest = "other test"
+)
+
+type pkgSrc struct {
+	prod, inTest, xTest []*ast.File
+	imports             map[string]bool // of the non-test files
+}
+
+type loader struct {
+	fset      *token.FileSet
+	std       types.Importer
+	protocols *ast.File
+	pkgs      map[string]*pkgSrc
+	prod      map[string]*types.Package  // each package's non-test files, type-checked
+	uses      map[string]map[string]bool // objKey → who references it (see ownTest)
+}
+
+func (l *loader) loadModule(dir string) (string, error) {
+	gomod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	var path string
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if p, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			path = strings.TrimSpace(p)
+		}
+	}
+	if path == "" {
+		return "", fmt.Errorf("%s/go.mod: no module line", dir)
+	}
+	err = filepath.WalkDir(dir, func(p string, e os.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		name := e.Name()
+		if p != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(p, "go.mod")); p != dir && err == nil {
+			return filepath.SkipDir // a nested module is loaded on its own
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return err
+		}
+		importPath := path
+		if rel != "." {
+			importPath += "/" + filepath.ToSlash(rel)
+		}
+		return l.parseDir(importPath, p)
+	})
+	return path, err
+}
+
+// loadStd reads the standard library from the compiler's export data,
+// located by one `go list -export`: checking it from source would be most
+// of the guard's time.
+func (l *loader) loadStd(dir string) error {
+	std := map[string]bool{}
+	addImports := func(f *ast.File) {
+		for _, imp := range f.Imports {
+			if path := strings.Trim(imp.Path.Value, `"`); l.pkgs[path] == nil && path != "unsafe" {
+				std[path] = true
+			}
+		}
+	}
+	protocols, err := parser.ParseFile(l.fset, "protocols.go", protocolSrc, 0)
+	if err != nil {
+		return err
+	}
+	addImports(protocols)
+	for _, src := range l.pkgs {
+		for _, files := range [][]*ast.File{src.prod, src.inTest, src.xTest} {
+			for _, f := range files {
+				addImports(f)
+			}
+		}
+	}
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
+	for path := range std {
+		args = append(args, path)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		export[path] = file
+	}
+	l.protocols = protocols
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+	return nil
+}
+
+func (l *loader) parseDir(importPath, dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	src := &pkgSrc{imports: map[string]bool{}}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		switch {
+		case !strings.HasSuffix(name, "_test.go"):
+			src.prod = append(src.prod, f)
+			for _, imp := range f.Imports {
+				src.imports[strings.Trim(imp.Path.Value, `"`)] = true
+			}
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			src.xTest = append(src.xTest, f)
+		default:
+			src.inTest = append(src.inTest, f)
+		}
+	}
+	if len(src.prod)+len(src.inTest)+len(src.xTest) > 0 {
+		l.pkgs[importPath] = src
+	}
+	return nil
+}
+
+// record type-checks every variant of the package at path — its non-test
+// files, those with its in-package tests, its external tests — and notes
+// whom each reference to a module identifier comes from.
+func (l *loader) record(path string) error {
+	src := l.pkgs[path]
+	if len(src.prod) > 0 {
+		if _, err := l.importProd(path); err != nil {
+			return err
+		}
+	}
+	var testPkg *types.Package
+	if len(src.inTest) > 0 {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := l.check(path, append(append([]*ast.File{}, src.prod...), src.inTest...), &variant{l: l}, info)
+		if err != nil {
+			return err
+		}
+		testPkg = pkg
+		l.note(info, src.inTest, path, true)
+	}
+	if len(src.xTest) > 0 {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		v := &variant{l: l}
+		if testPkg != nil {
+			v.path, v.pkg, v.memo = path, testPkg, map[string]*types.Package{}
+		}
+		if _, err := l.check(path+"_test", src.xTest, v, info); err != nil {
+			return err
+		}
+		l.note(info, src.xTest, path, true)
+	}
+	return nil
+}
+
+func (l *loader) importProd(path string) (*types.Package, error) {
+	if pkg, ok := l.prod[path]; ok {
+		return pkg, nil
+	}
+	src := l.pkgs[path]
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	pkg, err := l.check(path, src.prod, &variant{l: l}, info)
+	if err != nil {
+		return nil, err
+	}
+	l.prod[path] = pkg
+	l.note(info, src.prod, path, false)
+	return pkg, nil
+}
+
+func (l *loader) check(path string, files []*ast.File, imp types.Importer, info *types.Info) (*types.Package, error) {
+	var errs []string
+	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err.Error()) }}
+	pkg, _ := conf.Check(path, l.fset, files, info)
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("type-checking %s:\n\t%s", path, strings.Join(errs, "\n\t"))
+	}
+	return pkg, nil
+}
+
+func (l *loader) note(info *types.Info, files []*ast.File, from string, test bool) {
+	in := map[*token.File]bool{}
+	var bodies []exportBody // of files, in position order
+	for _, f := range files {
+		in[l.fset.File(f.Pos())] = true
+		if test {
+			continue // a test's reference counts by package alone
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() {
+					bodies = append(bodies, exportBody{d.Pos(), d.End(), objKey(info.Defs[d.Name])})
+				}
+				return false
+			case *ast.TypeSpec:
+				if d.Name.IsExported() {
+					bodies = append(bodies, exportBody{d.Pos(), d.End(), objKey(info.Defs[d.Name])})
+				}
+				return false
+			}
+			return true
+		})
+	}
+	sort.Slice(bodies, func(i, j int) bool { return bodies[i].pos < bodies[j].pos })
+	for id, obj := range info.Uses {
+		if !in[l.fset.File(id.Pos())] || obj.Pkg() == nil || l.pkgs[obj.Pkg().Path()] == nil {
+			continue
+		}
+		key := objKey(obj)
+		if key == "" {
+			continue
+		}
+		who := ""
+		if i := sort.Search(len(bodies), func(i int) bool { return bodies[i].end > id.Pos() }); i < len(bodies) && bodies[i].pos <= id.Pos() {
+			who = bodies[i].key
+		}
+		if test {
+			who = otherTest
+			if obj.Pkg().Path() == from {
+				who = ownTest
+			}
+		}
+		if l.uses[key] == nil {
+			l.uses[key] = map[string]bool{}
+		}
+		l.uses[key][who] = true
+	}
+}
+
+// exportBody is the source span of an exported function, method or type.
+type exportBody struct {
+	pos, end token.Pos
+	key      string
+}
+
+// variant imports module packages for one type-check. With path set it is
+// the importer of path's external tests: path resolves to its test variant,
+// and every module package that depends on path is checked again against it,
+// as the go command builds them.
+type variant struct {
+	l    *loader
+	path string
+	pkg  *types.Package
+	memo map[string]*types.Package
+}
+
+func (v *variant) Import(path string) (*types.Package, error) {
+	if v.l.pkgs[path] == nil {
+		return v.l.std.Import(path)
+	}
+	if v.path == "" || !v.l.dependsOn(path, v.path) {
+		return v.l.importProd(path)
+	}
+	if path == v.path {
+		return v.pkg, nil
+	}
+	if pkg, ok := v.memo[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := v.l.check(path, v.l.pkgs[path].prod, v, &types.Info{})
+	if err != nil {
+		return nil, err
+	}
+	v.memo[path] = pkg
+	return pkg, nil
+}
+
+func (l *loader) dependsOn(from, to string) bool {
+	if from == to {
+		return true
+	}
+	for imp := range l.pkgs[from].imports {
+		if l.pkgs[imp] != nil && l.dependsOn(imp, to) {
+			return true
+		}
+	}
+	return false
+}
+
+// objKey names a package-level object or method as "path.Name" or
+// "path.Type.Method", and anything else (fields, locals) as "".
+func objKey(obj types.Object) string {
+	switch o := obj.(type) {
+	case *types.Func:
+		o = o.Origin()
+		if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			named, ok := t.(*types.Named)
+			if !ok {
+				return ""
+			}
+			return o.Pkg().Path() + "." + named.Origin().Obj().Name() + "." + o.Name()
+		}
+	case *types.Var:
+		if o.IsField() {
+			return ""
+		}
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// protocolSrc lists the standard interfaces whose methods are called
+// through the interface, never by name.
+const protocolSrc = `package protocols
+
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+)
+
+type (
+	p01 = error
+	p02 = fmt.Stringer
+	p03 = fmt.GoStringer
+	p04 = fmt.Formatter
+	p05 = json.Marshaler
+	p06 = json.Unmarshaler
+	p07 = encoding.TextMarshaler
+	p08 = encoding.TextUnmarshaler
+	p09 = encoding.BinaryMarshaler
+	p10 = encoding.BinaryUnmarshaler
+	p11 = io.Reader
+	p12 = io.Writer
+	p13 = io.Closer
+	p14 = io.ReaderAt
+	p15 = io.WriterTo
+	p16 = io.ReaderFrom
+	p17 = io.Seeker
+	p18 = http.Handler
+	p19 = http.RoundTripper
+	p20 = sort.Interface
+	p21 = heap.Interface
+	p22 = flag.Value
+	p23 interface{ AppendBinary([]byte) ([]byte, error) }
+	p24 interface{ Unwrap() error }
+	p25 interface{ Unwrap() []error }
+	p26 interface{ Is(error) bool }
+	p27 interface{ As(any) bool }
+	p28 interface{ Timeout() bool }
+)
+`
+
+// exemptMethods returns the methods that need no caller by name: those
+// that satisfy a protocol interface or an interface declared in the
+// module, and those of the types the root package aliases.
+func (l *loader) exemptMethods(modPath string) (map[*types.Func]bool, error) {
+	protocols, err := l.check("protocols", []*ast.File{l.protocols}, &variant{l: l}, &types.Info{})
+	if err != nil {
+		return nil, err
+	}
+	var ifaces []*types.Interface
+	collect := func(scope *types.Scope) {
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+					ifaces = append(ifaces, iface)
+				}
+			}
+		}
+	}
+	collect(protocols.Scope())
+	for _, pkg := range l.prod {
+		collect(pkg.Scope())
+	}
+
+	exempt := map[*types.Func]bool{}
+	for path, pkg := range l.prod {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			if tn.IsAlias() {
+				if path == modPath && named.Obj().Pkg() != pkg {
+					for i := 0; i < named.NumMethods(); i++ {
+						exempt[named.Method(i)] = true
+					}
+				}
+				continue
+			}
+			if named.TypeParams().Len() > 0 {
+				continue
+			}
+			for _, iface := range ifaces {
+				if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
+					continue
+				}
+				for i := 0; i < iface.NumMethods(); i++ {
+					if m, _, _ := types.LookupFieldOrMethod(named, true, pkg, iface.Method(i).Name()); m != nil {
+						exempt[m.(*types.Func)] = true
+					}
+				}
+			}
+		}
+	}
+	return exempt, nil
+}

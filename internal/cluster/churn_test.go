@@ -247,8 +247,11 @@ func TestDrainMidLoad(t *testing.T) {
 	if cst.HandoffJobsSent == 0 {
 		t.Fatal("no queued jobs handed off — the drain never saw the backlog")
 	}
-	if !c.Draining() {
-		t.Fatal("drained node does not report draining state")
+	c.mu.Lock()
+	draining := c.draining
+	c.mu.Unlock()
+	if !draining {
+		t.Fatal("drained node is not in draining state")
 	}
 
 	// The drained node's keys are reachable from their new owners: ownership

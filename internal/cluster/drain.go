@@ -118,13 +118,6 @@ func (n *Node) Drain(ctx context.Context) error {
 	return handoffErr
 }
 
-// Draining reports whether a Drain is in progress (or done).
-func (n *Node) Draining() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.draining
-}
-
 // handoffJob lends one queued job to its new ring owner; any failure aborts
 // it back into the local queue.
 func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
@@ -252,10 +245,6 @@ func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
 // journal transfer, close) proceeds in the background, observable through
 // /readyz flipping 503 and the membership view reaching StateLeft.
 func (n *Node) handleDrainRequest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	n.mu.Lock()
 	already := n.draining || n.closed
 	n.mu.Unlock()

@@ -220,6 +220,59 @@ func TestWireBodyCap(t *testing.T) {
 	}
 }
 
+// TestRoutesStateMethods: the mux answers a request that names a route
+// with the wrong method (405), or a route this node does not serve (404),
+// before any handler reads the body — so a request without a checksum is
+// never counted as corruption.
+func TestRoutesStateMethods(t *testing.T) {
+	full := frameNode(t, &replayDoer{}) // clustered, and a standby
+	solo, err := Open(Config{Self: "solo", Service: service.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { solo.Close(context.Background()) })
+
+	for _, tc := range []struct {
+		node         *Node
+		method, path string
+		want         int
+	}{
+		{full, http.MethodPost, "/healthz", http.StatusMethodNotAllowed},
+		{full, http.MethodPost, "/readyz", http.StatusMethodNotAllowed},
+		{full, http.MethodPost, "/internal/v1/result?key=k", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/offer?key=k", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/steal", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/complete", http.StatusMethodNotAllowed},
+		{full, http.MethodPut, "/internal/v1/handoff", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/handoff-journal", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/ship", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/gossip", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/internal/v1/join", http.StatusMethodNotAllowed},
+		{full, http.MethodPost, "/internal/v1/digest", http.StatusMethodNotAllowed},
+		{full, http.MethodGet, "/v1/cluster/drain", http.StatusMethodNotAllowed},
+		{full, http.MethodPost, "/v1/cluster/stats", http.StatusMethodNotAllowed},
+		{solo, http.MethodPost, "/internal/v1/gossip", http.StatusNotFound},
+		{solo, http.MethodGet, "/internal/v1/digest", http.StatusNotFound},
+		{solo, http.MethodPost, "/internal/v1/join", http.StatusNotFound},
+		{solo, http.MethodPost, "/internal/v1/ship", http.StatusNotFound},
+		{solo, http.MethodGet, "/internal/v1/offer?key=k", http.StatusMethodNotAllowed},
+	} {
+		rec := httptest.NewRecorder()
+		tc.node.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, bytes.NewReader([]byte("{}"))))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s on %s: status %d, want %d", tc.method, tc.path, tc.node.cfg.Self, rec.Code, tc.want)
+		}
+	}
+	for _, n := range []*Node{full, solo} {
+		if got := n.Stats().CorruptPayloads; got != 0 {
+			t.Errorf("%s: corrupt_payloads %d, want 0", n.cfg.Self, got)
+		}
+		if got := n.Service().Snapshot().CorruptionEvents; got != 0 {
+			t.Errorf("%s: corruption_events %d, want 0", n.cfg.Self, got)
+		}
+	}
+}
+
 type countingReader struct{ n int }
 
 func (r *countingReader) Read(p []byte) (int, error) {

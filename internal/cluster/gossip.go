@@ -107,10 +107,6 @@ func (n *Node) exchangeView(ctx context.Context, peer string) bool {
 // handleGossip receives a peer's view, merges it, and replies with our own —
 // the pull half of push-pull gossip.
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
-	if n.members == nil {
-		http.Error(w, "not clustered", http.StatusNotFound)
-		return
-	}
 	var msg gossipMsg
 	if !n.accept(w, r, &msg) {
 		return
@@ -139,10 +135,6 @@ type digestReport struct {
 //
 // The owner queries are the anti-entropy protocol's read side; see repair.go.
 func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
-	if n.members == nil {
-		http.Error(w, "not clustered", http.StatusNotFound)
-		return
-	}
 	owner := r.URL.Query().Get("owner")
 	if owner == "" {
 		rep := digestReport{Node: n.cfg.Self, Epoch: n.members.epoch(), Digest: n.members.digest(), Ring: n.ringNodeList()}

@@ -87,14 +87,6 @@ func (n *Node) joinVia(ctx context.Context, seed string) error {
 // joiner's announcement and replies with the full view plus the journal
 // snapshot the joiner cross-checks.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if n.members == nil {
-		http.Error(w, "not clustered", http.StatusNotFound)
-		return
-	}
 	n.mu.Lock()
 	refusing := n.draining || n.closed
 	n.mu.Unlock()

@@ -472,23 +472,31 @@ func (n *Node) Kill() {
 	}
 }
 
-// buildMux assembles the HTTP surface.
+// buildMux assembles the HTTP surface. Each route states its method, and a
+// node serves only the routes that apply to it: gossip, digest and join when
+// it is clustered, ship when it is a standby. So a wrong method is the mux's
+// 405 and a route the node does not serve its 404, both before any handler
+// reads the body, checks its sum or counts it as corruption.
 func (n *Node) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", n.handleHealthz)
-	mux.HandleFunc("/readyz", n.handleReadyz)
-	mux.HandleFunc("/internal/v1/result", n.handleResult)
-	mux.HandleFunc("/internal/v1/offer", n.handleOffer)
-	mux.HandleFunc("/internal/v1/steal", n.handleSteal)
-	mux.HandleFunc("/internal/v1/complete", n.handleComplete)
-	mux.HandleFunc("/internal/v1/ship", n.handleShip)
-	mux.HandleFunc("/internal/v1/gossip", n.handleGossip)
-	mux.HandleFunc("/internal/v1/join", n.handleJoin)
-	mux.HandleFunc("/internal/v1/handoff", n.handleHandoff)
-	mux.HandleFunc("/internal/v1/handoff-journal", n.handleHandoffJournal)
-	mux.HandleFunc("/internal/v1/digest", n.handleDigest)
-	mux.HandleFunc("/v1/cluster/drain", n.handleDrainRequest)
-	mux.HandleFunc("/v1/cluster/stats", n.handleClusterStats)
+	mux.HandleFunc("GET /healthz", n.handleHealthz)
+	mux.HandleFunc("GET /readyz", n.handleReadyz)
+	mux.HandleFunc("GET /internal/v1/result", n.handleResult)
+	mux.HandleFunc("POST /internal/v1/offer", n.handleOffer)
+	mux.HandleFunc("POST /internal/v1/steal", n.handleSteal)
+	mux.HandleFunc("POST /internal/v1/complete", n.handleComplete)
+	mux.HandleFunc("POST /internal/v1/handoff", n.handleHandoff)
+	mux.HandleFunc("POST /internal/v1/handoff-journal", n.handleHandoffJournal)
+	mux.HandleFunc("POST /v1/cluster/drain", n.handleDrainRequest)
+	mux.HandleFunc("GET /v1/cluster/stats", n.handleClusterStats)
+	if n.members != nil {
+		mux.HandleFunc("POST /internal/v1/gossip", n.handleGossip)
+		mux.HandleFunc("GET /internal/v1/digest", n.handleDigest)
+		mux.HandleFunc("POST /internal/v1/join", n.handleJoin)
+	}
+	if n.standby != nil {
+		mux.HandleFunc("POST /internal/v1/ship", n.handleShip)
+	}
 	n.mux = mux
 }
 
@@ -660,10 +668,6 @@ func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 // handleShip receives a journal-shipping batch (standby side).
 func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
-	if n.standby == nil {
-		http.Error(w, "not a standby", http.StatusNotFound)
-		return
-	}
 	var batch shipBatch
 	if !n.accept(w, r, &batch) {
 		return

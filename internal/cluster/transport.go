@@ -23,7 +23,9 @@ type Doer interface {
 // LoopNet is an in-memory cluster transport: nodes register their HTTP
 // handlers under logical addresses, and per-node clients route requests by
 // URL host. Each *directed* link (from → to) can be independently degraded,
-// which is what real networks do and symmetric models cannot express:
+// which is what real networks do and symmetric models cannot express.
+// SetLatency and Flake are the knobs the workload driver turns; the others
+// are set by this package's tests (loopnet_test.go):
 //
 //   - Partition severs both directions; PartitionOneWay severs one, so A's
 //     requests to B die while B still reaches A — the asymmetric partition
@@ -74,13 +76,6 @@ func (l *LoopNet) Register(addr string, handler http.Handler) {
 	l.handlers[addr] = handler
 }
 
-// Deregister removes addr — subsequent requests to it fail like a dead host.
-func (l *LoopNet) Deregister(addr string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.handlers, addr)
-}
-
 // link returns (creating) the directed from → to link state. Caller holds mu.
 func (l *LoopNet) link(from, to string) *linkState {
 	k := from + ">" + to
@@ -90,39 +85,6 @@ func (l *LoopNet) link(from, to string) *linkState {
 		l.links[k] = st
 	}
 	return st
-}
-
-// Partition severs the link between a and b in both directions.
-func (l *LoopNet) Partition(a, b string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.link(a, b).cut = true
-	l.link(b, a).cut = true
-}
-
-// PartitionOneWay severs only the from → to direction: from's requests to to
-// fail, to's requests to from still flow — and because responses travel the
-// reverse path, to's requests *reach* from but their responses are lost.
-func (l *LoopNet) PartitionOneWay(from, to string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.link(from, to).cut = true
-}
-
-// Heal restores the link between a and b in both directions (cut only; other
-// degradations persist until reset explicitly).
-func (l *LoopNet) Heal(a, b string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.link(a, b).cut = false
-	l.link(b, a).cut = false
-}
-
-// HealAll removes every degradation on every link.
-func (l *LoopNet) HealAll() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.links = make(map[string]*linkState)
 }
 
 // SetLatency delays every from → to request by d before delivery (0 removes
@@ -145,30 +107,6 @@ func (l *LoopNet) Flake(from, to string, rate float64, seed int64) {
 	if rate <= 0 {
 		st.flakeRand = nil
 	}
-}
-
-// CorruptResponses flips one byte of each from → to response body with
-// probability rate, drawn from a deterministic stream seeded by seed — the
-// wire-corruption fault the cluster's integrity checks must catch. rate <= 0
-// removes the corruption.
-func (l *LoopNet) CorruptResponses(from, to string, rate float64, seed int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.link(from, to)
-	st.corruptRate = rate
-	st.corruptRand = detrand.New(seed, 2)
-	if rate <= 0 {
-		st.corruptRand = nil
-	}
-}
-
-// StripSums drops the X-Detserve-Sum header from every request and response
-// travelling between from and to, in both directions, bodies untouched.
-func (l *LoopNet) StripSums(from, to string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.link(from, to).stripSums = true
-	l.link(to, from).stripSums = true
 }
 
 // Client returns the Doer a node at address from uses to reach its peers.

@@ -652,6 +652,28 @@ func TestOpt4RespectsThresholdAndOrder(t *testing.T) {
 	}
 }
 
+// TestMeetsClockableCriteria: the paper's isClockable admission test
+// (Figure 4) at its default divisors, range ≤ mean/2.5 and σ ≤ mean/5.
+func TestMeetsClockableCriteria(t *testing.T) {
+	p := &passCtx{opt: Options{}.Defaults()}
+	for _, tc := range []struct {
+		clocks []int64
+		want   bool
+	}{
+		// The paper's O3 example (§IV-C): mean 35.5, range 9 < 14.2,
+		// σ 3.77 < 7.1.
+		{[]int64{37, 38, 38, 29}, true},
+		{[]int64{10, 100}, false}, // wildly divergent paths
+		{[]int64{42}, true},       // one path: range and σ 0
+		{[]int64{0, 0}, false},    // zero mean
+		{nil, false},              // no paths
+	} {
+		if got := p.meetsCriteria(ir.Stats(tc.clocks)); got != tc.want {
+			t.Errorf("meetsCriteria(%v) = %v, want %v", tc.clocks, got, tc.want)
+		}
+	}
+}
+
 // --- Pass statistics ---------------------------------------------------------
 
 func TestResultClockableNamesSorted(t *testing.T) {

@@ -168,50 +168,24 @@ func (rt *Runtime) waitEdgesLocked() []diag.WaitEdge {
 	return out
 }
 
-// findCycleLocked walks the wait-for graph (thread → holder of its blocked-on
-// resource) and returns the first cycle, iterating threads in id order so the
-// result is deterministic. Out-degree is at most one (a thread blocks on one
-// resource), so a simple colored walk suffices. Caller holds rt.mu.
+// findCycleLocked returns the first cycle of the wait-for graph (thread →
+// live holder of its blocked-on resource). Caller holds rt.mu.
 func (rt *Runtime) findCycleLocked() []diag.WaitEdge {
-	const (
-		unvisited = 0
-		onPath    = 1
-		finished  = 2
-	)
-	state := make(map[*Thread]int, len(rt.threads))
-	for _, start := range rt.threads {
-		if state[start] != unvisited {
-			continue
+	next := func(i int) int {
+		if h := rt.threads[i].successorLocked(); h != nil {
+			return h.id
 		}
-		var path []*Thread
-		t := start
-		for t != nil && state[t] == unvisited {
-			state[t] = onPath
-			path = append(path, t)
-			t = t.successorLocked()
-		}
-		if t != nil && state[t] == onPath {
-			// Cycle: from t's position in path to the end.
-			i := 0
-			for path[i] != t {
-				i++
-			}
-			cyc := path[i:]
-			edges := make([]diag.WaitEdge, 0, len(cyc))
-			for _, w := range cyc {
-				e := diag.WaitEdge{Waiter: w.id, Resource: w.resName(), Holder: -1}
-				if h := w.resHolder(); h != nil {
-					e.Holder = h.id
-				}
-				edges = append(edges, e)
-			}
-			return edges
-		}
-		for _, p := range path {
-			state[p] = finished
-		}
+		return -1
 	}
-	return nil
+	edge := func(i int) diag.WaitEdge {
+		w := rt.threads[i]
+		e := diag.WaitEdge{Waiter: w.id, Resource: w.resName(), Holder: -1}
+		if h := w.resHolder(); h != nil {
+			e.Holder = h.id
+		}
+		return e
+	}
+	return diag.FindCycle(len(rt.threads), next, edge)
 }
 
 // successorLocked returns the live thread that t's progress depends on, or

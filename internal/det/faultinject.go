@@ -14,8 +14,8 @@ import (
 // robustness property tests: scheduling perturbations (Gosched storms, sleep
 // jitter) must never change a schedule, a clock, or a failure report, and
 // injected panics must be contained exactly like user panics. It is a
-// test-only facility — production runs leave it unset, which costs a single
-// nil check per lock boundary.
+// test-only facility, built by this package's tests — production runs leave
+// it unset, which costs a single nil check per lock boundary.
 //
 // All perturbations are physical-timing-only: the injector never touches a
 // logical clock, so weak determinism of surviving runs is unaffected by
@@ -52,11 +52,6 @@ type Rand = detrand.Rand
 
 // NewRand is detrand.New.
 func NewRand(seed int64, id int) *Rand { return detrand.New(seed, id) }
-
-// NewFaultInjector builds an injector from cfg.
-func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector {
-	return &FaultInjector{cfg: cfg, rng: make(map[int]*Rand)}
-}
 
 // SetFaultInjector installs (or, with nil, removes) the injector. Must be
 // called before Run.

@@ -8,6 +8,11 @@ import (
 	"repro/internal/diag"
 )
 
+// NewFaultInjector builds an injector from cfg.
+func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector {
+	return &FaultInjector{cfg: cfg, rng: make(map[int]*Rand)}
+}
+
 // runABBA runs the canonical two-thread lock-order-inversion program under a
 // seeded perturbation and returns Run's error. The clocks force the
 // interleaving t0:lockA, t1:lockB, t0:lockB(block), t1:lockA(block) on every

@@ -108,7 +108,7 @@ func (m *Mutex) take(t *Thread, newClock int64) {
 // Unlock releases m. The release is itself turn-gated, which totally orders
 // all synchronization events by (clock, id) and makes the waiter handoff
 // deterministic. If waiters are queued, the first one is granted with clock
-// max(frozen, releaser's clock) + 1.
+// frozen + 1, whatever the releaser's clock.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.rt != t.rt {
 		panic(misuse("Mutex.Unlock", t, diag.ErrCrossRuntime, m.name()))

@@ -19,6 +19,7 @@ package diag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -136,6 +137,45 @@ func FormatCycle(cycle []WaitEdge) string {
 	}
 	fmt.Fprintf(&sb, "thread %d", cycle[0].Waiter)
 	return sb.String()
+}
+
+// FindCycle returns the first cycle of the wait-for graph over threads
+// 0..n-1, where next(i) is the thread i waits on (-1 when none) and edge(i)
+// describes that wait. Out-degree is at most one (a thread blocks on one
+// resource), so a colored walk from each thread in id order suffices, and
+// the cycle found is deterministic.
+func FindCycle(n int, next func(i int) int, edge func(i int) WaitEdge) []WaitEdge {
+	const (
+		unvisited = iota
+		onPath
+		finished
+	)
+	state := make([]uint8, n)
+	var path []int
+	for start := range state {
+		if state[start] != unvisited {
+			continue
+		}
+		path = path[:0]
+		t := start
+		for t >= 0 && state[t] == unvisited {
+			state[t] = onPath
+			path = append(path, t)
+			t = next(t)
+		}
+		if t >= 0 && state[t] == onPath {
+			i := slices.Index(path, t)
+			out := make([]WaitEdge, 0, len(path)-i)
+			for _, w := range path[i:] {
+				out = append(out, edge(w))
+			}
+			return out
+		}
+		for _, p := range path {
+			state[p] = finished
+		}
+	}
+	return nil
 }
 
 // DeadlockError reports a state in which every live thread is blocked.

@@ -40,6 +40,26 @@ func TestFormatCycleEmpty(t *testing.T) {
 	}
 }
 
+// TestFindCycle: the walk from thread 0 runs down a tail (0 → 1) into the
+// cycle 1 → 2 → 3 → 1, which is reported from where the walk entered it;
+// thread 4's self-wait comes later in id order and is not reached.
+func TestFindCycle(t *testing.T) {
+	edge := func(i int) WaitEdge { return WaitEdge{Waiter: i, Resource: fmt.Sprintf("mutex#%d", i)} }
+	for _, tc := range []struct {
+		next []int
+		want string
+	}{
+		{[]int{1, 2, 3, 1, 4}, "thread 1 -[mutex#1]-> thread 2 -[mutex#2]-> thread 3 -[mutex#3]-> thread 1"},
+		{[]int{-1, 0, 1, -1, 4}, "thread 4 -[mutex#4]-> thread 4"},
+		{[]int{-1, 0, 0, 2}, FormatCycle(nil)},
+	} {
+		got := FormatCycle(FindCycle(len(tc.next), func(i int) int { return tc.next[i] }, edge))
+		if got != tc.want {
+			t.Errorf("next %v: cycle %q, want %q", tc.next, got, tc.want)
+		}
+	}
+}
+
 func TestThreadPanicErrorUnwrapsErrorValues(t *testing.T) {
 	inner := &MisuseError{Op: "Mutex.Unlock", ThreadID: 3, Clock: 7, Kind: ErrNotHeld}
 	pe := &ThreadPanicError{ThreadID: 3, Clock: 7, Value: inner}

@@ -18,7 +18,6 @@ package estimates
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -70,19 +69,6 @@ func (t *Table) Has(name string) bool {
 	_, ok := t.byName[name]
 	return ok
 }
-
-// Names returns all builtin names, sorted.
-func (t *Table) Names() []string {
-	out := make([]string, 0, len(t.byName))
-	for n := range t.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of entries.
-func (t *Table) Len() int { return len(t.byName) }
 
 // Parse reads the estimate file format. Unknown or malformed lines produce
 // errors identifying the line number.
@@ -144,20 +130,6 @@ func parseLine(line string) (Estimate, error) {
 	e.Scale = scale
 	e.ArgIndex = idx
 	return e, nil
-}
-
-// Format renders the table back to the file format (sorted by name).
-func (t *Table) Format() string {
-	var sb strings.Builder
-	for _, n := range t.Names() {
-		e := t.byName[n]
-		if e.Dynamic() {
-			fmt.Fprintf(&sb, "%s %d + %d*arg%d\n", e.Name, e.Base, e.Scale, e.ArgIndex)
-		} else {
-			fmt.Fprintf(&sb, "%s %d\n", e.Name, e.Base)
-		}
-	}
-	return sb.String()
 }
 
 // DefaultTable covers the builtins the paper mentions (§III-B): memset and

@@ -73,6 +73,28 @@ func TestRunModes(t *testing.T) {
 	}
 }
 
+// TestInterruptCostTradeoff: Kendo's chunk size trades fresh published
+// clocks for interrupts, so a smaller chunk takes more of them.
+func TestInterruptCostTradeoff(t *testing.T) {
+	r := fastRunner()
+	b, err := splash.New("water-nsq", r.Threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := r.Run(b, PresetByKey("none"), ModeKendo, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := r.Run(b, PresetByKey("none"), ModeKendo, 64000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Interrupts <= large.Interrupts {
+		t.Fatalf("smaller chunks must take more interrupts: %d vs %d",
+			small.Interrupts, large.Interrupts)
+	}
+}
+
 // TestRunnerCancel: a Cancel hook aborts a run mid-simulation with
 // sim.ErrCanceled, and — because the hook never mutates engine state — a
 // hook that never fires leaves the result byte-identical to no hook at all.

@@ -246,9 +246,6 @@ func NewMachine(cfg Config) (*Machine, []*Thread, error) {
 // Global returns the current contents of a global (shared across threads).
 func (m *Machine) Global(name string) []int64 { return m.globals[name] }
 
-// Spawned returns the dynamically created threads, in creation order.
-func (m *Machine) Spawned() []*Thread { return m.spawned }
-
 // Programs converts threads to the sim.Program interface.
 func Programs(threads []*Thread) []sim.Program {
 	out := make([]sim.Program, len(threads))

@@ -60,8 +60,8 @@ func TestSpawnJoinBasic(t *testing.T) {
 	if got := ths[0].Output[0]; got != 13 { // 4 + 9
 		t.Fatalf("output = %d, want 13", got)
 	}
-	if len(mach.Spawned()) != 2 {
-		t.Fatalf("spawned = %d threads", len(mach.Spawned()))
+	if len(mach.spawned) != 2 {
+		t.Fatalf("spawned = %d threads", len(mach.spawned))
 	}
 	if stats.Acquisitions != 2 {
 		t.Fatalf("acquisitions = %d", stats.Acquisitions)

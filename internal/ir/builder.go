@@ -149,17 +149,6 @@ func (bb *BlockBuilder) Print(a Operand) *BlockBuilder {
 	return bb.add(Instr{Op: OpPrint, A: a})
 }
 
-// Spawn starts a new deterministic thread running callee; dst receives its
-// handle for Join.
-func (bb *BlockBuilder) Spawn(dst Reg, callee string, args ...Operand) *BlockBuilder {
-	return bb.add(Instr{Op: OpSpawn, Dst: dst, Callee: sanitizeName(callee), Args: args})
-}
-
-// Join blocks until the thread with handle h finishes.
-func (bb *BlockBuilder) Join(h Operand) *BlockBuilder {
-	return bb.add(Instr{Op: OpJoin, A: h})
-}
-
 // Jmp terminates the block with an unconditional jump.
 func (bb *BlockBuilder) Jmp(to string) {
 	bb.B.Term = Term{Kind: TermJmp, Succs: []*Block{bb.fb.Block(to).B}}

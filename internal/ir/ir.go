@@ -191,9 +191,6 @@ type Block struct {
 	Unclockable bool
 }
 
-// Succs returns the block's successors (aliasing the terminator's slice).
-func (b *Block) Succs() []*Block { return b.Term.Succs }
-
 // Func is a function: named, with NumParams parameters (registers 0..NumParams-1),
 // a register file of NumRegs registers, and a list of basic blocks whose first
 // element is the entry block.
@@ -354,18 +351,6 @@ func (m *Module) Clone() *Module {
 		nm.Funcs = append(nm.Funcs, nf)
 	}
 	return nm
-}
-
-// TotalBlockClock sums Block.Clock over all blocks of all functions; used by
-// pass statistics and conservation tests.
-func (m *Module) TotalBlockClock() int64 {
-	var t int64
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			t += b.Clock
-		}
-	}
-	return t
 }
 
 // SplitBlocks splits blocks wherever cut says to, in one pass that builds

@@ -61,7 +61,7 @@ func TestBuilderBasics(t *testing.T) {
 	if f.NumParams != 1 {
 		t.Fatalf("params = %d", f.NumParams)
 	}
-	if got := len(f.Entry().Succs()); got != 2 {
+	if got := len(f.Entry().Term.Succs); got != 2 {
 		t.Fatalf("entry succs = %d", got)
 	}
 }
@@ -397,15 +397,6 @@ func TestUniqueBlockNames(t *testing.T) {
 	f.SplitBlocks(splitOnce(f.Entry(), 0, "then"))
 	if b1 := f.Blocks[1]; b1.Name == "then" {
 		t.Fatalf("split block stole existing name")
-	}
-}
-
-func TestTotalBlockClock(t *testing.T) {
-	m, f := buildDiamond(t)
-	f.Block("then").Clock = 5
-	f.Block("else").Clock = 7
-	if got := m.TotalBlockClock(); got != 12 {
-		t.Fatalf("TotalBlockClock = %d, want 12", got)
 	}
 }
 

@@ -6,9 +6,9 @@ import "errors"
 //
 // Optimization 1 (Function Clocking) enumerates every entry→return path of a
 // loop-free function and asks whether the accumulated clocks agree closely
-// enough (range ≤ mean/2.5, σ ≤ mean/5) to replace per-block updates with a
-// single mean charged at the call site. Optimization 3 does the same for the
-// single-entry region dominated by an arbitrary block.
+// enough (core's isClockable criteria) to replace per-block updates with a
+// single mean charged at the call site. Optimization 3 walks the region a
+// block dominates in core itself, and shares Stats and MaxPaths.
 
 // ErrTooManyPaths is returned when enumeration exceeds the configured limit;
 // callers treat the region as not clockable.
@@ -40,31 +40,16 @@ func FunctionPathClocks(f *Func, clockOf BlockClockFunc) ([]int64, error) {
 	if f.HasLoops() {
 		return nil, ErrHasLoop
 	}
-	return enumeratePaths(f.Entry(), func(b *Block) (stop bool) { return false }, clockOf)
+	return enumeratePaths(f.Entry(), clockOf)
 }
 
-// RegionPathClocks enumerates paths that start at root and end either at a
-// return or at the first block where stop returns true (the stop block's
-// clock is NOT included). Used by Optimization 3, where paths stop at merge
-// nodes with non-dominated successors.
-func RegionPathClocks(root *Block, stop func(*Block) bool, clockOf BlockClockFunc) ([]int64, error) {
-	return enumeratePaths(root, stop, clockOf)
-}
-
-func enumeratePaths(root *Block, stop func(*Block) bool, clockOf BlockClockFunc) ([]int64, error) {
+func enumeratePaths(root *Block, clockOf BlockClockFunc) ([]int64, error) {
 	var clocks []int64
 	onStack := map[*Block]bool{}
 	var walk func(b *Block, acc int64) error
 	walk = func(b *Block, acc int64) error {
 		if onStack[b] {
 			return ErrHasLoop
-		}
-		if stop(b) {
-			clocks = append(clocks, acc)
-			if len(clocks) > MaxPaths {
-				return ErrTooManyPaths
-			}
-			return nil
 		}
 		c, ok := clockOf(b)
 		if !ok {
@@ -153,19 +138,4 @@ func sqrt(x float64) float64 {
 		z = nz
 	}
 	return z
-}
-
-// MeetsClockableCriteria applies the paper's isClockable admission test
-// (Figure 4): range ≤ mean/2.5 and σ ≤ mean/5.
-func MeetsClockableCriteria(st ClockStats) bool {
-	if st.NPaths == 0 || st.Mean <= 0 {
-		return false
-	}
-	if float64(st.Range) > st.Mean/2.5 {
-		return false
-	}
-	if st.Std > st.Mean/5 {
-		return false
-	}
-	return true
 }

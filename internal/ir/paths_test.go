@@ -80,35 +80,6 @@ func blockName(p string, i int, s string) string {
 	return p + string(rune('a'+i)) + "." + s
 }
 
-func TestRegionPathClocksStops(t *testing.T) {
-	_, f := buildDiamond(t)
-	f.Block("entry").Clock = 2
-	f.Block("then").Clock = 3
-	f.Block("else").Clock = 5
-	f.Block("merge").Clock = 100
-	merge := f.Block("merge")
-	clocks, err := RegionPathClocks(f.Entry(), func(b *Block) bool { return b == merge }, clockFromField)
-	if err != nil {
-		t.Fatalf("RegionPathClocks: %v", err)
-	}
-	// Paths stop at merge without counting its clock: 2+3 and 2+5.
-	if len(clocks) != 2 {
-		t.Fatalf("paths = %d", len(clocks))
-	}
-	if !(has(clocks, 5) && has(clocks, 7)) {
-		t.Fatalf("clocks = %v, want {5,7}", clocks)
-	}
-}
-
-func has(xs []int64, v int64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func TestStats(t *testing.T) {
 	st := Stats([]int64{37, 38, 38, 29})
 	if st.Min != 29 || st.Max != 38 || st.Range != 9 {
@@ -128,29 +99,6 @@ func TestStatsEmpty(t *testing.T) {
 	st := Stats(nil)
 	if st.NPaths != 0 || st.Mean != 0 {
 		t.Fatalf("empty stats = %+v", st)
-	}
-	if MeetsClockableCriteria(st) {
-		t.Fatalf("empty stats should not be clockable")
-	}
-}
-
-func TestMeetsClockableCriteria(t *testing.T) {
-	// Paper example (§IV-C): clocks {37,38,38,29}: mean 35.5, range 9 <
-	// 35.5/2.5=14.2, std 4.36... wait paper says 4.36 < 35.5/5=7.1: clockable.
-	if !MeetsClockableCriteria(Stats([]int64{37, 38, 38, 29})) {
-		t.Fatalf("paper O3 example should be clockable")
-	}
-	// Wildly divergent paths: not clockable.
-	if MeetsClockableCriteria(Stats([]int64{10, 100})) {
-		t.Fatalf("divergent paths should not be clockable")
-	}
-	// Single path always clockable (range 0, std 0) given positive mean.
-	if !MeetsClockableCriteria(Stats([]int64{42})) {
-		t.Fatalf("single path should be clockable")
-	}
-	// Zero-mean paths rejected.
-	if MeetsClockableCriteria(Stats([]int64{0, 0})) {
-		t.Fatalf("zero-clock paths should not be clockable")
 	}
 }
 

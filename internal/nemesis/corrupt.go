@@ -46,7 +46,6 @@ func (n *Engine) ScarJournal(data []byte, kind int) []byte {
 		}
 		pos := l.start + r.IntN(l.end-l.start-1) // exclude trailing newline
 		out[pos] = flipAvoidNewline(out[pos])
-		n.Observe(ClassIntegrity, "bit-flip", fmt.Sprintf("byte %d", pos), "")
 	case ScarGarbleTail:
 		l := lines[len(lines)-1]
 		from := l.end - 1 - 16
@@ -60,17 +59,14 @@ func (n *Engine) ScarJournal(data []byte, kind int) []byte {
 			}
 			out[i] = b
 		}
-		n.Observe(ClassIntegrity, "garble-tail", fmt.Sprintf("bytes %d-%d", from, l.end-1), "")
 	case ScarDupLine:
 		l := lines[r.IntN(len(lines))]
 		dup := append([]byte(nil), out[l.start:l.end]...)
 		out = append(out[:l.end], append(dup, out[l.end:]...)...)
-		n.Observe(ClassIntegrity, "dup-line", fmt.Sprintf("bytes %d-%d", l.start, l.end), "")
 	case ScarJunkLine:
 		l := lines[r.IntN(len(lines))]
 		junk := []byte(fmt.Sprintf("!!nemesis junk %d!!\n", r.IntN(1<<20)))
 		out = append(out[:l.end], append(junk, out[l.end:]...)...)
-		n.Observe(ClassIntegrity, "junk-line", fmt.Sprintf("after byte %d", l.end), "")
 	}
 	return out
 }

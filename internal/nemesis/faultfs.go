@@ -89,7 +89,6 @@ type faultFile struct {
 
 func (ff *faultFile) Write(p []byte) (int, error) {
 	if fire, _ := ff.fs.draw(ff.fs.cfg.WriteErrRate); fire {
-		ff.fs.eng.Observe(ClassStorage, "enospc", ff.name, "")
 		return 0, fmt.Errorf("%w: write %s: %w", diag.ErrInjected, ff.name, syscall.ENOSPC)
 	}
 	if fire, frac := ff.fs.draw(ff.fs.cfg.ShortWriteRate); fire && len(p) > 1 {
@@ -101,7 +100,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		ff.fs.eng.Observe(ClassStorage, "short-write", ff.name, "")
 		return n, fmt.Errorf("%w: short write %s: %d of %d bytes", diag.ErrInjected, ff.name, n, len(p))
 	}
 	return ff.f.Write(p)
@@ -109,7 +107,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 
 func (ff *faultFile) Sync() error {
 	if fire, _ := ff.fs.draw(ff.fs.cfg.SyncErrRate); fire {
-		ff.fs.eng.Observe(ClassStorage, "fsync-error", ff.name, "")
 		return fmt.Errorf("%w: fsync %s: input/output error", diag.ErrInjected, ff.name)
 	}
 	return ff.f.Sync()

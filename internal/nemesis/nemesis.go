@@ -16,15 +16,12 @@
 // makes "same seed, same timeline" a property a test can assert rather than
 // hope for.
 //
-// Two kinds of record are kept apart on purpose:
-//
-//   - the *timeline* holds executed plan events (Plan precomputes them as a
-//     pure function of the seed; the harness Records each one as it applies
-//     it), and Fingerprint over it is the object the determinism property
-//     compares;
-//   - *observations* hold online injections whose position depends on system
-//     progress (which Write call the k-th fault landed on), informational
-//     for debugging, never fingerprinted.
+// The *timeline* holds executed plan events only (Plan precomputes them as a
+// pure function of the seed; the harness Records each one as it applies it),
+// and Fingerprint over it is the object the determinism property compares.
+// Online injections whose position depends on system progress (which Write
+// call the k-th fault landed on) are not recorded: the error they return is
+// tagged diag.ErrInjected, and that is what the tests check.
 package nemesis
 
 import (
@@ -71,13 +68,12 @@ func (e Event) String() string {
 
 // Engine is one seeded schedule's state: the partitioned streams (Stream is
 // the registry's: the same (seed, class) always yields the same stream) plus
-// the executed timeline and online observations.
+// the executed timeline.
 type Engine struct {
 	*detrand.Streams
 
-	mu           sync.Mutex
-	timeline     []Event
-	observations []Event
+	mu       sync.Mutex
+	timeline []Event
 }
 
 // New builds an engine for seed. Engines are cheap; one per schedule run.
@@ -94,31 +90,12 @@ func (n *Engine) Record(e Event) {
 	n.mu.Unlock()
 }
 
-// Observe appends one online injection (a FaultFS write error, a scar's
-// byte position) to the observation log. Observations are diagnostics: their
-// order depends on system progress, so they are never fingerprinted.
-func (n *Engine) Observe(class, op, target, detail string) {
-	n.mu.Lock()
-	n.observations = append(n.observations, Event{Step: -1, Class: class, Op: op, Target: target})
-	_ = detail
-	n.mu.Unlock()
-}
-
 // Timeline returns a copy of the executed events, in execution order.
 func (n *Engine) Timeline() []Event {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]Event, len(n.timeline))
 	copy(out, n.timeline)
-	return out
-}
-
-// Observations returns a copy of the online injection log.
-func (n *Engine) Observations() []Event {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Event, len(n.observations))
-	copy(out, n.observations)
 	return out
 }
 

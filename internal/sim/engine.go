@@ -103,8 +103,8 @@ const (
 	PolicyFCFS LockPolicy = iota
 	// PolicyDet implements Kendo's rule: an acquire decision happens only
 	// when the requester's (logical clock, id) is minimal among non-excluded
-	// threads; waiters queue with frozen clocks and resume at
-	// max(frozen, releaser's clock)+1.
+	// threads; waiters queue with frozen clocks and resume at frozen+1,
+	// whatever the releaser's clock.
 	PolicyDet
 )
 
@@ -239,11 +239,6 @@ type Engine struct {
 	acq        []*tstate
 	acqScratch []*tstate
 }
-
-// ErrDeadlock classifies the *diag.DeadlockError Run returns when no thread
-// can make progress — the same structured report the goroutine runtime
-// (internal/det) produces, so callers handle both identically.
-var ErrDeadlock = diag.ErrDeadlock
 
 // ErrStepLimit is wrapped by Run when MaxSteps is exceeded.
 var ErrStepLimit = errors.New("sim: step limit exceeded")
@@ -521,23 +516,25 @@ func (e *Engine) deadlockError() *diag.DeadlockError {
 	return dd
 }
 
-// findCycle walks thread → holder-of-blocked-on-resource edges (out-degree
-// at most one) from each thread in id order and returns the first cycle.
+// findCycle returns the first wait-for cycle: a lock waiter waits on the
+// lock's live holder, a joiner on its live target.
 func (e *Engine) findCycle() []diag.WaitEdge {
-	succ := func(t *tstate) *tstate {
+	next := func(i int) int {
+		t := e.threads[i]
 		switch t.status {
 		case tsBlocked, tsAcquiring:
 			if l := &e.locks[t.wantLock]; l.held && e.threads[l.holder].status != tsDone {
-				return e.threads[l.holder]
+				return l.holder
 			}
 		case tsJoining:
-			if tgt := e.threads[t.wantLock]; tgt.status != tsDone {
-				return tgt
+			if e.threads[t.wantLock].status != tsDone {
+				return t.wantLock
 			}
 		}
-		return nil
+		return -1
 	}
-	edge := func(t *tstate) diag.WaitEdge {
+	edge := func(i int) diag.WaitEdge {
+		t := e.threads[i]
 		w := diag.WaitEdge{Waiter: t.id, Holder: -1}
 		switch t.status {
 		case tsBlocked, tsAcquiring:
@@ -551,39 +548,7 @@ func (e *Engine) findCycle() []diag.WaitEdge {
 		}
 		return w
 	}
-	const (
-		unvisited = 0
-		onPath    = 1
-		finished  = 2
-	)
-	state := make(map[*tstate]int, len(e.threads))
-	for _, start := range e.threads {
-		if state[start] != unvisited {
-			continue
-		}
-		var path []*tstate
-		t := start
-		for t != nil && state[t] == unvisited {
-			state[t] = onPath
-			path = append(path, t)
-			t = succ(t)
-		}
-		if t != nil && state[t] == onPath {
-			i := 0
-			for path[i] != t {
-				i++
-			}
-			out := make([]diag.WaitEdge, 0, len(path)-i)
-			for _, w := range path[i:] {
-				out = append(out, edge(w))
-			}
-			return out
-		}
-		for _, p := range path {
-			state[p] = finished
-		}
-	}
-	return nil
+	return diag.FindCycle(len(e.threads), next, edge)
 }
 
 // excludedFromTurn mirrors package det: blocked lock waiters, barrier

@@ -147,7 +147,7 @@ func TestDeadlockReported(t *testing.T) {
 	}
 	eng := New(Config{NumLocks: 2}, ps)
 	_, err := eng.Run()
-	if !errors.Is(err, ErrDeadlock) {
+	if !errors.Is(err, diag.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 	// The report is structured: it names the exact ABBA wait-for cycle.

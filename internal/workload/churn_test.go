@@ -57,8 +57,8 @@ func TestChurnChaosProperty(t *testing.T) {
 		if out.CoreFingerprint != ref.CoreFingerprint {
 			t.Fatalf("seed %d: churn changed deterministic cores: %s vs reference %s", seed, out.CoreFingerprint, ref.CoreFingerprint)
 		}
-		for name, core := range ref.Cores() {
-			if got := out.Cores()[name]; got != core {
+		for name, core := range ref.cores {
+			if got := out.cores[name]; got != core {
 				t.Fatalf("seed %d: program %s core %q under churn vs %q single-node", seed, name, got, core)
 			}
 		}

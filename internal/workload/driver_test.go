@@ -43,7 +43,7 @@ func TestRunSingleNodeSmoke(t *testing.T) {
 	if out.Submitted != 60 || out.Completed != 60 || out.Failed != 0 || out.Rejected != 0 {
 		t.Fatalf("loss: %+v", out)
 	}
-	if len(out.Cores()) == 0 || out.CoreFingerprint == "" {
+	if len(out.cores) == 0 || out.CoreFingerprint == "" {
 		t.Fatal("no deterministic cores recorded")
 	}
 	if out.DistinctPrograms != 6 {
@@ -85,7 +85,7 @@ func TestWorkloadPropertyMatrix(t *testing.T) {
 				if out.Completed != out.Submitted || out.Failed != 0 || out.Rejected != 0 {
 					t.Fatalf("seed %d %s nodes %d: lost jobs: %+v", seed, shape, nodes, out)
 				}
-				coresByNodes[i] = out.Cores()
+				coresByNodes[i] = out.cores
 				fps[i] = out.CoreFingerprint
 			}
 			// Topology must not leak into deterministic cores: the same

@@ -72,31 +72,50 @@ func RunMatrix(ctx context.Context, cfg MatrixConfig) []ScenarioResult {
 	return results
 }
 
-// DefaultScenarios builds the standard sweep: every generatable arrival
-// shape × {blend mix} × {1 node, 3 nodes}, plus a flaky-transport cell —
-// jobs arrivals each. Trace replay is covered separately (it needs an input
-// timeline).
-func DefaultScenarios(jobs int) []Scenario {
-	blend, _ := MixByName("blend")
+// Scenarios builds a matrix sweep: every arrival shape × {1 node, 3 nodes}
+// with mix, jobs arrivals each at rate per second. A non-empty shape or a
+// non-zero nodes narrows the sweep to that shape or topology, and nem is the
+// transport nemesis of the cluster cells. The full sweep with no nemesis
+// keeps one flaky-transport cell, so its table always witnesses that
+// transport faults leave the deterministic columns unchanged.
+func Scenarios(shape Shape, mix MixSpec, nodes int, nem Nemesis, jobs int, rate float64) []Scenario {
+	shapes := Shapes()
+	if shape != "" {
+		shapes = []Shape{shape}
+	}
+	topologies := []int{1, 3}
+	if nodes != 0 {
+		topologies = []int{nodes}
+	}
 	var scs []Scenario
-	for _, shape := range Shapes() {
-		for _, nodes := range []int{1, 3} {
+	for _, sh := range shapes {
+		for _, n := range topologies {
+			cellNem := NemesisNone
+			if n > 1 {
+				cellNem = nem
+			}
+			name := fmt.Sprintf("%s/%s/n%d", sh, mix.Name, n)
+			if cellNem != NemesisNone {
+				name += "+" + string(cellNem)
+			}
 			scs = append(scs, Scenario{
-				Name:    fmt.Sprintf("%s/%s/n%d", shape, blend.Name, nodes),
-				Arrival: ArrivalConfig{Shape: shape, Jobs: jobs, RatePerSec: 2000},
-				Mix:     blend,
-				Nodes:   nodes,
-				Nemesis: NemesisNone,
+				Name:    name,
+				Arrival: ArrivalConfig{Shape: sh, Jobs: jobs, RatePerSec: rate},
+				Mix:     mix,
+				Nodes:   n,
+				Nemesis: cellNem,
 			})
 		}
 	}
-	scs = append(scs, Scenario{
-		Name:    fmt.Sprintf("poisson/%s/n3+flaky", blend.Name),
-		Arrival: ArrivalConfig{Shape: ShapePoisson, Jobs: jobs, RatePerSec: 2000},
-		Mix:     blend,
-		Nodes:   3,
-		Nemesis: NemesisFlaky,
-	})
+	if shape == "" && nodes == 0 && nem == NemesisNone {
+		scs = append(scs, Scenario{
+			Name:    fmt.Sprintf("poisson/%s/n3+flaky", mix.Name),
+			Arrival: ArrivalConfig{Shape: ShapePoisson, Jobs: jobs, RatePerSec: rate},
+			Mix:     mix,
+			Nodes:   3,
+			Nemesis: NemesisFlaky,
+		})
+	}
 	return scs
 }
 

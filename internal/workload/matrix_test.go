@@ -82,7 +82,11 @@ func TestMatrixScenarioIndependence(t *testing.T) {
 }
 
 func TestDefaultScenariosCoverMatrix(t *testing.T) {
-	scs := DefaultScenarios(100)
+	blend, err := MixByName("blend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := Scenarios("", blend, 0, NemesisNone, 100, 2000)
 	if len(scs) != len(Shapes())*2+1 {
 		t.Fatalf("got %d scenarios, want %d", len(scs), len(Shapes())*2+1)
 	}
