@@ -85,18 +85,16 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# Last moved by -391: 280 lines deleted, 111 moved into _test.go files (which
-# the count leaves out, so they are no reduction). Deleted: internal/kendo (105),
-# ir.MeetsClockableCriteria, RegionPathClocks and the stop predicate behind
-# it, Module.TotalBlockClock, Block.Succs, BlockBuilder.Spawn / Join,
-# sim.ErrDeadlock, interp.Machine.Spawned, workload.Outcome.Cores,
-# cluster.Node.Draining, estimates.Table.Len, nemesis's observation log and
-# its ten writers, the second wait-for cycle walk (sim and det share
-# diag.FindCycle), detload's scenario builder (workload.Scenarios is the one)
-# and knownShape / knownBench, the handlers' method and "not clustered" /
-# "not a standby" branches (the mux's method patterns). Moved: LoopNet's
-# test-only fault controls (64), estimates.Table.Format / Names (24),
-# harness.Runner.SweepSeconds (18), det.NewFaultInjector (5).
-LOC_CEILING = 23473
+# Last moved by -20, all of it deleted: no line moved into a _test.go file.
+# The peer protocol became one route table (internal/cluster/routes.go, 173
+# new lines: the typed routes, serve, call / exchange, the status error),
+# which deleted the ten handler prologues and their query parsing, the thin
+# client wrappers fetchResult / stealFrom / fetchBucketDigests /
+# fetchBucketKeys / postComplete / shipper.post, the digest convergence probe
+# and Node.ViewDigest (View().Digest() is the same value). Added beside it:
+# the request messages the query parameters moved into, Node.spawn /
+# quiesce (Close and Kill wait for the goroutines the node starts) and a
+# readBody that sizes its buffer from the declared length.
+LOC_CEILING = 23453
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

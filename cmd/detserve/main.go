@@ -27,10 +27,11 @@
 //	GET  /readyz         readiness (503 while joining, draining,
 //	                     journal-degraded, or divergence circuit breaker
 //	                     open).
-//	     /internal/v1/*  cluster peer protocol: result, offer, steal, complete,
-//	                     handoff (binary frames) and ship, gossip, join,
-//	                     handoff-journal, digest (JSON). Every body travels
-//	                     with its CRC32C in X-Detserve-Sum and is refused
+//	POST /internal/v1/*  cluster peer protocol, one route table
+//	                     (internal/cluster/routes.go): result, offer, steal,
+//	                     complete, handoff, handoff-journal, ship, gossip,
+//	                     join, digest, bucket. Every parameter travels in the
+//	                     body, under its CRC32C in X-Detserve-Sum: refused
 //	                     (422) without it, or (413) past 256 MB — see
 //	                     DESIGN.md §11.
 //	POST /v1/cluster/drain  start a graceful drain (202; handoff + leave
@@ -279,8 +280,8 @@ func main() {
 // serve runs the HTTP server until ctx is done (SIGINT/SIGTERM in main), then
 // drains and closes the listener. The service always runs inside a cluster
 // node — with no peers and no standby that is provably the bare engine, and
-// either way the node contributes /healthz, /readyz and the /internal/v1 peer
-// protocol to the same listener.
+// either way the node contributes /healthz, /readyz, /v1/cluster/* and the
+// peer protocol to the same listener.
 func serve(ctx context.Context, addr, pprofAddr string, ccfg cluster.Config) error {
 	// Open, not New: a front end asked for durability must refuse to start
 	// without it rather than silently running degraded.
@@ -370,15 +371,15 @@ func serve(ctx context.Context, addr, pprofAddr string, ccfg cluster.Config) err
 	return nil
 }
 
-// mountNode layers the cluster node's endpoints (/healthz, /readyz,
-// /internal/v1/*, /v1/cluster/*) over the public job API on one mux.
+// mountNode serves the public job API's paths from api and every other path
+// from the cluster node: /healthz, /readyz, /v1/cluster/* and the peer
+// routes, which the node's own route table declares.
 func mountNode(api http.Handler, node *cluster.Node) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/healthz", node.Handler())
-	mux.Handle("/readyz", node.Handler())
-	mux.Handle("/internal/v1/", node.Handler())
-	mux.Handle("/v1/cluster/", node.Handler())
-	mux.Handle("/", api)
+	mux.Handle("/v1/jobs", api)
+	mux.Handle("/v1/jobs/", api)
+	mux.Handle("/v1/stats", api)
+	mux.Handle("/", node.Handler())
 	return mux
 }
 

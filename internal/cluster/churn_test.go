@@ -133,8 +133,8 @@ func TestJoinBootstrap(t *testing.T) {
 	if err := b.Join(ctx); err != nil {
 		t.Fatalf("Join is not idempotent once admitted: %v", err)
 	}
-	if a.ViewDigest() != b.ViewDigest() {
-		t.Fatalf("views diverge after join: %s vs %s", a.ViewDigest(), b.ViewDigest())
+	if a.View().Digest() != b.View().Digest() {
+		t.Fatalf("views diverge after join: %s vs %s", a.View().Digest(), b.View().Digest())
 	}
 	if a.Epoch() != b.Epoch() || a.Epoch() != 2 {
 		t.Fatalf("epochs = %d/%d, want 2/2", a.Epoch(), b.Epoch())
@@ -237,8 +237,8 @@ func TestDrainMidLoad(t *testing.T) {
 			t.Fatalf("%s sees node-c as %s, want left", n.Name(), st)
 		}
 	}
-	if a.ViewDigest() != b.ViewDigest() || a.Epoch() != b.Epoch() {
-		t.Fatalf("survivors diverge: %s@%d vs %s@%d", a.ViewDigest(), a.Epoch(), b.ViewDigest(), b.Epoch())
+	if a.View().Digest() != b.View().Digest() || a.Epoch() != b.Epoch() {
+		t.Fatalf("survivors diverge: %s@%d vs %s@%d", a.View().Digest(), a.Epoch(), b.View().Digest(), b.Epoch())
 	}
 	cst := c.Stats()
 	if cst.Drains != 1 {

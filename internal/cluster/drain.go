@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -39,24 +38,24 @@ import (
 // transfer leaves the (still durable) local file behind. The node always
 // comes out closed; the cluster always comes out owning every key.
 
-// handoffMsg is the body of /internal/v1/handoff: queued jobs the draining
-// origin lends to their new ring owner.
+// handoffMsg is one queued job the draining origin lends to its new ring
+// owner.
 type handoffMsg struct {
 	Origin string
-	Jobs   stolenJobs
+	Job    service.StolenJob
 }
 
 func (m *handoffMsg) AppendBinary(b []byte) []byte {
-	return m.Jobs.AppendBinary(bin.AppendString(b, m.Origin))
+	return m.Job.AppendBinary(bin.AppendString(b, m.Origin))
 }
 
 func (m *handoffMsg) DecodeBinary(r *bin.Reader) {
 	m.Origin = r.String()
-	m.Jobs.DecodeBinary(r)
+	m.Job.DecodeBinary(r)
 }
 
-// journalHandoffMsg is the body of /internal/v1/handoff-journal: the leaving
-// node's journal snapshot, checksummed like a shipping batch.
+// journalHandoffMsg is the leaving node's journal snapshot, checksummed like
+// a shipping batch.
 type journalHandoffMsg struct {
 	From  string   `json:"from"`
 	Lines [][]byte `json:"lines"`
@@ -121,22 +120,15 @@ func (n *Node) Drain(ctx context.Context) error {
 // handoffJob lends one queued job to its new ring owner; any failure aborts
 // it back into the local queue.
 func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
-	owner := ""
-	if key, err := n.svc.KeyFor(sj.Req); err == nil {
-		if o, ok := n.ownerOf(key); ok {
-			owner = o
+	key, err := n.svc.KeyFor(sj.Req)
+	owner, ok := n.ownerOf(key)
+	if err == nil && ok && owner != n.cfg.Self && n.members.alive(owner) {
+		if _, err := handoffRoute.call(ctx, n, owner, &handoffMsg{Origin: n.cfg.Self, Job: sj}); err == nil {
+			n.ctr.HandoffJobsSent.Add(1)
+			return
 		}
 	}
-	if owner == "" || owner == n.cfg.Self || !n.members.alive(owner) {
-		n.svc.CompleteStolen(sj.ID, nil)
-		return
-	}
-	msg := handoffMsg{Origin: n.cfg.Self, Jobs: stolenJobs{sj}}
-	if _, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/handoff", &msg, nil); err != nil {
-		n.svc.CompleteStolen(sj.ID, nil)
-		return
-	}
-	n.ctr.HandoffJobsSent.Add(1)
+	n.svc.CompleteStolen(sj.ID, nil)
 }
 
 // handoffJournal transfers journal segment ownership to the first live ring
@@ -149,95 +141,67 @@ func (n *Node) handoffJournal(ctx context.Context) error {
 	if len(lines) == 0 {
 		return nil
 	}
-	successor := ""
-	for _, name := range n.ringNodeList() {
-		if name != n.cfg.Self && n.members.alive(name) {
-			successor = name
-			break
-		}
-	}
-	if successor == "" {
+	live := n.livePeers()
+	if len(live) == 0 {
 		return nil
 	}
-	msg := journalHandoffMsg{From: n.cfg.Self, Lines: lines, Sum: sumLines(lines)}
-	status, err := n.call(ctx, http.MethodPost, successor, "/internal/v1/handoff-journal", msg, nil)
+	successor := live[0]
+	_, err := journalRoute.call(ctx, n, successor, &journalHandoffMsg{From: n.cfg.Self, Lines: lines, Sum: sumLines(lines)})
 	switch {
 	case err == nil:
 		n.ctr.JournalHandoffs.Add(1)
 		return nil
-	case status == http.StatusConflict:
+	case statusOf(err) == http.StatusConflict:
 		return fmt.Errorf("journal handoff: %w: successor's cross-check refused the segment: %w", diag.ErrDivergence, err)
 	default:
 		return fmt.Errorf("journal handoff: %w", err)
 	}
 }
 
-// handleHandoff accepts queued jobs from a draining origin and executes them
-// through the existing stolen-job path, posting completions back. A node
-// that is itself draining refuses — the sender aborts locally rather than
-// ping-ponging work between two exits.
-func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	var msg handoffMsg
-	if !n.accept(w, r, &msg) {
-		return
+// serveHandoff accepts a queued job from a draining origin and executes it
+// through the stolen-job path, posting the completion back. A node that is
+// itself draining or closing refuses with 409 — the sender aborts locally
+// rather than ping-ponging work between two exits.
+func (n *Node) serveHandoff(_ context.Context, m *handoffMsg) (*none, error) {
+	if m.Origin == "" {
+		return nil, refuse(http.StatusBadRequest, "bad handoff: no origin")
 	}
-	if msg.Origin == "" {
-		http.Error(w, "bad handoff body: no origin", http.StatusBadRequest)
-		return
+	if n.leaving() || errors.Is(n.svc.Ready(), service.ErrDraining) ||
+		!n.spawn(func() { n.runStolen(context.Background(), m.Origin, m.Job) }) {
+		return nil, refuse(http.StatusConflict, "receiver is draining")
 	}
-	n.mu.Lock()
-	refusing := n.draining || n.closed
-	n.mu.Unlock()
-	if refusing || errors.Is(n.svc.Ready(), service.ErrDraining) {
-		http.Error(w, "receiver is draining", http.StatusConflict)
-		return
-	}
-	for _, sj := range msg.Jobs {
-		n.ctr.HandoffJobsRecv.Add(1)
-		sj := sj
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.runStolen(context.Background(), msg.Origin, sj)
-		}()
-	}
-	reply(w, http.StatusNoContent, nil)
+	n.ctr.HandoffJobsRecv.Add(1)
+	return nil, nil
 }
 
-// handleHandoffJournal accepts journal segment ownership from a leaving
+// serveHandoffJournal accepts journal segment ownership from a leaving
 // node — after proving the segment reproduces. Accepted segments are
 // persisted as a sidecar next to our own journal when one is configured.
-func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
-	var msg journalHandoffMsg
-	if !n.accept(w, r, &msg) {
-		return
+// Lines that do not match their sum are 422, like a request that fails its
+// header; a segment that does not reproduce is 409.
+func (n *Node) serveHandoffJournal(ctx context.Context, m *journalHandoffMsg) (*none, error) {
+	if m.From == "" {
+		return nil, refuse(http.StatusBadRequest, "bad journal handoff: no sender")
 	}
-	if msg.From == "" {
-		http.Error(w, "bad journal handoff body: no sender", http.StatusBadRequest)
-		return
-	}
-	if sumLines(msg.Lines) != msg.Sum {
-		err := &diag.CorruptionError{Source: "journal handoff from " + msg.From,
+	if sumLines(m.Lines) != m.Sum {
+		err := &diag.CorruptionError{Source: "journal handoff from " + m.From,
 			Detail: "segment lines do not match their checksum"}
 		n.reportPeerCorruption("", err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
+		return nil, refuse(http.StatusUnprocessableEntity, "%w", err)
 	}
 	// Divergence cross-check: re-execute a sample before accepting ownership.
-	if err := n.svc.CheckSnapshotRecords(r.Context(), msg.Lines); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
+	if err := n.svc.CheckSnapshotRecords(ctx, m.Lines); err != nil {
+		return nil, refuse(http.StatusConflict, "%w", err)
 	}
 	if path := n.cfg.Service.JournalPath; path != "" {
 		// Durable before the 204: the sender gives up the segment on it.
-		side := path + ".handoff-" + strings.NewReplacer(":", "_", "/", "_").Replace(msg.From)
-		if err := vfs.ReplaceFile(n.cfg.Service.FS, side+".tmp", side, bytes.Join(msg.Lines, nil)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		side := path + ".handoff-" + strings.NewReplacer(":", "_", "/", "_").Replace(m.From)
+		if err := vfs.ReplaceFile(n.cfg.Service.FS, side+".tmp", side, bytes.Join(m.Lines, nil)); err != nil {
+			return nil, err
 		}
 	}
 	n.ctr.JournalHandoffsRecv.Add(1)
-	reply(w, http.StatusNoContent, nil)
+	return nil, nil
 }
 
 // handleDrainRequest is the operator endpoint POST /v1/cluster/drain: start a
@@ -245,15 +209,11 @@ func (n *Node) handleHandoffJournal(w http.ResponseWriter, r *http.Request) {
 // journal transfer, close) proceeds in the background, observable through
 // /readyz flipping 503 and the membership view reaching StateLeft.
 func (n *Node) handleDrainRequest(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	already := n.draining || n.closed
-	n.mu.Unlock()
-	// Deliberately untracked by n.wg: Drain ends in Close, which waits out
-	// n.wg — a tracked goroutine would deadlock the shutdown it performs.
-	if !already {
+	// Deliberately not spawned: Drain ends in Close, which waits out the
+	// node's tasks — a tracked goroutine would deadlock the shutdown it
+	// performs.
+	if !n.leaving() {
 		go n.Drain(context.Background())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{"status": "draining", "node": n.cfg.Self})
+	writeJSON(w, http.StatusAccepted, map[string]string{"status": "draining", "node": n.cfg.Self})
 }

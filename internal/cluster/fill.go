@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"time"
 
+	"repro/internal/bin"
+	"repro/internal/diag"
 	"repro/internal/service"
 )
 
@@ -25,7 +28,11 @@ import (
 // answer, so the straggler's goroutine and connection are released when the
 // winner returns, not when the deadline expires.
 
-// fill is the service.Config.Fill hook.
+// fill is the service.Config.Fill hook. A first attempt that fails while the
+// hedge is out leaves the answer to the hedge. Each attempt is one exchange
+// under fill's one deadline (call would stack a second). A miss (404), an
+// error and a reply that fails verification are all nil: exchange
+// quarantines an owner whose reply did not verify.
 func (n *Node) fill(ctx context.Context, key string, req *service.Request) *service.Result {
 	owner, ok := n.ownerOf(key)
 	if !ok || owner == n.cfg.Self {
@@ -36,7 +43,22 @@ func (n *Node) fill(ctx context.Context, key string, req *service.Request) *serv
 		return nil // degradation: down owner means local recomputation
 	}
 	n.ctr.FillAttempts.Add(1)
-	res := n.fetchHedged(ctx, time.Now().Add(n.cfg.FillTimeout), owner, key)
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
+	defer cancel() // returning cuts a hedge still in flight loose
+	msg := &fillMsg{Key: key}
+	hedged := make(chan *service.Result, 1)
+	hedge := time.AfterFunc(n.cfg.HedgeAfter, func() {
+		n.ctr.FillHedges.Add(1)
+		res, _ := fillRoute.exchange(ctx, n, owner, msg)
+		if res != nil {
+			cancel() // the hedge won: the caller is still inside the first attempt
+		}
+		hedged <- res
+	})
+	res, _ := fillRoute.exchange(ctx, n, owner, msg)
+	if !hedge.Stop() && res == nil {
+		res = <-hedged // the hedge fired, and answers within ctx like any attempt
+	}
 	if res == nil {
 		n.ctr.FillMisses.Add(1)
 		return nil
@@ -45,44 +67,21 @@ func (n *Node) fill(ctx context.Context, key string, req *service.Request) *serv
 	return res
 }
 
-// fetchHedged fetches key from owner on the caller's goroutine and, if that
-// has not answered within HedgeAfter, a second time beside it; the first
-// answer wins and cancels the other attempt. A first attempt that fails while
-// the hedge is out leaves the answer to the hedge.
-func (n *Node) fetchHedged(ctx context.Context, deadline time.Time, owner, key string) *service.Result {
-	ctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel() // returning cuts a hedge still in flight loose
-	hedged := make(chan *service.Result, 1)
-	hedge := time.AfterFunc(n.cfg.HedgeAfter, func() {
-		n.ctr.FillHedges.Add(1)
-		res, _ := n.fetchResult(ctx, owner, key)
-		if res != nil {
-			cancel() // the hedge won: the caller is still inside the first attempt
-		}
-		hedged <- res
-	})
-	res, _ := n.fetchResult(ctx, owner, key) // an error is a miss
-	if hedge.Stop() || res != nil {
-		return res
-	}
-	return <-hedged // the hedge fired, and answers within ctx like any attempt
-}
+// fillMsg is the fill request: the key whose cached result the caller wants.
+type fillMsg struct{ Key string }
 
-// fetchResult issues one GET /internal/v1/result to owner under ctx, which
-// carries fill's deadline (hence exchange: call would stack a second one); a
-// 404 is a clean miss. A reply that fails verification never becomes a served
-// result: exchange quarantines the owner and the caller falls back to local
-// recomputation — slower, never wrong.
-func (n *Node) fetchResult(ctx context.Context, owner, key string) (*service.Result, error) {
-	var res service.Result
-	status, err := n.exchange(ctx, http.MethodGet, owner, "/internal/v1/result?key="+key, nil, &res)
-	if status == http.StatusNotFound {
-		return nil, nil
+func (m *fillMsg) AppendBinary(b []byte) []byte { return bin.AppendString(b, m.Key) }
+func (m *fillMsg) DecodeBinary(r *bin.Reader)   { m.Key = r.String() }
+
+// serveFill answers a peer's cache fill: the cached result, schedule
+// included, or 404.
+func (n *Node) serveFill(_ context.Context, m *fillMsg) (*service.Result, error) {
+	res, ok := n.svc.ResultByKey(m.Key)
+	if !ok {
+		return nil, refuse(http.StatusNotFound, "miss")
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
+	n.ctr.FillsServed.Add(1)
+	return res, nil
 }
 
 // offer is the service.Config.Offer hook: after computing a result this node
@@ -96,22 +95,18 @@ func (n *Node) offer(key string, res *service.Result, req *service.Request) {
 	if !ok || owner == n.cfg.Self || !n.members.alive(owner) {
 		return
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.sendOffer(context.Background(), owner, key, res, req)
-	}()
+	n.spawn(func() { n.sendOffer(context.Background(), owner, key, res, req) })
 }
 
 // sendOffer posts one offer synchronously and classifies the outcome. The
 // async offer hook, the rebalance push, and the repair backfill all funnel
 // through it, so the counters mean the same thing on every path.
 func (n *Node) sendOffer(ctx context.Context, owner, key string, res *service.Result, req *service.Request) error {
-	status, err := n.call(ctx, http.MethodPost, owner, "/internal/v1/offer?key="+key, &offerMsg{Res: res, Req: req}, nil)
+	_, err := offerRoute.call(ctx, n, owner, &offerMsg{Key: key, Res: res, Req: req})
 	switch {
 	case err == nil:
 		n.ctr.OffersSent.Add(1)
-	case status == http.StatusConflict:
+	case statusOf(err) == http.StatusConflict:
 		// The owner's cached entry disagrees with ours: a determinism
 		// divergence, counted on both sides and policed by the owner's
 		// breaker.
@@ -120,4 +115,37 @@ func (n *Node) sendOffer(ctx context.Context, owner, key string, res *service.Re
 		n.ctr.OfferFails.Add(1)
 	}
 	return err
+}
+
+// offerMsg is the offer: the key, the computed result and, when the offering
+// node knows it, the originating request — which makes the installed entry
+// recheckable by the owner's anti-entropy repair loop.
+type offerMsg struct {
+	Key string
+	Res *service.Result
+	Req *service.Request
+}
+
+func (m *offerMsg) AppendBinary(b []byte) []byte {
+	return appendOptional(appendOptional(bin.AppendString(b, m.Key), m.Res), m.Req)
+}
+
+func (m *offerMsg) DecodeBinary(r *bin.Reader) {
+	m.Key, m.Res, m.Req = r.String(), decodeOptional[service.Result](r), decodeOptional[service.Request](r)
+}
+
+// serveOffer installs a peer-computed result into the local cache. A
+// divergence (offer conflicting with a cached entry) is 409 — the offering
+// peer logs it; both sides count it.
+func (n *Node) serveOffer(_ context.Context, m *offerMsg) (*none, error) {
+	if m.Key == "" || m.Res == nil {
+		return nil, refuse(http.StatusBadRequest, "bad offer: no key or no result")
+	}
+	if err := n.svc.OfferResult(m.Key, m.Res, m.Req); err != nil {
+		if errors.Is(err, diag.ErrDivergence) {
+			return nil, refuse(http.StatusConflict, "%w", err)
+		}
+		return nil, refuse(http.StatusBadRequest, "%w", err)
+	}
+	return nil, nil
 }

@@ -3,11 +3,12 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // countingDoer wraps a transport and tracks request lifecycles: how many are
@@ -50,7 +51,7 @@ type stallFirstResult struct {
 }
 
 func (h *stallFirstResult) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/internal/v1/result") {
+	if r.URL.Path == fillRoute.path {
 		h.mu.Lock()
 		first := !h.stalled
 		h.stalled = true
@@ -127,5 +128,38 @@ func TestHedgedFillCancelsLoser(t *testing.T) {
 	}
 	if counting.cancelled.Load() == 0 {
 		t.Fatal("no request observed a cancelled context — the loser was never cut loose")
+	}
+}
+
+// TestCloseWaitsForPeerRequests: Close lets the service drain its queue, and
+// a worker that computes a peer-owned miss during that drain offers the
+// result. Close must not return while that offer — or any other request the
+// node started — is still in flight or yet to be sent (it used to start the
+// offer after its one wait had returned).
+func TestCloseWaitsForPeerRequests(t *testing.T) {
+	net := NewLoopNet()
+	peers := []string{"node-a", "node-b"}
+	counting := &countingDoer{}
+	a := tnode(t, net, "node-a", peers, func(c *Config) {
+		counting.inner = c.Client
+		c.Client = counting
+		c.Service.Workers = 1
+	})
+	b := tnode(t, net, "node-b", peers, nil)
+	defer b.Close(context.Background())
+
+	req, _ := keyOwnedBy(t, a, srcOf(t, "ocean"), false)
+	backlog(t, a, []service.Request{req})
+	net.SetLatency("node-a", "node-b", 20*time.Millisecond)
+	if err := a.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	inflight, started := counting.inflight.Load(), counting.started.Load()
+	time.Sleep(100 * time.Millisecond) // five latencies: a request left behind has started by now
+	if inflight != 0 || counting.started.Load() != started {
+		t.Fatalf("Close returned with %d peer request(s) in flight and %d yet to start", inflight, counting.started.Load()-started)
+	}
+	if st := a.Stats(); st.OffersSent+st.OfferFails == 0 {
+		t.Fatalf("test staging broke: the drained miss was never offered: %+v", st)
 	}
 }

@@ -52,12 +52,13 @@ func replyWith(doer *replayDoer, body []byte) {
 	doer.body.Store(&body)
 }
 
-// TestFramesRoundTripAndRefuse: each of the five binary messages decodes to
-// what was encoded, and every damaged form of its frame that still carries a
-// correct checksum — unknown version byte, a byte appended, cut at any length
-// — is refused by both ends: 400 from the handler, an error (so a miss, a
-// reclaim, a retry) from the caller, nothing installed, no panic, and never
-// counted as corruption: the bytes arrived as sent.
+// TestFramesRoundTripAndRefuse: each binary message decodes to what was
+// encoded, and every damaged form of its frame that still carries a correct
+// checksum — unknown version byte, a byte appended, cut at any length — is
+// refused by the end that decodes it: 400 from the handler of a request, an
+// error (so a miss, a reclaim, a retry) from the caller of a reply, nothing
+// installed, no panic, and never counted as corruption: the bytes arrived as
+// sent.
 func TestFramesRoundTripAndRefuse(t *testing.T) {
 	sched := trace.New()
 	sched.Record(3, 1, 40)
@@ -69,24 +70,25 @@ func TestFramesRoundTripAndRefuse(t *testing.T) {
 	node := frameNode(t, doer)
 
 	for _, tc := range []struct {
-		name string
-		msg  frameMsg
-		path string // the endpoint that accepts msg as a request, if one does
+		name  string
+		msg   frameMsg
+		route testRoute // the route that decodes msg
+		reply bool      // msg is that route's reply, not its request
 	}{
-		{"fill reply", res, ""},
-		{"offer", &offerMsg{Res: res, Req: req}, "/internal/v1/offer?key=k"},
-		{"offer without request", &offerMsg{Res: res}, "/internal/v1/offer?key=k"},
-		{"steal reply", &jobs, ""},
-		{"complete", &completeMsg{ID: "job-1", Result: res}, "/internal/v1/complete"},
-		{"abort", &completeMsg{ID: "job-1"}, "/internal/v1/complete"},
-		{"handoff", &handoffMsg{Origin: "node-b", Jobs: jobs}, "/internal/v1/handoff"},
+		{"fill request", &fillMsg{Key: "k\xff"}, fillRoute, false},
+		{"fill reply", res, fillRoute, true},
+		{"offer", &offerMsg{Key: "k", Res: res, Req: req}, offerRoute, false},
+		{"offer without request", &offerMsg{Key: "k", Res: res}, offerRoute, false},
+		{"steal reply", &jobs, stealRoute, true},
+		{"complete", &completeMsg{ID: "job-1", Result: res}, completeRoute, false},
+		{"abort", &completeMsg{ID: "job-1"}, completeRoute, false},
+		{"handoff", &handoffMsg{Origin: "node-b", Job: jobs[0]}, handoffRoute, false},
 	} {
 		frame, contentType, err := encode(tc.msg)
-		if err != nil || contentType != frameType || frame[0] != frameVersion {
+		if err != nil || contentType[0] != frameType || frame[0] != frameVersion {
 			t.Fatalf("%s: encode: type %q, err %v", tc.name, contentType, err)
 		}
-		fresh := func() any { return reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface() }
-		got := fresh()
+		got := reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface()
 		if err := decode(frame, got); err != nil || !reflect.DeepEqual(got, tc.msg) {
 			t.Fatalf("%s: round trip: err %v\n got %+v\nwant %+v", tc.name, err, got, tc.msg)
 		}
@@ -96,14 +98,14 @@ func TestFramesRoundTripAndRefuse(t *testing.T) {
 			damaged = append(damaged, frame[:n])
 		}
 		for _, body := range damaged {
-			if tc.path != "" {
-				if code := deliver(node, tc.path, body); code != http.StatusBadRequest {
+			if !tc.reply {
+				if code := deliver(node, tc.route.routePath(), body); code != http.StatusBadRequest {
 					t.Fatalf("%s: handler answered %d to damaged frame % x", tc.name, code, body)
 				}
+				continue
 			}
 			replyWith(doer, body)
-			_, err := node.call(context.Background(), http.MethodPost, "node-b", "/x", nil, fresh())
-			if err == nil || errors.Is(err, diag.ErrCorruption) {
+			if err := tc.route.callZero(node); err == nil || errors.Is(err, diag.ErrCorruption) {
 				t.Fatalf("%s: caller's verdict on damaged frame % x: %v", tc.name, body, err)
 			}
 		}
@@ -117,8 +119,8 @@ func TestFramesRoundTripAndRefuse(t *testing.T) {
 	if got := node.fill(context.Background(), keyOwnedByPeer(t, node), req); got != nil {
 		t.Fatalf("fill served %+v out of a frame of an unknown version", got)
 	}
-	if jobs, err := node.stealFrom(context.Background(), "node-b", 1); err == nil || len(jobs) != 0 {
-		t.Fatalf("stealFrom = %d jobs, err %v out of a frame of an unknown version", len(jobs), err)
+	if jobs, err := stealRoute.call(context.Background(), node, "node-b", &stealMsg{Max: 1}); err == nil || jobs != nil {
+		t.Fatalf("steal = %v, err %v out of a frame of an unknown version", jobs, err)
 	}
 }
 
@@ -184,20 +186,20 @@ func (d oversizeDoer) Do(*http.Request) (*http.Response, error) {
 // undeclared length is read no further than the cap.
 func TestWireBodyCap(t *testing.T) {
 	node := frameNode(t, oversizeDoer{t})
-	for _, path := range []string{"/internal/v1/offer?key=k", "/internal/v1/complete", "/internal/v1/ship", "/internal/v1/gossip", "/internal/v1/join", "/internal/v1/handoff", "/internal/v1/handoff-journal"} {
-		r := httptest.NewRequest(http.MethodPost, path, unreadBody{t})
+	var tooLarge *http.MaxBytesError
+	for _, rt := range table() {
+		r := httptest.NewRequest(http.MethodPost, rt.routePath(), unreadBody{t})
 		r.ContentLength = maxWireBody + 1
 		rec := httptest.NewRecorder()
 		node.Handler().ServeHTTP(rec, r)
 		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: status %d for a body declared over the cap, want 413", path, rec.Code)
+			t.Errorf("%s: status %d for a body declared over the cap, want 413", rt.routePath(), rec.Code)
+		}
+		if err := rt.callZero(node); !errors.As(err, &tooLarge) || tooLarge.Limit != maxWireBody {
+			t.Errorf("%s: reply declared over the cap: err %v, want *http.MaxBytesError", rt.routePath(), err)
 		}
 	}
 
-	var tooLarge *http.MaxBytesError
-	if _, err := node.call(context.Background(), http.MethodGet, "node-b", "/x", nil, new(service.Result)); !errors.As(err, &tooLarge) || tooLarge.Limit != maxWireBody {
-		t.Fatalf("reply declared over the cap: err %v, want *http.MaxBytesError", err)
-	}
 	if got := node.fill(context.Background(), keyOwnedByPeer(t, node), &service.Request{}); got != nil {
 		t.Fatalf("fill served %+v out of an oversized reply", got)
 	}
@@ -232,31 +234,26 @@ func TestRoutesStateMethods(t *testing.T) {
 	}
 	t.Cleanup(func() { solo.Close(context.Background()) })
 
-	for _, tc := range []struct {
+	type check struct {
 		node         *Node
 		method, path string
 		want         int
-	}{
+	}
+	checks := []check{
 		{full, http.MethodPost, "/healthz", http.StatusMethodNotAllowed},
 		{full, http.MethodPost, "/readyz", http.StatusMethodNotAllowed},
-		{full, http.MethodPost, "/internal/v1/result?key=k", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/offer?key=k", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/steal", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/complete", http.StatusMethodNotAllowed},
-		{full, http.MethodPut, "/internal/v1/handoff", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/handoff-journal", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/ship", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/gossip", http.StatusMethodNotAllowed},
-		{full, http.MethodGet, "/internal/v1/join", http.StatusMethodNotAllowed},
-		{full, http.MethodPost, "/internal/v1/digest", http.StatusMethodNotAllowed},
 		{full, http.MethodGet, "/v1/cluster/drain", http.StatusMethodNotAllowed},
 		{full, http.MethodPost, "/v1/cluster/stats", http.StatusMethodNotAllowed},
-		{solo, http.MethodPost, "/internal/v1/gossip", http.StatusNotFound},
-		{solo, http.MethodGet, "/internal/v1/digest", http.StatusNotFound},
-		{solo, http.MethodPost, "/internal/v1/join", http.StatusNotFound},
-		{solo, http.MethodPost, "/internal/v1/ship", http.StatusNotFound},
-		{solo, http.MethodGet, "/internal/v1/offer?key=k", http.StatusMethodNotAllowed},
-	} {
+	}
+	for _, rt := range table() {
+		checks = append(checks, check{full, http.MethodGet, rt.routePath(), http.StatusMethodNotAllowed})
+		if rt.served() == always {
+			checks = append(checks, check{solo, http.MethodPut, rt.routePath(), http.StatusMethodNotAllowed})
+		} else {
+			checks = append(checks, check{solo, http.MethodPost, rt.routePath(), http.StatusNotFound})
+		}
+	}
+	for _, tc := range checks {
 		rec := httptest.NewRecorder()
 		tc.node.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, bytes.NewReader([]byte("{}"))))
 		if rec.Code != tc.want {

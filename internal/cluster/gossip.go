@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 	"sort"
 )
 
@@ -26,7 +24,7 @@ const (
 	gossipSeed   = 1
 )
 
-// gossipMsg is the body of /internal/v1/gossip (and the join handshake): the
+// gossipMsg is the gossip request (and the join handshake's): the
 // sender's name and full view. The reply body is the receiver's (merged)
 // view, so one exchange moves information in both directions.
 type gossipMsg struct {
@@ -90,65 +88,26 @@ func (n *Node) gossipNow(ctx context.Context) {
 func (n *Node) exchangeView(ctx context.Context, peer string) bool {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
 	defer cancel()
-	var rv View
-	_, err := n.call(ctx, http.MethodPost, peer, "/internal/v1/gossip", gossipMsg{From: n.cfg.Self, View: n.members.viewClone()}, &rv)
+	rv, err := gossipRoute.call(ctx, n, peer, &gossipMsg{From: n.cfg.Self, View: n.members.viewClone()})
 	if err != nil {
 		n.ctr.GossipFails.Add(1)
 		return false
 	}
 	n.ctr.GossipSent.Add(1)
-	if n.members.merge(rv) {
+	if n.members.merge(*rv) {
 		n.ctr.GossipMerges.Add(1)
 		n.syncRing()
 	}
 	return true
 }
 
-// handleGossip receives a peer's view, merges it, and replies with our own —
+// serveGossip receives a peer's view, merges it, and replies with our own —
 // the pull half of push-pull gossip.
-func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
-	var msg gossipMsg
-	if !n.accept(w, r, &msg) {
-		return
-	}
-	if n.members.merge(msg.View) {
+func (n *Node) serveGossip(_ context.Context, m *gossipMsg) (*View, error) {
+	if n.members.merge(m.View) {
 		n.ctr.GossipMerges.Add(1)
 		n.syncRing()
 	}
-	reply(w, http.StatusOK, n.members.viewClone())
-}
-
-// digestReport is the body of GET /internal/v1/digest without parameters:
-// the cheap convergence probe (epoch, view digest, current ring members).
-type digestReport struct {
-	Node   string   `json:"node"`
-	Epoch  int64    `json:"epoch"`
-	Digest string   `json:"digest"`
-	Ring   []string `json:"ring"`
-}
-
-// handleDigest serves two queries on one route:
-//
-//	GET /internal/v1/digest                    → digestReport (convergence probe)
-//	GET /internal/v1/digest?owner=A            → bucketed cache summary for owner A
-//	GET /internal/v1/digest?owner=A&bucket=3   → the (key, hash) pairs in bucket 3
-//
-// The owner queries are the anti-entropy protocol's read side; see repair.go.
-func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
-	owner := r.URL.Query().Get("owner")
-	if owner == "" {
-		rep := digestReport{Node: n.cfg.Self, Epoch: n.members.epoch(), Digest: n.members.digest(), Ring: n.ringNodeList()}
-		reply(w, http.StatusOK, rep)
-		return
-	}
-	if b := r.URL.Query().Get("bucket"); b != "" {
-		var bucket int
-		if _, err := fmt.Sscanf(b, "%d", &bucket); err != nil || bucket < 0 || bucket >= repairBuckets {
-			http.Error(w, "bad bucket", http.StatusBadRequest)
-			return
-		}
-		reply(w, http.StatusOK, n.bucketKeys(owner, bucket))
-		return
-	}
-	reply(w, http.StatusOK, n.bucketDigests(owner))
+	v := n.members.viewClone()
+	return &v, nil
 }

@@ -12,7 +12,7 @@ import (
 // known to nobody, owning nothing — and must bootstrap through a seed before
 // the ring admits it:
 //
-//  1. it POSTs its (one-member) view to a seed's /internal/v1/join;
+//  1. it sends its (one-member) view to a seed's join route;
 //  2. the seed merges the announcement and replies with its own view plus a
 //     journal snapshot — the same resync payload the shipping plane sends a
 //     standby that lost the stream;
@@ -63,8 +63,8 @@ func (n *Node) Join(ctx context.Context) error {
 
 // joinVia runs the bootstrap handshake against one seed.
 func (n *Node) joinVia(ctx context.Context, seed string) error {
-	var jr joinReply
-	if _, err := n.call(ctx, http.MethodPost, seed, "/internal/v1/join", gossipMsg{From: n.cfg.Self, View: n.members.viewClone()}, &jr); err != nil {
+	jr, err := joinRoute.call(ctx, n, seed, &gossipMsg{From: n.cfg.Self, View: n.members.viewClone()})
+	if err != nil {
 		return fmt.Errorf("join %s: %w", seed, err)
 	}
 	// Divergence cross-check before admission: the seed's journaled history
@@ -83,28 +83,19 @@ func (n *Node) joinVia(ctx context.Context, seed string) error {
 	return nil
 }
 
-// handleJoin is the seed side of the bootstrap handshake. It merges the
+// serveJoin is the seed side of the bootstrap handshake. It merges the
 // joiner's announcement and replies with the full view plus the journal
-// snapshot the joiner cross-checks.
-func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	refusing := n.draining || n.closed
-	n.mu.Unlock()
-	if refusing {
-		http.Error(w, "node is draining", http.StatusServiceUnavailable)
-		return
+// snapshot the joiner cross-checks. A draining seed refuses with 503.
+func (n *Node) serveJoin(_ context.Context, m *gossipMsg) (*joinReply, error) {
+	if n.leaving() {
+		return nil, refuse(http.StatusServiceUnavailable, "node is draining")
 	}
-	var msg gossipMsg
-	if !n.accept(w, r, &msg) {
-		return
+	if m.From == "" {
+		return nil, refuse(http.StatusBadRequest, "bad join: no sender")
 	}
-	if msg.From == "" {
-		http.Error(w, "bad join body: no sender", http.StatusBadRequest)
-		return
-	}
-	if n.members.merge(msg.View) {
+	if n.members.merge(m.View) {
 		n.syncRing()
 	}
 	n.ctr.JoinsServed.Add(1)
-	reply(w, http.StatusOK, joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords()})
+	return &joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords()}, nil
 }

@@ -160,13 +160,6 @@ func (m *membership) epoch() int64 {
 	return m.view.Epoch
 }
 
-// digest returns the view's convergence digest.
-func (m *membership) digest() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.view.Digest()
-}
-
 // ringMembers returns the sorted active members — the ring's node set.
 func (m *membership) ringMembers() []string {
 	m.mu.Lock()

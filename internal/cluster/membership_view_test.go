@@ -7,47 +7,81 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/service"
 )
 
-// TestViewMergeSemilattice pins the merge algebra the gossip plane rests on:
-// commutative, idempotent, higher stamp wins, equal stamps break toward the
-// later lifecycle state, epoch is the max of the sides.
+// TestViewMergeSemilattice checks the merge algebra the gossip plane rests
+// on over named hand-built views and views drawn from detrand: commutative,
+// associative and idempotent on Digest(), the epoch never decreasing (it is
+// the max of the sides), and Merge reporting a change exactly when the digest
+// moved. The named inputs also pin what the algebra alone leaves open: the
+// higher stamp wins, and equal stamps break toward the later lifecycle state.
 func TestViewMergeSemilattice(t *testing.T) {
+	merge := func(a, b View) (View, bool) {
+		m := a.Clone()
+		changed := m.Merge(b)
+		return m, changed
+	}
 	base := staticView([]string{"node-a", "node-b"})
-	v1 := base.Clone()
-	v1.Bump("node-a", StateDraining) // epoch 2, a@2
-	v2 := base.Clone()
-	v2.Bump("node-b", StateLeft) // epoch 2, b@2
+	draining := base.Clone()
+	draining.Bump("node-a", StateDraining) // epoch 2, a@2
+	left := base.Clone()
+	left.Bump("node-b", StateLeft) // epoch 2, b@2
+	tieActive := View{Epoch: 5, Members: map[string]Member{"x": {State: StateActive, Stamp: 5}}}
+	tieDraining := View{Epoch: 5, Members: map[string]Member{"x": {State: StateDraining, Stamp: 5}}}
+	staleLeft := View{Epoch: 4, Members: map[string]Member{"x": {State: StateLeft, Stamp: 3}}}
+	freshActive := View{Epoch: 4, Members: map[string]Member{"x": {State: StateActive, Stamp: 4}}}
 
-	m1 := v1.Clone()
-	if !m1.Merge(v2) {
-		t.Fatal("merge of new facts reported no change")
+	if m, _ := merge(draining, left); m.Epoch != 2 || m.Members["node-a"].State != StateDraining || m.Members["node-b"].State != StateLeft {
+		t.Fatalf("merged view wrong: %+v", m)
 	}
-	m2 := v2.Clone()
-	m2.Merge(v1)
-	if m1.Digest() != m2.Digest() {
-		t.Fatalf("merge is order-dependent: %s vs %s", m1.Digest(), m2.Digest())
+	if m, _ := merge(tieActive, tieDraining); m.Members["x"].State != StateDraining {
+		t.Fatalf("equal-stamp tie-break picked %s, want draining", m.Members["x"].State)
 	}
-	if m1.Epoch != 2 || m1.Members["node-a"].State != StateDraining || m1.Members["node-b"].State != StateLeft {
-		t.Fatalf("merged view wrong: %+v", m1)
-	}
-	if m1.Merge(v2) {
-		t.Fatal("re-merging already-known facts reported a change (not idempotent)")
+	if m, _ := merge(staleLeft, freshActive); m.Members["x"].State != StateActive {
+		t.Fatalf("higher stamp lost the merge: %+v", m.Members["x"])
 	}
 
-	// Equal stamps: the later lifecycle state is the newer fact.
-	tie := View{Epoch: 5, Members: map[string]Member{"x": {State: StateActive, Stamp: 5}}}
-	tie.Merge(View{Epoch: 5, Members: map[string]Member{"x": {State: StateDraining, Stamp: 5}}})
-	if tie.Members["x"].State != StateDraining {
-		t.Fatalf("equal-stamp tie-break picked %s, want draining", tie.Members["x"].State)
+	views := []View{base, draining, left, tieActive, tieDraining, staleLeft, freshActive, {}}
+	states := []MemberState{StateJoining, StateActive, StateDraining, StateLeft}
+	rng := detrand.New(31, 0)
+	for i := 0; i < 24; i++ {
+		v := View{Epoch: int64(1 + rng.IntN(6)), Members: map[string]Member{}}
+		for _, name := range []string{"node-a", "node-b", "x", "y"} {
+			if rng.IntN(3) > 0 {
+				v.Members[name] = Member{State: states[rng.IntN(len(states))], Stamp: int64(1 + rng.IntN(int(v.Epoch)))}
+			}
+		}
+		views = append(views, v)
 	}
-	// A higher stamp beats a later state: stamps are the single-writer truth.
-	stamp := View{Epoch: 4, Members: map[string]Member{"x": {State: StateLeft, Stamp: 3}}}
-	stamp.Merge(View{Epoch: 4, Members: map[string]Member{"x": {State: StateActive, Stamp: 4}}})
-	if stamp.Members["x"].State != StateActive {
-		t.Fatalf("higher stamp lost the merge: %+v", stamp.Members["x"])
+	for i, a := range views {
+		if _, changed := merge(a, a); changed {
+			t.Fatalf("view %d: merging a view into itself reported a change", i)
+		}
+		for j, b := range views {
+			ab, changed := merge(a, b)
+			if changed != (ab.Digest() != a.Digest()) {
+				t.Fatalf("views %d⊔%d: changed=%v but digest %s → %s", i, j, changed, a.Digest(), ab.Digest())
+			}
+			if ab.Epoch != max(a.Epoch, b.Epoch) {
+				t.Fatalf("views %d⊔%d: epoch %d, want the max of %d and %d", i, j, ab.Epoch, a.Epoch, b.Epoch)
+			}
+			if ba, _ := merge(b, a); ba.Digest() != ab.Digest() {
+				t.Fatalf("views %d, %d: merge is order-dependent: %s vs %s", i, j, ab.Digest(), ba.Digest())
+			}
+			if _, again := merge(ab, b); again {
+				t.Fatalf("views %d⊔%d: re-merging already-known facts reported a change", i, j)
+			}
+			for k, c := range views {
+				lhs, _ := merge(ab, c)
+				bc, _ := merge(b, c)
+				if rhs, _ := merge(a, bc); lhs.Digest() != rhs.Digest() {
+					t.Fatalf("views %d, %d, %d: merge is not associative", i, j, k)
+				}
+			}
+		}
 	}
 
 	// Ring membership: active members only, sorted.

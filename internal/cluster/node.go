@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bin"
 	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/service"
@@ -183,12 +181,18 @@ type Node struct {
 	grand     *detrand.Rand
 	repairIdx int
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop  chan struct{}
+	loops sync.WaitGroup // the background loops Open starts
 
+	// mu guards the lifecycle flags. tasks counts the goroutines the node
+	// starts on demand (offers, handed-off jobs): spawn adds to it only under
+	// mu and only until Close or Kill sets quiet and then waits, so every
+	// Add happens before that Wait.
 	mu       sync.Mutex
 	closed   bool
 	draining bool
+	quiet    bool
+	tasks    sync.WaitGroup
 }
 
 // Open builds and starts a node. With no peers and no standby the inner
@@ -289,9 +293,9 @@ func gossipStream(self string) int {
 
 // loop runs fn every interval until the node stops.
 func (n *Node) loop(interval time.Duration, fn func(ctx context.Context)) {
-	n.wg.Add(1)
+	n.loops.Add(1)
 	go func() {
-		defer n.wg.Done()
+		defer n.loops.Done()
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -359,6 +363,18 @@ func (n *Node) ownerOf(key string) (owner string, ok bool) {
 	return n.ring.owner(key), true
 }
 
+// livePeers is the current ring's other members that this node's probes
+// find alive, sorted.
+func (n *Node) livePeers() []string {
+	var out []string
+	for _, name := range n.ringNodeList() {
+		if name != n.cfg.Self && n.members.alive(name) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // ringNodeList returns the current ring's sorted member names (nil when no
 // ring exists).
 func (n *Node) ringNodeList() []string {
@@ -411,16 +427,6 @@ func (n *Node) Epoch() int64 {
 	return n.members.epoch()
 }
 
-// ViewDigest reports the membership view's convergence digest ("" for
-// single-node mode). Two nodes agree on the cluster's shape exactly when
-// their digests match.
-func (n *Node) ViewDigest() string {
-	if n.members == nil {
-		return ""
-	}
-	return n.members.digest()
-}
-
 // View returns a deep copy of the membership view (zero View for
 // single-node mode).
 func (n *Node) View() View {
@@ -430,19 +436,16 @@ func (n *Node) View() View {
 	return n.members.viewClone()
 }
 
-// Close drains the background loops, flushes any unshipped journal records,
-// and closes the inner service.
+// Close stops the background loops, lets the inner service drain its queue
+// (its workers may still offer what they compute), waits for every goroutine
+// the node started, flushes any unshipped journal records, and closes.
 func (n *Node) Close(ctx context.Context) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.shut() {
 		return nil
 	}
-	n.closed = true
-	n.mu.Unlock()
-	close(n.stop)
-	n.wg.Wait()
+	n.loops.Wait()
 	err := n.svc.Close(ctx)
+	n.quiesce()
 	if n.shipper != nil {
 		n.ShipFlush(ctx) // last records (final finishes) ship after drain
 	}
@@ -455,47 +458,73 @@ func (n *Node) Close(ctx context.Context) error {
 }
 
 // Kill simulates a crash: background loops stop, nothing flushes, the inner
-// service dies mid-flight. The chaos harness's node-kill injection.
+// service dies mid-flight. The chaos harness's node-kill injection. It too
+// returns only after every goroutine the node started has.
 func (n *Node) Kill() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.shut() {
 		return
 	}
-	n.closed = true
-	n.mu.Unlock()
-	close(n.stop)
 	n.svc.Kill()
-	n.wg.Wait()
+	n.loops.Wait()
+	n.quiesce()
 	if n.standby != nil {
 		n.standby.close()
 	}
 }
 
-// buildMux assembles the HTTP surface. Each route states its method, and a
-// node serves only the routes that apply to it: gossip, digest and join when
-// it is clustered, ship when it is a standby. So a wrong method is the mux's
-// 405 and a route the node does not serve its 404, both before any handler
-// reads the body, checks its sum or counts it as corruption.
+// shut marks the node closed and stops its loops; false if it already was.
+func (n *Node) shut() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return false
+	}
+	n.closed = true
+	close(n.stop)
+	return true
+}
+
+// leaving reports whether the node is draining or closed.
+func (n *Node) leaving() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.draining || n.closed
+}
+
+// spawn runs fn on a goroutine Close and Kill wait for. It reports false,
+// and runs nothing, once they have stopped taking tasks.
+func (n *Node) spawn(fn func()) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.quiet {
+		return false
+	}
+	n.tasks.Add(1)
+	go func() {
+		defer n.tasks.Done()
+		fn()
+	}()
+	return true
+}
+
+// quiesce stops spawn and waits for the tasks it started.
+func (n *Node) quiesce() {
+	n.mu.Lock()
+	n.quiet = true
+	n.mu.Unlock()
+	n.tasks.Wait()
+}
+
+// buildMux assembles the HTTP surface: the operator endpoints, then every
+// peer route this node serves (routes.go).
 func (n *Node) buildMux() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.HandleFunc("GET /readyz", n.handleReadyz)
-	mux.HandleFunc("GET /internal/v1/result", n.handleResult)
-	mux.HandleFunc("POST /internal/v1/offer", n.handleOffer)
-	mux.HandleFunc("POST /internal/v1/steal", n.handleSteal)
-	mux.HandleFunc("POST /internal/v1/complete", n.handleComplete)
-	mux.HandleFunc("POST /internal/v1/handoff", n.handleHandoff)
-	mux.HandleFunc("POST /internal/v1/handoff-journal", n.handleHandoffJournal)
 	mux.HandleFunc("POST /v1/cluster/drain", n.handleDrainRequest)
 	mux.HandleFunc("GET /v1/cluster/stats", n.handleClusterStats)
-	if n.members != nil {
-		mux.HandleFunc("POST /internal/v1/gossip", n.handleGossip)
-		mux.HandleFunc("GET /internal/v1/digest", n.handleDigest)
-		mux.HandleFunc("POST /internal/v1/join", n.handleJoin)
-	}
-	if n.standby != nil {
-		mux.HandleFunc("POST /internal/v1/ship", n.handleShip)
+	for _, r := range routes {
+		r.register(n, mux)
 	}
 	n.mux = mux
 }
@@ -517,8 +546,7 @@ func (n *Node) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	if n.members != nil {
 		st.View = n.members.viewClone()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleHealthz is liveness: 200 whenever the process can answer, with the
@@ -531,8 +559,7 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: n.svc.QueueDepth(),
 		Ready:      n.svc.Ready() == nil,
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleReadyz is readiness: 200 only when the inner service can do real
@@ -543,154 +570,22 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the node while operators read why.
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if n.members != nil && n.members.selfState() == StateJoining {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{"status": "unready", "reason": "joining: not yet admitted to the ring"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unready", "reason": "joining: not yet admitted to the ring"})
 		return
 	}
 	if err := n.svc.Ready(); err != nil {
-		w.Header().Set("Content-Type", "application/json")
 		if ra := service.RetryAfter(err); ra > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(ra))
 		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{"status": "unready", "reason": err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unready", "reason": err.Error()})
 		return
 	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+}
+
+// writeJSON answers an operator endpoint.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
-}
-
-// handleResult serves a peer's cache-fill request: the cached result (with
-// schedule) for ?key=, or 404.
-func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
-	res, ok := n.svc.ResultByKey(key)
-	if !ok {
-		http.Error(w, "miss", http.StatusNotFound)
-		return
-	}
-	n.ctr.FillsServed.Add(1)
-	reply(w, http.StatusOK, res)
-}
-
-// offerMsg is the body of /internal/v1/offer: the computed result plus,
-// when the offering node knows it, the originating request — which makes the
-// installed entry recheckable by the owner's anti-entropy repair loop.
-type offerMsg struct {
-	Res *service.Result
-	Req *service.Request
-}
-
-func (m *offerMsg) AppendBinary(b []byte) []byte {
-	return appendOptional(appendOptional(b, m.Res), m.Req)
-}
-
-func (m *offerMsg) DecodeBinary(r *bin.Reader) {
-	m.Res, m.Req = decodeOptional[service.Result](r), decodeOptional[service.Request](r)
-}
-
-// handleOffer installs a peer-computed result into the local cache. A
-// divergence (offer conflicting with a cached entry) is 409 — the offering
-// peer logs it; both sides count it.
-func (n *Node) handleOffer(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
-	var msg offerMsg
-	if !n.accept(w, r, &msg) {
-		return
-	}
-	if msg.Res == nil {
-		http.Error(w, "bad offer body: no result", http.StatusBadRequest)
-		return
-	}
-	if err := n.svc.OfferResult(key, msg.Res, msg.Req); err != nil {
-		if errors.Is(err, diag.ErrDivergence) {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	reply(w, http.StatusNoContent, nil)
-}
-
-// handleSteal lends up to ?max= queued jobs to the calling peer.
-func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	max := n.cfg.StealBatch
-	if v := r.URL.Query().Get("max"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			max = parsed
-		}
-	}
-	jobs := stolenJobs(n.svc.StealQueued(max))
-	reply(w, http.StatusOK, &jobs)
-}
-
-// completeMsg is the body of /internal/v1/complete: a stolen job's outcome.
-// A nil Result is an abort — the stealer could not execute the job and hands
-// it back.
-type completeMsg struct {
-	ID     string
-	Result *service.Result
-}
-
-func (m *completeMsg) AppendBinary(b []byte) []byte {
-	return appendOptional(bin.AppendString(b, m.ID), m.Result)
-}
-
-func (m *completeMsg) DecodeBinary(r *bin.Reader) {
-	m.ID, m.Result = r.String(), decodeOptional[service.Result](r)
-}
-
-// handleComplete installs a stolen job's remotely computed result (or abort).
-// A corrupt completion is rejected: the job stays lent and the reclaim timer
-// re-enqueues it locally — delayed, never wrong.
-func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var msg completeMsg
-	if !n.accept(w, r, &msg) {
-		return
-	}
-	if msg.ID == "" {
-		http.Error(w, "bad completion body: no job id", http.StatusBadRequest)
-		return
-	}
-	n.svc.CompleteStolen(msg.ID, msg.Result)
-	reply(w, http.StatusNoContent, nil)
-}
-
-// handleShip receives a journal-shipping batch (standby side).
-func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
-	var batch shipBatch
-	if !n.accept(w, r, &batch) {
-		return
-	}
-	if err := n.standby.apply(&batch); err != nil {
-		if errors.Is(err, diag.ErrCorruption) {
-			// The batch's lines do not match its checksum. The batch is
-			// discarded unapplied; 409 makes the shipper open a fresh epoch
-			// with a snapshot, which supersedes the lost lines — corruption
-			// repair rides the existing resync path.
-			n.ctr.ShipCorrupt.Add(1)
-			n.reportPeerCorruption("", err)
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		if errors.Is(err, errShipGap) {
-			// The stream has a hole (standby restarted, batch lost to a
-			// partition). 409 tells the shipper to resync with a snapshot.
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	reply(w, http.StatusNoContent, nil)
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
 }

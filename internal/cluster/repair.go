@@ -67,10 +67,16 @@ func (n *Node) ownedScan(owner string) []repairKey {
 	return out
 }
 
-// bucketDigests computes the round-1 summary for owner from the local cache.
-func (n *Node) bucketDigests(owner string) bucketSummary {
+// digestMsg is repair round 1: the bucketed summary of the entries the
+// receiver holds that Owner owns.
+type digestMsg struct {
+	Owner string `json:"owner"`
+}
+
+// serveDigest computes the round-1 summary for Owner from the local cache.
+func (n *Node) serveDigest(_ context.Context, m *digestMsg) (*bucketSummary, error) {
 	var lines [repairBuckets][]string
-	for _, rk := range n.ownedScan(owner) {
+	for _, rk := range n.ownedScan(m.Owner) {
 		b := bucketOf(rk.Key)
 		lines[b] = append(lines[b], rk.Key+" "+rk.Hash)
 	}
@@ -85,18 +91,27 @@ func (n *Node) bucketDigests(owner string) bucketSummary {
 		sum.Digests[b] = fmt.Sprintf("%016x", h.Sum64())
 		sum.Counts[b] = len(lines[b])
 	}
-	return sum
+	return &sum, nil
 }
 
-// bucketKeys computes one bucket's (key, hash) list for owner (round 2).
-func (n *Node) bucketKeys(owner string, bucket int) []repairKey {
-	out := []repairKey{}
-	for _, rk := range n.ownedScan(owner) {
-		if bucketOf(rk.Key) == bucket {
-			out = append(out, rk)
+// bucketMsg is repair round 2: the (key, hash) pairs of one bucket of them.
+type bucketMsg struct {
+	Owner  string `json:"owner"`
+	Bucket int    `json:"bucket"`
+}
+
+// serveBucket computes one bucket's (key, hash) list for Owner.
+func (n *Node) serveBucket(_ context.Context, m *bucketMsg) (*[]repairKey, error) {
+	if m.Bucket < 0 || m.Bucket >= repairBuckets {
+		return nil, refuse(http.StatusBadRequest, "bad bucket %d", m.Bucket)
+	}
+	keys := []repairKey{}
+	for _, rk := range n.ownedScan(m.Owner) {
+		if bucketOf(rk.Key) == m.Bucket {
+			keys = append(keys, rk)
 		}
 	}
-	return out
+	return &keys, nil
 }
 
 // RepairOnce runs one anti-entropy round against the next ring peer in
@@ -108,12 +123,7 @@ func (n *Node) RepairOnce(ctx context.Context) int {
 	if n.members == nil {
 		return 0
 	}
-	var peers []string
-	for _, name := range n.ringNodeList() {
-		if name != n.cfg.Self && n.members.alive(name) {
-			peers = append(peers, name)
-		}
-	}
+	peers := n.livePeers()
 	if len(peers) == 0 {
 		return 0
 	}
@@ -123,11 +133,11 @@ func (n *Node) RepairOnce(ctx context.Context) int {
 	n.gmu.Unlock()
 	n.ctr.RepairRounds.Add(1)
 
-	theirs, err := n.fetchBucketDigests(ctx, peer)
+	theirs, err := digestRoute.call(ctx, n, peer, &digestMsg{Owner: n.cfg.Self})
 	if err != nil {
 		return 0
 	}
-	ours := n.bucketDigests(n.cfg.Self)
+	ours, _ := n.serveDigest(ctx, &digestMsg{Owner: n.cfg.Self})
 	repaired, budget := 0, repairMax
 	for b := 0; b < repairBuckets && budget > 0; b++ {
 		if theirs.Digests[b] == ours.Digests[b] {
@@ -136,11 +146,11 @@ func (n *Node) RepairOnce(ctx context.Context) int {
 		if theirs.Counts[b] == 0 {
 			continue // they hold nothing of ours in this bucket; nothing to pull or compare
 		}
-		keys, err := n.fetchBucketKeys(ctx, peer, b)
+		keys, err := bucketRoute.call(ctx, n, peer, &bucketMsg{Owner: n.cfg.Self, Bucket: b})
 		if err != nil {
 			continue
 		}
-		for _, rk := range keys {
+		for _, rk := range *keys {
 			if budget <= 0 {
 				break
 			}
@@ -166,8 +176,8 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 		// Missing here: pull the peer's entry through the checksummed fetch
 		// path and install it through the policed offer path (hash-verified;
 		// a conflicting concurrent entry surfaces as a divergence).
-		res, err := n.fetchResult(ctx, peer, rk.Key)
-		if err != nil || res == nil {
+		res, err := fillRoute.call(ctx, n, peer, &fillMsg{Key: rk.Key})
+		if err != nil {
 			return false, err
 		}
 		if err := n.svc.OfferResult(rk.Key, res, nil); err != nil {
@@ -192,21 +202,6 @@ func (n *Node) reconcileKey(ctx context.Context, peer string, rk repairKey) (boo
 	n.reportPeerCorruption(peer, fmt.Errorf("cluster: repair %s: peer %s holds schedule hash %s, deterministic recompute holds %s",
 		rk.Key[:12], peer, rk.Hash, held.ScheduleHash))
 	return true, nil
-}
-
-// fetchBucketDigests runs repair round 1 against peer.
-func (n *Node) fetchBucketDigests(ctx context.Context, peer string) (*bucketSummary, error) {
-	var sum bucketSummary
-	_, err := n.call(ctx, http.MethodGet, peer, "/internal/v1/digest?owner="+n.cfg.Self, nil, &sum)
-	return &sum, err
-}
-
-// fetchBucketKeys runs repair round 2 against peer.
-func (n *Node) fetchBucketKeys(ctx context.Context, peer string, bucket int) ([]repairKey, error) {
-	var keys []repairKey
-	path := fmt.Sprintf("/internal/v1/digest?owner=%s&bucket=%d", n.cfg.Self, bucket)
-	_, err := n.call(ctx, http.MethodGet, peer, path, nil, &keys)
-	return keys, err
 }
 
 // RebalanceOnce pushes the pending key-movement diff (computed by syncRing

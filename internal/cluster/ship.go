@@ -33,7 +33,7 @@ import (
 // self-healing from any interleaving of failures, with bounded memory on
 // both sides.
 
-// shipBatch is one /internal/v1/ship POST body.
+// shipBatch is one ship request.
 type shipBatch struct {
 	From     string   `json:"from"`
 	Epoch    int64    `json:"epoch"`
@@ -102,8 +102,9 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 		return 0, nil
 	}
 
-	if err := sh.post(ctx, &batch); err != nil {
-		if errors.Is(err, errShipGap) {
+	batch.Sum = sumLines(batch.Lines)
+	if _, err := shipRoute.call(ctx, sh.node, sh.standby, &batch); err != nil {
+		if statusOf(err) == http.StatusConflict { // a gap or damaged lines: resync
 			sh.mu.Lock()
 			sh.resync = true
 			sh.mu.Unlock()
@@ -127,16 +128,6 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 	return len(batch.Lines), nil
 }
 
-// post sends one batch; a 409 maps to errShipGap.
-func (sh *shipper) post(ctx context.Context, batch *shipBatch) error {
-	batch.Sum = sumLines(batch.Lines)
-	status, err := sh.node.call(ctx, http.MethodPost, sh.standby, "/internal/v1/ship", batch, nil)
-	if status == http.StatusConflict {
-		return fmt.Errorf("ship %s: %w", sh.standby, errShipGap)
-	}
-	return err
-}
-
 // ShipFlush pushes one pending journal batch to the standby (loop body of
 // the background flusher; direct entry point for deterministic tests and the
 // final flush in Close).
@@ -154,6 +145,22 @@ func (n *Node) ShipFlush(ctx context.Context) (int, error) {
 		n.ctr.ShipLines.Add(int64(sent))
 	}
 	return sent, nil
+}
+
+// serveShip receives a journal-shipping batch (standby side). A hole in the
+// stream, or lines that do not match the batch's sum, is 409: the shipper
+// opens a fresh epoch with a snapshot, which supersedes the lost or damaged
+// lines — corruption repair rides the existing resync path.
+func (n *Node) serveShip(_ context.Context, batch *shipBatch) (*none, error) {
+	err := n.standby.apply(batch)
+	if errors.Is(err, diag.ErrCorruption) {
+		n.ctr.ShipCorrupt.Add(1)
+		n.reportPeerCorruption("", err)
+	}
+	if errors.Is(err, diag.ErrCorruption) || errors.Is(err, errShipGap) {
+		return nil, refuse(http.StatusConflict, "%w", err)
+	}
+	return nil, err
 }
 
 // errShipGap marks a hole in the shipping stream the standby cannot accept.

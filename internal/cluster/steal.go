@@ -4,8 +4,8 @@ import (
 	"context"
 	"net/http"
 	"sort"
-	"strconv"
 
+	"repro/internal/bin"
 	"repro/internal/service"
 )
 
@@ -42,46 +42,71 @@ func (n *Node) StealOnce(ctx context.Context) int {
 	if victim == "" {
 		return 0
 	}
-	jobs, err := n.stealFrom(ctx, victim, n.cfg.StealBatch)
-	if err != nil || len(jobs) == 0 {
+	// The reply carries program text, so it is verified like any result: a
+	// damaged reply is dropped whole (the jobs stay lent and the victim's
+	// reclaim timer re-enqueues them).
+	jobs, err := stealRoute.call(ctx, n, victim, &stealMsg{Max: n.cfg.StealBatch})
+	if err != nil || len(*jobs) == 0 {
 		return 0
 	}
-	n.ctr.StealsDone.Add(int64(len(jobs)))
-	for _, sj := range jobs {
+	n.ctr.StealsDone.Add(int64(len(*jobs)))
+	for _, sj := range *jobs {
 		n.runStolen(ctx, victim, sj)
 	}
-	return len(jobs)
+	return len(*jobs)
 }
 
-// stealFrom asks victim for up to max queued jobs. The reply carries program
-// text, so it is verified like any result: a damaged reply is dropped whole
-// (the jobs stay lent and the victim's reclaim timer re-enqueues them).
-func (n *Node) stealFrom(ctx context.Context, victim string, max int) ([]service.StolenJob, error) {
-	var jobs stolenJobs
-	_, err := n.call(ctx, http.MethodPost, victim, "/internal/v1/steal?max="+strconv.Itoa(max), nil, &jobs)
-	return jobs, err
+// stealMsg is the steal request: lend the caller up to Max queued jobs.
+type stealMsg struct {
+	Max int `json:"max"`
+}
+
+// serveSteal lends up to Max queued jobs to the calling peer.
+func (n *Node) serveSteal(_ context.Context, m *stealMsg) (*stolenJobs, error) {
+	jobs := stolenJobs(n.svc.StealQueued(m.Max))
+	return &jobs, nil
 }
 
 // runStolen executes one borrowed job and reports the outcome to its origin.
 // Execution failures become aborts: the origin re-runs the job locally and
 // produces its own typed report, so a deterministic failure is diagnosed by
-// the node that owns the job, with no error marshalling across the wire.
+// the node that owns the job, with no error marshalling across the wire. A
+// delivery failure is tolerable: the origin's reclaim timer re-enqueues the
+// job, and our wasted execution is just that — wasted, not wrong.
 func (n *Node) runStolen(ctx context.Context, origin string, sj service.StolenJob) {
 	res, err := n.svc.ExecuteDetached(ctx, sj.Req)
 	if err != nil {
 		res = nil
 	}
-	n.postComplete(ctx, origin, sj.ID, res)
-}
-
-// postComplete sends a stolen job's result (nil = abort) back to origin. A
-// delivery failure is tolerable: the origin's reclaim timer re-enqueues the
-// job, and our wasted execution is just that — wasted, not wrong.
-func (n *Node) postComplete(ctx context.Context, origin, id string, res *service.Result) {
-	_, err := n.call(ctx, http.MethodPost, origin, "/internal/v1/complete", &completeMsg{ID: id, Result: res}, nil)
-	if err != nil {
+	if _, err := completeRoute.call(ctx, n, origin, &completeMsg{ID: sj.ID, Result: res}); err != nil {
 		n.ctr.CompleteFails.Add(1)
 	} else if res != nil {
 		n.ctr.CompletesSent.Add(1)
 	}
+}
+
+// completeMsg is a stolen job's outcome. A nil Result is an abort — the
+// stealer could not execute the job and hands it back.
+type completeMsg struct {
+	ID     string
+	Result *service.Result
+}
+
+func (m *completeMsg) AppendBinary(b []byte) []byte {
+	return appendOptional(bin.AppendString(b, m.ID), m.Result)
+}
+
+func (m *completeMsg) DecodeBinary(r *bin.Reader) {
+	m.ID, m.Result = r.String(), decodeOptional[service.Result](r)
+}
+
+// serveComplete installs a stolen job's remotely computed result (or abort).
+// A corrupt completion is refused: the job stays lent and the reclaim timer
+// re-enqueues it locally — delayed, never wrong.
+func (n *Node) serveComplete(_ context.Context, m *completeMsg) (*none, error) {
+	if m.ID == "" {
+		return nil, refuse(http.StatusBadRequest, "bad completion: no job id")
+	}
+	n.svc.CompleteStolen(m.ID, m.Result)
+	return nil, nil
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -19,26 +17,25 @@ import (
 	"repro/internal/service"
 )
 
-// The peer wire format. Every /internal/v1 exchange travels with the CRC32C
-// of its bytes in the X-Detserve-Sum header, in both directions, and goes
-// through exactly two functions: call on the sending side, accept (with
-// reply) on the receiving side. TCP's checksum is famously weak and
-// proxies/caches can mangle bodies wholesale, so each receiver verifies
-// before decoding, and the header is mandatory: determinism makes every copy
-// replaceable (recomputed, resynced, or refetched), so there is never a
-// reason to decode bytes that cannot be verified. A missing, malformed or
+// The peer wire format. Every route (routes.go) travels with the CRC32C of
+// its bytes in the X-Detserve-Sum header, in both directions. TCP's checksum
+// is famously weak and proxies/caches can mangle bodies wholesale, so each
+// receiver verifies before decoding, and the header is mandatory:
+// determinism makes every copy replaceable (recomputed, resynced, or
+// refetched), so there is never a reason to decode bytes that cannot be
+// verified — or to act on a parameter outside them. A missing, malformed or
 // mismatched checksum is a typed *diag.CorruptionError; the payload is
 // discarded, the event counted, the service breaker fed, and — when the
 // damaged bytes were a peer's reply — that peer quarantined until it proves
 // healthy again.
 //
-// Each message has exactly one encoding, chosen by its Go type. The five
-// made of results, requests and schedules — fill reply, offer, steal reply,
-// complete, handoff: what every fill and every miss pays for — implement
-// frameMsg and travel as a binary frame: the version byte, then the
-// message's fields in internal/bin's primitives (DESIGN §11 tabulates the
-// layout). The five control-plane messages (gossip, join, digest, ship,
-// handoff-journal) are JSON: no budgeted metric names them.
+// Each message has exactly one encoding, chosen by its Go type. The ones
+// made of keys, results, requests and schedules — fill request and reply,
+// offer, steal reply, complete, handoff: what every fill and every miss pays
+// for — implement frameMsg and travel as a binary frame: the version byte,
+// then the message's fields in internal/bin's primitives (DESIGN §11
+// tabulates the layout). The control-plane messages are JSON: no budgeted
+// metric names them.
 
 // frameMsg is implemented by the messages that travel as a binary frame.
 type frameMsg interface {
@@ -49,7 +46,7 @@ type frameMsg interface {
 const (
 	// frameVersion opens every binary frame. A receiver that does not know
 	// the byte refuses the frame: 400 for a request, a miss for a reply.
-	frameVersion = 1
+	frameVersion = 2
 	frameType    = "application/x-detserve-frame"
 
 	// maxWireBody caps the body either side reads, request or reply, before
@@ -61,16 +58,21 @@ const (
 	maxWireBody = 256 << 20
 )
 
-// encode renders v (nil for no body) in its one encoding.
-func encode(v any) (body []byte, contentType string, err error) {
+// The Content-Type header values, shared by every message: header values
+// are replaced, never written in place.
+var (
+	frameTypeHeader = []string{frameType}
+	jsonTypeHeader  = []string{"application/json"}
+)
+
+// encode renders v in its one encoding.
+func encode(v any) (body []byte, contentType []string, err error) {
 	switch m := v.(type) {
-	case nil:
-		return nil, "", nil
 	case frameMsg:
-		return m.AppendBinary(append(make([]byte, 0, 256), frameVersion)), frameType, nil
+		return m.AppendBinary(append(make([]byte, 0, 256), frameVersion)), frameTypeHeader, nil
 	default:
 		body, err = json.Marshal(v)
-		return body, "application/json", err
+		return body, jsonTypeHeader, err
 	}
 }
 
@@ -92,16 +94,34 @@ func decode(body []byte, out any) error {
 
 // readBody reads a body of at most limit bytes. A longer one is a
 // *http.MaxBytesError: unread when its declared length (-1 for unknown)
-// already says so, otherwise buffered no further than the limit.
+// already says so, otherwise read no further than one byte past the limit.
+// The buffer starts at the declared length plus that byte (at most 64 kB:
+// the declaration is unverified), so a body whose length is known is read
+// into one allocation.
 func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	body, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err == nil && int64(len(body)) > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared+1, 64<<10)
 	}
-	return body, err
+	body := make([]byte, 0, size)
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := r.Read(body[len(body):min(int64(cap(body)), limit+1)])
+		body = body[:len(body)+n]
+		switch {
+		case int64(len(body)) > limit:
+			return nil, &http.MaxBytesError{Limit: limit}
+		case err == io.EOF:
+			return body, nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 // framePtr is a *T that is a frameMsg. appendOptional and decodeOptional carry
@@ -127,7 +147,7 @@ func decodeOptional[T any, P framePtr[T]](r *bin.Reader) P {
 	return part
 }
 
-// stolenJobs is the encoding shared by the steal reply and the handoff.
+// stolenJobs is the steal reply.
 type stolenJobs []service.StolenJob
 
 func (js stolenJobs) AppendBinary(b []byte) []byte {
@@ -163,20 +183,23 @@ func setSum(h http.Header, body []byte) {
 }
 
 // verifySum checks body against the checksum header. A missing, malformed or
-// mismatched header is a *diag.CorruptionError.
-func verifySum(h http.Header, body []byte, source string) error {
+// mismatched header is a *diag.CorruptionError whose source is the parts
+// joined (they are joined only then).
+func verifySum(h http.Header, body []byte, source ...string) error {
 	declared := h.Get(sumHeader)
-	if declared == "" {
-		return &diag.CorruptionError{Source: source, Detail: "no " + sumHeader + " header"}
-	}
 	want, err := strconv.ParseUint(declared, 16, 32)
-	if err != nil || len(declared) != 8 {
-		return &diag.CorruptionError{Source: source, Detail: fmt.Sprintf("malformed %s header %q", sumHeader, declared)}
+	var detail string
+	switch got := bodySum(body); {
+	case declared == "":
+		detail = "no " + sumHeader + " header"
+	case err != nil || len(declared) != 8:
+		detail = fmt.Sprintf("malformed %s header %q", sumHeader, declared)
+	case got != uint32(want):
+		detail = fmt.Sprintf("body checksum mismatch (declared %08x, computed %08x over %d bytes)", want, got, len(body))
+	default:
+		return nil
 	}
-	if got := bodySum(body); got != uint32(want) {
-		return &diag.CorruptionError{Source: source, Detail: fmt.Sprintf("body checksum mismatch (declared %08x, computed %08x over %d bytes)", want, got, len(body))}
-	}
-	return nil
+	return &diag.CorruptionError{Source: strings.Join(source, ""), Detail: detail}
 }
 
 // sumLines is the batch checksum journal shipping and journal handoff carry
@@ -203,94 +226,24 @@ func (n *Node) reportPeerCorruption(peer string, err error) {
 	n.svc.ReportCorruption(err)
 }
 
-// call runs one peer exchange under Config.FillTimeout.
-func (n *Node) call(ctx context.Context, method, peer, path string, in, out any) (int, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FillTimeout)
-	defer cancel()
-	return n.exchange(ctx, method, peer, path, in, out)
-}
-
-// exchange runs one peer exchange under ctx, which carries the deadline: in
-// (nil for none) is encoded, stamped and sent to peer; a 2xx reply is read,
-// verified and decoded into out (nil to discard). The status is returned
-// whenever a reply arrived, so callers map the statuses that mean something
-// to them (404 miss, 409 gap or divergence); err is nil only for a verified,
-// decoded 2xx. A reply that fails verification is reported against peer
-// before returning; one past maxWireBody is a *http.MaxBytesError.
-func (n *Node) exchange(ctx context.Context, method, peer, path string, in, out any) (int, error) {
-	body, contentType, err := encode(in)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	setSum(req.Header, body)
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := readBody(resp.Body, resp.ContentLength, maxWireBody)
-	if err != nil {
-		return resp.StatusCode, fmt.Errorf("%s%s: %w", peer, path, err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return resp.StatusCode, fmt.Errorf("%s%s: status %d: %s", peer, path, resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
-	if err := verifySum(resp.Header, raw, "reply from "+peer+path); err != nil {
-		n.reportPeerCorruption(peer, err)
-		return resp.StatusCode, err
-	}
-	if out != nil {
-		if err := decode(raw, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("%s%s: %w", peer, path, err)
-		}
-	}
-	return resp.StatusCode, nil
-}
-
 // accept reads one peer request body, verifies it and decodes it into out.
-// When it returns false the refusal is already written: 413 for a body past
-// maxWireBody, 422 for one that fails verification (counted and reported),
-// 400 for one that does not decode.
-func (n *Node) accept(w http.ResponseWriter, r *http.Request, out any) bool {
+// Its error carries the refusal's status: 413 for a body past maxWireBody,
+// 422 for one that fails verification (counted and reported), 400 for one
+// that does not decode.
+func (n *Node) accept(r *http.Request, out any) error {
 	body, err := readBody(r.Body, r.ContentLength, maxWireBody)
 	if err != nil {
-		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
+			return refuse(http.StatusRequestEntityTooLarge, "bad body: %w", err)
 		}
-		http.Error(w, "bad body: "+err.Error(), status)
-		return false
+		return refuse(http.StatusBadRequest, "bad body: %w", err)
 	}
-	if err := verifySum(r.Header, body, "request "+r.URL.Path); err != nil {
+	if err := verifySum(r.Header, body, "request ", r.URL.Path); err != nil {
 		n.reportPeerCorruption("", err)
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return false
+		return refuse(http.StatusUnprocessableEntity, "%w", err)
 	}
 	if err := decode(body, out); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
-		return false
+		return refuse(http.StatusBadRequest, "bad body: %w", err)
 	}
-	return true
-}
-
-// reply writes one stamped peer response: v encoded, or no body for nil.
-func reply(w http.ResponseWriter, status int, v any) {
-	body, contentType, err := encode(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if contentType != "" {
-		w.Header().Set("Content-Type", contentType)
-	}
-	setSum(w.Header(), body)
-	w.WriteHeader(status)
-	w.Write(body)
+	return nil
 }

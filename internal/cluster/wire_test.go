@@ -71,12 +71,12 @@ func variants(src string, n int) []service.Request {
 }
 
 // TestStripSumsRejectsEveryMessage: a link that drops X-Detserve-Sum (a
-// header-rewriting proxy) must make every one of the ten peer messages fail
-// closed. Per message: the side that would have decoded the bytes refuses
-// them and counts it (corrupt_payloads on the node, corruption_events on its
-// service), nothing the message carried is installed or served, and the work
-// it was about still completes — by local recompute, reclaim, or a retry
-// once the link is honest again.
+// header-rewriting proxy) must make every route in the table fail closed.
+// Per route: the receiver refuses the request and counts it
+// (corrupt_payloads on the node, corruption_events on its service), nothing
+// the message carried is installed or served, and the work it was about
+// still completes — by local recompute, reclaim, or a retry once the link is
+// honest again.
 func TestStripSumsRejectsEveryMessage(t *testing.T) {
 	ctx := context.Background()
 	peers := []string{"node-a", "node-b"}
@@ -85,13 +85,15 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 		c.Service.StealReclaim = 50 * time.Millisecond
 	}
 
-	// Each case runs its exchange between a fresh node-a and node-b whose
-	// link strips checksums, and returns the node that had to refuse.
-	cases := []struct {
+	// Each case, keyed by its route's path, runs its exchange between a fresh
+	// node-a and node-b whose link strips checksums, and returns the node that
+	// had to refuse.
+	type stripCase struct {
 		name string
 		run  func(t *testing.T, net *LoopNet, dir string) (refuser *Node, cleanup func())
-	}{
-		{"fill", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+	}
+	cases := map[string]stripCase{
+		fillRoute.path: {"fill", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
 			req, _ := keyOwnedBy(t, a, srcOf(t, "ocean"), false)
 			want := waitResult(t, b.Service(), mustSubmit(t, b, req))
@@ -100,12 +102,12 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			if got.PeerFilled || coreOf(got) != coreOf(want) {
 				t.Fatalf("fill through a stripping link: peer_filled=%v core %s, want local recompute of %s", got.PeerFilled, coreOf(got), coreOf(want))
 			}
-			if !a.Peers()["node-b"].Quarantined {
-				t.Fatal("the owner whose reply could not be verified was not quarantined")
+			if st := b.Stats(); st.FillsServed != 0 {
+				t.Fatalf("owner served a fill it could not verify: %+v", st)
 			}
-			return a, func() { a.Close(ctx); b.Close(ctx) }
+			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"offer", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		offerRoute.path: {"offer", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
 			net.StripSums("node-a", "node-b")
 			req, key := keyOwnedBy(t, a, srcOf(t, "ocean"), false)
@@ -121,40 +123,37 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			}
 			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"steal", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		stealRoute.path: {"steal", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, oneWorker)
 			reqs := variants(srcOf(t, "volrend"), 3)
 			ids := backlog(t, b, reqs)
 			net.StripSums("node-a", "node-b")
-			if jobs, err := a.stealFrom(ctx, "node-b", 2); !errors.Is(err, diag.ErrCorruption) {
-				t.Fatalf("stealFrom = %d jobs, err %v; want ErrCorruption", len(jobs), err)
+			if jobs, err := stealRoute.call(ctx, a, "node-b", &stealMsg{Max: 2}); statusOf(err) != http.StatusUnprocessableEntity {
+				t.Fatalf("steal = %v, err %v; want 422", jobs, err)
 			}
-			if b.Service().Snapshot().JobsStolen != 2 {
-				t.Fatal("test staging broke: the victim lent nothing")
+			if b.Service().Snapshot().JobsStolen != 0 {
+				t.Fatal("the victim lent jobs to a request it could not verify")
 			}
 			wantLocal(t, b, ids, reqs)
-			if b.Service().Snapshot().StealReclaims != 2 {
-				t.Fatalf("lent jobs were not reclaimed: %+v", b.Service().Snapshot())
-			}
-			return a, func() { a.Close(ctx); b.Close(ctx) }
+			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"complete", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		completeRoute.path: {"complete", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, oneWorker)
 			reqs := variants(srcOf(t, "volrend"), 2)
 			ids := backlog(t, b, reqs)
-			jobs, err := a.stealFrom(ctx, "node-b", 1)
-			if err != nil || len(jobs) != 1 {
-				t.Fatalf("honest steal: %d jobs, err %v", len(jobs), err)
+			jobs, err := stealRoute.call(ctx, a, "node-b", &stealMsg{Max: 1})
+			if err != nil || len(*jobs) != 1 {
+				t.Fatalf("honest steal: %v, err %v", jobs, err)
 			}
 			net.StripSums("node-a", "node-b")
-			a.runStolen(ctx, "node-b", jobs[0])
+			a.runStolen(ctx, "node-b", (*jobs)[0])
 			if st := a.Stats(); st.CompleteFails != 1 || st.CompletesSent != 0 {
 				t.Fatalf("stripped completion counted as sent: %+v", st)
 			}
 			wantLocal(t, b, ids, reqs)
 			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"ship", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		shipRoute.path: {"ship", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			shipPath := filepath.Join(dir, "shipped.journal")
 			b := tnode(t, net, "node-b", nil, func(c *Config) { c.ShipPath = shipPath })
 			a := tnode(t, net, "node-a", nil, func(c *Config) {
@@ -185,7 +184,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			}
 			return b, func() { a.Close(ctx); svc.Close(ctx) }
 		}},
-		{"gossip", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		gossipRoute.path: {"gossip", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
 			net.StripSums("node-a", "node-b")
 			a.members.bumpSelf(StateDraining) // news worth spreading
@@ -202,7 +201,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			}
 			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"join", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		joinRoute.path: {"join", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a := dnode(t, net, "node-a", []string{}, nil)
 			b := dnode(t, net, "node-b", []string{"node-a"}, nil)
 			net.StripSums("node-a", "node-b")
@@ -213,12 +212,12 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 				t.Fatalf("unverified join announcement merged (seed knows joiner: %v)", known)
 			}
 			net.HealAll()
-			if err := b.Join(ctx); err != nil || a.ViewDigest() != b.ViewDigest() {
+			if err := b.Join(ctx); err != nil || a.View().Digest() != b.View().Digest() {
 				t.Fatalf("Join after heal: %v", err)
 			}
 			return a, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"handoff", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		handoffRoute.path: {"handoff", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, oneWorker), tnode(t, net, "node-b", peers, nil)
 			reqs, _ := reqsOwnedBy(t, a, srcOf(t, "volrend"), "node-b", 2)
 			ids := backlog(t, a, reqs)
@@ -232,7 +231,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			wantLocal(t, a, ids, reqs)
 			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"handoff-journal", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		journalRoute.path: {"handoff-journal", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a := tnode(t, net, "node-a", peers, func(c *Config) { c.Service.JournalPath = filepath.Join(dir, "a.journal") })
 			b := tnode(t, net, "node-b", peers, func(c *Config) { c.Service.JournalPath = filepath.Join(dir, "b.journal") })
 			waitResult(t, a.Service(), mustSubmit(t, a, service.Request{Source: srcOf(t, "ocean")}))
@@ -249,7 +248,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			}
 			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
-		{"digest", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+		digestRoute.path: {"digest", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
 			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
 			// b holds an entry a owns and never received: repair's job.
 			net.Partition("node-a", "node-b")
@@ -273,10 +272,22 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			if coreOf(got) != coreOf(want) {
 				t.Fatalf("owner recompute core %s, want %s", coreOf(got), coreOf(want))
 			}
-			return a, func() { a.Close(ctx); b.Close(ctx) }
+			return b, func() { a.Close(ctx); b.Close(ctx) }
+		}},
+		bucketRoute.path: {"bucket", func(t *testing.T, net *LoopNet, dir string) (*Node, func()) {
+			a, b := tnode(t, net, "node-a", peers, nil), tnode(t, net, "node-b", peers, nil)
+			net.StripSums("node-a", "node-b")
+			if keys, err := bucketRoute.call(ctx, a, "node-b", &bucketMsg{Owner: "node-a"}); statusOf(err) != http.StatusUnprocessableEntity {
+				t.Fatalf("bucket round = %v, err %v; want 422", keys, err)
+			}
+			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},
 	}
-	for _, tc := range cases {
+	for _, r := range table() {
+		tc, ok := cases[r.routePath()]
+		if !ok {
+			t.Fatalf("%s: no stripped-link case", r.routePath())
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			refuser, cleanup := tc.run(t, NewLoopNet(), t.TempDir())
 			defer cleanup()
@@ -343,49 +354,38 @@ func (d *replayDoer) Do(*http.Request) (*http.Response, error) {
 }
 
 // FuzzPeerMessage feeds arbitrary (checksum header, body) pairs through both
-// ends of the peer protocol, for all ten message types in both encodings
-// (five binary frames, five JSON): as a request into every handler (the
-// body-carrying ones all decode through accept), and as a reply into every
-// decoder call serves. The invariant is the protocol's one
-// rule — bytes are decoded only if the header is exactly their CRC32C — so a
-// pair that does not verify is always 422 / ErrCorruption, a pair that does
-// never is, and nothing panics either way.
+// ends of every route in the table, seeded with each route's request and
+// reply in their own encoding (routeSamples) and every truncation of each
+// frame: as a request into the route's handler, and as a reply into the
+// route's decoder. The invariant is the protocol's one rule — bytes are
+// decoded only if the header is exactly their CRC32C — so a pair that does
+// not verify is always 422 / ErrCorruption, a pair that does never is (but
+// for a journal handoff whose lines miss their own sum), and nothing panics
+// either way.
 //
 // Run with: go test -run '^$' -fuzz FuzzPeerMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/cluster/
 func FuzzPeerMessage(f *testing.F) {
-	res := &service.Result{ScheduleHash: "00ff", ScheduleLen: 1}
-	req := &service.Request{Source: "module m"}
-	view := staticView([]string{"node-a", "node-b"})
-	line := [][]byte{[]byte("#c1 00000000 2 {}\n")}
-	jobs := stolenJobs{{ID: "job-1", Req: *req}}
-	for _, msg := range []any{
-		res,                                    // fill reply
-		&offerMsg{Res: res, Req: req},          // offer
-		&jobs,                                  // steal reply
-		&completeMsg{ID: "job-1", Result: res}, // complete
-		&handoffMsg{Origin: "node-b", Jobs: jobs},                                             // handoff
-		shipBatch{From: "node-b", Epoch: 1, Snapshot: true, Lines: line, Sum: sumLines(line)}, // ship
-		gossipMsg{From: "node-b", View: view},                                                 // gossip, join
-		view,                                                                                  // gossip reply
-		joinReply{View: view, Snapshot: line},                                                 // join reply
-		journalHandoffMsg{From: "node-b", Lines: line, Sum: sumLines(line)},                   // handoff-journal
-		bucketSummary{},                                                                       // digest reply, round 1
-		[]repairKey{{Key: "k", Hash: "h"}},                                                    // digest reply, round 2
-	} {
-		body, _, err := encode(msg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(fmt.Sprintf("%08x", bodySum(body)), body)
-		f.Add(fmt.Sprintf("%08x", bodySum(body)^1), body)
-		f.Add("", body)
-		if _, framed := msg.(frameMsg); !framed {
-			continue
-		}
-		// A frame cut at every length, each cut correctly summed so that it
-		// reaches the decoder.
-		for n := 0; n < len(body); n++ {
-			f.Add(fmt.Sprintf("%08x", bodySum(body[:n])), body[:n])
+	samples := routeSamples(f)
+	for _, r := range table() {
+		for _, msg := range samples[r.routePath()] {
+			if msg == nil {
+				continue
+			}
+			body, _, err := encode(msg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(fmt.Sprintf("%08x", bodySum(body)), body)
+			f.Add(fmt.Sprintf("%08x", bodySum(body)^1), body)
+			f.Add("", body)
+			if _, framed := msg.(frameMsg); !framed {
+				continue
+			}
+			// A frame cut at every length, each cut correctly summed so that
+			// it reaches the decoder.
+			for n := 0; n < len(body); n++ {
+				f.Add(fmt.Sprintf("%08x", bodySum(body[:n])), body[:n])
+			}
 		}
 	}
 	f.Add("0", []byte{})
@@ -394,62 +394,34 @@ func FuzzPeerMessage(f *testing.F) {
 
 	doer := &replayDoer{}
 	node := frameNode(f, doer)
-
-	requests := []struct {
-		method, path string
-		decodes      bool // the handler reads a body, through accept
-	}{
-		{http.MethodGet, "/internal/v1/result?key=k", false},
-		{http.MethodPost, "/internal/v1/offer?key=k", true},
-		{http.MethodPost, "/internal/v1/steal?max=1", false},
-		{http.MethodPost, "/internal/v1/complete", true},
-		{http.MethodPost, "/internal/v1/ship", true},
-		{http.MethodPost, "/internal/v1/gossip", true},
-		{http.MethodPost, "/internal/v1/join", true},
-		{http.MethodPost, "/internal/v1/handoff", true},
-		{http.MethodPost, "/internal/v1/handoff-journal", true},
-		{http.MethodGet, "/internal/v1/digest?owner=node-a&bucket=0", false},
-	}
-	replies := []struct {
-		path string
-		out  func() any
-	}{
-		{"/internal/v1/result?key=k", func() any { return new(service.Result) }},
-		{"/internal/v1/offer?key=k", func() any { return nil }},
-		{"/internal/v1/steal?max=1", func() any { return new(stolenJobs) }},
-		{"/internal/v1/complete", func() any { return nil }},
-		{"/internal/v1/ship", func() any { return nil }},
-		{"/internal/v1/gossip", func() any { return new(View) }},
-		{"/internal/v1/join", func() any { return new(joinReply) }},
-		{"/internal/v1/handoff", func() any { return nil }},
-		{"/internal/v1/handoff-journal", func() any { return nil }},
-		{"/internal/v1/digest?owner=node-a", func() any { return new(bucketSummary) }},
-		{"/internal/v1/digest?owner=node-a&bucket=0", func() any { return new([]repairKey) }},
+	innerSumWrong := func(body []byte) bool {
+		var m journalHandoffMsg
+		return decode(body, &m) == nil && m.From != "" && sumLines(m.Lines) != m.Sum
 	}
 
 	f.Fuzz(func(t *testing.T, sum string, body []byte) {
 		declared, err := hex.DecodeString(sum)
 		verifies := err == nil && len(declared) == 4 && binary.BigEndian.Uint32(declared) == bodySum(body)
-		for _, rq := range requests {
-			r := httptest.NewRequest(rq.method, rq.path, bytes.NewReader(body))
+		for _, rt := range table() {
+			r := httptest.NewRequest(http.MethodPost, rt.routePath(), bytes.NewReader(body))
 			if sum != "" {
 				r.Header.Set(sumHeader, sum)
 			}
 			rec := httptest.NewRecorder()
 			node.Handler().ServeHTTP(rec, r)
-			if rq.decodes && (rec.Code == http.StatusUnprocessableEntity) == verifies {
-				t.Fatalf("%s: status %d for header %q over %q (verifies: %v)", rq.path, rec.Code, sum, body, verifies)
+			refused := rec.Code == http.StatusUnprocessableEntity
+			if refused == verifies && !(refused && rt.routePath() == journalRoute.path && innerSumWrong(body)) {
+				t.Fatalf("%s: status %d for header %q over %q (verifies: %v)", rt.routePath(), rec.Code, sum, body, verifies)
 			}
 			if rec.Code/100 == 2 && rec.Header().Get(sumHeader) == "" {
-				t.Fatalf("%s: %d reply without a checksum", rq.path, rec.Code)
+				t.Fatalf("%s: %d reply without a checksum", rt.routePath(), rec.Code)
 			}
 		}
 		doer.sum.Store(&sum)
 		doer.body.Store(&body)
-		for _, rp := range replies {
-			_, err := node.call(context.Background(), http.MethodPost, "node-b", rp.path, nil, rp.out())
-			if errors.Is(err, diag.ErrCorruption) == verifies {
-				t.Fatalf("reply to %s: err %v for header %q over %q (verifies: %v)", rp.path, err, sum, body, verifies)
+		for _, rt := range table() {
+			if err := rt.callZero(node); errors.Is(err, diag.ErrCorruption) == verifies {
+				t.Fatalf("reply to %s: err %v for header %q over %q (verifies: %v)", rt.routePath(), err, sum, body, verifies)
 			}
 		}
 	})

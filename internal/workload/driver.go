@@ -623,9 +623,9 @@ func (c *runCluster) quiesce(ctx context.Context) (int64, string, bool) {
 		return 0, "", false
 	}
 	agreed := func() bool {
-		d0 := nodes[0].ViewDigest()
+		d0 := nodes[0].View().Digest()
 		for _, n := range nodes[1:] {
-			if n.ViewDigest() != d0 {
+			if n.View().Digest() != d0 {
 				return false
 			}
 		}
