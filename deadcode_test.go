@@ -12,8 +12,10 @@ package detlock_test
 // other method of the same name. Exempt are methods that satisfy an
 // interface (called through it, never by name) and methods of the types the
 // root facade aliases, which are public API whether or not the module calls
-// them. Anything else that must stay goes in deadExportAllowlist with its
-// reason. `make deadcode` runs the guard verbosely and prints the allowlist.
+// them — as long as some file, test or not, of the module or of bench/ calls
+// them at all: a facade method nothing references is flagged like any other.
+// Anything else that must stay goes in deadExportAllowlist with its reason.
+// `make deadcode` runs the guard verbosely and prints the allowlist.
 
 import (
 	"fmt"
@@ -66,7 +68,8 @@ func TestNoDeadExports(t *testing.T) {
 // that only its own package's tests, or only flagged exports, use is
 // flagged, and one that another package's test or the bench module uses is
 // not, nor is a method that satisfies an interface or belongs to a type the
-// facade aliases.
+// facade aliases and is referenced somewhere; one of the facade's that
+// nothing references is flagged.
 func TestDeadExportsFixture(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -93,6 +96,7 @@ func DeadOnly()    {}
 type Public struct{}
 
 func (Public) Facade() {}
+func (Public) Orphan() {}
 
 type S struct{}
 
@@ -104,6 +108,7 @@ func (S) Extra()         {}
 	write("internal/b/b_test.go", "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { a.OtherTest() }\n")
 	write("bench/go.mod", "module fix/bench\n\ngo 1.22\n")
 	write("bench/main.go", "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n")
+	write("examples/ex/main.go", "package main\n\nimport \"fix\"\n\nfunc main() { fix.T{}.Facade() }\n")
 
 	found, err := deadExports(root, filepath.Join(root, "bench"))
 	if err != nil {
@@ -117,6 +122,7 @@ func (S) Extra()         {}
 		"a.DeadOnly: referenced only by flagged exports",
 		"a.Nobody: referenced nowhere",
 		"a.OwnTestOnly: referenced only by its own package's tests",
+		"a.Public.Orphan: referenced nowhere",
 		"a.S.Extra: referenced only by its own package's tests",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -626,7 +632,8 @@ type (
 
 // exemptMethods returns the methods that need no caller by name: those
 // that satisfy a protocol interface or an interface declared in the
-// module, and those of the types the root package aliases.
+// module, and those of the types the root package aliases that some file
+// references.
 func (l *loader) exemptMethods(modPath string) (map[*types.Func]bool, error) {
 	protocols, err := l.check("protocols", []*ast.File{l.protocols}, &variant{l: l}, &types.Info{})
 	if err != nil {
@@ -661,7 +668,9 @@ func (l *loader) exemptMethods(modPath string) (map[*types.Func]bool, error) {
 			if tn.IsAlias() {
 				if path == modPath && named.Obj().Pkg() != pkg {
 					for i := 0; i < named.NumMethods(); i++ {
-						exempt[named.Method(i)] = true
+						if m := named.Method(i); len(l.uses[objKey(m)]) > 0 {
+							exempt[m] = true
+						}
 					}
 				}
 				continue

@@ -458,8 +458,8 @@ func (n *Node) Close(ctx context.Context) error {
 }
 
 // Kill simulates a crash: background loops stop, nothing flushes, the inner
-// service dies mid-flight. The chaos harness's node-kill injection. It too
-// returns only after every goroutine the node started has.
+// service dies mid-flight. It too returns only after every goroutine the
+// node started has.
 func (n *Node) Kill() {
 	if !n.shut() {
 		return

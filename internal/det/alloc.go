@@ -15,9 +15,6 @@ type Allocator struct {
 	freeRuns map[int64]int64
 	// allocated maps offset -> length of live blocks.
 	allocated map[int64]int64
-
-	allocs int64
-	frees  int64
 }
 
 // NewAllocator creates an allocator over an arena of size words.
@@ -58,7 +55,6 @@ func (a *Allocator) Alloc(t *Thread, n int64) int64 {
 			a.freeRuns[o+n] = run - n
 		}
 		a.allocated[o] = n
-		a.allocs++
 		return o
 	}
 	return -1
@@ -73,7 +69,6 @@ func (a *Allocator) Free(t *Thread, offset int64) {
 		panic("det: free of unallocated offset")
 	}
 	delete(a.allocated, offset)
-	a.frees++
 	// Coalesce with the following run.
 	if after, ok := a.freeRuns[offset+n]; ok {
 		delete(a.freeRuns, offset+n)
@@ -88,11 +83,4 @@ func (a *Allocator) Free(t *Thread, offset int64) {
 		}
 	}
 	a.freeRuns[offset] = n
-}
-
-// Stats returns (allocations, frees, live blocks).
-func (a *Allocator) Stats(t *Thread) (allocs, frees int64, live int) {
-	a.mu.Lock(t)
-	defer a.mu.Unlock(t)
-	return a.allocs, a.frees, len(a.allocated)
 }

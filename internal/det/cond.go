@@ -19,7 +19,6 @@ type Cond struct {
 	m  *Mutex
 
 	waiters []*Thread
-	signals int64
 }
 
 // NewCond creates a condition variable bound to m.
@@ -90,7 +89,6 @@ func (c *Cond) Signal(t *Thread) {
 			w.blocked = blockMutex
 			w.blockedMu = c.m
 			w.blockedCv = nil
-			c.signals++
 		}
 		return true
 	})
@@ -111,16 +109,8 @@ func (c *Cond) Broadcast(t *Thread) {
 				w.blockedMu = c.m
 				w.blockedCv = nil
 			}
-			c.signals += int64(len(c.waiters))
 			c.waiters = nil
 		}
 		return true
 	})
-}
-
-// Signals returns the number of delivered signals.
-func (c *Cond) Signals() int64 {
-	c.rt.mu.Lock()
-	defer c.rt.mu.Unlock()
-	return c.signals
 }

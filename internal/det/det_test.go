@@ -2,14 +2,13 @@ package det
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// xorshift is a tiny deterministic per-thread PRNG for tick amounts; the
-// jitter injected by tests must never feed it.
+// xorshift is a tiny deterministic per-thread PRNG for tick amounts; jitter
+// must never feed it.
 type xorshift uint64
 
 func (x *xorshift) next() uint64 {
@@ -23,7 +22,7 @@ func (x *xorshift) next() uint64 {
 
 // runContended executes a contended increment workload and returns the
 // acquisition sequence (thread ids in acquisition order) and the final
-// counter. jitterSeed perturbs physical timing only.
+// counter. jitterSeed seeds jitter, which perturbs physical timing only.
 func runContended(nThreads, iters int, jitterSeed int64) ([]int, int64) {
 	rt := New(nThreads)
 	mu := rt.NewMutex()
@@ -32,17 +31,14 @@ func runContended(nThreads, iters int, jitterSeed int64) ([]int, int64) {
 	var counter int64
 	rt.Run(func(t *Thread) {
 		prng := xorshift(uint64(t.ID())*2654435761 + 12345)
-		localJitter := rand.New(rand.NewSource(jitterSeed + int64(t.ID())))
+		// Physical perturbation: must not affect the schedule.
+		j := jitter{seed: jitterSeed, storm: 4, sleep: 50 * time.Microsecond}.on(t)
 		for i := 0; i < iters; i++ {
 			// Deterministic logical work, different per thread and iteration.
 			t.Tick(int64(prng.next()%97) + 1)
-			// Physical perturbation: must not affect the schedule.
-			if localJitter.Intn(4) == 0 {
-				time.Sleep(time.Duration(localJitter.Intn(50)) * time.Microsecond)
-			}
-			mu.Lock(t)
+			j.lock(mu)
 			counter++
-			mu.Unlock(t)
+			j.unlock(mu)
 		}
 	})
 	return seq, counter
@@ -75,20 +71,17 @@ func TestDeterministicAcquisitionOrder(t *testing.T) {
 }
 
 func TestAcquisitionClocksDeterministic(t *testing.T) {
-	run := func(jitter int64) []int64 {
+	run := func(seed int64) []int64 {
 		rt := New(3)
 		mu := rt.NewMutex()
 		var clocks []int64
 		mu.SetObserver(func(_ int, c int64) { clocks = append(clocks, c) })
 		rt.Run(func(th *Thread) {
-			localJitter := rand.New(rand.NewSource(jitter*31 + int64(th.ID())))
+			j := jitter{seed: seed, storm: 4, sleep: 30 * time.Microsecond}.on(th)
 			for i := 0; i < 100; i++ {
 				th.Tick(int64((th.ID()+1)*3 + i%7))
-				if localJitter.Intn(3) == 0 {
-					time.Sleep(time.Duration(localJitter.Intn(30)) * time.Microsecond)
-				}
-				mu.Lock(th)
-				mu.Unlock(th)
+				j.lock(mu)
+				j.unlock(mu)
 			}
 		})
 		return clocks
@@ -165,7 +158,8 @@ func TestTryLock(t *testing.T) {
 			mu.Unlock(th)
 		} else {
 			th.Tick(50)
-			if mu.TryLock(th) {
+			// The answer is decided at the thread's turn, not by timing.
+			if (jitter{seed: 1, storm: 8, sleep: 30 * time.Microsecond}).on(th).tryLock(mu) {
 				succ.Add(1)
 				mu.Unlock(th)
 			} else {
@@ -307,24 +301,21 @@ func TestSpawnJoin(t *testing.T) {
 }
 
 func TestCondProducerConsumer(t *testing.T) {
-	run := func(jitter int64) []int {
+	run := func(seed int64) []int {
 		rt := New(2)
 		mu := rt.NewMutex()
 		cv := rt.NewCond(mu)
 		queue := 0
 		var consumed []int
 		rt.Run(func(th *Thread) {
-			localJitter := rand.New(rand.NewSource(jitter + int64(th.ID())))
 			if th.ID() == 0 { // producer
+				j := jitter{seed: seed, storm: 4, sleep: 20 * time.Microsecond}.on(th)
 				for i := 0; i < 50; i++ {
 					th.Tick(7)
-					if localJitter.Intn(3) == 0 {
-						time.Sleep(time.Duration(localJitter.Intn(20)) * time.Microsecond)
-					}
-					mu.Lock(th)
+					j.lock(mu)
 					queue++
 					cv.Signal(th)
-					mu.Unlock(th)
+					j.unlock(mu)
 				}
 			} else { // consumer
 				for got := 0; got < 50; {

@@ -10,20 +10,17 @@ import (
 )
 
 // runLadder runs a three-thread lock ladder whose acquisition order is a pure
-// function of logical clocks. seed >= 0 adds the PR 1 fault injector's
-// scheduling perturbations; record/guard install the divergence machinery;
+// function of logical clocks. seed >= 0 adds jitter's scheduling
+// perturbations; record/guard install the divergence machinery;
 // perturb shifts thread 1's clocks mid-run (the stand-in for a data race
 // changing the program's synchronization behavior); rounds controls how many
 // acquisitions each thread performs.
 func runLadder(t *testing.T, seed int64, record, guard *trace.Schedule, perturb bool, rounds int) error {
 	t.Helper()
 	rt := New(3)
+	var jit jitter
 	if seed >= 0 {
-		rt.SetFaultInjector(NewFaultInjector(FaultInjectorConfig{
-			Seed:         seed,
-			GoschedStorm: 8,
-			SleepJitter:  30 * time.Microsecond,
-		}))
+		jit = jitter{seed: seed, storm: 8, sleep: 30 * time.Microsecond}
 	}
 	if record != nil {
 		if err := rt.RecordSchedule(record); err != nil {
@@ -37,15 +34,16 @@ func runLadder(t *testing.T, seed int64, record, guard *trace.Schedule, perturb 
 	}
 	mu := rt.NewMutex()
 	return rt.Run(func(th *Thread) {
+		j := jit.on(th)
 		for i := 0; i < rounds; i++ {
 			tick := int64(th.ID() + 1)
 			if perturb && th.ID() == 1 && i == 2 {
 				tick += 7
 			}
 			th.Tick(tick)
-			mu.Lock(th)
+			j.lock(mu)
 			th.Tick(1)
-			mu.Unlock(th)
+			j.unlock(mu)
 		}
 	})
 }

@@ -2,15 +2,65 @@ package det
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/diag"
 )
 
-// NewFaultInjector builds an injector from cfg.
-func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector {
-	return &FaultInjector{cfg: cfg, rng: make(map[int]*Rand)}
+// jitter perturbs physical timing around a thread body's lock operations:
+// before each Lock, Unlock and TryLock it yields up to storm times and sleeps
+// for up to sleep, both drawn from a stream that depends only on (seed,
+// thread id), never on the interleaving. It never touches a logical clock,
+// so it must not change a schedule, a clock or a failure report, and the
+// tests that use it check that it does not. A positive panicAt makes the
+// thread panic, with an error wrapping diag.ErrInjected, at its panicAt-th
+// lock operation; the count is the thread's own, so the failure is
+// reproducible, and it is contained like any user panic.
+type jitter struct {
+	seed    int64
+	storm   int
+	sleep   time.Duration
+	panicAt int64
+}
+
+// threadJitter is one thread's jitter, made and used on that thread.
+type threadJitter struct {
+	jitter
+	th  *Thread
+	rng *detrand.Rand
+	ops int64
+}
+
+func (j jitter) on(th *Thread) *threadJitter {
+	return &threadJitter{jitter: j, th: th, rng: detrand.New(j.seed, th.ID())}
+}
+
+func (tj *threadJitter) lock(m *Mutex)   { tj.perturb("Mutex.Lock"); m.Lock(tj.th) }
+func (tj *threadJitter) unlock(m *Mutex) { tj.perturb("Mutex.Unlock"); m.Unlock(tj.th) }
+func (tj *threadJitter) tryLock(m *Mutex) bool {
+	tj.perturb("Mutex.TryLock")
+	return m.TryLock(tj.th)
+}
+
+func (tj *threadJitter) perturb(op string) {
+	tj.ops++
+	if tj.ops == tj.panicAt {
+		panic(fmt.Errorf("%w: %s %d on thread %d", diag.ErrInjected, op, tj.ops, tj.th.ID()))
+	}
+	if tj.storm > 0 {
+		for i := tj.rng.Next() % uint64(tj.storm+1); i > 0; i-- {
+			runtime.Gosched()
+		}
+	}
+	if tj.sleep > 0 {
+		if d := time.Duration(tj.rng.Next() % uint64(tj.sleep)); d > 0 {
+			time.Sleep(d)
+		}
+	}
 }
 
 // runABBA runs the canonical two-thread lock-order-inversion program under a
@@ -21,28 +71,24 @@ func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector {
 func runABBA(t *testing.T, seed int64) error {
 	t.Helper()
 	rt := New(2)
-	rt.SetFaultInjector(NewFaultInjector(FaultInjectorConfig{
-		Seed:         seed,
-		GoschedStorm: 8,
-		SleepJitter:  40 * time.Microsecond,
-	}))
 	a := rt.NewMutex() // mutex#0
 	b := rt.NewMutex() // mutex#1
 	return rt.Run(func(th *Thread) {
+		j := jitter{seed: seed, storm: 8, sleep: 40 * time.Microsecond}.on(th)
 		if th.ID() == 0 {
 			th.Tick(10)
-			a.Lock(th) // clock 11
+			j.lock(a) // clock 11
 			th.Tick(10)
-			b.Lock(th) // attempts at clock 21, blocks
-			b.Unlock(th)
-			a.Unlock(th)
+			j.lock(b) // attempts at clock 21, blocks
+			j.unlock(b)
+			j.unlock(a)
 		} else {
 			th.Tick(15)
-			b.Lock(th) // clock 16
+			j.lock(b) // clock 16
 			th.Tick(5)
-			a.Lock(th) // attempts at clock 21, blocks
-			a.Unlock(th)
-			b.Unlock(th)
+			j.lock(a) // attempts at clock 21, blocks
+			j.unlock(a)
+			j.unlock(b)
 		}
 	})
 }
@@ -102,7 +148,7 @@ func TestABBADeadlockDeterministic(t *testing.T) {
 }
 
 // TestGoschedStormPreservesSchedule: scheduling perturbations at lock
-// boundaries must not change the acquisition schedule or the clocks of a
+// operations must not change the acquisition schedule or the clocks of a
 // healthy run (weak determinism of surviving runs is unaffected).
 func TestGoschedStormPreservesSchedule(t *testing.T) {
 	type acq struct {
@@ -111,22 +157,20 @@ func TestGoschedStormPreservesSchedule(t *testing.T) {
 	}
 	run := func(seed int64, inject bool) []acq {
 		rt := New(4)
+		var jit jitter
 		if inject {
-			rt.SetFaultInjector(NewFaultInjector(FaultInjectorConfig{
-				Seed:         seed,
-				GoschedStorm: 16,
-				SleepJitter:  30 * time.Microsecond,
-			}))
+			jit = jitter{seed: seed, storm: 16, sleep: 30 * time.Microsecond}
 		}
 		mu := rt.NewMutex()
 		var seq []acq
 		mu.SetObserver(func(tid int, c int64) { seq = append(seq, acq{tid, c}) })
 		if err := rt.Run(func(th *Thread) {
+			j := jit.on(th)
 			prng := xorshift(uint64(th.ID())*2654435761 + 99)
 			for i := 0; i < 60; i++ {
 				th.Tick(int64(prng.next()%53) + 1)
-				mu.Lock(th)
-				mu.Unlock(th)
+				j.lock(mu)
+				j.unlock(mu)
 			}
 		}); err != nil {
 			t.Fatalf("seed %d: unexpected error: %v", seed, err)
@@ -154,20 +198,21 @@ func TestGoschedStormPreservesSchedule(t *testing.T) {
 // ThreadPanicError while the surviving thread completes its work.
 func TestInjectedPanicContained(t *testing.T) {
 	rt := New(2)
-	rt.SetFaultInjector(NewFaultInjector(FaultInjectorConfig{
-		Seed:    1,
-		PanicAt: map[int]int64{0: 3}, // thread 0 dies at its 3rd lock boundary
-	}))
 	mu := rt.NewMutex()
 	var survivorDone int
 	err := rt.Run(func(th *Thread) {
+		jit := jitter{seed: 1}
+		if th.ID() == 0 {
+			jit.panicAt = 3 // thread 0 dies at its 3rd lock operation
+		}
+		j := jit.on(th)
 		for i := 0; i < 10; i++ {
 			th.Tick(int64(th.ID()*3 + i + 1))
-			mu.Lock(th)
+			j.lock(mu)
 			if th.ID() == 1 {
 				survivorDone++
 			}
-			mu.Unlock(th)
+			j.unlock(mu)
 		}
 	})
 	if !errors.Is(err, diag.ErrInjected) {

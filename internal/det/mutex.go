@@ -65,7 +65,6 @@ func (m *Mutex) Lock(t *Thread) {
 	if m.rt != t.rt {
 		panic(misuse("Mutex.Lock", t, diag.ErrCrossRuntime, m.name()))
 	}
-	m.rt.injectBoundary(t, "Mutex.Lock")
 	blocked := false
 	m.rt.event(t, func() bool {
 		if !m.held {
@@ -113,7 +112,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	if m.rt != t.rt {
 		panic(misuse("Mutex.Unlock", t, diag.ErrCrossRuntime, m.name()))
 	}
-	m.rt.injectBoundary(t, "Mutex.Unlock")
 	m.rt.event(t, func() bool {
 		if !m.held {
 			panic(misuse("Mutex.Unlock", t, diag.ErrNotHeld, m.name()+" is not locked"))
@@ -156,7 +154,6 @@ func (m *Mutex) TryLock(t *Thread) bool {
 	if m.rt != t.rt {
 		panic(misuse("Mutex.TryLock", t, diag.ErrCrossRuntime, m.name()))
 	}
-	m.rt.injectBoundary(t, "Mutex.TryLock")
 	ok := false
 	m.rt.event(t, func() bool {
 		t.clock.Add(1)

@@ -62,6 +62,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/trace"
 )
@@ -90,8 +91,6 @@ type Runtime struct {
 
 	// watchdog, when non-nil, enables the progress monitor for Run.
 	watchdog *WatchdogConfig
-	// injector, when non-nil, perturbs lock boundaries (test-only).
-	injector *FaultInjector
 
 	// running marks an active Run; detector configuration (RecordSchedule,
 	// SetReplayGuard) is rejected mid-run with a typed misuse error.
@@ -150,9 +149,6 @@ type Thread struct {
 	// failure snapshots. Guarded by rt.mu.
 	lastAcqRes   string
 	lastAcqClock int64
-
-	// boundaries counts lock-boundary crossings, for fault injection.
-	boundaries int64
 }
 
 // New creates a runtime with n threads, ids 0..n-1, all clocks zero.
@@ -471,3 +467,10 @@ func maxInt64(a, b int64) int64 {
 func (t *Thread) String() string {
 	return fmt.Sprintf("det.Thread(id=%d clock=%d)", t.id, t.Clock())
 }
+
+// Rand and NewRand are internal/detrand's generator under the names this
+// package exported it by first; they remain only because bench/ uses them.
+type Rand = detrand.Rand
+
+// NewRand is detrand.New.
+func NewRand(seed int64, id int) *Rand { return detrand.New(seed, id) }

@@ -61,13 +61,6 @@ func (rt *Runtime) EnableWatchdog(cfg *WatchdogConfig) {
 	rt.watchdog = &c
 }
 
-// DisableWatchdog disarms the monitor for subsequent Run calls.
-func (rt *Runtime) DisableWatchdog() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.watchdog = nil
-}
-
 // startWatchdog launches the monitor if armed, returning a stop function and
 // the post-fault grace period for Run.
 func (rt *Runtime) startWatchdog() (stop func(), grace time.Duration) {

@@ -45,7 +45,8 @@ var (
 	ErrBadJoin = errors.New("join target is not a thread of this runtime")
 	// ErrNegativeTick: Tick called with a negative amount.
 	ErrNegativeTick = errors.New("negative Tick amount")
-	// ErrInjected tags failures produced by the fault-injection harness.
+	// ErrInjected tags failures a test's fault injection produced
+	// (internal/nemesis, or a test's own hook).
 	ErrInjected = errors.New("injected fault")
 	// ErrRace: two threads touched the same address without ordering
 	// synchronization — the one program state that silently voids weak
@@ -407,7 +408,7 @@ func (e *TimeoutError) Unwrap() []error {
 }
 
 // RetryError reports a job that failed on every attempt of its retry budget.
-// Only transient failures (contained panics, injected faults) are retried;
+// Only transient failures (contained worker panics) are retried;
 // deterministic failures (deadlock, race, misuse) fail on the first attempt
 // without one of these.
 type RetryError struct {

@@ -85,9 +85,9 @@ type Config struct {
 	// from (seed, thread id). Logical clocks are untouched, so under the
 	// deterministic policy the synchronization schedule — and any race or
 	// failure report — must be identical across seeds; the robustness
-	// property tests assert exactly that (the simulator-side analog of
-	// internal/det's FaultInjector). JitterSeed 0 disables; JitterAmp
-	// defaults to 16 when a seed is set.
+	// property tests assert exactly that (the simulator-side analog of the
+	// body jitter internal/det's tests apply). JitterSeed 0 disables;
+	// JitterAmp defaults to 16 when a seed is set.
 	JitterSeed int64
 	JitterAmp  int64
 

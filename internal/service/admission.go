@@ -24,8 +24,10 @@ import (
 // soundness claim failed — the one state in which serving more traffic makes
 // things worse — so repeated divergences (Config.BreakerThreshold) open the
 // circuit and shed all submissions (ErrCircuitOpen) for breakerCooldown.
-// The breaker then half-opens: one probe job is admitted, and its fate —
-// divergence or not — re-opens or closes the circuit.
+// The breaker then half-opens: one probe job is admitted, and its verdict — a
+// divergence or a success — re-opens or closes the circuit. A probe that
+// ends without one (refused after admission, or failed some other way)
+// hands its slot back and the next submission probes instead.
 
 // Admission rejection sentinels, wrapped in *diag.MisuseError like the
 // queue-full rejection so errors.Is and errors.As both work.
@@ -88,7 +90,8 @@ type breaker struct {
 	divergences int       // consecutive divergences while closed
 	openedAt    time.Time // when the circuit last opened
 	trips       int64     // lifetime open transitions, for stats
-	probing     bool      // half-open: a probe job is in flight
+	probe       uint64    // half-open: the ticket of the probe in flight, 0 if none
+	tickets     uint64    // probe tickets issued
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
@@ -99,27 +102,41 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 }
 
 // allow reports whether a submission may pass. In the open state it flips to
-// half-open once the cooldown elapses and admits a single probe; in
-// half-open it rejects everything but that probe.
-func (b *breaker) allow() bool {
+// half-open once the cooldown elapses; in half-open it admits one probe at a
+// time and rejects everything else. A probe gets a nonzero ticket, which its
+// submission hands to release if the probe ends without a verdict.
+func (b *breaker) allow() (ok bool, probe uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
-		return true
+		return true, 0
 	case breakerOpen:
 		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
+			return false, 0
 		}
 		b.state = breakerHalfOpen
-		b.probing = true
-		return true // this submission is the probe
-	default: // half-open
-		if b.probing {
-			return false // a probe is already in flight
-		}
-		b.probing = true
-		return true
+	}
+	if b.probe != 0 {
+		return false, 0 // a probe is already in flight
+	}
+	b.tickets++
+	b.probe = b.tickets
+	return true, b.probe
+}
+
+// release gives back the probe slot held by ticket, if it still is: the probe
+// was refused after allow, or failed with neither a success nor a
+// divergence, so it says nothing about soundness. The circuit stays
+// half-open and the next submission is the probe.
+func (b *breaker) release(ticket uint64) {
+	if ticket == 0 {
+		return // not a probe
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.probe == ticket {
+		b.probe = 0
 	}
 }
 
@@ -150,7 +167,7 @@ func (b *breaker) onSuccess() {
 	case breakerHalfOpen:
 		b.state = breakerClosed
 		b.divergences = 0
-		b.probing = false
+		b.probe = 0
 	case breakerClosed:
 		if b.divergences > 0 {
 			b.divergences--
@@ -164,7 +181,7 @@ func (b *breaker) trip() {
 	b.openedAt = b.now()
 	b.trips++
 	b.divergences = 0
-	b.probing = false
+	b.probe = 0
 }
 
 // snapshot returns the breaker's state name and lifetime trip count.

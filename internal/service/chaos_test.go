@@ -5,12 +5,33 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/det"
+	"repro/internal/detrand"
+	"repro/internal/diag"
 	"repro/internal/splash"
 )
+
+// panickyFill is a Config.Fill that panics, with an error wrapping
+// diag.ErrInjected, on each seeded draw below rate. Fill runs on the worker
+// inside attempt's recover on every result-cache miss, so the panic is
+// contained, classified transient and retried like any worker panic.
+func panickyFill(seed int64, rate float64) func(context.Context, string, *Request) *Result {
+	var mu sync.Mutex
+	rng := detrand.New(seed, 1)
+	return func(context.Context, string, *Request) *Result {
+		mu.Lock()
+		fire := rng.Float() < rate
+		mu.Unlock()
+		if fire {
+			panic(fmt.Errorf("%w: worker panic", diag.ErrInjected))
+		}
+		return nil
+	}
+}
 
 // TestChaosCrashRestartProperty is the fault-tolerance acceptance property:
 // across many seeded crash/restart schedules — SIGTERM-style kills landing
@@ -72,7 +93,6 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 				RetryBase:         time.Millisecond,
 				RetryMax:          4 * time.Millisecond,
 				RetrySeed:         seed,
-				Faults:            &FaultConfig{Seed: seed, WorkerPanicRate: 0.15},
 			}
 
 			acked := map[string]int{}  // job id → variant index, ids Submit returned
@@ -80,6 +100,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 			var answered []string      // ids Do returned
 			kills := 1 + rng.IntN(3)
 			for life := 0; ; life++ {
+				cfg.Fill = panickyFill(seed, 0.15) // each incarnation draws afresh
 				svc, err := Open(cfg)
 				if err != nil {
 					t.Fatalf("Open: %v", err)
@@ -187,6 +208,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 
 			// Post-mortem: one more recovery serves every job from the journal
 			// and the background cross-checks find zero divergences.
+			cfg.Fill = panickyFill(seed, 0.15)
 			svc, err := Open(cfg)
 			if err != nil {
 				t.Fatalf("post-mortem Open: %v", err)

@@ -11,7 +11,9 @@ import (
 
 	"repro/internal/det"
 	"repro/internal/diag"
+	"repro/internal/nemesis"
 	"repro/internal/splash"
+	"repro/internal/vfs"
 )
 
 // srcOf renders one splash workload to textual IR.
@@ -384,10 +386,12 @@ func TestReadyGates(t *testing.T) {
 	}
 
 	// Journal degradation flips readiness off while the service keeps serving.
+	ffs := nemesis.NewFaultFS(nemesis.New(1), vfs.OS{}, nemesis.FaultFSConfig{WriteErrRate: 1})
+	ffs.Arm(true) // the first append fails
 	degraded, err := Open(Config{
 		Workers:     1,
 		JournalPath: filepath.Join(t.TempDir(), "jobs.journal"),
-		Faults:      &FaultConfig{Seed: 1, JournalErrEvery: 1},
+		FS:          ffs,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

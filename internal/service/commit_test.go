@@ -63,7 +63,7 @@ func (f *gateFile) Sync() error {
 func TestWaitersShareOneSync(t *testing.T) {
 	const waiters = 8
 	g := newGateFS()
-	jn, _, err := openJournal(g, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil, nil)
+	jn, _, err := openJournal(g, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWaitersShareOneSync(t *testing.T) {
 // must.
 func TestNoCompactionWithoutDuplicates(t *testing.T) {
 	const compactEvery = 64
-	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 4, compactEvery, nil, nil)
+	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 4, compactEvery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

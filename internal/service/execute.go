@@ -97,8 +97,9 @@ func (s *Service) jobContext(base context.Context, req *Request) (context.Contex
 	return ctx, func() { stop(); cancel() }, deadline
 }
 
-// attempt is one panic-contained execution of the job's pipeline; the chaos
-// harness's injected worker panics land here, tagged transient.
+// attempt is one panic-contained execution of the job's pipeline: a panic
+// anywhere in it, hooks included, fails the attempt as a transient
+// errContainedPanic.
 func (s *Service) attempt(ctx context.Context, j *job) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -110,9 +111,6 @@ func (s *Service) attempt(ctx context.Context, j *job) (res *Result, err error) 
 			}
 		}
 	}()
-	if s.chaos.workerPanic() {
-		panic(fmt.Errorf("%w: worker panic", diag.ErrInjected))
-	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}

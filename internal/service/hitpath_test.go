@@ -505,7 +505,7 @@ func TestCloseWaitsForCallerSideHit(t *testing.T) {
 			t.Fatalf("journal_errors = %d", n)
 		}
 
-		jn, _, err := openJournal(nil, path, 16, journalCompactEvery, nil, nil)
+		jn, _, err := openJournal(nil, path, 16, journalCompactEvery, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,6 +151,9 @@ type job struct {
 	// bytes is the request's admission-control weight (source size),
 	// released when the job finishes.
 	bytes int64
+	// probe is the circuit breaker's probe ticket when the job is the
+	// half-open probe (0 otherwise), handed back if it ends without a verdict.
+	probe uint64
 	// verify marks an internal recovery cross-check job (not client visible,
 	// not in the job table): recompute req and hold it to the journaled claim
 	// of the recovered job whose id it shares.

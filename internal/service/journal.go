@@ -151,11 +151,9 @@ type journal struct {
 	live  map[string]*journalJob
 	order []string
 
-	// chaos injects write errors (nil-safe); broken marks the journal
-	// permanently degraded after an unrecovered write error; closed marks
-	// one a clean shutdown has flushed and closed, which takes no more
-	// records (errJournalClosed) but is not a fault.
-	chaos  *chaos
+	// broken marks the journal permanently degraded after an unrecovered
+	// write error; closed marks one a clean shutdown has flushed and closed,
+	// which takes no more records (errJournalClosed) but is not a fault.
 	broken bool
 	closed bool
 
@@ -183,7 +181,7 @@ const maxJournalRecord = 32 << 20
 // whatever the lost lines reserved. Stale `.compact` and `.quarantine` files
 // left by a crash mid-compaction (or by the previous boot's scrub) are swept
 // first. Returns the journal and the replayed jobs in first-submission order.
-func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, chaos *chaos, ship func(line []byte)) (*journal, []*journalJob, error) {
+func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, ship func(line []byte)) (*journal, []*journalJob, error) {
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
@@ -193,7 +191,6 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, chaos *
 		fsyncEvery:   fsyncEvery,
 		compactEvery: compactEvery,
 		live:         make(map[string]*journalJob),
-		chaos:        chaos,
 		ship:         ship,
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -326,18 +323,13 @@ func (j *journal) appendFinished(id string, res *Result, errMsg, errKind string)
 }
 
 // admitLocked says whether the journal takes another job record: not once it
-// broke, not after a clean close, and not when the chaos harness says this
-// append fails.
+// broke, and not after a clean close.
 func (j *journal) admitLocked() error {
 	switch {
 	case j.broken:
 		return errJournalBroken
 	case j.closed:
 		return errJournalClosed
-	}
-	if err := j.chaos.journalErr(); err != nil {
-		j.broken = true
-		return err
 	}
 	return nil
 }
@@ -561,8 +553,8 @@ func (j *journal) close() error {
 // kill abandons the journal the way a process crash would: the pending
 // buffer — the records nobody was waiting on — is dropped on the floor, and
 // the file is closed without a flush; whoever was waiting on a record in it
-// is told the journal broke. The chaos harness uses this to simulate
-// SIGTERM-style restarts mid-queue.
+// is told the journal broke. Service.Kill uses this to simulate SIGTERM-style
+// restarts mid-queue.
 func (j *journal) kill() {
 	j.mu.Lock()
 	defer j.mu.Unlock()

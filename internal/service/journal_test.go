@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/nemesis"
 	"repro/internal/splash"
+	"repro/internal/vfs"
 )
 
 // coreOf projects a result onto its deterministic core — the fields the
@@ -186,7 +188,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jn, jobs, err := openJournal(nil, path, 16, 4096, nil, nil)
+	jn, jobs, err := openJournal(nil, path, 16, 4096, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -207,7 +209,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err := jn.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	_, jobs2, err := openJournal(nil, path, 16, 4096, nil, nil)
+	_, jobs2, err := openJournal(nil, path, 16, 4096, nil)
 	if err != nil {
 		t.Fatalf("re-open: %v", err)
 	}
@@ -223,7 +225,7 @@ func TestJournalTornTail(t *testing.T) {
 // first line and counts toward neither side of the trigger.
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
-	jn, _, err := openJournal(nil, path, 1, 8, nil, nil)
+	jn, _, err := openJournal(nil, path, 1, 8, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -260,7 +262,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("compacted log has %d lines, want 7 (the reservation + 6)", n)
 	}
 	// Replay after compaction: last finish wins.
-	_, jobs, err := openJournal(nil, path, 1, 8, nil, nil)
+	_, jobs, err := openJournal(nil, path, 1, 8, nil)
 	if err != nil {
 		t.Fatalf("re-open: %v", err)
 	}
@@ -285,10 +287,17 @@ func TestJournalDegradation(t *testing.T) {
 	src := b.Module.String()
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 
+	// The second append fails: the disk fails every write once the first
+	// job's submit record is durable and its worker has missed the cache,
+	// and with every record its own commit the failing write is that job's
+	// finish record.
+	ffs := nemesis.NewFaultFS(nemesis.New(1), vfs.OS{}, nemesis.FaultFSConfig{WriteErrRate: 1})
 	svc, err := Open(Config{
-		Workers:     1,
-		JournalPath: path,
-		Faults:      &FaultConfig{Seed: 1, JournalErrEvery: 2}, // second append fails
+		Workers:           1,
+		JournalPath:       path,
+		JournalFsyncEvery: 1,
+		FS:                ffs,
+		Fill:              func(context.Context, string, *Request) *Result { ffs.Arm(true); return nil },
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -469,7 +478,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+		jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil)
 		if err != nil {
 			t.Fatalf("openJournal rejected arbitrary bytes instead of truncating: %v", err)
 		}
@@ -503,7 +512,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("close after repair: %v", err)
 		}
 		// ...and replay back to exactly the pre-damage jobs plus the probe.
-		jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+		jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil)
 		if err != nil {
 			t.Fatalf("reopen after repair: %v", err)
 		}
@@ -543,7 +552,7 @@ func TestJournalOversizedRecordQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+	jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -566,7 +575,7 @@ func TestJournalOversizedRecordQuarantined(t *testing.T) {
 // TestJournalAppendAfterClose: a journal that a clean shutdown closed takes
 // no more records and says so; it used to dereference its nil file.
 func TestJournalAppendAfterClose(t *testing.T) {
-	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil, nil)
+	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 //     errors — are properties of the (program, config) pair: by weak
 //     determinism a retry provably reproduces them. They fail the job on the
 //     first attempt.
-//   - Transient failures — contained worker panics and injected faults —
-//     are properties of the serving environment, not the program. They are
+//   - Transient failures — contained worker panics — are properties of the
+//     serving environment, not the program. They are
 //     retried with exponential backoff and deterministic jitter, up to
 //     Config.MaxRetries, after which the job fails with a typed
 //     *diag.RetryError (errors.Is(err, diag.ErrRetriesExhausted)).
@@ -38,8 +38,6 @@ func retryable(err error) bool {
 		errors.Is(err, diag.ErrDivergence), errors.Is(err, diag.ErrBadConfig),
 		errors.Is(err, diag.ErrRaceBackend), errors.Is(err, diag.ErrDetectorMidRun):
 		return false // deterministic: a retry provably reproduces the failure
-	case errors.Is(err, diag.ErrInjected):
-		return true // chaos-harness fault: transient by construction
 	case errors.Is(err, errContainedPanic):
 		return true // contained worker panic: environment, not program
 	default:

@@ -96,7 +96,7 @@ func TestServiceRetryExhaustion(t *testing.T) {
 		MaxRetries: 2,
 		RetryBase:  time.Millisecond,
 		RetryMax:   2 * time.Millisecond,
-		Faults:     &FaultConfig{Seed: 3, WorkerPanicRate: 1},
+		Fill:       panickyFill(3, 1),
 	})
 	defer svc.Close(context.Background())
 
@@ -138,7 +138,7 @@ func TestServiceRetryRecovers(t *testing.T) {
 		MaxRetries: 40,
 		RetryBase:  time.Millisecond,
 		RetryMax:   2 * time.Millisecond,
-		Faults:     &FaultConfig{Seed: 5, WorkerPanicRate: 0.5},
+		Fill:       panickyFill(5, 0.5),
 	})
 	defer svc.Close(context.Background())
 
@@ -220,6 +220,9 @@ func TestServiceOverloadSheds(t *testing.T) {
 	}
 }
 
+// admits is allow's answer without the probe ticket.
+func admits(b *breaker) bool { ok, _ := b.allow(); return ok }
+
 // TestBreakerStateMachine drives the divergence circuit breaker through its
 // full closed → open → half-open → closed cycle with an injected clock.
 func TestBreakerStateMachine(t *testing.T) {
@@ -230,12 +233,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		b.onDivergence()
 	}
-	if !b.allow() {
+	if !admits(b) {
 		t.Fatal("breaker tripped below threshold")
 	}
 	b.onSuccess() // decay: 2 → 1
 	b.onDivergence()
-	if !b.allow() {
+	if !admits(b) {
 		t.Fatal("success decay did not absorb a divergence")
 	}
 	b.onDivergence()
@@ -243,18 +246,18 @@ func TestBreakerStateMachine(t *testing.T) {
 	if state, trips := b.snapshot(); state != "open" || trips != 1 {
 		t.Fatalf("breaker = %s/%d, want open/1", state, trips)
 	}
-	if b.allow() {
+	if admits(b) {
 		t.Fatal("open breaker admitted a job")
 	}
 
 	now = now.Add(11 * time.Second)
-	if !b.allow() {
+	if !admits(b) {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
 	if state, _ := b.snapshot(); state != "half-open" {
 		t.Fatalf("state after probe admit = %s, want half-open", state)
 	}
-	if b.allow() {
+	if admits(b) {
 		t.Fatal("half-open breaker admitted a second job while probing")
 	}
 
@@ -266,14 +269,14 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Second probe succeeds: close.
 	now = now.Add(11 * time.Second)
-	if !b.allow() {
+	if !admits(b) {
 		t.Fatal("second probe refused")
 	}
 	b.onSuccess()
 	if state, _ := b.snapshot(); state != "closed" {
 		t.Fatalf("state after clean probe = %s, want closed", state)
 	}
-	if !b.allow() {
+	if !admits(b) {
 		t.Fatal("closed breaker refused work")
 	}
 }

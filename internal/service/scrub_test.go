@@ -159,7 +159,7 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 			if err := os.WriteFile(path, bytes.Join(tc.image, nil), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+			jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil)
 			if err != nil {
 				t.Fatalf("openJournal: %v", err)
 			}
@@ -192,7 +192,7 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 
 			// The rewritten (or truncated) log must replay clean on the next
 			// boot, and the boot sweep must remove the sidecar.
-			jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+			jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -218,7 +218,7 @@ func TestJournalStartupSweepsStaleCompact(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("half-written compaction"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jn, _, err := openJournal(nil, path, 1, 1<<30, nil, nil)
+	jn, _, err := openJournal(nil, path, 1, 1<<30, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}

@@ -99,8 +99,8 @@ type Config struct {
 	// no deadline of its own (0 = unbounded).
 	DefaultDeadline time.Duration
 	// MaxRetries is the per-job retry budget for transient failures —
-	// contained panics, injected faults (default 2; negative disables
-	// retries). Deterministic failures are never retried.
+	// contained worker panics (default 2; negative disables retries).
+	// Deterministic failures are never retried.
 	MaxRetries int
 	// RetryBase/RetryMax shape the exponential backoff between retries
 	// (defaults 5ms/250ms); RetrySeed seeds the deterministic jitter.
@@ -120,9 +120,6 @@ type Config struct {
 	// RetainJobs bounds the finished-job records kept for Lookup/Wait
 	// (default 4096); beyond it the oldest finished jobs are evicted.
 	RetainJobs int
-
-	// Faults arms the service chaos harness (nil in production).
-	Faults *FaultConfig
 
 	// Cluster hooks — the transport-agnostic extension surface that
 	// internal/cluster plugs into. All of them are optional: with every hook
@@ -233,7 +230,6 @@ type Service struct {
 	breaker  *breaker
 	back     *backoff
 	inflight atomic.Int64
-	chaos    *chaos
 
 	// Shared read-only tables for the pipeline.
 	costs *ir.CostModel
@@ -269,7 +265,6 @@ func Open(cfg Config) (*Service, error) {
 		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
 		breaker: newBreaker(cfg.BreakerThreshold, breakerCooldown),
 		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
-		chaos:   newChaos(cfg.Faults),
 		costs:   ir.DefaultCostModel(),
 		est:     estimates.DefaultTable(),
 
@@ -283,7 +278,7 @@ func Open(cfg Config) (*Service, error) {
 
 	var recovered []*job
 	if cfg.JournalPath != "" {
-		jn, replayed, err := openJournal(cfg.FS, cfg.JournalPath, cfg.JournalFsyncEvery, journalCompactEvery, s.chaos, cfg.ShipRecord)
+		jn, replayed, err := openJournal(cfg.FS, cfg.JournalPath, cfg.JournalFsyncEvery, journalCompactEvery, cfg.ShipRecord)
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +425,7 @@ func (s *Service) Close(ctx context.Context) error {
 	}
 }
 
-// Kill simulates a crash (the chaos harness's SIGTERM): in-flight jobs are
+// Kill simulates a crash (a SIGTERM with no grace): in-flight jobs are
 // canceled, the queue stops, and the journal's unflushed batch buffer is
 // dropped — exactly the state a process kill leaves behind. Completion
 // records inside the batch-fsync window are lost by design; recovery

@@ -35,14 +35,16 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		s.rejects.bump(Classify(err))
 		return nil, err
 	}
+	// Admission control, cheapest checks first; all run before any journal
+	// write or pipeline work, so overload sheds at near-zero cost.
+	ok, probe := s.breaker.allow()
 	misuse := func(kind error, detail string) (*job, error) {
+		s.breaker.release(probe) // a refused probe gives no verdict
 		s.ctr.JobsRejected.Add(1)
 		s.rejects.bump(Classify(kind))
 		return nil, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail}
 	}
-	// Admission control, cheapest checks first; all run before any journal
-	// write or pipeline work, so overload sheds at near-zero cost.
-	if !s.breaker.allow() {
+	if !ok {
 		return misuse(ErrCircuitOpen, "determinism divergences tripped the breaker")
 	}
 	bytes := int64(len(req.Source))
@@ -67,7 +69,7 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	}
 	s.seq++
 	id := jobID(s.seq)
-	j := &job{id: id, req: req, status: StatusQueued, done: make(chan struct{}), clientCtx: clientCtx, bytes: bytes}
+	j := &job{id: id, req: req, status: StatusQueued, done: make(chan struct{}), clientCtx: clientCtx, bytes: bytes, probe: probe}
 	s.jobs[id] = j
 	// From here until the job is finished or queued this goroutine is work in
 	// flight, counted like a worker (and taken, like StealQueued's off-pool
@@ -261,9 +263,12 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	// Breaker feedback: any clean completion is the close/decay signal. The
 	// trip signal, a divergence, was fed where the cross-check failed
 	// (diverged). Other failures (deadlock, race, timeout) are program- or
-	// policy-level and say nothing about the service's own soundness.
+	// policy-level and say nothing about the service's own soundness: a
+	// probe that ends in one hands its slot back.
 	if err == nil {
 		s.breaker.onSuccess()
+	} else if !errors.Is(err, diag.ErrDivergence) {
+		s.breaker.release(j.probe)
 	}
 	close(j.done)
 }

@@ -40,10 +40,6 @@ type JobView = service.JobView
 // per-stage latency, self-check divergences, journal/breaker/retry state).
 type ServiceStats = service.StatsSnapshot
 
-// ServiceFaults arms the service chaos harness (worker panics, journal write
-// errors) for fault-tolerance testing; production configs leave it nil.
-type ServiceFaults = service.FaultConfig
-
 // JobFailureRecord is one entry of the bounded recent-failures ring in
 // ServiceStats.
 type JobFailureRecord = service.FailureRecord
