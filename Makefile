@@ -87,18 +87,15 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# Last moved by -204, all of it deleted: no line moved into a _test.go file.
-# The two test drivers compiled into production are gone with every line that
-# knew about them: internal/service/chaos.go (80 lines: Config.Faults,
-# FaultConfig, the journal's chaos parameter and its admission branch, the
-# panic in attempt, retryable's ErrInjected case) and internal/det's
-# faultinject.go (100 lines: FaultInjector, SetFaultInjector, injectBoundary
-# and its three call sites, Thread.boundaries), the facade's ServiceFaults,
-# and the three facade methods nothing called (Cond.Signals,
-# Runtime.DisableWatchdog, Allocator.Stats) with their counters. Added beside
-# it: the circuit breaker's probe ticket and release (a probe that ends
-# without a verdict hands its slot back), and det.Rand / det.NewRand moved
-# into runtime.go.
-LOC_CEILING = 23249
+# Last moved by +92, for a program's text journaled once: internal/service's
+# journal.go (+61: the program record type, its content address programID,
+# the texts map and the scratch request and record, the program record ahead
+# of a text's first submitted record, renderLocked writing each program ahead
+# of its first user, and the header's durability row), scrub.go (+27: a
+# program record kept only when its text hashes to its id, a submitted
+# record's src resolved against the program records before it, and the
+# quarantine list), and internal/cluster's ship.go (+4: a snapshot resync
+# empties the buffer before it renders and keeps what is buffered after).
+LOC_CEILING = 23341
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

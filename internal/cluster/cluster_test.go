@@ -393,6 +393,67 @@ func TestJournalShippingAndTakeover(t *testing.T) {
 	}
 }
 
+// TestResyncKeepsLinesRecordedDuringIt: a job acknowledged while a snapshot
+// resync is on the wire reaches the standby. The snapshot was rendered before
+// the job's records were, so they must follow it in the stream rather than be
+// dropped with the buffer the snapshot replaced; the job runs a program the
+// snapshot does not hold, so its program record must follow it too.
+func TestResyncKeepsLinesRecordedDuringIt(t *testing.T) {
+	net := NewLoopNet()
+	dir := t.TempDir()
+	shipPath := filepath.Join(dir, "shipped.journal")
+	standby := tnode(t, net, "standby", nil, func(c *Config) { c.ShipPath = shipPath })
+	primary := tnode(t, net, "primary", nil, func(c *Config) {
+		c.Standby = "standby"
+		c.Service.JournalPath = filepath.Join(dir, "primary.journal")
+	})
+	ctx := context.Background()
+	cores := map[string]string{}
+	src := srcOf(t, "ocean")
+	for i := 0; i < 2; i++ {
+		id := mustSubmit(t, primary, service.Request{Source: src, PerturbSeed: int64(i)})
+		cores[id] = coreOf(waitResult(t, primary.Service(), id))
+	}
+
+	// The first flush opens the epoch with a snapshot of the two jobs, and
+	// stays on the wire long enough for a third job to be accepted and done.
+	net.SetLatency("primary", "standby", 300*time.Millisecond)
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := primary.ShipFlush(ctx)
+		flushed <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	late := mustSubmit(t, primary, service.Request{Source: srcOf(t, "radiosity")})
+	cores[late] = coreOf(waitResult(t, primary.Service(), late))
+	if err := <-flushed; err != nil {
+		t.Fatalf("resync flush: %v", err)
+	}
+	net.SetLatency("primary", "standby", 0)
+	if sent, err := primary.ShipFlush(ctx); err != nil || sent == 0 {
+		t.Fatalf("flush after the resync: sent %d, err %v; want the late job's lines", sent, err)
+	}
+	primary.Kill()
+	net.Deregister("primary")
+	if err := standby.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := Takeover(shipPath, service.Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("Takeover: %v", err)
+	}
+	defer svc.Close(context.Background())
+	for id, want := range cores {
+		if got := coreOf(waitResult(t, svc, id)); got != want {
+			t.Fatalf("takeover job %s core %s, want %s", id, got, want)
+		}
+	}
+	if snap := svc.Snapshot(); snap.Divergences != 0 || snap.JournalQuarantined != 0 {
+		t.Fatalf("takeover: %d divergences, %d quarantined lines", snap.Divergences, snap.JournalQuarantined)
+	}
+}
+
 // TestSingleNodeIdentity: a node with no peers and no standby is the bare
 // service — identical results, no cluster traffic, no peer-path counters.
 func TestSingleNodeIdentity(t *testing.T) {

@@ -91,11 +91,15 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 	sh.mu.Lock()
 	batch := shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch, Seq: sh.seq, Lines: sh.buf}
 	resync := sh.resync
+	if resync {
+		// New epoch: the snapshot rendered below supersedes everything
+		// streamed and buffered so far; what record() buffers from here on
+		// follows it (a line in both replays harmlessly: first submit wins,
+		// last finish wins, a program id is its text).
+		sh.buf, sh.resync = nil, false
+	}
 	sh.mu.Unlock()
 	if resync {
-		// New epoch: the snapshot supersedes everything previously streamed
-		// AND everything currently buffered (buffered records are already
-		// folded into the live table the snapshot renders).
 		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true,
 			Lines: sh.node.svc.JournalSnapshotRecords()}
 	} else if len(batch.Lines) == 0 {
@@ -104,7 +108,7 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 
 	batch.Sum = sumLines(batch.Lines)
 	if _, err := shipRoute.call(ctx, sh.node, sh.standby, &batch); err != nil {
-		if statusOf(err) == http.StatusConflict { // a gap or damaged lines: resync
+		if resync || statusOf(err) == http.StatusConflict { // a gap or damaged lines: resync
 			sh.mu.Lock()
 			sh.resync = true
 			sh.mu.Unlock()
@@ -113,14 +117,14 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 	}
 
 	sh.mu.Lock()
-	if resync {
+	switch {
+	case resync:
 		sh.epoch = batch.Epoch
 		sh.seq = int64(len(batch.Lines))
-		sh.buf = nil // superseded by the snapshot
-		sh.resync = false
-	} else {
+	case !sh.resync:
 		// Acked: drop exactly the lines this batch carried; record() may
-		// have appended more behind them meanwhile.
+		// have appended more behind them meanwhile (or overflowed, dropping
+		// them all for the next resync).
 		sh.buf = sh.buf[len(batch.Lines):]
 		sh.seq += int64(len(batch.Lines))
 	}

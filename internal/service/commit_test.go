@@ -369,8 +369,9 @@ func TestSnapshotRecordsOmitReservation(t *testing.T) {
 	mustDo(t, s, req)
 	mustDo(t, s, req)
 	lines := s.JournalSnapshotRecords()
-	if len(lines) != 4 || bytes.Contains(bytes.Join(lines, nil), []byte(recReserved)) {
-		t.Fatalf("snapshot of two finished jobs: %d lines: %q", len(lines), lines)
+	jobRecs, programs := splitPrograms(t, imageRecords(t, bytes.Join(lines, nil)))
+	if len(jobRecs) != 4 || programs != 1 || bytes.Contains(bytes.Join(lines, nil), []byte(recReserved)) {
+		t.Fatalf("snapshot of two finished jobs of one program: %d job records, %d programs: %q", len(jobRecs), programs, lines)
 	}
 	if s.journal.reserved != reserveBlock {
 		t.Fatalf("the journal reserved up to %d, want %d", s.journal.reserved, reserveBlock)

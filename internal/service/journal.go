@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,6 +42,14 @@ import (
 //   - "completed"/"failed": batch-synced (every fsyncEvery records, plus on
 //     close and compaction). Losing a tail of them is harmless by determinism:
 //     recovery re-executes those jobs and reproduces the same results.
+//   - "program" prog-<sha256 hex>: a program text, written once per log
+//     image right ahead of the first submitted record that names it, so the
+//     two commit together and a crash loses the text only with that record.
+//     A submitted record names its text by this content address ("src") and
+//     carries its request with an empty source; one without "src" — the
+//     format before program records — replays the text it carries. Program
+//     records are no job's records: they count toward neither the batch nor
+//     the compaction trigger.
 //
 // There is one commit path (commitLocked): appenders take a sequence number
 // under mu; one committer at a time swaps the pending buffer out and does the
@@ -60,8 +70,9 @@ import (
 // than compactEvery job records and more than twice the live-job count (the
 // finish records repeated crash / recover cycles leave behind), it is
 // rewritten (temp file + fsync + atomic rename) to the reservation, then one
-// submitted record — plus one finish record when finished — per known job.
-// A log without duplicates never compacts, and the live set is unbounded.
+// submitted record — plus one finish record when finished — per known job,
+// each program record right ahead of its first user. A log without duplicates
+// never compacts, and the live set is unbounded.
 
 // Journal record types.
 const (
@@ -69,6 +80,7 @@ const (
 	recCompleted = "completed"
 	recFailed    = "failed"
 	recReserved  = "reserved"
+	recProgram   = "program"
 )
 
 // reserveBlock is how many ids one reservation record covers.
@@ -78,10 +90,12 @@ const reserveBlock = 1024
 type journalRecord struct {
 	Type string `json:"type"`
 	// ID is the job the record belongs to; on a reserved record, the id no
-	// issued id exceeds.
+	// issued id exceeds; on a program record, its text's content address.
 	ID string `json:"id"`
-	// Req is the full job request (submitted records): everything needed to
-	// re-execute the job after a crash.
+	// Src names the program record that holds a submitted record's text.
+	Src string `json:"src,omitempty"`
+	// Req is the job request (submitted records): with its program text,
+	// everything needed to re-execute the job after a crash.
 	Req *Request `json:"req,omitempty"`
 	// Result is the result summary (completed records). Artifact payloads
 	// (schedules, overhead rows) are recomputed on demand, not journaled.
@@ -89,6 +103,8 @@ type journalRecord struct {
 	// Error/Kind describe a failed job's structured report rendering.
 	Error string `json:"error,omitempty"`
 	Kind  string `json:"kind,omitempty"`
+	// Text is a program record's text.
+	Text string `json:"text,omitempty"`
 }
 
 // journalJob is the replayed state of one journaled job: its request plus
@@ -122,6 +138,14 @@ type journal struct {
 	fsyncEvery     int
 	encBuf         bytes.Buffer
 	enc            *json.Encoder
+	// texts maps each text a program record of the log image holds and a
+	// live job uses to its program id (live jobs only: a snapshot renders
+	// their programs, and must hold every program a later record names);
+	// scratch is the request a submitted record carries, its source
+	// blanked, and encRec the record being encoded.
+	texts   map[string]string
+	scratch Request
+	encRec  journalRecord
 
 	// appended numbers the job records taken so far, committed is the last
 	// one a finished Write + Sync covers, committing says a committer is
@@ -191,6 +215,7 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, ship fu
 		fsyncEvery:   fsyncEvery,
 		compactEvery: compactEvery,
 		live:         make(map[string]*journalJob),
+		texts:        make(map[string]string),
 		ship:         ship,
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -251,6 +276,9 @@ func (j *journal) replay(rec *journalRecord) {
 		}
 		j.live[rec.ID] = &journalJob{id: rec.ID, req: *rec.Req}
 		j.order = append(j.order, rec.ID)
+		if rec.Src != "" {
+			j.texts[rec.Req.Source] = rec.Src
+		}
 	case recCompleted:
 		if jj, ok := j.live[rec.ID]; ok && rec.Result != nil {
 			jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, "", ""
@@ -262,7 +290,8 @@ func (j *journal) replay(rec *journalRecord) {
 	}
 }
 
-// appendSubmitted records an accepted job. With durable set the record — and
+// appendSubmitted records an accepted job, behind the program record of its
+// text when the log image holds none. With durable set the record — and
 // everything appended ahead of it — is written and fsynced before returning,
 // so Submit never acknowledges a job a crash could lose. Without it (a clean
 // hit whose caller is handed the result, not the id) the record joins the
@@ -279,12 +308,22 @@ func (j *journal) appendSubmitted(id string, req *Request, durable bool) error {
 	// reserveBlock ids and no more (scanResult.idFloor).
 	for n, _ := numericID(id); n > j.reserved; {
 		j.reserved += reserveBlock
-		if err := j.appendLocked(&journalRecord{Type: recReserved, ID: jobID(j.reserved)}); err != nil {
+		if err := j.appendLocked(journalRecord{Type: recReserved, ID: jobID(j.reserved)}); err != nil {
 			return err
 		}
 		j.reservedAt = j.appended + 1 // the submit record appended below
 	}
-	if err := j.appendJobLocked(&journalRecord{Type: recSubmitted, ID: id, Req: req}); err != nil {
+	pid, ok := j.texts[req.Source]
+	if !ok {
+		pid = programID(req.Source)
+		if err := j.appendLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
+			return err
+		}
+		j.texts[req.Source] = pid
+	}
+	j.scratch = *req
+	j.scratch.Source = ""
+	if err := j.appendJobLocked(journalRecord{Type: recSubmitted, ID: id, Src: pid, Req: &j.scratch}); err != nil {
 		return err
 	}
 	j.live[id] = &journalJob{id: id, req: *req}
@@ -302,13 +341,13 @@ func (j *journal) appendFinished(id string, res *Result, errMsg, errKind string)
 	if err := j.admitLocked(); err != nil {
 		return err
 	}
-	rec := &journalRecord{Type: recFailed, ID: id, Error: errMsg, Kind: errKind}
+	rec := journalRecord{Type: recFailed, ID: id, Error: errMsg, Kind: errKind}
 	if res != nil {
 		// Strip heavyweight artifacts: journaled results are summaries;
 		// schedules and overhead rows are recomputed on demand.
 		trimmed := *res
 		trimmed.Schedule, trimmed.Overhead = nil, nil
-		rec = &journalRecord{Type: recCompleted, ID: id, Result: &trimmed}
+		rec = journalRecord{Type: recCompleted, ID: id, Result: &trimmed}
 	}
 	if err := j.appendJobLocked(rec); err != nil {
 		return err
@@ -335,7 +374,7 @@ func (j *journal) admitLocked() error {
 }
 
 // appendJobLocked appends one job record and takes its sequence number.
-func (j *journal) appendJobLocked(rec *journalRecord) error {
+func (j *journal) appendJobLocked(rec journalRecord) error {
 	if err := j.appendLocked(rec); err != nil {
 		return err
 	}
@@ -373,10 +412,12 @@ func (j *journal) settleLocked(durable bool) error {
 // order, including ones a later compaction rewrites — which is exactly what
 // a standby needs to replay (replay is last-finish-wins, so the stream and
 // its compaction are interchangeable).
-func (j *journal) appendLocked(rec *journalRecord) error {
+func (j *journal) appendLocked(rec journalRecord) error {
 	j.encBuf.Reset()
-	// Encode is Marshal into a buffer this journal keeps, plus a newline.
-	if err := j.enc.Encode(rec); err != nil {
+	// Encode is Marshal plus a newline; the record and the buffer are the
+	// journal's own, so an append allocates neither.
+	j.encRec = rec
+	if err := j.enc.Encode(&j.encRec); err != nil {
 		j.broken = true
 		return fmt.Errorf("journal: marshal: %w", err)
 	}
@@ -452,20 +493,33 @@ func (j *journal) quiesceLocked() {
 func (j *journal) snapshotRecords() [][]byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	lines, _ := j.renderLocked() // on a marshal error: the lines before it
+	lines, _, _ := j.renderLocked() // on a marshal error: the lines before it
 	return lines
 }
 
 // renderLocked renders the live job table in first-seen order — one submitted
-// record per job, plus its finish record when done: the snapshot payload and,
-// behind the reservation, the compacted log's image. It stops at the first
-// record that does not marshal, so a compaction never drops a live job
-// silently.
-func (j *journal) renderLocked() ([][]byte, error) {
+// record per job, plus its finish record when done, and each program record
+// right ahead of its first user: the snapshot payload and, behind the
+// reservation, the compacted log's image, whose texts map it also returns. It
+// stops at the first record that does not marshal, so a compaction never
+// drops a live job silently.
+func (j *journal) renderLocked() ([][]byte, map[string]string, error) {
 	var out [][]byte
+	texts := make(map[string]string)
 	for _, id := range j.order {
 		jj := j.live[id]
-		recs := []*journalRecord{{Type: recSubmitted, ID: jj.id, Req: &jj.req}}
+		var recs []*journalRecord
+		pid, ok := texts[jj.req.Source]
+		if !ok {
+			if pid, ok = j.texts[jj.req.Source]; !ok {
+				pid = programID(jj.req.Source) // replayed from a record that carried its text
+			}
+			texts[jj.req.Source] = pid
+			recs = append(recs, &journalRecord{Type: recProgram, ID: pid, Text: jj.req.Source})
+		}
+		req := jj.req
+		req.Source = ""
+		recs = append(recs, &journalRecord{Type: recSubmitted, ID: jj.id, Src: pid, Req: &req})
 		switch {
 		case jj.done && jj.result != nil:
 			recs = append(recs, &journalRecord{Type: recCompleted, ID: jj.id, Result: jj.result})
@@ -475,12 +529,12 @@ func (j *journal) renderLocked() ([][]byte, error) {
 		for _, rec := range recs {
 			b, err := json.Marshal(rec)
 			if err != nil {
-				return out, err
+				return out, nil, err
 			}
 			out = append(out, frameLine(b))
 		}
 	}
-	return out, nil
+	return out, texts, nil
 }
 
 // journalCompactEvery is the compactEvery a Service opens its journal with.
@@ -501,7 +555,7 @@ func (j *journal) maybeCompactLocked() error {
 	if j.broken || j.closed {
 		return nil // killed or closed while this finisher waited
 	}
-	lines, err := j.renderLocked()
+	lines, texts, err := j.renderLocked()
 	if err == nil {
 		image := append([][]byte{reservationLine(j.reserved)}, lines...)
 		err = vfs.ReplaceFile(j.fsys, j.path+".compact", j.path, bytes.Join(image, nil))
@@ -524,7 +578,7 @@ func (j *journal) maybeCompactLocked() error {
 	old.Close()
 	j.f = f
 	j.pending, j.pendingRecs, j.committed = j.pending[:0], 0, j.appended
-	j.rawRecords = len(lines)
+	j.rawRecords, j.texts = len(lines)-len(texts), texts
 	j.compactions++
 	j.cond.Broadcast()
 	return nil
@@ -600,6 +654,13 @@ func numericID(id string) (int64, bool) {
 	}
 	n, err := strconv.ParseUint(digits, 10, 63)
 	return int64(n), err == nil
+}
+
+// programID is a program text's content address: the id of its program
+// record, which submitted records name it by.
+func programID(text string) string {
+	sum := sha256.Sum256([]byte(text))
+	return "prog-" + hex.EncodeToString(sum[:])
 }
 
 // reservationLine is the framed reservation record for mark n.

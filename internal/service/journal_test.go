@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/diag"
 	"repro/internal/nemesis"
@@ -221,18 +221,20 @@ func TestJournalTornTail(t *testing.T) {
 // TestJournalCompaction: duplicate finish records (the signature of repeated
 // crash/recover cycles) push the raw log past the compaction trigger; the
 // rewrite keeps one submitted + one finish record per job, preserves replay,
-// and shrinks the file. The reservation is no job's record: it is the image's
-// first line and counts toward neither side of the trigger.
+// and shrinks the file. The reservation and the program records are no job's
+// records: the reservation is the image's first line, each program is
+// written once ahead of its first user, and neither counts toward either side
+// of the trigger.
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	jn, _, err := openJournal(nil, path, 1, 8, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
-	req := Request{Source: "m"}
-	for i := 0; i < 3; i++ {
+	reqs := []Request{{Source: "m"}, {Source: "m2", Threads: 2}, {Source: "m", PerturbSeed: 3}}
+	for i := range reqs {
 		id := fmt.Sprintf("job-%d", i+1)
-		if err := jn.appendSubmitted(id, &req, true); err != nil {
+		if err := jn.appendSubmitted(id, &reqs[i], true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,8 +260,12 @@ func TestJournalCompaction(t *testing.T) {
 	if !bytes.HasPrefix(raw, reservationLine(reserveBlock)) {
 		t.Fatalf("compacted log does not open with the reservation: %q", raw)
 	}
-	if n := strings.Count(string(raw), "\n"); n != 7 {
-		t.Fatalf("compacted log has %d lines, want 7 (the reservation + 6)", n)
+	jobRecs, programs := splitPrograms(t, imageRecords(t, raw)[1:])
+	if len(jobRecs) != 6 || programs != 2 {
+		t.Fatalf("compacted log holds %d job records and %d programs, want 6 (3 submitted + 3 finish) and 2", len(jobRecs), programs)
+	}
+	if len(jn.texts) != 2 {
+		t.Fatalf("texts after compaction = %v, want the image's 2 programs", jn.texts)
 	}
 	// Replay after compaction: last finish wins.
 	_, jobs, err := openJournal(nil, path, 1, 8, nil)
@@ -269,10 +275,13 @@ func TestJournalCompaction(t *testing.T) {
 	if len(jobs) != 3 {
 		t.Fatalf("replayed %d jobs, want 3", len(jobs))
 	}
-	for _, jj := range jobs {
-		if !jj.done || jj.result == nil || jj.result.ScheduleHash != "h3" {
-			t.Fatalf("%s replay = %+v, want last finish h3", jj.id, jj)
+	for i, jj := range jobs {
+		if jj.req != reqs[i] || !jj.done || jj.result == nil || jj.result.ScheduleHash != "h3" {
+			t.Fatalf("%s replay = %+v, want %+v and last finish h3", jj.id, jj, reqs[i])
 		}
+	}
+	if jobs[0].req.Source != jobs[2].req.Source || unsafe.StringData(jobs[0].req.Source) != unsafe.StringData(jobs[2].req.Source) {
+		t.Fatal("replayed jobs of one program do not share its text")
 	}
 }
 
@@ -454,6 +463,26 @@ func FuzzJournalReplay(f *testing.F) {
 		framed(`{"type":"reserved","id":"job-x"}`) +
 		framed(`{"type":"reserved","id":"job-99999999999999999999"}`) +
 		`#c1 4d2a1e27 35 {"type":"reserved","id":"job-30`))
+
+	// Program records: an intact one and its users, one whose text does not
+	// hash to its id (it and every user quarantine), a user ahead of its
+	// program, a program written twice, and a user that both names a
+	// program and carries a text.
+	prog := func(text string) (string, string) {
+		id := programID(text)
+		return id, framed(`{"type":"program","id":"` + id + `","text":"` + text + `"}`)
+	}
+	user := func(id, src string) string {
+		return framed(`{"type":"submitted","id":"` + id + `","src":"` + src + `","req":{"source":"","threads":4}}`)
+	}
+	pm, progM := prog("module m")
+	pn, progN := prog("module n")
+	f.Add([]byte(progM + user("job-1", pm) + framed(`{"type":"completed","id":"job-1","result":{"schedule_hash":"00"}}`) +
+		user("job-2", pm) + progN + user("job-3", pn)))
+	f.Add([]byte(framed(`{"type":"program","id":"`+pm+`","text":"module n"}`) + user("job-1", pm) + user("job-2", pm) + progN + user("job-3", pn)))
+	f.Add([]byte(user("job-1", pm) + progM + user("job-2", pm)))
+	f.Add([]byte(progM + user("job-1", pm) + progM + user("job-2", pm)))
+	f.Add([]byte(progM + framed(`{"type":"submitted","id":"job-1","src":"`+pm+`","req":{"source":"module m"}}`)))
 
 	// The snapshot check is the scanner's second entrance (peer-supplied
 	// bytes instead of a file): it must refuse exactly what recovery would

@@ -21,13 +21,17 @@ import (
 // What quarantines: a failed CRC frame, unparseable JSON, an empty job id, an
 // unknown record type, a submitted record with no request, a finish record
 // for a job with no submitted record (a "ghost" — its submit was itself
-// damaged), a completed record with no result, and a reservation whose id is
-// not a job-N. What does not: duplicate
-// submitted records and repeated finish records are legitimate products of
-// crash-recovery re-execution and replay handles them (first-submit-wins,
-// last-finish-wins); blank lines are kept; a torn final line (no trailing
-// newline) is truncation damage, not corruption, and is dropped without
-// quarantine exactly as before.
+// damaged), a completed record with no result, a reservation whose id is
+// not a job-N, a program record whose text does not hash to its id, a
+// submitted record naming a program no earlier intact program record holds
+// (so one damaged program line costs that program's jobs), and one that
+// both names a program and carries a text. What does not: duplicate
+// submitted, program and finish records are legitimate products of
+// crash-recovery re-execution and of a shipped stream overlapping its
+// snapshot, and replay handles them (first-submit-wins, last-finish-wins, a
+// program id is its text); blank lines are kept; a torn final line (no
+// trailing newline) is truncation damage, not corruption, and is dropped
+// without quarantine exactly as before.
 //
 // The sidecar is diagnostic: it is swept away at the next startup (along with
 // stale `.compact` temp files), so it describes the damage found by the most
@@ -43,7 +47,9 @@ type quarantineEntry struct {
 
 // scanResult is the outcome of a full-journal integrity scan.
 type scanResult struct {
-	// recs holds the replayable records in log order.
+	// recs holds the replayable job records in log order, each submitted
+	// record's request holding its text: the records of one program share
+	// one string.
 	recs []*journalRecord
 	// keep is the clean log image: every valid line, original bytes, in
 	// order. Byte-identical to the input minus quarantined lines and the
@@ -91,8 +97,9 @@ func (r *scanResult) repaired() []byte {
 func scanJournal(raw []byte) scanResult {
 	var res scanResult
 	var keep bytes.Buffer
-	seen := map[string]bool{} // id -> submitted record seen
-	done := map[string]bool{} // id -> finish record seen
+	seen := map[string]bool{}    // id -> submitted record seen
+	done := map[string]bool{}    // id -> finish record seen
+	progs := map[string]string{} // program id -> text, from intact program records
 	rest := raw
 	for len(rest) > 0 {
 		nl := bytes.IndexByte(rest, '\n')
@@ -140,10 +147,30 @@ func scanJournal(raw []byte) scanResult {
 			keep.Write(line)
 			keep.WriteByte('\n')
 			continue
+		case recProgram:
+			if programID(rec.Text) != rec.ID {
+				quarantine(fmt.Sprintf("program text does not match its id %s", rec.ID))
+				continue
+			}
+			progs[rec.ID] = rec.Text
+			keep.Write(line)
+			keep.WriteByte('\n')
+			continue
 		case recSubmitted:
 			if rec.Req == nil {
 				quarantine("submitted record without request")
 				continue
+			}
+			switch text, ok := progs[rec.Src]; {
+			case rec.Src == "": // the inline format: the record carries its text
+			case rec.Req.Source != "":
+				quarantine("submitted record with both a program and an inline text")
+				continue
+			case !ok:
+				quarantine(fmt.Sprintf("submitted record names unknown program %s (its program record is missing or damaged)", rec.Src))
+				continue
+			default:
+				rec.Req.Source = text
 			}
 			if !seen[rec.ID] {
 				seen[rec.ID] = true
@@ -221,7 +248,7 @@ func rewriteLog(fsys vfs.FS, path string, clean []byte) error {
 // ScrubReport summarizes an offline journal scrub (detserve -scrub /
 // -verify-journal).
 type ScrubReport struct {
-	// Records is the number of replayable records.
+	// Records is the number of replayable job records.
 	Records int `json:"records"`
 	// Jobs is the number of distinct jobs; Finished how many of them have a
 	// durable finish record.

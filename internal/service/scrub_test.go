@@ -23,6 +23,49 @@ func recLine(t *testing.T, rec *journalRecord) []byte {
 	return frameLine(b)
 }
 
+// imageRecords parses every line of a journal image the journal wrote.
+func imageRecords(t *testing.T, raw []byte) []journalRecord {
+	t.Helper()
+	var recs []journalRecord
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		payload, err := unframeLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// splitPrograms checks that an image holds each program record once, ahead
+// of every submitted record that names it, and returns the job records and
+// the number of program records.
+func splitPrograms(t *testing.T, recs []journalRecord) (jobRecs []journalRecord, programs int) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, rec := range recs {
+		switch {
+		case rec.Type == recProgram && seen[rec.ID]:
+			t.Fatalf("program %s written twice", rec.ID)
+		case rec.Type == recProgram:
+			seen[rec.ID] = true
+			programs++
+		case rec.Type == recSubmitted && !seen[rec.Src]:
+			t.Fatalf("%s names program %q ahead of its record", rec.ID, rec.Src)
+		default:
+			jobRecs = append(jobRecs, rec)
+		}
+	}
+	return jobRecs, programs
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte(`{"type":"submitted","id":"x","req":{"source":"module m"}}`)
 	line := frameLine(payload)
@@ -78,6 +121,14 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 	}
 	fin := func(id string) []byte {
 		return recLine(t, &journalRecord{Type: recCompleted, ID: id, Result: &Result{ScheduleHash: "aa"}})
+	}
+	// Program records: use names req's text by its program id; forged holds
+	// another text under that id.
+	pid := programID(req.Source)
+	prog := recLine(t, &journalRecord{Type: recProgram, ID: pid, Text: req.Source})
+	forged := recLine(t, &journalRecord{Type: recProgram, ID: pid, Text: "module n"})
+	use := func(id string) []byte {
+		return recLine(t, &journalRecord{Type: recSubmitted, ID: id, Src: pid, Req: &Request{}})
 	}
 	// flip damages one interior byte of line (past the frame magic) so the
 	// CRC check, not the JSON parser, is what must catch it.
@@ -145,6 +196,41 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 			wantTornFix: true,
 		},
 		{
+			name:     "program record ahead of its users, inline text beside them",
+			image:    [][]byte{prog, use("a"), sub("b"), use("c")},
+			wantJobs: []string{"a", "b", "c"},
+		},
+		{
+			name:     "program written twice is tolerated",
+			image:    [][]byte{prog, use("a"), prog, use("b")},
+			wantJobs: []string{"a", "b"},
+		},
+		{
+			name: "damaged program quarantined with every user",
+			// One bad program line costs that program's jobs, not the log's.
+			image:    [][]byte{flip(prog), use("a"), sub("b"), use("c")},
+			wantJobs: []string{"b"},
+			wantQuar: 3,
+		},
+		{
+			name:     "program whose text is not its id",
+			image:    [][]byte{forged, use("a"), sub("b")},
+			wantJobs: []string{"b"},
+			wantQuar: 2,
+		},
+		{
+			name:     "user ahead of its program",
+			image:    [][]byte{use("a"), prog, use("b")},
+			wantJobs: []string{"b"},
+			wantQuar: 1,
+		},
+		{
+			name:     "program reference and inline text in one record",
+			image:    [][]byte{prog, recLine(t, &journalRecord{Type: recSubmitted, ID: "a", Src: pid, Req: &req}), use("b")},
+			wantJobs: []string{"b"},
+			wantQuar: 1,
+		},
+		{
 			name:        "torn tail truncated without quarantine",
 			image:       [][]byte{sub("a"), sub("b"), fin("a")[:10]},
 			wantJobs:    []string{"a", "b"},
@@ -166,6 +252,9 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 			var ids []string
 			for _, jj := range jobs {
 				ids = append(ids, jj.id)
+				if jj.req.Source != req.Source {
+					t.Fatalf("%s replayed text %q, want %q", jj.id, jj.req.Source, req.Source)
+				}
 			}
 			if strings.Join(ids, ",") != strings.Join(tc.wantJobs, ",") {
 				t.Fatalf("recovered jobs %v, want %v", ids, tc.wantJobs)

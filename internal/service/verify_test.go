@@ -98,11 +98,20 @@ func TestSnapshotCheckRefusesDamage(t *testing.T) {
 	done := journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: "00"}})
 	flipped := append([]byte(nil), sub...)
 	flipped[len(flipped)-3] ^= 0x01
+	pid := programID(req.Source)
+	program := journalLine(t, journalRecord{Type: recProgram, ID: pid, Text: req.Source})
+	named := journalLine(t, journalRecord{Type: recSubmitted, ID: "job-1", Src: pid, Req: &Request{Threads: 4}})
+	if err := svc.CheckSnapshotRecords(context.Background(), [][]byte{program, named}); err != nil {
+		t.Fatalf("a program and its user: %v", err)
+	}
 	for name, lines := range map[string][][]byte{
 		"flipped payload byte":  {flipped, done},
 		"unframed line":         {[]byte(`{"type":"submitted","id":"job-1","req":{"source":"module m"}}` + "\n")},
 		"finish without submit": {done},
 		"torn final line":       {sub, bytes.TrimRight(done, "\n")},
+		"missing program":       {named, done},
+		"user before program":   {named, program},
+		"program and text":      {program, journalLine(t, journalRecord{Type: recSubmitted, ID: "job-1", Src: pid, Req: &req})},
 	} {
 		if err := svc.CheckSnapshotRecords(context.Background(), lines); !errors.Is(err, diag.ErrCorruption) {
 			t.Errorf("%s: err = %v, want ErrCorruption", name, err)
