@@ -71,13 +71,13 @@ done:
 `
 
 // benchRun executes one machine to completion and returns it.
-func benchRun(b *testing.B, m *ir.Module, threads int, ref bool, race *RaceConfig) *Machine {
+func benchRun(b *testing.B, m *ir.Module, threads int, mode ClockMode, ref bool, race *RaceConfig) *Machine {
 	b.Helper()
 	mach, ths, err := NewMachine(Config{
 		Module:    m,
 		Threads:   threads,
 		Entry:     "main",
-		Mode:      ModeDetLock,
+		Mode:      mode,
 		Reference: ref,
 		Race:      race,
 	})
@@ -99,21 +99,28 @@ func benchRun(b *testing.B, m *ir.Module, threads int, ref bool, race *RaceConfi
 
 // BenchmarkInterpDispatch compares the reference tree-walking step loop with
 // the decoded dispatch loop on the same program; the MIPS metric is the one
-// BENCH_PR4.json commits.
+// BENCH_PR4.json commits. The kendo/ pair runs the same stream under Kendo's
+// clock (default chunk), where every instruction also accrues on the
+// counter: Table II's Kendo cells.
 func BenchmarkInterpDispatch(b *testing.B) {
 	m := ir.MustParse(dispatchSrc)
-	for _, ref := range []bool{true, false} {
-		name := "decoded"
-		if ref {
-			name = "reference"
-		}
-		b.Run(name, func(b *testing.B) {
-			var instrs int64
-			for i := 0; i < b.N; i++ {
-				instrs += benchRun(b, m, 1, ref, nil).InstrsExecuted
+	for _, mode := range []ClockMode{ModeDetLock, ModeKendo} {
+		for _, ref := range []bool{true, false} {
+			name := "decoded"
+			if ref {
+				name = "reference"
 			}
-			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "MIPS")
-		})
+			if mode == ModeKendo {
+				name = "kendo/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				var instrs int64
+				for i := 0; i < b.N; i++ {
+					instrs += benchRun(b, m, 1, mode, ref, nil).InstrsExecuted
+				}
+				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "MIPS")
+			})
+		}
 	}
 }
 
@@ -123,7 +130,7 @@ func BenchmarkInterpDispatch(b *testing.B) {
 func BenchmarkRaceDetectorOn(b *testing.B) {
 	m := ir.MustParse(raceSrc)
 	for i := 0; i < b.N; i++ {
-		mach := benchRun(b, m, 4, false, &RaceConfig{Policy: RaceReport})
+		mach := benchRun(b, m, 4, ModeDetLock, false, &RaceConfig{Policy: RaceReport})
 		if n := len(mach.Races()); n != 0 {
 			b.Fatalf("unexpected races: %d", n)
 		}
@@ -133,7 +140,7 @@ func BenchmarkRaceDetectorOn(b *testing.B) {
 func BenchmarkRaceDetectorOff(b *testing.B) {
 	m := ir.MustParse(raceSrc)
 	for i := 0; i < b.N; i++ {
-		benchRun(b, m, 4, false, nil)
+		benchRun(b, m, 4, ModeDetLock, false, nil)
 	}
 }
 

@@ -37,8 +37,10 @@ package interp
 // as the reference loop (clock updates, sync ops, Kendo overflows, the
 // MaxStepCycles bound, completion) with identical cycle, clock, and stats
 // accounting, identical error strings, and identical race-detector access
-// sequences. TestDecodedEquivalence and the harness 20-seed property test
-// assert this byte-for-byte.
+// sequences. TestDecodedEquivalence (equiv_test.go: every opcode, a yield at
+// each position of a fused add run, and every runtime fault, under DetLock,
+// Kendo and FCFS) and the harness's 20-seed SPLASH property assert this
+// byte-for-byte. stepFast's comment gives the loop's register discipline.
 
 import (
 	"errors"
@@ -228,7 +230,7 @@ func decodeBuiltinKind(name string) builtinKind {
 // builtinValue (including the zero for missing arguments).
 func builtinEval(kind builtinKind, args []int64) int64 {
 	arg := func(i int) int64 {
-		if i < len(args) {
+		if i >= 0 && i < len(args) {
 			return args[i]
 		}
 		return 0
@@ -378,9 +380,8 @@ func (m *Machine) decodeFn(fn *ir.Func) *dcode {
 				cost: int32(m.cm.PhysicalInstrCost(ins)),
 			}
 			if m.cfg.Mode == ModeKendo {
-				// Kendo accrual only: leaving kcost zero otherwise lets the
-				// dispatch loop accrue unconditionally (no per-instruction
-				// mode branch) without the counter ever moving.
+				// Kendo accrual only: the dispatch loop reads kcost only
+				// under Kendo, and fused triples reuse the field elsewhere.
 				d.kcost = int32(m.cm.InstrCost(ins))
 			}
 			switch {
@@ -631,54 +632,51 @@ func (t *Thread) pushFast(dc *dcode, retDst int32) []int64 {
 	return regs
 }
 
+// flush writes the loop's program counter and retired count back: every
+// exit from stepFast goes through it.
+func (t *Thread) flush(fr *frame, pc int32, retired int64) {
+	fr.dpc = pc
+	t.RetiredInstrs += retired
+	t.mach.InstrsExecuted += retired
+}
+
+// kendoOverflow ends a step at a Kendo counter overflow: the interrupt
+// handler publishes the accumulated count as the clock delta.
+func (t *Thread) kendoOverflow(st *sim.Step, cycles int64) {
+	m := t.mach
+	m.Interrupts++
+	m.ClockUpdates++
+	*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles + m.cfg.KendoInterruptCost, ClockDelta: t.kendoAccum}
+	t.kendoAccum = 0
+}
+
 // stepFast is the decoded dispatch loop: the optimized equivalent of step().
 // Yield points, cycle accounting, stats, error strings, and race-detector
 // access order are byte-identical to the reference loop.
+//
+// Register discipline: across the loop only what every instruction touches
+// stays in locals — t, fr, cp, rp, pc, cycles, retired and maxCycles. Every
+// other piece of state (the Kendo accumulator, the machine counters, the
+// miss model, the global table, the frame's aux side table) is read or
+// written in place through t, t.mach or fr on the paths that use it. A
+// local that only some instructions need is still live across the whole
+// switch, so the compiler stores it to the stack at the dispatch head and
+// reloads it in the shared tail on every instruction.
 func (t *Thread) stepFast(st *sim.Step) error {
 	if t.done {
 		return errors.New("step on finished thread")
 	}
-	m := t.mach
 	var (
 		cycles  int64
 		retired int64 // buffers Thread.RetiredInstrs and Machine.InstrsExecuted
-		stores  int64
-		misses  int64
-		kacc    = t.kendoAccum
 	)
-	// Hot configuration is mirrored onto the thread at construction so the
-	// per-step prologue loads from one already-hot struct instead of
-	// chasing through the machine's config.
-	kendo := t.kendo
 	maxCycles := t.maxCycles
-	chunk := t.chunk
-	missRate := t.missRate
-	missPenalty := t.missPenalty
-	gp := m.gptrs // global base pointers, indexed by dinstr.gslot
-
 	fr := t.top()
-	code := fr.code.instrs
-	ax := fr.code.aux
-	regs := fr.regs
 	// Unchecked pc walk and register file: every index was checked once at
 	// decode time (see validate), not once per executed instruction.
-	cp := unsafe.Pointer(unsafe.SliceData(code))
-	rp := unsafe.Pointer(unsafe.SliceData(regs))
+	cp := unsafe.Pointer(unsafe.SliceData(fr.code.instrs))
+	rp := unsafe.Pointer(unsafe.SliceData(fr.regs))
 	pc := fr.dpc
-
-	// Every return site flushes the loop-local state back to the thread via
-	// flush. A closure would be tidier, but capturing pc/cycles/retired by
-	// reference forces them into addressable stack slots — a load and store
-	// per executed instruction. Passing them as arguments keeps the loop
-	// counters in registers.
-	flush := func(fr *frame, pc int32, kacc, retired, stores, misses int64) {
-		fr.dpc = pc
-		t.kendoAccum = kacc
-		t.RetiredInstrs += retired
-		m.InstrsExecuted += retired
-		m.StoresRetired += stores
-		m.CacheMisses += misses
-	}
 
 	for {
 		d := (*dinstr)(unsafe.Add(cp, uintptr(pc)*dinstrSize))
@@ -699,23 +697,17 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			// reference stops at, with pc on the next (plain) slot;
 			// resumption replays the remainder.
 			rstore(rp, d.dst, rload(rp, d.a)+rload(rp, d.b))
-			if kendo {
+			if t.kendo {
 				// Kendo streams fuse pairs only. The head's tail runs inline
 				// (the shared tail below must not see this instruction twice),
 				// then the second add with its own full tail.
-				kacc += int64(d.kcost)
-				if kacc >= chunk {
-					delta := kacc
-					kacc = 0
-					m.Interrupts++
-					cycles += m.cfg.KendoInterruptCost
-					m.ClockUpdates++
-					flush(fr, pc, kacc, retired, stores, misses)
-					*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles, ClockDelta: delta}
+				if t.kendoAccum += int64(d.kcost); t.kendoAccum >= t.chunk {
+					t.flush(fr, pc, retired)
+					t.kendoOverflow(st, cycles)
 					return nil
 				}
 				if cycles >= maxCycles {
-					flush(fr, pc, kacc, retired, stores, misses)
+					t.flush(fr, pc, retired)
 					*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles}
 					return nil
 				}
@@ -723,19 +715,13 @@ func (t *Thread) stepFast(st *sim.Step) error {
 				cycles += int64(int32(d.aImm))
 				rstore(rp, d.tgt, rload(rp, d.tgt2)+rload(rp, d.gslot))
 				pc++
-				kacc += d.aImm >> 32
-				if kacc >= chunk {
-					delta := kacc
-					kacc = 0
-					m.Interrupts++
-					cycles += m.cfg.KendoInterruptCost
-					m.ClockUpdates++
-					flush(fr, pc, kacc, retired, stores, misses)
-					*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles, ClockDelta: delta}
+				if t.kendoAccum += d.aImm >> 32; t.kendoAccum >= t.chunk {
+					t.flush(fr, pc, retired)
+					t.kendoOverflow(st, cycles)
 					return nil
 				}
 				if cycles >= maxCycles {
-					flush(fr, pc, kacc, retired, stores, misses)
+					t.flush(fr, pc, retired)
 					*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles}
 					return nil
 				}
@@ -795,53 +781,41 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			rstore(rp, d.dst, b2i(rload(rp, d.a) > rload(rp, d.b)))
 		case dGE:
 			rstore(rp, d.dst, b2i(rload(rp, d.a) >= rload(rp, d.b)))
-		case dLoad:
+		case dLoad, dStore:
 			idx := rload(rp, d.a)
 			if idx < 0 || idx >= int64(d.glen) {
-				flush(fr, pc, kacc, retired, stores, misses)
-				return t.errf("load %s[%d] out of bounds (size %d)",
-					ax[d.aux].site.sym, idx, d.glen)
+				t.flush(fr, pc, retired)
+				op := "load"
+				if d.op == dStore {
+					op = "store"
+				}
+				return t.errf("%s %s[%d] out of bounds (size %d)",
+					op, fr.code.aux[d.aux].site.sym, idx, d.glen)
 			}
-			if missRate >= 0 {
+			if t.missRate >= 0 {
 				h := uint64(d.gbase+idx) * 0x9E3779B97F4A7C15
-				if int64((h>>32)&0xFF) < missRate {
-					misses++
-					cycles += missPenalty
+				if int64((h>>32)&0xFF) < t.missRate {
+					t.mach.CacheMisses++
+					cycles += t.missPenalty
 				}
 			}
-			if m.race != nil {
-				if err := t.raceCheck(&ax[d.aux].site, idx, d.gbase+idx, false); err != nil {
-					flush(fr, pc, kacc, retired, stores, misses)
+			if t.mach.race != nil {
+				if err := t.raceCheck(&fr.code.aux[d.aux].site, idx, d.gbase+idx, d.op == dStore); err != nil {
+					t.flush(fr, pc, retired)
 					return err
 				}
 			}
-			rstore(rp, d.dst, *(*int64)(unsafe.Add(gp[d.gslot], uintptr(idx)*8)))
-		case dStore:
-			idx := rload(rp, d.a)
-			if idx < 0 || idx >= int64(d.glen) {
-				flush(fr, pc, kacc, retired, stores, misses)
-				return t.errf("store %s[%d] out of bounds (size %d)",
-					ax[d.aux].site.sym, idx, d.glen)
+			cell := (*int64)(unsafe.Add(t.mach.gptrs[d.gslot], uintptr(idx)*8))
+			if d.op == dLoad {
+				rstore(rp, d.dst, *cell)
+			} else {
+				*cell = rload(rp, d.b)
+				t.mach.StoresRetired++
 			}
-			if missRate >= 0 {
-				h := uint64(d.gbase+idx) * 0x9E3779B97F4A7C15
-				if int64((h>>32)&0xFF) < missRate {
-					misses++
-					cycles += missPenalty
-				}
-			}
-			if m.race != nil {
-				if err := t.raceCheck(&ax[d.aux].site, idx, d.gbase+idx, true); err != nil {
-					flush(fr, pc, kacc, retired, stores, misses)
-					return err
-				}
-			}
-			*(*int64)(unsafe.Add(gp[d.gslot], uintptr(idx)*8)) = rload(rp, d.b)
-			stores++
 		case dCall:
-			au := &ax[d.aux]
+			au := &fr.code.aux[d.aux]
 			if len(t.stack) >= 10_000 {
-				flush(fr, pc, kacc, retired, stores, misses)
+				t.flush(fr, pc, retired)
 				return t.errf("call stack overflow calling %s", au.name)
 			}
 			fr.dpc = pc // return address
@@ -850,14 +824,11 @@ func (t *Thread) stepFast(st *sim.Step) error {
 				nregs[i] = rload(rp, r) // caller frame
 			}
 			fr = t.top()
-			code = au.callee.instrs
-			ax = au.callee.aux
-			regs = nregs
-			cp = unsafe.Pointer(unsafe.SliceData(code))
-			rp = unsafe.Pointer(unsafe.SliceData(regs))
+			cp = unsafe.Pointer(unsafe.SliceData(au.callee.instrs))
+			rp = unsafe.Pointer(unsafe.SliceData(nregs))
 			pc = 0
 		case dCallB:
-			au := &ax[d.aux]
+			au := &fr.code.aux[d.aux]
 			args := t.argbuf[:0]
 			for _, r := range au.argRegs {
 				args = append(args, rload(rp, r))
@@ -865,31 +836,26 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			t.argbuf = args
 			cost := au.est.eval(args)
 			cycles += cost
-			if kendo {
-				kacc += cost
+			if t.kendo {
+				t.kendoAccum += cost
 			}
 			rstore(rp, d.dst, builtinEval(au.bkind, args))
 		case dBadCall:
-			flush(fr, pc, kacc, retired, stores, misses)
-			return t.errf("call to unknown builtin %q", ax[d.aux].name)
+			t.flush(fr, pc, retired)
+			return t.errf("call to unknown builtin %q", fr.code.aux[d.aux].name)
 		case dSpawn:
-			au := &ax[d.aux]
+			au := &fr.code.aux[d.aux]
 			args := make([]int64, len(au.argRegs))
 			for i, r := range au.argRegs {
 				args[i] = rload(rp, r)
 			}
-			var delta int64
-			if kendo {
-				delta, kacc = kacc, 0
-			}
-			callee := au.calleeFn
-			dst := &regs[d.dst]
-			flush(fr, pc, kacc, retired, stores, misses)
+			m, callee := t.mach, au.calleeFn
+			t.flush(fr, pc, retired)
 			*st = sim.Step{
 				Kind:       sim.StepSpawn,
 				Cycles:     cycles,
-				ClockDelta: delta,
-				SpawnDst:   dst,
+				ClockDelta: t.syncFlush(),
+				SpawnDst:   &fr.regs[d.dst],
 				NewProg: func(id int) sim.Program {
 					nt := m.thread(id)
 					nt.push(callee, args, ir.NoReg)
@@ -899,14 +865,9 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			}
 			return nil
 		case dBadSpawn:
-			flush(fr, pc, kacc, retired, stores, misses)
-			return t.errf("spawn of unknown function %q", ax[d.aux].name)
+			t.flush(fr, pc, retired)
+			return t.errf("spawn of unknown function %q", fr.code.aux[d.aux].name)
 		case dJoin, dLock, dUnlock, dBarrier:
-			obj := rload(rp, d.a)
-			var delta int64
-			if kendo {
-				delta, kacc = kacc, 0
-			}
 			var kind sim.StepKind
 			switch d.op {
 			case dJoin:
@@ -918,13 +879,13 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			default:
 				kind = sim.StepBarrier
 			}
-			flush(fr, pc, kacc, retired, stores, misses)
-			*st = sim.Step{Kind: kind, Cycles: cycles, Obj: int(obj), ClockDelta: delta}
+			t.flush(fr, pc, retired)
+			*st = sim.Step{Kind: kind, Cycles: cycles, Obj: int(rload(rp, d.a)), ClockDelta: t.syncFlush()}
 			return nil
 		case dTid:
 			rstore(rp, d.dst, int64(t.tid))
 		case dNThreads:
-			rstore(rp, d.dst, int64(m.cfg.Threads))
+			rstore(rp, d.dst, int64(t.mach.cfg.Threads))
 		case dPrint:
 			t.Output = append(t.Output, rload(rp, d.a))
 		case dClockAdd:
@@ -932,12 +893,9 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			if d.gbase != 0 { // gbase carries the clockadd scale
 				delta += d.gbase * rload(rp, d.b)
 			}
-			if delta < 0 {
-				delta = 0
-			}
-			m.ClockUpdates++
-			flush(fr, pc, kacc, retired, stores, misses)
-			*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles, ClockDelta: delta}
+			t.mach.ClockUpdates++
+			t.flush(fr, pc, retired)
+			*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles, ClockDelta: max(delta, 0)}
 			return nil
 		case dClockNop:
 			// clockadd under Kendo: cost charged above, no clock effect.
@@ -950,64 +908,50 @@ func (t *Thread) stepFast(st *sim.Step) error {
 				pc = d.tgt2
 			}
 		case dSwitch:
-			au := &ax[d.aux]
+			au := &fr.code.aux[d.aux]
 			v := rload(rp, d.a)
-			tgt := au.tgts[len(au.cases)]
+			pc = au.tgts[len(au.cases)]
 			for i, c := range au.cases {
 				if v == c {
-					tgt = au.tgts[i]
+					pc = au.tgts[i]
 					break
 				}
 			}
-			pc = tgt
 		case dRet:
 			ret := rload(rp, d.a)
 			t.stack = t.stack[:len(t.stack)-1]
 			if len(t.stack) == 0 {
 				t.done = true
-				var delta int64
-				if kendo && kacc > 0 {
-					delta, kacc = kacc, 0
-				}
-				flush(fr, pc, kacc, retired, stores, misses)
-				*st = sim.Step{Kind: sim.StepDone, Cycles: cycles, ClockDelta: delta}
+				t.flush(fr, pc, retired)
+				*st = sim.Step{Kind: sim.StepDone, Cycles: cycles, ClockDelta: t.syncFlush()}
 				return nil
 			}
 			retDst := fr.dretDst
 			fr = t.top()
 			fr.regs[retDst] = ret
-			code = fr.code.instrs
-			ax = fr.code.aux
-			regs = fr.regs
-			cp = unsafe.Pointer(unsafe.SliceData(code))
-			rp = unsafe.Pointer(unsafe.SliceData(regs))
+			cp = unsafe.Pointer(unsafe.SliceData(fr.code.instrs))
+			rp = unsafe.Pointer(unsafe.SliceData(fr.regs))
 			pc = fr.dpc
 		case dBadTerm:
-			flush(fr, pc, kacc, retired, stores, misses)
-			return t.errf("missing terminator in %s", ax[d.aux].name)
+			t.flush(fr, pc, retired)
+			return t.errf("missing terminator in %s", fr.code.aux[d.aux].name)
 		default:
-			flush(fr, pc, kacc, retired, stores, misses)
-			return t.errf("unknown opcode %v", ax[d.aux].irop)
+			t.flush(fr, pc, retired)
+			return t.errf("unknown opcode %v", fr.code.aux[d.aux].irop)
 		}
 		// Post-instruction bookkeeping, in the reference loop's order: Kendo
 		// accrual and overflow first (kcost is zero for terminators, and the
 		// counter is always below the chunk size when one executes, so the
 		// shared check cannot misfire there), then the step-cycle bound.
-		if kendo {
-			kacc += int64(d.kcost)
-			if kacc >= chunk {
-				delta := kacc
-				kacc = 0
-				m.Interrupts++
-				cycles += m.cfg.KendoInterruptCost
-				m.ClockUpdates++
-				flush(fr, pc, kacc, retired, stores, misses)
-				*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles, ClockDelta: delta}
+		if t.kendo {
+			if t.kendoAccum += int64(d.kcost); t.kendoAccum >= t.chunk {
+				t.flush(fr, pc, retired)
+				t.kendoOverflow(st, cycles)
 				return nil
 			}
 		}
 		if cycles >= maxCycles {
-			flush(fr, pc, kacc, retired, stores, misses)
+			t.flush(fr, pc, retired)
 			*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles}
 			return nil
 		}

@@ -21,7 +21,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"unsafe"
 
 	"repro/internal/detrand"
@@ -291,10 +290,11 @@ type Thread struct {
 	// machine runs optimized (non-reference) with jitter disabled.
 	plain bool
 
-	// Hot configuration mirrored from Machine.cfg at construction; the
-	// decoded dispatch prologue reads these instead of chasing m.cfg.
-	// chunk is MaxInt64 outside Kendo mode so the dispatch loop's accrual
-	// check can run unconditionally.
+	// Hot configuration mirrored from Machine.cfg at construction. The
+	// decoded dispatch loop keeps only maxCycles in a local and reads the
+	// rest in place, on the paths that use them (see stepFast): the Kendo
+	// pair on every instruction of a Kendo run, the miss model on loads and
+	// stores.
 	kendo       bool
 	maxCycles   int64
 	chunk       int64
@@ -318,7 +318,7 @@ type Thread struct {
 // their next overflow interrupt — the staleness that makes waiters wait and
 // that chunk-size tuning trades against interrupt cost.
 func (t *Thread) syncFlush() int64 {
-	if t.mach.cfg.Mode != ModeKendo {
+	if !t.kendo {
 		return 0
 	}
 	d := t.kendoAccum
@@ -342,9 +342,6 @@ func (m *Machine) thread(tid int) *Thread {
 	t.kendo = m.cfg.Mode == ModeKendo
 	t.maxCycles = m.cfg.MaxStepCycles
 	t.chunk = m.cfg.KendoChunkSize
-	if !t.kendo {
-		t.chunk = math.MaxInt64
-	}
 	t.missRate = m.cfg.MissRate
 	t.missPenalty = m.cfg.MissPenalty
 	return t
@@ -701,7 +698,7 @@ func (t *Thread) execTerm(fr *frame, cycles *int64) (sim.Step, bool, error) {
 // clock, their value only needs to be deterministic).
 func builtinValue(name string, args []int64) int64 {
 	a := func(i int) int64 {
-		if i < len(args) {
+		if i >= 0 && i < len(args) {
 			return args[i]
 		}
 		return 0

@@ -265,6 +265,45 @@ func TestServiceFailureContainment(t *testing.T) {
 	}
 }
 
+// noArgBuiltinProgram calls a default builtin with no arguments, then stores
+// through its value: in bounds only if a missing argument reads 0.
+const noArgBuiltinProgram = `
+module noargs
+global g 1
+locks 1
+
+func main() regs 2 {
+entry:
+  r0 = call memset()
+  lock 0
+  store g[r0], r0
+  unlock 0
+  ret r0
+}
+`
+
+// TestBuiltinWithoutArguments: a default builtin's value is its last
+// argument, and with none it is 0, as every missing argument reads. Both
+// interpreters once read args[-1] there: the worker panicked, the job was
+// retried as transient until retries_exhausted, and detserve answered 500.
+// Baseline and instrumented jobs must both complete, with the same result on
+// two fresh services.
+func TestBuiltinWithoutArguments(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		req := Request{Source: noArgBuiltinProgram, Threads: 2, Baseline: baseline}
+		var runs [2]*Result
+		for i := range runs {
+			svc := New(Config{Workers: 1})
+			runs[i] = mustDo(t, svc, req)
+			svc.Close(context.Background())
+		}
+		a, b := runs[0], runs[1]
+		if a.ScheduleHash != b.ScheduleHash || a.Cycles != b.Cycles || a.Acquisitions != 2 || b.Acquisitions != 2 {
+			t.Fatalf("baseline=%t: runs differ or lost a lock: %+v vs %+v", baseline, a, b)
+		}
+	}
+}
+
 // TestServiceValidation: every malformed submission is a typed
 // configuration-level *diag.MisuseError.
 func TestServiceValidation(t *testing.T) {
