@@ -137,7 +137,7 @@ func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
 // transfers wrongness. With no live successor, or on refusal, the local
 // journal file simply stays behind — still durable, still recoverable.
 func (n *Node) handoffJournal(ctx context.Context) error {
-	lines := n.svc.JournalSnapshotRecords()
+	lines := n.svc.JournalSnapshotRecords(false)
 	if len(lines) == 0 {
 		return nil
 	}

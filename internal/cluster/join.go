@@ -97,5 +97,5 @@ func (n *Node) serveJoin(_ context.Context, m *gossipMsg) (*joinReply, error) {
 		n.syncRing()
 	}
 	n.ctr.JoinsServed.Add(1)
-	return &joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords()}, nil
+	return &joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords(false)}, nil
 }

@@ -12,8 +12,9 @@ import (
 
 // Every journal opens with an id reservation, a record that belongs to no
 // job. What a peer is handed is the job table without it (join bootstrap,
-// journal handoff, the shipping resync); what a standby follows is the append
-// stream with it. Both ends read it with the journal's one scanner.
+// journal handoff); what a standby follows is the append stream with it, and
+// the shipping resync that restarts the stream leads with it. Both ends read
+// it with the journal's one scanner.
 
 var reservedType = []byte(`"type":"reserved"`)
 
@@ -38,11 +39,11 @@ func mustRead(t *testing.T, path string) []byte {
 	return raw
 }
 
-// TestShippedReservationSurvivesTakeover: a reservation the primary writes
-// after the resync snapshot travels in the stream like any record, the
-// standby's file replays clean, and the service taking over continues above
-// it — above every id the primary handed out, including hits whose records
-// were never shipped.
+// TestShippedReservationSurvivesTakeover: the resync snapshot leads with the
+// primary's reservation, a reservation the primary writes after it travels in
+// the stream like any record, the standby's file replays clean, and the
+// service taking over continues above it — above every id the primary handed
+// out, including hits whose records were never shipped.
 func TestShippedReservationSurvivesTakeover(t *testing.T) {
 	net := NewLoopNet()
 	dir := t.TempDir()
@@ -58,8 +59,8 @@ func TestShippedReservationSurvivesTakeover(t *testing.T) {
 	if sent, err := primary.ShipFlush(ctx); err != nil || sent == 0 {
 		t.Fatalf("snapshot flush: sent %d, err %v", sent, err)
 	}
-	if bytes.Contains(mustRead(t, shipPath), reservedType) {
-		t.Fatal("the resync snapshot carries the primary's reservation")
+	if !bytes.Contains(mustRead(t, shipPath), reservedType) {
+		t.Fatal("the resync snapshot does not carry the primary's reservation")
 	}
 
 	// 1,100 hits take the ids into the second block of 1,024.
@@ -97,6 +98,52 @@ func TestShippedReservationSurvivesTakeover(t *testing.T) {
 	if snap := svc.Snapshot(); snap.JournalQuarantined != 0 || snap.RecoveredJobs != 1101 {
 		t.Fatalf("takeover: %d quarantined lines, %d recovered jobs; want 0 and 1101", snap.JournalQuarantined, snap.RecoveredJobs)
 	}
+	id, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if issued[id] {
+		t.Fatalf("the takeover service issued %s, which the primary had handed out", id)
+	}
+}
+
+// TestResyncReservationCoversUnshippedHits: hits the primary answered inside
+// the block its resync snapshot was taken in, and never shipped, leave no
+// record on the standby; the reservation the snapshot leads with is all that
+// keeps the service taking over from issuing their ids again.
+func TestResyncReservationCoversUnshippedHits(t *testing.T) {
+	net := NewLoopNet()
+	dir := t.TempDir()
+	shipPath := filepath.Join(dir, "shipped.journal")
+	standby := tnode(t, net, "standby", nil, func(c *Config) { c.ShipPath = shipPath })
+	primary := tnode(t, net, "primary", nil, func(c *Config) {
+		c.Standby = "standby"
+		c.Service.JournalPath = filepath.Join(dir, "primary.journal")
+	})
+	ctx := context.Background()
+	req := service.Request{Source: tinySrc, Threads: 1}
+	issued := map[string]bool{mustSubmit(t, primary, req): true}
+	if sent, err := primary.ShipFlush(ctx); err != nil || sent == 0 {
+		t.Fatalf("snapshot flush: sent %d, err %v", sent, err)
+	}
+	for range 20 { // never shipped
+		res, err := primary.Service().Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued[res.JobID] = true
+	}
+	primary.Kill()
+	net.Deregister("primary")
+	if err := standby.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := Takeover(shipPath, service.Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("Takeover: %v", err)
+	}
+	defer svc.Close(ctx)
 	id, err := svc.Submit(req)
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,9 @@ import (
 // Stream repair is snapshot resync: any hole the standby detects (epoch or
 // seq mismatch — standby restart, dropped batch, shipper buffer overflow) is
 // answered with 409, and the shipper's next flush opens a fresh epoch
-// carrying the journal's compaction-style snapshot, which is bounded by the
-// live job table rather than the stream's history. The protocol is therefore
+// carrying the journal's compaction-style snapshot, led by its id
+// reservation, which is bounded by the live job table rather than the
+// stream's history. The protocol is therefore
 // self-healing from any interleaving of failures, with bounded memory on
 // both sides.
 
@@ -101,7 +102,7 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 	sh.mu.Unlock()
 	if resync {
 		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true,
-			Lines: sh.node.svc.JournalSnapshotRecords()}
+			Lines: sh.node.svc.JournalSnapshotRecords(true)}
 	} else if len(batch.Lines) == 0 {
 		return 0, nil
 	}

@@ -247,12 +247,18 @@ func (s *Service) QueueDepth() int {
 }
 
 // JournalSnapshotRecords renders the journal's live job table as
-// compaction-style record lines — the journal-shipping resync payload a
-// shipper sends a standby that lost (or never had) the stream. Nil when no
+// compaction-style record lines; with mark set, led by the journal's id
+// reservation — the journal-shipping resync payload a shipper sends a standby
+// that lost (or never had) the stream. A join bootstrap or a drain handoff
+// goes without: a peer replaying those jobs issues its own ids. Nil when no
 // journal is configured.
-func (s *Service) JournalSnapshotRecords() [][]byte {
+func (s *Service) JournalSnapshotRecords(mark bool) [][]byte {
 	if s.journal == nil {
 		return nil
 	}
-	return s.journal.snapshotRecords()
+	lines := s.journal.snapshotRecords()
+	if !mark {
+		lines = lines[1:]
+	}
+	return lines
 }

@@ -368,7 +368,7 @@ func TestSnapshotRecordsOmitReservation(t *testing.T) {
 	req := Request{Source: fastProgram, Threads: 1}
 	mustDo(t, s, req)
 	mustDo(t, s, req)
-	lines := s.JournalSnapshotRecords()
+	lines := s.JournalSnapshotRecords(false)
 	jobRecs, programs := splitPrograms(t, imageRecords(t, bytes.Join(lines, nil)))
 	if len(jobRecs) != 4 || programs != 1 || bytes.Contains(bytes.Join(lines, nil), []byte(recReserved)) {
 		t.Fatalf("snapshot of two finished jobs of one program: %d job records, %d programs: %q", len(jobRecs), programs, lines)

@@ -28,7 +28,9 @@ import (
 // needs no simulation has no reason to visit.
 //
 // The file is never regenerated from the code under test. It was written at
-// a413a2b, the parent of the PR that let the submitter finish a clean hit.
+// a413a2b, the parent of the PR that let the submitter finish a clean hit;
+// its "journal_records" alone moved since (53 → 38), when a clean hit became
+// one journal record instead of two.
 // After a change of the books that is meant, check out the commit whose
 // bytes are the reference, copy this file there, and run
 //

@@ -48,10 +48,11 @@ func BenchmarkDoHit(b *testing.B) {
 	}
 }
 
-// BenchmarkDoHitJournaled is the 1 kB hit on a journaled service. Both of its
-// records are written, and neither waits for the disk alone: syncs/op is the
-// share of a commit one hit pays for, 2 records in JournalFsyncEvery (0.125
-// at the default 16; 1 before a hit's submit record joined the batch).
+// BenchmarkDoHitJournaled is the 1 kB hit on a journaled service. Its one
+// record is written and does not wait for the disk alone: syncs/op is the
+// share of a commit one hit pays for, 1 record in JournalFsyncEvery (0.0625
+// at the default 16; 0.125 while a hit was a submitted and a finish record, 1
+// before a hit's submit record joined the batch).
 func BenchmarkDoHitJournaled(b *testing.B) {
 	fsys := newGateFS()
 	s, err := Open(Config{Workers: 1, JournalPath: filepath.Join(b.TempDir(), "journal.jsonl"), FS: fsys})
@@ -416,8 +417,8 @@ func TestStealNeverLendsHit(t *testing.T) {
 
 // TestDrainSeesCallerSideHit: a hit its submitter is still finishing is an
 // accepted, unfinished job, and a drain must wait for it although no queue
-// slot and no worker says so. The journal's shipping hook runs between the
-// submit record and the finish, on the submitter's goroutine.
+// slot and no worker says so. The journal's shipping hook runs at the hit's
+// one record, on the submitter's goroutine, before the outcome is published.
 func TestDrainSeesCallerSideHit(t *testing.T) {
 	var s *Service
 	var armed atomic.Bool
@@ -444,10 +445,9 @@ func TestDrainSeesCallerSideHit(t *testing.T) {
 	if res := mustDo(t, s, req); !res.Cached {
 		t.Fatal("not a hit")
 	}
-	// Two records: at the submit record the job is admitted and unfinished; the
-	// finish record is written by finish after it has published the outcome.
-	if r, u := records.Load(), unfinished.Load(); r != 2 || u != 1 {
-		t.Errorf("%d journal records, drained() false at %d of them; want 2 and 1", r, u)
+	// One record, appended while the job is admitted and unfinished.
+	if r, u := records.Load(), unfinished.Load(); r != 1 || u != 1 {
+		t.Errorf("%d journal records, drained() false at %d of them; want 1 and 1", r, u)
 	}
 	if !s.drained() {
 		t.Fatal("not drained after the hit returned")

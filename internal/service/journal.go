@@ -32,24 +32,28 @@ import (
 //     continues the id sequence from the greater of the highest reservation
 //     and the highest id it saw, so a lost tail of records can never cause an
 //     id to be issued twice.
-//   - "submitted", for a job that needs a worker or whose caller holds only
-//     the id (asynchronous Submit): written and synced before submit returns.
-//     An accepted job survives any crash.
-//   - "submitted", for a clean result-cache hit through Do: written to the
-//     pending buffer and batch-synced with the finish records. The caller
-//     already holds the result; a crash can only make the id unknown, as
-//     retention eviction does, and the reservation keeps it from being reused.
-//   - "completed"/"failed": batch-synced (every fsyncEvery records, plus on
-//     close and compaction). Losing a tail of them is harmless by determinism:
-//     recovery re-executes those jobs and reproduces the same results.
+//   - "submitted", for a job that needs a worker: written and synced before
+//     submit returns. An accepted job survives any crash.
+//   - "completed"/"failed" carrying "src" and "req", a clean result-cache
+//     hit's one record: its outcome is known before anything is written, so
+//     the finish record carries the request a submitted record would have.
+//     Synced before submit returns when the caller holds only the id
+//     (asynchronous Submit); through Do, whose caller already holds the
+//     result, batch-synced with the finish records — a crash can only make
+//     the id unknown, as retention eviction does, and the reservation keeps
+//     it from being reused.
+//   - "completed"/"failed" of a job a worker ran: batch-synced (every
+//     fsyncEvery records, plus on close and compaction). Losing a tail of
+//     them is harmless by determinism: recovery re-executes those jobs and
+//     reproduces the same results.
 //   - "program" prog-<sha256 hex>: a program text, written once per log
-//     image right ahead of the first submitted record that names it, so the
-//     two commit together and a crash loses the text only with that record.
-//     A submitted record names its text by this content address ("src") and
-//     carries its request with an empty source; one without "src" — the
-//     format before program records — replays the text it carries. Program
-//     records are no job's records: they count toward neither the batch nor
-//     the compaction trigger.
+//     image right ahead of the first record that names it, so the two
+//     commit together and a crash loses the text only with that record. A
+//     record carrying a request names its text by this content address
+//     ("src") and carries the request with an empty source; one without
+//     "src" — the format before program records — replays the text it
+//     carries. Program records are no job's records: they count toward
+//     neither the batch nor the compaction trigger.
 //
 // There is one commit path (commitLocked): appenders take a sequence number
 // under mu; one committer at a time swaps the pending buffer out and does the
@@ -92,10 +96,11 @@ type journalRecord struct {
 	// ID is the job the record belongs to; on a reserved record, the id no
 	// issued id exceeds; on a program record, its text's content address.
 	ID string `json:"id"`
-	// Src names the program record that holds a submitted record's text.
+	// Src names the program record that holds the text of Req.
 	Src string `json:"src,omitempty"`
-	// Req is the job request (submitted records): with its program text,
-	// everything needed to re-execute the job after a crash.
+	// Req is the job request (submitted records, and a clean hit's one
+	// finish record): with its program text, everything needed to
+	// re-execute the job after a crash.
 	Req *Request `json:"req,omitempty"`
 	// Result is the result summary (completed records). Artifact payloads
 	// (schedules, overhead rows) are recomputed on demand, not journaled.
@@ -141,8 +146,8 @@ type journal struct {
 	// texts maps each text a program record of the log image holds and a
 	// live job uses to its program id (live jobs only: a snapshot renders
 	// their programs, and must hold every program a later record names);
-	// scratch is the request a submitted record carries, its source
-	// blanked, and encRec the record being encoded.
+	// scratch is the request a record carries, its source blanked, and
+	// encRec the record being encoded.
 	texts   map[string]string
 	scratch Request
 	encRec  journalRecord
@@ -269,93 +274,91 @@ func (j *journal) replay(rec *journalRecord) {
 	if rec.ID == "" {
 		return // the service never writes empty ids; this is external damage
 	}
-	switch rec.Type {
-	case recSubmitted:
-		if _, ok := j.live[rec.ID]; ok || rec.Req == nil {
-			return
-		}
-		j.live[rec.ID] = &journalJob{id: rec.ID, req: *rec.Req}
+	jj, ok := j.live[rec.ID]
+	if !ok && rec.Req != nil {
+		// A submitted record, or a clean hit's one finish record: the job's
+		// submit. First submit wins.
+		jj = &journalJob{id: rec.ID, req: *rec.Req}
+		j.live[rec.ID] = jj
 		j.order = append(j.order, rec.ID)
 		if rec.Src != "" {
 			j.texts[rec.Req.Source] = rec.Src
 		}
+	} else if !ok {
+		return
+	}
+	switch rec.Type {
 	case recCompleted:
-		if jj, ok := j.live[rec.ID]; ok && rec.Result != nil {
+		if rec.Result != nil {
 			jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, "", ""
 		}
 	case recFailed:
-		if jj, ok := j.live[rec.ID]; ok {
-			jj.done, jj.result, jj.errMsg, jj.errKind = true, nil, rec.Error, rec.Kind
-		}
+		jj.done, jj.result, jj.errMsg, jj.errKind = true, nil, rec.Error, rec.Kind
 	}
 }
 
-// appendSubmitted records an accepted job, behind the program record of its
-// text when the log image holds none. With durable set the record — and
-// everything appended ahead of it — is written and fsynced before returning,
-// so Submit never acknowledges a job a crash could lose. Without it (a clean
-// hit whose caller is handed the result, not the id) the record joins the
-// batch the finish records commit in; it still waits when it fills the batch
-// or when the reservation covering its id is not yet durable.
-func (j *journal) appendSubmitted(id string, req *Request, durable bool) error {
+// finishRecord is a job's failed record when err is set, else its completed
+// record. Journaled results are summaries: schedules and overhead rows are
+// recomputed on demand.
+func finishRecord(id string, res *Result, err error) journalRecord {
+	if err != nil {
+		return journalRecord{Type: recFailed, ID: id, Error: err.Error(), Kind: Classify(err)}
+	}
+	trimmed := *res
+	trimmed.Schedule, trimmed.Overhead = nil, nil
+	return journalRecord{Type: recCompleted, ID: id, Result: &trimmed}
+}
+
+// appendJob appends one job record. With req set it is the job's first
+// record — a submitted record, or a clean hit's one finish record — carrying
+// req: the reservation its id crosses and its text's program record go first.
+// With durable set the record — and everything appended ahead of it — is
+// written and fsynced before returning, so Submit never acknowledges a job a
+// crash could lose; so is a first record whose reservation is not yet
+// durable. Other records join the batch, committed every fsyncEvery records:
+// a crash loses at most the buffered batches, which recovery repairs by
+// re-execution. A finish record is applied to the live table and may compact.
+func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.admitLocked(); err != nil {
 		return err
 	}
-	// The id crosses the mark: reserve the next block, one record per block
-	// so that a reservation line recovery finds damaged stands for
-	// reserveBlock ids and no more (scanResult.idFloor).
-	for n, _ := numericID(id); n > j.reserved; {
-		j.reserved += reserveBlock
-		if err := j.appendLocked(journalRecord{Type: recReserved, ID: jobID(j.reserved)}); err != nil {
-			return err
+	if req != nil {
+		// The id crosses the mark: reserve the next block, one record per
+		// block so that a reservation line recovery finds damaged stands for
+		// reserveBlock ids and no more (scanResult.idFloor).
+		for n, _ := numericID(rec.ID); n > j.reserved; {
+			j.reserved += reserveBlock
+			if err := j.appendLocked(journalRecord{Type: recReserved, ID: jobID(j.reserved)}); err != nil {
+				return err
+			}
+			j.reservedAt = j.appended + 1 // rec, appended below
 		}
-		j.reservedAt = j.appended + 1 // the submit record appended below
-	}
-	pid, ok := j.texts[req.Source]
-	if !ok {
-		pid = programID(req.Source)
-		if err := j.appendLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
-			return err
+		pid, ok := j.texts[req.Source]
+		if !ok {
+			pid = programID(req.Source)
+			if err := j.appendLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
+				return err
+			}
+			j.texts[req.Source] = pid
 		}
-		j.texts[req.Source] = pid
-	}
-	j.scratch = *req
-	j.scratch.Source = ""
-	if err := j.appendJobLocked(journalRecord{Type: recSubmitted, ID: id, Src: pid, Req: &j.scratch}); err != nil {
-		return err
-	}
-	j.live[id] = &journalJob{id: id, req: *req}
-	j.order = append(j.order, id)
-	return j.settleLocked(durable || j.committed < j.reservedAt)
-}
-
-// appendFinished records a job's outcome. Finish records are batch-fsynced:
-// the write lands in the pending buffer and is committed every fsyncEvery
-// records. A crash can lose at most the buffered batches, which recovery
-// repairs by re-execution.
-func (j *journal) appendFinished(id string, res *Result, errMsg, errKind string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.admitLocked(); err != nil {
-		return err
-	}
-	rec := journalRecord{Type: recFailed, ID: id, Error: errMsg, Kind: errKind}
-	if res != nil {
-		// Strip heavyweight artifacts: journaled results are summaries;
-		// schedules and overhead rows are recomputed on demand.
-		trimmed := *res
-		trimmed.Schedule, trimmed.Overhead = nil, nil
-		rec = journalRecord{Type: recCompleted, ID: id, Result: &trimmed}
+		j.scratch = *req
+		j.scratch.Source = ""
+		rec.Src, rec.Req = pid, &j.scratch
 	}
 	if err := j.appendJobLocked(rec); err != nil {
 		return err
 	}
-	if jj, ok := j.live[id]; ok {
-		jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, errMsg, errKind
+	if req != nil {
+		j.live[rec.ID] = &journalJob{id: rec.ID, req: *req}
+		j.order = append(j.order, rec.ID)
+		durable = durable || j.committed < j.reservedAt
 	}
-	if err := j.settleLocked(false); err != nil {
+	if jj, ok := j.live[rec.ID]; ok && rec.Type != recSubmitted {
+		jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, rec.Error, rec.Kind
+	}
+	if err := j.settleLocked(durable); err != nil || rec.Type == recSubmitted {
 		return err
 	}
 	return j.maybeCompactLocked()
@@ -487,14 +490,15 @@ func (j *journal) quiesceLocked() {
 }
 
 // snapshotRecords renders the live job table as compaction-style record
-// lines — the bounded resync payload journal shipping falls back to when the
-// standby lost the stream. The reservation is not part of it: it speaks of
-// this node's ids, and a peer replaying the jobs issues its own.
+// lines, led by the reservation: the bounded resync payload journal shipping
+// falls back to when the standby lost the stream. A standby takes over as
+// this node, so it must continue above every id this node handed out,
+// including hits whose records were never shipped.
 func (j *journal) snapshotRecords() [][]byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	lines, _, _ := j.renderLocked() // on a marshal error: the lines before it
-	return lines
+	return append([][]byte{reservationLine(j.reserved)}, lines...)
 }
 
 // renderLocked renders the live job table in first-seen order — one submitted

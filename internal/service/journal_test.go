@@ -625,3 +625,19 @@ func TestJournalAppendAfterClose(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 }
+
+// appendSubmitted appends a job's submitted record the way Submit does, synced
+// before it returns when durable is set.
+func (j *journal) appendSubmitted(id string, req *Request, durable bool) error {
+	return j.appendJob(journalRecord{Type: recSubmitted, ID: id}, req, durable)
+}
+
+// appendFinished appends a job's finish record: completed with res, else
+// failed with the given error text and kind.
+func (j *journal) appendFinished(id string, res *Result, errMsg, errKind string) error {
+	rec := journalRecord{Type: recFailed, ID: id, Error: errMsg, Kind: errKind}
+	if res != nil {
+		rec = finishRecord(id, res, nil)
+	}
+	return j.appendJob(rec, nil, false)
+}

@@ -25,7 +25,10 @@ import (
 // not a job-N, a program record whose text does not hash to its id, a
 // submitted record naming a program no earlier intact program record holds
 // (so one damaged program line costs that program's jobs), and one that
-// both names a program and carries a text. What does not: duplicate
+// both names a program and carries a text. A finish record that carries a
+// request — a clean hit's one record — is its job's submit when the id is
+// new, its request read by the submitted record's rules, and a plain finish
+// record otherwise (the first submit wins). What does not: duplicate
 // submitted, program and finish records are legitimate products of
 // crash-recovery re-execution and of a shipped stream overlapping its
 // snapshot, and replay handles them (first-submit-wins, last-finish-wins, a
@@ -156,36 +159,40 @@ func scanJournal(raw []byte) scanResult {
 			keep.Write(line)
 			keep.WriteByte('\n')
 			continue
-		case recSubmitted:
-			if rec.Req == nil {
+		case recSubmitted, recCompleted, recFailed:
+			finish := rec.Type != recSubmitted
+			if finish && seen[rec.ID] {
+				rec.Req, rec.Src = nil, "" // a clean hit's request: the first submit wins
+			}
+			switch {
+			case !finish && rec.Req == nil:
 				quarantine("submitted record without request")
 				continue
-			}
-			switch text, ok := progs[rec.Src]; {
-			case rec.Src == "": // the inline format: the record carries its text
-			case rec.Req.Source != "":
-				quarantine("submitted record with both a program and an inline text")
-				continue
-			case !ok:
-				quarantine(fmt.Sprintf("submitted record names unknown program %s (its program record is missing or damaged)", rec.Src))
-				continue
-			default:
-				rec.Req.Source = text
-			}
-			if !seen[rec.ID] {
-				seen[rec.ID] = true
-				res.jobs++
-			}
-		case recCompleted, recFailed:
-			if !seen[rec.ID] {
+			case rec.Req == nil && !seen[rec.ID]:
 				quarantine(fmt.Sprintf("finish record for unknown job %s (its submitted record is missing or damaged)", rec.ID))
 				continue
-			}
-			if rec.Type == recCompleted && rec.Result == nil {
+			case rec.Type == recCompleted && rec.Result == nil:
 				quarantine("completed record without result")
 				continue
 			}
-			if !done[rec.ID] {
+			if rec.Req != nil {
+				switch text, ok := progs[rec.Src]; {
+				case rec.Src == "": // the inline format: the record carries its text
+				case rec.Req.Source != "":
+					quarantine(rec.Type + " record with both a program and an inline text")
+					continue
+				case !ok:
+					quarantine(fmt.Sprintf("%s record names unknown program %s (its program record is missing or damaged)", rec.Type, rec.Src))
+					continue
+				default:
+					rec.Req.Source = text
+				}
+				if !seen[rec.ID] {
+					seen[rec.ID] = true
+					res.jobs++
+				}
+			}
+			if finish && !done[rec.ID] {
 				done[rec.ID] = true
 				res.finished++
 			}

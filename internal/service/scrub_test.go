@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -295,6 +296,92 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 				t.Fatal("startup sweep left the stale quarantine sidecar")
 			}
 			jn2.close()
+		})
+	}
+}
+
+// TestScanOneRecordHits: a clean hit is journaled as one finish record that
+// carries its request. The scanner admits it as its job's submit and finish,
+// resolving its program like a submitted record's; for an id already
+// submitted the request is ignored and the finish applies; a finish record
+// without a request is still a ghost when its id is new.
+func TestScanOneRecordHits(t *testing.T) {
+	text := "module m"
+	pid := programID(text)
+	prog := recLine(t, &journalRecord{Type: recProgram, ID: pid, Text: text})
+	sub := recLine(t, &journalRecord{Type: recSubmitted, ID: "job-1", Src: pid, Req: &Request{Threads: 4}})
+	hit := func(src string, req Request) []byte {
+		return recLine(t, &journalRecord{Type: recCompleted, ID: "job-1", Src: src, Req: &req, Result: &Result{ScheduleHash: "aa"}})
+	}
+	cases := []struct {
+		name     string
+		image    [][]byte
+		wantQuar int
+		want     *journalJob // the replayed job-1, nil when it is not there
+	}{
+		{
+			name:  "one-record completed",
+			image: [][]byte{prog, hit(pid, Request{Threads: 8})},
+			want:  &journalJob{req: Request{Source: text, Threads: 8}, done: true, result: &Result{ScheduleHash: "aa"}},
+		},
+		{
+			name: "one-record failed",
+			image: [][]byte{prog, recLine(t, &journalRecord{Type: recFailed, ID: "job-1", Src: pid, Req: &Request{Threads: 8},
+				Error: "deadlock: wait-for cycle", Kind: "deadlock"})},
+			want: &journalJob{req: Request{Source: text, Threads: 8}, done: true, errMsg: "deadlock: wait-for cycle", errKind: "deadlock"},
+		},
+		{
+			name:     "one-record job naming an unknown program",
+			image:    [][]byte{hit(pid, Request{Threads: 8})},
+			wantQuar: 1,
+		},
+		{
+			name:     "one-record job with a program and an inline text",
+			image:    [][]byte{prog, hit(pid, Request{Source: text, Threads: 8})},
+			wantQuar: 1,
+		},
+		{
+			name:  "finish carrying a request after its submit",
+			image: [][]byte{prog, sub, hit(programID("module n"), Request{Threads: 8})},
+			want:  &journalJob{req: Request{Source: text, Threads: 4}, done: true, result: &Result{ScheduleHash: "aa"}},
+		},
+		{
+			name:     "finish without a request for an unseen id",
+			image:    [][]byte{prog, recLine(t, &journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: "aa"}})},
+			wantQuar: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := bytes.Join(tc.image, nil)
+			scan := scanJournal(raw)
+			jobs, finished := 0, 0
+			if tc.want != nil {
+				jobs, finished = 1, 1
+			}
+			if len(scan.quarantined) != tc.wantQuar || scan.jobs != jobs || scan.finished != finished {
+				t.Fatalf("scan: %d quarantined %+v, %d jobs, %d finished; want %d, %d, %d",
+					len(scan.quarantined), scan.quarantined, scan.jobs, scan.finished, tc.wantQuar, jobs, finished)
+			}
+			path := filepath.Join(t.TempDir(), "jobs.journal")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			jn, replayed, err := openJournal(nil, path, 16, 1<<30, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jn.close()
+			if tc.want == nil {
+				if len(replayed) != 0 {
+					t.Fatalf("replayed %+v, want nothing", replayed[0])
+				}
+				return
+			}
+			tc.want.id = "job-1"
+			if len(replayed) != 1 || !reflect.DeepEqual(replayed[0], tc.want) {
+				t.Fatalf("replayed %+v, want %+v", replayed, tc.want)
+			}
 		})
 	}
 }

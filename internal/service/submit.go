@@ -1,8 +1,8 @@
 package service
 
 // The life of a job as its submitter and its waiters see it: admission, id,
-// cache probe, submit record, the queue, the published outcome, Wait / Do /
-// Lookup. Reads against DESIGN §9 (admission control, the journal's
+// cache probe, the job's first journal record, the queue, the published
+// outcome, Wait / Do / Lookup. Reads against DESIGN §9 (admission control, the journal's
 // durability contract, retention) and §8, *The hit path*.
 
 import (
@@ -17,9 +17,8 @@ import (
 // typed: validation failures are *diag.MisuseError (ErrBadConfig /
 // ErrRaceBackend kinds), a full queue is ErrQueueFull, load shedding is
 // ErrOverloaded, an open circuit breaker is ErrCircuitOpen, a closed service
-// is ErrClosed. When a journal is configured, the submitted record is
-// durable (fsynced) before the id is returned — the id is all this caller
-// holds. A job the result cache already answers is finished before Submit
+// is ErrClosed. When a journal is configured, the job's record is durable
+// (fsynced) before the id is returned — the id is all this caller holds. A job the result cache already answers is finished before Submit
 // returns; everything else is queued for a worker.
 func (s *Service) Submit(req Request) (string, error) {
 	j, err := s.submit(nil, req)
@@ -61,8 +60,8 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		s.mu.Unlock()
 		return misuse(ErrDraining, "node is draining; submit elsewhere")
 	}
-	// Take the id first and journal outside the lock: the submitted record
-	// must exist before any completion record for the same id is appended.
+	// Take the id first and journal outside the lock: the job's first record
+	// must exist before any other record for the same id is appended.
 	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
@@ -83,44 +82,54 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	// as it always was. For any other the caches are probed here, outside
 	// s.mu — they have their own locks, and held across these lookups s.mu
 	// serialises every submitter behind one hash and two LRU probes (DESIGN
-	// §8, *The hit path*) — and before the submit record, because what the
-	// probe finds decides whether anyone has to wait for the disk.
+	// §8, *The hit path*) — and before anything is journaled, because what
+	// the probe finds decides which record the job gets and who waits for it.
 	hit := false
+	var res *Result
+	var err error
 	if !s.degraded.Load() && s.rootCtx.Err() == nil && (clientCtx == nil || clientCtx.Err() == nil) {
 		s.lookup(&j.req, &j.found)
-		hit = j.found.cleanHit(&j.req)
+		if hit = j.found.cleanHit(&j.req); hit {
+			// A worker could add nothing to a clean hit: it is finished on
+			// the spot, assembled first so that its one journal record can
+			// carry the outcome.
+			var lat StageLatency
+			res, err = s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
+		}
 	}
 
 	if s.journal != nil && !s.degraded.Load() {
 		// A crash can lose a job only while somebody still waits for it: one
 		// that needs a worker, or one whose caller was handed nothing but an
 		// id (Submit: clientCtx == nil). Those return after the sync that
-		// covers their record. A clean hit through Do leaves with its result,
-		// so its record rides with the batch its finish record commits in.
-		durable := !hit || clientCtx == nil
-		if err := s.journal.appendSubmitted(id, &req, durable); errors.Is(err, errJournalClosed) {
+		// covers their record. A clean hit is one finish record carrying its
+		// request; through Do, whose caller leaves with the result, it rides
+		// the batch.
+		rec := journalRecord{Type: recSubmitted, ID: id}
+		if hit {
+			rec = finishRecord(id, res, err)
+		}
+		if jerr := s.journal.appendJob(rec, &req, !hit || clientCtx == nil); errors.Is(jerr, errJournalClosed) {
 			s.mu.Lock()
 			delete(s.jobs, id)
 			s.mu.Unlock()
 			return misuse(ErrClosed, "")
-		} else if err != nil {
+		} else if jerr != nil {
 			// Durability is gone but the service is not: degrade (journaling
 			// off, result cache off) and keep serving. What the probe found
 			// is not served either: the job goes to a worker, which computes
 			// it afresh.
-			s.degrade(err)
+			s.degrade(jerr)
 			hit = false
 		}
 	}
 
-	// A clean hit is finished on the spot, through the finish every job ends
-	// in; a worker could add nothing to it.
+	// The record is in the live table before the outcome is published, so a
+	// drain's handoff image cannot miss a hit admitted ahead of the drain.
 	if hit {
 		s.inflight.Add(bytes)
 		s.ctr.JobsAccepted.Add(1)
-		var lat StageLatency
-		res, err := s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
-		s.finish(j, res, err)
+		s.publish(j, res, err)
 		return j, nil
 	}
 	// Everything else needs a worker, which gets what lookup found along with
@@ -130,7 +139,7 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	if s.closed {
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		s.journalFinished(j, nil, ErrClosed.Error(), "closed")
+		s.journalFinished(j, nil, ErrClosed)
 		return misuse(ErrClosed, "")
 	}
 	select {
@@ -151,7 +160,7 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		// refused.
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		s.journalFinished(j, nil, ErrQueueFull.Error(), "queue_full")
+		s.journalFinished(j, nil, ErrQueueFull)
 		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
 	}
 }
@@ -159,12 +168,12 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 // journalFinished appends a job's finish record, degrading on write errors.
 // A journal Close has already closed is not one: the record is left to
 // recovery, which re-executes the job.
-func (s *Service) journalFinished(j *job, res *Result, errMsg, errKind string) {
+func (s *Service) journalFinished(j *job, res *Result, err error) {
 	if s.journal == nil || s.degraded.Load() {
 		return
 	}
-	if err := s.journal.appendFinished(j.id, res, errMsg, errKind); err != nil && !errors.Is(err, errJournalClosed) {
-		s.degrade(err)
+	if jerr := s.journal.appendJob(finishRecord(j.id, res, err), nil, false); jerr != nil && !errors.Is(jerr, errJournalClosed) {
+		s.degrade(jerr)
 	}
 }
 
@@ -231,10 +240,20 @@ func (s *Service) Lookup(id string) (*JobView, error) {
 	return v, nil
 }
 
-// finish publishes a job's outcome: status, counters, journal finish record,
-// failure ring, breaker feedback, admission release, retention eviction.
+// finish journals a job's finish record, then publishes its outcome.
+// Shutdown-canceled failures are crash artifacts, not job outcomes: they stay
+// out of the journal so recovery re-executes the job (a genuine deterministic
+// failure reproduces on the re-run anyway).
 func (s *Service) finish(j *job, res *Result, err error) {
-	kind := Classify(err)
+	if err == nil || s.rootCtx.Err() == nil {
+		s.journalFinished(j, res, err)
+	}
+	s.publish(j, res, err)
+}
+
+// publish makes a job's outcome visible: status, counters, failure ring,
+// breaker feedback, admission release, retention eviction.
+func (s *Service) publish(j *job, res *Result, err error) {
 	s.mu.Lock()
 	if err != nil {
 		j.status, j.err = StatusFailed, err
@@ -248,17 +267,10 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	if err != nil {
 		s.ctr.JobsFailed.Add(1)
 		if !errors.Is(err, diag.ErrDivergence) { // diverged already recorded it
-			s.failures.push(FailureRecord{JobID: j.id, Kind: kind, Error: err.Error()})
-		}
-		// Shutdown-canceled failures are crash artifacts, not job outcomes:
-		// they stay out of the journal so recovery re-executes the job (a
-		// genuine deterministic failure reproduces on the re-run anyway).
-		if s.rootCtx.Err() == nil {
-			s.journalFinished(j, nil, err.Error(), kind)
+			s.failures.push(FailureRecord{JobID: j.id, Kind: Classify(err), Error: err.Error()})
 		}
 	} else {
 		s.ctr.JobsCompleted.Add(1)
-		s.journalFinished(j, res, "", "")
 	}
 	// Breaker feedback: any clean completion is the close/decay signal. The
 	// trip signal, a divergence, was fed where the cross-check failed

@@ -135,7 +135,7 @@ func (s *Service) runVerify(j *job) {
 		t.status, t.err, t.result, t.errKind = StatusFailed, err, nil, "divergence"
 	}
 	s.mu.Unlock()
-	s.journalFinished(j, nil, err.Error(), "divergence")
+	s.journalFinished(j, nil, err)
 }
 
 // RecheckResult arbitrates a suspect result-cache entry by deterministic
@@ -184,7 +184,7 @@ const snapshotChecks = 2
 // shipping resync payload) — what a joining node runs on its bootstrap
 // payload and a drain successor on a transferred journal segment, so state
 // transfer is proved correct, not just copied. The first snapshotChecks
-// completed records are recomputed from their submitted requests on this
+// completed records are recomputed from their jobs' requests on this
 // node's own core (never through the result cache, which the same peer may
 // have filled) and held to the journaled hashes; a mismatch is a divergence,
 // accounted like every other. The lines go through the journal's own scanner:
@@ -198,16 +198,17 @@ func (s *Service) CheckSnapshotRecords(ctx context.Context, lines [][]byte) erro
 	reqs := make(map[string]*Request)
 	checked := 0
 	for _, rec := range scan.recs {
-		switch rec.Type {
-		case recSubmitted:
-			if _, dup := reqs[rec.ID]; !dup {
-				reqs[rec.ID] = rec.Req // first submit wins, as in replay
-			}
-		case recCompleted:
+		if _, dup := reqs[rec.ID]; !dup && rec.Req != nil {
+			// A submitted record or a clean hit's one finish record: first
+			// submit wins, as in replay.
+			reqs[rec.ID] = rec.Req
+		}
+		if rec.Type == recCompleted {
 			if checked == snapshotChecks {
 				return nil
 			}
-			// The scanner admits a finish record only after its submit.
+			// The scanner admits a finish record only after its submit, or
+			// as one when it carries the request.
 			err := s.crossCheck(ctx, "snapshot cross-check "+rec.ID, rec.ID, reqs[rec.ID], claim{hash: rec.Result.ScheduleHash})
 			if err != nil {
 				return err

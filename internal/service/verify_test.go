@@ -122,6 +122,44 @@ func TestSnapshotCheckRefusesDamage(t *testing.T) {
 	}
 }
 
+// TestSnapshotCheckTakesHitRequest: a clean hit is journaled as one finish
+// record that carries its request, and the check recomputes it from that
+// request. A payload of such jobs passes; with one schedule hash tampered it
+// is refused as a divergence, not as a failed recompute of a nil request.
+func TestSnapshotCheckTakesHitRequest(t *testing.T) {
+	ref := New(Config{Workers: 1})
+	defer ref.Close(context.Background())
+	src := srcOf(t, "ocean")
+	pid := programID(src)
+	lines := [][]byte{journalLine(t, journalRecord{Type: recProgram, ID: pid, Text: src})}
+	for seed := range int64(2) {
+		res := mustDo(t, ref, Request{Source: src, PerturbSeed: seed})
+		lines = append(lines, journalLine(t, journalRecord{Type: recCompleted, ID: jobID(seed + 1), Src: pid,
+			Req: &Request{PerturbSeed: seed}, Result: &Result{ScheduleHash: res.ScheduleHash}}))
+	}
+	svc := New(Config{Workers: 1})
+	defer svc.Close(context.Background())
+	if err := svc.CheckSnapshotRecords(context.Background(), lines); err != nil {
+		t.Fatalf("one-record jobs refused: %v", err)
+	}
+	payload, err := unframeLine(bytes.TrimSuffix(lines[2], []byte("\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec journalRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Result.ScheduleHash = "00000000000000ff"
+	lines[2] = journalLine(t, rec)
+	if err := svc.CheckSnapshotRecords(context.Background(), lines); !errors.Is(err, diag.ErrDivergence) {
+		t.Fatalf("a tampered one-record job: err = %v, want ErrDivergence", err)
+	}
+	if snap := svc.Snapshot(); snap.Divergences != 1 {
+		t.Fatalf("divergences = %d, want 1", snap.Divergences)
+	}
+}
+
 // TestRecheckReplacesWrongEntry: the repair recheck recomputes around the
 // suspect entry, replaces it with the recompute and accounts one divergence
 // in the ring's "corruption" kind; a second recheck finds the repaired entry
