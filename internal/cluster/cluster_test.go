@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/service"
 	"repro/internal/splash"
 )
@@ -68,40 +71,70 @@ func waitResult(t testing.TB, svc *service.Service, id string) *service.Result {
 	return res
 }
 
+// TestRingStableBalancedMinimalRemap is a generated property over member sets
+// of 2–8 nodes and content-address-shaped keys, all drawn from detrand: the
+// owner of a key does not depend on the order members are listed in, no node
+// owns less than a third of its fair share, and removing or adding one member
+// moves only the keys that member owned or gains. Ownership decides which
+// result-cache entries a node keeps ahead of peer-filled copies, so a key
+// that moved for no reason would cost a simulation somewhere.
 func TestRingStableBalancedMinimalRemap(t *testing.T) {
-	nodes := []string{"node-a", "node-b", "node-c"}
-	r1 := newRing(nodes, 64)
-	r2 := newRing([]string{"node-c", "node-a", "node-b"}, 64) // order-independent
+	const sets, keysPerSet = 40, 1500
+	rng := detrand.New(38, 0)
+	name := func() string { return fmt.Sprintf("node-%08x", rng.Next()>>32) }
+	for set := 0; set < sets; set++ {
+		members, size := map[string]bool{}, 2+rng.IntN(7)
+		for len(members) < size {
+			members[name()] = true
+		}
+		nodes := make([]string, 0, len(members))
+		for n := range members {
+			nodes = append(nodes, n)
+		}
+		sort.Strings(nodes)
+		shuffled := append([]string(nil), nodes...)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := rng.IntN(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		r, rs := newRing(nodes, 64), newRing(shuffled, 64)
+		if got := r.nodes(); !reflect.DeepEqual(got, nodes) {
+			t.Fatalf("set %d: ring members %v, want %v", set, got, nodes)
+		}
+		gone := nodes[rng.IntN(len(nodes))]
+		var rest []string
+		for _, n := range nodes {
+			if n != gone {
+				rest = append(rest, n)
+			}
+		}
+		joiner := name()
+		for members[joiner] {
+			joiner = name()
+		}
+		shrunk, grown := newRing(rest, 64), newRing(append([]string{joiner}, nodes...), 64)
 
-	counts := map[string]int{}
-	owners := map[string]string{}
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		o := r1.owner(key)
-		if o2 := r2.owner(key); o2 != o {
-			t.Fatalf("key %s: owner %s vs %s across identical member sets", key, o, o2)
+		counts := map[string]int{}
+		for k := 0; k < keysPerSet; k++ {
+			key := fmt.Sprintf("%016x%016x%016x%016x", rng.Next(), rng.Next(), rng.Next(), rng.Next())
+			o := r.owner(key)
+			if o2 := rs.owner(key); o2 != o {
+				t.Fatalf("set %d key %s: owner %s, or %s with the members reordered", set, key, o, o2)
+			}
+			counts[o]++
+			if no := shrunk.owner(key); no == gone || (no != o) != (o == gone) {
+				t.Fatalf("set %d key %s: owner %s became %s when %s left", set, key, o, no, gone)
+			}
+			if no := grown.owner(key); no != o && no != joiner {
+				t.Fatalf("set %d key %s: owner %s became %s when %s joined", set, key, o, no, joiner)
+			}
 		}
-		owners[key] = o
-		counts[o]++
-	}
-	for _, n := range nodes {
-		if counts[n] < 2000/3/3 {
-			t.Fatalf("node %s owns only %d/2000 keys — ring badly imbalanced: %v", n, counts[n], counts)
+		for _, n := range nodes {
+			if counts[n]*3*len(nodes) < keysPerSet {
+				t.Fatalf("set %d: %s owns %d of %d keys across %d members, under a third of its share: %v",
+					set, n, counts[n], keysPerSet, len(nodes), counts)
+			}
 		}
-	}
-	// Removing one node must remap only the keys it owned.
-	shrunk := newRing([]string{"node-a", "node-b"}, 64)
-	for key, o := range owners {
-		no := shrunk.owner(key)
-		if o != "node-c" && no != o {
-			t.Fatalf("key %s moved %s -> %s though its owner never left", key, o, no)
-		}
-		if o == "node-c" && no == "node-c" {
-			t.Fatalf("key %s still owned by removed node", key)
-		}
-	}
-	if got := r1.nodes(); len(got) != 3 {
-		t.Fatalf("ring members = %v", got)
 	}
 }
 
@@ -155,6 +188,70 @@ func keyOwnedBy(t testing.TB, n *Node, src string, want bool) (service.Request, 
 	}
 	t.Fatalf("no variant found with ownership=%v in 64 seeds", want)
 	return service.Request{}, ""
+}
+
+// TestFillsNeverDisplaceOwnedEntries pins the result cache's insertion rule
+// under a cluster: a peer-filled copy enters at the cold end, where the next
+// copy evicts it. So while the entries for keys a node owns leave one slot
+// free, filling more copies of a peer's keys than the cache holds evicts none
+// of them. Evicting a copy costs another fill; evicting an owned entry would
+// cost a simulation.
+func TestFillsNeverDisplaceOwnedEntries(t *testing.T) {
+	const capacity, nOwned = 4, 3
+	net := NewLoopNet()
+	peers := []string{"node-a", "node-b"}
+	a := tnode(t, net, "node-a", peers, func(c *Config) { c.Service.ResultCacheSize = capacity })
+	b := tnode(t, net, "node-b", peers, nil)
+	defer a.Close(context.Background())
+	defer b.Close(context.Background())
+	src := srcOf(t, "ocean")
+	ctx := context.Background()
+
+	var owned, copies []service.Request
+	for seed := int64(0); len(owned) < nOwned || len(copies) < 2*capacity; seed++ {
+		req := service.Request{Source: src, PerturbSeed: seed}
+		key, err := a.Service().KeyFor(req)
+		if err != nil {
+			t.Fatalf("KeyFor: %v", err)
+		}
+		if a.Owner(key) == "node-a" {
+			owned = append(owned, req)
+		} else {
+			copies = append(copies, req)
+		}
+	}
+	do := func(n *Node, req service.Request) *service.Result {
+		t.Helper()
+		res, err := n.Service().Do(ctx, req)
+		if err != nil {
+			t.Fatalf("Do on %s (seed %d): %v", n.Name(), req.PerturbSeed, err)
+		}
+		return res
+	}
+	for _, req := range owned[:nOwned] {
+		do(a, req)
+	}
+	for _, req := range copies[:2*capacity] {
+		do(b, req)
+		if res := do(a, req); !res.PeerFilled {
+			t.Fatalf("seed %d: a copy of node-b's key was not peer-filled", req.PerturbSeed)
+		}
+	}
+	before := a.Service().Snapshot()
+	if before.PeerFills != 2*capacity || before.ResultCacheSize != capacity {
+		t.Fatalf("after the fills: %d peer fills, %d cached; want %d and %d",
+			before.PeerFills, before.ResultCacheSize, 2*capacity, capacity)
+	}
+	for _, req := range owned[:nOwned] {
+		if res := do(a, req); !res.Cached {
+			t.Fatalf("seed %d: owned key evicted by peer-filled copies", req.PerturbSeed)
+		}
+	}
+	after := a.Service().Snapshot()
+	if after.ResultCacheMisses != before.ResultCacheMisses || after.PeerFills != before.PeerFills {
+		t.Fatalf("owned keys cost %d misses and %d fills, want none",
+			after.ResultCacheMisses-before.ResultCacheMisses, after.PeerFills-before.PeerFills)
+	}
 }
 
 func TestPeerFillHitFallbackAndOffer(t *testing.T) {

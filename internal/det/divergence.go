@@ -94,8 +94,8 @@ func (rt *Runtime) onAcquisitionLocked(lock, thread int, clock int64) {
 	if want.Lock != lock || want.Thread != thread || want.Clock != clock {
 		rt.deliverFaultLocked(&diag.DivergenceError{
 			Run: 1, Index: i,
-			Want: &diag.DivergenceEvent{Seq: want.Seq, Lock: want.Lock, Thread: want.Thread, Clock: want.Clock},
-			Got:  got,
+			Want:    &diag.DivergenceEvent{Seq: want.Seq, Lock: want.Lock, Thread: want.Thread, Clock: want.Clock},
+			Got:     got,
 			WantLen: len(rt.replay), GotLen: i + 1,
 		})
 		return

@@ -79,7 +79,26 @@ func (c *lruCache[K, V]) add(key K, val V) {
 		return
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
-	for c.ll.Len() > c.cap {
+	c.trim(c.cap)
+}
+
+// addCold inserts an absent key at the least recently used end, evicting
+// first so the new entry is not its own victim. A present key keeps its
+// value and its place. Peer-filled copies enter this way: a node's own keys
+// are the cluster's only cached copies, while a copy comes back by a fill.
+func (c *lruCache[K, V]) addCold(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.items[key]; ok {
+		return
+	}
+	c.trim(c.cap - 1)
+	c.items[key] = c.ll.PushBack(&lruEntry[K, V]{key: key, val: val})
+}
+
+// trim evicts least recently used entries until at most n remain.
+func (c *lruCache[K, V]) trim(n int) {
+	for c.ll.Len() > n {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)

@@ -38,10 +38,59 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestLRUColdInsertion pins addCold, the insertion peer-filled copies take:
+// it evicts before it inserts, so at capacity the victim is the old least
+// recently used entry and not the new copy; a present key keeps its value
+// and its place; a get promotes a copy like any entry; and the cache never
+// grows past its capacity.
+func TestLRUColdInsertion(t *testing.T) {
+	order := func(c *lruCache[string, int]) string {
+		var keys []string
+		c.each(func(k string, _ int) { keys = append(keys, k) })
+		return strings.Join(keys, " ")
+	}
+	c := newLRU[string, int](3)
+	c.add("a", 1)
+	c.add("b", 2)
+	c.addCold("x", 10) // a free slot: nothing is evicted
+	if got := order(c); got != "b a x" {
+		t.Fatalf("order after a cold insert with a free slot = %q, want \"b a x\"", got)
+	}
+	c.add("c", 3)      // evicts x, the least recently used
+	c.addCold("y", 20) // evicts a, then enters behind b
+	if got := order(c); got != "c b y" {
+		t.Fatalf("order after a cold insert at capacity = %q, want \"c b y\"", got)
+	}
+	c.add("b", 2)      // b to the front
+	c.addCold("c", 99) // present: neither demoted nor replaced
+	if got := order(c); got != "b c y" {
+		t.Fatalf("order after a cold insert of a present key = %q, want \"b c y\"", got)
+	}
+	if v, _ := c.peek("c"); v != 3 {
+		t.Fatalf("cold insert of a present key replaced its value: %d", v)
+	}
+	if v, ok := c.get("y"); !ok || v != 20 {
+		t.Fatalf("get(y) = %d, %v", v, ok)
+	}
+	if got := order(c); got != "y b c" {
+		t.Fatalf("order after a get of a copy = %q, want \"y b c\"", got)
+	}
+	for i := 0; i < 10; i++ {
+		c.addCold(fmt.Sprintf("z%d", i), i)
+		if n := c.len(); n > 3 {
+			t.Fatalf("cold insert %d grew the cache to %d", i, n)
+		}
+	}
+	if got := order(c); got != "y b z9" {
+		t.Fatalf("order after ten cold inserts = %q, want \"y b z9\": copies evict copies", got)
+	}
+}
+
 // TestLRUConcurrentEviction hammers a small LRU from many goroutines whose
-// key ranges overlap, so adds, hits, refreshes, and evictions race — run
-// under -race in CI. The invariants: the cache never exceeds capacity, every
-// value read matches its key, and the map and recency list stay consistent.
+// key ranges overlap, so adds, cold adds, hits, refreshes, and evictions
+// race — run under -race in CI. The invariants: the cache never exceeds
+// capacity, every value read matches its key, and the map and recency list
+// stay consistent.
 func TestLRUConcurrentEviction(t *testing.T) {
 	const (
 		capacity   = 8
@@ -63,8 +112,10 @@ func TestLRUConcurrentEviction(t *testing.T) {
 						t.Errorf("key %s returned value %v", key, v)
 						return
 					}
-				} else {
+				} else if g%2 == 0 {
 					c.add(key, k)
+				} else {
+					c.addCold(key, k)
 				}
 				if n := c.len(); n > capacity {
 					t.Errorf("cache grew to %d > capacity %d", n, capacity)

@@ -211,14 +211,16 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 		s.ctr.ResultCacheMisses.Add(1)
 		// Shard miss: ask the cluster layer to fill from the key's owner
 		// before paying for a local simulation. Fill failure is never an
-		// error — a nil entry falls through to local recomputation.
+		// error — a nil entry falls through to local recomputation. The
+		// copy enters the cache cold: evicting it costs another fill, while
+		// evicting an entry this node owns costs a simulation.
 		if s.cfg.Fill != nil {
 			ent, err := s.peerFill(ctx, f.key, j)
 			if err != nil {
 				return nil, err // peer-fill cross-check divergence
 			}
 			if ent != nil {
-				s.results.add(f.key, ent)
+				s.results.addCold(f.key, ent)
 				res, err := s.assemble(j, ent, false, f.instrHit, false, &lat)
 				if res != nil {
 					res.PeerFilled = true

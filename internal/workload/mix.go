@@ -79,7 +79,7 @@ type Mix struct {
 // family is one weighted program source during synthesis.
 type family struct {
 	weight int
-	gen    func(seed uint64) ( /* name */ string, /* source */ string)
+	gen    func(seed uint64) (name, source string)
 }
 
 // Synthesize builds the distinct-program pool for spec. All generation seeds
