@@ -95,10 +95,14 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# Last moved by +21, for peer-filled results entering the result cache cold:
-# internal/service's cache.go (+19: addCold, which evicts before it inserts at
-# the least recently used end, and trim, the eviction loop add and addCold
-# share) and execute.go (+2: the comment on the fill path's cold insertion).
-LOC_CEILING = 23334
+# Last moved by -91, for the journal keeping no job table beside its log:
+# internal/service's journal.go (-99: the live / order mirror, renderLocked,
+# maybeCompactLocked, journalCompactEvery, rawRecords, compactEvery and
+# compactions go; replay becomes replayJobs, and snapshotRecords reads the log
+# through the scanner) and clusterapi.go (-5: JournalSnapshotRecords without
+# its mark parameter); internal/cluster's drain.go (+3), join.go (+4) and
+# ship.go (+4), which handle the snapshot's read error, and wire.go (+2:
+# maxWireBody's corrected comment).
+LOC_CEILING = 23243
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

@@ -137,16 +137,19 @@ func (n *Node) handoffJob(ctx context.Context, sj service.StolenJob) {
 // transfers wrongness. With no live successor, or on refusal, the local
 // journal file simply stays behind — still durable, still recoverable.
 func (n *Node) handoffJournal(ctx context.Context) error {
-	lines := n.svc.JournalSnapshotRecords(false)
-	if len(lines) == 0 {
-		return nil
+	lines, err := n.svc.JournalSnapshotRecords()
+	if err != nil {
+		return fmt.Errorf("journal handoff: %w", err)
+	}
+	if len(lines) < 2 {
+		return nil // no journal, or one that holds nothing but its reservation
 	}
 	live := n.livePeers()
 	if len(live) == 0 {
 		return nil
 	}
 	successor := live[0]
-	_, err := journalRoute.call(ctx, n, successor, &journalHandoffMsg{From: n.cfg.Self, Lines: lines, Sum: sumLines(lines)})
+	_, err = journalRoute.call(ctx, n, successor, &journalHandoffMsg{From: n.cfg.Self, Lines: lines, Sum: sumLines(lines)})
 	switch {
 	case err == nil:
 		n.ctr.JournalHandoffs.Add(1)

@@ -96,6 +96,10 @@ func (n *Node) serveJoin(_ context.Context, m *gossipMsg) (*joinReply, error) {
 	if n.members.merge(m.View) {
 		n.syncRing()
 	}
+	snap, err := n.svc.JournalSnapshotRecords()
+	if err != nil {
+		return nil, err
+	}
 	n.ctr.JoinsServed.Add(1)
-	return &joinReply{View: n.members.viewClone(), Snapshot: n.svc.JournalSnapshotRecords(false)}, nil
+	return &joinReply{View: n.members.viewClone(), Snapshot: snap}, nil
 }

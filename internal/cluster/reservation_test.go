@@ -11,10 +11,10 @@ import (
 )
 
 // Every journal opens with an id reservation, a record that belongs to no
-// job. What a peer is handed is the job table without it (join bootstrap,
-// journal handoff); what a standby follows is the append stream with it, and
-// the shipping resync that restarts the stream leads with it. Both ends read
-// it with the journal's one scanner.
+// job. Every image a peer is handed (join bootstrap, journal handoff, the
+// shipping resync that restarts the stream) is what the node's recovery would
+// open, and ends with it; what a standby follows is the append stream with
+// it. Both ends read it with the journal's one scanner.
 
 var reservedType = []byte(`"type":"reserved"`)
 
@@ -39,7 +39,7 @@ func mustRead(t *testing.T, path string) []byte {
 	return raw
 }
 
-// TestShippedReservationSurvivesTakeover: the resync snapshot leads with the
+// TestShippedReservationSurvivesTakeover: the resync snapshot carries the
 // primary's reservation, a reservation the primary writes after it travels in
 // the stream like any record, the standby's file replays clean, and the
 // service taking over continues above it — above every id the primary handed
@@ -109,7 +109,7 @@ func TestShippedReservationSurvivesTakeover(t *testing.T) {
 
 // TestResyncReservationCoversUnshippedHits: hits the primary answered inside
 // the block its resync snapshot was taken in, and never shipped, leave no
-// record on the standby; the reservation the snapshot leads with is all that
+// record on the standby; the reservation the snapshot ends with is all that
 // keeps the service taking over from issuing their ids again.
 func TestResyncReservationCoversUnshippedHits(t *testing.T) {
 	net := NewLoopNet()
@@ -153,10 +153,11 @@ func TestResyncReservationCoversUnshippedHits(t *testing.T) {
 	}
 }
 
-// TestJournalHandoffOmitsReservation: a draining node's journal holds its
-// reservation; the segment its successor checks, accepts and persists is the
-// job table alone, and scans clean.
-func TestJournalHandoffOmitsReservation(t *testing.T) {
+// TestJournalHandoffCarriesReservation: the segment a draining node's
+// successor checks, accepts and persists is the image the drainer's own
+// recovery would open: its jobs, then its reservation last, and it scans
+// clean.
+func TestJournalHandoffCarriesReservation(t *testing.T) {
 	net := NewLoopNet()
 	dir := t.TempDir()
 	aJournal, bJournal := filepath.Join(dir, "a.journal"), filepath.Join(dir, "b.journal")
@@ -181,8 +182,9 @@ func TestJournalHandoffOmitsReservation(t *testing.T) {
 		t.Fatal("the drainer's own journal holds no reservation")
 	}
 	side := aJournal + ".handoff-node-b"
-	if bytes.Contains(mustRead(t, side), reservedType) {
-		t.Fatal("the handed-off segment carries the drainer's reservation")
+	segment := bytes.TrimSuffix(mustRead(t, side), []byte("\n"))
+	if last := segment[bytes.LastIndexByte(segment, '\n')+1:]; !bytes.Contains(last, reservedType) {
+		t.Fatalf("the handed-off segment ends with %q, not the drainer's reservation", last)
 	}
 	rep, err := service.ScrubJournal(nil, side, false)
 	if err != nil || rep.Quarantined != 0 || rep.TornBytes != 0 || rep.Jobs != 2 || rep.Finished != 2 {

@@ -93,22 +93,26 @@ func (sh *shipper) flush(ctx context.Context) (int, error) {
 	batch := shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch, Seq: sh.seq, Lines: sh.buf}
 	resync := sh.resync
 	if resync {
-		// New epoch: the snapshot rendered below supersedes everything
+		// New epoch: the snapshot read below supersedes everything
 		// streamed and buffered so far; what record() buffers from here on
 		// follows it (a line in both replays harmlessly: first submit wins,
 		// last finish wins, a program id is its text).
 		sh.buf, sh.resync = nil, false
 	}
 	sh.mu.Unlock()
+	var err error
 	if resync {
-		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true,
-			Lines: sh.node.svc.JournalSnapshotRecords(true)}
+		batch = shipBatch{From: sh.node.cfg.Self, Epoch: sh.epoch + 1, Seq: 0, Snapshot: true}
+		batch.Lines, err = sh.node.svc.JournalSnapshotRecords()
 	} else if len(batch.Lines) == 0 {
 		return 0, nil
 	}
 
-	batch.Sum = sumLines(batch.Lines)
-	if _, err := shipRoute.call(ctx, sh.node, sh.standby, &batch); err != nil {
+	if err == nil {
+		batch.Sum = sumLines(batch.Lines)
+		_, err = shipRoute.call(ctx, sh.node, sh.standby, &batch)
+	}
+	if err != nil {
 		if resync || statusOf(err) == http.StatusConflict { // a gap or damaged lines: resync
 			sh.mu.Lock()
 			sh.resync = true

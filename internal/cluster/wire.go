@@ -52,9 +52,11 @@ const (
 	// maxWireBody caps the body either side reads, request or reply, before
 	// its checksum is looked at: /internal/v1 shares the public listener.
 	// The largest legitimate message is a journal snapshot (join reply, ship
-	// resync, handoff-journal): the default retained job table at the
-	// corpus's largest programs is under 200 MB as JSON — eight times the
-	// journal's own per-record bound, service's maxJournalRecord.
+	// resync, handoff-journal). That is the node's whole journal, every job it
+	// ever journaled, not its retained job table, so nothing bounds it: the
+	// cap is eight of the journal's own largest records (service's
+	// maxJournalRecord), about 192 MB of journal once JSON has base64'd the
+	// lines, and a long-lived node's snapshot can outgrow it (DESIGN §9).
 	maxWireBody = 256 << 20
 )
 

@@ -246,19 +246,14 @@ func (s *Service) QueueDepth() int {
 	return len(s.queue)
 }
 
-// JournalSnapshotRecords renders the journal's live job table as
-// compaction-style record lines; with mark set, led by the journal's id
-// reservation — the journal-shipping resync payload a shipper sends a standby
-// that lost (or never had) the stream. A join bootstrap or a drain handoff
-// goes without: a peer replaying those jobs issues its own ids. Nil when no
-// journal is configured.
-func (s *Service) JournalSnapshotRecords(mark bool) [][]byte {
+// JournalSnapshotRecords returns the image this node's recovery would open,
+// one record line each, ending with the journal's id reservation: the
+// journal-shipping resync payload a shipper sends a standby that lost (or
+// never had) the stream, a joiner's bootstrap image and a drain's handoff.
+// Nil when no journal is configured.
+func (s *Service) JournalSnapshotRecords() ([][]byte, error) {
 	if s.journal == nil {
-		return nil
+		return nil, nil
 	}
-	lines := s.journal.snapshotRecords()
-	if !mark {
-		lines = lines[1:]
-	}
-	return lines
+	return s.journal.snapshotRecords()
 }

@@ -63,7 +63,7 @@ func (f *gateFile) Sync() error {
 func TestWaitersShareOneSync(t *testing.T) {
 	const waiters = 8
 	g := newGateFS()
-	jn, _, err := openJournal(g, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil)
+	jn, _, err := openJournal(g, filepath.Join(t.TempDir(), "journal.jsonl"), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,43 +114,6 @@ func TestWaitersShareOneSync(t *testing.T) {
 	}
 	if _, _, syncs, records := jn.snapshotLive(); syncs != 2 || records != 1+waiters {
 		t.Fatalf("journal counts %d syncs, %d records; want 2 and %d", syncs, records, 1+waiters)
-	}
-}
-
-// TestNoCompactionWithoutDuplicates: the reservation belongs to no job, and a
-// log that holds one used to be "more than twice the live set" for ever, so
-// past compactEvery every finish rewrote the whole log. Compaction removes
-// duplicates; a log without any must never compact, and one with them still
-// must.
-func TestNoCompactionWithoutDuplicates(t *testing.T) {
-	const compactEvery = 64
-	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 4, compactEvery, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jn.kill()
-	req := Request{Source: "module m"}
-	const jobs = 2 * compactEvery
-	for n := int64(1); n <= jobs; n++ {
-		if err := jn.appendSubmitted(jobID(n), &req, n%2 == 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := jn.appendFinished(jobID(n), &Result{ScheduleHash: "aa"}, "", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if jn.compactions != 0 || jn.rawRecords != 2*jobs {
-		t.Fatalf("%d compactions, %d job records after %d duplicate-free jobs; want 0 and %d", jn.compactions, jn.rawRecords, jobs, 2*jobs)
-	}
-	// Finish every job again, as a recovery's re-execution does: that is a
-	// duplicate each, and the log is rewritten to one pair per job.
-	for n := int64(1); n <= jobs; n++ {
-		if err := jn.appendFinished(jobID(n), &Result{ScheduleHash: "bb"}, "", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if jn.compactions == 0 || jn.rawRecords >= 3*jobs {
-		t.Fatalf("%d compactions, %d job records after every job finished twice", jn.compactions, jn.rawRecords)
 	}
 }
 
@@ -354,33 +317,127 @@ func TestJournalKillStress(t *testing.T) {
 	}
 }
 
-// TestSnapshotRecordsOmitReservation: the reservation speaks of this node's
-// ids. It opens the compacted image, and it stays out of the snapshot a peer
-// bootstraps, takes a handoff or resyncs a standby from — whose check, being
-// the journal's own scanner, accepts one all the same (a shipped stream holds
-// them, and the prototype of this scanner refused that as a damaged line).
-func TestSnapshotRecordsOmitReservation(t *testing.T) {
-	s, err := Open(Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "journal.jsonl")})
+// TestCrashCyclesLeaveNoDuplicates: a running service appends at most one
+// finish record per job, and recovery re-executes only jobs without one. So
+// twenty seeded kill / reopen cycles under TestJournalKillStress's mix — Do
+// hits, Submit hits, Submit misses — leave every id with at most one record
+// carrying a request and at most one finish record: the log holds nothing a
+// rewrite could drop.
+func TestCrashCyclesLeaveNoDuplicates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	hit := Request{Source: fastProgram, Threads: 1}
+	// Every reopen queues a cross-check per recovered result: the queue must
+	// hold them all and still admit the cycle's traffic.
+	const queue = 1 << 14
+	for cycle := int64(1); cycle <= 20; cycle++ {
+		s, err := Open(Config{Workers: 2, JournalPath: path, JournalFsyncEvery: 4, QueueDepth: queue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustDo(t, s, hit)
+		var ops atomic.Int64
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := detrand.New(cycle, g)
+				for i := 0; ; i++ {
+					var err error
+					switch rng.IntN(4) {
+					case 0:
+						_, err = s.Submit(hit)
+					case 1:
+						_, err = s.Submit(Request{Source: fastProgram, Threads: 1, PerturbSeed: cycle<<32 | int64(g)<<20 | int64(i)})
+					default:
+						_, err = s.Do(context.Background(), hit)
+					}
+					if err != nil {
+						return // killed
+					}
+					ops.Add(1)
+				}
+			}()
+		}
+		for target := 20 + 3*cycle; ops.Load() < target; {
+			time.Sleep(100 * time.Microsecond)
+		}
+		s.Kill()
+		wg.Wait()
+	}
+	s, err := Open(Config{Workers: 2, JournalPath: path, QueueDepth: queue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firsts, finishes := map[string]int{}, map[string]int{}
+	for _, rec := range imageRecords(t, raw) {
+		if rec.Req != nil {
+			firsts[rec.ID]++
+		}
+		if rec.Type == recCompleted || rec.Type == recFailed {
+			finishes[rec.ID]++
+		}
+	}
+	if len(firsts) < 200 {
+		t.Fatalf("%d jobs in the log after 20 cycles, want at least 200", len(firsts))
+	}
+	for id, n := range firsts {
+		if n > 1 || finishes[id] > 1 {
+			t.Errorf("%s: %d records carrying its request, %d finish records", id, n, finishes[id])
+		}
+	}
+}
+
+// TestSnapshotIsRecoveryImage: a snapshot is the image this node's recovery
+// would open — the log, then the records still pending behind it, through the
+// scan and its repair — so it ends with the reservation, and a peer that
+// takes over, bootstraps or takes a handoff from it replays the same jobs and
+// continues above every id this node issued. A peer's check is the journal's
+// own scanner, which accepts a reservation (the prototype of this scanner
+// refused one as a damaged line).
+func TestSnapshotIsRecoveryImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := Open(Config{Workers: 1, JournalPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close(context.Background())
 	req := Request{Source: fastProgram, Threads: 1}
-	mustDo(t, s, req)
-	mustDo(t, s, req)
-	lines := s.JournalSnapshotRecords(false)
-	jobRecs, programs := splitPrograms(t, imageRecords(t, bytes.Join(lines, nil)))
-	if len(jobRecs) != 4 || programs != 1 || bytes.Contains(bytes.Join(lines, nil), []byte(recReserved)) {
-		t.Fatalf("snapshot of two finished jobs of one program: %d job records, %d programs: %q", len(jobRecs), programs, lines)
+	mustDo(t, s, req) // a miss: its submitted record is synced, its finish batched
+	mustDo(t, s, req) // a clean hit: one record, batched
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.journal.reserved != reserveBlock {
-		t.Fatalf("the journal reserved up to %d, want %d", s.journal.reserved, reserveBlock)
+	if scan := scanJournal(raw); scan.jobs != 1 || scan.finished != 0 {
+		t.Fatalf("the file holds %d jobs, %d finished; want the miss's synced submit alone", scan.jobs, scan.finished)
+	}
+	lines, err := s.JournalSnapshotRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := bytes.Join(lines, nil)
+	if scan := scanJournal(image); scan.damaged() != 0 || scan.jobs != 2 || scan.finished != 2 || scan.idFloor() != reserveBlock {
+		t.Fatalf("snapshot: %d damaged lines, %d jobs, %d finished, id floor %d; want 0, 2, 2, %d",
+			scan.damaged(), scan.jobs, scan.finished, scan.idFloor(), reserveBlock)
+	}
+	if last := lines[len(lines)-1]; !bytes.Equal(last, reservationLine(reserveBlock)) {
+		t.Fatalf("snapshot ends with %q, want the reservation", last)
+	}
+	if _, programs := splitPrograms(t, imageRecords(t, image)); programs != 1 {
+		t.Fatalf("snapshot of two jobs of one program holds %d programs", programs)
 	}
 	peer := New(Config{Workers: 1})
 	defer peer.Close(context.Background())
-	withMark := append([][]byte{reservationLine(reserveBlock)}, lines...)
-	if err := peer.CheckSnapshotRecords(context.Background(), withMark); err != nil {
-		t.Fatalf("a snapshot holding a reservation was refused: %v", err)
+	if err := peer.CheckSnapshotRecords(context.Background(), lines); err != nil {
+		t.Fatalf("a snapshot ending with its reservation was refused: %v", err)
 	}
 	bad := frameLine([]byte(`{"type":"reserved","id":"job-one"}`))
 	if scan := scanJournal(bad); len(scan.quarantined) != 1 || !strings.Contains(scan.quarantined[0].reason, "job-N") {

@@ -26,6 +26,9 @@ func hitPrograms(t testing.TB) map[string]string {
 	return map[string]string{"1kB": string(small), "36kB": splashSources(t)["radiosity"]}
 }
 
+// raceEnabled says the test binary was built with -race (race_test.go).
+var raceEnabled bool
+
 // BenchmarkDoHit is a result-cache hit through Do. The two sizes should read
 // about the same: a hit costs the request's configuration, not its text.
 func BenchmarkDoHit(b *testing.B) {
@@ -100,16 +103,39 @@ func BenchmarkDoHitParallel(b *testing.B) {
 // TestHitAllocs pins the allocations of one hit, submit to result, at one
 // more than measured when the submitter began finishing hits itself (9: the
 // job, its done channel and id, the digest, its sum and the key, the result;
-// 15 on the parent, which also built a context and woke a worker).
+// 15 on the parent, which also built a context and woke a worker). A
+// journaled hit is pinned at what it measures, 9: its one record is framed
+// into the journal's own buffers, and the journal keeps nothing of it (10
+// while the journal mirrored every job it accepted). After 10k journaled hits
+// of one program the journal's only per-job state, its unfinished set, is
+// empty, and it holds one program text. The race runtime allocates in the
+// journal's commit path, so a journaled hit's count holds without it only.
 func TestHitAllocs(t *testing.T) {
 	for name, src := range hitPrograms(t) {
-		s := New(Config{Workers: 1})
-		req := Request{Source: src}
-		mustDo(t, s, req)
-		got := testing.AllocsPerRun(200, func() { mustDo(t, s, req) })
-		s.Kill()
-		if got > 10 {
-			t.Errorf("%s: %.0f allocations per hit, want <= 10", name, got)
+		for _, journaled := range []bool{false, true} {
+			cfg, limit := Config{Workers: 1}, 10.0
+			if journaled {
+				cfg.JournalPath, limit = filepath.Join(t.TempDir(), "journal.jsonl"), 9
+			}
+			s := New(cfg)
+			req := Request{Source: src}
+			mustDo(t, s, req)
+			got := testing.AllocsPerRun(200, func() { mustDo(t, s, req) })
+			if got > limit && !(journaled && raceEnabled) {
+				t.Errorf("%s, journaled %v: %.0f allocations per hit, want <= %.0f", name, journaled, got, limit)
+			}
+			if journaled {
+				for range 10_000 - 202 { // behind the miss, the warm-up and the 200 runs
+					mustDo(t, s, req)
+				}
+				s.journal.mu.Lock()
+				unfinished, texts := len(s.journal.unfinished), len(s.journal.texts)
+				s.journal.mu.Unlock()
+				if jobs, _, _, _ := s.journal.snapshotLive(); jobs != 10_000 || unfinished != 0 || texts != 1 {
+					t.Errorf("%s: after %d journaled jobs of one program: %d unfinished, %d texts; want 10000, 0, 1", name, jobs, unfinished, texts)
+				}
+			}
+			s.Kill()
 		}
 	}
 }
@@ -505,21 +531,25 @@ func TestCloseWaitsForCallerSideHit(t *testing.T) {
 			t.Fatalf("journal_errors = %d", n)
 		}
 
-		jn, _, err := openJournal(nil, path, 16, journalCompactEvery, nil)
+		jn, replayed, err := openJournal(nil, path, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		byID := make(map[string]*journalJob, len(replayed))
+		for _, jj := range replayed {
+			byID[jj.id] = jj
+		}
 		for _, id := range ids {
-			if jj := jn.live[id]; jj == nil || !jj.done || jj.result == nil {
+			if jj := byID[id]; jj == nil || !jj.done || jj.result == nil {
 				t.Fatalf("round %d: %s was returned by Do but its finish record is not durable: %+v", round, id, jj)
 			}
 		}
 		// A job refused as closed after its submit record was durable must have
 		// a terminal record too, or a restart would run what the client was
 		// told was refused.
-		for id, jj := range jn.live {
+		for _, jj := range replayed {
 			if !jj.done {
-				t.Fatalf("round %d: %s has a submit record and no finish record after a clean Close", round, id)
+				t.Fatalf("round %d: %s has a submit record and no finish record after a clean Close", round, jj.id)
 			}
 		}
 		jn.kill()

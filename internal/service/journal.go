@@ -43,17 +43,16 @@ import (
 //     the id unknown, as retention eviction does, and the reservation keeps
 //     it from being reused.
 //   - "completed"/"failed" of a job a worker ran: batch-synced (every
-//     fsyncEvery records, plus on close and compaction). Losing a tail of
-//     them is harmless by determinism: recovery re-executes those jobs and
-//     reproduces the same results.
+//     fsyncEvery records, plus on close). Losing a tail of them is harmless
+//     by determinism: recovery re-executes those jobs and reproduces the
+//     same results.
 //   - "program" prog-<sha256 hex>: a program text, written once per log
-//     image right ahead of the first record that names it, so the two
-//     commit together and a crash loses the text only with that record. A
-//     record carrying a request names its text by this content address
-//     ("src") and carries the request with an empty source; one without
-//     "src" — the format before program records — replays the text it
-//     carries. Program records are no job's records: they count toward
-//     neither the batch nor the compaction trigger.
+//     right ahead of the first record that names it, so the two commit
+//     together and a crash loses the text only with that record. A record
+//     carrying a request names its text by this content address ("src") and
+//     carries the request with an empty source; one without "src" — the
+//     format before program records — replays the text it carries. Program
+//     records are no job's records: they count toward no batch.
 //
 // There is one commit path (commitLocked): appenders take a sequence number
 // under mu; one committer at a time swaps the pending buffer out and does the
@@ -70,13 +69,15 @@ import (
 // typed *diag.DivergenceError (and trips the admission circuit breaker),
 // never a silently wrong answer served from a stale log.
 //
-// Compaction removes duplicates and nothing else: when the log holds more
-// than compactEvery job records and more than twice the live-job count (the
-// finish records repeated crash / recover cycles leave behind), it is
-// rewritten (temp file + fsync + atomic rename) to the reservation, then one
-// submitted record — plus one finish record when finished — per known job,
-// each program record right ahead of its first user. A log without duplicates
-// never compacts, and the live set is unbounded.
+// The log is the journal's only job table. Recovery folds it into the jobs it
+// hands the service; a running journal keeps only a count of jobs and the ids
+// still without a finish record (the journal_jobs / journal_finished gauges),
+// and a snapshot — a shipping resync, a join reply, a drain handoff — is the
+// log and its pending tail through the same scan and repair recovery runs.
+// Nothing rewrites a healthy log: a running service appends at most one
+// finish record per job, and replay is last-finish-wins, so the duplicates a
+// divergence verdict or a standby's resync overlap leave cost bytes, not
+// answers.
 
 // Journal record types.
 const (
@@ -143,9 +144,8 @@ type journal struct {
 	fsyncEvery     int
 	encBuf         bytes.Buffer
 	enc            *json.Encoder
-	// texts maps each text a program record of the log image holds and a
-	// live job uses to its program id (live jobs only: a snapshot renders
-	// their programs, and must hold every program a later record names);
+	// texts maps each text a program record of the log holds to its program
+	// id: one entry per distinct program journaled, however many jobs use it;
 	// scratch is the request a record carries, its source blanked, and
 	// encRec the record being encoded.
 	texts   map[string]string
@@ -168,17 +168,11 @@ type journal struct {
 	reserved   int64
 	reservedAt uint64
 
-	// rawRecords counts the job records of the log, pending ones included
-	// (replayed + appended; reservations are not job records); compaction
-	// triggers on it against the live set. compactions counts the rewrites.
-	rawRecords   int
-	compactEvery int
-	compactions  int
-
-	// live is the replayed + current job state, order its first-seen id
-	// order (compaction preserves it).
-	live  map[string]*journalJob
-	order []string
+	// jobs counts the first records the log holds (replayed + appended), and
+	// unfinished the ids among them without a finish record: bounded by the
+	// jobs queued, running or lent, since a clean hit never enters it.
+	jobs       int
+	unfinished map[string]struct{}
 
 	// broken marks the journal permanently degraded after an unrecovered
 	// write error; closed marks one a clean shutdown has flushed and closed,
@@ -208,24 +202,23 @@ const maxJournalRecord = 32 << 20
 // line — the signature of a crash mid-write — is dropped, and a damaged log
 // is rewritten without either, closed by a reservation that makes up for
 // whatever the lost lines reserved. Stale `.compact` and `.quarantine` files
-// left by a crash mid-compaction (or by the previous boot's scrub) are swept
+// left by a crash mid-rewrite (or by the previous boot's scrub) are swept
 // first. Returns the journal and the replayed jobs in first-submission order.
-func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, ship func(line []byte)) (*journal, []*journalJob, error) {
+func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte)) (*journal, []*journalJob, error) {
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
 	j := &journal{
-		path:         path,
-		fsys:         fsys,
-		fsyncEvery:   fsyncEvery,
-		compactEvery: compactEvery,
-		live:         make(map[string]*journalJob),
-		texts:        make(map[string]string),
-		ship:         ship,
+		path:       path,
+		fsys:       fsys,
+		fsyncEvery: fsyncEvery,
+		texts:      make(map[string]string),
+		unfinished: make(map[string]struct{}),
+		ship:       ship,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.enc = json.NewEncoder(&j.encBuf)
-	// Startup sweep: a crash between compaction's temp write and its rename
+	// Startup sweep: a crash between a rewrite's temp write and its rename
 	// leaves `.compact` behind; the previous boot's scrub leaves its
 	// diagnostic `.quarantine` behind. Both describe a past incarnation.
 	fsys.Remove(path + ".compact")
@@ -235,9 +228,12 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, ship fu
 		return nil, nil, fmt.Errorf("journal: read %s: %w", path, err)
 	}
 	res := scanJournal(raw)
-	for _, rec := range res.recs {
-		j.replay(rec)
-		j.rawRecords++
+	jobs := replayJobs(res.recs, j.texts)
+	j.jobs = len(jobs)
+	for _, jj := range jobs {
+		if !jj.done {
+			j.unfinished[jj.id] = struct{}{}
+		}
 	}
 	j.reserved = res.idFloor()
 	j.quarantined = len(res.quarantined)
@@ -260,41 +256,37 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery, compactEvery int, ship fu
 		return nil, nil, fmt.Errorf("journal: seek %s: %w", path, err)
 	}
 	j.f = f
-	jobs := make([]*journalJob, 0, len(j.order))
-	for _, id := range j.order {
-		jobs = append(jobs, j.live[id])
-	}
 	return j, jobs, nil
 }
 
-// replay folds one record into the live state. Finish records are last-wins:
-// a job re-executed after a crash may legitimately append a second finish
-// record, and determinism makes them interchangeable.
-func (j *journal) replay(rec *journalRecord) {
-	if rec.ID == "" {
-		return // the service never writes empty ids; this is external damage
-	}
-	jj, ok := j.live[rec.ID]
-	if !ok && rec.Req != nil {
-		// A submitted record, or a clean hit's one finish record: the job's
-		// submit. First submit wins.
-		jj = &journalJob{id: rec.ID, req: *rec.Req}
-		j.live[rec.ID] = jj
-		j.order = append(j.order, rec.ID)
-		if rec.Src != "" {
-			j.texts[rec.Req.Source] = rec.Src
+// replayJobs folds scanned records into their jobs, in first-submission
+// order, and notes in texts the program id of each text a record names. The
+// first record carrying a request is the job's submit — a submitted record,
+// or a clean hit's one finish record — and the scanner admits a record of an
+// unknown id only when it carries one. Finish records are last-wins: a job
+// re-executed after a crash may legitimately append a second one, and
+// determinism makes them interchangeable.
+func replayJobs(recs []*journalRecord, texts map[string]string) []*journalJob {
+	byID := make(map[string]*journalJob)
+	var jobs []*journalJob
+	for _, rec := range recs {
+		jj := byID[rec.ID]
+		if jj == nil {
+			jj = &journalJob{id: rec.ID, req: *rec.Req}
+			byID[rec.ID] = jj
+			jobs = append(jobs, jj)
+			if rec.Src != "" {
+				texts[rec.Req.Source] = rec.Src
+			}
 		}
-	} else if !ok {
-		return
-	}
-	switch rec.Type {
-	case recCompleted:
-		if rec.Result != nil {
+		switch rec.Type {
+		case recCompleted:
 			jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, "", ""
+		case recFailed:
+			jj.done, jj.result, jj.errMsg, jj.errKind = true, nil, rec.Error, rec.Kind
 		}
-	case recFailed:
-		jj.done, jj.result, jj.errMsg, jj.errKind = true, nil, rec.Error, rec.Kind
 	}
+	return jobs
 }
 
 // finishRecord is a job's failed record when err is set, else its completed
@@ -317,7 +309,7 @@ func finishRecord(id string, res *Result, err error) journalRecord {
 // crash could lose; so is a first record whose reservation is not yet
 // durable. Other records join the batch, committed every fsyncEvery records:
 // a crash loses at most the buffered batches, which recovery repairs by
-// re-execution. A finish record is applied to the live table and may compact.
+// re-execution.
 func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -350,18 +342,16 @@ func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error
 	if err := j.appendJobLocked(rec); err != nil {
 		return err
 	}
-	if req != nil {
-		j.live[rec.ID] = &journalJob{id: rec.ID, req: *req}
-		j.order = append(j.order, rec.ID)
+	if req == nil {
+		delete(j.unfinished, rec.ID)
+	} else {
+		j.jobs++
+		if rec.Type == recSubmitted {
+			j.unfinished[rec.ID] = struct{}{}
+		}
 		durable = durable || j.committed < j.reservedAt
 	}
-	if jj, ok := j.live[rec.ID]; ok && rec.Type != recSubmitted {
-		jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, rec.Error, rec.Kind
-	}
-	if err := j.settleLocked(durable); err != nil || rec.Type == recSubmitted {
-		return err
-	}
-	return j.maybeCompactLocked()
+	return j.settleLocked(durable)
 }
 
 // admitLocked says whether the journal takes another job record: not once it
@@ -383,17 +373,15 @@ func (j *journal) appendJobLocked(rec journalRecord) error {
 	}
 	j.appended++
 	j.pendingRecs++
-	j.rawRecords++
 	return nil
 }
 
-// settleLocked ends an append, once the live table reflects the record (a
-// compaction may run whenever j.mu is released, and renders from it). A
-// record its caller needs durable waits for the commit that covers it. One
-// that fills the batch to fsyncEvery is the group-commit point for records
-// nobody waits on: it commits the batch, unless a commit is in flight, which
-// it then waits out — the fresh buffer cannot run further ahead of the disk
-// than that — and leaves the batch to the next appender.
+// settleLocked ends an append. A record its caller needs durable waits for
+// the commit that covers it. One that fills the batch to fsyncEvery is the
+// group-commit point for records nobody waits on: it commits the batch,
+// unless a commit is in flight, which it then waits out — the fresh buffer
+// cannot run further ahead of the disk than that — and leaves the batch to
+// the next appender.
 func (j *journal) settleLocked(durable bool) error {
 	switch {
 	case durable:
@@ -411,10 +399,8 @@ func (j *journal) settleLocked(durable bool) error {
 }
 
 // appendLocked frames rec into the pending buffer and feeds the shipping
-// hook. Shipping sees the logical append stream — every record in append
-// order, including ones a later compaction rewrites — which is exactly what
-// a standby needs to replay (replay is last-finish-wins, so the stream and
-// its compaction are interchangeable).
+// hook. Shipping sees the append stream — every record in append order —
+// which is exactly what a standby needs to replay.
 func (j *journal) appendLocked(rec journalRecord) error {
 	j.encBuf.Reset()
 	// Encode is Marshal plus a newline; the record and the buffer are the
@@ -481,111 +467,31 @@ func (j *journal) commitLocked() error {
 	return err
 }
 
-// quiesceLocked waits out a commit in flight: compaction, close and kill
-// replace or close the file the committer is writing.
+// quiesceLocked waits out a commit in flight: a snapshot reads the file the
+// committer is writing, close and kill close it.
 func (j *journal) quiesceLocked() {
 	for j.committing {
 		j.cond.Wait()
 	}
 }
 
-// snapshotRecords renders the live job table as compaction-style record
-// lines, led by the reservation: the bounded resync payload journal shipping
-// falls back to when the standby lost the stream. A standby takes over as
-// this node, so it must continue above every id this node handed out,
-// including hits whose records were never shipped.
-func (j *journal) snapshotRecords() [][]byte {
+// snapshotRecords is the image this node's own recovery would open, one line
+// per record: the log and its pending tail through recovery's scan and
+// repair, so that it ends with the reservation. It is what a standby resyncs
+// from, a joiner cross-checks and a drain hands over; a node that takes over
+// from it continues above every id this one issued, including hits whose
+// records never left it.
+func (j *journal) snapshotRecords() ([][]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	lines, _, _ := j.renderLocked() // on a marshal error: the lines before it
-	return append([][]byte{reservationLine(j.reserved)}, lines...)
-}
-
-// renderLocked renders the live job table in first-seen order — one submitted
-// record per job, plus its finish record when done, and each program record
-// right ahead of its first user: the snapshot payload and, behind the
-// reservation, the compacted log's image, whose texts map it also returns. It
-// stops at the first record that does not marshal, so a compaction never
-// drops a live job silently.
-func (j *journal) renderLocked() ([][]byte, map[string]string, error) {
-	var out [][]byte
-	texts := make(map[string]string)
-	for _, id := range j.order {
-		jj := j.live[id]
-		var recs []*journalRecord
-		pid, ok := texts[jj.req.Source]
-		if !ok {
-			if pid, ok = j.texts[jj.req.Source]; !ok {
-				pid = programID(jj.req.Source) // replayed from a record that carried its text
-			}
-			texts[jj.req.Source] = pid
-			recs = append(recs, &journalRecord{Type: recProgram, ID: pid, Text: jj.req.Source})
-		}
-		req := jj.req
-		req.Source = ""
-		recs = append(recs, &journalRecord{Type: recSubmitted, ID: jj.id, Src: pid, Req: &req})
-		switch {
-		case jj.done && jj.result != nil:
-			recs = append(recs, &journalRecord{Type: recCompleted, ID: jj.id, Result: jj.result})
-		case jj.done:
-			recs = append(recs, &journalRecord{Type: recFailed, ID: jj.id, Error: jj.errMsg, Kind: jj.errKind})
-		}
-		for _, rec := range recs {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return out, nil, err
-			}
-			out = append(out, frameLine(b))
-		}
-	}
-	return out, texts, nil
-}
-
-// journalCompactEvery is the compactEvery a Service opens its journal with.
-const journalCompactEvery = 4096
-
-// maybeCompactLocked rewrites the log when it holds more than compactEvery
-// job records and more than twice the live-job count, which only duplicate
-// finish records can bring about: the reservation, then one submitted record
-// per job plus its finish record. The image is rendered from the live table,
-// which already reflects every pending record, so the pending buffer is
-// dropped rather than flushed first; the rewrite is crash-safe
-// (vfs.ReplaceFile), so a crash mid-compaction leaves the old log intact.
-func (j *journal) maybeCompactLocked() error {
-	if j.rawRecords <= j.compactEvery || j.rawRecords <= 2*len(j.live) {
-		return nil
-	}
 	j.quiesceLocked()
-	if j.broken || j.closed {
-		return nil // killed or closed while this finisher waited
-	}
-	lines, texts, err := j.renderLocked()
-	if err == nil {
-		image := append([][]byte{reservationLine(j.reserved)}, lines...)
-		err = vfs.ReplaceFile(j.fsys, j.path+".compact", j.path, bytes.Join(image, nil))
-	}
+	raw, err := j.fsys.ReadFile(j.path)
 	if err != nil {
-		j.broken = true
-		return fmt.Errorf("journal: compact: %w", err)
+		return nil, fmt.Errorf("journal: snapshot %s: %w", j.path, err)
 	}
-	old := j.f
-	f, err := j.fsys.OpenFile(j.path, os.O_WRONLY, 0o644)
-	if err != nil {
-		j.broken = true
-		return fmt.Errorf("journal: reopen after compact: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		j.broken = true
-		return fmt.Errorf("journal: reopen seek: %w", err)
-	}
-	old.Close()
-	j.f = f
-	j.pending, j.pendingRecs, j.committed = j.pending[:0], 0, j.appended
-	j.rawRecords, j.texts = len(lines)-len(texts), texts
-	j.compactions++
-	j.cond.Broadcast()
-	return nil
+	scan := scanJournal(append(raw, j.pending...))
+	lines := bytes.SplitAfter(scan.repaired(), []byte("\n"))
+	return lines[:len(lines)-1], nil // the image ends in a newline
 }
 
 // close commits everything and closes the file — the clean-shutdown path.
@@ -627,18 +533,13 @@ func (j *journal) kill() {
 	j.cond.Broadcast()
 }
 
-// snapshotLive returns the journal's live view (for tests and stats): total
-// jobs known, how many have finish records, and what the commit path has made
+// snapshotLive returns the journal's gauges (for tests and stats): total jobs
+// known, how many have finish records, and what the commit path has made
 // durable — syncs, and the job records they covered.
 func (j *journal) snapshotLive() (jobs, finished int, syncs, records int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, jj := range j.live {
-		if jj.done {
-			finished++
-		}
-	}
-	return len(j.live), finished, j.syncs, j.records
+	return j.jobs, j.jobs - len(j.unfinished), j.syncs, j.records
 }
 
 const jobIDPrefix = "job-"

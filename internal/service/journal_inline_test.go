@@ -19,7 +19,9 @@ import (
 //
 //	JOURNAL_INLINE_OUT=$PWD/internal/service/testdata/journal_inline.golden go test -run TestJournalInlineFormat ./internal/service/
 //
-// which writes the file instead of replaying it.
+// which writes the file instead of replaying it. There openJournal also takes
+// a compaction threshold after fsyncEvery (pass 4096) and snapshotRecords
+// returns no error.
 const journalInlineGolden = "testdata/journal_inline.golden"
 
 // inlinePrograms are the golden log's two texts. Both hold what the JSON
@@ -55,13 +57,13 @@ func inlineJobs() []inlineJob {
 
 // TestJournalInlineFormat replays the golden inline-format log: every job
 // comes back with its id, its full request and its finish record, the scan
-// finds no damage, and the live table renders to an image that replays to
-// the same table.
+// finds no damage, and the journal's snapshot image replays to the same
+// jobs.
 func TestJournalInlineFormat(t *testing.T) {
 	want := inlineJobs()
 	if out := os.Getenv("JOURNAL_INLINE_OUT"); out != "" {
 		os.Remove(out)
-		jn, _, err := openJournal(nil, out, 16, 4096, nil)
+		jn, _, err := openJournal(nil, out, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +97,7 @@ func TestJournalInlineFormat(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jn, jobs, err := openJournal(nil, path, 16, 4096, nil)
+	jn, jobs, err := openJournal(nil, path, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +124,19 @@ func TestJournalInlineFormat(t *testing.T) {
 		t.Fatalf("id floor after replay = %d, want %d", jn.reserved, reserveBlock)
 	}
 
-	// What a compaction or a peer snapshot holds of this table replays to it.
+	// The snapshot a peer gets of this log replays to the same jobs.
 	image := filepath.Join(t.TempDir(), "image.journal")
-	if err := os.WriteFile(image, bytes.Join(jn.snapshotRecords(), nil), 0o644); err != nil {
+	lines, err := jn.snapshotRecords()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rj, rejobs, err := openJournal(nil, image, 16, 4096, nil)
+	if err := os.WriteFile(image, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rj, rejobs, err := openJournal(nil, image, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rj.close()
-	check("rendered image", rejobs)
+	check("snapshot image", rejobs)
 }

@@ -24,7 +24,8 @@ import (
 // which writes the file instead of replaying it. The test repeats
 // TestJournalInlineFormat's checks rather than sharing them, so that this
 // file alone is what the recipe copies (inlinePrograms and inlineJob exist at
-// 595a00b).
+// 595a00b). There openJournal also takes a compaction threshold after
+// fsyncEvery (pass 4096) and snapshotRecords returns no error.
 const journalSrcGolden = "testdata/journal_src.golden"
 
 // srcJobs are the golden log's jobs: job-1 completed, job-2 failed, job-3
@@ -45,13 +46,13 @@ func srcJobs() []inlineJob {
 
 // TestJournalSrcFormat replays the golden program-record log: every job comes
 // back with its id, its full request (its text resolved from its program
-// record) and its finish record, the scan finds no damage, and the live table
-// renders to an image that replays to the same table.
+// record) and its finish record, the scan finds no damage, and the journal's
+// snapshot image replays to the same jobs.
 func TestJournalSrcFormat(t *testing.T) {
 	want := srcJobs()
 	if out := os.Getenv("JOURNAL_SRC_OUT"); out != "" {
 		os.Remove(out)
-		jn, _, err := openJournal(nil, out, 16, 4096, nil)
+		jn, _, err := openJournal(nil, out, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestJournalSrcFormat(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jn, jobs, err := openJournal(nil, path, 16, 4096, nil)
+	jn, jobs, err := openJournal(nil, path, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +122,17 @@ func TestJournalSrcFormat(t *testing.T) {
 	}
 
 	image := filepath.Join(t.TempDir(), "image.journal")
-	if err := os.WriteFile(image, bytes.Join(jn.snapshotRecords(), nil), 0o644); err != nil {
+	lines, err := jn.snapshotRecords()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rj, rejobs, err := openJournal(nil, image, 16, 4096, nil)
+	if err := os.WriteFile(image, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rj, rejobs, err := openJournal(nil, image, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rj.close()
-	check("rendered image", rejobs)
+	check("snapshot image", rejobs)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -188,7 +189,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jn, jobs, err := openJournal(nil, path, 16, 4096, nil)
+	jn, jobs, err := openJournal(nil, path, 16, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -209,7 +210,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err := jn.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	_, jobs2, err := openJournal(nil, path, 16, 4096, nil)
+	_, jobs2, err := openJournal(nil, path, 16, nil)
 	if err != nil {
 		t.Fatalf("re-open: %v", err)
 	}
@@ -218,16 +219,14 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
-// TestJournalCompaction: duplicate finish records (the signature of repeated
-// crash/recover cycles) push the raw log past the compaction trigger; the
-// rewrite keeps one submitted + one finish record per job, preserves replay,
-// and shrinks the file. The reservation and the program records are no job's
-// records: the reservation is the image's first line, each program is
-// written once ahead of its first user, and neither counts toward either side
-// of the trigger.
-func TestJournalCompaction(t *testing.T) {
+// TestDuplicateFinishesReplayLastWins: duplicate finish records (a divergence
+// verdict behind a journaled result, a standby's resync overlap) stay in the
+// log, since nothing rewrites a healthy one, and replay takes each job's last.
+// Each program record is written once, ahead of its first user, and the
+// replayed jobs of one program share its text.
+func TestDuplicateFinishesReplayLastWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
-	jn, _, err := openJournal(nil, path, 1, 8, nil)
+	jn, _, err := openJournal(nil, path, 1, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -238,7 +237,6 @@ func TestJournalCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Re-finish each job several times, as successive recoveries would.
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3; i++ {
 			id := fmt.Sprintf("job-%d", i+1)
@@ -247,8 +245,8 @@ func TestJournalCompaction(t *testing.T) {
 			}
 		}
 	}
-	if jn.rawRecords != 6 {
-		t.Fatalf("raw records after compaction = %d, want 6 (3 submitted + 3 finish)", jn.rawRecords)
+	if jobs, finished, _, _ := jn.snapshotLive(); jobs != 3 || finished != 3 || len(jn.texts) != 2 {
+		t.Fatalf("journal counts %d jobs, %d finished, %d texts; want 3, 3, 2", jobs, finished, len(jn.texts))
 	}
 	if err := jn.close(); err != nil {
 		t.Fatal(err)
@@ -257,18 +255,11 @@ func TestJournalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, reservationLine(reserveBlock)) {
-		t.Fatalf("compacted log does not open with the reservation: %q", raw)
-	}
 	jobRecs, programs := splitPrograms(t, imageRecords(t, raw)[1:])
-	if len(jobRecs) != 6 || programs != 2 {
-		t.Fatalf("compacted log holds %d job records and %d programs, want 6 (3 submitted + 3 finish) and 2", len(jobRecs), programs)
+	if len(jobRecs) != 15 || programs != 2 {
+		t.Fatalf("log holds %d job records and %d programs, want 15 (3 submitted + 12 finish) and 2", len(jobRecs), programs)
 	}
-	if len(jn.texts) != 2 {
-		t.Fatalf("texts after compaction = %v, want the image's 2 programs", jn.texts)
-	}
-	// Replay after compaction: last finish wins.
-	_, jobs, err := openJournal(nil, path, 1, 8, nil)
+	_, jobs, err := openJournal(nil, path, 1, nil)
 	if err != nil {
 		t.Fatalf("re-open: %v", err)
 	}
@@ -413,7 +404,8 @@ func TestJournalRecoveryCrossCheckDivergence(t *testing.T) {
 // FuzzJournalReplay feeds arbitrary bytes to the journal opener. Whatever the
 // damage — torn tails, truncated UTF-8, interior garbage, oversized or empty
 // lines — opening must not panic or error (damage truncates, it never
-// corrupts), the replayed job set must be internally consistent, and the
+// corrupts), the replayed job set must be internally consistent, the
+// journal's snapshot image must open to the same jobs and id floor, and the
 // repaired log must remain appendable and replayable.
 //
 // Run with: go test -fuzz=FuzzJournalReplay ./internal/service/
@@ -507,7 +499,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil)
+		jn, jobs, err := openJournal(nil, path, 1, nil)
 		if err != nil {
 			t.Fatalf("openJournal rejected arbitrary bytes instead of truncating: %v", err)
 		}
@@ -526,6 +518,27 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 			seen[jj.id] = true
 		}
+		// The third entrance: the snapshot a peer takes over from is what
+		// this recovery would open, and opens to the same jobs and floor.
+		lines, err := jn.snapshotRecords()
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := filepath.Join(t.TempDir(), "image.journal")
+		if err := os.WriteFile(image, bytes.Join(lines, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ij, ijobs, err := openJournal(nil, image, 1, nil)
+		if err != nil {
+			t.Fatalf("openJournal rejected a snapshot image: %v", err)
+		}
+		ij.kill()
+		if ij.reserved < floor || ij.quarantined != 0 {
+			t.Fatalf("snapshot image: ids continue from %d (the journal from %d), %d quarantined lines", ij.reserved, floor, ij.quarantined)
+		}
+		if !reflect.DeepEqual(ijobs, jobs) {
+			t.Fatalf("snapshot image replays to %d jobs, the journal to %d: %+v, want %+v", len(ijobs), len(jobs), ijobs, jobs)
+		}
 		// The truncated log must still accept appends...
 		probe := "fuzz-probe"
 		for seen[probe] {
@@ -541,7 +554,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("close after repair: %v", err)
 		}
 		// ...and replay back to exactly the pre-damage jobs plus the probe.
-		jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil)
+		jn2, jobs2, err := openJournal(nil, path, 1, nil)
 		if err != nil {
 			t.Fatalf("reopen after repair: %v", err)
 		}
@@ -581,7 +594,7 @@ func TestJournalOversizedRecordQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil)
+	jn, jobs, err := openJournal(nil, path, 1, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -604,7 +617,7 @@ func TestJournalOversizedRecordQuarantined(t *testing.T) {
 // TestJournalAppendAfterClose: a journal that a clean shutdown closed takes
 // no more records and says so; it used to dereference its nil file.
 func TestJournalAppendAfterClose(t *testing.T) {
-	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 16, journalCompactEvery, nil)
+	jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "journal.jsonl"), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,7 @@ func writeQuarantine(fsys vfs.FS, path string, entries []quarantineEntry) error 
 }
 
 // rewriteLog atomically replaces the journal at path with the clean image,
-// reusing compaction's `.compact` temp name so the startup sweep covers both.
+// through the `.compact` temp file the startup sweep removes.
 func rewriteLog(fsys vfs.FS, path string, clean []byte) error {
 	if err := vfs.ReplaceFile(fsys, path+".compact", path, clean); err != nil {
 		return fmt.Errorf("journal: scrub rewrite: %w", err)

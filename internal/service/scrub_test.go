@@ -246,7 +246,7 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 			if err := os.WriteFile(path, bytes.Join(tc.image, nil), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			jn, jobs, err := openJournal(nil, path, 1, 1<<30, nil)
+			jn, jobs, err := openJournal(nil, path, 1, nil)
 			if err != nil {
 				t.Fatalf("openJournal: %v", err)
 			}
@@ -282,7 +282,7 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 
 			// The rewritten (or truncated) log must replay clean on the next
 			// boot, and the boot sweep must remove the sidecar.
-			jn2, jobs2, err := openJournal(nil, path, 1, 1<<30, nil)
+			jn2, jobs2, err := openJournal(nil, path, 1, nil)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -367,7 +367,7 @@ func TestScanOneRecordHits(t *testing.T) {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			jn, replayed, err := openJournal(nil, path, 16, 1<<30, nil)
+			jn, replayed, err := openJournal(nil, path, 16, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +394,7 @@ func TestJournalStartupSweepsStaleCompact(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("half-written compaction"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jn, _, err := openJournal(nil, path, 1, 1<<30, nil)
+	jn, _, err := openJournal(nil, path, 1, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}

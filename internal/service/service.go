@@ -278,7 +278,7 @@ func Open(cfg Config) (*Service, error) {
 
 	var recovered []*job
 	if cfg.JournalPath != "" {
-		jn, replayed, err := openJournal(cfg.FS, cfg.JournalPath, cfg.JournalFsyncEvery, journalCompactEvery, cfg.ShipRecord)
+		jn, replayed, err := openJournal(cfg.FS, cfg.JournalPath, cfg.JournalFsyncEvery, cfg.ShipRecord)
 		if err != nil {
 			return nil, err
 		}

@@ -124,7 +124,7 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		}
 	}
 
-	// The record is in the live table before the outcome is published, so a
+	// The record is in the journal before the outcome is published, so a
 	// drain's handoff image cannot miss a hit admitted ahead of the drain.
 	if hit {
 		s.inflight.Add(bytes)
