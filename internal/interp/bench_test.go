@@ -3,20 +3,23 @@ package interp
 // Hot-loop benchmarks for the decoded-dispatch interpreter and the race
 // detector, plus the allocation guard for the detector's slab-owned shadow
 // state. `make bench` runs these alongside the sim and top-level suites;
-// BENCH_PR4.json records the shipped numbers (see EXPERIMENTS.md).
+// BENCH_PR4.json records the PR 4 numbers, EXPERIMENTS.md every later one.
+// The dispatch benchmark runs two bodies: the same-register add runs that
+// make up most of what the sweep executes (padSrc, one dAddRun dispatch
+// per run) and cross-register add chains (chainSrc, one dispatch per add).
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/sim"
 )
 
-// dispatchSrc mirrors the sweep's dynamic mix (long add runs with a little
-// logic sprinkled in — see the fuseAddRuns rationale in decode.go) so the
-// dispatch benchmark measures the instruction stream the tables actually
-// execute.
-const dispatchSrc = `
+// chainSrc is a loop of cross-register add chains with a little logic
+// sprinkled in: every add reads another add's result, so none folds.
+const chainSrc = `
 module dispatch
 global out 1
 
@@ -43,6 +46,19 @@ done:
   ret r1
 }
 `
+
+// padSrc is the SPLASH models' compute padding (splash.padBlock): a loop
+// whose body is a 150-add run on one register, the immediates padBlock
+// emits, and a loop counter.
+var padSrc = func() string {
+	var b strings.Builder
+	b.WriteString("module pad\nglobal out 1\n\nfunc main() regs 4 {\nentry:\n  r0 = const 0\n  jmp loop\nloop:\n  r2 = lt r0, 1500\n  br r2, body, done\nbody:\n")
+	for i := 0; i < 150; i++ {
+		fmt.Fprintf(&b, "  r1 = add r1, %d\n", i|1)
+	}
+	b.WriteString("  r0 = add r0, 1\n  jmp loop\ndone:\n  store out[0], r1\n  ret r1\n}\n")
+	return b.String()
+}()
 
 // raceSrc keeps four threads loading and storing thread-private words of a
 // shared global: every access goes through the detector, none races, so the
@@ -98,28 +114,30 @@ func benchRun(b *testing.B, m *ir.Module, threads int, mode ClockMode, ref bool,
 }
 
 // BenchmarkInterpDispatch compares the reference tree-walking step loop with
-// the decoded dispatch loop on the same program; the MIPS metric is the one
-// BENCH_PR4.json commits. The kendo/ pair runs the same stream under Kendo's
-// clock (default chunk), where every instruction also accrues on the
+// the decoded dispatch loop on each body (pad/, chains/); the MIPS metric is
+// the one BENCH_PR4.json commits. The kendo/ pairs run the same streams under
+// Kendo's clock (default chunk), where every instruction also accrues on the
 // counter: Table II's Kendo cells.
 func BenchmarkInterpDispatch(b *testing.B) {
-	m := ir.MustParse(dispatchSrc)
-	for _, mode := range []ClockMode{ModeDetLock, ModeKendo} {
-		for _, ref := range []bool{true, false} {
-			name := "decoded"
-			if ref {
-				name = "reference"
-			}
-			if mode == ModeKendo {
-				name = "kendo/" + name
-			}
-			b.Run(name, func(b *testing.B) {
-				var instrs int64
-				for i := 0; i < b.N; i++ {
-					instrs += benchRun(b, m, 1, mode, ref, nil).InstrsExecuted
+	for _, body := range []struct{ name, src string }{{"pad", padSrc}, {"chains", chainSrc}} {
+		m := ir.MustParse(body.src)
+		for _, mode := range []ClockMode{ModeDetLock, ModeKendo} {
+			for _, ref := range []bool{true, false} {
+				name := "decoded"
+				if ref {
+					name = "reference"
 				}
-				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "MIPS")
-			})
+				if mode == ModeKendo {
+					name = "kendo/" + name
+				}
+				b.Run(body.name+"/"+name, func(b *testing.B) {
+					var instrs int64
+					for i := 0; i < b.N; i++ {
+						instrs += benchRun(b, m, 1, mode, ref, nil).InstrsExecuted
+					}
+					b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "MIPS")
+				})
+			}
 		}
 	}
 }

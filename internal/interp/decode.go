@@ -21,6 +21,8 @@ package interp
 //     seeds each new frame), and ir.NoReg destinations map to a scratch
 //     register, so the dispatch loop never branches on operand kind;
 //   - physical and logical (Kendo) costs are precomputed per instruction;
+//   - runs of same-register immediate adds fold (dAddRun): one dispatch
+//     runs every add of the run the reference runs before its next yield;
 //   - loads and stores carry the global's slot index, size, and flat base
 //     address, so the cache-miss model and the race detector see the exact
 //     addresses the reference path computes without any map lookup;
@@ -38,7 +40,7 @@ package interp
 // MaxStepCycles bound, completion) with identical cycle, clock, and stats
 // accounting, identical error strings, and identical race-detector access
 // sequences. TestDecodedEquivalence (equiv_test.go: every opcode, a yield at
-// each position of a fused add run, and every runtime fault, under DetLock,
+// each position of a folded add run, and every runtime fault, under DetLock,
 // Kendo and FCFS) and the harness's 20-seed SPLASH property assert this
 // byte-for-byte. stepFast's comment gives the loop's register discipline.
 
@@ -114,23 +116,15 @@ const (
 	dRet      // return a
 	dBadTerm  // malformed terminator: lazy error
 
-	// Superinstructions. The sweep's dynamic mix is dominated by runs of
-	// adds (~60% of retired instructions; half of all opcode transitions are
-	// add→add), so decode rewrites every slot that begins a run of 2–3
-	// consecutive adds into a fused form executing the whole run on one
-	// dispatch. The successor slots keep their own (possibly fused)
-	// instructions: a mid-run yield (MaxStepCycles or Kendo overflow) leaves
-	// pc on the next plain slot, so resumption — and therefore every yield
-	// point, cycle count, clock delta, and retired count — is identical to
-	// the reference loop. The fused case replays the reference tail
-	// (Kendo accrual + overflow check, then the step-cycle bound) between
-	// the inner adds. Kendo streams fuse pairs only: the head keeps its
-	// logical cost in kcost for the i1 tail and the second add's costs ride
-	// packed in aImm, while triples additionally claim kcost as a register
-	// field — which only non-Kendo streams (where kcost is never read) can
-	// afford. dckey pins the mode, so a stream can never cross modes.
-	dAdd2 // dst=a+b, then tgt=tgt2+gslot (cost2/kcost2 packed in aImm)
-	dAdd3 // dAdd2, then aux=glen+kcost (cost3 in gbase; non-Kendo only)
+	// dAddRun heads a run of same-register immediate adds (rN = add rN, imm),
+	// the SPLASH models' compute padding and half of what the sweep
+	// executes. foldAddRuns gives each slot of a run the count (tgt) and
+	// immediate sum (aImm) from that slot to the run's end, and makes every
+	// slot but the last (a plain dAdd) a dAddRun. stepFast runs in one
+	// dispatch every add of the run the reference runs before its next
+	// yield, so a branch, or a resumption after a mid-run yield, may enter
+	// at any slot.
+	dAddRun
 )
 
 // dinstr is one decoded instruction: exactly 64 bytes, so the stream packs
@@ -142,13 +136,13 @@ type dinstr struct {
 	dst   int32 // destination register (scratch register for ir.NoReg)
 	a, b  int32 // operand register index (immediates live in the const pool)
 	aux   int32 // index into dcode.aux, -1 when unused
-	tgt   int32 // branch target (jmp, br-true)
+	tgt   int32 // branch target (jmp, br-true); add-run length from this slot
 	tgt2  int32 // br-false target
 	cost  int32 // physical cycles (CostModel.PhysicalInstrCost / TermCost)
 	kcost int32 // logical cost accrued on the Kendo counter (CostModel.InstrCost)
 	gslot int32 // load/store global slot (machine gtab/gptrs index)
 	glen  int32 // load/store global size, for the bounds check
-	aImm  int64 // dConst value; dClockAdd base delta
+	aImm  int64 // dConst value; dClockAdd base delta; add-run immediate sum
 	// gbase is the flat address base of the global for loads and stores
 	// (cache model, race detector). Reused as the clockadd dynamic scale —
 	// the two never occur on the same instruction.
@@ -381,7 +375,7 @@ func (m *Machine) decodeFn(fn *ir.Func) *dcode {
 			}
 			if m.cfg.Mode == ModeKendo {
 				// Kendo accrual only: the dispatch loop reads kcost only
-				// under Kendo, and fused triples reuse the field elsewhere.
+				// under Kendo, and dAddRun takes a zero kcost for "no chunk".
 				d.kcost = int32(m.cm.InstrCost(ins))
 			}
 			switch {
@@ -511,46 +505,37 @@ func (m *Machine) decodeFn(fn *ir.Func) *dcode {
 		}
 		instrs = append(instrs, term)
 	}
-	fuseAddRuns(instrs, m.cfg.Mode == ModeKendo)
 	dc.instrs = instrs
 	dc.numRegs = fn.NumRegs + 1 + len(consts)
 	dc.tmpl = make([]int64, dc.numRegs)
 	for v, r := range consts {
 		dc.tmpl[r] = v
 	}
+	foldAddRuns(instrs, dc.tmpl, scratch)
 	dc.validate(len(m.gtab))
 	return dc
 }
 
-// fuseAddRuns rewrites each slot that starts a run of consecutive adds into
-// dAdd2/dAdd3, packing the successors' operands and costs into the slot's
-// unused fields. Decisions read the original opcodes (orig) because the
-// scan itself rewrites ops in place; the source fields it packs (dst, a, b,
-// cost, kcost) are never overwritten by fusion, so every slot stays a valid
-// run head in its own right — branch targets and yield resumptions can land
-// on any slot and see correct code. Runs cannot cross blocks: every block
-// ends in a terminator, which is never an add. Kendo streams get pairs
-// only; triples repurpose the kcost field as a register index, which the
-// Kendo tail would misread as the head's logical cost.
-func fuseAddRuns(instrs []dinstr, kendo bool) {
-	orig := make([]dop, len(instrs))
-	for i := range instrs {
-		orig[i] = instrs[i].op
+// foldAddRuns walks the stream backwards, giving each same-register
+// immediate add (rN = add rN, imm: a constant-pool operand above the scratch
+// register) the count and immediate sum from its slot to the end of its
+// run: the adds that follow on the same register with the same cost and
+// Kendo weight. Every slot but a run's last becomes a dAddRun. Runs cannot
+// cross blocks (every block ends in a terminator, which is never an add),
+// and negative costs never fold: the loop's bounds assume counters that only
+// grow.
+func foldAddRuns(instrs []dinstr, tmpl []int64, scratch int32) {
+	selfAdd := func(d *dinstr) bool {
+		return (d.op == dAdd || d.op == dAddRun) && d.dst == d.a && d.b > scratch && d.cost >= 0 && d.kcost >= 0
 	}
-	for i := range instrs {
-		if orig[i] != dAdd || i+1 >= len(instrs) || orig[i+1] != dAdd {
+	for i := len(instrs) - 2; i >= 0; i-- { // the last slot is a terminator
+		d, next := &instrs[i], &instrs[i+1]
+		if !selfAdd(d) {
 			continue
 		}
-		d := &instrs[i]
-		n1 := &instrs[i+1]
-		d.op = dAdd2
-		d.tgt, d.tgt2, d.gslot = n1.dst, n1.a, n1.b
-		d.aImm = int64(n1.cost) | int64(n1.kcost)<<32
-		if !kendo && i+2 < len(instrs) && orig[i+2] == dAdd {
-			n2 := &instrs[i+2]
-			d.op = dAdd3
-			d.aux, d.glen, d.kcost = n2.dst, n2.a, n2.b
-			d.gbase = int64(n2.cost)
+		d.tgt, d.aImm = 1, tmpl[d.b]
+		if selfAdd(next) && next.dst == d.dst && next.cost == d.cost && next.kcost == d.kcost {
+			d.op, d.tgt, d.aImm = dAddRun, next.tgt+1, d.aImm+next.aImm
 		}
 	}
 }
@@ -572,17 +557,10 @@ func (dc *dcode) validate(nglobals int) {
 			panic(fmt.Sprintf("interp: decode %s: instr %d register out of range", dc.fn.Name, i))
 		}
 		switch d.op {
-		case dAdd2, dAdd3:
-			// Fused slots hold extra register indices in the branch/global
-			// fields; the unchecked loop trusts all of them.
-			regs := []int32{d.tgt, d.tgt2, d.gslot}
-			if d.op == dAdd3 {
-				regs = append(regs, d.aux, d.glen, d.kcost)
-			}
-			for _, r := range regs {
-				if r < 0 || int(r) >= dc.numRegs {
-					panic(fmt.Sprintf("interp: decode %s: instr %d fused register out of range", dc.fn.Name, i))
-				}
+		case dAddRun:
+			// The loop reads the stop slot of a run unchecked.
+			if d.tgt < 2 || d.tgt > n-int32(i) {
+				panic(fmt.Sprintf("interp: decode %s: instr %d add run out of range", dc.fn.Name, i))
 			}
 		case dLoad, dStore:
 			if d.gslot < 0 || (int(d.gslot) >= nglobals && d.glen > 0) {
@@ -690,55 +668,37 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			rstore(rp, d.dst, rload(rp, d.a))
 		case dAdd:
 			rstore(rp, d.dst, rload(rp, d.a)+rload(rp, d.b))
-		case dAdd2, dAdd3:
-			// Fused add runs. Each inner add repeats the reference loop's
-			// accounting — retire, charge, execute, tail-check — so a run
-			// crossing a yield condition stops at exactly the instruction the
-			// reference stops at, with pc on the next (plain) slot;
-			// resumption replays the remainder.
-			rstore(rp, d.dst, rload(rp, d.a)+rload(rp, d.b))
-			if t.kendo {
-				// Kendo streams fuse pairs only. The head's tail runs inline
-				// (the shared tail below must not see this instruction twice),
-				// then the second add with its own full tail.
-				if t.kendoAccum += int64(d.kcost); t.kendoAccum >= t.chunk {
-					t.flush(fr, pc, retired)
-					t.kendoOverflow(st, cycles)
-					return nil
-				}
-				if cycles >= maxCycles {
-					t.flush(fr, pc, retired)
-					*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles}
-					return nil
-				}
-				retired++
-				cycles += int64(int32(d.aImm))
-				rstore(rp, d.tgt, rload(rp, d.tgt2)+rload(rp, d.gslot))
-				pc++
-				if t.kendoAccum += d.aImm >> 32; t.kendoAccum >= t.chunk {
-					t.flush(fr, pc, retired)
-					t.kendoOverflow(st, cycles)
-					return nil
-				}
-				if cycles >= maxCycles {
-					t.flush(fr, pc, retired)
-					*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles}
-					return nil
-				}
-				continue
+		case dAddRun:
+			// This add is retired and charged above. The adds the reference
+			// runs past it before its next yield are e: up to the run's end,
+			// and short of the step bound and the Kendo overflow, both checked
+			// in unsigned arithmetic that cannot overflow. Their immediates
+			// land in one store (this slot's suffix sum minus the stop slot's,
+			// plus the stop slot's own), and the shared tail checks the stop
+			// slot's add, where a tie goes to Kendo as in the reference.
+			// The cost is read from the next slot (the run's, so the same):
+			// reusing the head's load of d.cost would keep it live, and
+			// spilled, across every instruction's dispatch.
+			c := int64((*dinstr)(unsafe.Add(cp, uintptr(pc)*dinstrSize)).cost)
+			e := uint64(d.tgt) - 1
+			if cycles >= maxCycles {
+				e = 0
+			} else if c > 0 {
+				e = min(e, (uint64(maxCycles)-uint64(cycles)-1)/uint64(c)+1)
 			}
-			if cycles < maxCycles {
-				retired++
-				cycles += int64(int32(d.aImm))
-				rstore(rp, d.tgt, rload(rp, d.tgt2)+rload(rp, d.gslot))
-				pc++
-				if d.op == dAdd3 && cycles < maxCycles {
-					retired++
-					cycles += d.gbase
-					rstore(rp, d.aux, rload(rp, d.glen)+rload(rp, d.kcost))
-					pc++
+			if d.kcost > 0 { // Kendo streams only
+				if t.kendoAccum >= t.chunk {
+					e = 0
+				} else {
+					e = min(e, (uint64(t.chunk)-uint64(t.kendoAccum)-1)/uint64(d.kcost))
 				}
+				t.kendoAccum += int64(e) * int64(d.kcost)
 			}
+			pc += int32(e)
+			stop := (*dinstr)(unsafe.Add(cp, uintptr(pc-1)*dinstrSize))
+			rstore(rp, d.dst, rload(rp, d.dst)+d.aImm-stop.aImm+rload(rp, stop.b))
+			retired += int64(e)
+			cycles += int64(e) * c
 		case dSub:
 			rstore(rp, d.dst, rload(rp, d.a)-rload(rp, d.b))
 		case dMul:

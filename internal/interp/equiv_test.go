@@ -2,7 +2,7 @@ package interp
 
 // The decoded dispatch loop (stepFast) against the tree-walking oracle
 // (Config.Reference), on programs the SPLASH property never reaches: every
-// decoded opcode, every yield position inside a fused add run, and every
+// decoded opcode, a yield at every position of a folded add run, and every
 // runtime fault. Both paths run under the same engine, so any difference in
 // the counters below is the interpreter's.
 
@@ -319,7 +319,7 @@ entry:
 `
 
 // kendoBuiltinSrc pushes the Kendo accumulator past any small chunk inside
-// one builtin call, between fused add pairs.
+// one builtin call, between short add runs.
 const kendoBuiltinSrc = `
 module kb
 global g 2
@@ -337,11 +337,39 @@ entry:
 }
 `
 
+// addRunSrc is the SPLASH models' compute padding, which irgen seeds almost
+// never produce: a loop whose body holds a 131-add run on r1 (longer than
+// every chunk, a length neither 3 nor 17 divides, immediates that differ and
+// wrap), an adjacent 20-add run on r2, a register-operand accumulate on r3
+// that must not fold, and a 22-add run on r4 that ends its block. 300 trips
+// of 181 cycles cross the default step bound inside the r1 run.
+var addRunSrc = func() string {
+	var b strings.Builder
+	b.WriteString("module addruns\nglobal out 4\n\nfunc main() regs 8 {\nentry:\n  r0 = tid\n  r5 = const 0\n  jmp loop\nloop:\n  r6 = lt r5, 300\n  br r6, body, done\nbody:\n  r5 = add r5, 1\n")
+	for i := 0; i < 131; i++ {
+		imm := int64(i%7 - 3)
+		if i%40 == 39 {
+			imm = 1<<63 - 1
+		}
+		fmt.Fprintf(&b, "  r1 = add r1, %d\n", imm)
+	}
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&b, "  r2 = add r2, %d\n", i)
+	}
+	b.WriteString("  r3 = add r3, r1\n  r3 = add r3, r1\n  r3 = add r3, r2\n  r3 = add r3, r0\n")
+	for i := 0; i < 22; i++ {
+		b.WriteString("  r4 = add r4, 2\n")
+	}
+	b.WriteString("  jmp loop\ndone:\n  store out[r0], r1\n  print r1\n  print r2\n  print r3\n  print r4\n  ret r4\n}\n")
+	return b.String()
+}()
+
 // TestDecodedEquivalence is the proof decode.go's header cites: the blend
-// under all three modes with every small step bound and Kendo chunk (so a
-// yield lands on each position of a fused add run), every opcode, and every
-// fault, equal on both paths in stats, outputs, retired counts, machine
-// counters and error text.
+// under all three modes with every small step bound and Kendo chunk, the
+// add-run program at every step bound and Kendo chunks 1 to 100 (so a yield
+// lands on each position of a folded run), every opcode, and every fault,
+// equal on both paths in stats, outputs, retired counts, machine counters
+// and error text.
 func TestDecodedEquivalence(t *testing.T) {
 	seeds := uint64(48)
 	if testing.Short() {
@@ -398,6 +426,25 @@ func TestDecodedEquivalence(t *testing.T) {
 		}
 	}
 
+	runs := ir.MustParse(addRunSrc)
+	if !foldsAddRuns(t, runs) {
+		t.Fatal("the add-run program decodes without a dAddRun")
+	}
+	for _, md := range equivModes {
+		for _, ms := range steps {
+			chunks := []int64{0}
+			if md.mode == ModeKendo {
+				chunks = []int64{1, 3, 17, 100}
+			}
+			for _, ch := range chunks {
+				c := equivCell{mode: md.mode, policy: md.policy, threads: 2, maxCycles: ms, chunk: ch}
+				if o := checkEquiv(t, "add runs", runs, c); o.Err != "" || len(o.Outputs[0]) != 4 {
+					t.Fatalf("add runs %+v: err %q, output %v", c, o.Err, o.Outputs)
+				}
+			}
+		}
+	}
+
 	kb := ir.MustParse(kendoBuiltinSrc)
 	for _, ms := range steps {
 		for _, ch := range []int64{1, 3, 17, 100} {
@@ -409,16 +456,39 @@ func TestDecodedEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzDecodedEquivalence widens TestDecodedEquivalence's blend sweep: any
-// irgen seed, mode, step bound and Kendo chunk.
+// foldsAddRuns reports whether m's main decodes to a stream holding a
+// dAddRun, so the add-run cases cannot pass without exercising one.
+func foldsAddRuns(t *testing.T, m *ir.Module) bool {
+	t.Helper()
+	mach, _, err := NewMachine(Config{Module: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range mach.decode(m.Func("main")).instrs {
+		if d.op == dAddRun {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzDecodedEquivalence widens TestDecodedEquivalence's sweeps: any irgen
+// seed, or the add-run program when runs is set, under any mode, step bound
+// and Kendo chunk.
 func FuzzDecodedEquivalence(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		f.Add(seed, uint8(seed), uint8(seed), uint8(seed*5))
+		f.Add(seed, uint8(seed), uint8(seed), uint8(seed*5), false)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, mode, step, chunk uint8) {
+	f.Add(uint64(0), uint8(1), uint8(5), uint8(13), true)
+	f.Fuzz(func(t *testing.T, seed uint64, mode, step, chunk uint8, runs bool) {
 		md := equivModes[int(mode)%len(equivModes)]
 		threads := 1 + int(mode/3)%4
-		m := equivProgram(seed, md.mode, threads)
+		var m *ir.Module
+		if runs {
+			m = ir.MustParse(addRunSrc)
+		} else {
+			m = equivProgram(seed, md.mode, threads)
+		}
 		c := equivCell{
 			mode: md.mode, policy: md.policy, threads: threads,
 			maxCycles: int64(step % 64), chunk: int64(chunk),

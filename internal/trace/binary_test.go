@@ -5,8 +5,26 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+// raceEnabled says the test binary was built with -race (race_test.go).
+var raceEnabled bool
+
+// allocBytesPerRun is testing.AllocsPerRun in bytes: the heap bytes f
+// allocates per call, averaged over runs calls after one warm-up call.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
 
 // TestScheduleBinaryRoundTrip: for nil-event, empty, small and 10k-event
 // schedules with negative and large fields, decode(encode(s)) deep-equals s
@@ -60,12 +78,20 @@ func TestScheduleBinaryRejects(t *testing.T) {
 	}
 	huge := binary.AppendUvarint(nil, 1<<32) // 2³² events, no bytes behind the claim
 	s := New()
-	allocs := testing.AllocsPerRun(10, func() {
+	refuse := func() {
 		if err := s.UnmarshalBinary(huge); err == nil {
 			t.Fatal("a schedule of 2³² events decoded from 5 bytes")
 		}
-	})
-	if allocs > 2 { // the reader and the wrapped error; never the 96 GB of events
+	}
+	if raceEnabled {
+		// The race runtime allocates objects inside the run, so the count
+		// is not the decoder's; a byte bound of 32 events still shows any
+		// slice sized from the claim.
+		if n := allocBytesPerRun(10, refuse); n > 1024 {
+			t.Fatalf("refusing an impossible count allocated %d bytes", n)
+		}
+	} else if allocs := testing.AllocsPerRun(10, refuse); allocs > 2 {
+		// the reader and the wrapped error; never the 128 GiB of events
 		t.Fatalf("refusing an impossible count allocated %v objects", allocs)
 	}
 	if err := s.UnmarshalBinary(binary.AppendUvarint(nil, 1<<63)); err == nil {
