@@ -446,7 +446,7 @@ func newHandler(svc *service.Service) http.Handler {
 			return
 		}
 		var req service.Request
-		if err := service.DecodeRequestJSON(buf.Bytes(), &req); err != nil {
+		if err := svc.DecodeRequestJSON(buf.Bytes(), &req); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return
 		}

@@ -16,6 +16,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,12 +26,13 @@ import (
 	"repro/internal/splash"
 )
 
-// What TestServeHitAllocs measured when written (3,672 bytes in 32 objects,
-// the test's own recorder and request bookkeeping included; 9,176 in 51
-// before the one-pass front end), plus 10 %.
+// What TestServeHitAllocs measured when written (2,416 bytes in 20 objects,
+// the test's own recorder and request bookkeeping included; 3,304 in 21
+// before the source memo, 9,176 in 51 before the one-pass front end), plus
+// 10 %.
 const (
-	hitBytesBudget   = 4040
-	hitObjectsBudget = 35
+	hitBytesBudget   = 2658
+	hitObjectsBudget = 22
 )
 
 // quickstart is the README quickstart program: four threads contending on
@@ -541,6 +543,59 @@ func TestLargeBodyLeavesThePool(t *testing.T) {
 	}
 }
 
+// TestConcurrentDecodeSharesMemo: eight handlers at once decode four texts
+// through one node's source memo, and each reply is its own text's: the hash
+// Service.Do gives that text, which the four do not share.
+func TestConcurrentDecodeSharesMemo(t *testing.T) {
+	node, err := cluster.Open(cluster.Config{Self: "127.0.0.1:0", Service: service.Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close(context.Background())
+	h := mountNode(newHandler(node.Service()), node)
+	var bodies [4][]byte
+	want := map[string]int{}
+	for i := range bodies {
+		src := strings.Replace(quickstart, "lt r1, 4", fmt.Sprintf("lt r1, %d", 4+i), 1)
+		bodies[i], _ = json.Marshal(service.Request{Source: src})
+		res, err := node.Service().Do(context.Background(), service.Request{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[res.ScheduleHash] = i
+	}
+	if len(want) != len(bodies) {
+		t.Fatalf("the four texts share a schedule hash: %v", want)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				i := (g + k) % len(bodies)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs?wait=1", bytes.NewReader(bodies[i])))
+				var res service.Result
+				if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil {
+					errs <- fmt.Errorf("text %d: status %d: %s", i, rec.Code, rec.Body)
+					return
+				}
+				if got, ok := want[res.ScheduleHash]; !ok || got != i {
+					errs <- fmt.Errorf("text %d answered with hash %s (text %d's: %v)", i, res.ScheduleHash, got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // hitBodies are the two request sizes a hit is measured on, as
 // internal/service's hitPrograms are: the histogram example (the size of a
 // generated pool program) and the radiosity text the paper's sweep submits.
@@ -588,6 +643,9 @@ func warmHandler(t testing.TB, body []byte) (serveHit func(), done func()) {
 
 // BenchmarkServeHit is a result-cache hit through the mounted handler: what
 // the HTTP front end adds around Service.Do, per request and per body byte.
+// distinct/ sends the 1 kB program under a new comment every time: a text's
+// first request, which the source memo copies (its instrumentation misses,
+// its result is the same module's and hits).
 func BenchmarkServeHit(b *testing.B) {
 	for _, name := range []string{"1kB", "36kB"} {
 		body := hitBodies(b)[name]
@@ -602,6 +660,20 @@ func BenchmarkServeHit(b *testing.B) {
 			}
 		})
 	}
+	b.Run("distinct", func(b *testing.B) {
+		src, _ := os.ReadFile("../../examples/programs/histogram.dir")
+		body, _ := json.Marshal(service.Request{Source: string(src) + "\n; 00000000"})
+		digits := body[bytes.LastIndex(body, []byte("00000000")):][:8]
+		serveHit, done := warmHandler(b, body)
+		defer done()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			fmt.Appendf(digits[:0], "%08d", i) // in place: serveHit reads body
+			serveHit()
+		}
+	})
 }
 
 // TestServeHitAllocs pins what one 1 kB hit allocates through the handler,

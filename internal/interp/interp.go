@@ -52,7 +52,7 @@ type Config struct {
 
 	Mode ClockMode
 	// KendoChunkSize is the performance-counter overflow period in
-	// ModeKendo, in weighted retired-instruction units.
+	// ModeKendo, in weighted retired-instruction units; 0 means 1,000.
 	KendoChunkSize int64
 	// KendoInterruptCost is the cycle cost of each overflow interrupt.
 	KendoInterruptCost int64
@@ -183,6 +183,9 @@ func NewMachine(cfg Config) (*Machine, []*Thread, error) {
 	}
 	if cfg.MaxStepCycles == 0 {
 		cfg.MaxStepCycles = 50_000
+	}
+	if cfg.KendoChunkSize < 0 {
+		return nil, nil, fmt.Errorf("interp: negative Kendo chunk size %d", cfg.KendoChunkSize)
 	}
 	if cfg.KendoChunkSize == 0 {
 		cfg.KendoChunkSize = 1000

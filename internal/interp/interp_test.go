@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -313,6 +314,54 @@ func TestOptimizationReducesClockUpdates(t *testing.T) {
 	if machAll.ClockUpdates >= machNone.ClockUpdates {
 		t.Fatalf("all-opts updates %d should be below no-opt %d",
 			machAll.ClockUpdates, machNone.ClockUpdates)
+	}
+}
+
+// TestKendoChunkSize: both interpreters refuse a negative chunk (the decoded
+// loop would take an interrupt at every terminator, the reference at none),
+// and both still read zero as 1,000.
+func TestKendoChunkSize(t *testing.T) {
+	m := ir.MustParse(`
+module chunks
+global cells 4
+
+func main() regs 3 {
+entry:
+  r0 = const 0
+  r1 = tid
+  jmp loop
+loop:
+  r2 = lt r0, 3000
+  br r2, body, done
+body:
+  store cells[r1], r0
+  r0 = add r0, 1
+  jmp loop
+done:
+  ret r0
+}
+`)
+	for _, ref := range []bool{false, true} {
+		run := func(chunk int64) (*Machine, *sim.Stats, error) {
+			mach, ths, err := NewMachine(Config{Module: m, Threads: 4, Mode: ModeKendo, KendoChunkSize: chunk, Reference: ref})
+			if err != nil {
+				return nil, nil, err
+			}
+			stats, err := sim.New(sim.Config{Policy: sim.PolicyDet, NumLocks: m.NumLocks}, Programs(ths)).Run()
+			if err != nil {
+				t.Fatalf("reference=%v, chunk %d: %v", ref, chunk, err)
+			}
+			return mach, stats, nil
+		}
+		if _, _, err := run(-1); err == nil || !strings.Contains(err.Error(), "negative Kendo chunk size -1") {
+			t.Errorf("reference=%v: chunk -1 gave %v, want a refusal", ref, err)
+		}
+		mach0, stats0, _ := run(0)
+		mach1000, stats1000, _ := run(1000)
+		if mach0.Interrupts == 0 || mach0.Interrupts != mach1000.Interrupts || !reflect.DeepEqual(stats0, stats1000) {
+			t.Errorf("reference=%v: chunk 0 took %d interrupts, chunk 1000 %d; stats equal %v",
+				ref, mach0.Interrupts, mach1000.Interrupts, reflect.DeepEqual(stats0, stats1000))
+		}
 	}
 }
 

@@ -5,22 +5,24 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
-// The public API's JSON, walked once (DESIGN §7, Front end). encoding/json
-// and the tags in job.go remain the definition of POST /v1/jobs: the decoder
-// below may only decline, the encoder appends json.Encoder's bytes or nothing.
-// A field added to Request or Result must be added here too;
-// TestBinaryCodecCoversEveryField fails until its literals say so.
+// The public API's JSON, walked once, a program text unescaped once (DESIGN §7,
+// Front end). encoding/json and job.go's tags remain the definition of POST
+// /v1/jobs: the decoder below may only decline, the encoder appends
+// json.Encoder's bytes or nothing. A field added to Request or Result must be
+// added here too; TestBinaryCodecCoversEveryField fails until it is.
 
 // DecodeRequestJSON decodes a POST /v1/jobs body into req exactly as
 // json.Unmarshal into a zero Request does. The plain shape — the exact
 // lowercase keys once each, ASCII strings, decimal integers, true / false —
 // is decoded in one pass; anything else is json.Unmarshal's to decode or to
-// diagnose, so every error returned is its error.
-func DecodeRequestJSON(body []byte, req *Request) error {
+// diagnose, so every error returned is its error. A source literal accepted
+// before, byte for byte, yields the same string without being unescaped.
+func (s *Service) DecodeRequestJSON(body []byte, req *Request) error {
 	*req = Request{}
-	d := reqDecoder{body: body}
+	d := reqDecoder{body: body, sources: s.sources}
 	if d.request(req) {
 		return nil
 	}
@@ -32,8 +34,9 @@ func DecodeRequestJSON(body []byte, req *Request) error {
 // the first byte it is not certain encoding/json reads the same way; req may
 // be half filled by then.
 type reqDecoder struct {
-	body []byte
-	i    int
+	body    []byte
+	i       int
+	sources *lruCache[string, string] // accepted source literal (raw bytes) → its value
 }
 
 // plainByte reports whether a JSON string holds c as itself: ASCII from 0x20
@@ -90,7 +93,7 @@ func (d *reqDecoder) request(req *Request) bool {
 	ok := d.object(func(key []byte) (uint, bool) {
 		switch string(key) {
 		case "source":
-			return 1 << 0, d.str(&req.Source)
+			return 1 << 0, d.source(&req.Source)
 		case "entry":
 			return 1 << 1, d.str(&req.Entry)
 		case "threads":
@@ -124,6 +127,38 @@ func (d *reqDecoder) request(req *Request) bool {
 		return 0, false
 	})
 	return ok && d.lit("") && d.i == len(d.body) // only whitespace may follow
+}
+
+// source decodes the source string through the memo: the literal, up to the
+// first quote after an even run of backslashes, is looked up by a view of its
+// raw bytes, and only a literal str accepts is copied in.
+func (d *reqDecoder) source(out *string) bool {
+	if !d.lit(`"`) {
+		return false
+	}
+	start, end := d.i, d.i
+	for {
+		n := bytes.IndexByte(d.body[end:], '"')
+		if n < 0 {
+			return false
+		}
+		if end += n; (end-len(bytes.TrimRight(d.body[:end], `\`)))%2 == 0 {
+			break
+		}
+		end++
+	}
+	raw := d.body[start:end]
+	if v, ok := d.sources.get(unsafe.String(unsafe.SliceData(raw), len(raw))); ok {
+		*out = v
+		d.i = end + 1
+		return true
+	}
+	d.i = start - 1 // str consumes the opening quote itself
+	ok := d.str(out)
+	if ok && d.i == end+1 { // str closed the literal where the scan did
+		d.sources.add(string(raw), *out)
+	}
+	return ok
 }
 
 // str decodes a string: one scan finds its end and counts its escapes, then

@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/detrand"
 )
@@ -35,9 +37,13 @@ var decodeSeeds = struct{ taken, declined []string }{
 		"{\n  \"artifacts\" : { } ,\r\n\t\"threads\" : 0 , \"source\" : \"s\"\n}\n",
 		`{"perturb_seed":-0,"threads":-999999999999999999}`,
 		`{"source":"` + "\x7f~ !#[]" + `"}`,
+		`{"source":"ends in two backslashes \\\\"}`,
+		`{"source":"ends in a quote \""}`,
+		`{"source":"one text\nspelt twice"}`,
 	},
 	declined: []string{
 		`{"source":"\u0041"}`,
+		`{"source":"one text\u000aspelt twice"}`,
 		`{"Source":"a"}`,
 		`{"source":"a","source":"b"}`,
 		`{"artifacts":{"stats":true},"artifacts":{"schedule":true}}`,
@@ -83,16 +89,19 @@ var decodeSeeds = struct{ taken, declined []string }{
 	},
 }
 
+// takes reports whether the one-pass decoder, with nothing remembered,
+// decodes body itself rather than handing it to encoding/json.
+func takes(body []byte) bool {
+	d := reqDecoder{body: body, sources: newLRU[string, string](1)}
+	return d.request(&Request{})
+}
+
 // TestDecodeRequestFastPath: the one-pass decoder takes the plain shapes — a
 // regression that declines everything would pass every differential test and
 // show only as a slower benchmark — and declines each shape whose meaning or
 // diagnosis is encoding/json's to give.
 func TestDecodeRequestFastPath(t *testing.T) {
-	take := func(body string) bool {
-		var req Request
-		d := reqDecoder{body: []byte(body)}
-		return d.request(&req)
-	}
+	take := func(body string) bool { return takes([]byte(body)) }
 	for _, body := range append([]string{string(detloadBody(t))}, decodeSeeds.taken...) {
 		if !take(body) {
 			t.Errorf("declined a plain request: %.80q", body)
@@ -112,20 +121,34 @@ func TestDecodeRequestFastPath(t *testing.T) {
 	}
 }
 
+// memoService is the Service checkDecode decodes through, the decoder's only
+// state its source memo: shared, so every body also meets the literals of the
+// bodies decoded before it.
+var memoService = &Service{sources: newLRU[string, string](128)}
+
 // checkDecode is the decoder's whole contract: on any bytes it answers as
 // json.Unmarshal into a zero Request does — the same error text, or the same
-// value.
+// value — whether its source literal is new to the memo or remembered. A body
+// the decoder takes is decoded twice, and the repeat gets the first decode's
+// string back.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
 	var want Request
 	wantErr := json.Unmarshal(body, &want)
-	got := Request{Source: "stale", Threads: 9, Artifacts: Artifacts{Stats: true}} // a reused value is overwritten
-	gotErr := DecodeRequestJSON(body, &got)
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%q:\n got error %v\nwant error %v", body, gotErr, wantErr)
-	}
-	if wantErr == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q:\n got %+v\nwant %+v", body, got, want)
+	var first string
+	for pass := 0; pass < 2; pass++ { // the first fills the memo, the second hits it
+		got := Request{Source: "stale", Threads: 9, Artifacts: Artifacts{Stats: true}} // a reused value is overwritten
+		gotErr := memoService.DecodeRequestJSON(body, &got)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%q, pass %d:\n got error %v\nwant error %v", body, pass, gotErr, wantErr)
+		}
+		if wantErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q, pass %d:\n got %+v\nwant %+v", body, pass, got, want)
+		}
+		if pass == 1 && got.Source != "" && unsafe.StringData(got.Source) != unsafe.StringData(first) && takes(body) {
+			t.Fatalf("%.80q: a repeated source literal was decoded again", body)
+		}
+		first = got.Source
 	}
 }
 
@@ -151,6 +174,45 @@ func TestDecodeRequestMatchesJSON(t *testing.T) {
 		for cut := 0; cut < len(plain); cut += 1 + len(plain)/40 {
 			checkDecode(t, plain[:cut])
 		}
+	}
+}
+
+// TestDecodeMemoEviction: the memo holds as many literals as the
+// instrumentation cache holds texts, and a text it evicted is decoded again,
+// to the same value.
+func TestDecodeMemoEviction(t *testing.T) {
+	s := New(Config{Workers: 1, InstrCacheSize: 1})
+	defer s.Close(context.Background())
+	bodies := [][]byte{[]byte(`{"source":"text a\n"}`), []byte(`{"source":"text b\n"}`)}
+	var last [2]string
+	for round := 0; round < 3; round++ {
+		for i, body := range bodies {
+			var req Request
+			if err := s.DecodeRequestJSON(body, &req); err != nil || req.Source != fmt.Sprintf("text %c\n", 'a'+i) {
+				t.Fatalf("round %d, text %d: %q, %v", round, i, req.Source, err)
+			}
+			if round > 0 && unsafe.StringData(req.Source) == unsafe.StringData(last[i]) {
+				t.Fatalf("round %d: text %d was answered from the memo after the other text evicted it", round, i)
+			}
+			last[i] = req.Source
+			if n := s.sources.len(); n != 1 {
+				t.Fatalf("the memo holds %d literals, capacity 1", n)
+			}
+		}
+	}
+}
+
+// TestDecodeRepeatAllocs: a remembered source costs a lookup, not a copy.
+func TestDecodeRepeatAllocs(t *testing.T) {
+	body := detloadBody(t)
+	s := &Service{sources: newLRU[string, string](1)}
+	var req Request
+	if err := s.DecodeRequestJSON(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	// One object is the preset's three bytes, which are not remembered.
+	if n := testing.AllocsPerRun(100, func() { s.DecodeRequestJSON(body, &req) }); n > 1 {
+		t.Fatalf("a repeated 1 kB request allocates %.0f objects, want 1", n)
 	}
 }
 

@@ -212,6 +212,7 @@ type Service struct {
 
 	instr   *lruCache[instrKey, *instrEntry]
 	results *lruCache[string, *resultEntry]
+	sources *lruCache[string, string] // accepted source literals, raw bytes → value (json.go)
 	check   *sampler
 
 	// Telemetry. ctr holds every counter cell (statsOf, stats.go); the rest
@@ -262,6 +263,7 @@ func Open(cfg Config) (*Service, error) {
 		queue:   make(chan *job, cfg.QueueDepth),
 		instr:   newLRU[instrKey, *instrEntry](cfg.InstrCacheSize),
 		results: newLRU[string, *resultEntry](cfg.ResultCacheSize),
+		sources: newLRU[string, string](cfg.InstrCacheSize),
 		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
 		breaker: newBreaker(cfg.BreakerThreshold, breakerCooldown),
 		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
