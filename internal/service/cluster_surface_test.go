@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,6 +143,25 @@ func TestBreakerDeterministicTrace(t *testing.T) {
 	}
 }
 
+// parkFirst holds the first job a service's Fill hook sees until release is
+// called, so a Workers: 1 service keeps the rest of its queue for a steal.
+// parked returns once that job is held; release is safe to call twice.
+func parkFirst(cfg *Config) (parked func(), release func()) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var first, done sync.Once
+	cfg.Fill = func(ctx context.Context, _ string, _ *Request) *Result {
+		first.Do(func() {
+			close(entered)
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+		})
+		return nil
+	}
+	return func() { <-entered }, func() { done.Do(func() { close(gate) }) }
+}
+
 // TestStealCompleteRoundTrip: a queued job lent to a peer and completed with
 // the peer's (deterministically identical) result finishes through the
 // normal path — done, journaled, marked Remote — and a duplicate completion
@@ -154,11 +174,14 @@ func TestStealCompleteRoundTrip(t *testing.T) {
 	peer := New(Config{Workers: 1})
 	defer peer.Close(context.Background())
 
-	svc, err := Open(Config{Workers: 1, JournalPath: path, StealReclaim: time.Minute})
+	cfg := Config{Workers: 1, JournalPath: path, StealReclaim: time.Minute}
+	parked, release := parkFirst(&cfg)
+	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	// Fill the queue faster than the single worker drains it, then steal.
+	defer release()
+	// Queue six jobs while the single worker holds the first, then steal.
 	var ids []string
 	for i := 0; i < 6; i++ {
 		id, err := svc.Submit(Request{Source: src, PerturbSeed: int64(i)})
@@ -167,9 +190,11 @@ func TestStealCompleteRoundTrip(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	parked()
 	stolen := svc.StealQueued(3)
-	if len(stolen) == 0 {
-		t.Skip("worker drained the queue before the steal; nothing to lend")
+	release()
+	if len(stolen) != 3 {
+		t.Fatalf("stole %d jobs, want 3 of the 5 queued", len(stolen))
 	}
 	for _, sj := range stolen {
 		res, err := peer.ExecuteDetached(context.Background(), sj.Req)
@@ -216,11 +241,14 @@ func TestStealCompleteRoundTrip(t *testing.T) {
 // abort does the same immediately.
 func TestStealReclaim(t *testing.T) {
 	src := srcOf(t, "volrend")
-	svc, err := Open(Config{Workers: 1, StealReclaim: 20 * time.Millisecond})
+	cfg := Config{Workers: 1, StealReclaim: 20 * time.Millisecond}
+	parked, release := parkFirst(&cfg)
+	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer svc.Close(context.Background())
+	defer release()
 
 	var ids []string
 	for i := 0; i < 5; i++ {
@@ -230,13 +258,13 @@ func TestStealReclaim(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	parked()
 	stolen := svc.StealQueued(2)
-	if len(stolen) == 0 {
-		t.Skip("worker drained the queue before the steal")
+	release()
+	if len(stolen) != 2 {
+		t.Fatalf("stole %d jobs, want 2 of the 4 queued", len(stolen))
 	}
-	if len(stolen) > 1 {
-		svc.CompleteStolen(stolen[1].ID, nil) // explicit hand-back
-	}
+	svc.CompleteStolen(stolen[1].ID, nil) // explicit hand-back
 	// The rest are reclaimed by timer; every job must complete locally.
 	for _, id := range ids {
 		v := waitStatus(t, svc, id, StatusDone)
