@@ -95,10 +95,12 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# Last moved by +40, for decoding a program text once: internal/service's
-# json.go (+35: the source memo's lookup in reqDecoder.source, the header),
-# service.go (+2: the sources field) and internal/interp's interp.go (+3: a
-# negative Kendo chunk is refused).
-LOC_CEILING = 23243
+# Last moved by +151, for the cursor parser: internal/ir's parse.go (+97:
+# the slabs and their sizing, in-place instructions, the first-byte
+# dispatch, the register range check), print.go (+3: AppendText's doc),
+# internal/service's cache.go (+18: the pooled key text) and job.go (+9:
+# Result.Core), cmd/detlock and cmd/detviz (+16 each: run(args, stdout,
+# stderr) int), less internal/workload's driver.go (-8: coreOf).
+LOC_CEILING = 23394
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

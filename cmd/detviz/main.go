@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -19,28 +21,40 @@ import (
 )
 
 func main() {
-	var (
-		file = flag.String("f", "", "textual IR program (default: built-in worked example)")
-		fn   = flag.String("fn", "bf_refine", "function to display")
-		root = flag.String("root", "main", "thread entry function")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	load := func() *ir.Module {
+// run is the command with its arguments and output streams; it returns the
+// exit status: 0, 1 for a program that cannot be read, parsed or analysed
+// or a function it lacks, 2 for a bad invocation.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("detviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		file = fs.String("f", "", "textual IR program (default: built-in worked example)")
+		fn   = fs.String("fn", "bf_refine", "function to display")
+		root = fs.String("root", "main", "thread entry function")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "detviz:", err)
+		return 1
+	}
+
+	load := func() (*ir.Module, error) {
 		if *file == "" {
-			return core.WorkedExample()
+			return core.WorkedExample(), nil
 		}
 		src, err := os.ReadFile(*file)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "detviz:", err)
-			os.Exit(1)
+			return nil, err
 		}
-		m, err := ir.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "detviz:", err)
-			os.Exit(1)
-		}
-		return m
+		return ir.Parse(string(src))
 	}
 
 	stages := []struct {
@@ -55,31 +69,33 @@ func main() {
 		{"Figure 13 — + Optimization 4 (Loops): all optimizations", core.OptAll},
 	}
 	for _, st := range stages {
-		m := load()
+		m, err := load()
+		if err != nil {
+			return fail(err)
+		}
 		opt := st.opt
 		opt.Roots = []string{*root}
 		res, err := core.AnalyzeOnly(m, nil, nil, opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "detviz:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		f := m.Func(*fn)
 		if f == nil {
-			fmt.Fprintf(os.Stderr, "detviz: function %q not found\n", *fn)
-			os.Exit(1)
+			return fail(fmt.Errorf("function %q not found", *fn))
 		}
-		fmt.Printf("==== %s ====\n", st.title)
+		fmt.Fprintf(stdout, "==== %s ====\n", st.title)
 		if len(res.Clockable) > 0 {
-			fmt.Printf("clocked functions: %v\n", res.ClockableNames())
+			fmt.Fprintf(stdout, "clocked functions: %v\n", res.ClockableNames())
 		}
-		printClocks(f)
-		fmt.Println()
+		printClocks(stdout, f)
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
 // printClocks renders one block per line with its clock, marking zero-clock
 // blocks (no update code) the way the paper greys them out.
-func printClocks(f *ir.Func) {
+func printClocks(w io.Writer, f *ir.Func) {
 	total := int64(0)
 	for _, b := range f.Blocks {
 		mark := ""
@@ -88,8 +104,8 @@ func printClocks(f *ir.Func) {
 		} else if b.Clock == 0 {
 			mark = "  [no update]"
 		}
-		fmt.Printf("  %-24s clock = %-5d%s\n", b.Name+":", b.Clock, mark)
+		fmt.Fprintf(w, "  %-24s clock = %-5d%s\n", b.Name+":", b.Clock, mark)
 		total += b.Clock
 	}
-	fmt.Printf("  %-24s total = %d\n", "", total)
+	fmt.Fprintf(w, "  %-24s total = %d\n", "", total)
 }

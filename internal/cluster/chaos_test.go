@@ -46,7 +46,7 @@ func TestClusterChaosProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference execution: %v", err)
 			}
-			variants = append(variants, chaosVariant{req: req, core: coreOf(res)})
+			variants = append(variants, chaosVariant{req: req, core: res.Core()})
 		}
 	}
 	ref.Close(context.Background())
@@ -186,8 +186,8 @@ func runChaosSchedule(t *testing.T, seed int64, variants []chaosVariant) {
 	for name, ids := range submitted {
 		for _, id := range ids {
 			res := waitResult(t, nodes[name].Service(), id)
-			if want := variantOf[id+"@"+name]; coreOf(res) != want {
-				t.Fatalf("node %s job %s: core %s, want %s", name, id, coreOf(res), want)
+			if want := variantOf[id+"@"+name]; res.Core() != want {
+				t.Fatalf("node %s job %s: core %s, want %s", name, id, res.Core(), want)
 			}
 		}
 	}

@@ -266,8 +266,8 @@ func TestDrainMidLoad(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			if res, ok := nodes[newOwner].Service().ResultByKey(key); ok {
-				if coreOf(res) != coreOf(results[i]) {
-					t.Fatalf("key %d: new owner core %s, drained waiter saw %s", i, coreOf(res), coreOf(results[i]))
+				if res.Core() != results[i].Core() {
+					t.Fatalf("key %d: new owner core %s, drained waiter saw %s", i, res.Core(), results[i].Core())
 				}
 				break
 			}
@@ -384,8 +384,8 @@ func TestAntiEntropyRepair(t *testing.T) {
 	if !ok {
 		t.Fatal("repair did not pull the missing entry to its owner")
 	}
-	if coreOf(pulled) != coreOf(missRes) {
-		t.Fatalf("pulled core %s, want %s", coreOf(pulled), coreOf(missRes))
+	if pulled.Core() != missRes.Core() {
+		t.Fatalf("pulled core %s, want %s", pulled.Core(), missRes.Core())
 	}
 	if st := a.Stats(); st.RepairPulls != 1 || st.RepairRounds == 0 {
 		t.Fatalf("repair stats after pull: %+v", st)
@@ -426,7 +426,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 	}
 	// The owner's copy stands untouched — recompute reproduced it.
 	kept, ok := a.Service().ResultByKey(keys[1])
-	if !ok || coreOf(kept) != coreOf(ownRes) {
+	if !ok || kept.Core() != ownRes.Core() {
 		t.Fatalf("owner's verified copy disturbed: ok=%v", ok)
 	}
 }

@@ -24,13 +24,6 @@ func srcOf(t testing.TB, name string) string {
 	return b.Module.String()
 }
 
-// coreOf projects a result onto its deterministic core (mirrors the service
-// package's test helper — serving metadata legitimately varies).
-func coreOf(r *service.Result) string {
-	return fmt.Sprintf("%s/%d/%d/%d/%d/%d",
-		r.ScheduleHash, r.ScheduleLen, r.Cycles, r.WaitCycles, r.Acquisitions, r.ClockUpdates)
-}
-
 // tnode opens a node on net with background loops disabled — tests drive
 // ProbeOnce / StealOnce / ShipFlush directly so every schedule is
 // deterministic.
@@ -275,8 +268,8 @@ func TestPeerFillHitFallbackAndOffer(t *testing.T) {
 	if !fillRes.PeerFilled {
 		t.Fatalf("non-owner result not peer-filled: %+v", fillRes)
 	}
-	if coreOf(fillRes) != coreOf(ownerRes) {
-		t.Fatalf("peer-filled core %s, want %s", coreOf(fillRes), coreOf(ownerRes))
+	if fillRes.Core() != ownerRes.Core() {
+		t.Fatalf("peer-filled core %s, want %s", fillRes.Core(), ownerRes.Core())
 	}
 	if st := a.Stats(); st.FillHits != 1 || st.FillAttempts != 1 {
 		t.Fatalf("fill stats = %+v, want one attempt, one hit", st)
@@ -295,8 +288,8 @@ func TestPeerFillHitFallbackAndOffer(t *testing.T) {
 		t.Fatal("fill reported through a partition")
 	}
 	want := waitResult(t, nodes[owner2].Service(), mustSubmit(t, nodes[owner2], req2))
-	if coreOf(partRes) != coreOf(want) {
-		t.Fatalf("partitioned local core %s, want %s", coreOf(partRes), coreOf(want))
+	if partRes.Core() != want.Core() {
+		t.Fatalf("partitioned local core %s, want %s", partRes.Core(), want.Core())
 	}
 	net.Heal("node-b", owner2)
 
@@ -344,8 +337,8 @@ func TestPeerFillHitFallbackAndOffer(t *testing.T) {
 	if !ownerHit.Cached {
 		t.Fatal("owner lookup after offer was not a cache hit")
 	}
-	if coreOf(ownerHit) != coreOf(localRes) {
-		t.Fatalf("offered core %s, want %s", coreOf(ownerHit), coreOf(localRes))
+	if ownerHit.Core() != localRes.Core() {
+		t.Fatalf("offered core %s, want %s", ownerHit.Core(), localRes.Core())
 	}
 }
 
@@ -389,8 +382,8 @@ func TestWorkStealingDrains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference execution: %v", err)
 		}
-		if coreOf(res) != coreOf(w) {
-			t.Fatalf("job %s core %s, want %s", id, coreOf(res), coreOf(w))
+		if res.Core() != w.Core() {
+			t.Fatalf("job %s core %s, want %s", id, res.Core(), w.Core())
 		}
 	}
 	st := thief.Stats()
@@ -429,7 +422,7 @@ func TestJournalShippingAndTakeover(t *testing.T) {
 	cores := map[string]string{}
 	for i := 0; i < 3; i++ {
 		id := mustSubmit(t, primary, service.Request{Source: src, PerturbSeed: int64(i)})
-		cores[id] = coreOf(waitResult(t, primary.Service(), id))
+		cores[id] = waitResult(t, primary.Service(), id).Core()
 	}
 	if sent, err := primary.ShipFlush(ctx); err != nil || sent == 0 {
 		t.Fatalf("first flush: sent %d, err %v", sent, err)
@@ -438,7 +431,7 @@ func TestJournalShippingAndTakeover(t *testing.T) {
 	// Standby restart: the fresh store knows no epoch, the next incremental
 	// batch gaps (409), and the shipper self-heals with a snapshot resync.
 	id := mustSubmit(t, primary, service.Request{Source: src, PerturbSeed: 50})
-	cores[id] = coreOf(waitResult(t, primary.Service(), id))
+	cores[id] = waitResult(t, primary.Service(), id).Core()
 	if err := standby.Close(ctx); err != nil {
 		t.Fatalf("standby close: %v", err)
 	}
@@ -465,7 +458,7 @@ func TestJournalShippingAndTakeover(t *testing.T) {
 		t.Fatalf("tail flush: %v", err)
 	}
 	for _, id := range tail {
-		cores[id] = coreOf(waitResult(t, primary.Service(), id))
+		cores[id] = waitResult(t, primary.Service(), id).Core()
 	}
 	primary.Kill()
 	net.Deregister("primary")
@@ -481,8 +474,8 @@ func TestJournalShippingAndTakeover(t *testing.T) {
 	defer svc.Close(context.Background())
 	for id, want := range cores {
 		res := waitResult(t, svc, id)
-		if coreOf(res) != want {
-			t.Fatalf("takeover job %s core %s, want %s", id, coreOf(res), want)
+		if res.Core() != want {
+			t.Fatalf("takeover job %s core %s, want %s", id, res.Core(), want)
 		}
 	}
 	if snap := svc.Snapshot(); snap.Divergences != 0 {
@@ -509,7 +502,7 @@ func TestResyncKeepsLinesRecordedDuringIt(t *testing.T) {
 	src := srcOf(t, "ocean")
 	for i := 0; i < 2; i++ {
 		id := mustSubmit(t, primary, service.Request{Source: src, PerturbSeed: int64(i)})
-		cores[id] = coreOf(waitResult(t, primary.Service(), id))
+		cores[id] = waitResult(t, primary.Service(), id).Core()
 	}
 
 	// The first flush opens the epoch with a snapshot of the two jobs, and
@@ -522,7 +515,7 @@ func TestResyncKeepsLinesRecordedDuringIt(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 	late := mustSubmit(t, primary, service.Request{Source: srcOf(t, "radiosity")})
-	cores[late] = coreOf(waitResult(t, primary.Service(), late))
+	cores[late] = waitResult(t, primary.Service(), late).Core()
 	if err := <-flushed; err != nil {
 		t.Fatalf("resync flush: %v", err)
 	}
@@ -542,7 +535,7 @@ func TestResyncKeepsLinesRecordedDuringIt(t *testing.T) {
 	}
 	defer svc.Close(context.Background())
 	for id, want := range cores {
-		if got := coreOf(waitResult(t, svc, id)); got != want {
+		if got := waitResult(t, svc, id).Core(); got != want {
 			t.Fatalf("takeover job %s core %s, want %s", id, got, want)
 		}
 	}
@@ -573,8 +566,8 @@ func TestSingleNodeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node Do: %v", err)
 		}
-		if coreOf(a) != coreOf(b) {
-			t.Fatalf("variant %d: bare core %s, node core %s", i, coreOf(a), coreOf(b))
+		if a.Core() != b.Core() {
+			t.Fatalf("variant %d: bare core %s, node core %s", i, a.Core(), b.Core())
 		}
 		if b.PeerFilled || b.Remote {
 			t.Fatalf("single-node result carries cluster markers: %+v", b)

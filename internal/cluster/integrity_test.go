@@ -234,7 +234,7 @@ func TestShipBatchCorruptionRejected(t *testing.T) {
 	// The honest shipper keeps working: its next flush (snapshot or
 	// incremental) is accepted and the shipped journal is promotable.
 	id2 := mustSubmit(t, primary, service.Request{Source: srcOf(t, "ocean"), PerturbSeed: 9})
-	want := coreOf(waitResult(t, primary.Service(), id2))
+	want := waitResult(t, primary.Service(), id2).Core()
 	if _, err := primary.ShipFlush(ctx); err != nil {
 		// One 409 is allowed (gap repair); the retry must land.
 		if _, err := primary.ShipFlush(ctx); err != nil {
@@ -250,8 +250,8 @@ func TestShipBatchCorruptionRejected(t *testing.T) {
 	}
 	defer svc.Close(ctx)
 	res := waitResult(t, svc, id2)
-	if coreOf(res) != want {
-		t.Fatalf("takeover core %s, want %s", coreOf(res), want)
+	if res.Core() != want {
+		t.Fatalf("takeover core %s, want %s", res.Core(), want)
 	}
 	if n := svc.Snapshot().JournalJobs; n != 2 {
 		t.Fatalf("takeover journal holds %d jobs, want 2 (the fake record must not be among them)", n)

@@ -40,7 +40,7 @@ func TestClusterNemesisProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference execution: %v", err)
 			}
-			variants = append(variants, chaosVariant{req: req, core: coreOf(res)})
+			variants = append(variants, chaosVariant{req: req, core: res.Core()})
 		}
 	}
 	ref.Close(context.Background())
@@ -163,8 +163,8 @@ func runNemesisClusterSchedule(t *testing.T, seed int64, variants []chaosVariant
 	for name, ids := range submitted {
 		for _, id := range ids {
 			res := waitResult(t, nodes[name].Service(), id)
-			if want := variantOf[id+"@"+name]; coreOf(res) != want {
-				t.Fatalf("node %s job %s: core %s, want %s", name, id, coreOf(res), want)
+			if want := variantOf[id+"@"+name]; res.Core() != want {
+				t.Fatalf("node %s job %s: core %s, want %s", name, id, res.Core(), want)
 			}
 		}
 	}
@@ -207,7 +207,7 @@ func TestStandbySnapshotFsyncFault(t *testing.T) {
 	defer standby.Close(ctx)
 	defer primary.Close(ctx)
 	id := mustSubmit(t, primary, service.Request{Source: srcOf(t, "ocean")})
-	want := coreOf(waitResult(t, primary.Service(), id))
+	want := waitResult(t, primary.Service(), id).Core()
 
 	ffs.Arm(true)
 	if sent, err := primary.ShipFlush(ctx); err == nil {
@@ -233,7 +233,7 @@ func TestStandbySnapshotFsyncFault(t *testing.T) {
 		t.Fatalf("Takeover: %v", err)
 	}
 	defer svc.Close(ctx)
-	if got := coreOf(waitResult(t, svc, id)); got != want {
+	if got := waitResult(t, svc, id).Core(); got != want {
 		t.Fatalf("takeover core %s, want %s", got, want)
 	}
 }

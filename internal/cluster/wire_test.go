@@ -56,8 +56,8 @@ func wantLocal(t *testing.T, n *Node, ids []string, reqs []service.Request) {
 		if err != nil {
 			t.Fatalf("reference execution: %v", err)
 		}
-		if coreOf(res) != coreOf(ref) {
-			t.Fatalf("job %s core %s, want %s", id, coreOf(res), coreOf(ref))
+		if res.Core() != ref.Core() {
+			t.Fatalf("job %s core %s, want %s", id, res.Core(), ref.Core())
 		}
 	}
 }
@@ -99,8 +99,8 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			want := waitResult(t, b.Service(), mustSubmit(t, b, req))
 			net.StripSums("node-a", "node-b")
 			got := waitResult(t, a.Service(), mustSubmit(t, a, req))
-			if got.PeerFilled || coreOf(got) != coreOf(want) {
-				t.Fatalf("fill through a stripping link: peer_filled=%v core %s, want local recompute of %s", got.PeerFilled, coreOf(got), coreOf(want))
+			if got.PeerFilled || got.Core() != want.Core() {
+				t.Fatalf("fill through a stripping link: peer_filled=%v core %s, want local recompute of %s", got.PeerFilled, got.Core(), want.Core())
 			}
 			if st := b.Stats(); st.FillsServed != 0 {
 				t.Fatalf("owner served a fill it could not verify: %+v", st)
@@ -162,7 +162,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			})
 			net.StripSums("node-a", "node-b")
 			id := mustSubmit(t, a, service.Request{Source: srcOf(t, "ocean")})
-			want := coreOf(waitResult(t, a.Service(), id))
+			want := waitResult(t, a.Service(), id).Core()
 			if sent, err := a.ShipFlush(ctx); err == nil {
 				t.Fatalf("stripped ship batch accepted (%d lines)", sent)
 			}
@@ -179,7 +179,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("takeover: %v", err)
 			}
-			if got := coreOf(waitResult(t, svc, id)); got != want {
+			if got := waitResult(t, svc, id).Core(); got != want {
 				t.Fatalf("takeover core %s, want %s", got, want)
 			}
 			return b, func() { a.Close(ctx); svc.Close(ctx) }
@@ -269,8 +269,8 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 				t.Fatal("repair pulled an entry through a stripping link")
 			}
 			got := waitResult(t, a.Service(), mustSubmit(t, a, reqs[0]))
-			if coreOf(got) != coreOf(want) {
-				t.Fatalf("owner recompute core %s, want %s", coreOf(got), coreOf(want))
+			if got.Core() != want.Core() {
+				t.Fatalf("owner recompute core %s, want %s", got.Core(), want.Core())
 			}
 			return b, func() { a.Close(ctx); b.Close(ctx) }
 		}},

@@ -43,6 +43,22 @@ func sha(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// blendProgs synthesizes the corpus's corpusBlend blend-mix programs: texts
+// of the kind the cold workload submits, about 4 kB on average.
+func blendProgs(tb testing.TB) []workload.Program {
+	tb.Helper()
+	spec, err := workload.MixByName("blend")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec.PoolSize, spec.Threads = corpusBlend, corpusThreads
+	mix, err := workload.Synthesize(workload.NewPartitionedRNG(1), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mix.Progs
+}
+
 // corpusLines computes one line per program: name, parse digest, one digest
 // per preset in harness.PresetKeys order, result key.
 func corpusLines(t *testing.T) []string {
@@ -56,16 +72,7 @@ func corpusLines(t *testing.T) []string {
 		}
 		progs = append(progs, prog{"splash/" + n, b.Module.String()})
 	}
-	spec, err := workload.MixByName("blend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.PoolSize, spec.Threads = corpusBlend, corpusThreads
-	mix, err := workload.Synthesize(workload.NewPartitionedRNG(1), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range mix.Progs {
+	for _, p := range blendProgs(t) {
 		progs = append(progs, prog{p.Name, p.Source})
 	}
 
@@ -153,6 +160,33 @@ func TestModuleStringAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(10, func() { _ = m.String() }); n > 2 {
 			t.Errorf("Module.String (instrumented=%v): %v allocations, want at most 2", instrument, n)
+		}
+	}
+}
+
+// TestParseAllocs pins the parser's allocations on one corpus program (the
+// fourth blend program, 5.9 kB, 23 allocations when written; 241 before
+// functions, blocks and successor lists came from slabs).
+func TestParseAllocs(t *testing.T) {
+	src := blendProgs(t)[3].Source
+	if n := testing.AllocsPerRun(20, func() { ir.MustParse(src) }); n > 25 {
+		t.Errorf("Parse: %v allocations, want at most 25", n)
+	}
+}
+
+// BenchmarkParse parses the corpus's blend programs, one per iteration.
+func BenchmarkParse(b *testing.B) {
+	progs := blendProgs(b)
+	size := 0
+	for _, p := range progs {
+		size += len(p.Source)
+	}
+	b.SetBytes(int64(size / len(progs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ir.Parse(progs[i%len(progs)].Source); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -214,6 +214,10 @@ var ParseErrorCases = []struct {
 	// Reported at the label's line, not the function header's.
 	{"duplicate label", "module m\nfunc f() regs 1 {\na:\n jmp b\nb:\n ret 0\na:\n ret 1\n}", `line 7: duplicate block label "a"`},
 	{"duplicate label after forward reference", "module m\nfunc f() regs 1 {\na:\n jmp b\nb:\n ret 0\n\nb:\n ret 1\n}", `line 8: duplicate block label "b"`},
+	// A register number must fit ir.Reg: this one used to wrap to r1 = const 7.
+	{"register out of range", "module m\nfunc f() regs 2 {\nentry:\n r4294967297 = const 7\n ret 0\n}", `line 4: bad register "r4294967297"`},
+	{"operand register out of range", "module m\nfunc f() regs 2 {\nentry:\n r1 = add r2147483648, 1\n ret r1\n}", `line 4: bad operand "r2147483648"`},
+	{"br with three targets", "module m\nfunc f() regs 1 {\nentry:\n br r0, a, b, c\na:\n ret 0\n}", "line 4: br wants"},
 }
 
 func TestParseErrors(t *testing.T) {

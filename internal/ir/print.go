@@ -26,10 +26,13 @@ func (m *Module) String() string {
 			}
 		}
 	}
-	return string(m.appendText(make([]byte, 0, n)))
+	return string(m.AppendText(make([]byte, 0, n)))
 }
 
-func (m *Module) appendText(buf []byte) []byte {
+// AppendText appends the module's text, as String renders it, to buf and
+// returns the extended slice: a caller that only reads the bytes (the
+// service hashes them into a result key) prints into a buffer it reuses.
+func (m *Module) AppendText(buf []byte) []byte {
 	buf = append(append(buf, "module "...), m.Name...)
 	buf = append(buf, '\n')
 	if m.NumLocks > 0 {

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"strconv"
 	"sync"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -212,25 +211,44 @@ func instrKeyOf(req *Request) instrKey {
 	return instrKey{source: req.Source, entry: req.Entry, preset: req.Preset}
 }
 
-// moduleKeyState hashes the per-module prefix of a result key and returns
-// the digest's state. It runs once per instrEntry, over a whole program text.
-func moduleKeyState(moduleText string) []byte {
+// keyTextCap is the largest buffer keyTextPool keeps: program texts are
+// heavy-tailed, and a buffer grown for one 1 MB program must not stay
+// pinned behind a stream of 4 kB ones.
+const keyTextCap = 64 << 10
+
+// keyTextPool holds the buffers keyStateOf prints modules into.
+var keyTextPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// keyStateOf hashes the per-module prefix of a result key, "mod\x00" and the
+// module's printed text, and returns the digest's state. It runs once per
+// instrEntry; the text is printed into a pooled buffer and never kept.
+func keyStateOf(m *ir.Module) []byte {
+	buf := keyTextPool.Get().(*[]byte)
+	*buf = m.AppendText(append((*buf)[:0], "mod\x00"...))
+	state := keyState(*buf)
+	if cap(*buf) <= keyTextCap {
+		keyTextPool.Put(buf)
+	}
+	return state
+}
+
+// keyState hashes text, "mod\x00" followed by a module's printed text, and
+// returns the digest's state.
+func keyState(text []byte) []byte {
 	h := sha256.New()
-	h.Write([]byte("mod\x00"))
-	// No []byte(moduleText): passed through hash.Hash it would be copied.
-	h.Write(unsafe.Slice(unsafe.StringData(moduleText), len(moduleText)))
+	h.Write(text)
 	state, _ := h.(encoding.BinaryMarshaler).MarshalBinary() // a SHA-256 digest's never fails
 	return state
 }
 
 // resultKey is the content address of a simulation: the instrumented
-// module's printed text (resumed from moduleKeyState) plus every SimConfig
+// module's printed text (resumed from keyStateOf) plus every SimConfig
 // field that can change the outcome. PerturbSeed is included even though
 // deterministic schedules are invariant under it — makespans are not.
 func resultKey(keyState []byte, req *Request) string {
 	h := sha256.New()
 	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(keyState); err != nil {
-		panic(err) // keyState only ever comes from moduleKeyState
+		panic(err) // keyState only ever comes from keyStateOf
 	}
 	b := append(make([]byte, 0, 96), "\x00threads\x00"...)
 	b = strconv.AppendInt(b, int64(req.Threads), 10)

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/splash"
 )
 
 func TestLRUEviction(t *testing.T) {
@@ -221,5 +224,22 @@ func TestSampler(t *testing.T) {
 		if a.sample() != b.sample() {
 			t.Fatalf("sampler streams diverged at draw %d", i)
 		}
+	}
+}
+
+// TestKeyStateAllocs pins the module half of a result key: the module is
+// printed into a pooled buffer, so a key state costs the SHA-256 digest and
+// its marshalled state, not the text Module.String allocated for it (36 kB
+// for radiosity), and equals the state hashed from that text.
+func TestKeyStateAllocs(t *testing.T) {
+	m := splash.Radiosity(4).Module
+	if !bytes.Equal(keyStateOf(m), moduleKeyState(m.String())) {
+		t.Fatal("keyStateOf differs from the state of the printed text")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under -race")
+	}
+	if n := testing.AllocsPerRun(20, func() { keyStateOf(m) }); n > 2 {
+		t.Errorf("keyStateOf: %v allocations, want at most 2", n)
 	}
 }

@@ -69,7 +69,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 	refSvc := New(Config{Workers: 2})
 	ref := make([]string, len(variants))
 	for i, v := range variants {
-		ref[i] = coreOf(mustDo(t, refSvc, reqOf(v)))
+		ref[i] = mustDo(t, refSvc, reqOf(v)).Core()
 	}
 	if err := refSvc.Close(context.Background()); err != nil {
 		t.Fatalf("reference Close: %v", err)
@@ -152,7 +152,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 						if err != nil {
 							t.Fatalf("Do variant %d: %v", vi, err)
 						}
-						if got := coreOf(res); got != ref[vi] {
+						if got := res.Core(); got != ref[vi] {
 							t.Fatalf("Do variant %d: core %s, want reference %s", vi, got, ref[vi])
 						}
 						issue(res.JobID)
@@ -180,7 +180,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 					if v.Status != StatusDone || v.Result == nil {
 						t.Fatalf("job %s: status %q after drain", id, v.Status)
 					}
-					if got := coreOf(v.Result); got != ref[vi] {
+					if got := v.Result.Core(); got != ref[vi] {
 						t.Fatalf("job %s (variant %d): core %s, want reference %s", id, vi, got, ref[vi])
 					}
 				}
@@ -215,7 +215,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 			}
 			for id, vi := range acked {
 				v := waitStatus(t, svc, id, StatusDone)
-				if got := coreOf(v.Result); got != ref[vi] {
+				if got := v.Result.Core(); got != ref[vi] {
 					t.Fatalf("post-mortem %s: core %s, want %s", id, got, ref[vi])
 				}
 			}
@@ -249,7 +249,7 @@ func TestChaosKillDuringSubmit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 
 	refSvc := New(Config{Workers: 1})
-	want := coreOf(mustDo(t, refSvc, Request{Source: src}))
+	want := mustDo(t, refSvc, Request{Source: src}).Core()
 	refSvc.Close(context.Background())
 
 	svc, err := Open(Config{Workers: 1, JournalPath: path})
@@ -268,7 +268,7 @@ func TestChaosKillDuringSubmit(t *testing.T) {
 	}
 	defer svc2.Close(context.Background())
 	v := waitStatus(t, svc2, id, StatusDone)
-	if got := coreOf(v.Result); got != want {
+	if got := v.Result.Core(); got != want {
 		t.Fatalf("recovered core %s, want %s", got, want)
 	}
 }

@@ -207,8 +207,8 @@ func TestStealCompleteRoundTrip(t *testing.T) {
 	for i, id := range ids {
 		v := waitStatus(t, svc, id, StatusDone)
 		want := mustDo(t, peer, Request{Source: src, PerturbSeed: int64(i)})
-		if coreOf(v.Result) != coreOf(want) {
-			t.Fatalf("job %s core %s, want %s", id, coreOf(v.Result), coreOf(want))
+		if v.Result.Core() != want.Core() {
+			t.Fatalf("job %s core %s, want %s", id, v.Result.Core(), want.Core())
 		}
 	}
 	snap := svc.Snapshot()
@@ -322,8 +322,8 @@ func TestPeerFillAndOffer(t *testing.T) {
 	if !res.Cached {
 		t.Fatal("offered entry did not serve the local submission as a cache hit")
 	}
-	if coreOf(res) != coreOf(oceanOffer.res) {
-		t.Fatalf("offered core %s != local %s", coreOf(oceanOffer.res), coreOf(res))
+	if res.Core() != oceanOffer.res.Core() {
+		t.Fatalf("offered core %s != local %s", oceanOffer.res.Core(), res.Core())
 	}
 
 	// A tampered offer (hash does not match its schedule) is refused.
@@ -359,8 +359,8 @@ func TestPeerFillAndOffer(t *testing.T) {
 	if !fres.PeerFilled {
 		t.Fatal("fill hook result not marked PeerFilled")
 	}
-	if coreOf(fres) != coreOf(oceanOffer.res) {
-		t.Fatalf("peer-filled core %s, want %s", coreOf(fres), coreOf(oceanOffer.res))
+	if fres.Core() != oceanOffer.res.Core() {
+		t.Fatalf("peer-filled core %s, want %s", fres.Core(), oceanOffer.res.Core())
 	}
 	snap := filled.Snapshot()
 	if snap.PeerFills != 1 || snap.PeerFillChecks != 1 || snap.Divergences != 0 {
@@ -379,7 +379,7 @@ func TestPeerFillAndOffer(t *testing.T) {
 	if cres.PeerFilled {
 		t.Fatal("corrupt fill served as peer-filled")
 	}
-	if coreOf(cres) != coreOf(oceanOffer.res) {
+	if cres.Core() != oceanOffer.res.Core() {
 		t.Fatal("fallback recomputation produced a different core")
 	}
 	if snap := corrupt.Snapshot(); snap.PeerFillRejects == 0 {

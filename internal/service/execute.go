@@ -313,7 +313,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 			return nil, false, fmt.Errorf("service: instrument: %w", err)
 		}
 	}
-	ie.keyState = moduleKeyState(mod.String())
+	ie.keyState = keyStateOf(mod)
 	s.instr.add(ik, ie)
 	return ie, false, nil
 }

@@ -6,3 +6,8 @@ package service
 func ResultKeyOfText(text string, req *Request) string {
 	return resultKey(moduleKeyState(text), req)
 }
+
+// moduleKeyState is keyStateOf of the module a text prints, from the text.
+func moduleKeyState(moduleText string) []byte {
+	return keyState([]byte("mod\x00" + moduleText))
+}

@@ -113,6 +113,15 @@ type Result struct {
 	Stage StageLatency `json:"stage_latency"`
 }
 
+// Core projects the result onto its deterministic core, the fields the weak
+// determinism contract fixes, as "hash/len/cycles/wait/acquisitions/clock
+// updates". Serving metadata (cache flags, stage latencies) legitimately
+// varies across runs and restarts and is left out.
+func (r *Result) Core() string {
+	return fmt.Sprintf("%s/%d/%d/%d/%d/%d",
+		r.ScheduleHash, r.ScheduleLen, r.Cycles, r.WaitCycles, r.Acquisitions, r.ClockUpdates)
+}
+
 // Status is a job's lifecycle state.
 type Status string
 

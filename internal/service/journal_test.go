@@ -18,14 +18,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// coreOf projects a result onto its deterministic core — the fields the
-// weak-determinism contract pins. Serving metadata (Cached, Stage latencies)
-// legitimately varies across runs and restarts.
-func coreOf(r *Result) string {
-	return fmt.Sprintf("%s/%d/%d/%d/%d/%d",
-		r.ScheduleHash, r.ScheduleLen, r.Cycles, r.WaitCycles, r.Acquisitions, r.ClockUpdates)
-}
-
 // waitStatus polls Lookup until the job reaches want (background verify jobs
 // flip recovered jobs asynchronously).
 func waitStatus(t *testing.T, s *Service, id string, want Status) *JobView {
@@ -67,7 +59,7 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		ref[res.JobID] = coreOf(res)
+		ref[res.JobID] = res.Core()
 	}
 	// One deterministic failure: its rendering and kind must also survive.
 	_, err = svc.Do(context.Background(), Request{Source: deadlockProgram, Threads: 2})
@@ -86,7 +78,7 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	defer svc2.Close(context.Background())
 	for id, want := range ref {
 		v := waitStatus(t, svc2, id, StatusDone)
-		if v.Result == nil || coreOf(v.Result) != want {
+		if v.Result == nil || v.Result.Core() != want {
 			t.Fatalf("recovered %s: core %v, want %s", id, v.Result, want)
 		}
 	}
@@ -166,8 +158,8 @@ func TestJournalReplaysIncomplete(t *testing.T) {
 	defer svc2.Close(context.Background())
 	for i, id := range ids {
 		v := waitStatus(t, svc2, id, StatusDone)
-		if i == 0 && coreOf(v.Result) != coreOf(refRes) {
-			t.Fatalf("re-executed %s: core %s, want %s", id, coreOf(v.Result), coreOf(refRes))
+		if i == 0 && v.Result.Core() != refRes.Core() {
+			t.Fatalf("re-executed %s: core %s, want %s", id, v.Result.Core(), refRes.Core())
 		}
 	}
 	if got := svc2.Snapshot().RecoveredJobs; got != 3 {
@@ -306,7 +298,7 @@ func TestJournalDegradation(t *testing.T) {
 
 	first := mustDo(t, svc, Request{Source: src}) // submit ok, finish append fails
 	second := mustDo(t, svc, Request{Source: src})
-	if coreOf(first) != coreOf(second) {
+	if first.Core() != second.Core() {
 		t.Fatal("degraded service changed answers")
 	}
 	if second.Cached {

@@ -37,7 +37,7 @@ func TestNemesisSingleNodeProperty(t *testing.T) {
 		}
 		for p := int64(1); p <= 2; p++ {
 			req := Request{Source: b.Module.String(), PerturbSeed: p}
-			variants = append(variants, nemVariant{req: req, core: coreOf(mustDo(t, ref, req))})
+			variants = append(variants, nemVariant{req: req, core: mustDo(t, ref, req).Core()})
 		}
 	}
 	if err := ref.Close(context.Background()); err != nil {
@@ -186,7 +186,7 @@ func runNemesisSchedule(t *testing.T, seed int64, variants []nemVariant) {
 		if v.Status != StatusDone || v.Result == nil {
 			t.Fatalf("job %s: status %q after drain", id, v.Status)
 		}
-		if got := coreOf(v.Result); got != variants[vi].core {
+		if got := v.Result.Core(); got != variants[vi].core {
 			t.Fatalf("job %s (variant %d): core %s, want reference %s — corrupt data served", id, vi, got, variants[vi].core)
 		}
 	}

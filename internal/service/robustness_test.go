@@ -25,10 +25,10 @@ func TestServiceDeadline(t *testing.T) {
 	// Per-seed references: schedules are invariant under PerturbSeed but
 	// physical cycle counts are not, so cores compare like for like.
 	refSvc := New(Config{Workers: 1})
-	ref := coreOf(mustDo(t, refSvc, Request{Source: src}))
+	ref := mustDo(t, refSvc, Request{Source: src}).Core()
 	refs := make([]string, 3)
 	for i := range refs {
-		refs[i] = coreOf(mustDo(t, refSvc, Request{Source: src, PerturbSeed: int64(i + 1)}))
+		refs[i] = mustDo(t, refSvc, Request{Source: src, PerturbSeed: int64(i + 1)}).Core()
 	}
 	refSvc.Close(context.Background())
 
@@ -46,7 +46,7 @@ func TestServiceDeadline(t *testing.T) {
 				t.Errorf("concurrent job %d: %v", i, err)
 				return
 			}
-			cores[i] = coreOf(res)
+			cores[i] = res.Core()
 		}(i)
 	}
 	_, err = svc.Do(context.Background(), Request{Source: src, DeadlineMS: 1})
@@ -78,8 +78,8 @@ func TestServiceDeadline(t *testing.T) {
 	}
 	// A generous deadline changes nothing about the result.
 	res := mustDo(t, svc, Request{Source: src, DeadlineMS: 60_000})
-	if coreOf(res) != ref {
-		t.Fatalf("deadline-bounded run diverged: %s != %s", coreOf(res), ref)
+	if res.Core() != ref {
+		t.Fatalf("deadline-bounded run diverged: %s != %s", res.Core(), ref)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestServiceRetryRecovers(t *testing.T) {
 	src := b.Module.String()
 
 	refSvc := New(Config{Workers: 1})
-	ref := coreOf(mustDo(t, refSvc, Request{Source: src}))
+	ref := mustDo(t, refSvc, Request{Source: src}).Core()
 	refSvc.Close(context.Background())
 
 	svc := New(Config{
@@ -147,8 +147,8 @@ func TestServiceRetryRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if i == 0 && coreOf(res) != ref {
-			t.Fatalf("retried result diverged: %s != %s", coreOf(res), ref)
+		if i == 0 && res.Core() != ref {
+			t.Fatalf("retried result diverged: %s != %s", res.Core(), ref)
 		}
 	}
 	if snap := svc.Snapshot(); snap.Retries == 0 {

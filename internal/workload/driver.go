@@ -124,14 +124,6 @@ func isRejection(class string) bool {
 	return false
 }
 
-// coreOf projects a result onto its deterministic core: the fields the weak
-// determinism contract fixes. Serving metadata (cache flags, latency) is
-// excluded.
-func coreOf(r *service.Result) string {
-	return fmt.Sprintf("%s/%d/%d/%d/%d/%d",
-		r.ScheduleHash, r.ScheduleLen, r.Cycles, r.WaitCycles, r.Acquisitions, r.ClockUpdates)
-}
-
 // TimelineFingerprint digests a timeline to a compact hex string.
 func TimelineFingerprint(evs []Arrival) string {
 	h := fnv.New64a()
@@ -317,7 +309,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 			out.Completed++
 			lats = append(lats, d.us)
 			name := picks[seq].Name
-			core := coreOf(d.res)
+			core := d.res.Core()
 			if prev, ok := out.cores[name]; ok && prev != core {
 				return nil, fmt.Errorf("workload: determinism violation: program %s produced cores %s and %s", name, prev, core)
 			}
