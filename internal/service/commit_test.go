@@ -212,10 +212,9 @@ func TestReservationDamageNeverReusesIDs(t *testing.T) {
 			}
 
 			// Twice: the repair must have written down what it concluded, since
-			// it removed the lines it concluded it from. (The queue is deep
-			// enough to admit a job behind a thousand recovery cross-checks.)
+			// it removed the lines it concluded it from.
 			for range 2 {
-				s, err = Open(Config{Workers: 1, JournalPath: path, QueueDepth: 4 * reserveBlock})
+				s, err = Open(Config{Workers: 1, JournalPath: path})
 				if err != nil {
 					t.Fatal(err)
 				}

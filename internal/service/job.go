@@ -163,10 +163,6 @@ type job struct {
 	// probe is the circuit breaker's probe ticket when the job is the
 	// half-open probe (0 otherwise), handed back if it ends without a verdict.
 	probe uint64
-	// verify marks an internal recovery cross-check job (not client visible,
-	// not in the job table): recompute req and hold it to the journaled claim
-	// of the recovered job whose id it shares.
-	verify *claim
 	// reclaim re-enqueues the job if a work-stealing peer that borrowed it
 	// never reports back (armed only while lent).
 	reclaim *time.Timer

@@ -64,10 +64,10 @@ import (
 // promised.
 //
 // Recovery cross-checks the determinism claim rather than assuming it:
-// every recovered successful result is re-executed in the background and
-// its fresh schedule hash compared to the journaled one; a mismatch is a
-// typed *diag.DivergenceError (and trips the admission circuit breaker),
-// never a silently wrong answer served from a stale log.
+// each distinct (request, schedule hash) claim among the recovered results
+// is re-executed once, in the background and off the job queue; a mismatch
+// is a typed *diag.DivergenceError (and trips the admission circuit
+// breaker), never a silently wrong answer served from a stale log.
 //
 // The log is the journal's only job table. Recovery folds it into the jobs it
 // hands the service; a running journal keeps only a count of jobs and the ids

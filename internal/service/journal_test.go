@@ -18,8 +18,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// waitStatus polls Lookup until the job reaches want (background verify jobs
-// flip recovered jobs asynchronously).
+// waitStatus polls Lookup until the job reaches want (background recovery
+// checks flip recovered jobs asynchronously).
 func waitStatus(t *testing.T, s *Service, id string, want Status) *JobView {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -90,14 +90,15 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("recovered failure = %+v, want failed/%q/deadlock", vf, failMsg)
 	}
 
-	// Cross-checks ran and agreed; new ids continue past the journal.
+	// Cross-checks ran, one per distinct request, and agreed; new ids
+	// continue past the journal.
 	deadline := time.Now().Add(5 * time.Second)
 	for svc2.Snapshot().RecoveryChecks < 4 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	snap := svc2.Snapshot()
-	if snap.RecoveryChecks < 4 {
-		t.Fatalf("recovery checks = %d, want ≥4", snap.RecoveryChecks)
+	if snap.RecoveryChecks != 4 {
+		t.Fatalf("recovery checks = %d, want 4", snap.RecoveryChecks)
 	}
 	if snap.Divergences != 0 {
 		t.Fatalf("recovery cross-check reported %d divergences", snap.Divergences)

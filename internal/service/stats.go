@@ -187,7 +187,7 @@ type statsOf[C any] struct {
 
 	// Journal state: whether a journal is configured and healthy, how many
 	// jobs it knows (and how many have durable finish records), write
-	// errors, and jobs recovered/cross-checked after the last restart.
+	// errors, and jobs recovered / distinct claims rechecked since restart.
 	JournalEnabled  bool `json:"journal_enabled"`
 	JournalDegraded bool `json:"journal_degraded"`
 	JournalJobs     int  `json:"journal_jobs,omitempty"`
