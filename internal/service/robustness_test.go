@@ -11,6 +11,38 @@ import (
 	"repro/internal/splash"
 )
 
+// lateTimer is a context whose deadline has passed while its timer has not
+// fired (Err is still nil), as when every processor is busy and the runtime
+// runs the timer late.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestSimulateReadsDeadlineOffTheClock: the simulator's cancel hook stops a
+// run whose deadline has passed even when the context's timer has not fired.
+func TestSimulateReadsDeadlineOffTheClock(t *testing.T) {
+	b, err := splash.New("raytrace", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1})
+	defer svc.Close(context.Background())
+	req := Request{Source: b.Module.String()}
+	if err := normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	ie, _, err := svc.instrumented(&req, new(StageLatency))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.simulate(context.Background(), ie, &req); err != nil {
+		t.Fatalf("no deadline: %v", err)
+	}
+	if _, err := svc.simulate(lateTimer{context.Background()}, ie, &req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a passed deadline whose timer has not fired: err = %v, want DeadlineExceeded", err)
+	}
+}
+
 // TestServiceDeadline: a job with a too-small budget fails with a typed
 // *diag.TimeoutError while concurrent jobs without deadlines complete with
 // deterministic cores identical to an undisturbed reference — cancellation
