@@ -15,7 +15,17 @@ package detlock_test
 // them — as long as some file, test or not, of the module or of bench/ calls
 // them at all: a facade method nothing references is flagged like any other.
 // Anything else that must stay goes in deadExportAllowlist with its reason.
-// `make deadcode` runs the guard verbosely and prints the allowlist.
+//
+// The unset-option guard. An exported field of a struct type under
+// internal/ named Config, …Config or Options is a choice its callers make,
+// so some file must make it: a composite literal that keys it (its own
+// package's presets included), or an assignment, increment or address-of
+// outside its own package's non-test files. Those inside them are the
+// package's defaulting, which no caller chose. Tests and bench/ count as
+// callers. A field nothing sets is a constant: fold it into one, or
+// allowlist it in unsetOptionAllowlist with its reason.
+//
+// `make deadcode` runs both guards verbosely and prints their allowlists.
 
 import (
 	"fmt"
@@ -38,29 +48,48 @@ import (
 // with the reason it stays. Keys are spelled as the guard reports them.
 var deadExportAllowlist = map[string]string{}
 
+// unsetOptionAllowlist names option fields the guard would flag that stay,
+// each with the reason it stays. Keys are spelled as the guard reports them.
+var unsetOptionAllowlist = map[string]string{}
+
 func TestNoDeadExports(t *testing.T) {
 	found, err := deadExports(".", "bench")
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFindings(t, found, "deadExportAllowlist", deadExportAllowlist, "delete it, move it into a _test.go file")
+}
+
+func TestNoUnsetOptions(t *testing.T) {
+	l, modPath, paths, err := loadTree(".", "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFindings(t, l.unsetOptions(modPath, paths), "unsetOptionAllowlist", unsetOptionAllowlist, "fold it into a constant in the package that reads it")
+}
+
+// checkFindings fails for each finding allow does not name and for each
+// entry of allow that is no longer found, and logs allow.
+func checkFindings(t *testing.T, found []finding, allowName string, allow map[string]string, fix string) {
+	t.Helper()
 	seen := map[string]bool{}
 	for _, d := range found {
 		seen[d.name] = true
-		if _, ok := deadExportAllowlist[d.name]; !ok {
-			t.Errorf("%s: %s is %s: delete it, move it into a _test.go file, or allowlist it with a reason", d.pos, d.name, d.why)
+		if _, ok := allow[d.name]; !ok {
+			t.Errorf("%s: %s is %s: %s, or allowlist it with a reason", d.pos, d.name, d.why, fix)
 		}
 	}
-	names := make([]string, 0, len(deadExportAllowlist))
-	for name := range deadExportAllowlist {
+	names := make([]string, 0, len(allow))
+	for name := range allow {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	t.Logf("allowlist: %d entries", len(names))
 	for _, name := range names {
 		if !seen[name] {
-			t.Errorf("allowlisted %s is no longer flagged: drop it from deadExportAllowlist", name)
+			t.Errorf("allowlisted %s is no longer flagged: drop it from %s", name, allowName)
 		}
-		t.Logf("allowed: %s — %s", name, deadExportAllowlist[name])
+		t.Logf("allowed: %s — %s", name, allow[name])
 	}
 }
 
@@ -71,19 +100,10 @@ func TestNoDeadExports(t *testing.T) {
 // facade aliases and is referenced somewhere; one of the facade's that
 // nothing references is flagged.
 func TestDeadExportsFixture(t *testing.T) {
-	root := t.TempDir()
-	write := func(rel, src string) {
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module fix\n\ngo 1.22\n")
-	write("fix.go", "package fix\n\nimport \"fix/internal/a\"\n\ntype T = a.Public\n\nvar _ = a.Used\n")
-	write("internal/a/a.go", `package a
+	root := writeTree(t, map[string]string{
+		"go.mod": "module fix\n\ngo 1.22\n",
+		"fix.go": "package fix\n\nimport \"fix/internal/a\"\n\ntype T = a.Public\n\nvar _ = a.Used\n",
+		"internal/a/a.go": `package a
 
 func Used()        { Via() }
 func Via()         {}
@@ -102,21 +122,17 @@ type S struct{}
 
 func (S) String() string { return "" }
 func (S) Extra()         {}
-`)
-	write("internal/a/a_test.go", "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { OwnTestOnly(); S{}.Extra() }\n")
-	write("internal/b/b.go", "package b\n")
-	write("internal/b/b_test.go", "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { a.OtherTest() }\n")
-	write("bench/go.mod", "module fix/bench\n\ngo 1.22\n")
-	write("bench/main.go", "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n")
-	write("examples/ex/main.go", "package main\n\nimport \"fix\"\n\nfunc main() { fix.T{}.Facade() }\n")
-
+`,
+		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { OwnTestOnly(); S{}.Extra() }\n",
+		"internal/b/b.go":      "package b\n",
+		"internal/b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { a.OtherTest() }\n",
+		"bench/go.mod":         "module fix/bench\n\ngo 1.22\n",
+		"bench/main.go":        "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n",
+		"examples/ex/main.go":  "package main\n\nimport \"fix\"\n\nfunc main() { fix.T{}.Facade() }\n",
+	})
 	found, err := deadExports(root, filepath.Join(root, "bench"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []string
-	for _, d := range found {
-		got = append(got, d.name+": "+d.why)
 	}
 	want := []string{
 		"a.DeadOnly: referenced only by flagged exports",
@@ -125,12 +141,186 @@ func (S) Extra()         {}
 		"a.Public.Orphan: referenced nowhere",
 		"a.S.Extra: referenced only by its own package's tests",
 	}
+	checkFixture(t, found, want)
+}
+
+// TestUnsetOptionsFixture runs the option guard on a tree made for it: a
+// field of an option struct that nothing sets, or only its own package's
+// defaulting, is flagged; one set by another package's test, by the bench
+// module, by its own package's test or in a preset literal is not, nor is
+// any field of a struct that is not named as an option struct.
+func TestUnsetOptionsFixture(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module fix\n\ngo 1.22\n",
+		"internal/a/a.go": `package a
+
+type Config struct {
+	Nobody    int
+	Defaulted int
+	OtherTest int
+	Bench     int
+	Preset    int
+	OwnTest   int
+	internal  int
+}
+
+type RunConfig struct{ Window int }
+
+type Options struct{ Fast bool }
+
+type Plain struct{ Unset int }
+
+var Quick = Options{Fast: true}
+
+func (c *Config) withDefaults() {
+	if c.Defaulted == 0 {
+		c.Defaulted = 4
+	}
+	c.internal = 1
+}
+
+var _ = Config{Preset: 1}
+`,
+		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { c := Config{}; c.OwnTest++; c.withDefaults() }\n",
+		"internal/b/b.go":      "package b\n",
+		"internal/b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { var c a.Config; c.OtherTest = 2; _ = c }\n",
+		"bench/go.mod":         "module fix/bench\n\ngo 1.22\n",
+		"bench/main.go":        "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { var c a.Config; p := &c.Bench; *p = 3 }\n",
+	})
+	l, modPath, paths, err := loadTree(root, filepath.Join(root, "bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFixture(t, l.unsetOptions(modPath, paths), []string{
+		"a.Config.Defaulted: set only by its own package's defaulting",
+		"a.Config.Nobody: set nowhere",
+		"a.RunConfig.Window: set nowhere",
+	})
+}
+
+// writeTree writes files, named by slash-separated paths, under a fresh
+// temporary directory and returns it.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// checkFixture compares a guard's findings on a fixture with want, each
+// spelled "name: why".
+func checkFixture(t *testing.T, found []finding, want []string) {
+	t.Helper()
+	var got []string
+	for _, d := range found {
+		got = append(got, d.name+": "+d.why)
+	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("flagged:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-type deadExport struct {
+// unsetOptions reports the exported fields of root's option structs under
+// internal/ — struct types named Config, …Config or Options — that no file
+// counted by noteSets sets, sorted by name.
+func (l *loader) unsetOptions(modPath string, paths []string) []finding {
+	var out []finding
+	for _, path := range paths {
+		rel, ok := strings.CutPrefix(path, modPath+"/internal/")
+		if !ok || l.prod[path] == nil {
+			continue
+		}
+		scope := l.prod[path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || name != "Options" && !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				set, noted := l.sets[f.Pos()]
+				if set {
+					continue
+				}
+				why := "set nowhere"
+				if noted {
+					why = "set only by its own package's defaulting"
+				}
+				out = append(out, finding{name: rel + "." + name + "." + f.Name(), pos: l.fset.Position(f.Pos()).String(), why: why})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// noteSets records the struct fields that files set, by declaration: a key
+// of a composite literal anywhere counts, and so does an assignment,
+// increment or address-of outside the declaring package's non-test files.
+// One inside them is that package's defaulting, noted as false.
+func (l *loader) noteSets(info *types.Info, files []*ast.File, from string, test bool) {
+	mark := func(id *ast.Ident, literal bool) {
+		if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() && f.Pkg() != nil {
+			l.sets[f.Pos()] = l.sets[f.Pos()] || literal || test || f.Pkg().Path() != from
+		}
+	}
+	// field marks the field an assignment's target names: x.F, x.F[i] or
+	// (x.F).
+	field := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				mark(x.Sel, false)
+				return
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					field(lhs)
+				}
+			case *ast.IncDecStmt:
+				field(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					field(n.X)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					mark(id, true)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// finding is one identifier a guard flags.
+type finding struct {
 	name string // package under internal/, then the identifier: "ir.Module.Clone"
 	pos  string
 	why  string
@@ -139,38 +329,17 @@ type deadExport struct {
 // deadExports loads the module at root and the modules in extra, and
 // reports root's exported internal identifiers that no qualifying file
 // references, sorted by name.
-func deadExports(root string, extra ...string) ([]deadExport, error) {
-	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}}
-	var modPath string
-	for i, dir := range append([]string{root}, extra...) {
-		path, err := l.loadModule(dir)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			modPath = path
-		}
-	}
-	paths := make([]string, 0, len(l.pkgs))
-	for path := range l.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	if err := l.loadStd(root); err != nil {
+func deadExports(root string, extra ...string) ([]finding, error) {
+	l, modPath, paths, err := loadTree(root, extra...)
+	if err != nil {
 		return nil, err
 	}
-	for _, path := range paths {
-		if err := l.record(path); err != nil {
-			return nil, err
-		}
-	}
-
 	exempt, err := l.exemptMethods(modPath)
 	if err != nil {
 		return nil, err
 	}
 	var candidates []string
-	where := map[string]deadExport{}
+	where := map[string]finding{}
 	for _, path := range paths {
 		rel, ok := strings.CutPrefix(path, modPath+"/internal/")
 		if !ok {
@@ -196,7 +365,7 @@ func deadExports(root string, extra ...string) ([]deadExport, error) {
 			for _, d := range decls {
 				key := objKey(d)
 				candidates = append(candidates, key)
-				where[key] = deadExport{name: rel + strings.TrimPrefix(key, path), pos: l.fset.Position(d.Pos()).String()}
+				where[key] = finding{name: rel + strings.TrimPrefix(key, path), pos: l.fset.Position(d.Pos()).String()}
 			}
 		}
 	}
@@ -212,7 +381,7 @@ func deadExports(root string, extra ...string) ([]deadExport, error) {
 			}
 		}
 	}
-	var out []deadExport
+	var out []finding
 	for _, key := range candidates {
 		if !dead[key] {
 			continue
@@ -233,6 +402,38 @@ func deadExports(root string, extra ...string) ([]deadExport, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out, nil
+}
+
+// loadTree loads and type-checks the module at root and the modules in
+// extra, noting every reference to a module identifier and every setting
+// of a struct field. It returns the loader, root's module path and every
+// package's import path, sorted.
+func loadTree(root string, extra ...string) (*loader, string, []string, error) {
+	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}, sets: map[token.Pos]bool{}}
+	var modPath string
+	for i, dir := range append([]string{root}, extra...) {
+		path, err := l.loadModule(dir)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		if i == 0 {
+			modPath = path
+		}
+	}
+	paths := make([]string, 0, len(l.pkgs))
+	for path := range l.pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	if err := l.loadStd(root); err != nil {
+		return nil, "", nil, err
+	}
+	for _, path := range paths {
+		if err := l.record(path); err != nil {
+			return nil, "", nil, err
+		}
+	}
+	return l, modPath, paths, nil
 }
 
 // live reports whether key has a reference that counts: another package's
@@ -267,6 +468,7 @@ type loader struct {
 	pkgs      map[string]*pkgSrc
 	prod      map[string]*types.Package  // each package's non-test files, type-checked
 	uses      map[string]map[string]bool // objKey → who references it (see ownTest)
+	sets      map[token.Pos]bool         // struct fields set by a file that counts (see noteSets), by declaration
 }
 
 func (l *loader) loadModule(dir string) (string, error) {
@@ -456,6 +658,7 @@ func (l *loader) check(path string, files []*ast.File, imp types.Importer, info 
 }
 
 func (l *loader) note(info *types.Info, files []*ast.File, from string, test bool) {
+	l.noteSets(info, files, from, test)
 	in := map[*token.File]bool{}
 	var bodies []exportBody // of files, in position order
 	for _, f := range files {

@@ -6,8 +6,8 @@ import "repro/internal/ir"
 //
 // A function is clockable when it has no loops, no synchronization, and no
 // calls to unclocked functions, and the accumulated clocks of all its
-// entry→return paths agree within the paper's criteria (range ≤ mean/RangeDiv,
-// σ ≤ mean/StdDiv). Clockable functions get their whole mean cost charged at
+// entry→return paths agree within the paper's criteria (range ≤ mean/rangeDiv,
+// σ ≤ mean/stdDiv). Clockable functions get their whole mean cost charged at
 // the call site before the call executes — the "ahead of time" increment that
 // §V-B shows matters so much for deterministic-execution overhead.
 
@@ -67,21 +67,21 @@ func (p *passCtx) isClockable(f *ir.Func, clockable map[string]int64) (avg int64
 		return 0, false
 	}
 	st := ir.Stats(clocks)
-	if !p.meetsCriteria(st) {
+	if !meetsCriteria(st) {
 		return 0, false
 	}
 	return int64(st.Mean), true
 }
 
-// meetsCriteria applies the configured range/σ divisors.
-func (p *passCtx) meetsCriteria(st ir.ClockStats) bool {
+// meetsCriteria applies the paper's range/σ divisors.
+func meetsCriteria(st ir.ClockStats) bool {
 	if st.NPaths == 0 || st.Mean <= 0 {
 		return false
 	}
-	if float64(st.Range) > st.Mean/p.opt.RangeDiv {
+	if float64(st.Range) > st.Mean/rangeDiv {
 		return false
 	}
-	if st.Std > st.Mean/p.opt.StdDiv {
+	if st.Std > st.Mean/stdDiv {
 		return false
 	}
 	return true

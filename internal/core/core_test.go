@@ -16,7 +16,7 @@ func newCtx(t *testing.T, f *ir.Func, opt Options) *passCtx {
 	p := &passCtx{
 		cm:  ir.DefaultCostModel(),
 		est: estimates.DefaultTable(),
-		opt: opt.Defaults(),
+		opt: opt,
 	}
 	p.enter(f)
 	return p
@@ -653,9 +653,8 @@ func TestOpt4RespectsThresholdAndOrder(t *testing.T) {
 }
 
 // TestMeetsClockableCriteria: the paper's isClockable admission test
-// (Figure 4) at its default divisors, range ≤ mean/2.5 and σ ≤ mean/5.
+// (Figure 4) at its divisors, range ≤ mean/2.5 and σ ≤ mean/5.
 func TestMeetsClockableCriteria(t *testing.T) {
-	p := &passCtx{opt: Options{}.Defaults()}
 	for _, tc := range []struct {
 		clocks []int64
 		want   bool
@@ -668,7 +667,7 @@ func TestMeetsClockableCriteria(t *testing.T) {
 		{[]int64{0, 0}, false},    // zero mean
 		{nil, false},              // no paths
 	} {
-		if got := p.meetsCriteria(ir.Stats(tc.clocks)); got != tc.want {
+		if got := meetsCriteria(ir.Stats(tc.clocks)); got != tc.want {
 			t.Errorf("meetsCriteria(%v) = %v, want %v", tc.clocks, got, tc.want)
 		}
 	}

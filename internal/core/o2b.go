@@ -134,7 +134,7 @@ func (p *passCtx) modifyOpt2bClocks(upper, middle, lower *ir.Block) bool {
 		if !moveDown {
 			pathClock += moved
 		}
-		if pathClock <= 0 || float64(moved)/float64(pathClock) >= p.opt.O2bMaxDivergence {
+		if pathClock <= 0 || float64(moved)/float64(pathClock) >= o2bMaxDivergence {
 			return false
 		}
 	}

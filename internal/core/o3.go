@@ -37,7 +37,7 @@ func (p *passCtx) applyOpt3() int {
 			if ok && end-base > 1 {
 				st = ir.Stats(clocks)
 			}
-			if p.meetsCriteria(st) {
+			if meetsCriteria(st) {
 				p.regions++
 				id := p.regions
 				for _, tb := range p.touched[base:end] {

@@ -25,7 +25,7 @@ func (p *passCtx) applyOpt4() int {
 		if src.Clock <= 0 {
 			continue
 		}
-		if src.Clock >= p.opt.O4Threshold {
+		if src.Clock >= o4Threshold {
 			continue
 		}
 		if src.Clock >= hdr.Clock {

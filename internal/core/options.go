@@ -18,8 +18,21 @@
 //     start of each block (or the end, for the Figure 15 ablation).
 package core
 
-// Options selects which optimizations run and their admission thresholds.
-// Zero thresholds fall back to the paper's constants.
+// The optimizations' admission thresholds, the paper's constants.
+const (
+	// rangeDiv and stdDiv are the isClockable admission divisors: a path
+	// set is clockable when range <= mean/rangeDiv and std <= mean/stdDiv.
+	rangeDiv = 2.5
+	stdDiv   = 5
+	// o2bMaxDivergence is the relative clock divergence allowed by
+	// Optimization 2b: one tenth.
+	o2bMaxDivergence = 0.1
+	// o4Threshold is the clock of a back-edge source block from which
+	// Optimization 4 no longer merges it into the loop header.
+	o4Threshold = 12
+)
+
+// Options selects which optimizations run.
 type Options struct {
 	// O1 enables Function Clocking (Optimization 1).
 	O1 bool
@@ -38,41 +51,9 @@ type Options struct {
 	// exists for that ablation.
 	PlaceAtEnd bool
 
-	// RangeDiv and StdDiv are the isClockable admission divisors: a path set
-	// is clockable when range <= mean/RangeDiv and std <= mean/StdDiv
-	// (paper: 2.5 and 5).
-	RangeDiv float64
-	StdDiv   float64
-
-	// O2bMaxDivergence is the relative clock divergence allowed by
-	// Optimization 2b (paper: one tenth).
-	O2bMaxDivergence float64
-
-	// O4Threshold is the maximum clock of a back-edge source block that
-	// Optimization 4 will merge into the loop header.
-	O4Threshold int64
-
 	// Roots names functions that are thread entry points; they are never
 	// made clockable (their clocks must advance while they run).
 	Roots []string
-}
-
-// Defaults fills in the paper's constants for unset thresholds and returns
-// the amended options.
-func (o Options) Defaults() Options {
-	if o.RangeDiv == 0 {
-		o.RangeDiv = 2.5
-	}
-	if o.StdDiv == 0 {
-		o.StdDiv = 5
-	}
-	if o.O2bMaxDivergence == 0 {
-		o.O2bMaxDivergence = 0.1
-	}
-	if o.O4Threshold == 0 {
-		o.O4Threshold = 12
-	}
-	return o
 }
 
 // Preset optimization selections matching the paper's Table I rows.

@@ -100,7 +100,6 @@ func analyze(m *ir.Module, cm *ir.CostModel, est *estimates.Table, opt Options) 
 	if est == nil {
 		est = estimates.DefaultTable()
 	}
-	opt = opt.Defaults()
 	if err := m.Verify(est.Has); err != nil {
 		return nil, nil, fmt.Errorf("core: module does not verify: %w", err)
 	}

@@ -198,47 +198,50 @@ func (r *Runner) Run(b *splash.Benchmark, opt core.Options, mode Mode, kendoChun
 	return res, nil
 }
 
-// runAll executes fn(0) … fn(n-1) on up to r.Workers goroutines. Results are
-// communicated through the caller's index-addressed slices, so assembly
-// order — and therefore every rendered table — is independent of scheduling.
-// When several cells fail, the error of the lowest index wins, matching what
-// a sequential sweep would have reported first.
-func (r *Runner) runAll(n int, fn func(i int) error) error {
-	workers := r.Workers
-	if workers > n {
-		workers = n
+// runGrid runs per cells of each benchmark, cell(b, slot) for slot 0 …
+// per-1, on up to r.Workers goroutines, and returns them in benchmark-major
+// order: assembly order — and therefore every rendered table — is
+// independent of scheduling. When several cells fail, the error of the
+// lowest index wins, matching what a sequential sweep would have reported
+// first.
+func (r *Runner) runGrid(benches []*splash.Benchmark, per int, cell func(b *splash.Benchmark, slot int) (*RunResult, error)) ([]*RunResult, error) {
+	n := len(benches) * per
+	runs, errs := make([]*RunResult, n), make([]error, n)
+	run := func(i int) error {
+		runs[i], errs[i] = cell(benches[i/per], i%per)
+		return errs[i]
 	}
+	workers := min(r.Workers, n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+		for i := range n {
+			if err := run(i); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return runs, nil
 	}
-	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = fn(i)
+				run(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range n {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return runs, nil
 }
 
 // OverheadRow is a Table-I-style summary for one program under one preset:

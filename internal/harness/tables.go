@@ -50,22 +50,14 @@ func (r *Runner) tableIReport(names []string) (*TableIReport, error) {
 	keys := PresetKeys()
 	// Cell layout per benchmark: [baseline, {clocks-only, det} × preset].
 	per := 1 + 2*len(keys)
-	runs := make([]*RunResult, len(benches)*per)
-	err = r.runAll(len(runs), func(i int) error {
-		b := benches[i/per]
-		slot := i % per
-		var res *RunResult
-		var err error
+	runs, err := r.runGrid(benches, per, func(b *splash.Benchmark, slot int) (*RunResult, error) {
 		switch {
 		case slot == 0:
-			res, err = r.Run(b, PresetByKey("none"), ModeBaseline, 0)
+			return r.Run(b, PresetByKey("none"), ModeBaseline, 0)
 		case slot%2 == 1:
-			res, err = r.Run(b, PresetByKey(keys[(slot-1)/2]), ModeClocksOnly, 0)
-		default:
-			res, err = r.Run(b, PresetByKey(keys[(slot-1)/2]), ModeDet, 0)
+			return r.Run(b, PresetByKey(keys[(slot-1)/2]), ModeClocksOnly, 0)
 		}
-		runs[i] = res
-		return err
+		return r.Run(b, PresetByKey(keys[(slot-1)/2]), ModeDet, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -216,22 +208,14 @@ func (r *Runner) tableIIReport(names []string) (*TableIIReport, error) {
 	}
 	// Cell layout per benchmark: [baseline, det(all), kendo × chunk].
 	per := 2 + len(r.KendoChunks)
-	runs := make([]*RunResult, len(benches)*per)
-	err = r.runAll(len(runs), func(i int) error {
-		b := benches[i/per]
-		slot := i % per
-		var res *RunResult
-		var err error
-		switch {
-		case slot == 0:
-			res, err = r.Run(b, PresetByKey("none"), ModeBaseline, 0)
-		case slot == 1:
-			res, err = r.Run(b, PresetByKey("all"), ModeDet, 0)
-		default:
-			res, err = r.Run(b, PresetByKey("none"), ModeKendo, r.KendoChunks[slot-2])
+	runs, err := r.runGrid(benches, per, func(b *splash.Benchmark, slot int) (*RunResult, error) {
+		switch slot {
+		case 0:
+			return r.Run(b, PresetByKey("none"), ModeBaseline, 0)
+		case 1:
+			return r.Run(b, PresetByKey("all"), ModeDet, 0)
 		}
-		runs[i] = res
-		return err
+		return r.Run(b, PresetByKey("none"), ModeKendo, r.KendoChunks[slot-2])
 	})
 	if err != nil {
 		return nil, err

@@ -624,7 +624,7 @@ func (t *Thread) kendoOverflow(st *sim.Step, cycles int64) {
 	m := t.mach
 	m.Interrupts++
 	m.ClockUpdates++
-	*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles + m.cfg.KendoInterruptCost, ClockDelta: t.kendoAccum}
+	*st = sim.Step{Kind: sim.StepAdvance, Cycles: cycles + kendoInterruptCost, ClockDelta: t.kendoAccum}
 	t.kendoAccum = 0
 }
 
@@ -635,11 +635,11 @@ func (t *Thread) kendoOverflow(st *sim.Step, cycles int64) {
 // Register discipline: across the loop only what every instruction touches
 // stays in locals — t, fr, cp, rp, pc, cycles, retired and maxCycles. Every
 // other piece of state (the Kendo accumulator, the machine counters, the
-// miss model, the global table, the frame's aux side table) is read or
-// written in place through t, t.mach or fr on the paths that use it. A
-// local that only some instructions need is still live across the whole
-// switch, so the compiler stores it to the stack at the dispatch head and
-// reloads it in the shared tail on every instruction.
+// global table, the frame's aux side table) is read or written in place
+// through t, t.mach or fr on the paths that use it. A local that only some
+// instructions need is still live across the whole switch, so the compiler
+// stores it to the stack at the dispatch head and reloads it in the shared
+// tail on every instruction.
 func (t *Thread) stepFast(st *sim.Step) error {
 	if t.done {
 		return errors.New("step on finished thread")
@@ -752,13 +752,16 @@ func (t *Thread) stepFast(st *sim.Step) error {
 				return t.errf("%s %s[%d] out of bounds (size %d)",
 					op, fr.code.aux[d.aux].site.sym, idx, d.glen)
 			}
-			if t.missRate >= 0 {
-				h := uint64(d.gbase+idx) * 0x9E3779B97F4A7C15
-				if int64((h>>32)&0xFF) < t.missRate {
-					t.mach.CacheMisses++
-					cycles += t.missPenalty
-				}
+			// The penalty is added after the branch: a constant added
+			// inside it folds with the head's cost add into one LEA, which
+			// keeps both of that add's operands live across the switch
+			// (two more stack stores on every instruction).
+			var miss int64
+			if h := uint64(d.gbase+idx) * 0x9E3779B97F4A7C15; int64((h>>32)&0xFF) < missRate {
+				t.mach.CacheMisses++
+				miss = missPenalty
 			}
+			cycles += miss
 			if t.mach.race != nil {
 				if err := t.raceCheck(&fr.code.aux[d.aux].site, idx, d.gbase+idx, d.op == dStore); err != nil {
 					t.flush(fr, pc, retired)

@@ -53,24 +53,12 @@ type Config struct {
 	Mode ClockMode
 	// KendoChunkSize is the performance-counter overflow period in
 	// ModeKendo, in weighted retired-instruction units; 0 means 1,000.
+	// Each overflow interrupt costs kendoInterruptCost cycles.
 	KendoChunkSize int64
-	// KendoInterruptCost is the cycle cost of each overflow interrupt.
-	KendoInterruptCost int64
 
 	// MaxStepCycles bounds one engine step; long straight-line runs yield
 	// periodically so the engine can interleave. 0 means default.
 	MaxStepCycles int64
-
-	// Cache model: the logical clock charges every load/store its nominal
-	// cost, but real machines miss in the cache — extra cycles the clock
-	// cannot see. That clock-vs-time drift is what forces threads to wait
-	// for each other's clocks under deterministic execution, so modeling it
-	// is essential for the paper's overhead numbers. A memory access misses
-	// when an address hash falls below MissRate out of 256 (deterministic,
-	// data-dependent), costing MissPenalty extra cycles. Set MissRate -1 to
-	// disable. Defaults: rate 32/256, penalty 10.
-	MissRate    int64
-	MissPenalty int64
 
 	// Race, when non-nil, enables deterministic data-race detection: every
 	// load/store is checked against a vector-clock shadow memory whose
@@ -79,16 +67,14 @@ type Config struct {
 	// loop pays a single pointer test and allocates nothing.
 	Race *RaceConfig
 
-	// JitterSeed/JitterAmp perturb *physical* timing only: each engine step
-	// gains a deterministic pseudo-random 0..JitterAmp extra cycles derived
-	// from (seed, thread id). Logical clocks are untouched, so under the
+	// JitterSeed perturbs *physical* timing only: each engine step gains a
+	// deterministic pseudo-random 0..jitterAmp extra cycles derived from
+	// (seed, thread id). Logical clocks are untouched, so under the
 	// deterministic policy the synchronization schedule — and any race or
 	// failure report — must be identical across seeds; the robustness
 	// property tests assert exactly that (the simulator-side analog of the
-	// body jitter internal/det's tests apply). JitterSeed 0 disables;
-	// JitterAmp defaults to 16 when a seed is set.
+	// body jitter internal/det's tests apply). JitterSeed 0 disables.
 	JitterSeed int64
-	JitterAmp  int64
 
 	// Reference selects the original tree-walking interpreter instead of the
 	// decoded-dispatch loop (decode.go). Both produce byte-identical steps,
@@ -149,17 +135,29 @@ type Machine struct {
 	CacheMisses    int64
 }
 
+// The machine model's fixed costs, in cycles the logical clock cannot see.
+//
+// Cache model: the logical clock charges every load/store its nominal cost,
+// but real machines miss in the cache. That clock-vs-time drift is what
+// forces threads to wait for each other's clocks under deterministic
+// execution, so modeling it is essential for the paper's overhead numbers.
+// An access misses when its address hash falls below missRate out of 256
+// (deterministic, data-dependent), costing missPenalty extra cycles.
+const (
+	kendoInterruptCost = 40 // each Kendo counter-overflow interrupt
+	missRate           = 32 // of 256 accesses, by address hash
+	missPenalty        = 10 // each cache miss
+	jitterAmp          = 16 // a seeded step's extra cycles are 0..jitterAmp
+)
+
 // missCycles returns the extra (clock-invisible) cycles for an access to
 // global sym at index idx.
 func (m *Machine) missCycles(sym string, idx int64) int64 {
-	if m.cfg.MissRate < 0 {
-		return 0
-	}
 	addr := m.baseOff[sym] + idx
 	h := uint64(addr) * 0x9E3779B97F4A7C15
-	if int64((h>>32)&0xFF) < m.cfg.MissRate {
+	if int64((h>>32)&0xFF) < missRate {
 		m.CacheMisses++
-		return m.cfg.MissPenalty
+		return missPenalty
 	}
 	return 0
 }
@@ -189,18 +187,6 @@ func NewMachine(cfg Config) (*Machine, []*Thread, error) {
 	}
 	if cfg.KendoChunkSize == 0 {
 		cfg.KendoChunkSize = 1000
-	}
-	if cfg.KendoInterruptCost == 0 {
-		cfg.KendoInterruptCost = 40
-	}
-	if cfg.MissRate == 0 {
-		cfg.MissRate = 32
-	}
-	if cfg.MissPenalty == 0 {
-		cfg.MissPenalty = 10
-	}
-	if cfg.JitterSeed != 0 && cfg.JitterAmp == 0 {
-		cfg.JitterAmp = 16
 	}
 	entry := cfg.Module.Func(cfg.Entry)
 	if entry == nil {
@@ -296,13 +282,10 @@ type Thread struct {
 	// Hot configuration mirrored from Machine.cfg at construction. The
 	// decoded dispatch loop keeps only maxCycles in a local and reads the
 	// rest in place, on the paths that use them (see stepFast): the Kendo
-	// pair on every instruction of a Kendo run, the miss model on loads and
-	// stores.
-	kendo       bool
-	maxCycles   int64
-	chunk       int64
-	missRate    int64
-	missPenalty int64
+	// pair on every instruction of a Kendo run.
+	kendo     bool
+	maxCycles int64
+	chunk     int64
 
 	// argbuf is the reused builtin-call argument buffer of the decoded
 	// path; steady-state builtin calls allocate nothing.
@@ -341,12 +324,10 @@ func newThread(m *Machine, tid int, entry *ir.Func) *Thread {
 func (m *Machine) thread(tid int) *Thread {
 	t := &Thread{mach: m, tid: tid}
 	t.jitter = detrand.FromState(uint64(m.cfg.JitterSeed)*0x9E3779B97F4A7C15 + uint64(tid)*2654435761 + 1)
-	t.plain = !m.cfg.Reference && m.cfg.JitterAmp <= 0
+	t.plain = !m.cfg.Reference && m.cfg.JitterSeed == 0
 	t.kendo = m.cfg.Mode == ModeKendo
 	t.maxCycles = m.cfg.MaxStepCycles
 	t.chunk = m.cfg.KendoChunkSize
-	t.missRate = m.cfg.MissRate
-	t.missPenalty = m.cfg.MissPenalty
 	return t
 }
 
@@ -409,8 +390,8 @@ func (t *Thread) StepInto(st *sim.Step) error {
 	} else {
 		err = t.stepFast(st)
 	}
-	if err == nil && t.mach.cfg.JitterAmp > 0 {
-		st.Cycles += int64(t.jitter.Next() % uint64(t.mach.cfg.JitterAmp+1))
+	if err == nil && t.mach.cfg.JitterSeed != 0 {
+		st.Cycles += int64(t.jitter.Next() % (jitterAmp + 1))
 	}
 	return err
 }
@@ -458,7 +439,7 @@ func (t *Thread) step() (sim.Step, error) {
 				delta := t.kendoAccum
 				t.kendoAccum = 0
 				t.mach.Interrupts++
-				cycles += t.mach.cfg.KendoInterruptCost
+				cycles += kendoInterruptCost
 				t.mach.ClockUpdates++
 				return sim.Step{Kind: sim.StepAdvance, Cycles: cycles, ClockDelta: delta}, nil
 			}

@@ -16,11 +16,6 @@ type CostModel struct {
 	// ClockUpdateCost is the physical cost of one materialized clock-update
 	// instruction sequence (it is NOT added to the logical clock).
 	ClockUpdateCost int64
-	// LockBaseCost / UnlockCost / BarrierBaseCost are the uncontended
-	// physical costs of synchronization operations.
-	LockBaseCost    int64
-	UnlockCost      int64
-	BarrierBaseCost int64
 }
 
 // DefaultCostModel mirrors rough x86 latencies: simple ALU ops cost 1, mul 3,
@@ -31,9 +26,6 @@ func DefaultCostModel() *CostModel {
 		DefaultCost:     1,
 		CallOverhead:    2,
 		ClockUpdateCost: 2,
-		LockBaseCost:    12,
-		UnlockCost:      8,
-		BarrierBaseCost: 20,
 	}
 	cm.OpCost[OpMul] = 3
 	cm.OpCost[OpDiv] = 12

@@ -179,6 +179,13 @@ type job struct {
 	errKind string
 }
 
+// maxThreads bounds Request.Threads: 256 is the widest machine the roadmap
+// measures. It bounds only the initial threads. Each one may grow a stack of
+// up to 10,000 frames of at most 256 registers, about 20 MB, so the worst
+// case is still about 5 GB; a whole-machine register budget, and a bound on
+// spawned threads, are not kept.
+const maxThreads = 256
+
 // normalize validates a request and fills defaults. Every rejection is a
 // typed *diag.MisuseError with ThreadID -1 (configuration-level), following
 // the facade's validation conventions.
@@ -191,6 +198,9 @@ func normalize(req *Request) error {
 	}
 	if req.Threads < 0 {
 		return misuse(diag.ErrBadConfig, fmt.Sprintf("negative thread count %d", req.Threads))
+	}
+	if req.Threads > maxThreads {
+		return misuse(diag.ErrBadConfig, fmt.Sprintf("thread count %d above %d", req.Threads, maxThreads))
 	}
 	if req.Threads == 0 {
 		req.Threads = 4

@@ -317,6 +317,8 @@ func TestServiceValidation(t *testing.T) {
 	}{
 		{"empty source", Request{}, diag.ErrBadConfig},
 		{"negative threads", Request{Source: "x", Threads: -1}, diag.ErrBadConfig},
+		{"too many threads", Request{Source: "x", Threads: maxThreads + 1}, diag.ErrBadConfig},
+		{"far too many threads", Request{Source: "x", Threads: 1 << 30}, diag.ErrBadConfig},
 		{"bad preset", Request{Source: "x", Preset: "O9"}, diag.ErrBadConfig},
 		{"race on baseline", Request{Source: "x", Baseline: true, Race: true}, diag.ErrRaceBackend},
 	}

@@ -114,30 +114,19 @@ type Config struct {
 	// NumLocks / NumBarriers size the sync object tables.
 	NumLocks    int
 	NumBarriers int
-	// LockCost, UnlockCost, BarrierCost are uncontended base cycle costs.
-	LockCost    int64
-	UnlockCost  int64
-	BarrierCost int64
-	// BarrierParticipants is the arrival count that releases a barrier
-	// (normally the thread count).
-	BarrierParticipants int
 	// MaxSteps bounds total engine steps (runaway guard); 0 means default.
 	MaxSteps int64
 	// RecordTrace enables the acquisition trace (lock id, thread, clock).
 	RecordTrace bool
 	// Observer, when non-nil, is notified of every synchronization event.
 	Observer SyncObserver
-	// Cancel, when non-nil, is polled every CancelEvery engine steps; a
+	// Cancel, when non-nil, is polled every cancelEvery engine steps; a
 	// non-nil return aborts the run with that error wrapped in ErrCanceled.
 	// This is the cooperative cancellation point the service layer's job
 	// deadlines thread down to (a context.Context's Err). Cancellation never
 	// mutates simulation state, so an uncancelled run is bitwise identical
 	// with or without the hook installed.
 	Cancel func() error
-	// CancelEvery is the polling stride for Cancel (default 1024 steps) —
-	// coarse enough to keep the hot loop branch-predictable, fine enough
-	// that a runaway simulation notices its deadline within microseconds.
-	CancelEvery int64
 	// Reference selects the original O(threads) scheduling implementation
 	// (linear pickRunnable scan, re-collected sort.Slice acquirer ordering)
 	// instead of the indexed run-queue heap. Both orderings are total on
@@ -220,10 +209,18 @@ type barState struct {
 	arrived []int
 }
 
+// cancelEvery is the polling stride for Config.Cancel, in engine steps:
+// coarse enough to keep the hot loop branch-predictable, fine enough that a
+// runaway simulation notices its deadline within microseconds.
+const cancelEvery = 1024
+
 // Engine runs a set of Programs to completion under a Config.
 type Engine struct {
-	cfg      Config
-	threads  []*tstate
+	cfg     Config
+	threads []*tstate
+	// parties is the arrival count that releases a barrier: the initial
+	// program count, not len(threads), which grows with spawns.
+	parties  int
 	locks    []lockState
 	barriers []barState
 	stats    Stats
@@ -252,14 +249,9 @@ func New(cfg Config, progs []Program) *Engine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 500_000_000
 	}
-	if cfg.CancelEvery <= 0 {
-		cfg.CancelEvery = 1024
-	}
-	if cfg.BarrierParticipants == 0 {
-		cfg.BarrierParticipants = len(progs)
-	}
 	e := &Engine{
 		cfg:      cfg,
+		parties:  len(progs),
 		locks:    make([]lockState, cfg.NumLocks),
 		barriers: make([]barState, cfg.NumBarriers),
 	}
@@ -379,7 +371,7 @@ func (e *Engine) Run() (*Stats, error) {
 		if e.stats.Steps > e.cfg.MaxSteps {
 			return nil, fmt.Errorf("%w (%d)", ErrStepLimit, e.cfg.MaxSteps)
 		}
-		if e.cfg.Cancel != nil && e.stats.Steps%e.cfg.CancelEvery == 0 {
+		if e.cfg.Cancel != nil && e.stats.Steps%cancelEvery == 0 {
 			if cerr := e.cfg.Cancel(); cerr != nil {
 				return nil, fmt.Errorf("%w after %d steps: %w", ErrCanceled, e.stats.Steps, cerr)
 			}
@@ -727,7 +719,7 @@ func (e *Engine) grant(t *tstate, at int64) {
 	if waited > 0 {
 		e.stats.WaitCycles += waited
 	}
-	t.phys = at + e.cfg.LockCost
+	t.phys = at
 	t.status = tsRunnable
 	e.heapPush(t)
 	e.stats.Acquisitions++
@@ -747,7 +739,6 @@ func (e *Engine) unlock(t *tstate, obj int) {
 	if !l.held || l.holder != t.id {
 		panic(fmt.Sprintf("sim: thread %d unlocks lock %d it does not hold", t.id, obj))
 	}
-	t.phys += e.cfg.UnlockCost
 	if e.cfg.Policy == PolicyDet {
 		t.clock++
 	}
@@ -776,7 +767,7 @@ func (e *Engine) unlock(t *tstate, obj int) {
 	if waited > 0 {
 		e.stats.WaitCycles += waited
 	}
-	w.phys = maxI64(w.phys, t.phys) + e.cfg.LockCost
+	w.phys = maxI64(w.phys, t.phys)
 	w.status = tsRunnable
 	e.heapPush(w)
 	e.stats.Acquisitions++
@@ -796,7 +787,7 @@ func (e *Engine) barrierArrive(t *tstate, obj int) {
 	t.status = tsBarrier
 	t.waitFrom = t.phys
 	b.arrived = append(b.arrived, t.id)
-	if len(b.arrived) < e.cfg.BarrierParticipants {
+	if len(b.arrived) < e.parties {
 		return
 	}
 	var maxPhys, maxClock int64
@@ -809,13 +800,12 @@ func (e *Engine) barrierArrive(t *tstate, obj int) {
 			maxClock = w.clock
 		}
 	}
-	release := maxPhys + e.cfg.BarrierCost
 	for _, id := range b.arrived {
 		w := e.threads[id]
-		if waited := release - w.phys; waited > 0 {
+		if waited := maxPhys - w.phys; waited > 0 {
 			e.stats.WaitCycles += waited
 		}
-		w.phys = release
+		w.phys = maxPhys
 		if e.cfg.Policy == PolicyDet {
 			w.clock = maxClock + 1
 		}

@@ -22,33 +22,10 @@ import (
 // clock-per-cycle slope than ALU-only ones — the clock-model error that
 // makes threads wait for each other under deterministic execution.
 func addDiamondChainLeaf(mb *ir.ModuleBuilder, name string, diamonds, armLen, pad, loads int) string {
-	if loads > 0 {
-		mb.Global("kscratch", 2048)
-	}
-	fb := mb.Func(name, "x")
-	x := fb.Reg("x")
-	h := fb.Reg("h")
-	y := fb.Reg("y")
-	c := fb.Reg("c")
-
-	eb := fb.Block("entry")
-	eb.Bin(ir.OpMul, h, ir.R(x), ir.Imm(2654435761))
-	eb.Bin(ir.OpAdd, h, ir.R(h), ir.Imm(12345))
-	eb.Mov(y, ir.R(x))
-	padBlock(eb, y, pad)
-	for k := 0; k < loads; k++ {
-		eb.Bin(ir.OpAdd, c, ir.R(h), ir.Imm(int64(k*37)))
-		eb.Bin(ir.OpAnd, c, ir.R(c), ir.Imm(2047))
-		eb.Load(c, "kscratch", ir.R(c))
-		eb.Bin(ir.OpAdd, y, ir.R(y), ir.R(c))
-	}
-	eb.Jmp(dname(0, "cond"))
+	fb, h, y, c := kernelEntry(mb, name, pad, loads)
 
 	for d := 0; d < diamonds; d++ {
-		cb := fb.Block(dname(d, "cond"))
-		cb.Bin(ir.OpShr, h, ir.R(h), ir.Imm(1))
-		cb.Bin(ir.OpAnd, c, ir.R(h), ir.Imm(1))
-		cb.Br(ir.R(c), dname(d, "then"), dname(d, "else"))
+		diamondCond(fb, d, h, c)
 		next := dname(d+1, "cond")
 		if d == diamonds-1 {
 			next = "exit"
@@ -68,6 +45,41 @@ func addDiamondChainLeaf(mb *ir.ModuleBuilder, name string, diamonds, armLen, pa
 	return name
 }
 
+// kernelEntry starts a kernel name(x) with registers h, y and c: its entry
+// block hashes x into h, copies x to y, pads y with pad instructions, adds
+// loads data-dependent reads of the kscratch global to y, and jumps to the
+// first diamond.
+func kernelEntry(mb *ir.ModuleBuilder, name string, pad, loads int) (fb *ir.FuncBuilder, h, y, c ir.Reg) {
+	if loads > 0 {
+		mb.Global("kscratch", 2048)
+	}
+	fb = mb.Func(name, "x")
+	x := fb.Reg("x")
+	h, y, c = fb.Reg("h"), fb.Reg("y"), fb.Reg("c")
+	eb := fb.Block("entry")
+	eb.Bin(ir.OpMul, h, ir.R(x), ir.Imm(2654435761))
+	eb.Bin(ir.OpAdd, h, ir.R(h), ir.Imm(12345))
+	eb.Mov(y, ir.R(x))
+	padBlock(eb, y, pad)
+	for k := 0; k < loads; k++ {
+		eb.Bin(ir.OpAdd, c, ir.R(h), ir.Imm(int64(k*37)))
+		eb.Bin(ir.OpAnd, c, ir.R(c), ir.Imm(2047))
+		eb.Load(c, "kscratch", ir.R(c))
+		eb.Bin(ir.OpAdd, y, ir.R(y), ir.R(c))
+	}
+	eb.Jmp(dname(0, "cond"))
+	return fb, h, y, c
+}
+
+// diamondCond is diamond d's cond block: shift h right, branch on its low
+// bit (c) to the diamond's then or else arm.
+func diamondCond(fb *ir.FuncBuilder, d int, h, c ir.Reg) {
+	cb := fb.Block(dname(d, "cond"))
+	cb.Bin(ir.OpShr, h, ir.R(h), ir.Imm(1))
+	cb.Bin(ir.OpAnd, c, ir.R(h), ir.Imm(1))
+	cb.Br(ir.R(c), dname(d, "then"), dname(d, "else"))
+}
+
 func dname(d int, part string) string {
 	return fmt.Sprintf("d%02d.%s", d, part)
 }
@@ -82,27 +94,7 @@ func dname(d int, part string) string {
 // impact"). The skip edges also break the dominance O3 needs to grow
 // regions past a single diamond.
 func addSkipChainLeaf(mb *ir.ModuleBuilder, name string, diamonds, armLen, pad, loads int) string {
-	if loads > 0 {
-		mb.Global("kscratch", 2048)
-	}
-	fb := mb.Func(name, "x")
-	x := fb.Reg("x")
-	h := fb.Reg("h")
-	y := fb.Reg("y")
-	c := fb.Reg("c")
-
-	eb := fb.Block("entry")
-	eb.Bin(ir.OpMul, h, ir.R(x), ir.Imm(2654435761))
-	eb.Bin(ir.OpAdd, h, ir.R(h), ir.Imm(12345))
-	eb.Mov(y, ir.R(x))
-	padBlock(eb, y, pad)
-	for k := 0; k < loads; k++ {
-		eb.Bin(ir.OpAdd, c, ir.R(h), ir.Imm(int64(k*37)))
-		eb.Bin(ir.OpAnd, c, ir.R(c), ir.Imm(2047))
-		eb.Load(c, "kscratch", ir.R(c))
-		eb.Bin(ir.OpAdd, y, ir.R(y), ir.R(c))
-	}
-	eb.Jmp(dname(0, "cond"))
+	fb, h, y, c := kernelEntry(mb, name, pad, loads)
 
 	target := func(d int) string {
 		if d >= diamonds {
@@ -115,10 +107,7 @@ func addSkipChainLeaf(mb *ir.ModuleBuilder, name string, diamonds, armLen, pad, 
 	// the same clock per diamond consumed.
 	elseLen := 2*armLen + 4
 	for d := 0; d < diamonds; d++ {
-		cb := fb.Block(dname(d, "cond"))
-		cb.Bin(ir.OpShr, h, ir.R(h), ir.Imm(1))
-		cb.Bin(ir.OpAnd, c, ir.R(h), ir.Imm(1))
-		cb.Br(ir.R(c), dname(d, "then"), dname(d, "else"))
+		diamondCond(fb, d, h, c)
 		tb := fb.Block(dname(d, "then"))
 		for k := 0; k < armLen; k++ {
 			tb.Bin(ir.OpAdd, y, ir.R(y), ir.Imm(int64(2*k+1)))
@@ -163,36 +152,14 @@ func addTwoLevelKernels(mb *ir.ModuleBuilder, prefix string, n, diamonds, pad, l
 		if i%2 == 0 {
 			l = loads
 		}
-		if l > 0 {
-			mb.Global("kscratch", 2048)
-		}
-		fb := mb.Func(name, "x")
-		x := fb.Reg("x")
-		h := fb.Reg("h")
-		y := fb.Reg("y")
-		c := fb.Reg("c")
-		eb := fb.Block("entry")
-		eb.Bin(ir.OpMul, h, ir.R(x), ir.Imm(2654435761))
-		eb.Bin(ir.OpAdd, h, ir.R(h), ir.Imm(12345))
-		eb.Mov(y, ir.R(x))
-		padBlock(eb, y, pad+i%4)
-		for k := 0; k < l; k++ {
-			eb.Bin(ir.OpAdd, c, ir.R(h), ir.Imm(int64(k*37)))
-			eb.Bin(ir.OpAnd, c, ir.R(c), ir.Imm(2047))
-			eb.Load(c, "kscratch", ir.R(c))
-			eb.Bin(ir.OpAdd, y, ir.R(y), ir.R(c))
-		}
-		eb.Jmp(dname(0, "cond"))
+		fb, h, y, c := kernelEntry(mb, name, pad+i%4, l)
 		d := diamonds + i%3
 		for k := 0; k < d; k++ {
 			next := dname(k+1, "cond")
 			if k == d-1 {
 				next = "exit"
 			}
-			cb := fb.Block(dname(k, "cond"))
-			cb.Bin(ir.OpShr, h, ir.R(h), ir.Imm(1))
-			cb.Bin(ir.OpAnd, c, ir.R(h), ir.Imm(1))
-			cb.Br(ir.R(c), dname(k, "then"), dname(k, "else"))
+			diamondCond(fb, k, h, c)
 			tb := fb.Block(dname(k, "then"))
 			tb.Call(c, innerA, ir.R(y))
 			tb.Bin(ir.OpAdd, y, ir.R(y), ir.R(c))

@@ -25,7 +25,7 @@ const (
 	// curve's maximum weight.
 	ShapeDiurnal Shape = "diurnal"
 	// ShapeClosed is a closed loop: Clients virtual users, each submitting,
-	// thinking for an exponential ThinkUS, then submitting again. The
+	// thinking for an exponential thinkUS, then submitting again. The
 	// timeline is the deterministic merge of the per-client think streams;
 	// the driver additionally serializes each client (at most one job in
 	// flight per client).
@@ -65,23 +65,25 @@ type ArrivalConfig struct {
 	// BurstFactor scales the rate up in burst phases and down in calm ones
 	// (bursty shape). Defaults to 8.
 	BurstFactor float64
-	// BurstLen / CalmLen are the mean arrivals per burst / calm phase.
-	// Default 32 / 96.
-	BurstLen, CalmLen int
 
-	// PeriodUS is the diurnal period. Defaults to 1s (a compressed "day").
-	PeriodUS int64
 	// Curve is the diurnal weight per equal bucket of the period. Defaults
 	// to a 12-bucket day/night profile.
 	Curve []int
 
-	// Clients / ThinkUS parameterize the closed loop. Defaults 8 / 2000.
+	// Clients is the closed loop's virtual user count. Defaults to 8.
 	Clients int
-	ThinkUS int64
 
 	// Trace is the timeline to replay for ShapeTrace.
 	Trace []Arrival
 }
+
+// The shapes' fixed parameters.
+const (
+	burstLen = 32        // mean arrivals per burst phase
+	calmLen  = 96        // mean arrivals per calm phase
+	periodUS = 1_000_000 // the diurnal period: a compressed "day" of 1s
+	thinkUS  = 2000      // a closed-loop client's mean think time
+)
 
 func misuse(format string, args ...any) error {
 	return &diag.MisuseError{Op: "workload.Timeline", ThreadID: -1, Kind: diag.ErrBadConfig, Detail: fmt.Sprintf(format, args...)}
@@ -100,15 +102,6 @@ func (c *ArrivalConfig) withDefaults() error {
 	if c.BurstFactor < 1 {
 		return misuse("BurstFactor must be >= 1, got %g", c.BurstFactor)
 	}
-	if c.BurstLen <= 0 {
-		c.BurstLen = 32
-	}
-	if c.CalmLen <= 0 {
-		c.CalmLen = 96
-	}
-	if c.PeriodUS <= 0 {
-		c.PeriodUS = 1_000_000
-	}
 	if len(c.Curve) == 0 {
 		c.Curve = []int{1, 1, 2, 4, 7, 9, 10, 9, 8, 6, 3, 2}
 	}
@@ -119,9 +112,6 @@ func (c *ArrivalConfig) withDefaults() error {
 	}
 	if c.Clients <= 0 {
 		c.Clients = 8
-	}
-	if c.ThinkUS <= 0 {
-		c.ThinkUS = 2000
 	}
 	return nil
 }
@@ -190,7 +180,7 @@ func openLoop(r *detrand.Rand, cfg ArrivalConfig, gap func(*detrand.Rand, int) i
 // [1, 2×mean) so the expected length matches the configured mean.
 func burstyTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
 	burst := true
-	left := 1 + r.IntN(2*cfg.BurstLen)
+	left := 1 + r.IntN(2*burstLen)
 	return openLoop(r, cfg, func(r *detrand.Rand, _ int) int64 {
 		rate := cfg.RatePerSec * cfg.BurstFactor
 		if !burst {
@@ -199,9 +189,9 @@ func burstyTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
 		g := expGapUS(r, rate)
 		if left--; left <= 0 {
 			burst = !burst
-			mean := cfg.BurstLen
+			mean := burstLen
 			if !burst {
-				mean = cfg.CalmLen
+				mean = calmLen
 			}
 			left = 1 + r.IntN(2*mean)
 		}
@@ -227,7 +217,7 @@ func diurnalTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
 	meanW := float64(sumW) / float64(len(cfg.Curve))
 	// Candidate rate such that the accepted mean rate is RatePerSec.
 	maxRate := cfg.RatePerSec * float64(maxW) / meanW
-	bucketUS := cfg.PeriodUS / int64(len(cfg.Curve))
+	bucketUS := periodUS / int64(len(cfg.Curve))
 	if bucketUS < 1 {
 		bucketUS = 1
 	}
@@ -259,7 +249,7 @@ func closedTimeline(rng *PartitionedRNG, cfg ArrivalConfig) []Arrival {
 		r := rng.Stream(fmt.Sprintf("%s/%d", ClassThink, c))
 		var at int64
 		for k := 0; k < n; k++ {
-			at += expGapUS(r, 1e6/float64(cfg.ThinkUS))
+			at += expGapUS(r, 1e6/float64(thinkUS))
 			evs = append(evs, Arrival{AtUS: at, Client: c})
 		}
 	}

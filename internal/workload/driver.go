@@ -47,14 +47,9 @@ type RunConfig struct {
 	// Nodes is the cluster size; 1 runs a bare service, >1 a LoopNet
 	// cluster with background loops disabled.
 	Nodes int
-	// Window bounds in-flight jobs (default 32, clamped to QueueDepth so a
+	// Window bounds in-flight jobs (default 32, clamped to queueDepth so a
 	// paced-out run can never be queue-rejected).
 	Window int
-	// Workers / QueueDepth configure each node's service (defaults 4 / 256).
-	Workers, QueueDepth int
-	// RemoteEveryN routes every Nth cluster submission through a non-owner
-	// coordinator, exercising the peer-fill path (default 4; 0 disables).
-	RemoteEveryN int
 	// Nemesis selects the transport fault schedule (cluster mode only).
 	Nemesis Nemesis
 	// Pace sleeps to honor arrival offsets instead of submitting
@@ -147,24 +142,21 @@ func coreFingerprint(cores map[string]string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// workers and queueDepth configure each node's service.
+const (
+	workers    = 4
+	queueDepth = 256
+)
+
 func (c *RunConfig) withDefaults() {
 	if c.Nodes <= 0 {
 		c.Nodes = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.Window <= 0 {
 		c.Window = 32
 	}
-	if c.Window > c.QueueDepth {
-		c.Window = c.QueueDepth
-	}
-	if c.RemoteEveryN == 0 {
-		c.RemoteEveryN = 4
+	if c.Window > queueDepth {
+		c.Window = queueDepth
 	}
 	if c.Nemesis == "" {
 		c.Nemesis = NemesisNone
@@ -207,7 +199,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	var shutdown func() error
 	var cl *runCluster
 	if cfg.Nodes == 1 {
-		svc := service.New(service.Config{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth})
+		svc := service.New(service.Config{Workers: workers, QueueDepth: queueDepth})
 		submit = func(ctx context.Context, _ int, req service.Request) (*service.Result, error) {
 			return svc.Do(ctx, req)
 		}
@@ -365,7 +357,7 @@ func (c *runCluster) openNode(self string, seeds []string) (*cluster.Node, error
 		ProbeTimeout:   time.Second,
 		FillTimeout:    2 * time.Second,
 		FailThreshold:  2,
-		Service:        service.Config{Workers: c.cfg.Workers, QueueDepth: c.cfg.QueueDepth},
+		Service:        service.Config{Workers: workers, QueueDepth: queueDepth},
 	}
 	if c.cfg.Nemesis == NemesisChurn {
 		ccfg.SeedPeers = seeds
@@ -541,8 +533,12 @@ func (c *runCluster) applyJoin(ctx context.Context, e nemesis.Event) {
 	c.eng.Record(nemesis.Event{Step: e.Step, Class: e.Class, Op: e.Op, Target: self})
 }
 
+// remoteEveryN routes every Nth cluster submission through a non-owner
+// coordinator, exercising the peer-fill path.
+const remoteEveryN = 4
+
 // route picks the node a submission goes to: the key's owner normally, a
-// deterministic non-owner coordinator every RemoteEveryN submissions, always
+// deterministic non-owner coordinator every remoteEveryN submissions, always
 // constrained to live nodes. skip names a node to avoid (a just-failed
 // draining target).
 func (c *runCluster) route(seq int, key, skip string) *cluster.Node {
@@ -556,7 +552,7 @@ func (c *runCluster) route(seq int, key, skip string) *cluster.Node {
 			break
 		}
 	}
-	if c.cfg.RemoteEveryN > 0 && seq%c.cfg.RemoteEveryN == 0 {
+	if seq%remoteEveryN == 0 {
 		idx = (idx + 1) % len(c.nodes)
 	}
 	// Walk forward to the first live candidate; node-0 is always live, so

@@ -28,8 +28,6 @@ type MatrixConfig struct {
 	// default 1). Results are merged in scenario index order, so the
 	// rendered table is byte-identical regardless of parallelism.
 	Parallel int
-	// Window/Workers/QueueDepth pass through to every scenario's RunConfig.
-	Window, Workers, QueueDepth int
 }
 
 // ScenarioResult pairs a scenario with its outcome (or error).
@@ -56,14 +54,11 @@ func RunMatrix(ctx context.Context, cfg MatrixConfig) []ScenarioResult {
 			defer wg.Done()
 			defer func() { <-sem }()
 			out, err := Run(ctx, RunConfig{
-				Seed:       cfg.Seed ^ int64(i)*0x9E3779B9,
-				Arrival:    sc.Arrival,
-				Mix:        sc.Mix,
-				Nodes:      sc.Nodes,
-				Nemesis:    sc.Nemesis,
-				Window:     cfg.Window,
-				Workers:    cfg.Workers,
-				QueueDepth: cfg.QueueDepth,
+				Seed:    cfg.Seed ^ int64(i)*0x9E3779B9,
+				Arrival: sc.Arrival,
+				Mix:     sc.Mix,
+				Nodes:   sc.Nodes,
+				Nemesis: sc.Nemesis,
 			})
 			results[i] = ScenarioResult{Scenario: sc, Outcome: out, Err: err}
 		}()
