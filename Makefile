@@ -97,7 +97,12 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# Last moved by -109, for folding the options nothing sets into constants:
+# Last moved by +35: internal/service's journal.go (+10: the pending-buffer
+# bound and settleLocked's commit-in-flight case, with the contract comments
+# they change), internal/ir's verify.go (+13: the global size bound and word
+# budget) and cmd/detbench's main.go (+12: run with its own flag set and
+# writers, as detlock and detviz). Moved before that by -109, for folding
+# the options nothing sets into constants:
 # internal/interp's interp.go (-19) and decode.go (+3: the miss model,
 # Kendo interrupt cost and jitter amplitude, their mirrors and the miss
 # model's disable branch; the miss penalty is added after its branch, with
@@ -112,6 +117,6 @@ loc:
 # builder) and internal/harness's tables.go (-16) and harness.go (+3: one
 # grid runner for both tables); internal/service's job.go (+10: the
 # thread-count bound).
-LOC_CEILING = 23354
+LOC_CEILING = 23389
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

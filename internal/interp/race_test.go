@@ -345,7 +345,7 @@ func TestJitterPerturbsPhysicalTime(t *testing.T) {
 // length cannot be negative, nor a constant index out of range).
 var (
 	_ [48 - unsafe.Sizeof(shadowCell{})]byte
-	_ = [1]struct{}{}[unsafe.Sizeof(raceEpoch{})-16]
+	_ = [1]struct{}{}[unsafe.Sizeof(raceEpoch{})-2*unsafe.Sizeof(uintptr(0))]
 )
 
 // A cell remembers an access as a pointer to the accessor's snapshot of that

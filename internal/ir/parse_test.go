@@ -238,17 +238,20 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestVerifyBoundsCounts: a declared register, lock or barrier count parses
-// whatever its value, and Verify refuses one that is negative or above its
-// bound as a typed configuration misuse; the bound itself is admitted.
+// TestVerifyBoundsCounts: a declared register, lock or barrier count or a
+// global's size parses whatever its value, and Verify refuses one that is
+// negative or above its bound as a typed configuration misuse; the bound
+// itself is admitted. It also refuses globals that each fit the word budget
+// but sum past it.
 func TestVerifyBoundsCounts(t *testing.T) {
 	texts := map[string]struct {
 		text  string
 		limit int
 	}{
-		"regs":     {"module m\nfunc f() regs %d {\nentry:\n ret 0\n}\n", maxRegs},
-		"locks":    {"module m\nlocks %d\nfunc f() regs 1 {\nentry:\n ret 0\n}\n", maxSyncObjects},
-		"barriers": {"module m\nbarriers %d\nfunc f() regs 1 {\nentry:\n ret 0\n}\n", maxSyncObjects},
+		"regs":          {"module m\nfunc f() regs %d {\nentry:\n ret 0\n}\n", maxRegs},
+		"locks":         {"module m\nlocks %d\nfunc f() regs 1 {\nentry:\n ret 0\n}\n", maxSyncObjects},
+		"barriers":      {"module m\nbarriers %d\nfunc f() regs 1 {\nentry:\n ret 0\n}\n", maxSyncObjects},
+		"global g size": {"module m\nglobal g %d\nfunc f() regs 1 {\nentry:\n ret 0\n}\n", maxGlobalWords},
 	}
 	for what, tc := range texts {
 		for _, n := range []int{-1, tc.limit, tc.limit + 1, 1000000000} {
@@ -269,6 +272,11 @@ func TestVerifyBoundsCounts(t *testing.T) {
 				t.Fatalf("%s %d: err = %v, want a *diag.MisuseError naming %q", what, n, err, want)
 			}
 		}
+	}
+	m := MustParse(fmt.Sprintf("module m\nglobal a %d\nglobal b 1\nfunc f() regs 1 {\nentry:\n ret 0\n}\n", maxGlobalWords))
+	want := fmt.Sprintf("global words %d outside [0, %d]", maxGlobalWords+1, maxGlobalWords)
+	if err := m.Verify(nil); !errors.Is(err, diag.ErrBadConfig) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("globals summing past the budget: err = %v, want a misuse naming %q", err, want)
 	}
 }
 

@@ -11,14 +11,18 @@ import (
 // irgen emit (at most 26 registers, 16 locks, 1 barrier). Registers are held
 // per call frame and a thread holds up to 10,000 frames (the interpreters'
 // call depth), so maxRegs keeps one thread's stack under 10,000 × 256 × 8 B,
-// about 20 MB.
+// about 20 MB. maxGlobalWords bounds the words all of a module's globals
+// declare together, 8 MB of machine memory: 126 times the most SPLASH, irgen
+// or the corpus declare (volrend with the race probe, 8,264 words; an irgen
+// program at most 272).
 const (
 	maxSyncObjects = 1 << 16
 	maxRegs        = 256
+	maxGlobalWords = 1 << 20
 )
 
 // countErr is a typed misuse for a count that is negative or above limit.
-func countErr(what string, n, limit int) error {
+func countErr(what string, n, limit int64) error {
 	if n >= 0 && n <= limit {
 		return nil
 	}
@@ -30,16 +34,25 @@ func countErr(what string, n, limit int) error {
 // terminator with targets inside its own function, registers are in range,
 // load/store symbols resolve to globals, call targets resolve to functions or
 // known builtin names, sync object ids are statically in range when they
-// are immediates, and no declared count exceeds its bound.
+// are immediates, and no declared count or size exceeds its bound.
 //
 // builtinOK reports whether an unresolved callee name is an acceptable
 // builtin (nil means no builtins are allowed).
 func (m *Module) Verify(builtinOK func(name string) bool) error {
-	errs := []error{countErr("locks", m.NumLocks, maxSyncObjects), countErr("barriers", m.NumBars, maxSyncObjects)}
+	errs := []error{countErr("locks", int64(m.NumLocks), maxSyncObjects), countErr("barriers", int64(m.NumBars), maxSyncObjects)}
 	// A name resolves to its first definition, as in Module.Func and Global.
 	funcs, globals := make(map[string]*Func, len(m.Funcs)), make(map[string]bool, len(m.Globals))
+	var words int64
 	for _, g := range m.Globals {
 		globals[g.Name] = true
+		if g.Size < 0 || g.Size > maxGlobalWords {
+			errs = append(errs, countErr("global "+g.Name+" size", g.Size, maxGlobalWords))
+		} else {
+			words += g.Size
+		}
+	}
+	if words > maxGlobalWords {
+		errs = append(errs, countErr("global words", words, maxGlobalWords))
 	}
 	for _, f := range m.Funcs {
 		if funcs[f.Name] != nil {
@@ -64,7 +77,7 @@ func (m *Module) verifyFunc(f *Func, funcs map[string]*Func, globals map[string]
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: function has no blocks", f.Name)
 	}
-	if err := countErr("regs", f.NumRegs, maxRegs); err != nil {
+	if err := countErr("regs", int64(f.NumRegs), maxRegs); err != nil {
 		errs = append(errs, fmt.Errorf("%s: %w", f.Name, err))
 	}
 	if f.NumParams > f.NumRegs {

@@ -117,6 +117,116 @@ func TestWaitersShareOneSync(t *testing.T) {
 	}
 }
 
+// TestUnpromisedRecordsGatherBehindSync: while a sync is in flight, records
+// nobody waits on return at once, many batches of them, as long as the buffer
+// stays under maxPendingBytes; the one that takes it there waits the sync out,
+// and one more sync then takes everything that gathered behind the first.
+func TestUnpromisedRecordsGatherBehindSync(t *testing.T) {
+	const every = 16
+	g := newGateFS()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jn, _, err := openJournal(g, path, every, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.kill()
+	req := Request{Source: "module m"}
+	g.armed.Store(true)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			g.armed.Store(false)
+			g.release <- struct{}{}
+		}
+	}
+	defer release()
+	go func() {
+		if err := jn.appendSubmitted("job-1", &req, true); err != nil {
+			t.Errorf("job-1: %v", err)
+		}
+	}()
+	<-g.entered // job-1's commit is inside its Sync, journal.mu released
+	pending := func() int {
+		jn.mu.Lock()
+		defer jn.mu.Unlock()
+		return len(jn.pending)
+	}
+
+	// Small records past two batches, then large ones up to one short of the
+	// bound: none of them may wait for the disk.
+	big := strings.Repeat("x", 64<<10)
+	var count atomic.Int64
+	filled := make(chan error, 1)
+	go func() {
+		for last := 0; pending()+last < maxPendingBytes; {
+			msg := "small"
+			if count.Load() >= 3*every {
+				msg = big
+			}
+			before := pending()
+			if err := jn.appendFinished("job-1", nil, msg, "x"); err != nil {
+				filled <- err
+				return
+			}
+			last = pending() - before
+			count.Add(1)
+		}
+		filled <- nil
+	}()
+	select {
+	case err := <-filled:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatalf("record %d waited for the sync in flight with %d bytes pending, under the %d-byte bound",
+			count.Load()+1, pending(), maxPendingBytes)
+	}
+	appended := int(count.Load())
+	if appended <= 2*every {
+		t.Fatalf("the buffer neared its bound after %d records; the test needs more than two batches", appended)
+	}
+
+	// One more large record takes the buffer to its bound: it waits the sync out.
+	waited := make(chan error, 1)
+	go func() { waited <- jn.appendFinished("job-1", nil, big, "x") }()
+	for {
+		jn.mu.Lock()
+		n := jn.appended
+		jn.mu.Unlock()
+		if n == uint64(appended+2) { // job-1, the records above, this one
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-waited:
+		t.Fatalf("an append reaching the %d-byte bound returned (%v) with the sync still in flight", maxPendingBytes, err)
+	default:
+	}
+	release()
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+
+	// One more sync takes everything pending.
+	if err := jn.appendSubmitted("job-2", &req, true); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.syncs.Load(); n != 2 {
+		t.Fatalf("%d syncs, want 2: job-1's and the one that took everything behind it", n)
+	}
+	if _, _, syncs, records := jn.snapshotLive(); syncs != 2 || records != int64(appended+3) {
+		t.Fatalf("journal counts %d syncs, %d records; want 2 and %d", syncs, records, appended+3)
+	}
+	if n := pending(); n != 0 {
+		t.Fatalf("%d bytes still pending after the sync that covers job-2", n)
+	}
+}
+
 // TestRecoveredJobsObeyRetain: a restarted service keeps at most RetainJobs
 // finished records, like one that never stopped: the oldest recovered
 // completions are evicted, all of them are counted as recovered.

@@ -42,10 +42,11 @@ import (
 //     result, batch-synced with the finish records — a crash can only make
 //     the id unknown, as retention eviction does, and the reservation keeps
 //     it from being reused.
-//   - "completed"/"failed" of a job a worker ran: batch-synced (every
-//     fsyncEvery records, plus on close). Losing a tail of them is harmless
-//     by determinism: recovery re-executes those jobs and reproduces the
-//     same results.
+//   - "completed"/"failed" of a job a worker ran: batch-synced (by the next
+//     commit, which starts once fsyncEvery records are pending and the disk
+//     is idle, and on close). Losing a tail of them is harmless by
+//     determinism: recovery re-executes those jobs and reproduces the same
+//     results.
 //   - "program" prog-<sha256 hex>: a program text, written once per log
 //     right ahead of the first record that names it, so the two commit
 //     together and a crash loses the text only with that record. A record
@@ -58,10 +59,12 @@ import (
 // under mu; one committer at a time swaps the pending buffer out and does the
 // Write and the Sync with mu released, so records keep arriving while the
 // disk works; whoever needs durability sleeps on cond until committed reaches
-// its number, so any number of waiting submitters share one sync. An appender
-// that fills the fresh buffer to fsyncEvery while a commit is in flight waits
-// for it to finish: a crash loses at most two batches of records nobody was
-// promised.
+// its number, so any number of waiting submitters share one sync. A record
+// nobody waits on never waits for the disk while the buffer stays under
+// maxPendingBytes: the next commit takes everything appended meanwhile, so a
+// crash loses at most the batch in flight plus maxPendingBytes behind it, and
+// an idle service may rest with that much unsynced until the next append or
+// close.
 //
 // Recovery cross-checks the determinism claim rather than assuming it:
 // each distinct (request, schedule hash) claim among the recovered results
@@ -190,6 +193,11 @@ type journal struct {
 	ship func(line []byte)
 }
 
+// maxPendingBytes bounds how far the pending buffer runs ahead of a commit in
+// flight before appenders of records nobody waits on wait it out: about 1,900
+// of durable's hit records.
+const maxPendingBytes = 1 << 20
+
 // maxJournalRecord bounds one record line on replay. A line past it cannot
 // be a record this journal wrote (requests are capped far below it at the
 // HTTP edge), so replay treats it as external damage: stop and truncate to
@@ -307,9 +315,9 @@ func finishRecord(id string, res *Result, err error) journalRecord {
 // With durable set the record — and everything appended ahead of it — is
 // written and fsynced before returning, so Submit never acknowledges a job a
 // crash could lose; so is a first record whose reservation is not yet
-// durable. Other records join the batch, committed every fsyncEvery records:
-// a crash loses at most the buffered batches, which recovery repairs by
-// re-execution.
+// durable. Other records join the pending buffer, committed once it holds
+// fsyncEvery records and the disk is idle: a crash loses at most what was
+// buffered, which recovery repairs by re-execution.
 func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -377,23 +385,25 @@ func (j *journal) appendJobLocked(rec journalRecord) error {
 }
 
 // settleLocked ends an append. A record its caller needs durable waits for
-// the commit that covers it. One that fills the batch to fsyncEvery is the
-// group-commit point for records nobody waits on: it commits the batch,
-// unless a commit is in flight, which it then waits out — the fresh buffer
-// cannot run further ahead of the disk than that — and leaves the batch to
-// the next appender.
+// the commit that covers it. A record nobody waits on returns at once while
+// a commit is in flight — the next commit takes it with everything else
+// pending — unless the buffer has reached maxPendingBytes: then it waits the
+// commit out and leaves the buffer to the next appender. With the disk idle,
+// the record that fills the batch to fsyncEvery commits it.
 func (j *journal) settleLocked(durable bool) error {
 	switch {
 	case durable:
 		return j.awaitLocked(j.appended)
-	case j.pendingRecs < j.fsyncEvery:
-		return nil
-	case !j.committing:
+	case j.committing:
+		if len(j.pending) < maxPendingBytes {
+			return nil
+		}
+		j.quiesceLocked()
+		if j.broken {
+			return errJournalBroken
+		}
+	case j.pendingRecs >= j.fsyncEvery:
 		return j.commitLocked()
-	}
-	j.quiesceLocked()
-	if j.broken {
-		return errJournalBroken
 	}
 	return nil
 }

@@ -215,19 +215,24 @@ func TestSnapshotRefusesConflictingClaims(t *testing.T) {
 }
 
 // TestOversizedCountsAreMisuse: a program declaring more registers, locks or
-// barriers than ir.Verify admits fails through Do and Submit as a typed
-// configuration misuse, before anything sized by the count is allocated
-// (unbounded, the register file alone was 8 MB a frame here). A function at
+// barriers than ir.Verify admits, or a global of negative size or past the
+// global word budget, fails through Do and Submit as a typed configuration
+// misuse, before anything sized by the count is allocated (unbounded, the
+// register file alone was 8 MB a frame here, and a negative global panicked
+// every worker attempt into a transient retries_exhausted). A function at
 // the register bound that recurses until the call depth runs out is a
 // runtime failure, and its thread's stack stays near 10,000 × 256 × 8 B.
 func TestOversizedCountsAreMisuse(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())
 	for name, src := range map[string]string{
-		"regs":     "module m\nfunc main() regs 1048576 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
-		"regs+1":   "module m\nfunc main() regs 257 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
-		"locks":    "module m\nlocks 1048576\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
-		"barriers": "module m\nbarriers 1048576\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"regs":        "module m\nfunc main() regs 1048576 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"regs+1":      "module m\nfunc main() regs 257 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"locks":       "module m\nlocks 1048576\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"barriers":    "module m\nbarriers 1048576\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"global -1":   "module m\nglobal g -1\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"global 2^40": "module m\nglobal g 1099511627776\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"global sum":  "module m\nglobal a 600000\nglobal b 600000\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -244,7 +249,7 @@ func TestOversizedCountsAreMisuse(t *testing.T) {
 				t.Fatalf("%s: err = %v (class %q), want a *diag.MisuseError of kind ErrBadConfig", name, err, Classify(err))
 			}
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("%s: refusing the program allocated %d bytes", name, grew)
 		}
 	}

@@ -85,10 +85,10 @@ type Config struct {
 	// guarantees identical results), completed ones are served from the log
 	// and cross-checked by re-execution in the background.
 	JournalPath string
-	// JournalFsyncEvery batches the fsyncs of records nobody waits on —
-	// completion records, and the submitted record of a result-cache hit
-	// answered through Do (default 16; any other submitted record is fsynced
-	// before Submit returns).
+	// JournalFsyncEvery is the batch of records nobody waits on — completion
+	// records, and a Do hit's one record — that starts a commit when the disk
+	// is idle (default 16); while one is in flight they gather for the next.
+	// Any other first record is fsynced before Submit returns.
 	JournalFsyncEvery int
 	// FS is the filesystem the journal writes through (default the real
 	// one). Fault-injection harnesses substitute a vfs implementation that
