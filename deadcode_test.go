@@ -11,10 +11,20 @@ package detlock_test
 // References are resolved by go/types, so a method is told apart from every
 // other method of the same name. Exempt are methods that satisfy an
 // interface (called through it, never by name) and methods of the types the
-// root facade aliases, which are public API whether or not the module calls
+// root package aliases, which are public API whether or not the module calls
 // them — as long as some file, test or not, of the module or of bench/ calls
-// them at all: a facade method nothing references is flagged like any other.
-// Anything else that must stay goes in deadExportAllowlist with its reason.
+// them at all: an aliased method nothing references is flagged like any
+// other.
+//
+// The root package is the public API, and its users are the programs under
+// examples/ and cmd/ and the bench module: an export of it needs a non-test
+// reference from one of them, or must be named in the signature of an
+// exported function that has one. Its aliases of internal/det and
+// internal/diag (the runtime's types, its failure reports and their
+// sentinels) are exempt: a user reaches them through the runtime's methods
+// and errors.As, not by name. A reference from inside a flagged root export
+// does not keep an internal one alive either. Anything else that must stay
+// goes in deadExportAllowlist with its reason.
 //
 // The unset-option guard. An exported field of a struct type under
 // internal/ named Config, …Config or Options is a choice its callers make,
@@ -97,12 +107,41 @@ func checkFindings(t *testing.T, found []finding, allowName string, allow map[st
 // that only its own package's tests, or only flagged exports, use is
 // flagged, and one that another package's test or the bench module uses is
 // not, nor is a method that satisfies an interface or belongs to a type the
-// facade aliases and is referenced somewhere; one of the facade's that
-// nothing references is flagged.
+// root package aliases and is referenced somewhere; one of the root's that
+// nothing references is flagged. A root export that no example, command or
+// benchmark names is flagged, with what only it references, unless an
+// exported function they call names it in its signature or it aliases det
+// or diag.
 func TestDeadExportsFixture(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fix\n\ngo 1.22\n",
-		"fix.go": "package fix\n\nimport \"fix/internal/a\"\n\ntype T = a.Public\n\nvar _ = a.Used\n",
+		"fix.go": `package fix
+
+import (
+	"fix/internal/a"
+	"fix/internal/det"
+	"fix/internal/diag"
+)
+
+type T = a.Public
+
+type Sig = a.Conf
+
+type Unnamed = a.RootOnly
+
+type Runtime = det.Runtime
+
+var ErrX = diag.ErrX
+
+var _ = a.Used
+
+func Open() *Sig { return nil }
+
+func Nobody() {}
+`,
+		"fix_test.go":        "package fix_test\n\nimport (\n\t\"testing\"\n\n\t\"fix\"\n)\n\nfunc TestRoot(t *testing.T) { fix.Nobody() }\n",
+		"internal/det/d.go":  "package det\n\ntype Runtime struct{}\n",
+		"internal/diag/d.go": "package diag\n\nimport \"errors\"\n\nvar ErrX = errors.New(\"x\")\n",
 		"internal/a/a.go": `package a
 
 func Used()        { Via() }
@@ -118,6 +157,10 @@ type Public struct{}
 func (Public) Facade() {}
 func (Public) Orphan() {}
 
+type RootOnly struct{}
+
+type Conf struct{}
+
 type S struct{}
 
 func (S) String() string { return "" }
@@ -128,7 +171,7 @@ func (S) Extra()         {}
 		"internal/b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { a.OtherTest() }\n",
 		"bench/go.mod":         "module fix/bench\n\ngo 1.22\n",
 		"bench/main.go":        "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n",
-		"examples/ex/main.go":  "package main\n\nimport \"fix\"\n\nfunc main() { fix.T{}.Facade() }\n",
+		"examples/ex/main.go":  "package main\n\nimport \"fix\"\n\nfunc main() { fix.T{}.Facade(); fix.Open() }\n",
 	})
 	found, err := deadExports(root, filepath.Join(root, "bench"))
 	if err != nil {
@@ -139,7 +182,10 @@ func (S) Extra()         {}
 		"a.Nobody: referenced nowhere",
 		"a.OwnTestOnly: referenced only by its own package's tests",
 		"a.Public.Orphan: referenced nowhere",
+		"a.RootOnly: referenced only by flagged exports",
 		"a.S.Extra: referenced only by its own package's tests",
+		"fix.Nobody: " + rootUnused,
+		"fix.Unnamed: " + rootUnused,
 	}
 	checkFixture(t, found, want)
 }
@@ -340,6 +386,12 @@ func deadExports(root string, extra ...string) ([]finding, error) {
 	}
 	var candidates []string
 	where := map[string]finding{}
+	dead := map[string]bool{}
+	for _, d := range l.deadRoot(modPath) {
+		candidates = append(candidates, d.key)
+		where[d.key] = d.finding
+		dead[d.key] = true
+	}
 	for _, path := range paths {
 		rel, ok := strings.CutPrefix(path, modPath+"/internal/")
 		if !ok {
@@ -372,7 +424,6 @@ func deadExports(root string, extra ...string) ([]finding, error) {
 
 	// A reference from inside a flagged export's body does not keep
 	// anything alive: flag until nothing more is.
-	dead := map[string]bool{}
 	for changed := true; changed; {
 		changed = false
 		for _, key := range candidates {
@@ -386,17 +437,19 @@ func deadExports(root string, extra ...string) ([]finding, error) {
 		if !dead[key] {
 			continue
 		}
-		var by []string
-		if l.uses[key][ownTest] {
-			by = append(by, "its own package's tests")
-		}
-		if len(l.uses[key]) > len(by) {
-			by = append(by, "flagged exports")
-		}
 		d := where[key]
-		d.why = "referenced nowhere"
-		if len(by) > 0 {
-			d.why = "referenced only by " + strings.Join(by, " and ")
+		if d.why == "" {
+			var by []string
+			if l.uses[key][ownTest] {
+				by = append(by, "its own package's tests")
+			}
+			if len(l.uses[key]) > len(by) {
+				by = append(by, "flagged exports")
+			}
+			d.why = "referenced nowhere"
+			if len(by) > 0 {
+				d.why = "referenced only by " + strings.Join(by, " and ")
+			}
 		}
 		out = append(out, d)
 	}
@@ -404,22 +457,112 @@ func deadExports(root string, extra ...string) ([]finding, error) {
 	return out, nil
 }
 
+// rootUnused is why the guard flags an export of the root package.
+const rootUnused = "named by no example, command or benchmark, nor in the signature of a function one calls"
+
+// rootFinding is a flagged export of the root package, by objKey.
+type rootFinding struct {
+	key string
+	finding
+}
+
+// deadRoot reports the root package's exports that no non-test file under
+// examples/ or cmd/, or of the bench module, references and that no
+// exported function those reference names in its signature. Aliases of
+// internal/det and internal/diag types, and variables that are theirs, are
+// exempt.
+func (l *loader) deadRoot(modPath string) []rootFinding {
+	pkg := l.prod[modPath]
+	if pkg == nil {
+		return nil
+	}
+	live := map[string]bool{}
+	var funcs []*ast.FuncDecl
+	for _, f := range l.pkgs[modPath].prod {
+		imports := map[string]string{} // name in the file → import path
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = path
+		}
+		runtime := func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			return ok && (imports[x.Name] == modPath+"/internal/det" || imports[x.Name] == modPath+"/internal/diag")
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && l.ext[modPath+"."+d.Name.Name] {
+					funcs = append(funcs, d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						live[modPath+"."+sp.Name.Name] = sp.Assign.IsValid() && runtime(sp.Type)
+					case *ast.ValueSpec:
+						theirs := len(sp.Values) == len(sp.Names)
+						for _, v := range sp.Values {
+							theirs = theirs && runtime(v)
+						}
+						for _, n := range sp.Names {
+							live[modPath+"."+n.Name] = theirs
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, d := range funcs {
+		fields := d.Type.Params.List
+		if d.Type.Results != nil {
+			fields = append(fields[:len(fields):len(fields)], d.Type.Results.List...)
+		}
+		for _, f := range fields {
+			ast.Inspect(f.Type, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					return false // another package's name
+				case *ast.Ident:
+					live[modPath+"."+n.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	var out []rootFinding
+	for _, name := range pkg.Scope().Names() {
+		obj := pkg.Scope().Lookup(name)
+		if key := objKey(obj); obj.Exported() && !live[key] && !l.ext[key] {
+			out = append(out, rootFinding{key, finding{name: pkg.Name() + "." + name, pos: l.fset.Position(obj.Pos()).String(), why: rootUnused}})
+		}
+	}
+	return out
+}
+
 // loadTree loads and type-checks the module at root and the modules in
 // extra, noting every reference to a module identifier and every setting
 // of a struct field. It returns the loader, root's module path and every
 // package's import path, sorted.
 func loadTree(root string, extra ...string) (*loader, string, []string, error) {
-	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}, sets: map[token.Pos]bool{}}
-	var modPath string
+	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}, ext: map[string]bool{}, sets: map[token.Pos]bool{}}
 	for i, dir := range append([]string{root}, extra...) {
 		path, err := l.loadModule(dir)
 		if err != nil {
 			return nil, "", nil, err
 		}
 		if i == 0 {
-			modPath = path
+			l.mod = path
 		}
 	}
+	modPath := l.mod
 	paths := make([]string, 0, len(l.pkgs))
 	for path := range l.pkgs {
 		paths = append(paths, path)
@@ -468,6 +611,8 @@ type loader struct {
 	pkgs      map[string]*pkgSrc
 	prod      map[string]*types.Package  // each package's non-test files, type-checked
 	uses      map[string]map[string]bool // objKey → who references it (see ownTest)
+	ext       map[string]bool            // objKeys a non-test file under examples/ or cmd/, or of bench/, references
+	mod       string                     // the root module's path
 	sets      map[token.Pos]bool         // struct fields set by a file that counts (see noteSets), by declaration
 }
 
@@ -705,7 +850,17 @@ func (l *loader) note(info *types.Info, files []*ast.File, from string, test boo
 			l.uses[key] = map[string]bool{}
 		}
 		l.uses[key][who] = true
+		if !test && l.public(from) {
+			l.ext[key] = true
+		}
 	}
+}
+
+// public reports whether the package at path is one of the root package's
+// users: a program under examples/ or cmd/, or the bench module.
+func (l *loader) public(path string) bool {
+	rel, ok := strings.CutPrefix(path, l.mod+"/")
+	return ok && (rel == "bench" || strings.HasPrefix(rel, "bench/") || strings.HasPrefix(rel, "examples/") || strings.HasPrefix(rel, "cmd/"))
 }
 
 // exportBody is the source span of an exported function, method or type.

@@ -129,19 +129,9 @@ type DivergenceError = diag.DivergenceError
 // DivergenceEvent is one synchronization event in a divergence report.
 type DivergenceEvent = diag.DivergenceEvent
 
-// TimeoutError reports a job canceled before completion — by its deadline,
-// by a disconnected synchronous client, or by service shutdown.
-type TimeoutError = diag.TimeoutError
-
-// RetryError reports a job whose transient failures persisted across every
-// retry attempt; Last is the final attempt's cause.
-type RetryError = diag.RetryError
-
-// RaceConfig enables the simulator's deterministic race detector.
+// RaceConfig enables the simulator's deterministic race detector; its
+// Policy is RaceFailFast or RaceReport.
 type RaceConfig = interp.RaceConfig
-
-// RacePolicy selects fail-fast vs report-and-continue detection.
-type RacePolicy = interp.RacePolicy
 
 // Race policies.
 const (
@@ -175,12 +165,6 @@ var (
 	ErrDetectorMidRun = diag.ErrDetectorMidRun
 	ErrRaceBackend    = diag.ErrRaceBackend
 	ErrBadConfig      = diag.ErrBadConfig
-	// ErrDeadline: a job was canceled before completion (deadline, client
-	// disconnect, or shutdown); the typed report is *TimeoutError.
-	ErrDeadline = diag.ErrDeadline
-	// ErrRetriesExhausted: a transient failure persisted across the job's
-	// whole retry budget; the typed report is *RetryError.
-	ErrRetriesExhausted = diag.ErrRetriesExhausted
 )
 
 // FormatFailure renders a runtime failure error (deadlock, stall, panic,
@@ -286,16 +270,10 @@ type SimResult struct {
 // a typed *MisuseError, never a panic.
 func Simulate(m *Module, cfg SimConfig) (*SimResult, error) {
 	if m == nil {
-		return nil, &diag.MisuseError{
-			Op: "detlock.Simulate", ThreadID: -1, Kind: diag.ErrBadConfig,
-			Detail: "nil module",
-		}
+		return nil, misuse("detlock.Simulate", diag.ErrBadConfig, "nil module")
 	}
 	if cfg.Threads < 0 {
-		return nil, &diag.MisuseError{
-			Op: "detlock.Simulate", ThreadID: -1, Kind: diag.ErrBadConfig,
-			Detail: fmt.Sprintf("negative thread count %d", cfg.Threads),
-		}
+		return nil, misuse("detlock.Simulate", diag.ErrBadConfig, fmt.Sprintf("negative thread count %d", cfg.Threads))
 	}
 	if cfg.Threads == 0 {
 		cfg.Threads = 4
@@ -304,12 +282,8 @@ func Simulate(m *Module, cfg SimConfig) (*SimResult, error) {
 		cfg.Entry = "main"
 	}
 	if cfg.Race != nil && !cfg.Deterministic {
-		return nil, &diag.MisuseError{
-			Op:       "detlock.Simulate",
-			ThreadID: -1,
-			Kind:     diag.ErrRaceBackend,
-			Detail:   "SimConfig.Race requires SimConfig.Deterministic: race reports are only reproducible under the deterministic policy",
-		}
+		return nil, misuse("detlock.Simulate", diag.ErrRaceBackend,
+			"SimConfig.Race requires SimConfig.Deterministic: race reports are only reproducible under the deterministic policy")
 	}
 	clone := m.Clone()
 	out := &SimResult{}
@@ -363,15 +337,17 @@ func Simulate(m *Module, cfg SimConfig) (*SimResult, error) {
 	return out, nil
 }
 
+// misuse is a configuration-level *MisuseError: it names no thread.
+func misuse(op string, kind error, detail string) error {
+	return &diag.MisuseError{Op: op, ThreadID: -1, Kind: kind, Detail: detail}
+}
+
 // CheckDeterminism runs the program n times under the deterministic policy
 // and verifies the synchronization schedules are identical, returning the
 // common schedule. n must be at least 1 (ErrBadConfig otherwise).
 func CheckDeterminism(m *Module, cfg SimConfig, n int) (*Schedule, error) {
 	if n < 1 {
-		return nil, &diag.MisuseError{
-			Op: "detlock.CheckDeterminism", ThreadID: -1, Kind: diag.ErrBadConfig,
-			Detail: fmt.Sprintf("run count %d < 1", n),
-		}
+		return nil, misuse("detlock.CheckDeterminism", diag.ErrBadConfig, fmt.Sprintf("run count %d < 1", n))
 	}
 	cfg.Deterministic = true
 	cfg.RecordSchedule = true
@@ -385,9 +361,6 @@ func CheckDeterminism(m *Module, cfg SimConfig, n int) (*Schedule, error) {
 	}
 	if err := trace.CheckRuns(runs); err != nil {
 		return nil, err
-	}
-	if len(runs) == 0 {
-		return nil, nil
 	}
 	return runs[0], nil
 }

@@ -15,6 +15,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	detlock "repro"
 )
@@ -31,6 +34,13 @@ type transfer struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatalf("bank example: %v", err)
+	}
+}
+
+// run processes the transfer list twice and compares the audit logs.
+func run(w io.Writer) error {
 	// Deterministic synthetic transfer list.
 	var txs []transfer
 	seed := int64(0x9E3779B9)
@@ -44,7 +54,7 @@ func main() {
 		txs = append(txs, transfer{f, t, (seed>>48)&0xFF + 1})
 	}
 
-	run := func() (balances [numAccounts]int64, audit []string) {
+	process := func() (balances [numAccounts]int64, audit []string) {
 		rt := detlock.New(numTellers)
 		locks := make([]*detlock.Mutex, numAccounts)
 		for i := range locks {
@@ -81,31 +91,32 @@ func main() {
 		return balances, audit
 	}
 
-	bal1, audit1 := run()
-	fmt.Printf("processed %d transfers across %d accounts\n", transfers, numAccounts)
-	fmt.Println("first audit lines:")
+	bal1, audit1 := process()
+	fmt.Fprintf(w, "processed %d transfers across %d accounts\n", transfers, numAccounts)
+	fmt.Fprintln(w, "first audit lines:")
 	for _, line := range audit1[:5] {
-		fmt.Println("  ", line)
+		fmt.Fprintln(w, "  ", line)
 	}
 
 	var total int64
 	for _, b := range bal1 {
 		total += b
 	}
-	fmt.Printf("total balance: %d (conserved: %v)\n", total, total == numAccounts*1000)
+	fmt.Fprintf(w, "total balance: %d (conserved: %v)\n", total, total == numAccounts*1000)
 
 	// Replica check: a second run must produce the identical audit log —
 	// this is what makes replica-based fault tolerance possible (§I).
-	bal2, audit2 := run()
+	bal2, audit2 := process()
 	same := bal1 == bal2 && len(audit1) == len(audit2)
 	if same {
 		for i := range audit1 {
 			if audit1[i] != audit2[i] {
 				same = false
-				fmt.Printf("audit diverged at %d:\n  %s\n  %s\n", i, audit1[i], audit2[i])
+				fmt.Fprintf(w, "audit diverged at %d:\n  %s\n  %s\n", i, audit1[i], audit2[i])
 				break
 			}
 		}
 	}
-	fmt.Printf("replica run identical (balances + full audit log): %v\n", same)
+	fmt.Fprintf(w, "replica run identical (balances + full audit log): %v\n", same)
+	return nil
 }

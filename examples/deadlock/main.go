@@ -16,12 +16,21 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"os"
 
 	detlock "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatalf("deadlock example: %v", err)
+	}
+}
+
+// run provokes the ABBA deadlock and prints the runtime's report.
+func run(w io.Writer) error {
 	rt := detlock.New(2)
 	a := rt.NewMutex() // mutex#0
 	b := rt.NewMutex() // mutex#1
@@ -45,12 +54,12 @@ func main() {
 	})
 
 	if !errors.Is(err, detlock.ErrDeadlock) {
-		fmt.Fprintf(os.Stderr, "expected a deadlock, got: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("expected a deadlock, got: %v", err)
 	}
-	fmt.Print(detlock.FormatFailure(err))
+	fmt.Fprint(w, detlock.FormatFailure(err))
 
 	var dd *detlock.DeadlockError
 	errors.As(err, &dd)
-	fmt.Printf("\ncycle has %d edges; identical on every run\n", len(dd.Cycle))
+	fmt.Fprintf(w, "\ncycle has %d edges; identical on every run\n", len(dd.Cycle))
+	return nil
 }

@@ -13,16 +13,26 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	detlock "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatalf("quickstart example: %v", err)
+	}
+}
+
+// run prints the acquisition order and checks ten re-runs against it.
+func run(w io.Writer) error {
 	const (
 		threads = 4
 		rounds  = 5
 	)
-	run := func() []string {
+	schedule := func() []string {
 		rt := detlock.New(threads)
 		mu := rt.NewMutex()
 		var log []string
@@ -40,21 +50,21 @@ func main() {
 		return log
 	}
 
-	first := run()
-	fmt.Println("acquisition order (identical on every run):")
+	first := schedule()
+	fmt.Fprintln(w, "acquisition order (identical on every run):")
 	for _, line := range first {
-		fmt.Println(" ", line)
+		fmt.Fprintln(w, " ", line)
 	}
 
 	// Prove it: re-run many times and compare.
 	for i := 0; i < 10; i++ {
-		again := run()
+		again := schedule()
 		for j := range first {
 			if again[j] != first[j] {
-				fmt.Printf("DIVERGED at %d: %q vs %q\n", j, again[j], first[j])
-				return
+				return fmt.Errorf("diverged at %d: %q vs %q", j, again[j], first[j])
 			}
 		}
 	}
-	fmt.Println("10 re-runs produced the identical schedule ✓")
+	fmt.Fprintln(w, "10 re-runs produced the identical schedule ✓")
+	return nil
 }

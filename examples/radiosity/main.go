@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
 	"os"
 
 	detlock "repro"
@@ -76,16 +78,23 @@ done:
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatalf("radiosity example: %v", err)
+	}
+}
+
+// run simulates the program at each setting and prints the overhead split.
+func run(w io.Writer) error {
 	m, err := detlock.ParseProgram(program)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	baseline, err := detlock.Simulate(m, detlock.SimConfig{Threads: 4})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("baseline (plain locks, no clocks): %d cycles\n\n", baseline.Cycles)
+	fmt.Fprintf(w, "baseline (plain locks, no clocks): %d cycles\n\n", baseline.Cycles)
 
 	for _, cfg := range []struct {
 		name string
@@ -97,35 +106,31 @@ func main() {
 		opt := cfg.opt
 		clocks, err := detlock.Simulate(m, detlock.SimConfig{Threads: 4, Opt: &opt})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		det, err := detlock.Simulate(m, detlock.SimConfig{Threads: 4, Opt: &opt, Deterministic: true})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		pct := func(c int64) float64 {
 			return (float64(c)/float64(baseline.Cycles) - 1) * 100
 		}
-		fmt.Printf("%s:\n", cfg.name)
-		fmt.Printf("  clock updates executed: %d\n", clocks.ClockUpdates)
+		fmt.Fprintf(w, "%s:\n", cfg.name)
+		fmt.Fprintf(w, "  clock updates executed: %d\n", clocks.ClockUpdates)
 		if len(clocks.Clockable) > 0 {
-			fmt.Printf("  clocked functions: %v\n", clocks.Clockable)
+			fmt.Fprintf(w, "  clocked functions: %v\n", clocks.Clockable)
 		}
-		fmt.Printf("  clock insertion overhead:      %5.1f%%\n", pct(clocks.Cycles))
-		fmt.Printf("  + deterministic execution:     %5.1f%%\n\n", pct(det.Cycles))
+		fmt.Fprintf(w, "  clock insertion overhead:      %5.1f%%\n", pct(clocks.Cycles))
+		fmt.Fprintf(w, "  + deterministic execution:     %5.1f%%\n\n", pct(det.Cycles))
 	}
 
 	// Weak determinism: the lock schedule is identical across runs.
 	opt := detlock.AllOptimizations()
 	sched, err := detlock.CheckDeterminism(m, detlock.SimConfig{Threads: 4, Opt: &opt}, 5)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("determinism verified: 5 runs, schedule hash %016x (%d acquisitions)\n",
+	fmt.Fprintf(w, "determinism verified: 5 runs, schedule hash %016x (%d acquisitions)\n",
 		sched.Hash(), sched.Len())
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "radiosity example:", err)
-	os.Exit(1)
+	return nil
 }

@@ -23,9 +23,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
+	"slices"
 
 	detlock "repro"
 )
@@ -36,7 +40,14 @@ const (
 )
 
 func main() {
-	run := func() []string {
+	if err := run(os.Stdout); err != nil {
+		log.Fatalf("replay example: %v", err)
+	}
+}
+
+// run replays the producer/consumer history, then the divergence demo.
+func run(w io.Writer) error {
+	record := func() []string {
 		rt := detlock.New(1 + consumers)
 		mu := rt.NewMutex()
 		cv := rt.NewCond(mu)
@@ -90,28 +101,27 @@ func main() {
 		return history
 	}
 
-	first := run()
-	fmt.Printf("event history (%d events), first and last lines:\n", len(first))
+	first := record()
+	fmt.Fprintf(w, "event history (%d events), first and last lines:\n", len(first))
 	for _, l := range first[:4] {
-		fmt.Println("  ", l)
+		fmt.Fprintln(w, "  ", l)
 	}
-	fmt.Println("   ...")
-	fmt.Println("  ", first[len(first)-1])
+	fmt.Fprintln(w, "   ...")
+	fmt.Fprintln(w, "  ", first[len(first)-1])
 
 	for i := 0; i < 8; i++ {
-		if again := run(); !equal(first, again) {
-			fmt.Println("HISTORY DIVERGED — determinism violated")
-			return
+		if !slices.Equal(first, record()) {
+			return errors.New("history diverged: determinism violated")
 		}
 	}
-	fmt.Println("8 replays produced the identical history ✓")
-	fmt.Println()
-	divergenceDemo()
+	fmt.Fprintln(w, "8 replays produced the identical history ✓")
+	fmt.Fprintln(w)
+	return divergenceDemo(w)
 }
 
 // divergenceDemo records a reference schedule, replays it cleanly, then
 // forces a divergence and prints the typed report.
-func divergenceDemo() {
+func divergenceDemo(w io.Writer) error {
 	ladder := func(record, guard *detlock.Schedule, perturb bool) error {
 		rt := detlock.New(3)
 		if record != nil {
@@ -144,22 +154,19 @@ func divergenceDemo() {
 
 	ref := detlock.NewSchedule()
 	if err := ladder(ref, nil, false); err != nil {
-		fmt.Println("reference run failed:", err)
-		return
+		return fmt.Errorf("reference run: %w", err)
 	}
-	fmt.Printf("reference schedule recorded: %d acquisitions, hash %016x\n", ref.Len(), ref.Hash())
+	fmt.Fprintf(w, "reference schedule recorded: %d acquisitions, hash %016x\n", ref.Len(), ref.Hash())
 
 	// Persist the schedule to disk and replay against the reloaded copy — a
 	// different process could do the same with the file alone.
 	path := filepath.Join(os.TempDir(), "detlock-replay-schedule.json")
 	data, err := json.Marshal(ref)
 	if err != nil {
-		fmt.Println("marshal schedule:", err)
-		return
+		return fmt.Errorf("marshal schedule: %w", err)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Println("persist schedule:", err)
-		return
+		return fmt.Errorf("persist schedule: %w", err)
 	}
 	loaded := detlock.NewSchedule()
 	raw, err := os.ReadFile(path)
@@ -167,38 +174,23 @@ func divergenceDemo() {
 		err = json.Unmarshal(raw, loaded)
 	}
 	if err != nil {
-		fmt.Println("reload schedule:", err)
-		return
+		return fmt.Errorf("reload schedule: %w", err)
 	}
 	if loaded.Hash() != ref.Hash() {
-		fmt.Println("UNEXPECTED: reloaded schedule hash differs")
-		return
+		return errors.New("reloaded schedule hash differs")
 	}
-	fmt.Printf("schedule persisted to %s (%d bytes) and reloaded, hash intact ✓\n", path, len(data))
+	fmt.Fprintf(w, "schedule persisted to %s (%d bytes) and reloaded, hash intact ✓\n", path, len(data))
 
 	if err := ladder(nil, loaded, false); err != nil {
-		fmt.Println("UNEXPECTED: faithful replay diverged:", err)
-		return
+		return fmt.Errorf("faithful replay diverged: %w", err)
 	}
-	fmt.Println("faithful re-run replays the persisted reference cleanly ✓")
+	fmt.Fprintln(w, "faithful re-run replays the persisted reference cleanly ✓")
 
 	err = ladder(nil, loaded, true)
 	if err == nil {
-		fmt.Println("UNEXPECTED: perturbed run matched the reference")
-		return
+		return errors.New("perturbed run matched the reference")
 	}
-	fmt.Println("perturbed re-run caught by the replay guard:")
-	fmt.Println(detlock.FormatFailure(err))
-}
-
-func equal(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	fmt.Fprintln(w, "perturbed re-run caught by the replay guard:")
+	fmt.Fprintln(w, detlock.FormatFailure(err))
+	return nil
 }

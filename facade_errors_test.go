@@ -1,7 +1,6 @@
 package detlock_test
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -106,36 +105,4 @@ func TestFacadeThreadCounts(t *testing.T) {
 			t.Fatalf("n=0: err = %v, want ErrBadConfig", err)
 		}
 	})
-}
-
-// TestFacadeServiceExports exercises the re-exported service layer through
-// the facade names only.
-func TestFacadeServiceExports(t *testing.T) {
-	svc := detlock.NewService(detlock.ServiceConfig{Workers: 1})
-	defer svc.Close(context.Background())
-
-	_, err := svc.Do(context.Background(), detlock.JobRequest{})
-	if !errors.Is(err, detlock.ErrBadConfig) {
-		t.Fatalf("empty request: err = %v, want ErrBadConfig", err)
-	}
-	if kind := detlock.ClassifyJobError(err); kind != "misuse" {
-		t.Fatalf("ClassifyJobError = %q, want misuse", kind)
-	}
-	if _, err := svc.Lookup("nope"); !errors.Is(err, detlock.ErrUnknownJob) {
-		t.Fatalf("Lookup: err = %v, want ErrUnknownJob", err)
-	}
-
-	res, err := svc.Do(context.Background(), detlock.JobRequest{
-		Source:    "module m\nlocks 1\nfunc main() regs 2 {\nentry:\n  lock 0\n  unlock 0\n  ret r0\n}",
-		Artifacts: detlock.JobArtifacts{Schedule: true},
-	})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if res.Schedule == nil || res.Schedule.Len() != res.ScheduleLen {
-		t.Fatal("schedule artifact missing through the facade")
-	}
-	if svc.Snapshot().JobsCompleted != 1 {
-		t.Fatalf("stats snapshot: completed = %d, want 1", svc.Snapshot().JobsCompleted)
-	}
 }

@@ -8,6 +8,7 @@ package bin
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 )
 
 // AppendString appends s as its length and bytes, which need not be UTF-8.
@@ -54,6 +55,11 @@ func (r *Reader) Varint() int64 {
 	r.take(n)
 	return v
 }
+
+// Narrow converts a wire integer to an int, saturating at the int's range: a
+// value too wide for a 32-bit word reads there as the widest one, which a
+// bound on the field refuses as it refuses the exact value on 64 bits.
+func Narrow(v int64) int { return int(max(min(v, math.MaxInt), math.MinInt)) }
 
 func (r *Reader) Byte() byte {
 	if p := r.take(1); p != nil {

@@ -467,7 +467,7 @@ func TestJournalShippingAndTakeover(t *testing.T) {
 	}
 
 	// Warm takeover: open the engine on the shipped journal.
-	svc, err := Takeover(shipPath, service.Config{Workers: 2})
+	svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 2})
 	if err != nil {
 		t.Fatalf("Takeover: %v", err)
 	}
@@ -529,7 +529,7 @@ func TestResyncKeepsLinesRecordedDuringIt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc, err := Takeover(shipPath, service.Config{Workers: 2})
+	svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 2})
 	if err != nil {
 		t.Fatalf("Takeover: %v", err)
 	}

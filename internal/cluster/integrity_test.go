@@ -244,7 +244,7 @@ func TestShipBatchCorruptionRejected(t *testing.T) {
 	if err := standby.Close(ctx); err != nil {
 		t.Fatalf("standby close: %v", err)
 	}
-	svc, err := Takeover(shipPath, service.Config{Workers: 2})
+	svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 2})
 	if err != nil {
 		t.Fatalf("takeover: %v", err)
 	}

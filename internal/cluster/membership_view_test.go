@@ -140,7 +140,7 @@ func TestMembershipPeerListHardening(t *testing.T) {
 }
 
 // TestClusterConfigValidate pins the typed rejection of contradictory
-// configurations, both through Validate and through Open.
+// configurations, both through validate and through Open.
 func TestClusterConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -155,9 +155,9 @@ func TestClusterConfigValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
+			err := tc.cfg.validate()
 			if err == nil {
-				t.Fatal("Validate accepted a contradictory config")
+				t.Fatal("validate accepted a contradictory config")
 			}
 			if !errors.Is(err, diag.ErrBadConfig) {
 				t.Fatalf("error %v is not ErrBadConfig", err)
@@ -167,15 +167,15 @@ func TestClusterConfigValidate(t *testing.T) {
 				t.Fatalf("error %v is not a cluster.Open MisuseError", err)
 			}
 			if _, err := Open(tc.cfg); err == nil {
-				t.Fatal("Open accepted a config Validate rejects")
+				t.Fatal("Open accepted a config validate rejects")
 			}
 		})
 	}
 	good := Config{Self: "a", SeedPeers: []string{}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("Validate rejected a bootstrap config: %v", err)
+	if err := good.validate(); err != nil {
+		t.Fatalf("validate rejected a bootstrap config: %v", err)
 	}
-	if err := (&Config{}).Validate(); err != nil {
-		t.Fatalf("Validate rejected single-node config: %v", err)
+	if err := (&Config{}).validate(); err != nil {
+		t.Fatalf("validate rejected single-node config: %v", err)
 	}
 }

@@ -228,7 +228,7 @@ func TestStandbySnapshotFsyncFault(t *testing.T) {
 	}
 
 	standby.Close(ctx)
-	svc, err := Takeover(shipPath, service.Config{Workers: 1})
+	svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 1})
 	if err != nil {
 		t.Fatalf("Takeover: %v", err)
 	}

@@ -70,7 +70,7 @@ type Config struct {
 	// <0 disables the background flusher (tests drive ShipFlush directly).
 	ShipInterval time.Duration
 	// ShipPath, when non-empty, makes this node a standby target: shipped
-	// records are persisted there, ready for Takeover.
+	// records are persisted there, and service.Open on the file takes over.
 	ShipPath string
 
 	// GossipInterval is the membership-dissemination period in dynamic mode
@@ -83,11 +83,10 @@ type Config struct {
 	RepairInterval time.Duration
 }
 
-// Validate rejects contradictory cluster configurations with a typed
+// validate rejects contradictory cluster configurations with a typed
 // *diag.MisuseError (Kind diag.ErrBadConfig), mirroring the service's own
-// config validation. Open calls it; the root facade exports it so embedders
-// can validate before paying for a failed Open.
-func (c *Config) Validate() error {
+// config validation. Open calls it.
+func (c *Config) validate() error {
 	bad := func(detail string) error {
 		return &diag.MisuseError{Op: "cluster.Open", ThreadID: -1, Kind: diag.ErrBadConfig, Detail: detail}
 	}
@@ -201,7 +200,7 @@ type Node struct {
 // node is clustered from birth (even alone) so that it can be joined, and
 // newcomers call Join after Open to bootstrap through a seed.
 func Open(cfg Config) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg.withDefaults()

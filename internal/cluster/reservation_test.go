@@ -90,7 +90,7 @@ func TestShippedReservationSurvivesTakeover(t *testing.T) {
 		t.Fatal("the reservation the primary wrote behind the snapshot was not shipped")
 	}
 
-	svc, err := Takeover(shipPath, service.Config{Workers: 2, QueueDepth: 4096})
+	svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 2, QueueDepth: 4096})
 	if err != nil {
 		t.Fatalf("Takeover: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestResyncReservationCoversUnshippedHits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc, err := Takeover(shipPath, service.Config{Workers: 2})
+	svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 2})
 	if err != nil {
 		t.Fatalf("Takeover: %v", err)
 	}

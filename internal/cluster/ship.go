@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/diag"
-	"repro/internal/service"
 	"repro/internal/vfs"
 )
 
@@ -256,16 +255,4 @@ func (st *standbyStore) close() error {
 	err := st.f.Close()
 	st.f = nil
 	return err
-}
-
-// Takeover promotes a shipped journal into a running service: open the
-// engine on the shipped file and let recovery-by-re-execution do the rest —
-// finished jobs are served from the journal (and cross-checked), unfinished
-// ones re-execute. This is the warm-takeover path a standby runs when its
-// primary dies; it reuses the crash-recovery machinery verbatim because, by
-// design, a dead primary and a crashed process leave the same artifact: a
-// journal prefix.
-func Takeover(shipPath string, cfg service.Config) (*service.Service, error) {
-	cfg.JournalPath = shipPath
-	return service.Open(cfg)
 }

@@ -175,7 +175,7 @@ func TestStripSumsRejectsEveryMessage(t *testing.T) {
 				t.Fatalf("flush after heal: sent %d, err %v", sent, err)
 			}
 			b.Close(ctx)
-			svc, err := Takeover(shipPath, service.Config{Workers: 1})
+			svc, err := service.Open(service.Config{JournalPath: shipPath, Workers: 1})
 			if err != nil {
 				t.Fatalf("takeover: %v", err)
 			}

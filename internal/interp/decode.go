@@ -808,6 +808,10 @@ func (t *Thread) stepFast(st *sim.Step) error {
 			return t.errf("call to unknown builtin %q", fr.code.aux[d.aux].name)
 		case dSpawn:
 			au := &fr.code.aux[d.aux]
+			if err := t.admitSpawn(au.name); err != nil {
+				t.flush(fr, pc, retired)
+				return err
+			}
 			args := make([]int64, len(au.argRegs))
 			for i, r := range au.argRegs {
 				args[i] = rload(rp, r)

@@ -307,6 +307,27 @@ entry:
 }
 `, true, nil},
 	{"unknown terminator", faultBody, true, func(m *ir.Module) { m.Funcs[0].Blocks[0].Term.Kind = 200 }},
+	{"spawn past the thread bound", `
+module f
+func child() regs 1 {
+entry:
+  ret 0
+}
+func main() regs 3 {
+entry:
+  r0 = const 0
+  jmp loop
+loop:
+  r1 = lt r0, 300
+  br r1, body, done
+body:
+  r2 = spawn child()
+  r0 = add r0, 1
+  jmp loop
+done:
+  ret r0
+}
+`, false, nil},
 }
 
 const faultBody = `

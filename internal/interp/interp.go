@@ -24,6 +24,7 @@ import (
 	"unsafe"
 
 	"repro/internal/detrand"
+	"repro/internal/diag"
 	"repro/internal/estimates"
 	"repro/internal/ir"
 	"repro/internal/sim"
@@ -115,8 +116,9 @@ type Machine struct {
 	gptrs []unsafe.Pointer // slot -> buffer base (unchecked access path)
 
 	// spawned collects dynamically created threads so callers can read
-	// their outputs after the run.
+	// their outputs after the run; threads counts all it starts.
 	spawned []*Thread
+	threads int
 
 	// race is the optional data-race detector; nil when disabled.
 	race *RaceDetector
@@ -209,6 +211,7 @@ func NewMachine(cfg Config) (*Machine, []*Thread, error) {
 		baseOff: map[string]int64{},
 		gidx:    map[string]int{},
 		dcache:  map[*ir.Func]*dcode{},
+		threads: cfg.Threads,
 	}
 	var off int64
 	for i, g := range cfg.Module.Globals {
@@ -343,6 +346,23 @@ func (t *Thread) push(fn *ir.Func, args []int64, retDst ir.Reg) {
 	regs := make([]int64, fn.NumRegs)
 	copy(regs, args)
 	t.stack = append(t.stack, frame{fn: fn, regs: regs, block: fn.Entry(), retDst: retDst})
+}
+
+// maxThreads bounds the threads one machine starts, entry and spawned
+// together. A thread that has run nothing costs about 500 bytes (80,000
+// spawned ones took 44.9 MB in one job); 512 is twice the widest request the
+// service admits, and no SPLASH model, corpus program or idiom spawns at all.
+const maxThreads = 512
+
+// admitSpawn counts t's spawn of fn against maxThreads, or refuses it with a
+// typed misuse naming the site: the same spawn on every run.
+func (t *Thread) admitSpawn(fn string) error {
+	if t.mach.threads >= maxThreads {
+		return &diag.MisuseError{Op: "spawn", ThreadID: -1, Kind: diag.ErrBadConfig,
+			Detail: fmt.Sprintf("thread %d in %s spawning %s: a machine starts at most %d threads", t.tid, t.top().fn.Name, fn, maxThreads)}
+	}
+	t.mach.threads++
+	return nil
 }
 
 // errInterp wraps interpreter runtime faults with thread context.
@@ -536,6 +556,9 @@ func (t *Thread) execInstr(ins *ir.Instr, cycles *int64) (sim.Step, bool, error)
 		callee := t.mach.mod.Func(ins.Callee)
 		if callee == nil {
 			return sim.Step{}, false, t.errf("spawn of unknown function %q", ins.Callee)
+		}
+		if err := t.admitSpawn(ins.Callee); err != nil {
+			return sim.Step{}, false, err
 		}
 		args := make([]int64, len(ins.Args))
 		for k, a := range ins.Args {

@@ -35,7 +35,7 @@ func (q *Request) DecodeBinary(r *bin.Reader) {
 	q.Source = r.String()
 	q.Entry = r.String()
 	q.Preset = r.String()
-	q.Threads = int(r.Varint())
+	q.Threads = bin.Narrow(r.Varint())
 	q.PerturbSeed = r.Varint()
 	q.DeadlineMS = r.Varint()
 }
@@ -95,7 +95,7 @@ func (res *Result) DecodeBinary(r *bin.Reader) {
 	bin.SetFlags(r.Byte(), &res.Cached, &res.InstrCached, &res.SelfChecked, &res.PeerFilled, &res.Remote, &hasSchedule, &hasOverhead)
 	res.JobID = r.String()
 	res.ScheduleHash = r.String()
-	res.ScheduleLen = int(r.Varint())
+	res.ScheduleLen = bin.Narrow(r.Varint())
 	for _, p := range res.counters() {
 		*p = r.Varint()
 	}
@@ -112,7 +112,7 @@ func (res *Result) DecodeBinary(r *bin.Reader) {
 		res.Schedule.DecodeBinary(r)
 	}
 	if hasOverhead {
-		o := &harness.OverheadRow{BaselineCycles: r.Varint(), Clockable: int(r.Varint())}
+		o := &harness.OverheadRow{BaselineCycles: r.Varint(), Clockable: bin.Narrow(r.Varint())}
 		for _, p := range overheadFloats(o) {
 			*p = math.Float64frombits(r.Uvarint())
 		}

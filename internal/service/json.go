@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"repro/internal/bin"
 )
 
 // The public API's JSON, walked once, a program text unescaped once (DESIGN §7,
@@ -28,6 +30,24 @@ func (s *Service) DecodeRequestJSON(body []byte, req *Request) error {
 	}
 	*req = Request{}
 	return json.Unmarshal(body, req)
+}
+
+// UnmarshalJSON is json.Unmarshal's decoding, error text included, but for
+// threads, read as 64 bits and narrowed as the binary codec narrows it: a body
+// decodes alike on every word size, and normalize refuses an overwide count.
+func (q *Request) UnmarshalJSON(b []byte) error {
+	type plain Request
+	type Request struct {
+		*plain
+		Threads int64 `json:"threads"`
+	}
+	w := Request{(*plain)(q), int64(q.Threads)}
+	err := json.Unmarshal(b, &w)
+	q.Threads = bin.Narrow(w.Threads)
+	if te, ok := err.(*json.UnmarshalTypeError); ok {
+		te.Field = strings.TrimPrefix(te.Field, "plain.")
+	}
+	return err
 }
 
 // reqDecoder is a cursor over a request body. Every method reports false at
@@ -99,8 +119,8 @@ func (d *reqDecoder) request(req *Request) bool {
 		case "threads":
 			var v int64
 			ok := d.integer(&v)
-			req.Threads = int(v)
-			return 1 << 2, ok && int64(req.Threads) == v
+			req.Threads = bin.Narrow(v)
+			return 1 << 2, ok
 		case "preset":
 			return 1 << 3, d.str(&req.Preset)
 		case "baseline":

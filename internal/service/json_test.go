@@ -3,14 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/bin"
 	"repro/internal/detrand"
+	"repro/internal/diag"
 )
 
 // detloadBody is what a client of POST /v1/jobs sends: json.Marshal of a
@@ -163,6 +167,42 @@ func FuzzDecodeRequest(f *testing.F) {
 // TestDecodeRequestMatchesJSON drives the same contract from generated
 // requests: marshalled plainly, indented, and with every source byte escaped
 // the long way.
+// TestOverwideThreadsAreMisuse feeds a thread count wider than 32 bits through
+// the JSON decoders and the binary one. Each decodes it, on every word size,
+// to a count normalize refuses as a misuse: the exact count on 64 bits, the
+// widest int on 32. Before, a 32-bit build's JSON refused it as malformed and
+// its binary codec read it as 4 and ran it.
+func TestOverwideThreadsAreMisuse(t *testing.T) {
+	const wide = 1<<32 + 4
+	src := "module m\nfunc main() regs 1 {\nentry:\n  ret 0\n}\n"
+	body := []byte(fmt.Sprintf(`{"source":%q,"threads":%d}`, src, int64(wide)))
+	checkDecode(t, body)
+	var fromJSON, fromBinary Request
+	if err := memoService.DecodeRequestJSON(body, &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	// The request's frame ends with threads, perturb_seed and deadline_ms,
+	// zero here, one byte each.
+	frame := (&Request{Source: src}).AppendBinary(nil)
+	frame = append(binary.AppendVarint(frame[:len(frame)-3], wide), 0, 0)
+	r := bin.NewReader(frame)
+	fromBinary.DecodeBinary(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1})
+	defer svc.Close(context.Background())
+	for name, req := range map[string]Request{"json": fromJSON, "binary": fromBinary} {
+		if req.Threads != bin.Narrow(wide) {
+			t.Errorf("%s: threads = %d, want %d", name, req.Threads, bin.Narrow(wide))
+		}
+		_, err := svc.Do(context.Background(), req)
+		if !errors.Is(err, diag.ErrBadConfig) || Classify(err) != "misuse" {
+			t.Errorf("%s: err = %v (class %q), want a misuse", name, err, Classify(err))
+		}
+	}
+}
+
 func TestDecodeRequestMatchesJSON(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		req := randRequest(detrand.New(seed, 0))

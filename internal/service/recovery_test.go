@@ -233,6 +233,7 @@ func TestOversizedCountsAreMisuse(t *testing.T) {
 		"global -1":   "module m\nglobal g -1\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
 		"global 2^40": "module m\nglobal g 1099511627776\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
 		"global sum":  "module m\nglobal a 600000\nglobal b 600000\nfunc main() regs 1 {\nentry:\n  r0 = tid\n  ret 0\n}\n",
+		"spawn":       "module m\nfunc child() regs 1 {\nentry:\n  ret 0\n}\nfunc main() regs 3 {\nentry:\n  r0 = const 0\n  jmp loop\nloop:\n  r1 = lt r0, 20000\n  br r1, body, done\nbody:\n  r2 = spawn child()\n  r0 = add r0, 1\n  jmp loop\ndone:\n  ret r0\n}\n",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

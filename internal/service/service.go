@@ -18,8 +18,7 @@
 // *diag.RaceError, *diag.MisuseError, …) as the job's error; the server —
 // and every other in-flight job — keeps running.
 //
-// cmd/detserve is the HTTP front end; the root facade re-exports the types
-// for embedding.
+// cmd/detserve is the HTTP front end.
 //
 // This file is Config, Service and the service's own lifetime — Open, Close,
 // Kill, Snapshot — and reads against DESIGN §7; submit.go is a job as its

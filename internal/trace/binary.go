@@ -35,7 +35,7 @@ func (s *Schedule) DecodeBinary(r *bin.Reader) {
 		events = make([]Event, n)
 	}
 	for i := range events {
-		events[i] = Event{Seq: int64(i), Lock: int(r.Varint()), Thread: int(r.Varint()), Clock: r.Varint()}
+		events[i] = Event{Seq: int64(i), Lock: bin.Narrow(r.Varint()), Thread: bin.Narrow(r.Varint()), Clock: r.Varint()}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
