@@ -99,7 +99,15 @@ loc:
 # loc-check fails when that count exceeds LOC_CEILING, the count of the last
 # change that moved it. A change that needs more lines raises the number in
 # its own diff and says why; one that frees lines lowers it.
-# Last moved by -204, for deleting the root package's service, cluster and
+# Last moved by +201, for writing journal records without reflection and
+# decoding a result alike on 32 and 64 bits: internal/service's json.go
+# (+141 for the writer: the string escaper, jsonWriter and the Request and
+# Result field walkers, less AppendJSONIndent's own field list and
+# plainString; +18 for Result.UnmarshalJSON) and journal.go (+21:
+# journalRecord.writeJSON and the header's note, less the encoder, its
+# buffer and its record), internal/harness's harness.go (+21:
+# OverheadRow.UnmarshalJSON). The writer is +162 of it, the two 64-bit
+# decodes +39. Moved before that by -204, for deleting the root package's service, cluster and
 # workload re-exports nothing used: service.go (-89), cluster.go (-80),
 # workload.go (-73), detlock.go (-27: the four service-only error aliases,
 # RacePolicy, which the root rule flagged, a dead branch, and one helper
@@ -130,6 +138,6 @@ loc:
 # builder) and internal/harness's tables.go (-16) and harness.go (+3: one
 # grid runner for both tables); internal/service's job.go (+10: the
 # thread-count bound).
-LOC_CEILING = 23185
+LOC_CEILING = 23386
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ceiling $(LOC_CEILING))"; test $$n -le $(LOC_CEILING)

@@ -4,9 +4,12 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 
+	"repro/internal/bin"
 	"repro/internal/core"
 	"repro/internal/estimates"
 	"repro/internal/interp"
@@ -255,6 +258,24 @@ type OverheadRow struct {
 	Clockable      int     `json:"clockable"`
 	ClocksPct      float64 `json:"clocks_overhead_pct"`
 	DetPct         float64 `json:"det_overhead_pct"`
+}
+
+// UnmarshalJSON is json.Unmarshal's decoding, error text included, but for
+// clockable, read as 64 bits and narrowed as the binary codec narrows it: a
+// row decodes alike on every word size.
+func (o *OverheadRow) UnmarshalJSON(b []byte) error {
+	type plain OverheadRow
+	type OverheadRow struct {
+		*plain
+		Clockable int64 `json:"clockable"`
+	}
+	w := OverheadRow{(*plain)(o), int64(o.Clockable)}
+	err := json.Unmarshal(b, &w)
+	o.Clockable = bin.Narrow(w.Clockable)
+	if te, ok := err.(*json.UnmarshalTypeError); ok {
+		te.Field = strings.TrimPrefix(te.Field, "plain.")
+	}
+	return err
 }
 
 // OverheadRowFor runs the three simulations behind one Table I cell pair

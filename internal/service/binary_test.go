@@ -151,9 +151,11 @@ func TestBinaryMatchesJSON(t *testing.T) {
 
 // TestBinaryCodecCoversEveryField fails when a type a hand codec walks gains,
 // loses or retypes a field. encoding/json picks new fields up by itself;
-// binary.go (and trace/binary.go for Event) and json.go's one-pass Request
-// decoder and Result encoder do not: add the field to binary.go, to json.go,
-// to randRequest / randResult above, and only then to these literals.
+// binary.go (and trace/binary.go for Event), json.go's one-pass Request
+// decoder and its Request and Result writers, and journal.go's record writer
+// do not: add the field to binary.go, to json.go (or journal.go's writeJSON for
+// a record field), to randRequest / randResult above or FuzzRecordMatchesEncoder,
+// and only then to these literals.
 func TestBinaryCodecCoversEveryField(t *testing.T) {
 	for _, tc := range []struct {
 		v    any
@@ -168,6 +170,7 @@ func TestBinaryCodecCoversEveryField(t *testing.T) {
 		{StolenJob{}, "ID string; Req service.Request"},
 		{trace.Event{}, "Seq int64; Lock int; Thread int; Clock int64"},
 		{harness.OverheadRow{}, "BaselineCycles int64; BaselineMS float64; LocksPerSec float64; Clockable int; ClocksPct float64; DetPct float64"},
+		{journalRecord{}, "Type string; ID string; Src string; Req *service.Request; Result *service.Result; Error string; Kind string; Text string"},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var fields []string
@@ -175,7 +178,7 @@ func TestBinaryCodecCoversEveryField(t *testing.T) {
 			fields = append(fields, fmt.Sprintf("%s %s", typ.Field(i).Name, typ.Field(i).Type))
 		}
 		if got := strings.Join(fields, "; "); got != tc.want {
-			t.Errorf("%s changed and the binary codec has not been told:\n got %s\nwant %s", typ, got, tc.want)
+			t.Errorf("%s changed and its hand codecs have not been told:\n got %s\nwant %s", typ, got, tc.want)
 		}
 	}
 }

@@ -32,7 +32,7 @@ const frameMagic = "#c1 "
 
 // appendFrame appends payload to dst as one framed line (trailing newline
 // included): the journal frames a record straight into its pending buffer.
-// The payload must not contain '\n' (encoding/json never emits one).
+// The payload must not contain '\n' (a compact JSON record never does).
 func appendFrame(dst, payload []byte) []byte {
 	const hexDigits = "0123456789abcdef"
 	dst = append(dst, frameMagic...)

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,6 +76,44 @@ func BenchmarkDoHitJournaled(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(fsys.syncs.Load()-before)/float64(b.N), "syncs/op")
+}
+
+// BenchmarkJournalRecord frames a clean hit's finish record, the one record a
+// journaled hit appends, through json.Encoder (what the journal encoded with
+// before its record writer) and through the writer, in one process.
+func BenchmarkJournalRecord(b *testing.B) {
+	res := &Result{JobID: "job-123456", Cached: true, InstrCached: true, ScheduleHash: "0123456789abcdef",
+		ScheduleLen: 22, Cycles: 2731, WaitCycles: 412, Acquisitions: 22, ClockUpdates: 187, Clockable: []string{"worker", "main"}}
+	rec := finishRecord(res.JobID, res, nil)
+	rec.Src = programID(hitPrograms(b)["1kB"])
+	rec.Req = &Request{Threads: 4, Preset: "all", PerturbSeed: 3, Artifacts: Artifacts{Stats: true}}
+	want := frameLine(bytes.TrimSuffix(encoderBytes(b, &rec, false), []byte("\n")))
+	var line []byte
+	b.Run("encoder", func(b *testing.B) {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		b.ReportAllocs()
+		for range b.N {
+			buf.Reset()
+			if err := enc.Encode(&rec); err != nil {
+				b.Fatal(err)
+			}
+			line = appendFrame(line[:0], bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+		}
+	})
+	b.Run("writer", func(b *testing.B) {
+		var out []byte
+		b.ReportAllocs()
+		for range b.N {
+			w := jsonWriter{b: out[:0]}
+			rec.writeJSON(&w)
+			out = w.b
+			line = appendFrame(line[:0], out)
+		}
+		if !bytes.Equal(line, want) {
+			b.Fatalf("the writer framed\n%s\nthe encoder\n%s", line, want)
+		}
+	})
 }
 
 // BenchmarkDoHitParallel is the same hit from every processor at once. A hit

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
@@ -20,7 +19,10 @@ import (
 // execution as a fault-tolerance substrate): a recovered job needs no state
 // transfer, because re-executing its journaled request provably reproduces
 // the lost result. The journal therefore stores only requests and result
-// summaries — never simulator state — and recovery is re-execution.
+// summaries — never simulator state — and recovery is re-execution. A
+// record is written by journalRecord.writeJSON through json.go's writer,
+// without reflection; encoding/json stays the definition of its bytes and
+// decodes it on replay.
 //
 // Durability contract, record by record (DESIGN §9 has it as a table). The
 // rule behind every row: a caller waits for the disk exactly when a crash
@@ -116,6 +118,31 @@ type journalRecord struct {
 	Text string `json:"text,omitempty"`
 }
 
+// writeJSON writes the record as json.Marshal does and reports true. It
+// reports false for a result carrying a schedule or an overhead row, which
+// finishRecord never journals; w then holds part of the record.
+func (rec *journalRecord) writeJSON(w *jsonWriter) bool {
+	w.open('{')
+	w.str(`"type":`, rec.Type, always)
+	w.str(`"id":`, rec.ID, always)
+	w.str(`"src":`, rec.Src, omitEmpty)
+	if rec.Req != nil {
+		w.key(`"req":`)
+		rec.Req.writeJSON(w)
+	}
+	if rec.Result != nil {
+		w.key(`"result":`)
+		if !rec.Result.writeJSON(w) {
+			return false
+		}
+	}
+	w.str(`"error":`, rec.Error, omitEmpty)
+	w.str(`"kind":`, rec.Kind, omitEmpty)
+	w.str(`"text":`, rec.Text, omitEmpty)
+	w.close('}')
+	return true
+}
+
 // journalJob is the replayed state of one journaled job: its request plus
 // its finish record, if any was durable before the crash.
 type journalJob struct {
@@ -140,20 +167,16 @@ type journal struct {
 	f    vfs.File
 
 	// pending holds the framed records not yet handed to the OS, spare the
-	// buffer the last commit wrote (the next swap reuses it); enc marshals a
-	// record into encBuf on its way into a frame.
-	pending, spare []byte
-	pendingRecs    int
-	fsyncEvery     int
-	encBuf         bytes.Buffer
-	enc            *json.Encoder
+	// buffer the last commit wrote (the next swap reuses it), line the JSON
+	// of the record on its way into a frame.
+	pending, spare, line []byte
+	pendingRecs          int
+	fsyncEvery           int
 	// texts maps each text a program record of the log holds to its program
 	// id: one entry per distinct program journaled, however many jobs use it;
-	// scratch is the request a record carries, its source blanked, and
-	// encRec the record being encoded.
+	// scratch is the request a record carries, its source blanked.
 	texts   map[string]string
 	scratch Request
-	encRec  journalRecord
 
 	// appended numbers the job records taken so far, committed is the last
 	// one a finished Write + Sync covers, committing says a committer is
@@ -225,7 +248,6 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte
 		ship:       ship,
 	}
 	j.cond = sync.NewCond(&j.mu)
-	j.enc = json.NewEncoder(&j.encBuf)
 	// Startup sweep: a crash between a rewrite's temp write and its rename
 	// leaves `.compact` behind; the previous boot's scrub leaves its
 	// diagnostic `.quarantine` behind. Both describe a past incarnation.
@@ -412,16 +434,14 @@ func (j *journal) settleLocked(durable bool) error {
 // hook. Shipping sees the append stream — every record in append order —
 // which is exactly what a standby needs to replay.
 func (j *journal) appendLocked(rec journalRecord) error {
-	j.encBuf.Reset()
-	// Encode is Marshal plus a newline; the record and the buffer are the
-	// journal's own, so an append allocates neither.
-	j.encRec = rec
-	if err := j.enc.Encode(&j.encRec); err != nil {
+	w := jsonWriter{b: j.line[:0]}
+	if !rec.writeJSON(&w) {
 		j.broken = true
-		return fmt.Errorf("journal: marshal: %w", err)
+		return fmt.Errorf("journal: marshal: the %s record of %s carries a result artifact", rec.Type, rec.ID)
 	}
+	j.line = w.b
 	start := len(j.pending)
-	j.pending = appendFrame(j.pending, bytes.TrimSuffix(j.encBuf.Bytes(), []byte("\n")))
+	j.pending = appendFrame(j.pending, j.line)
 	if j.ship != nil {
 		// Ship the framed bytes verbatim: the standby's log stays
 		// byte-identical to the primary's append stream, and its own
@@ -580,8 +600,9 @@ func programID(text string) string {
 
 // reservationLine is the framed reservation record for mark n.
 func reservationLine(n int64) []byte {
-	b, _ := json.Marshal(&journalRecord{Type: recReserved, ID: jobID(n)}) // two strings: cannot fail
-	return frameLine(b)
+	var w jsonWriter
+	(&journalRecord{Type: recReserved, ID: jobID(n)}).writeJSON(&w) // two strings: cannot fail
+	return frameLine(w.b)
 }
 
 var (

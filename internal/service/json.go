@@ -5,16 +5,19 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/bin"
 )
 
-// The public API's JSON, walked once, a program text unescaped once (DESIGN §7,
-// Front end). encoding/json and job.go's tags remain the definition of POST
-// /v1/jobs: the decoder below may only decline, the encoder appends
-// json.Encoder's bytes or nothing. A field added to Request or Result must be
-// added here too; TestBinaryCodecCoversEveryField fails until it is.
+// The public API's and the journal's JSON, walked once, a program text
+// unescaped once (DESIGN §7, Front end). encoding/json and the types' tags
+// remain the definition of POST /v1/jobs, its reply and a journal record: the
+// decoder below may only decline, the writer appends encoding/json's bytes or
+// nothing. A field added to Request or Result must be added here too, one
+// added to journalRecord to its writeJSON; TestBinaryCodecCoversEveryField
+// fails until it is.
 
 // DecodeRequestJSON decodes a POST /v1/jobs body into req exactly as
 // json.Unmarshal into a zero Request does. The plain shape — the exact
@@ -44,6 +47,24 @@ func (q *Request) UnmarshalJSON(b []byte) error {
 	w := Request{(*plain)(q), int64(q.Threads)}
 	err := json.Unmarshal(b, &w)
 	q.Threads = bin.Narrow(w.Threads)
+	if te, ok := err.(*json.UnmarshalTypeError); ok {
+		te.Field = strings.TrimPrefix(te.Field, "plain.")
+	}
+	return err
+}
+
+// UnmarshalJSON is json.Unmarshal's decoding, error text included, but for
+// schedule_len, read as 64 bits and narrowed as the binary codec narrows it:
+// a journaled or relayed result decodes alike on every word size.
+func (res *Result) UnmarshalJSON(b []byte) error {
+	type plain Result
+	type Result struct {
+		*plain
+		ScheduleLen int64 `json:"schedule_len"`
+	}
+	w := Result{(*plain)(res), int64(res.ScheduleLen)}
+	err := json.Unmarshal(b, &w)
+	res.ScheduleLen = bin.Narrow(w.ScheduleLen)
 	if te, ok := err.(*json.UnmarshalTypeError); ok {
 		te.Field = strings.TrimPrefix(te.Field, "plain.")
 	}
@@ -245,68 +266,206 @@ func (d *reqDecoder) boolean(out *bool) bool {
 	return *out || d.lit("false")
 }
 
-// plainString reports whether json.Encoder writes s between quotes verbatim:
-// plain bytes, less the three it escapes for HTML.
-func plainString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; !plainByte(c) || c == '<' || c == '>' || c == '&' {
-			return false
+// jsonSafe marks the bytes encoding/json writes into a string as themselves
+// whatever follows them: ASCII from 0x20 up, less the quote, the backslash
+// and the three it escapes for HTML. jsonEscape is the letter of the bytes
+// with a short escape.
+var (
+	jsonSafe = func() (safe [256]bool) {
+		for c := byte(0); c < utf8.RuneSelf; c++ {
+			safe[c] = plainByte(c) && c != '<' && c != '>' && c != '&'
+		}
+		return safe
+	}()
+	jsonEscape = [utf8.RuneSelf]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+)
+
+// appendJSONString appends s quoted as encoding/json writes a string: the
+// quote, the backslash and \b \f \n \r \t as their short escapes, other
+// control bytes and < > & as \u00XX, U+2028 and U+2029 as \u2028 and
+// \u2029, and each byte that is not UTF-8 as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if jsonSafe[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			b = append(b, s[start:i]...)
+			if e := jsonEscape[c]; e != 0 {
+				b = append(b, '\\', e)
+			} else {
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			if n == 1 {
+				b = append(b, `\ufffd`...)
+			} else {
+				b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			}
+			start = i + n
+		}
+		i += n
+	}
+	return append(append(b, s[start:]...), '"')
+}
+
+// jsonWriter appends the bytes encoding/json writes for a value walked field
+// by field: json.Marshal's when compact, those of an Encoder with
+// SetIndent("", "  ") when indent is set (without the Encoder's newline).
+type jsonWriter struct {
+	b      []byte
+	indent bool
+	depth  int
+	empty  bool // the object or array just opened holds nothing yet
+}
+
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.empty = true
+}
+
+func (w *jsonWriter) close(c byte) {
+	w.depth--
+	if !w.empty {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+	w.empty = false
+}
+
+// next separates a member or an element from the one before it.
+func (w *jsonWriter) next() {
+	if !w.empty {
+		w.b = append(w.b, ',')
+	}
+	w.empty = false
+	w.newline()
+}
+
+func (w *jsonWriter) newline() {
+	if w.indent {
+		w.b = append(w.b, '\n')
+		for range w.depth {
+			w.b = append(w.b, "  "...)
 		}
 	}
+}
+
+// key opens an object member: k is its name quoted, a tag needing no
+// escaping, and a colon.
+func (w *jsonWriter) key(k string) {
+	w.next()
+	w.b = append(w.b, k...)
+	if w.indent {
+		w.b = append(w.b, ' ')
+	}
+}
+
+// The last argument of str, num and flag is the tag's omitempty option: with
+// omitEmpty, a zero value leaves the member out.
+const always, omitEmpty = false, true
+
+func (w *jsonWriter) str(k, v string, omit bool) {
+	if v != "" || !omit {
+		w.key(k)
+		w.b = appendJSONString(w.b, v)
+	}
+}
+
+func (w *jsonWriter) num(k string, v int64, omit bool) {
+	if v != 0 || !omit {
+		w.key(k)
+		w.b = strconv.AppendInt(w.b, v, 10)
+	}
+}
+
+func (w *jsonWriter) flag(k string, v, omit bool) {
+	if v || !omit {
+		w.key(k)
+		w.b = strconv.AppendBool(w.b, v)
+	}
+}
+
+// writeJSON walks the request's fields as job.go's tags lay them out.
+func (q *Request) writeJSON(w *jsonWriter) {
+	w.open('{')
+	w.str(`"source":`, q.Source, always)
+	w.str(`"entry":`, q.Entry, omitEmpty)
+	w.num(`"threads":`, int64(q.Threads), omitEmpty)
+	w.str(`"preset":`, q.Preset, omitEmpty)
+	w.flag(`"baseline":`, q.Baseline, omitEmpty)
+	w.num(`"perturb_seed":`, q.PerturbSeed, omitEmpty)
+	w.flag(`"race":`, q.Race, omitEmpty)
+	w.num(`"deadline_ms":`, q.DeadlineMS, omitEmpty)
+	w.key(`"artifacts":`)
+	w.open('{')
+	w.flag(`"schedule":`, q.Artifacts.Schedule, omitEmpty)
+	w.flag(`"stats":`, q.Artifacts.Stats, omitEmpty)
+	w.flag(`"overhead_row":`, q.Artifacts.OverheadRow, omitEmpty)
+	w.close('}')
+	w.close('}')
+}
+
+// writeJSON walks the result's fields as job.go's tags lay them out and
+// reports true; it writes nothing and reports false for a result carrying a
+// schedule or an overhead row, the artifacts it leaves to encoding/json.
+func (res *Result) writeJSON(w *jsonWriter) bool {
+	if res.Schedule != nil || res.Overhead != nil {
+		return false
+	}
+	w.open('{')
+	w.str(`"job_id":`, res.JobID, always)
+	w.flag(`"cached":`, res.Cached, always)
+	w.flag(`"instr_cached":`, res.InstrCached, always)
+	w.flag(`"self_checked":`, res.SelfChecked, omitEmpty)
+	w.flag(`"peer_filled":`, res.PeerFilled, omitEmpty)
+	w.flag(`"remote":`, res.Remote, omitEmpty)
+	w.str(`"schedule_hash":`, res.ScheduleHash, always)
+	w.num(`"schedule_len":`, int64(res.ScheduleLen), always)
+	w.num(`"cycles":`, res.Cycles, always)
+	w.num(`"wait_cycles":`, res.WaitCycles, always)
+	w.num(`"acquisitions":`, res.Acquisitions, always)
+	w.num(`"clock_updates":`, res.ClockUpdates, always)
+	if len(res.Clockable) > 0 {
+		w.key(`"clockable":`)
+		w.open('[')
+		for _, name := range res.Clockable {
+			w.next()
+			w.b = appendJSONString(w.b, name)
+		}
+		w.close(']')
+	}
+	w.key(`"stage_latency":`)
+	w.open('{')
+	w.num(`"parse_ns":`, res.Stage.ParseNS, always)
+	w.num(`"instrument_ns":`, res.Stage.InstrumentNS, always)
+	w.num(`"simulate_ns":`, res.Stage.SimulateNS, always)
+	w.num(`"overhead_ns":`, res.Stage.OverheadNS, omitEmpty)
+	w.close('}')
+	w.close('}')
 	return true
 }
 
 // AppendJSONIndent appends the bytes json.Encoder with SetIndent("", "  ")
 // writes for the result, trailing newline included, and reports true; it
-// appends nothing and reports false for a result it leaves to the encoder —
-// one carrying a schedule or an overhead row, or a string that needs
-// escaping.
+// appends nothing and reports false for a result carrying a schedule or an
+// overhead row, which it leaves to the encoder.
 func (res *Result) AppendJSONIndent(b []byte) ([]byte, bool) {
-	if res.Schedule != nil || res.Overhead != nil || !plainString(res.JobID) || !plainString(res.ScheduleHash) {
+	w := jsonWriter{b: b, indent: true}
+	if !res.writeJSON(&w) {
 		return b, false
 	}
-	for _, name := range res.Clockable {
-		if !plainString(name) {
-			return b, false
-		}
-	}
-	str := func(key, v string) {
-		b = append(append(append(b, key...), v...), `",`...)
-	}
-	flag := func(key string, v, omitEmpty bool) {
-		if v || !omitEmpty {
-			b = append(strconv.AppendBool(append(b, key...), v), ',')
-		}
-	}
-	num := func(key string, v int64) {
-		b = append(strconv.AppendInt(append(b, key...), v, 10), ',')
-	}
-	b = append(b, '{')
-	str("\n  \"job_id\": \"", res.JobID)
-	flag("\n  \"cached\": ", res.Cached, false)
-	flag("\n  \"instr_cached\": ", res.InstrCached, false)
-	flag("\n  \"self_checked\": ", res.SelfChecked, true)
-	flag("\n  \"peer_filled\": ", res.PeerFilled, true)
-	flag("\n  \"remote\": ", res.Remote, true)
-	str("\n  \"schedule_hash\": \"", res.ScheduleHash)
-	num("\n  \"schedule_len\": ", int64(res.ScheduleLen))
-	num("\n  \"cycles\": ", res.Cycles)
-	num("\n  \"wait_cycles\": ", res.WaitCycles)
-	num("\n  \"acquisitions\": ", res.Acquisitions)
-	num("\n  \"clock_updates\": ", res.ClockUpdates)
-	if len(res.Clockable) > 0 {
-		b = append(b, "\n  \"clockable\": ["...)
-		for _, name := range res.Clockable {
-			str("\n    \"", name)
-		}
-		b = append(b[:len(b)-1], "\n  ],"...)
-	}
-	b = append(b, "\n  \"stage_latency\": {"...)
-	num("\n    \"parse_ns\": ", res.Stage.ParseNS)
-	num("\n    \"instrument_ns\": ", res.Stage.InstrumentNS)
-	num("\n    \"simulate_ns\": ", res.Stage.SimulateNS)
-	if res.Stage.OverheadNS != 0 {
-		num("\n    \"overhead_ns\": ", res.Stage.OverheadNS)
-	}
-	return append(b[:len(b)-1], "\n  }\n}\n"...), true
+	return append(w.b, '\n'), true
 }

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,6 +17,8 @@ import (
 	"repro/internal/bin"
 	"repro/internal/detrand"
 	"repro/internal/diag"
+	"repro/internal/harness"
+	"repro/internal/trace"
 )
 
 // detloadBody is what a client of POST /v1/jobs sends: json.Marshal of a
@@ -203,6 +207,54 @@ func TestOverwideThreadsAreMisuse(t *testing.T) {
 	}
 }
 
+// TestWideResultCountsReplay: a result's schedule_len and an overhead row's
+// clockable wider than 32 bits decode on every word size, narrowed as the
+// binary codec narrows them, and a log holding such a completed record
+// replays with nothing quarantined. Before, a 32-bit build refused the bytes,
+// so its recovery quarantined a record a 64-bit build replays.
+func TestWideResultCountsReplay(t *testing.T) {
+	const wide = 1<<32 + 4
+	body := fmt.Sprintf(`{"job_id":"job-1","schedule_hash":"00000000000000a1","schedule_len":%d,"overhead":{"clockable":%d}}`, int64(wide), int64(wide))
+	var res Result
+	if err := json.Unmarshal([]byte(body), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.ScheduleLen != bin.Narrow(wide) || res.Overhead == nil || res.Overhead.Clockable != bin.Narrow(wide) {
+		t.Fatalf("decoded %+v, overhead %+v; want both counts %d", res, res.Overhead, bin.Narrow(wide))
+	}
+
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jn, _, err := openJournal(nil, path, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: "job-1"}, &Request{Source: "module m\n"}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log = append(log, frameLine([]byte(`{"type":"completed","id":"job-1","result":`+body+`}`))...)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, jobs, err := openJournal(nil, path, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.close()
+	if jn.quarantined != 0 || len(jobs) != 1 || !jobs[0].done || jobs[0].result == nil || jobs[0].result.ScheduleLen != bin.Narrow(wide) {
+		t.Fatalf("replay: %d quarantined, jobs %+v", jn.quarantined, jobs)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, log) {
+		t.Fatal("replay rewrote a log with no damage")
+	}
+}
+
 func TestDecodeRequestMatchesJSON(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		req := randRequest(detrand.New(seed, 0))
@@ -256,9 +308,9 @@ func TestDecodeRepeatAllocs(t *testing.T) {
 	}
 }
 
-// needsEncoder is the test's own statement of what AppendJSONIndent hands
-// over: bytes json.Encoder would not write verbatim.
-func needsEncoder(s string) bool {
+// escapes is the test's own statement of the strings encoding/json does not
+// write verbatim.
+func escapes(s string) bool {
 	for _, c := range []byte(s) {
 		if c < 0x20 || c >= 0x80 || strings.IndexByte(`"\<>&`, c) >= 0 {
 			return true
@@ -267,65 +319,134 @@ func needsEncoder(s string) bool {
 	return false
 }
 
-func encoderBytes(t *testing.T, res *Result) []byte {
+// encoderBytes is what json.Encoder writes for v, indented as the reply is
+// when indent is set, compact as a journal record otherwise.
+func encoderBytes(t testing.TB, v any, indent bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestAppendJSONIndentMatchesEncoder freezes the public reply: for every
-// result the append encoder accepts it writes json.Encoder's bytes, and it
-// accepts exactly the results with no schedule, no overhead row and no string
-// that needs escaping.
+// result without a schedule or an overhead row, strings that need escaping
+// included, the append encoder writes json.Encoder's bytes, and it declines
+// exactly the results carrying one of the two.
 func TestAppendJSONIndentMatchesEncoder(t *testing.T) {
 	seen := map[string]bool{}
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := detrand.New(seed, 0)
 		res := randResult(rng)
 
-		wantOK := res.Schedule == nil && res.Overhead == nil && !needsEncoder(res.JobID) && !needsEncoder(res.ScheduleHash)
-		for _, name := range res.Clockable {
-			wantOK = wantOK && !needsEncoder(name)
-		}
+		wantOK := res.Schedule == nil && res.Overhead == nil
 		prefix := []byte("kept")
 		out, ok := res.AppendJSONIndent(prefix)
 		if ok != wantOK || (!ok && len(out) != len(prefix)) {
 			t.Fatalf("seed %d: accepted %v (appended %d bytes), want %v: %+v", seed, ok, len(out)-len(prefix), wantOK, res)
 		}
 
-		// The same draw restricted to what the encoder accepts.
+		// The same draw without its artifacts, every third with plain strings.
 		res.Schedule, res.Overhead = nil, nil
-		res.JobID, res.ScheduleHash = fmt.Sprintf("j-%d", seed), fmt.Sprintf("%016x", rng.Next())
-		for i := range res.Clockable {
-			res.Clockable[i] = fmt.Sprintf("fn_%d.x", i)
+		if seed%3 == 0 {
+			res.JobID, res.ScheduleHash = fmt.Sprintf("j-%d", seed), fmt.Sprintf("%016x", rng.Next())
+			for i := range res.Clockable {
+				res.Clockable[i] = fmt.Sprintf("fn_%d.x", i)
+			}
 		}
 		if seed%7 == 0 {
 			res.Clockable = []string{}
 		}
 		out, ok = res.AppendJSONIndent(prefix)
-		if want := encoderBytes(t, res); !ok || !bytes.Equal(out[len(prefix):], want) || !bytes.HasPrefix(out, prefix) {
+		if want := encoderBytes(t, res, true); !ok || !bytes.Equal(out[len(prefix):], want) || !bytes.HasPrefix(out, prefix) {
 			t.Fatalf("seed %d: accepted %v\n got %s\nwant %s", seed, ok, out, want)
+		}
+		escaped := escapes(res.JobID) || escapes(res.ScheduleHash)
+		for _, name := range res.Clockable {
+			escaped = escaped || escapes(name)
 		}
 		for name, v := range map[string]bool{"cached": res.Cached, "instr_cached": res.InstrCached, "self_checked": res.SelfChecked,
 			"peer_filled": res.PeerFilled, "remote": res.Remote, "overhead_ns": res.Stage.OverheadNS != 0,
-			"clockable nil": res.Clockable == nil, "clockable many": len(res.Clockable) > 1, "negative": res.Cycles < 0} {
+			"clockable nil": res.Clockable == nil, "clockable many": len(res.Clockable) > 1, "negative": res.Cycles < 0,
+			"escaped": escaped} {
 			seen[fmt.Sprint(name, "=", v)] = true
 		}
 		seen[fmt.Sprint("clockable empty=", res.Clockable != nil && len(res.Clockable) == 0)] = true
 	}
-	if len(seen) != 20 {
-		t.Fatalf("the seeds covered %d of 20 field states: %v", len(seen), seen)
+	if len(seen) != 22 {
+		t.Fatalf("the seeds covered %d of 22 field states: %v", len(seen), seen)
 	}
-	for _, s := range []string{`"`, `\`, "<", ">", "&", "\x00", "\x1f", "\n", "é", "\xff"} {
+	for _, s := range []string{`"`, `\`, "<", ">", "&", "\x00", "\x1f", "\x7f", "\b", "\f", "\n", "\r", "\t", "é", "\u2028", "\u2029", "\xff", "\xe2\x80"} {
 		for _, res := range []*Result{{JobID: "a" + s}, {ScheduleHash: s + "a"}, {Clockable: []string{"ok", s}}} {
-			if _, ok := res.AppendJSONIndent(nil); ok {
-				t.Errorf("accepted a result holding %q", s)
+			if out, ok := res.AppendJSONIndent(nil); !ok || !bytes.Equal(out, encoderBytes(t, res, true)) {
+				t.Errorf("a result holding %q: accepted %v\n got %s\nwant %s", s, ok, out, encoderBytes(t, res, true))
 			}
 		}
 	}
+}
+
+// TestRecordWithArtifactIsMarshalError: a result carrying a schedule or an
+// overhead row, which finishRecord never journals and the writer does not
+// walk, fails its append as a marshal error and leaves the journal broken, as
+// an encoder failure did; nothing of it reaches the log.
+func TestRecordWithArtifactIsMarshalError(t *testing.T) {
+	for _, res := range []*Result{{Schedule: trace.New()}, {Overhead: &harness.OverheadRow{}}} {
+		jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "jobs.journal"), 16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = jn.appendJob(journalRecord{Type: recCompleted, ID: "job-1", Result: res}, nil, false)
+		if err == nil || !strings.HasPrefix(err.Error(), "journal: marshal: ") || len(jn.pending) != 0 {
+			t.Fatalf("append: %v, %d bytes pending", err, len(jn.pending))
+		}
+		if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: "job-2"}, &Request{Source: "m"}, false); !errors.Is(err, errJournalBroken) {
+			t.Fatalf("the next append: %v, want errJournalBroken", err)
+		}
+		jn.kill()
+	}
+}
+
+// FuzzRecordMatchesEncoder: the journal record writer writes json.Marshal's
+// bytes, and the reply writer json.Encoder's indented ones, for records and
+// results of arbitrary strings, integers and flags.
+func FuzzRecordMatchesEncoder(f *testing.F) {
+	f.Add("module m\n", "job-1", "prog-00", int64(4), int64(-7), uint32(0))
+	f.Add(awkward, "main"+awkward, "<&>", int64(-1<<63), int64(1<<40), ^uint32(0))
+	f.Add("\xe2\x80\xa8\xed\xa0\x80\xf4\x90\x80\x80", "\u2029\xc3", "", int64(0), int64(1), uint32(0x5a5a5))
+	f.Fuzz(func(t *testing.T, a, b, c string, x, y int64, bits uint32) {
+		bit := func(i int) bool { return bits>>i&1 != 0 }
+		req := &Request{Source: a, Entry: b, Threads: int(x), Preset: c, Baseline: bit(0), PerturbSeed: y, Race: bit(1), DeadlineMS: x ^ y,
+			Artifacts: Artifacts{Schedule: bit(2), Stats: bit(3), OverheadRow: bit(4)}}
+		res := &Result{JobID: b, Cached: bit(5), InstrCached: bit(6), SelfChecked: bit(7), PeerFilled: bit(8), Remote: bit(9),
+			ScheduleHash: c, ScheduleLen: int(y), Cycles: x, WaitCycles: -x, Acquisitions: y, ClockUpdates: x + y,
+			Stage: StageLatency{ParseNS: x, InstrumentNS: y, SimulateNS: x ^ y, OverheadNS: int64(bits)}}
+		if bit(10) {
+			res.Clockable = []string{a, c, ""}[:bits>>11&3]
+		}
+		pick := func(i int, s string) string {
+			if bit(i) {
+				return s
+			}
+			return ""
+		}
+		rec := journalRecord{Type: a, ID: b, Src: pick(13, c), Error: pick(14, a), Kind: pick(15, b), Text: pick(16, c)}
+		if bit(17) {
+			rec.Req = req
+		}
+		if bit(18) {
+			rec.Result = res
+		}
+		var w jsonWriter
+		if ok := rec.writeJSON(&w); !ok || !bytes.Equal(append(w.b, '\n'), encoderBytes(t, &rec, false)) {
+			t.Fatalf("record: accepted %v\n got %s\nwant %s", ok, w.b, encoderBytes(t, &rec, false))
+		}
+		if out, ok := res.AppendJSONIndent(nil); !ok || !bytes.Equal(out, encoderBytes(t, res, true)) {
+			t.Fatalf("result: accepted %v\n got %s\nwant %s", ok, out, encoderBytes(t, res, true))
+		}
+	})
 }
