@@ -28,12 +28,14 @@ package detlock_test
 //
 // The unset-option guard. An exported field of a struct type under
 // internal/ named Config, …Config or Options is a choice its callers make,
-// so some file must make it: a composite literal that keys it (its own
-// package's presets included), or an assignment, increment or address-of
-// outside its own package's non-test files. Those inside them are the
-// package's defaulting, which no caller chose. Tests and bench/ count as
-// callers. A field nothing sets is a constant: fold it into one, or
-// allowlist it in unsetOptionAllowlist with its reason.
+// so some non-test file of the module or of bench/ must make it: a composite
+// literal that keys it (its own package's presets included), or an
+// assignment, increment or address-of outside its own package. Those inside
+// it are the package's defaulting, which no caller chose, and a test is not
+// a caller: a knob only tests turn is kept for them. Fields of the types the
+// root package aliases are public API and exempt. A field no caller sets is
+// a constant: fold it into one, or allowlist it in unsetOptionAllowlist with
+// the check a test would lose without it.
 //
 // `make deadcode` runs both guards verbosely and prints their allowlists.
 
@@ -60,7 +62,26 @@ var deadExportAllowlist = map[string]string{}
 
 // unsetOptionAllowlist names option fields the guard would flag that stay,
 // each with the reason it stays. Keys are spelled as the guard reports them.
-var unsetOptionAllowlist = map[string]string{}
+// A field that only tests set stays only when folding it would cost a test a
+// check it makes: a wall-clock timer the test must shorten, a production
+// limit it cannot reach in its time or memory, a value a property or golden
+// varies on purpose, or one of the fault injector's own dials.
+var unsetOptionAllowlist = map[string]string{
+	"cluster.Config.HedgeAfter":            "wall-clock timer: TestHedgedFillCancelsLoser hedges at 20 ms under a 60 s FillTimeout, so only the hedge can end the loser",
+	"interp.Config.MaxStepCycles":          "varied on purpose: the reference/fast equivalence grid crosses step bounds down to 2 cycles with every yield point",
+	"nemesis.FaultFSConfig.ShortWriteRate": "fault injector's own dial: the journal and nemesis tests choose which faults a schedule draws",
+	"nemesis.FaultFSConfig.SyncErrRate":    "fault injector's own dial: the journal and nemesis tests choose which faults a schedule draws",
+	"nemesis.FaultFSConfig.WriteErrRate":   "fault injector's own dial: the journal and nemesis tests choose which faults a schedule draws",
+	"service.Config.BreakerThreshold":      "varied on purpose: the breaker and stats-wire tests open the circuit at the first divergence, the recovery and nemesis tests keep it shut through 10 or 1,000 (production: 3)",
+	"service.Config.JournalFsyncEvery":     "varied on purpose: the crash-chaos property draws the batch window a crash can lose, 1 to 8 records",
+	"service.Config.MaxInflightBytes":      "production limit out of a test's reach: 256 MiB of admitted source; the admission tests shed at one program's size",
+	"service.Config.RetainJobs":            "varied on purpose: TestDoSurvivesRetention races eviction against 16,000 hits at 1 retained job, which 4,096 never reaches",
+	"service.Config.RetryBase":             "wall-clock timer: the retry and crash-chaos tests back off 1 ms to 4 ms, not the production 5 ms to 250 ms",
+	"service.Config.RetryMax":              "wall-clock timer: the retry and crash-chaos tests back off 1 ms to 4 ms, not the production 5 ms to 250 ms",
+	"service.Config.SelfCheckSeed":         "varied on purpose: the hit-path counters golden and the chaos properties draw their self-check samples from a chosen seed",
+	"service.Config.StealReclaim":          "wall-clock timer: the steal and chaos tests reclaim a lent job in 20 ms to 50 ms, or hold it for a minute, against the production 5 s",
+	"sim.Config.MaxSteps":                  "production limit out of a test's reach: 5×10⁸ steps; the runaway tests stop an endless program at 10",
+}
 
 func TestNoDeadExports(t *testing.T) {
 	found, err := deadExports(".", "bench")
@@ -75,7 +96,9 @@ func TestNoUnsetOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFindings(t, l.unsetOptions(modPath, paths), "unsetOptionAllowlist", unsetOptionAllowlist, "fold it into a constant in the package that reads it")
+	found, fields := l.unsetOptions(modPath, paths)
+	t.Logf("%d exported option fields", fields)
+	checkFindings(t, found, "unsetOptionAllowlist", unsetOptionAllowlist, "fold it into a constant in the package that reads it")
 }
 
 // checkFindings fails for each finding allow does not name and for each
@@ -192,12 +215,14 @@ func (S) Extra()         {}
 
 // TestUnsetOptionsFixture runs the option guard on a tree made for it: a
 // field of an option struct that nothing sets, or only its own package's
-// defaulting, is flagged; one set by another package's test, by the bench
-// module, by its own package's test or in a preset literal is not, nor is
-// any field of a struct that is not named as an option struct.
+// defaulting, or only tests — its own package's or another's — is flagged;
+// one set by the bench module, by another package's non-test file or in a
+// preset literal is not, nor is any field of a struct that is not named as
+// an option struct or that the root package aliases.
 func TestUnsetOptionsFixture(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fix\n\ngo 1.22\n",
+		"fix.go": "package fix\n\nimport \"fix/internal/a\"\n\ntype PublicConfig = a.PublicConfig\n",
 		"internal/a/a.go": `package a
 
 type Config struct {
@@ -207,6 +232,8 @@ type Config struct {
 	Bench     int
 	Preset    int
 	OwnTest   int
+	OtherProd int
+	Both      int
 	internal  int
 }
 
@@ -216,19 +243,22 @@ type Options struct{ Fast bool }
 
 type Plain struct{ Unset int }
 
+type PublicConfig struct{ Aliased int }
+
 var Quick = Options{Fast: true}
 
 func (c *Config) withDefaults() {
 	if c.Defaulted == 0 {
 		c.Defaulted = 4
 	}
+	c.Both = c.Defaulted
 	c.internal = 1
 }
 
 var _ = Config{Preset: 1}
 `,
-		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { c := Config{}; c.OwnTest++; c.withDefaults() }\n",
-		"internal/b/b.go":      "package b\n",
+		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { c := Config{}; c.OwnTest++; c.Both = 1; c.withDefaults() }\n",
+		"internal/b/b.go":      "package b\n\nimport \"fix/internal/a\"\n\nfunc Use() { var c a.Config; c.OtherProd = 5; _ = c }\n",
 		"internal/b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestOther(t *testing.T) { var c a.Config; c.OtherTest = 2; _ = c }\n",
 		"bench/go.mod":         "module fix/bench\n\ngo 1.22\n",
 		"bench/main.go":        "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { var c a.Config; p := &c.Bench; *p = 3 }\n",
@@ -237,9 +267,13 @@ var _ = Config{Preset: 1}
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFixture(t, l.unsetOptions(modPath, paths), []string{
+	found, _ := l.unsetOptions(modPath, paths)
+	checkFixture(t, found, []string{
+		"a.Config.Both: set only by its own package's defaulting and tests",
 		"a.Config.Defaulted: set only by its own package's defaulting",
 		"a.Config.Nobody: set nowhere",
+		"a.Config.OtherTest: set only by tests",
+		"a.Config.OwnTest: set only by tests",
 		"a.RunConfig.Window: set nowhere",
 	})
 }
@@ -276,9 +310,21 @@ func checkFixture(t *testing.T, found []finding, want []string) {
 
 // unsetOptions reports the exported fields of root's option structs under
 // internal/ — struct types named Config, …Config or Options — that no file
-// counted by noteSets sets, sorted by name.
-func (l *loader) unsetOptions(modPath string, paths []string) []finding {
+// counted by noteSets sets, sorted by name, and how many exported fields
+// those structs have.
+func (l *loader) unsetOptions(modPath string, paths []string) ([]finding, int) {
+	public := map[*types.TypeName]bool{} // the types the root package aliases
+	if root := l.prod[modPath]; root != nil {
+		for _, name := range root.Scope().Names() {
+			if tn, ok := root.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok {
+					public[named.Obj()] = true
+				}
+			}
+		}
+	}
 	var out []finding
+	fields := 0
 	for _, path := range paths {
 		rel, ok := strings.CutPrefix(path, modPath+"/internal/")
 		if !ok || l.prod[path] == nil {
@@ -287,7 +333,7 @@ func (l *loader) unsetOptions(modPath string, paths []string) []finding {
 		scope := l.prod[path].Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || name != "Options" && !strings.HasSuffix(name, "Config") {
+			if !ok || tn.IsAlias() || name != "Options" && !strings.HasSuffix(name, "Config") || public[tn] {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -299,30 +345,55 @@ func (l *loader) unsetOptions(modPath string, paths []string) []finding {
 				if !f.Exported() {
 					continue
 				}
-				set, noted := l.sets[f.Pos()]
-				if set {
+				fields++
+				by := l.sets[f.Pos()]
+				if by&setByCaller != 0 {
 					continue
 				}
+				var who []string
+				if by&setByDefaulting != 0 {
+					who = append(who, "its own package's defaulting")
+				}
+				if by&setByTest != 0 {
+					who = append(who, "tests")
+				}
 				why := "set nowhere"
-				if noted {
-					why = "set only by its own package's defaulting"
+				if len(who) > 0 {
+					why = "set only by " + strings.Join(who, " and ")
 				}
 				out = append(out, finding{name: rel + "." + name + "." + f.Name(), pos: l.fset.Position(f.Pos()).String(), why: why})
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return out, fields
 }
 
-// noteSets records the struct fields that files set, by declaration: a key
-// of a composite literal anywhere counts, and so does an assignment,
-// increment or address-of outside the declaring package's non-test files.
-// One inside them is that package's defaulting, noted as false.
+// setBy says who sets a struct field, a bit each.
+type setBy uint8
+
+const (
+	setByCaller     setBy = 1 << iota // a non-test file: a literal's key, or outside the field's package
+	setByDefaulting                   // an assignment in the field's own package's non-test files
+	setByTest                         // a test, which is not a caller
+)
+
+// noteSets records who sets each struct field, by declaration: in a
+// non-test file, a key of a composite literal anywhere is a caller, and so
+// is an assignment, increment or address-of outside the declaring package;
+// one inside it is that package's defaulting. Whatever a test sets, it
+// chooses for itself, not for a caller.
 func (l *loader) noteSets(info *types.Info, files []*ast.File, from string, test bool) {
 	mark := func(id *ast.Ident, literal bool) {
 		if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() && f.Pkg() != nil {
-			l.sets[f.Pos()] = l.sets[f.Pos()] || literal || test || f.Pkg().Path() != from
+			by := setByCaller
+			switch {
+			case test:
+				by = setByTest
+			case !literal && f.Pkg().Path() == from:
+				by = setByDefaulting
+			}
+			l.sets[f.Pos()] |= by
 		}
 	}
 	// field marks the field an assignment's target names: x.F, x.F[i] or
@@ -552,7 +623,7 @@ func (l *loader) deadRoot(modPath string) []rootFinding {
 // of a struct field. It returns the loader, root's module path and every
 // package's import path, sorted.
 func loadTree(root string, extra ...string) (*loader, string, []string, error) {
-	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}, ext: map[string]bool{}, sets: map[token.Pos]bool{}}
+	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}, prod: map[string]*types.Package{}, uses: map[string]map[string]bool{}, ext: map[string]bool{}, sets: map[token.Pos]setBy{}}
 	for i, dir := range append([]string{root}, extra...) {
 		path, err := l.loadModule(dir)
 		if err != nil {
@@ -613,7 +684,7 @@ type loader struct {
 	uses      map[string]map[string]bool // objKey → who references it (see ownTest)
 	ext       map[string]bool            // objKeys a non-test file under examples/ or cmd/, or of bench/, references
 	mod       string                     // the root module's path
-	sets      map[token.Pos]bool         // struct fields set by a file that counts (see noteSets), by declaration
+	sets      map[token.Pos]setBy        // who sets each struct field (see noteSets), by declaration
 }
 
 func (l *loader) loadModule(dir string) (string, error) {

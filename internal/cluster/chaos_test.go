@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 	"repro/internal/service"
 )
 
@@ -22,8 +22,8 @@ type chaosVariant struct {
 // partitions, heals, probe rounds and steal rounds into a stream of job
 // submissions, the cluster loses no job, duplicates no job, and every
 // result's deterministic core is byte-identical to a reference computed on
-// an isolated single-process service. The schedules are drawn from det.Rand,
-// so a failure replays exactly from its seed.
+// an isolated single-process service. The schedules are drawn from
+// detrand.Rand, so a failure replays exactly from its seed.
 //
 // The property leans on the layering under test: journals make accepted jobs
 // durable per node, recovery re-executes what a kill interrupted, reclaim
@@ -61,7 +61,7 @@ func TestClusterChaosProperty(t *testing.T) {
 }
 
 func runChaosSchedule(t *testing.T, seed int64, variants []chaosVariant) {
-	rng := det.NewRand(seed, 5)
+	rng := detrand.New(seed, 5)
 	names := []string{"node-a", "node-b", "node-c"}
 	net := NewLoopNet()
 	dir := t.TempDir()
@@ -78,7 +78,6 @@ func runChaosSchedule(t *testing.T, seed int64, variants []chaosVariant) {
 			ProbeTimeout:  time.Second,
 			FillTimeout:   500 * time.Millisecond,
 			FailThreshold: 1, // one failed probe marks down: fastest degradation
-			StealBatch:    2,
 			Service: service.Config{
 				Workers:       2,
 				JournalPath:   filepath.Join(dir, name+".journal"),

@@ -357,11 +357,8 @@ func TestWorkStealingDrains(t *testing.T) {
 	victim := tnode(t, net, "node-a", peers, func(c *Config) {
 		c.Service.Workers = 1
 		c.Service.StealReclaim = 30 * time.Second // completions, not reclaims
-		c.StealBatch = 4
 	})
-	thief := tnode(t, net, "node-b", peers, func(c *Config) {
-		c.StealBatch = 4
-	})
+	thief := tnode(t, net, "node-b", peers, nil)
 	defer victim.Close(context.Background())
 	defer thief.Close(context.Background())
 	src := srcOf(t, "volrend")
@@ -375,6 +372,9 @@ func TestWorkStealingDrains(t *testing.T) {
 	n := thief.StealOnce(ctx)
 	if n == 0 {
 		t.Skip("victim drained its queue before the steal round")
+	}
+	if n > stealBatch {
+		t.Fatalf("one steal round took %d jobs, want at most %d", n, stealBatch)
 	}
 	for i, id := range ids {
 		res := waitResult(t, victim.Service(), id)

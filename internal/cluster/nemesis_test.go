@@ -86,7 +86,6 @@ func runNemesisClusterSchedule(t *testing.T, seed int64, variants []chaosVariant
 			ProbeTimeout:  time.Second,
 			FillTimeout:   500 * time.Millisecond,
 			FailThreshold: 1,
-			StealBatch:    2,
 			Service: service.Config{
 				Workers:       2,
 				JournalPath:   filepath.Join(dir, name+".journal"),

@@ -63,8 +63,6 @@ type Config struct {
 	// StealInterval is the idle work-stealing poll period (default 250ms);
 	// <0 disables the background stealer (tests drive StealOnce directly).
 	StealInterval time.Duration
-	// StealBatch is the maximum jobs borrowed per steal (default 2).
-	StealBatch int
 
 	// ShipInterval is the journal-shipping flush period (default 100ms);
 	// <0 disables the background flusher (tests drive ShipFlush directly).
@@ -131,9 +129,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.StealInterval == 0 {
 		c.StealInterval = 250 * time.Millisecond
-	}
-	if c.StealBatch <= 0 {
-		c.StealBatch = 2
 	}
 	if c.ShipInterval == 0 {
 		c.ShipInterval = 100 * time.Millisecond

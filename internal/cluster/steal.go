@@ -22,8 +22,11 @@ import (
 //   - a stolen job the stealer cannot execute is aborted back and
 //     re-discovered locally with its full typed failure report.
 
+// stealBatch is the most jobs one steal round borrows.
+const stealBatch = 2
+
 // StealOnce runs one steal round: if this node is idle, borrow up to
-// Config.StealBatch jobs from the live peer reporting the deepest queue, and
+// stealBatch jobs from the live peer reporting the deepest queue, and
 // execute them. Synchronous — the background loop calls it on a ticker, and
 // deterministic tests call it directly.
 func (n *Node) StealOnce(ctx context.Context) int {
@@ -45,7 +48,7 @@ func (n *Node) StealOnce(ctx context.Context) int {
 	// The reply carries program text, so it is verified like any result: a
 	// damaged reply is dropped whole (the jobs stay lent and the victim's
 	// reclaim timer re-enqueues them).
-	jobs, err := stealRoute.call(ctx, n, victim, &stealMsg{Max: n.cfg.StealBatch})
+	jobs, err := stealRoute.call(ctx, n, victim, &stealMsg{Max: stealBatch})
 	if err != nil || len(*jobs) == 0 {
 		return 0
 	}

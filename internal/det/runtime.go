@@ -468,9 +468,6 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("det.Thread(id=%d clock=%d)", t.id, t.Clock())
 }
 
-// Rand and NewRand are internal/detrand's generator under the names this
-// package exported it by first; they remain only because bench/ uses them.
+// Rand is internal/detrand's generator under the name this package exported
+// it by first; it remains only because bench/ uses it.
 type Rand = detrand.Rand
-
-// NewRand is detrand.New.
-func NewRand(seed int64, id int) *Rand { return detrand.New(seed, id) }

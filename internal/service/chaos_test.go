@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/det"
 	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/splash"
@@ -83,7 +82,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("schedule-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rng := det.NewRand(seed, 7)
+			rng := detrand.New(seed, 7)
 			path := filepath.Join(t.TempDir(), "jobs.journal")
 			cfg := Config{
 				Workers:           2,
@@ -92,7 +91,6 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 				MaxRetries:        8,
 				RetryBase:         time.Millisecond,
 				RetryMax:          4 * time.Millisecond,
-				RetrySeed:         seed,
 			}
 
 			acked := map[string]int{}  // job id → variant index, ids Submit returned

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/det"
+	"repro/internal/detrand"
 	"repro/internal/diag"
 	"repro/internal/nemesis"
 	"repro/internal/splash"
@@ -68,7 +68,7 @@ func TestBackoffOverflowClamp(t *testing.T) {
 // machine legally allows.
 func TestBreakerDeterministicTrace(t *testing.T) {
 	run := func(seed int64) []string {
-		rng := det.NewRand(seed, 11)
+		rng := detrand.New(seed, 11)
 		now := time.Unix(0, 0)
 		b := newBreaker(3, 10*time.Second)
 		b.now = func() time.Time { return now }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -304,6 +305,9 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 		return ie, true, nil
 	}
 	s.ctr.InstrCacheMisses.Add(1)
+	if !utf8.ValidString(req.Source) {
+		return nil, false, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: diag.ErrBadConfig, Detail: notUTF8}
+	}
 
 	start := time.Now()
 	mod, err := ir.Parse(req.Source)

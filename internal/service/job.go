@@ -33,8 +33,9 @@ type Request struct {
 	// schedules are just not invariant under PerturbSeed.
 	Baseline bool `json:"baseline,omitempty"`
 	// PerturbSeed perturbs physical instruction timing (§ PerturbSeed on the
-	// facade SimConfig). Deterministic schedules are invariant under it, but
-	// it remains part of the result-cache key so perturbation studies hit
+	// facade SimConfig). Deterministic schedules are invariant under it (not
+	// yet the deque idiom's at 4 and 8 threads: ROADMAP.md item 6), and it
+	// remains part of the result-cache key so perturbation studies hit
 	// distinct entries.
 	PerturbSeed int64 `json:"perturb_seed,omitempty"`
 	// Race enables the fail-fast deterministic race detector. Requires the
@@ -185,6 +186,15 @@ type job struct {
 // case is still about 5 GB; a whole-machine register budget, and a bound on
 // spawned threads, are not kept.
 const maxThreads = 256
+
+// notUTF8 is the detail of the ErrBadConfig misuse that refuses a program
+// text that is not valid UTF-8. The journal could not keep such a text: its
+// writer replaces each bad byte with U+FFFD, so the text read back would no
+// longer hash to its program id, and every record naming it would be
+// quarantined (DESIGN §9). A text is checked once, while nothing cached holds
+// it: by submit when it finds no instrumentation entry, and by instrumented
+// before it builds one.
+const notUTF8 = "program source is not valid UTF-8"
 
 // normalize validates a request and fills defaults. Every rejection is a
 // typed *diag.MisuseError with ThreadID -1 (configuration-level), following

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,5 +100,62 @@ func TestJournalWriterBytes(t *testing.T) {
 	}
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("%d lines, want %d", len(gotLines), len(wantLines))
+	}
+}
+
+// TestNotUTF8Refused: the writer replaces each byte that is not UTF-8, so a
+// program text holding one would not read back as the text its program id
+// hashes, and replay would quarantine the job a client was answered for. Such
+// a text is refused before anything is journaled, as the same ErrBadConfig
+// misuse with a journal or without, whichever entry point first meets it;
+// a valid job beside it survives a restart whole.
+func TestNotUTF8Refused(t *testing.T) {
+	bad := Request{Source: fastProgram + "; caf\xe9\n", Threads: 1}
+	for _, journaled := range []bool{false, true} {
+		cfg := Config{Workers: 1}
+		if journaled {
+			cfg.JournalPath = filepath.Join(t.TempDir(), "journal")
+		}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, err error) {
+			t.Helper()
+			var me *diag.MisuseError
+			if !errors.As(err, &me) || !errors.Is(err, diag.ErrBadConfig) || me.ThreadID != -1 {
+				t.Fatalf("journaled=%v: %s of a text that is not UTF-8: err = %v, want a configuration-level ErrBadConfig misuse", journaled, what, err)
+			}
+		}
+		_, err = s.Do(context.Background(), bad)
+		refused("Do", err)
+		_, err = s.Submit(bad)
+		refused("Submit", err)
+		_, err = s.KeyFor(bad)
+		refused("KeyFor", err)
+		if n := s.instr.len(); n != 0 {
+			t.Fatalf("journaled=%v: %d instrumentation entries after refusals, want 0", journaled, n)
+		}
+		good := mustDo(t, s, Request{Source: fastProgram, Threads: 1})
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !journaled {
+			continue
+		}
+		re, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if snap := re.Snapshot(); snap.RecoveredJobs != 1 || snap.JournalQuarantined != 0 {
+			t.Fatalf("after restart: recovered_jobs %d, journal_quarantined %d, want 1 and 0", snap.RecoveredJobs, snap.JournalQuarantined)
+		}
+		v, err := re.Lookup(good.JobID)
+		if err != nil || v.Result == nil || v.Result.Core() != good.Core() {
+			t.Fatalf("Lookup(%s) after restart = %+v, %v; want its result", good.JobID, v, err)
+		}
 	}
 }

@@ -51,14 +51,17 @@ var errContainedPanic = errors.New("contained worker panic")
 
 // backoff computes retry delays: exponential from Base, capped at Max, with
 // full deterministic jitter drawn from a detrand.Rand stream — the same
-// generator family every injector in the repo uses, so retry schedules in
-// tests are a pure function of Config.RetrySeed.
+// generator family every injector in the repo uses, so a service's retry
+// schedule is a pure function of retrySeed.
 type backoff struct {
 	base, max time.Duration
 
 	mu  sync.Mutex
 	rng *detrand.Rand
 }
+
+// retrySeed seeds a service's backoff jitter.
+const retrySeed = 0
 
 func newBackoff(base, max time.Duration, seed int64) *backoff {
 	return &backoff{base: base, max: max, rng: detrand.New(seed, 2)}

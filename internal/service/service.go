@@ -102,10 +102,9 @@ type Config struct {
 	// Deterministic failures are never retried.
 	MaxRetries int
 	// RetryBase/RetryMax shape the exponential backoff between retries
-	// (defaults 5ms/250ms); RetrySeed seeds the deterministic jitter.
+	// (defaults 5ms/250ms).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	RetrySeed int64
 
 	// MaxInflightBytes bounds the summed request-source size of admitted,
 	// unfinished jobs (default 256 MiB); submissions beyond it are shed with
@@ -270,7 +269,7 @@ func Open(cfg Config) (*Service, error) {
 		sources: newLRU[string, string](cfg.InstrCacheSize),
 		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
 		breaker: newBreaker(cfg.BreakerThreshold, breakerCooldown),
-		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
+		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
 		costs:   ir.DefaultCostModel(),
 		est:     estimates.DefaultTable(),
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"unicode/utf8"
 
 	"repro/internal/diag"
 )
@@ -96,6 +97,14 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 			var lat StageLatency
 			res, err = s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
 		}
+	}
+	// An instrumentation entry holds only a text already checked (notUTF8);
+	// any other text is checked here, before its first record.
+	if j.found.ie == nil && !utf8.ValidString(req.Source) {
+		s.mu.Lock()
+		delete(s.jobs, id)
+		s.mu.Unlock()
+		return misuse(diag.ErrBadConfig, notUTF8)
 	}
 
 	if s.journal != nil && !s.degraded.Load() {

@@ -17,26 +17,22 @@ const (
 	// inter-arrival gaps at RatePerSec.
 	ShapePoisson Shape = "poisson"
 	// ShapeBursty is a two-state Markov-modulated Poisson process: phases
-	// alternate between a burst state (rate × BurstFactor) and a calm state
-	// (rate ÷ BurstFactor), with seeded phase lengths.
+	// alternate between a burst state (rate × burstFactor) and a calm state
+	// (rate ÷ burstFactor), with seeded phase lengths.
 	ShapeBursty Shape = "bursty"
 	// ShapeDiurnal modulates the base rate by a periodic piecewise-constant
-	// curve (the "hour of day" profile), generated by thinning against the
-	// curve's maximum weight.
+	// curve (the "hour of day" profile, diurnalCurve), generated by thinning
+	// against the curve's maximum weight.
 	ShapeDiurnal Shape = "diurnal"
-	// ShapeClosed is a closed loop: Clients virtual users, each submitting,
+	// ShapeClosed is a closed loop: clients virtual users, each submitting,
 	// thinking for an exponential thinkUS, then submitting again. The
 	// timeline is the deterministic merge of the per-client think streams;
 	// the driver additionally serializes each client (at most one job in
 	// flight per client).
 	ShapeClosed Shape = "closed"
-	// ShapeTrace replays a previously recorded timeline (ArrivalConfig.Trace,
-	// held in memory: there is no file format for one).
-	ShapeTrace Shape = "trace"
 )
 
-// Shapes returns the generatable shapes in a fixed order (trace excluded —
-// it needs an input timeline).
+// Shapes returns the shapes in a fixed order.
 func Shapes() []Shape {
 	return []Shape{ShapePoisson, ShapeBursty, ShapeDiurnal, ShapeClosed}
 }
@@ -49,8 +45,6 @@ type Arrival struct {
 	AtUS int64 `json:"at_us"`
 	// Client is the issuing virtual client (closed loop only; -1 when open
 	// loop). The driver allows at most one in-flight job per client.
-	// Serialized explicitly (no omitempty): client 0 must survive a trace
-	// round trip distinct from "no client".
 	Client int `json:"client"`
 }
 
@@ -61,57 +55,32 @@ type ArrivalConfig struct {
 	Jobs int
 	// RatePerSec is the mean arrival rate (base rate for bursty/diurnal).
 	RatePerSec float64
-
-	// BurstFactor scales the rate up in burst phases and down in calm ones
-	// (bursty shape). Defaults to 8.
-	BurstFactor float64
-
-	// Curve is the diurnal weight per equal bucket of the period. Defaults
-	// to a 12-bucket day/night profile.
-	Curve []int
-
-	// Clients is the closed loop's virtual user count. Defaults to 8.
-	Clients int
-
-	// Trace is the timeline to replay for ShapeTrace.
-	Trace []Arrival
 }
 
 // The shapes' fixed parameters.
 const (
-	burstLen = 32        // mean arrivals per burst phase
-	calmLen  = 96        // mean arrivals per calm phase
-	periodUS = 1_000_000 // the diurnal period: a compressed "day" of 1s
-	thinkUS  = 2000      // a closed-loop client's mean think time
+	burstFactor = 8         // the rate's scale up in burst phases and down in calm ones
+	burstLen    = 32        // mean arrivals per burst phase
+	calmLen     = 96        // mean arrivals per calm phase
+	periodUS    = 1_000_000 // the diurnal period: a compressed "day" of 1s
+	thinkUS     = 2000      // a closed-loop client's mean think time
+	clients     = 8         // the closed loop's virtual users
 )
+
+// diurnalCurve is the diurnal weight per equal bucket of the period: a
+// 12-bucket day/night profile, every weight positive.
+var diurnalCurve = [...]int{1, 1, 2, 4, 7, 9, 10, 9, 8, 6, 3, 2}
 
 func misuse(format string, args ...any) error {
 	return &diag.MisuseError{Op: "workload.Timeline", ThreadID: -1, Kind: diag.ErrBadConfig, Detail: fmt.Sprintf(format, args...)}
 }
 
-func (c *ArrivalConfig) withDefaults() error {
+func (c *ArrivalConfig) validate() error {
 	if c.Jobs <= 0 {
 		return misuse("Jobs must be positive, got %d", c.Jobs)
 	}
-	if c.Shape != ShapeTrace && c.RatePerSec <= 0 {
+	if c.RatePerSec <= 0 {
 		return misuse("RatePerSec must be positive, got %g", c.RatePerSec)
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 8
-	}
-	if c.BurstFactor < 1 {
-		return misuse("BurstFactor must be >= 1, got %g", c.BurstFactor)
-	}
-	if len(c.Curve) == 0 {
-		c.Curve = []int{1, 1, 2, 4, 7, 9, 10, 9, 8, 6, 3, 2}
-	}
-	for i, w := range c.Curve {
-		if w <= 0 {
-			return misuse("Curve[%d] must be positive, got %d", i, w)
-		}
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
 	}
 	return nil
 }
@@ -132,7 +101,7 @@ func expGapUS(r *detrand.Rand, ratePerSec float64) int64 {
 // densely renumbered; the same (rng seed, cfg) always yields the same
 // timeline.
 func Timeline(rng *PartitionedRNG, cfg ArrivalConfig) ([]Arrival, error) {
-	if err := cfg.withDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	switch cfg.Shape {
@@ -148,18 +117,6 @@ func Timeline(rng *PartitionedRNG, cfg ArrivalConfig) ([]Arrival, error) {
 		// Per-client labels hash into a bounded id range; two clients on one
 		// id would draw the identical think stream, so a collision is an error.
 		return closedTimeline(rng, cfg), rng.Err()
-	case ShapeTrace:
-		if len(cfg.Trace) == 0 {
-			return nil, misuse("trace shape needs a non-empty Trace timeline")
-		}
-		out := append([]Arrival(nil), cfg.Trace...)
-		if len(out) > cfg.Jobs {
-			out = out[:cfg.Jobs]
-		}
-		for i := range out {
-			out[i].Seq = i
-		}
-		return out, nil
 	default:
 		return nil, misuse("unknown arrival shape %q", cfg.Shape)
 	}
@@ -182,9 +139,9 @@ func burstyTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
 	burst := true
 	left := 1 + r.IntN(2*burstLen)
 	return openLoop(r, cfg, func(r *detrand.Rand, _ int) int64 {
-		rate := cfg.RatePerSec * cfg.BurstFactor
+		rate := cfg.RatePerSec * burstFactor
 		if !burst {
-			rate = cfg.RatePerSec / cfg.BurstFactor
+			rate = cfg.RatePerSec / burstFactor
 		}
 		g := expGapUS(r, rate)
 		if left--; left <= 0 {
@@ -204,29 +161,21 @@ func burstyTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
 // integer comparisons decide acceptance, so the shape of the curve can
 // change without floating-point sensitivity.
 func diurnalTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
-	maxW := 0
-	for _, w := range cfg.Curve {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	sumW := 0
-	for _, w := range cfg.Curve {
+	maxW, sumW := 0, 0
+	for _, w := range diurnalCurve {
+		maxW = max(maxW, w)
 		sumW += w
 	}
-	meanW := float64(sumW) / float64(len(cfg.Curve))
+	meanW := float64(sumW) / float64(len(diurnalCurve))
 	// Candidate rate such that the accepted mean rate is RatePerSec.
 	maxRate := cfg.RatePerSec * float64(maxW) / meanW
-	bucketUS := periodUS / int64(len(cfg.Curve))
-	if bucketUS < 1 {
-		bucketUS = 1
-	}
+	const bucketUS = periodUS / int64(len(diurnalCurve))
 	evs := make([]Arrival, 0, cfg.Jobs)
 	var at int64
 	for len(evs) < cfg.Jobs {
 		at += expGapUS(r, maxRate)
-		bucket := (at / bucketUS) % int64(len(cfg.Curve))
-		if r.IntN(maxW) < cfg.Curve[bucket] {
+		bucket := (at / bucketUS) % int64(len(diurnalCurve))
+		if r.IntN(maxW) < diurnalCurve[bucket] {
 			evs = append(evs, Arrival{Seq: len(evs), AtUS: at, Client: -1})
 		}
 	}
@@ -238,10 +187,10 @@ func diurnalTimeline(r *detrand.Rand, cfg ArrivalConfig) []Arrival {
 // distinct partitioned class, so adding clients never perturbs existing
 // ones. Ties sort by client id.
 func closedTimeline(rng *PartitionedRNG, cfg ArrivalConfig) []Arrival {
-	per := cfg.Jobs / cfg.Clients
-	extra := cfg.Jobs % cfg.Clients
+	per := cfg.Jobs / clients
+	extra := cfg.Jobs % clients
 	evs := make([]Arrival, 0, cfg.Jobs)
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < clients; c++ {
 		n := per
 		if c < extra {
 			n++

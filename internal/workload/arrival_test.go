@@ -2,7 +2,7 @@ package workload
 
 import (
 	"errors"
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/diag"
@@ -34,7 +34,7 @@ func TestTimelineShapes(t *testing.T) {
 			}
 			prev = e.AtUS
 			if shape == ShapeClosed {
-				if e.Client < 0 || e.Client >= 8 {
+				if e.Client < 0 || e.Client >= clients {
 					t.Fatalf("%s: client %d out of range", shape, e.Client)
 				}
 			} else if e.Client != -1 {
@@ -90,7 +90,7 @@ func tlOf2(t *testing.T, rng *PartitionedRNG, cfg ArrivalConfig) []Arrival {
 // TestBurstyIsBursty: the MMPP timeline's gap distribution must actually be
 // bimodal — the burst-phase median gap far below the calm-phase median.
 func TestBurstyIsBursty(t *testing.T) {
-	evs := tlOf(t, 3, ArrivalConfig{Shape: ShapeBursty, Jobs: 4000, RatePerSec: 1000, BurstFactor: 8})
+	evs := tlOf(t, 3, ArrivalConfig{Shape: ShapeBursty, Jobs: 4000, RatePerSec: 1000})
 	short, long := 0, 0
 	meanGapUS := int64(1000) // 1000/s base rate
 	for i := 1; i < len(evs); i++ {
@@ -107,23 +107,10 @@ func TestBurstyIsBursty(t *testing.T) {
 	}
 }
 
-// TestTraceShapeReplaysTimeline: a recorded timeline handed back through
-// ShapeTrace is the same timeline.
-func TestTraceShapeReplaysTimeline(t *testing.T) {
-	evs := tlOf(t, 9, ArrivalConfig{Shape: ShapeClosed, Jobs: 200, RatePerSec: 1000})
-	replay := tlOf(t, 1, ArrivalConfig{Shape: ShapeTrace, Jobs: len(evs), Trace: evs})
-	if TimelineFingerprint(replay) != TimelineFingerprint(evs) {
-		t.Fatal("trace replay changed the timeline")
-	}
-}
-
 func TestTimelineValidation(t *testing.T) {
 	bad := []ArrivalConfig{
 		{Shape: ShapePoisson, Jobs: 0, RatePerSec: 1},
 		{Shape: ShapePoisson, Jobs: 10},
-		{Shape: ShapeBursty, Jobs: 10, RatePerSec: 1, BurstFactor: 0.5},
-		{Shape: ShapeDiurnal, Jobs: 10, RatePerSec: 1, Curve: []int{1, 0, 1}},
-		{Shape: ShapeTrace, Jobs: 10},
 		{Shape: "sawtooth", Jobs: 10, RatePerSec: 1},
 	}
 	for _, cfg := range bad {
@@ -136,24 +123,26 @@ func TestTimelineValidation(t *testing.T) {
 }
 
 // TestClosedLoopClientStreamsDistinct: per-client think labels hash into a
-// bounded id range. The committed 8-client shape is collision-free; at 11
-// clients think/9 and think/10 land on one id — two "independent" clients
-// would draw the identical think stream — so the timeline is refused with a
-// typed error naming both labels instead of aliasing them.
+// bounded id range, and two clients on one id would draw the identical think
+// stream. The closed loop's clients are collision-free: the timeline is
+// accepted, every client issues, and no two clients' think gaps agree.
 func TestClosedLoopClientStreamsDistinct(t *testing.T) {
-	cfg := ArrivalConfig{Shape: ShapeClosed, Jobs: 64, RatePerSec: 1000, Clients: 8}
-	if _, err := Timeline(NewPartitionedRNG(1), cfg); err != nil {
-		t.Fatalf("8 clients: %v", err)
+	evs := tlOf(t, 1, ArrivalConfig{Shape: ShapeClosed, Jobs: 64, RatePerSec: 1000})
+	gaps := make([]string, clients)
+	last := make([]int64, clients)
+	for _, e := range evs {
+		gaps[e.Client] += fmt.Sprintf("%d ", e.AtUS-last[e.Client])
+		last[e.Client] = e.AtUS
 	}
-	cfg.Clients = 11
-	_, err := Timeline(NewPartitionedRNG(1), cfg)
-	if !errors.Is(err, diag.ErrBadConfig) {
-		t.Fatalf("11 clients: err = %v, want ErrBadConfig", err)
-	}
-	for _, label := range []string{`"think/9"`, `"think/10"`} {
-		if !strings.Contains(err.Error(), label) {
-			t.Fatalf("11 clients: error does not name %s: %v", label, err)
+	seen := map[string]int{}
+	for c, g := range gaps {
+		if g == "" {
+			t.Fatalf("client %d issued nothing", c)
 		}
+		if prev, ok := seen[g]; ok {
+			t.Fatalf("clients %d and %d drew the same think stream", prev, c)
+		}
+		seen[g] = c
 	}
 }
 

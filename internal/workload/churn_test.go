@@ -40,7 +40,7 @@ func TestChurnChaosProperty(t *testing.T) {
 		run := func() *Outcome {
 			out, err := Run(context.Background(), RunConfig{
 				Seed: seed, Arrival: arrival, Mix: liteMix(),
-				Nodes: 4, Window: 8, Nemesis: NemesisChurn,
+				Nodes: 4, Nemesis: NemesisChurn,
 			})
 			if err != nil {
 				t.Fatalf("seed %d churn: %v", seed, err)

@@ -47,15 +47,8 @@ type RunConfig struct {
 	// Nodes is the cluster size; 1 runs a bare service, >1 a LoopNet
 	// cluster with background loops disabled.
 	Nodes int
-	// Window bounds in-flight jobs (default 32, clamped to queueDepth so a
-	// paced-out run can never be queue-rejected).
-	Window int
 	// Nemesis selects the transport fault schedule (cluster mode only).
 	Nemesis Nemesis
-	// Pace sleeps to honor arrival offsets instead of submitting
-	// immediately. Off by default: pacing only changes the measured annex,
-	// never the deterministic core.
-	Pace bool
 }
 
 // Outcome is one scenario's result: a deterministic core (everything above
@@ -100,10 +93,6 @@ type Outcome struct {
 	ThroughputJPS float64 `json:"throughput_jps"`
 	P50US         int64   `json:"p50_us,omitempty"`
 	P95US         int64   `json:"p95_us,omitempty"`
-	// MaxPaceSkewUS is the worst observed lag between an arrival's planned
-	// offset and the wall-clock moment its submission launched (Pace mode
-	// only) — the replay-fidelity figure the pacing test bounds.
-	MaxPaceSkewUS int64 `json:"max_pace_skew_us,omitempty"`
 
 	// cores maps program name to its deterministic core string.
 	cores map[string]string
@@ -142,21 +131,17 @@ func coreFingerprint(cores map[string]string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// workers and queueDepth configure each node's service.
+// workers and queueDepth configure each node's service; window bounds a run's
+// jobs in flight, at most queueDepth so none is ever queue-rejected.
 const (
 	workers    = 4
 	queueDepth = 256
+	window     = min(32, queueDepth)
 )
 
 func (c *RunConfig) withDefaults() {
 	if c.Nodes <= 0 {
 		c.Nodes = 1
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.Window > queueDepth {
-		c.Window = queueDepth
 	}
 	if c.Nemesis == "" {
 		c.Nemesis = NemesisNone
@@ -226,7 +211,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	results := make([]done, len(evs))
 	var (
 		wg     sync.WaitGroup
-		sem    = make(chan struct{}, cfg.Window)
+		sem    = make(chan struct{}, window)
 		client = map[int]chan struct{}{} // closed-loop per-client serialization
 	)
 	if cfg.Arrival.Shape == ShapeClosed {
@@ -241,14 +226,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	start := time.Now()
 	for i := range evs {
 		ev, prog := evs[i], picks[i]
-		if cfg.Pace {
-			if until := start.Add(time.Duration(ev.AtUS) * time.Microsecond); time.Until(until) > 0 {
-				time.Sleep(time.Until(until))
-			}
-			if skew := time.Since(start).Microseconds() - ev.AtUS; skew > out.MaxPaceSkewUS {
-				out.MaxPaceSkewUS = skew
-			}
-		}
 		if cl != nil {
 			// Membership churn fires at deterministic submission indices,
 			// applied in the main loop so every run sees the identical

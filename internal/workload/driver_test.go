@@ -64,7 +64,7 @@ func TestWorkloadPropertyMatrix(t *testing.T) {
 	shapes := []Shape{ShapePoisson, ShapeBursty, ShapeClosed}
 	for seed := 1; seed <= seeds; seed++ {
 		for _, shape := range shapes {
-			arrival := ArrivalConfig{Shape: shape, Jobs: 40, RatePerSec: 10000, Clients: 4}
+			arrival := ArrivalConfig{Shape: shape, Jobs: 40, RatePerSec: 10000}
 			var coresByNodes [2]map[string]string
 			var fps [2]string
 			for i, nodes := range []int{1, 3} {
@@ -73,7 +73,6 @@ func TestWorkloadPropertyMatrix(t *testing.T) {
 					Arrival: arrival,
 					Mix:     liteMix(),
 					Nodes:   nodes,
-					Window:  8,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %s nodes %d: %v", seed, shape, nodes, err)

@@ -12,7 +12,7 @@ func liteScenarios(jobs int) []Scenario {
 		for _, nodes := range []int{1, 3} {
 			scs = append(scs, Scenario{
 				Name:    string(shape) + "/n" + map[int]string{1: "1", 3: "3"}[nodes],
-				Arrival: ArrivalConfig{Shape: shape, Jobs: jobs, RatePerSec: 5000, Clients: 4},
+				Arrival: ArrivalConfig{Shape: shape, Jobs: jobs, RatePerSec: 5000},
 				Mix:     liteMix(),
 				Nodes:   nodes,
 			})

@@ -1,10 +1,10 @@
 // Package workload turns a single seed into a reproducible traffic
 // timeline: seeded arrival processes (open-loop Poisson, bursty MMPP,
-// diurnal rate curves, closed-loop with think time, JSONL trace replay), a
-// job-mix synthesizer drawing programs from the irgen generators (including
-// the sync idiom family), a driver that pushes the stream through the
-// service layer — single node or LoopNet cluster — and a scenario matrix
-// runner producing deterministic, byte-identical result tables.
+// diurnal rate curves, closed-loop with think time), a job-mix synthesizer
+// drawing programs from the irgen generators (including the sync idiom
+// family), a driver that pushes the stream through the service layer —
+// single node or LoopNet cluster — and a scenario matrix runner producing
+// deterministic, byte-identical result tables.
 //
 // Randomness is partitioned per subsystem exactly like internal/nemesis:
 // each class of decision draws from its own detrand.Rand stream derived from
