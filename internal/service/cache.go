@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -141,8 +142,15 @@ type instrEntry struct {
 	mod *ir.Module
 	// keyState is the SHA-256 state after "mod\x00" and mod's canonical
 	// printed text — the content address every result key of this module
-	// resumes from (resultKey).
+	// resumes from (digestKey).
 	keyState []byte
+	// entry and baseline are the request fields of instrKey a result key
+	// hashes besides the module: the same for every job of this entry.
+	entry    string
+	baseline bool
+	// keys remembers result keys of this module, one configuration a slot
+	// (resultKey): a hit reads its key instead of digesting it.
+	keys [keySlots]atomic.Pointer[memoKey]
 	// pass holds instrumentation statistics (nil for baseline jobs).
 	pass *core.Result
 	// decoded holds mod's decoded instruction streams; freed with the entry.
@@ -241,21 +249,73 @@ func keyState(text []byte) []byte {
 	return state
 }
 
-// resultKey is the content address of a simulation: the instrumented
-// module's printed text (resumed from keyStateOf) plus every SimConfig
-// field that can change the outcome. PerturbSeed is included even though
-// deterministic schedules are invariant under it — makespans are not.
-func resultKey(keyState []byte, req *Request) string {
+// simConfig is what a job adds to its instrumentation entry's result key:
+// every SimConfig field that can change the outcome, the entry function and
+// determinism mode aside (instrKey fixes those per entry). PerturbSeed is
+// included even though deterministic schedules are invariant under it —
+// makespans are not. A result key is a function of (entry, simConfig), so
+// the memo keyed on simConfig can hold no stale key.
+type simConfig struct {
+	threads int
+	race    bool
+	seed    int64
+}
+
+func simConfigOf(req *Request) simConfig {
+	return simConfig{threads: req.Threads, race: req.Race, seed: req.PerturbSeed}
+}
+
+// keySlots bounds the result keys an instrEntry remembers: the memo's memory
+// per entry is a constant, whatever seeds clients send.
+const keySlots = 16
+
+// memoKey is one remembered result key and the configuration it is for.
+type memoKey struct {
+	cfg simConfig
+	key string
+}
+
+// slot picks c's memo slot. The seed's low bits choose it, so the sixteen
+// consecutive seeds a client sweeps one configuration with take sixteen
+// slots; the thread count (times an odd number) and the race flag turn it,
+// so one seed at a few configurations does not pile into one slot.
+func (c simConfig) slot() int {
+	h := uint64(c.seed) + 5*uint64(c.threads)
+	if c.race {
+		h += keySlots / 2
+	}
+	return int(h % keySlots)
+}
+
+// resultKey is the result key of c on this entry's module. A configuration
+// already in its slot is answered from there; any other is digested once and
+// replaces what the slot held. Slots are independent atomic pointers, so
+// concurrent hits share no lock, and two that race on one slot each return
+// their own correct key.
+func (ie *instrEntry) resultKey(c simConfig) string {
+	slot := &ie.keys[c.slot()]
+	if m := slot.Load(); m != nil && m.cfg == c {
+		return m.key
+	}
+	key := ie.digestKey(c)
+	slot.Store(&memoKey{cfg: c, key: key})
+	return key
+}
+
+// digestKey is the content address of a simulation: the instrumented
+// module's printed text (resumed from keyStateOf), the entry, the
+// determinism mode and c.
+func (ie *instrEntry) digestKey(c simConfig) string {
 	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(keyState); err != nil {
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ie.keyState); err != nil {
 		panic(err) // keyState only ever comes from keyStateOf
 	}
 	b := append(make([]byte, 0, 96), "\x00threads\x00"...)
-	b = strconv.AppendInt(b, int64(req.Threads), 10)
-	b = append(append(b, "\x00entry\x00"...), req.Entry...)
-	b = strconv.AppendBool(append(b, "\x00det\x00"...), !req.Baseline)
-	b = strconv.AppendBool(append(b, "\x00race\x00"...), req.Race)
-	b = strconv.AppendInt(append(b, "\x00seed\x00"...), req.PerturbSeed, 10)
+	b = strconv.AppendInt(b, int64(c.threads), 10)
+	b = append(append(b, "\x00entry\x00"...), ie.entry...)
+	b = strconv.AppendBool(append(b, "\x00det\x00"...), !ie.baseline)
+	b = strconv.AppendBool(append(b, "\x00race\x00"...), c.race)
+	b = strconv.AppendInt(append(b, "\x00seed\x00"...), c.seed, 10)
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/detrand"
 	"repro/internal/splash"
 )
 
@@ -241,5 +242,114 @@ func TestKeyStateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { keyStateOf(m) }); n > 2 {
 		t.Errorf("keyStateOf: %v allocations, want at most 2", n)
+	}
+}
+
+// memoEntry builds req's instrumentation entry through KeyFor and returns it
+// with the normalized request.
+func memoEntry(t *testing.T, s *Service, req Request) (*instrEntry, Request) {
+	t.Helper()
+	if _, err := s.KeyFor(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	ie, ok := s.instr.peek(instrKeyOf(&req))
+	if !ok {
+		t.Fatal("KeyFor left no instrumentation entry")
+	}
+	return ie, req
+}
+
+// TestKeyMemoMatchesDigest: a key read through the memo is the key digested
+// from scratch, and KeyFor's, over random configuration sequences on a
+// deterministic and a baseline entry — repeats, configurations that share a
+// slot and so evict each other, one seed at several thread counts.
+func TestKeyMemoMatchesDigest(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Kill()
+	src := hitPrograms(t)["1kB"]
+	rng := detrand.New(50, 0)
+	for _, base := range []Request{{Source: src}, {Source: src, Baseline: true}} {
+		ie, base := memoEntry(t, s, base)
+		for i := range 4000 {
+			req := base
+			req.Threads = 1 + rng.IntN(8)
+			req.Race = !base.Baseline && rng.IntN(2) == 0
+			req.PerturbSeed = int64(rng.IntN(3*keySlots)) - keySlots // 48 seeds: every slot shared
+			if i%7 == 0 {
+				req.PerturbSeed = int64(rng.Next()) // anywhere in int64
+			}
+			want := resultKey(ie.keyState, &req)
+			if got := ie.resultKey(simConfigOf(&req)); got != want {
+				t.Fatalf("step %d, %+v: memo key %s, digest %s", i, simConfigOf(&req), got, want)
+			}
+			if got, err := s.KeyFor(req); err != nil || got != want {
+				t.Fatalf("step %d, %+v: KeyFor %s (%v), digest %s", i, simConfigOf(&req), got, err, want)
+			}
+		}
+	}
+	// Sixteen consecutive seeds of one configuration take sixteen slots.
+	seen := map[int]bool{}
+	for seed := int64(32); seed < 32+keySlots; seed++ {
+		seen[simConfig{threads: 4, seed: seed}.slot()] = true
+	}
+	if len(seen) != keySlots {
+		t.Errorf("16 consecutive seeds took %d slots", len(seen))
+	}
+}
+
+// TestKeyMemoConcurrentHits: eight goroutines reading keys of one entry at
+// once, through configurations that share slots, each get the right key.
+// Under -race this is the memo's data-race check.
+func TestKeyMemoConcurrentHits(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Kill()
+	ie, base := memoEntry(t, s, Request{Source: hitPrograms(t)["1kB"]})
+	want := make([]string, 2*keySlots)
+	for i := range want {
+		req := base
+		req.PerturbSeed = int64(i)
+		want[i] = resultKey(ie.keyState, &req)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2000 {
+				seed := (g*7 + i) % len(want)
+				if got := ie.resultKey(simConfig{threads: base.Threads, seed: int64(seed)}); got != want[seed] {
+					t.Errorf("goroutine %d, seed %d: key %s, want %s", g, seed, got, want[seed])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestKeyMemoBounded: an entry remembers at most keySlots keys however many
+// configurations it has served.
+func TestKeyMemoBounded(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Kill()
+	ie, base := memoEntry(t, s, Request{Source: hitPrograms(t)["1kB"]})
+	for seed := range int64(10_000) {
+		req := base
+		req.PerturbSeed = seed * 7919
+		if _, err := s.KeyFor(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := 0
+	for i := range ie.keys {
+		if ie.keys[i].Load() != nil {
+			held++
+		}
+	}
+	if held > keySlots {
+		t.Fatalf("after 10000 seeds the entry holds %d keys, more than its %d slots", held, keySlots)
 	}
 }

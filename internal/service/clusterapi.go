@@ -223,7 +223,7 @@ func (s *Service) KeyFor(req Request) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return resultKey(ie.keyState, &req), nil
+	return ie.resultKey(simConfigOf(&req)), nil
 }
 
 // QueueDepth reports the current queue backlog — the signal health probes

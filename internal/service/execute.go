@@ -172,7 +172,7 @@ func (s *Service) lookup(req *Request, f *found) {
 		return
 	}
 	if f.key == "" {
-		f.key = resultKey(f.ie.keyState, req)
+		f.key = f.ie.resultKey(simConfigOf(req))
 	}
 	if ent, ok := s.results.get(f.key); ok {
 		s.ctr.ResultCacheHits.Add(1)
@@ -317,7 +317,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 		return nil, false, fmt.Errorf("service: parse: %w", err)
 	}
 
-	ie := &instrEntry{mod: mod, decoded: interp.NewDCache()}
+	ie := &instrEntry{mod: mod, decoded: interp.NewDCache(), entry: ik.entry, baseline: ik.baseline}
 	if req.Baseline {
 		if err := mod.Verify(s.est.Has); err != nil {
 			// Worded as by interp.NewMachine, which made this check per run.

@@ -11,3 +11,10 @@ func ResultKeyOfText(text string, req *Request) string {
 func moduleKeyState(moduleText string) []byte {
 	return keyState([]byte("mod\x00" + moduleText))
 }
+
+// resultKey digests req's result key from a module's key state, past the
+// memo: the key a job of req computes on a memo miss.
+func resultKey(keyState []byte, req *Request) string {
+	ie := instrEntry{keyState: keyState, entry: req.Entry, baseline: req.Baseline}
+	return ie.digestKey(simConfigOf(req))
+}

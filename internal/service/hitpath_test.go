@@ -33,19 +33,30 @@ var raceEnabled bool
 
 // BenchmarkDoHit is a result-cache hit through Do. The two sizes should read
 // about the same: a hit costs the request's configuration, not its text.
+// seeds=16 cycles sixteen consecutive PerturbSeeds of the 1 kB program, the
+// shape of the benchmark's n3 pool: each takes its own key-memo slot, so it
+// should read as 1kB does. seeds=32 cycles thirty-two, two to a slot, so
+// every hit finds the other seed's key there and digests its own: the memo's
+// collision path.
 func BenchmarkDoHit(b *testing.B) {
-	for _, name := range []string{"1kB", "36kB"} {
-		src := hitPrograms(b)[name]
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name, size string
+		seeds      int
+	}{{"1kB", "1kB", 1}, {"36kB", "36kB", 1}, {"seeds=16", "1kB", keySlots}, {"seeds=32", "1kB", 2 * keySlots}} {
+		src := hitPrograms(b)[c.size]
+		b.Run(c.name, func(b *testing.B) {
 			s := New(Config{Workers: 1})
 			defer s.Kill()
-			req := Request{Source: src}
-			mustDo(b, s, req)
+			reqs := make([]Request, c.seeds)
+			for i := range reqs {
+				reqs[i] = Request{Source: src, PerturbSeed: int64(i)}
+				mustDo(b, s, reqs[i])
+			}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(src)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res, err := s.Do(context.Background(), req); err != nil || !res.Cached {
+				if res, err := s.Do(context.Background(), reqs[i%len(reqs)]); err != nil || !res.Cached {
 					b.Fatalf("res %+v, err %v", res, err)
 				}
 			}
@@ -141,21 +152,23 @@ func BenchmarkDoHitParallel(b *testing.B) {
 }
 
 // TestHitAllocs pins the allocations of one hit, submit to result, at one
-// more than measured when the submitter began finishing hits itself (9: the
-// job, its done channel and id, the digest, its sum and the key, the result;
-// 15 on the parent, which also built a context and woke a worker). A
-// journaled hit is pinned at what it measures, 9: its one record is framed
-// into the journal's own buffers, and the journal keeps nothing of it (10
-// while the journal mirrored every job it accepted). After 10k journaled hits
-// of one program the journal's only per-job state, its unfinished set, is
-// empty, and it holds one program text. The race runtime allocates in the
-// journal's commit path, so a journaled hit's count holds without it only.
+// more than measured since its entry remembers its result keys (4: the job,
+// its done channel and id, the result; 8 while each hit digested its key
+// again — the digest, its buffer, its sum and the hex key; 15 before the
+// submitter finished hits itself, when it also built a context and woke a
+// worker). A journaled hit is pinned at what it measures, 5: its one record
+// is framed into the journal's own buffers, and the journal keeps nothing of
+// it (9 with the digest, 10 while the journal mirrored every job it
+// accepted). After 10k journaled hits of one program the journal's only
+// per-job state, its unfinished set, is empty, and it holds one program
+// text. The race runtime allocates in the journal's commit path, so a
+// journaled hit's count holds without it only.
 func TestHitAllocs(t *testing.T) {
 	for name, src := range hitPrograms(t) {
 		for _, journaled := range []bool{false, true} {
-			cfg, limit := Config{Workers: 1}, 10.0
+			cfg, limit := Config{Workers: 1}, 5.0
 			if journaled {
-				cfg.JournalPath, limit = filepath.Join(t.TempDir(), "journal.jsonl"), 9
+				cfg.JournalPath, limit = filepath.Join(t.TempDir(), "journal.jsonl"), 5
 			}
 			s := New(cfg)
 			req := Request{Source: src}

@@ -53,10 +53,26 @@ func (q *Request) UnmarshalJSON(b []byte) error {
 	return err
 }
 
-// UnmarshalJSON is json.Unmarshal's decoding, error text included, but for
+// UnmarshalJSON is decodeJSON's decoding, error text included. The plain
+// shape writeJSON writes, compact or indented — the exact keys once each,
+// ASCII strings, decimal integers, true / false, clockable as an array of
+// strings — is decoded in one pass into a copy of res that replaces it once
+// whole; anything else (a schedule, an overhead row, null, a \u escape, a
+// repeated key) is decodeJSON's to decode or to diagnose.
+func (res *Result) UnmarshalJSON(b []byte) error {
+	r := *res
+	d := reqDecoder{body: b}
+	if d.result(&r) {
+		*res = r
+		return nil
+	}
+	return res.decodeJSON(b)
+}
+
+// decodeJSON is json.Unmarshal's decoding, error text included, but for
 // schedule_len, read as 64 bits and narrowed as the binary codec narrows it:
 // a journaled or relayed result decodes alike on every word size.
-func (res *Result) UnmarshalJSON(b []byte) error {
+func (res *Result) decodeJSON(b []byte) error {
 	type plain Result
 	type Result struct {
 		*plain
@@ -71,9 +87,9 @@ func (res *Result) UnmarshalJSON(b []byte) error {
 	return err
 }
 
-// reqDecoder is a cursor over a request body. Every method reports false at
-// the first byte it is not certain encoding/json reads the same way; req may
-// be half filled by then.
+// reqDecoder is a cursor over a request or a result body. Every method
+// reports false at the first byte it is not certain encoding/json reads the
+// same way; the value may be half filled by then.
 type reqDecoder struct {
 	body    []byte
 	i       int
@@ -168,6 +184,78 @@ func (d *reqDecoder) request(req *Request) bool {
 		return 0, false
 	})
 	return ok && d.lit("") && d.i == len(d.body) // only whitespace may follow
+}
+
+// result decodes the fields writeJSON writes. A field absent from the body
+// keeps res's value, as json.Unmarshal merges into a filled value.
+func (d *reqDecoder) result(res *Result) bool {
+	ok := d.object(func(key []byte) (uint, bool) {
+		switch string(key) {
+		case "job_id":
+			return 1 << 0, d.str(&res.JobID)
+		case "cached":
+			return 1 << 1, d.boolean(&res.Cached)
+		case "instr_cached":
+			return 1 << 2, d.boolean(&res.InstrCached)
+		case "self_checked":
+			return 1 << 3, d.boolean(&res.SelfChecked)
+		case "peer_filled":
+			return 1 << 4, d.boolean(&res.PeerFilled)
+		case "remote":
+			return 1 << 5, d.boolean(&res.Remote)
+		case "schedule_hash":
+			return 1 << 6, d.str(&res.ScheduleHash)
+		case "schedule_len":
+			var v int64
+			ok := d.integer(&v)
+			res.ScheduleLen = bin.Narrow(v)
+			return 1 << 7, ok
+		case "cycles":
+			return 1 << 8, d.integer(&res.Cycles)
+		case "wait_cycles":
+			return 1 << 9, d.integer(&res.WaitCycles)
+		case "acquisitions":
+			return 1 << 10, d.integer(&res.Acquisitions)
+		case "clock_updates":
+			return 1 << 11, d.integer(&res.ClockUpdates)
+		case "clockable":
+			return 1 << 12, d.strs(&res.Clockable)
+		case "stage_latency":
+			return 1 << 13, d.object(func(key []byte) (uint, bool) {
+				switch string(key) {
+				case "parse_ns":
+					return 1 << 0, d.integer(&res.Stage.ParseNS)
+				case "instrument_ns":
+					return 1 << 1, d.integer(&res.Stage.InstrumentNS)
+				case "simulate_ns":
+					return 1 << 2, d.integer(&res.Stage.SimulateNS)
+				case "overhead_ns":
+					return 1 << 3, d.integer(&res.Stage.OverheadNS)
+				}
+				return 0, false
+			})
+		}
+		return 0, false
+	})
+	return ok && d.lit("") && d.i == len(d.body)
+}
+
+// strs decodes an array of strings into a new slice: empty, not nil, for
+// [], as json.Unmarshal leaves it.
+func (d *reqDecoder) strs(out *[]string) bool {
+	if !d.lit("[") {
+		return false
+	}
+	list := []string{}
+	for !d.lit("]") {
+		var s string
+		if len(list) > 0 && !d.lit(",") || !d.str(&s) {
+			return false
+		}
+		list = append(list, s)
+	}
+	*out = list
+	return true
 }
 
 // source decodes the source string through the memo: the literal, up to the

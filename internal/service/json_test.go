@@ -450,3 +450,200 @@ func FuzzRecordMatchesEncoder(f *testing.F) {
 		}
 	})
 }
+
+// resultDecodeSeeds are result bodies the one-pass decoder takes, then ones
+// it must leave to encoding/json. TestDecodeResultFastPath pins which is
+// which; FuzzDecodeResult starts from all of them.
+var resultDecodeSeeds = struct{ taken, declined []string }{
+	taken: []string{
+		`{}`,
+		`{"job_id":"job-1","cached":true,"instr_cached":false,"schedule_hash":"00000000000000a1","schedule_len":-0,"cycles":-999999999999999999,"clockable":[],"stage_latency":{}}`,
+		"{\n  \"clockable\" : [ \"a\" , \"b\\n\\\"\" ] ,\r\n\t\"stage_latency\" : { \"overhead_ns\" : 7 } }\n",
+		`{"self_checked":true,"peer_filled":false,"remote":true,"wait_cycles":1,"acquisitions":2,"clock_updates":3,"stage_latency":{"parse_ns":1,"instrument_ns":2,"simulate_ns":3}}`,
+	},
+	declined: []string{
+		`{"schedule":null}`,
+		`{"schedule":{"events":[]}}`,
+		`{"overhead":{"clockable":3}}`,
+		`{"job_id":null}`,
+		`{"clockable":null}`,
+		`{"stage_latency":null}`,
+		`null`,
+		`{"job_id":"\u0041"}`,
+		`{"job_id":"caf` + "\xc3\xa9" + `"}`,
+		`{"Job_ID":"a"}`,
+		`{"job_id":"a","job_id":"b"}`,
+		`{"stage_latency":{"parse_ns":1},"stage_latency":{"simulate_ns":2}}`,
+		`{"stage_latency":{"parse_ns":1,"parse_ns":2}}`,
+		`{"clockable":["a",]}`,
+		`{"clockable":[,"a"]}`,
+		`{"clockable":["a" "b"]}`,
+		`{"clockable":[1]}`,
+		`{"clockable":"a"}`,
+		`{"cycles":1.5}`,
+		`{"cycles":1e3}`,
+		`{"cycles":9223372036854775807}`,
+		`{"schedule_len":"3"}`,
+		`{"cached":1}`,
+		`{"unknown":1}`,
+		`{"job_id":"a"} x`,
+		`{"job_id":"a"`,
+		`[]`,
+		``,
+	},
+}
+
+// takesResult reports whether the one-pass decoder decodes body itself.
+func takesResult(body []byte) bool {
+	d := reqDecoder{body: body}
+	return d.result(&Result{})
+}
+
+// filledResult is a value decoded into on a repeat: every field the one pass
+// may write set, so a field it leaves out shows as a kept value.
+func filledResult() Result {
+	return Result{JobID: "stale", Cached: true, Remote: true, ScheduleHash: "h", ScheduleLen: 9, Cycles: -1,
+		Clockable: []string{"old", "older"}, Stage: StageLatency{ParseNS: 5, OverheadNS: 3}}
+}
+
+// checkDecodeResult is the result decoder's contract: on any bytes it
+// answers as decodeJSON, the encoding/json definition, does — the same value
+// or the same error text — into a zero Result, into a filled one, and again
+// into what the first decode left.
+func checkDecodeResult(t *testing.T, body []byte) {
+	t.Helper()
+	for _, start := range []func() Result{func() Result { return Result{} }, filledResult} {
+		got, want := start(), start()
+		for pass := 0; pass < 2; pass++ {
+			gotErr, wantErr := got.UnmarshalJSON(body), want.decodeJSON(body)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%q, pass %d:\n got error %v\nwant error %v", body, pass, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q, pass %d:\n got %+v\nwant %+v", body, pass, got, want)
+			}
+		}
+	}
+}
+
+// hitReply is the reply to a clean hit asking for its stats, as detserve
+// writes it.
+func hitReply() []byte {
+	res := &Result{JobID: "job-123456", Cached: true, InstrCached: true, ScheduleHash: "0123456789abcdef",
+		ScheduleLen: 22, Cycles: 2731, WaitCycles: 412, Acquisitions: 22, ClockUpdates: 187, Clockable: []string{"worker", "main"},
+		Stage: StageLatency{SimulateNS: 48211}}
+	out, _ := res.AppendJSONIndent(nil)
+	return out
+}
+
+// resultBodies are generated results as the journal and the reply write
+// them, compact and indented, artifacts and all (encoding/json writes those).
+func resultBodies(t testing.TB) [][]byte {
+	bodies := [][]byte{hitReply()}
+	for seed := int64(1); seed <= 60; seed++ {
+		res := randResult(detrand.New(seed, 0))
+		if res.Schedule != nil && res.Schedule.Len() > 300 { // a few kB of events say what 10,000 do
+			res.Schedule = trace.New()
+			res.Schedule.Record(1, 2, 3)
+		}
+		if seed%3 == 0 {
+			res.Schedule, res.Overhead = nil, nil
+			res.JobID, res.ScheduleHash = fmt.Sprintf("j-%d", seed), "00000000000000a1"
+			for i := range res.Clockable {
+				res.Clockable[i] = fmt.Sprintf("fn_%d.x", i)
+			}
+		}
+		compact, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, compact, encoderBytes(t, res, true))
+	}
+	return bodies
+}
+
+// TestDecodeResultFastPath: the one pass takes the shapes the reply and the
+// journal write for a result with plain strings — a regression declining
+// everything would pass every differential test — and the seeds it must
+// decline it declines.
+func TestDecodeResultFastPath(t *testing.T) {
+	for _, body := range append([]string{string(hitReply())}, resultDecodeSeeds.taken...) {
+		if !takesResult([]byte(body)) {
+			t.Errorf("declined a plain result: %q", body)
+		}
+	}
+	for _, body := range resultDecodeSeeds.declined {
+		if takesResult([]byte(body)) {
+			t.Errorf("took a result it must leave to encoding/json: %q", body)
+		}
+	}
+	var w jsonWriter // compact, as a journal record holds it
+	res := Result{JobID: "job-1", Cached: true, ScheduleHash: "00000000000000a1", Clockable: []string{"main"}}
+	if res.writeJSON(&w); !takesResult(w.b) {
+		t.Errorf("declined a journaled result: %s", w.b)
+	}
+}
+
+// TestDecodeResultMatchesJSON drives checkDecodeResult over generated
+// results and every cut of them.
+func TestDecodeResultMatchesJSON(t *testing.T) {
+	for _, body := range resultBodies(t) {
+		checkDecodeResult(t, body)
+		for cut := 0; cut < len(body); cut += 1 + len(body)/40 {
+			checkDecodeResult(t, body[:cut])
+		}
+	}
+}
+
+// FuzzDecodeResult: the one-pass result decoder against encoding/json, seeded
+// from the golden journal's results, generated replies and records, and the
+// shapes of resultDecodeSeeds.
+func FuzzDecodeResult(f *testing.F) {
+	golden, err := os.ReadFile(journalWriterGolden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n")) {
+		payload, err := unframeLine(line)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var rec struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			f.Fatal(err)
+		}
+		if rec.Result != nil {
+			f.Add([]byte(rec.Result))
+		}
+	}
+	for _, body := range resultBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range append(resultDecodeSeeds.taken, resultDecodeSeeds.declined...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkDecodeResult(t, body) })
+}
+
+// BenchmarkDecodeResult decodes a hit's reply through encoding/json (what
+// Result.UnmarshalJSON did before its one pass) and through the one pass, in
+// one process.
+func BenchmarkDecodeResult(b *testing.B) {
+	body := hitReply()
+	for _, c := range []struct {
+		name   string
+		decode func(*Result, []byte) error
+	}{{"encoding-json", (*Result).decodeJSON}, {"one-pass", (*Result).UnmarshalJSON}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				var res Result
+				if err := c.decode(&res, body); err != nil || res.Cycles != 2731 {
+					b.Fatalf("%+v, %v", res, err)
+				}
+			}
+		})
+	}
+}
