@@ -170,7 +170,7 @@ func TestBinaryCodecCoversEveryField(t *testing.T) {
 		{StolenJob{}, "ID string; Req service.Request"},
 		{trace.Event{}, "Seq int64; Lock int; Thread int; Clock int64"},
 		{harness.OverheadRow{}, "BaselineCycles int64; BaselineMS float64; LocksPerSec float64; Clockable int; ClocksPct float64; DetPct float64"},
-		{journalRecord{}, "Type string; ID string; Src string; Req *service.Request; Result *service.Result; Error string; Kind string; Text string"},
+		{journalRecord{}, "Type string; ID string; Claim string; Src string; Req *service.Request; Result *service.Result; Error string; Kind string; Text string"},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var fields []string

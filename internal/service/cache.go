@@ -174,6 +174,25 @@ type resultEntry struct {
 
 	mu       sync.Mutex // guards overhead
 	overhead *harness.OverheadRow
+
+	// claim remembers the journal's claim id of the last request this entry
+	// answered as a clean hit (claimFor), so that a journaled hit of the same
+	// request names its claim without digesting it.
+	claim atomic.Pointer[memoClaim]
+}
+
+// memoClaim is a remembered claim id and the request it is for.
+type memoClaim struct {
+	req Request
+	id  string
+}
+
+// claimFor returns the claim id remembered for req, or "".
+func (ent *resultEntry) claimFor(req *Request) string {
+	if m := ent.claim.Load(); m != nil && m.req == *req {
+		return m.id
+	}
+	return ""
 }
 
 // exportEntry renders a cache entry in wire form: the canonical result core

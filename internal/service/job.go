@@ -34,7 +34,7 @@ type Request struct {
 	Baseline bool `json:"baseline,omitempty"`
 	// PerturbSeed perturbs physical instruction timing (§ PerturbSeed on the
 	// facade SimConfig). Deterministic schedules are invariant under it (not
-	// yet the deque idiom's at 4 and 8 threads: ROADMAP.md item 6), and it
+	// yet the deque idiom's at 4 and 8 threads: ROADMAP.md item 21), and it
 	// remains part of the result-cache key so perturbation studies hit
 	// distinct entries.
 	PerturbSeed int64 `json:"perturb_seed,omitempty"`

@@ -36,14 +36,16 @@ import (
 //     id to be issued twice.
 //   - "submitted", for a job that needs a worker: written and synced before
 //     submit returns. An accepted job survives any crash.
-//   - "completed"/"failed" carrying "src" and "req", a clean result-cache
-//     hit's one record: its outcome is known before anything is written, so
-//     the finish record carries the request a submitted record would have.
-//     Synced before submit returns when the caller holds only the id
-//     (asynchronous Submit); through Do, whose caller already holds the
-//     result, batch-synced with the finish records — a crash can only make
-//     the id unknown, as retention eviction does, and the reservation keeps
-//     it from being reused.
+//   - "completed" carrying "claim", a clean result-cache hit's one record:
+//     its outcome is known before anything is written, and by determinism it
+//     is a function of the request, so the record names the claim record
+//     that holds both. Synced before submit returns when the caller holds
+//     only the id (asynchronous Submit); through Do, whose caller already
+//     holds the result, batch-synced with the finish records — a crash can
+//     only make the id unknown, as retention eviction does, and the
+//     reservation keeps it from being reused. A completed or failed record
+//     carrying "src", "req" and "result" — a clean hit's one record before
+//     claim records — replays as a hit naming its claim does.
 //   - "completed"/"failed" of a job a worker ran: batch-synced (by the next
 //     commit, which starts once fsyncEvery records are pending and the disk
 //     is idle, and on close). Losing a tail of them is harmless by
@@ -54,8 +56,14 @@ import (
 //     together and a crash loses the text only with that record. A record
 //     carrying a request names its text by this content address ("src") and
 //     carries the request with an empty source; one without "src" — the
-//     format before program records — replays the text it carries. Program
-//     records are no job's records: they count toward no batch.
+//     format before program records — replays the text it carries.
+//   - "claim" claim-<sha256 hex>: a request (its text named by "src") and the
+//     result every clean hit of it delivers, the job id left out; the id is
+//     the SHA-256 of the record's line with its id's value empty. Written
+//     once per log right ahead of its first user, as a program record is.
+//
+// Program and claim records are no job's records: they count toward no
+// batch.
 //
 // There is one commit path (commitLocked): appenders take a sequence number
 // under mu; one committer at a time swaps the pending buffer out and does the
@@ -91,6 +99,7 @@ const (
 	recFailed    = "failed"
 	recReserved  = "reserved"
 	recProgram   = "program"
+	recClaim     = "claim"
 )
 
 // reserveBlock is how many ids one reservation record covers.
@@ -100,8 +109,11 @@ const reserveBlock = 1024
 type journalRecord struct {
 	Type string `json:"type"`
 	// ID is the job the record belongs to; on a reserved record, the id no
-	// issued id exceeds; on a program record, its text's content address.
+	// issued id exceeds; on a program or claim record, its content address.
 	ID string `json:"id"`
+	// Claim names the claim record that holds a clean hit's request and
+	// result.
+	Claim string `json:"claim,omitempty"`
 	// Src names the program record that holds the text of Req.
 	Src string `json:"src,omitempty"`
 	// Req is the job request (submitted records, and a clean hit's one
@@ -125,6 +137,7 @@ func (rec *journalRecord) writeJSON(w *jsonWriter) bool {
 	w.open('{')
 	w.str(`"type":`, rec.Type, always)
 	w.str(`"id":`, rec.ID, always)
+	w.str(`"claim":`, rec.Claim, omitEmpty)
 	w.str(`"src":`, rec.Src, omitEmpty)
 	if rec.Req != nil {
 		w.key(`"req":`)
@@ -174,8 +187,10 @@ type journal struct {
 	fsyncEvery           int
 	// texts maps each text a program record of the log holds to its program
 	// id: one entry per distinct program journaled, however many jobs use it;
-	// scratch is the request a record carries, its source blanked.
+	// claims holds the ids of the claim records the log holds; scratch is the
+	// request a record carries, its source blanked.
 	texts   map[string]string
+	claims  map[string]struct{}
 	scratch Request
 
 	// appended numbers the job records taken so far, committed is the last
@@ -217,8 +232,8 @@ type journal struct {
 }
 
 // maxPendingBytes bounds how far the pending buffer runs ahead of a commit in
-// flight before appenders of records nobody waits on wait it out: about 1,900
-// of durable's hit records.
+// flight before appenders of records nobody waits on wait it out: about 7,600
+// of durable's hit records, 138 bytes each at seven-digit ids.
 const maxPendingBytes = 1 << 20
 
 // maxJournalRecord bounds one record line on replay. A line past it cannot
@@ -244,6 +259,7 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte
 		fsys:       fsys,
 		fsyncEvery: fsyncEvery,
 		texts:      make(map[string]string),
+		claims:     make(map[string]struct{}),
 		unfinished: make(map[string]struct{}),
 		ship:       ship,
 	}
@@ -259,6 +275,12 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte
 	}
 	res := scanJournal(raw)
 	jobs := replayJobs(res.recs, j.texts)
+	for id, c := range res.claims {
+		j.claims[id] = struct{}{}
+		if c.Src != "" {
+			j.texts[c.Req.Source] = c.Src
+		}
+	}
 	j.jobs = len(jobs)
 	for _, jj := range jobs {
 		if !jj.done {
@@ -332,56 +354,132 @@ func finishRecord(id string, res *Result, err error) journalRecord {
 }
 
 // appendJob appends one job record. With req set it is the job's first
-// record — a submitted record, or a clean hit's one finish record — carrying
-// req: the reservation its id crosses and its text's program record go first.
-// With durable set the record — and everything appended ahead of it — is
-// written and fsynced before returning, so Submit never acknowledges a job a
-// crash could lose; so is a first record whose reservation is not yet
-// durable. Other records join the pending buffer, committed once it holds
-// fsyncEvery records and the disk is idle: a crash loses at most what was
-// buffered, which recovery repairs by re-execution.
+// record — a submitted record, or a clean hit's one finish record in the
+// inline form — carrying req: the reservation its id crosses and its text's
+// program record go first. With durable set the record — and everything
+// appended ahead of it — is written and fsynced before returning, so Submit
+// never acknowledges a job a crash could lose; so is a first record whose
+// reservation is not yet durable. Other records join the pending buffer,
+// committed once it holds fsyncEvery records and the disk is idle: a crash
+// loses at most what was buffered, which recovery repairs by re-execution.
 func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.admitLocked(); err != nil {
 		return err
 	}
-	if req != nil {
-		// The id crosses the mark: reserve the next block, one record per
-		// block so that a reservation line recovery finds damaged stands for
-		// reserveBlock ids and no more (scanResult.idFloor).
-		for n, _ := numericID(rec.ID); n > j.reserved; {
-			j.reserved += reserveBlock
-			if err := j.appendLocked(journalRecord{Type: recReserved, ID: jobID(j.reserved)}); err != nil {
-				return err
-			}
-			j.reservedAt = j.appended + 1 // rec, appended below
+	if req == nil {
+		if err := j.appendJobLocked(rec); err != nil {
+			return err
 		}
-		pid, ok := j.texts[req.Source]
-		if !ok {
-			pid = programID(req.Source)
-			if err := j.appendLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
-				return err
-			}
-			j.texts[req.Source] = pid
-		}
-		j.scratch = *req
-		j.scratch.Source = ""
-		rec.Src, rec.Req = pid, &j.scratch
+		delete(j.unfinished, rec.ID)
+		return j.settleLocked(durable)
 	}
+	if err := j.reserveLocked(rec.ID); err != nil {
+		return err
+	}
+	pid, err := j.programLocked(req.Source)
+	if err != nil {
+		return err
+	}
+	j.scratch = *req
+	j.scratch.Source = ""
+	rec.Src, rec.Req = pid, &j.scratch
 	if err := j.appendJobLocked(rec); err != nil {
 		return err
 	}
-	if req == nil {
-		delete(j.unfinished, rec.ID)
-	} else {
-		j.jobs++
-		if rec.Type == recSubmitted {
-			j.unfinished[rec.ID] = struct{}{}
-		}
-		durable = durable || j.committed < j.reservedAt
+	if rec.Type == recSubmitted {
+		j.unfinished[rec.ID] = struct{}{}
 	}
-	return j.settleLocked(durable)
+	return j.settleFirstLocked(durable)
+}
+
+// appendHit appends a clean hit's one record, a completed record naming the
+// claim of req and res, and returns the claim's id. cid is the id the caller
+// remembers for req, or "": a claim the log does not hold yet is digested and
+// written first, behind its program record, so the two commit together.
+// Durability is appendJob's for a first record.
+func (j *journal) appendHit(id string, req *Request, res *Result, cid string, durable bool) (string, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.admitLocked(); err != nil {
+		return "", err
+	}
+	if err := j.reserveLocked(id); err != nil {
+		return "", err
+	}
+	if _, ok := j.claims[cid]; !ok {
+		var err error
+		if cid, err = j.claimLocked(req, res); err != nil {
+			return "", err
+		}
+	}
+	if err := j.appendJobLocked(journalRecord{Type: recCompleted, ID: id, Claim: cid}); err != nil {
+		return "", err
+	}
+	return cid, j.settleFirstLocked(durable)
+}
+
+// reserveLocked appends the reservations a first record's id crosses, one
+// record per block so that a reservation line recovery finds damaged stands
+// for reserveBlock ids and no more (scanResult.idFloor).
+func (j *journal) reserveLocked(id string) error {
+	for n, _ := numericID(id); n > j.reserved; {
+		j.reserved += reserveBlock
+		if err := j.appendLocked(journalRecord{Type: recReserved, ID: jobID(j.reserved)}); err != nil {
+			return err
+		}
+		j.reservedAt = j.appended + 1 // the job record appended next
+	}
+	return nil
+}
+
+// programLocked returns text's program id, appending its program record
+// unless the log holds it.
+func (j *journal) programLocked(text string) (string, error) {
+	if pid, ok := j.texts[text]; ok {
+		return pid, nil
+	}
+	pid := programID(text)
+	if err := j.appendLocked(journalRecord{Type: recProgram, ID: pid, Text: text}); err != nil {
+		return "", err
+	}
+	j.texts[text] = pid
+	return pid, nil
+}
+
+// claimLocked returns the id of the claim of req and res — res without its
+// job id and artifacts — appending its program record and its claim record
+// unless the log holds them.
+func (j *journal) claimLocked(req *Request, res *Result) (string, error) {
+	pid, err := j.programLocked(req.Source)
+	if err != nil {
+		return "", err
+	}
+	j.scratch = *req
+	j.scratch.Source = ""
+	trimmed := *res
+	trimmed.JobID, trimmed.Schedule, trimmed.Overhead = "", nil, nil
+	rec := journalRecord{Type: recClaim, Src: pid, Req: &j.scratch, Result: &trimmed}
+	w := jsonWriter{b: j.line[:0]}
+	rec.writeJSON(&w) // trimmed carries no artifact, the one thing the writer declines
+	j.line = w.b
+	rec.ID = claimID(w.b)
+	if _, ok := j.claims[rec.ID]; !ok {
+		if err := j.appendLocked(rec); err != nil {
+			return "", err
+		}
+		j.claims[rec.ID] = struct{}{}
+	}
+	return rec.ID, nil
+}
+
+// settleFirstLocked ends the append of a job's first record: the job is
+// counted, and the record waits for the disk when its caller needs it durable
+// or the reservation its id crossed is not durable yet.
+func (j *journal) settleFirstLocked(durable bool) error {
+	j.jobs++
+	return j.settleLocked(durable || j.committed < j.reservedAt)
 }
 
 // admitLocked says whether the journal takes another job record: not once it
@@ -596,6 +694,15 @@ func numericID(id string) (int64, bool) {
 func programID(text string) string {
 	sum := sha256.Sum256([]byte(text))
 	return "prog-" + hex.EncodeToString(sum[:])
+}
+
+// claimID is a claim record's content address: "claim-" and the SHA-256 of
+// body, the record's JSON text with its id's value empty — the bytes the line
+// holds, so that a reader checks the line it reads and not its own rewrite of
+// it (blankClaimID).
+func claimID(body []byte) string {
+	sum := sha256.Sum256(body)
+	return "claim-" + hex.EncodeToString(sum[:])
 }
 
 // reservationLine is the framed reservation record for mark n.

@@ -469,6 +469,33 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(progM + user("job-1", pm) + progM + user("job-2", pm)))
 	f.Add([]byte(progM + framed(`{"type":"submitted","id":"job-1","src":"`+pm+`","req":{"source":"module m"}}`)))
 
+	// Claim records: an intact one and its users beside a submitted job, a
+	// hit naming a claim not yet written, a claim whose body does not hash
+	// to its id, a claim naming an unknown program, and a record carrying
+	// both a claim and a request and result.
+	claimOn := func(src, hash string) journalRecord {
+		rec := journalRecord{Type: recClaim, Src: src, Req: &Request{Threads: 4}, Result: &Result{Cached: true, ScheduleHash: hash}}
+		rec.ID = claimIDOf(rec)
+		return rec
+	}
+	line := func(rec journalRecord) string {
+		var w jsonWriter
+		rec.writeJSON(&w)
+		return framed(string(w.b))
+	}
+	named := func(id, cid string) string {
+		return framed(`{"type":"completed","id":"` + id + `","claim":"` + cid + `"}`)
+	}
+	cm, cn := claimOn(pm, "00"), claimOn(pn, "00")
+	forged := cm
+	forged.Result = &Result{ScheduleHash: "ff"}
+	f.Add([]byte(progM + line(cm) + named("job-1", cm.ID) + user("job-2", pm) + named("job-3", cm.ID) + line(cm) + named("job-4", cm.ID)))
+	f.Add([]byte(progM + named("job-1", cm.ID) + line(cm) + named("job-2", cm.ID)))
+	f.Add([]byte(progM + line(forged) + named("job-1", cm.ID) + named("job-2", forged.ID)))
+	f.Add([]byte(progM + line(cn) + named("job-1", cn.ID) + progN + line(cn) + named("job-2", cn.ID)))
+	f.Add([]byte(progM + line(cm) + framed(`{"type":"completed","id":"job-1","claim":"`+cm.ID+`","src":"`+pm+
+		`","req":{"source":"","threads":4},"result":{"schedule_hash":"00"}}`)))
+
 	// The snapshot check is the scanner's second entrance (peer-supplied
 	// bytes instead of a file): it must refuse exactly what recovery would
 	// quarantine or truncate, and reach a verdict on everything else.

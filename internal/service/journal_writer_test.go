@@ -3,10 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/diag"
@@ -15,16 +20,23 @@ import (
 
 // journalWriterGolden is what the journal writes for one fixed sequence of
 // appends, every string in it holding each character class encoding/json
-// escapes or replaces, followed by a rewrite's closing reservation line.
+// escapes or replaces, followed by a rewrite's closing reservation line, and
+// then what a second journal writes for two clean hits of one request named
+// by their claim (writeClaimSequence).
 //
-// The file is never regenerated from the code under test. It was written at
-// b29e1af, the last commit whose journal encoded its records with
-// json.Encoder, so it pins encoding/json's bytes. To write it again, check
-// that commit out, copy this file there, and run
+// The file is never regenerated from the code under test. Its lines up to
+// the reservation of job-3072 were written at b29e1af, the last commit whose
+// journal encoded its records with json.Encoder, so they pin encoding/json's
+// bytes. To write them again, check that commit out, copy this file there,
+// delete the writeClaimSequence call and the JOURNAL_WRITER_CLAIMS_OUT
+// branch, and run
 //
 //	JOURNAL_WRITER_OUT=$PWD/internal/service/testdata/journal_writer.golden go test -run TestJournalWriterBytes ./internal/service/
 //
-// which writes the file instead of comparing with it.
+// which writes the file instead of comparing with it. b29e1af writes no claim
+// record: the lines behind are appended by the JOURNAL_WRITER_CLAIMS_OUT
+// branch, which encodes the claim sequence's records with json.Encoder, not
+// with the writer (claimSequenceByEncoder).
 const journalWriterGolden = "testdata/journal_writer.golden"
 
 // awkward holds a quote, a backslash, the three HTML characters, the short
@@ -77,9 +89,83 @@ func writeJournalSequence(t *testing.T, path string) []byte {
 	return append(raw, reservationLine(3*reserveBlock)...)
 }
 
+// claimedHit is the request and result of writeClaimSequence's two hits. Its
+// text is awkward without the byte that is not UTF-8, which the service
+// refuses before anything is journaled (TestNotUTF8Refused), so that its
+// program record replays.
+func claimedHit() (Request, Result) {
+	return Request{Source: "module c\n; " + strings.ReplaceAll(awkward, "\xff", "") + "\n", Entry: "main" + awkward, Threads: 2, Preset: "<&>", DeadlineMS: 9,
+			Artifacts: Artifacts{Stats: true}},
+		Result{Cached: true, InstrCached: true, ScheduleHash: "00000000000000c1", ScheduleLen: 5, Cycles: 77, Clockable: []string{"worker" + awkward}}
+}
+
+// writeClaimSequence appends two clean hits of one request to a fresh
+// journal at path — the first behind its reservation, program and claim
+// records, the second naming the claim alone — and returns the log.
+func writeClaimSequence(t *testing.T, path string) []byte {
+	t.Helper()
+	jn, _, err := openJournal(nil, path, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, res := claimedHit()
+	var cid string
+	for _, id := range []string{"job-1", "job-2"} {
+		res.JobID = id
+		if cid, err = jn.appendHit(id, &req, &res, cid, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// claimSequenceByEncoder is writeClaimSequence's log as json.Encoder writes
+// its records, the claim's id the SHA-256 of the encoder's bytes of the claim
+// with an empty id.
+func claimSequenceByEncoder(t *testing.T) []byte {
+	line := func(rec journalRecord) []byte {
+		return frameLine(bytes.TrimSuffix(encoderBytes(t, &rec, false), []byte("\n")))
+	}
+	req, res := claimedHit()
+	pid := programID(req.Source)
+	body := req
+	body.Source = ""
+	claim := journalRecord{Type: recClaim, Src: pid, Req: &body, Result: &res}
+	sum := sha256.Sum256(bytes.TrimSuffix(encoderBytes(t, &claim, false), []byte("\n")))
+	claim.ID = "claim-" + hex.EncodeToString(sum[:])
+	out := line(journalRecord{Type: recReserved, ID: jobID(reserveBlock)})
+	out = append(out, line(journalRecord{Type: recProgram, ID: pid, Text: req.Source})...)
+	out = append(out, line(claim)...)
+	for _, id := range []string{"job-1", "job-2"} {
+		out = append(out, line(journalRecord{Type: recCompleted, ID: id, Claim: claim.ID})...)
+	}
+	return out
+}
+
 // TestJournalWriterBytes: the journal writes encoding/json's bytes, framed,
 // for every kind of record it appends.
 func TestJournalWriterBytes(t *testing.T) {
+	if out := os.Getenv("JOURNAL_WRITER_CLAIMS_OUT"); out != "" {
+		f, err := os.OpenFile(out, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(claimSequenceByEncoder(t)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("appended the claim sequence to %s", out)
+		return
+	}
 	if out := os.Getenv("JOURNAL_WRITER_OUT"); out != "" {
 		if err := os.WriteFile(out, writeJournalSequence(t, filepath.Join(t.TempDir(), "jobs.journal")), 0o644); err != nil {
 			t.Fatal(err)
@@ -92,6 +178,7 @@ func TestJournalWriterBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := writeJournalSequence(t, filepath.Join(t.TempDir(), "jobs.journal"))
+	got = append(got, writeClaimSequence(t, filepath.Join(t.TempDir(), "claims.journal"))...)
 	gotLines, wantLines := bytes.SplitAfter(got, []byte("\n")), bytes.SplitAfter(want, []byte("\n"))
 	for i := range min(len(gotLines), len(wantLines)) {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
@@ -100,6 +187,58 @@ func TestJournalWriterBytes(t *testing.T) {
 	}
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("%d lines, want %d", len(gotLines), len(wantLines))
+	}
+}
+
+// TestJournalWriterClaimsReplay: the golden's claim lines, written by
+// json.Encoder, replay with no damage to writeClaimSequence's two hits, each
+// the claim's request and result as encoding/json carries them. A writer
+// that no longer reads an older claim as intact fails here.
+func TestJournalWriterClaimsReplay(t *testing.T) {
+	raw, err := os.ReadFile(journalWriterGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := reservationLine(3 * reserveBlock)
+	i := bytes.Index(raw, end)
+	if i < 0 {
+		t.Fatal("the golden holds no reservation of job-3072")
+	}
+	claims := raw[i+len(end):]
+	if scan := scanJournal(claims); scan.damaged() != 0 || scan.jobs != 2 || scan.finished != 2 || len(scan.claims) != 1 {
+		t.Fatalf("scan: %d damaged, %d jobs, %d finished, %d claims; want 0, 2, 2, 1", scan.damaged(), scan.jobs, scan.finished, len(scan.claims))
+	}
+	path := filepath.Join(t.TempDir(), "claims.journal")
+	if err := os.WriteFile(path, claims, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, jobs, err := openJournal(nil, path, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.close()
+	req, res := claimedHit()
+	roundTrip := func(v, out any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wantReq Request
+	roundTrip(&req, &wantReq)
+	if len(jobs) != 2 {
+		t.Fatalf("%d jobs, want 2", len(jobs))
+	}
+	for i, jj := range jobs {
+		res.JobID = jobID(int64(i) + 1)
+		var wantRes Result
+		roundTrip(&res, &wantRes)
+		if jj.id != res.JobID || !jj.done || !reflect.DeepEqual(jj.req, wantReq) || !reflect.DeepEqual(jj.result, &wantRes) {
+			t.Fatalf("job %d = %s done %v %+v %+v; want %s %+v %+v", i, jj.id, jj.done, jj.req, jj.result, res.JobID, wantReq, wantRes)
+		}
 	}
 }
 

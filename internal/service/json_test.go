@@ -434,7 +434,7 @@ func FuzzRecordMatchesEncoder(f *testing.F) {
 			}
 			return ""
 		}
-		rec := journalRecord{Type: a, ID: b, Src: pick(13, c), Error: pick(14, a), Kind: pick(15, b), Text: pick(16, c)}
+		rec := journalRecord{Type: a, ID: b, Claim: pick(19, a), Src: pick(13, c), Error: pick(14, a), Kind: pick(15, b), Text: pick(16, c)}
 		if bit(17) {
 			rec.Req = req
 		}

@@ -25,16 +25,21 @@ import (
 // not a job-N, a program record whose text does not hash to its id, a
 // submitted record naming a program no earlier intact program record holds
 // (so one damaged program line costs that program's jobs), and one that
-// both names a program and carries a text. A finish record that carries a
-// request — a clean hit's one record — is its job's submit when the id is
-// new, its request read by the submitted record's rules, and a plain finish
+// both names a program and carries a text; a claim record without a request
+// or a result, or whose body does not hash to its id, or whose request fails
+// those rules; a record naming a claim no earlier intact claim record holds
+// (so one damaged claim line costs that claim's hits), and one naming a claim
+// that is no completed record or also carries a request or a result. A
+// finish record that carries a request or names a claim — a clean hit's one
+// record — is its job's submit when the id is new, its request read by the
+// submitted record's rules (a claim's with its result), and a plain finish
 // record otherwise (the first submit wins). What does not: duplicate
-// submitted, program and finish records are legitimate products of
+// submitted, program, claim and finish records are legitimate products of
 // crash-recovery re-execution and of a shipped stream overlapping its
 // snapshot, and replay handles them (first-submit-wins, last-finish-wins, a
-// program id is its text); blank lines are kept; a torn final line (no
-// trailing newline) is truncation damage, not corruption, and is dropped
-// without quarantine exactly as before.
+// program or claim id is its content); blank lines are kept; a torn final
+// line (no trailing newline) is truncation damage, not corruption, and is
+// dropped without quarantine exactly as before.
 //
 // The sidecar is diagnostic: it is swept away at the next startup (along with
 // stale `.compact` temp files), so it describes the damage found by the most
@@ -52,8 +57,11 @@ type quarantineEntry struct {
 type scanResult struct {
 	// recs holds the replayable job records in log order, each submitted
 	// record's request holding its text: the records of one program share
-	// one string.
+	// one string. A record naming a claim holds the claim's request and a
+	// copy of its result carrying the record's job id.
 	recs []*journalRecord
+	// claims holds the intact claim records by id, their texts resolved.
+	claims map[string]*journalRecord
 	// keep is the clean log image: every valid line, original bytes, in
 	// order. Byte-identical to the input minus quarantined lines and the
 	// torn tail.
@@ -98,7 +106,7 @@ func (r *scanResult) repaired() []byte {
 // scanJournal classifies every line of a journal image. Pure function: no
 // I/O, no mutation of raw.
 func scanJournal(raw []byte) scanResult {
-	var res scanResult
+	res := scanResult{claims: map[string]*journalRecord{}}
 	var keep bytes.Buffer
 	seen := map[string]bool{}    // id -> submitted record seen
 	done := map[string]bool{}    // id -> finish record seen
@@ -159,7 +167,38 @@ func scanJournal(raw []byte) scanResult {
 			keep.Write(line)
 			keep.WriteByte('\n')
 			continue
+		case recClaim:
+			switch {
+			case rec.Req == nil || rec.Result == nil:
+				quarantine("claim record without request or result")
+				continue
+			case claimID(blankClaimID(payload, rec.ID)) != rec.ID:
+				quarantine(fmt.Sprintf("claim body does not match its id %s", rec.ID))
+				continue
+			}
+			if reason := resolveText(&rec, progs); reason != "" {
+				quarantine(reason)
+				continue
+			}
+			res.claims[rec.ID] = &rec
+			keep.Write(line)
+			keep.WriteByte('\n')
+			continue
 		case recSubmitted, recCompleted, recFailed:
+			if rec.Claim != "" {
+				c, ok := res.claims[rec.Claim]
+				switch {
+				case rec.Type != recCompleted || rec.Req != nil || rec.Result != nil || rec.Src != "":
+					quarantine(rec.Type + " record naming a claim is no completed record, or carries a request or a result")
+					continue
+				case !ok:
+					quarantine(fmt.Sprintf("completed record names unknown claim %s (its claim record is missing or damaged)", rec.Claim))
+					continue
+				}
+				result := *c.Result
+				result.JobID = rec.ID
+				rec.Src, rec.Req, rec.Result = c.Src, c.Req, &result
+			}
 			finish := rec.Type != recSubmitted
 			if finish && seen[rec.ID] {
 				rec.Req, rec.Src = nil, "" // a clean hit's request: the first submit wins
@@ -176,16 +215,11 @@ func scanJournal(raw []byte) scanResult {
 				continue
 			}
 			if rec.Req != nil {
-				switch text, ok := progs[rec.Src]; {
-				case rec.Src == "": // the inline format: the record carries its text
-				case rec.Req.Source != "":
-					quarantine(rec.Type + " record with both a program and an inline text")
-					continue
-				case !ok:
-					quarantine(fmt.Sprintf("%s record names unknown program %s (its program record is missing or damaged)", rec.Type, rec.Src))
-					continue
-				default:
-					rec.Req.Source = text
+				if rec.Claim == "" { // a claim's text is resolved already
+					if reason := resolveText(&rec, progs); reason != "" {
+						quarantine(reason)
+						continue
+					}
 				}
 				if !seen[rec.ID] {
 					seen[rec.ID] = true
@@ -207,6 +241,36 @@ func scanJournal(raw []byte) scanResult {
 	}
 	res.keep = keep.Bytes()
 	return res
+}
+
+// resolveText gives a record carrying a request its text: the program record
+// rec.Src names, or, without src, the text the request carries (the inline
+// format). It returns why the record is quarantined instead, or "".
+func resolveText(rec *journalRecord, progs map[string]string) string {
+	switch text, ok := progs[rec.Src]; {
+	case rec.Src == "":
+	case rec.Req.Source != "":
+		return rec.Type + " record with both a program and an inline text"
+	case !ok:
+		return fmt.Sprintf("%s record names unknown program %s (its program record is missing or damaged)", rec.Type, rec.Src)
+	default:
+		rec.Req.Source = text
+	}
+	return ""
+}
+
+// blankClaimID returns payload, a claim record's JSON text, with the value
+// of its id field, id, left empty: the bytes claimID hashes. A text that does
+// not spell the field as the journal writes it ("id":"claim-…", no space)
+// comes back whole, and does not hash to its id.
+func blankClaimID(payload []byte, id string) []byte {
+	field := `"id":"` + id + `"`
+	i := bytes.Index(payload, []byte(field))
+	if i < 0 {
+		return payload
+	}
+	i += len(`"id":"`)
+	return append(payload[:i:i], payload[i+len(id):]...)
 }
 
 // quarantineClip bounds one sidecar line: the sidecar is a diagnostic, not an

@@ -192,14 +192,15 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg Config
 
-	mu        sync.Mutex
-	closed    bool
-	draining  bool
-	seq       int64
-	jobs      map[string]*job
-	queue     chan *job
-	doneOrder []string        // finished job ids, oldest first (retention eviction)
-	lent      map[string]*job // queued jobs lent to work-stealing peers
+	mu       sync.Mutex
+	closed   bool
+	draining bool
+	seq      int64
+	jobs     map[string]*job
+	queue    chan *job
+	done     []string        // finished job ids, a ring of RetainJobs (retention eviction)
+	doneNext int             // the ring's next slot: its oldest id, once full
+	lent     map[string]*job // queued jobs lent to work-stealing peers
 
 	// checks holds recovery's distinct claims still to recompute (filled and
 	// closed by installRecovered, nil without a journal). The workers take
@@ -262,6 +263,7 @@ func Open(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		jobs:    make(map[string]*job),
+		done:    make([]string, cfg.RetainJobs),
 		lent:    make(map[string]*job),
 		queue:   make(chan *job, cfg.QueueDepth),
 		instr:   newLRU[instrKey, *instrEntry](cfg.InstrCacheSize),

@@ -96,6 +96,7 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 			// carry the outcome.
 			var lat StageLatency
 			res, err = s.assemble(j, j.found.ent, true, j.found.instrHit, false, &lat)
+			hit = err == nil // cannot fail: cleanHit saw the overhead row computed
 		}
 	}
 	// An instrumentation entry holds only a text already checked (notUTF8);
@@ -111,14 +112,16 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		// A crash can lose a job only while somebody still waits for it: one
 		// that needs a worker, or one whose caller was handed nothing but an
 		// id (Submit: clientCtx == nil). Those return after the sync that
-		// covers their record. A clean hit is one finish record carrying its
-		// request; through Do, whose caller leaves with the result, it rides
+		// covers their record. A clean hit is one finish record naming its
+		// claim; through Do, whose caller leaves with the result, it rides
 		// the batch.
-		rec := journalRecord{Type: recSubmitted, ID: id}
+		var jerr error
 		if hit {
-			rec = finishRecord(id, res, err)
+			jerr = s.journalHit(j.found.ent, id, &req, res, clientCtx == nil)
+		} else {
+			jerr = s.journal.appendJob(journalRecord{Type: recSubmitted, ID: id}, &req, true)
 		}
-		if jerr := s.journal.appendJob(rec, &req, !hit || clientCtx == nil); errors.Is(jerr, errJournalClosed) {
+		if errors.Is(jerr, errJournalClosed) {
 			s.mu.Lock()
 			delete(s.jobs, id)
 			s.mu.Unlock()
@@ -172,6 +175,17 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		s.journalFinished(j, nil, ErrQueueFull)
 		return misuse(ErrQueueFull, fmt.Sprintf("queue depth %d reached", cap(s.queue)))
 	}
+}
+
+// journalHit journals a clean hit by the claim its entry remembers for req;
+// a claim the journal digests afresh is remembered for the next hit.
+func (s *Service) journalHit(ent *resultEntry, id string, req *Request, res *Result, durable bool) error {
+	known := ent.claimFor(req)
+	cid, err := s.journal.appendHit(id, req, res, known, durable)
+	if err == nil && cid != known {
+		ent.claim.Store(&memoClaim{req: *req, id: cid})
+	}
+	return err
 }
 
 // journalFinished appends a job's finish record, degrading on write errors.
@@ -294,14 +308,17 @@ func (s *Service) publish(j *job, res *Result, err error) {
 	close(j.done)
 }
 
-// retainLocked appends j to the finished order and evicts the oldest
-// finished jobs beyond Config.RetainJobs, so a long-running service's job
-// table cannot grow without bound. Callers hold s.mu.
+// retainLocked puts j's id in the ring of finished jobs, evicting the oldest
+// one once the ring holds Config.RetainJobs, so a long-running service's job
+// table cannot grow without bound. The ring holds ids, not jobs: evicting
+// then reads the victim's id from the ring, not from its long-cold job.
+// Callers hold s.mu.
 func (s *Service) retainLocked(j *job) {
-	s.doneOrder = append(s.doneOrder, j.id)
-	for len(s.doneOrder) > s.cfg.RetainJobs {
-		victim := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
+	if victim := s.done[s.doneNext]; victim != "" {
 		delete(s.jobs, victim)
+	}
+	s.done[s.doneNext] = j.id
+	if s.doneNext++; s.doneNext == len(s.done) {
+		s.doneNext = 0
 	}
 }
