@@ -296,29 +296,18 @@ func Simulate(m *Module, cfg SimConfig) (*SimResult, error) {
 		}
 		out.Clockable = res.ClockableNames()
 	}
-	mach, threads, err := interp.NewMachine(interp.Config{
+	policy := sim.PolicyFCFS
+	if cfg.Deterministic {
+		policy = sim.PolicyDet
+	}
+	mach, threads, stats, err := interp.Run(interp.Config{
 		Module:     clone,
 		Threads:    cfg.Threads,
 		Entry:      cfg.Entry,
 		Estimates:  estimates.DefaultTable(),
 		Race:       cfg.Race,
 		JitterSeed: cfg.PerturbSeed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("detlock: %w", err)
-	}
-	policy := sim.PolicyFCFS
-	if cfg.Deterministic {
-		policy = sim.PolicyDet
-	}
-	eng := sim.New(sim.Config{
-		Policy:      policy,
-		NumLocks:    clone.NumLocks,
-		NumBarriers: clone.NumBars,
-		RecordTrace: cfg.RecordSchedule,
-		Observer:    mach.Observer(),
-	}, interp.Programs(threads))
-	stats, err := eng.Run()
+	}, sim.Config{Policy: policy, RecordTrace: cfg.RecordSchedule})
 	if err != nil {
 		return nil, fmt.Errorf("detlock: %w", err)
 	}

@@ -27,11 +27,11 @@ import (
 // Stream repair is snapshot resync: any hole the standby detects (epoch or
 // seq mismatch — standby restart, dropped batch, shipper buffer overflow) is
 // answered with 409, and the shipper's next flush opens a fresh epoch
-// carrying the journal's compaction-style snapshot, led by its id
-// reservation, which is bounded by the live job table rather than the
-// stream's history. The protocol is therefore
-// self-healing from any interleaving of failures, with bounded memory on
-// both sides.
+// carrying the journal's snapshot: the image the primary's own recovery would
+// open, the whole log through the scrub pass, ending with its id reservation.
+// The protocol is therefore self-healing from any interleaving of failures.
+// The shipper's buffer is bounded; the snapshot is not, since it grows with
+// the log until journal retention bounds it.
 
 // shipBatch is one ship request.
 type shipBatch struct {

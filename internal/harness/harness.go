@@ -168,25 +168,16 @@ func (r *Runner) Run(b *splash.Benchmark, opt core.Options, mode Mode, kendoChun
 	if r.RaceCheck && deterministic {
 		cfg.Race = &interp.RaceConfig{Policy: interp.RaceFailFast, Reference: r.Reference}
 	}
-	mach, threads, err := interp.NewMachine(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
-	}
-
 	policy := sim.PolicyFCFS
 	if deterministic {
 		policy = sim.PolicyDet
 	}
-	eng := sim.New(sim.Config{
+	mach, _, stats, err := interp.Run(cfg, sim.Config{
 		Policy:      policy,
-		NumLocks:    m.NumLocks,
-		NumBarriers: m.NumBars,
 		RecordTrace: r.RecordTraces,
-		Observer:    mach.Observer(),
 		Reference:   r.Reference,
 		Cancel:      r.Cancel,
-	}, interp.Programs(threads))
-	stats, err := eng.Run()
+	})
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 	}

@@ -234,6 +234,20 @@ func NewMachine(cfg Config) (*Machine, []*Thread, error) {
 	return m, threads, nil
 }
 
+// Run builds a machine for cfg and runs its threads on the simulator under
+// sc, whose lock and barrier counts and observer it takes from the module and
+// the machine. A nil machine means it could not be built; otherwise the error
+// is the run's.
+func Run(cfg Config, sc sim.Config) (*Machine, []*Thread, *sim.Stats, error) {
+	m, threads, err := NewMachine(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sc.NumLocks, sc.NumBarriers, sc.Observer = cfg.Module.NumLocks, cfg.Module.NumBars, m.Observer()
+	stats, err := sim.New(sc, Programs(threads)).Run()
+	return m, threads, stats, err
+}
+
 // Global returns the current contents of a global (shared across threads).
 func (m *Machine) Global(name string) []int64 { return m.globals[name] }
 

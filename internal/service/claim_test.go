@@ -349,15 +349,15 @@ func TestClaimDamage(t *testing.T) {
 			[]string{"no completed record"}, 0},
 	} {
 		scan := scanJournal([]byte(tc.log))
-		if len(scan.quarantined) != len(tc.quarantined) || scan.jobs != tc.jobs {
-			t.Fatalf("%s: %d quarantined, %d jobs; want %d and %d", tc.name, len(scan.quarantined), scan.jobs, len(tc.quarantined), tc.jobs)
+		if len(scan.quarantined) != len(tc.quarantined) || len(scan.jobs) != tc.jobs {
+			t.Fatalf("%s: %d quarantined, %d jobs; want %d and %d", tc.name, len(scan.quarantined), len(scan.jobs), len(tc.quarantined), tc.jobs)
 		}
 		for i, q := range scan.quarantined {
 			if !strings.Contains(q.reason, tc.quarantined[i]) {
 				t.Fatalf("%s: quarantine %d: %q, want it to say %q", tc.name, i, q.reason, tc.quarantined[i])
 			}
 		}
-		for _, jj := range replayJobs(scan.recs, map[string]string{}) {
+		for _, jj := range scan.jobs {
 			if jj.req.Source != text || jj.req.Threads != 4 || jj.result == nil || jj.result.JobID != jj.id || jj.result.ScheduleHash != "00" {
 				t.Fatalf("%s: %s replays as %+v, %+v", tc.name, jj.id, jj.req, jj.result)
 			}

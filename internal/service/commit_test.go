@@ -525,17 +525,17 @@ func TestSnapshotIsRecoveryImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan := scanJournal(raw); scan.jobs != 1 || scan.finished != 0 {
-		t.Fatalf("the file holds %d jobs, %d finished; want the miss's synced submit alone", scan.jobs, scan.finished)
+	if scan := scanJournal(raw); len(scan.jobs) != 1 || scan.finished != 0 {
+		t.Fatalf("the file holds %d jobs, %d finished; want the miss's synced submit alone", len(scan.jobs), scan.finished)
 	}
 	lines, err := s.JournalSnapshotRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
 	image := bytes.Join(lines, nil)
-	if scan := scanJournal(image); scan.damaged() != 0 || scan.jobs != 2 || scan.finished != 2 || scan.idFloor() != reserveBlock {
+	if scan := scanJournal(image); scan.damaged() != 0 || len(scan.jobs) != 2 || scan.finished != 2 || scan.idFloor() != reserveBlock {
 		t.Fatalf("snapshot: %d damaged lines, %d jobs, %d finished, id floor %d; want 0, 2, 2, %d",
-			scan.damaged(), scan.jobs, scan.finished, scan.idFloor(), reserveBlock)
+			scan.damaged(), len(scan.jobs), scan.finished, scan.idFloor(), reserveBlock)
 	}
 	if last := lines[len(lines)-1]; !bytes.Equal(last, reservationLine(reserveBlock)) {
 		t.Fatalf("snapshot ends with %q, want the reservation", last)

@@ -348,9 +348,8 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 // mutates engine state, so uncancelled runs are bitwise identical with or
 // without a deadline configured.
 func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*resultEntry, error) {
-	mod := ie.mod
 	cfg := interp.Config{
-		Module:     mod,
+		Module:     ie.mod,
 		Costs:      s.costs,
 		Estimates:  s.est,
 		Threads:    req.Threads,
@@ -362,29 +361,24 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 	if req.Race {
 		cfg.Race = &interp.RaceConfig{Policy: interp.RaceFailFast}
 	}
-	mach, threads, err := interp.NewMachine(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	policy := sim.PolicyFCFS
 	if !req.Baseline {
 		policy = sim.PolicyDet
 	}
-	eng := sim.New(sim.Config{
+	mach, _, stats, err := interp.Run(cfg, sim.Config{
 		Policy:      policy,
-		NumLocks:    mod.NumLocks,
-		NumBarriers: mod.NumBars,
 		RecordTrace: true,
-		Observer:    mach.Observer(),
 		Cancel: func() error {
 			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
 				return context.DeadlineExceeded
 			}
 			return ctx.Err()
 		},
-	}, interp.Programs(threads))
-	stats, err := eng.Run()
-	if err != nil {
+	})
+	switch {
+	case mach == nil:
+		return nil, fmt.Errorf("service: %w", err)
+	case err != nil:
 		// Structured report (DeadlockError, RaceError, …) — the job fails,
 		// the server does not.
 		return nil, err

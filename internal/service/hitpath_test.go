@@ -194,9 +194,9 @@ func BenchmarkDoHitParallel(b *testing.B) {
 // worker). A journaled hit is pinned at what it measures, 5: its one record
 // is framed into the journal's own buffers, and the journal keeps nothing of
 // it (9 with the digest, 10 while the journal mirrored every job it
-// accepted). After 10k journaled hits of one program the journal's only
-// per-job state, its unfinished set, is empty, and it holds one program
-// text. The race runtime allocates in the journal's commit path, so a
+// accepted). After 10k journaled hits of one request the journal's only
+// per-job state, its unfinished set, is empty, and it holds two record ids:
+// the program's and the claim's. The race runtime allocates in the journal's commit path, so a
 // journaled hit's count holds without it only.
 func TestHitAllocs(t *testing.T) {
 	for name, src := range hitPrograms(t) {
@@ -217,11 +217,11 @@ func TestHitAllocs(t *testing.T) {
 					mustDo(t, s, req)
 				}
 				s.journal.mu.Lock()
-				unfinished, texts, claims := len(s.journal.unfinished), len(s.journal.texts), len(s.journal.claims)
+				unfinished, held := len(s.journal.unfinished), len(s.journal.held)
 				s.journal.mu.Unlock()
-				if jobs, _, _, _ := s.journal.snapshotLive(); jobs != 10_000 || unfinished != 0 || texts != 1 || claims != 1 {
-					t.Errorf("%s: after %d journaled jobs of one request: %d unfinished, %d texts, %d claims; want 10000, 0, 1, 1",
-						name, jobs, unfinished, texts, claims)
+				if jobs, _, _, _ := s.journal.snapshotLive(); jobs != 10_000 || unfinished != 0 || held != 2 {
+					t.Errorf("%s: after %d journaled jobs of one request: %d unfinished, %d held records; want 10000, 0, 2",
+						name, jobs, unfinished, held)
 				}
 			}
 			s.Kill()

@@ -185,12 +185,10 @@ type journal struct {
 	pending, spare, line []byte
 	pendingRecs          int
 	fsyncEvery           int
-	// texts maps each text a program record of the log holds to its program
-	// id: one entry per distinct program journaled, however many jobs use it;
-	// claims holds the ids of the claim records the log holds; scratch is the
-	// request a record carries, its source blanked.
-	texts   map[string]string
-	claims  map[string]struct{}
+	// held holds the ids of the program and claim records the log holds:
+	// one entry per distinct program and claim journaled, however many jobs
+	// use it; scratch is the request a record carries, its source blanked.
+	held    map[string]struct{}
 	scratch Request
 
 	// appended numbers the job records taken so far, committed is the last
@@ -258,8 +256,6 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte
 		path:       path,
 		fsys:       fsys,
 		fsyncEvery: fsyncEvery,
-		texts:      make(map[string]string),
-		claims:     make(map[string]struct{}),
 		unfinished: make(map[string]struct{}),
 		ship:       ship,
 	}
@@ -274,15 +270,9 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte
 		return nil, nil, fmt.Errorf("journal: read %s: %w", path, err)
 	}
 	res := scanJournal(raw)
-	jobs := replayJobs(res.recs, j.texts)
-	for id, c := range res.claims {
-		j.claims[id] = struct{}{}
-		if c.Src != "" {
-			j.texts[c.Req.Source] = c.Src
-		}
-	}
-	j.jobs = len(jobs)
-	for _, jj := range jobs {
+	j.held = res.held
+	j.jobs = len(res.jobs)
+	for _, jj := range res.jobs {
 		if !jj.done {
 			j.unfinished[jj.id] = struct{}{}
 		}
@@ -308,37 +298,7 @@ func openJournal(fsys vfs.FS, path string, fsyncEvery int, ship func(line []byte
 		return nil, nil, fmt.Errorf("journal: seek %s: %w", path, err)
 	}
 	j.f = f
-	return j, jobs, nil
-}
-
-// replayJobs folds scanned records into their jobs, in first-submission
-// order, and notes in texts the program id of each text a record names. The
-// first record carrying a request is the job's submit — a submitted record,
-// or a clean hit's one finish record — and the scanner admits a record of an
-// unknown id only when it carries one. Finish records are last-wins: a job
-// re-executed after a crash may legitimately append a second one, and
-// determinism makes them interchangeable.
-func replayJobs(recs []*journalRecord, texts map[string]string) []*journalJob {
-	byID := make(map[string]*journalJob)
-	var jobs []*journalJob
-	for _, rec := range recs {
-		jj := byID[rec.ID]
-		if jj == nil {
-			jj = &journalJob{id: rec.ID, req: *rec.Req}
-			byID[rec.ID] = jj
-			jobs = append(jobs, jj)
-			if rec.Src != "" {
-				texts[rec.Req.Source] = rec.Src
-			}
-		}
-		switch rec.Type {
-		case recCompleted:
-			jj.done, jj.result, jj.errMsg, jj.errKind = true, rec.Result, "", ""
-		case recFailed:
-			jj.done, jj.result, jj.errMsg, jj.errKind = true, nil, rec.Error, rec.Kind
-		}
-	}
-	return jobs
+	return j, res.jobs, nil
 }
 
 // finishRecord is a job's failed record when err is set, else its completed
@@ -363,6 +323,10 @@ func finishRecord(id string, res *Result, err error) journalRecord {
 // committed once it holds fsyncEvery records and the disk is idle: a crash
 // loses at most what was buffered, which recovery repairs by re-execution.
 func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error {
+	var pid string
+	if req != nil {
+		pid = programID(req.Source) // outside mu: a first record waits for a sync anyway
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.admitLocked(); err != nil {
@@ -378,8 +342,7 @@ func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error
 	if err := j.reserveLocked(rec.ID); err != nil {
 		return err
 	}
-	pid, err := j.programLocked(req.Source)
-	if err != nil {
+	if err := j.holdLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
 		return err
 	}
 	j.scratch = *req
@@ -408,7 +371,7 @@ func (j *journal) appendHit(id string, req *Request, res *Result, cid string, du
 	if err := j.reserveLocked(id); err != nil {
 		return "", err
 	}
-	if _, ok := j.claims[cid]; !ok {
+	if _, ok := j.held[cid]; !ok {
 		var err error
 		if cid, err = j.claimLocked(req, res); err != nil {
 			return "", err
@@ -434,26 +397,25 @@ func (j *journal) reserveLocked(id string) error {
 	return nil
 }
 
-// programLocked returns text's program id, appending its program record
-// unless the log holds it.
-func (j *journal) programLocked(text string) (string, error) {
-	if pid, ok := j.texts[text]; ok {
-		return pid, nil
+// holdLocked appends rec, a program or claim record, unless the log holds
+// its id.
+func (j *journal) holdLocked(rec journalRecord) error {
+	if _, ok := j.held[rec.ID]; ok {
+		return nil
 	}
-	pid := programID(text)
-	if err := j.appendLocked(journalRecord{Type: recProgram, ID: pid, Text: text}); err != nil {
-		return "", err
+	if err := j.appendLocked(rec); err != nil {
+		return err
 	}
-	j.texts[text] = pid
-	return pid, nil
+	j.held[rec.ID] = struct{}{}
+	return nil
 }
 
 // claimLocked returns the id of the claim of req and res — res without its
 // job id and artifacts — appending its program record and its claim record
 // unless the log holds them.
 func (j *journal) claimLocked(req *Request, res *Result) (string, error) {
-	pid, err := j.programLocked(req.Source)
-	if err != nil {
+	pid := programID(req.Source)
+	if err := j.holdLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
 		return "", err
 	}
 	j.scratch = *req
@@ -465,13 +427,7 @@ func (j *journal) claimLocked(req *Request, res *Result) (string, error) {
 	rec.writeJSON(&w) // trimmed carries no artifact, the one thing the writer declines
 	j.line = w.b
 	rec.ID = claimID(w.b)
-	if _, ok := j.claims[rec.ID]; !ok {
-		if err := j.appendLocked(rec); err != nil {
-			return "", err
-		}
-		j.claims[rec.ID] = struct{}{}
-	}
-	return rec.ID, nil
+	return rec.ID, j.holdLocked(rec)
 }
 
 // settleFirstLocked ends the append of a job's first record: the job is

@@ -90,8 +90,8 @@ func TestJournalInlineFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan := scanJournal(raw); scan.damaged() != 0 || scan.jobs != len(want) || scan.finished != 3 || scan.maxID != reserveBlock {
-		t.Fatalf("scan: %d damaged, %d jobs, %d finished, max id %d", scan.damaged(), scan.jobs, scan.finished, scan.maxID)
+	if scan := scanJournal(raw); scan.damaged() != 0 || len(scan.jobs) != len(want) || scan.finished != 3 || scan.maxID != reserveBlock {
+		t.Fatalf("scan: %d damaged, %d jobs, %d finished, max id %d", scan.damaged(), len(scan.jobs), scan.finished, scan.maxID)
 	}
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {

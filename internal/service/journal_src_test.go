@@ -158,8 +158,8 @@ func TestJournalSrcFormat(t *testing.T) {
 			if n := bytes.Count(raw, []byte(g.marker)); n != g.count {
 				t.Fatalf("%d %s in the golden log, want %d", n, g.marker, g.count)
 			}
-			if scan := scanJournal(raw); scan.damaged() != 0 || scan.jobs != len(want) || scan.finished != g.finished || scan.maxID != reserveBlock {
-				t.Fatalf("scan: %d damaged, %d jobs, %d finished, max id %d", scan.damaged(), scan.jobs, scan.finished, scan.maxID)
+			if scan := scanJournal(raw); scan.damaged() != 0 || len(scan.jobs) != len(want) || scan.finished != g.finished || scan.maxID != reserveBlock {
+				t.Fatalf("scan: %d damaged, %d jobs, %d finished, max id %d", scan.damaged(), len(scan.jobs), scan.finished, scan.maxID)
 			}
 			path := filepath.Join(t.TempDir(), "jobs.journal")
 			if err := os.WriteFile(path, raw, 0o644); err != nil {

@@ -238,8 +238,8 @@ func TestDuplicateFinishesReplayLastWins(t *testing.T) {
 			}
 		}
 	}
-	if jobs, finished, _, _ := jn.snapshotLive(); jobs != 3 || finished != 3 || len(jn.texts) != 2 {
-		t.Fatalf("journal counts %d jobs, %d finished, %d texts; want 3, 3, 2", jobs, finished, len(jn.texts))
+	if jobs, finished, _, _ := jn.snapshotLive(); jobs != 3 || finished != 3 || len(jn.held) != 2 {
+		t.Fatalf("journal counts %d jobs, %d finished, %d held records; want 3, 3, 2", jobs, finished, len(jn.held))
 	}
 	if err := jn.close(); err != nil {
 		t.Fatal(err)
@@ -266,6 +266,114 @@ func TestDuplicateFinishesReplayLastWins(t *testing.T) {
 	}
 	if jobs[0].req.Source != jobs[2].req.Source || unsafe.StringData(jobs[0].req.Source) != unsafe.StringData(jobs[2].req.Source) {
 		t.Fatal("replayed jobs of one program do not share its text")
+	}
+}
+
+// TestProgramOfQuarantinedUserStaysHeld: a program record is the log's
+// whether or not a job still names it. One whose only user was quarantined is
+// held on reopen, so a later job of its text names it instead of writing the
+// text a second time.
+func TestProgramOfQuarantinedUserStaysHeld(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jn, _, err := openJournal(nil, path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Source: "module m\n"}
+	if err := jn.appendSubmitted("job-1", &req, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := bytes.Index(raw, []byte(`"type":"submitted"`))
+	if user < 0 {
+		t.Fatalf("no submitted record in %q", raw)
+	}
+	raw[user+len(`"type":"sub`)] ^= 0x01 // its frame no longer checks
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, jobs, err := openJournal(nil, path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 || jn.quarantined != 1 {
+		t.Fatalf("reopen: %d jobs, %d quarantined lines; want 0 and 1", len(jobs), jn.quarantined)
+	}
+	if err := jn.appendSubmitted("job-2", &req, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte(`"type":"program"`)); n != 1 {
+		t.Fatalf("the log holds %d program records, want 1:\n%s", n, raw)
+	}
+}
+
+// TestHeldIndexesRecordIDs: the journal indexes its log by record id alone.
+// After N distinct programs and a claim for some of them, held holds exactly
+// their N program ids and the claim ids, on the running journal and on
+// reopen, and no map of the journal holds a program text.
+func TestHeldIndexesRecordIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jn, _, err := openJournal(nil, path, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	want := map[string]struct{}{}
+	texts := map[string]bool{}
+	for i := range n {
+		req := Request{Source: fmt.Sprintf("module m%d\n", i)}
+		texts[req.Source] = true
+		want[programID(req.Source)] = struct{}{}
+		if err := jn.appendSubmitted(jobID(int64(2*i+1)), &req, false); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 != 0 {
+			continue
+		}
+		cid, err := jn.appendHit(jobID(int64(2*i+2)), &req, &Result{ScheduleHash: "00"}, "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[cid] = struct{}{}
+	}
+	if !reflect.DeepEqual(jn.held, want) {
+		t.Fatalf("held %d ids, want the %d program and %d claim ids", len(jn.held), n, len(want)-n)
+	}
+	v := reflect.ValueOf(jn).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if f.Kind() != reflect.Map {
+			continue
+		}
+		for it := f.MapRange(); it.Next(); {
+			k, e := it.Key(), it.Value()
+			if k.Kind() == reflect.String && texts[k.String()] || e.Kind() == reflect.String && texts[e.String()] {
+				t.Fatalf("journal.%s holds a program text", v.Type().Field(i).Name)
+			}
+		}
+	}
+	if err := jn.close(); err != nil {
+		t.Fatal(err)
+	}
+	jn, _, err = openJournal(nil, path, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.kill()
+	if !reflect.DeepEqual(jn.held, want) {
+		t.Fatalf("reopen: held %d ids, want %d", len(jn.held), len(want))
 	}
 }
 

@@ -16,7 +16,10 @@ import (
 // line: intact records replay, damaged ones are quarantined to a
 // `<path>.quarantine` sidecar (with a reason header per line) and the log is
 // rewritten without them, so one bad record costs one job — detected and
-// counted, never silently — instead of the whole suffix.
+// counted, never silently — instead of the whole suffix. Replay is the same
+// pass: each job record it keeps is folded into its job as it is read, and
+// the ids of the intact program and claim records it reads are the running
+// journal's index of its log.
 //
 // What quarantines: a failed CRC frame, unparseable JSON, an empty job id, an
 // unknown record type, a submitted record with no request, a finish record
@@ -36,8 +39,8 @@ import (
 // record otherwise (the first submit wins). What does not: duplicate
 // submitted, program, claim and finish records are legitimate products of
 // crash-recovery re-execution and of a shipped stream overlapping its
-// snapshot, and replay handles them (first-submit-wins, last-finish-wins, a
-// program or claim id is its content); blank lines are kept; a torn final
+// snapshot, and the fold handles them (first-submit-wins, last-finish-wins,
+// a program or claim id is its content); blank lines are kept; a torn final
 // line (no trailing newline) is truncation damage, not corruption, and is
 // dropped without quarantine exactly as before.
 //
@@ -55,13 +58,13 @@ type quarantineEntry struct {
 
 // scanResult is the outcome of a full-journal integrity scan.
 type scanResult struct {
-	// recs holds the replayable job records in log order, each submitted
-	// record's request holding its text: the records of one program share
-	// one string. A record naming a claim holds the claim's request and a
-	// copy of its result carrying the record's job id.
-	recs []*journalRecord
-	// claims holds the intact claim records by id, their texts resolved.
-	claims map[string]*journalRecord
+	// jobs holds the replayed jobs in first-submission order, each request
+	// holding its text: the jobs of one program share one string. A record
+	// naming a claim gives its job the claim's request, when it is the job's
+	// submit, and a copy of the claim's result carrying the job's id.
+	jobs []*journalJob
+	// held holds the ids of the intact program and claim records.
+	held map[string]struct{}
 	// keep is the clean log image: every valid line, original bytes, in
 	// order. Byte-identical to the input minus quarantined lines and the
 	// torn tail.
@@ -70,11 +73,11 @@ type scanResult struct {
 	quarantined []quarantineEntry
 	// tornBytes counts trailing bytes dropped as a torn final line.
 	tornBytes int
-	// jobs/finished count distinct jobs seen and how many have a finish.
-	jobs, finished int
+	// records counts the job records kept, finished the jobs with a finish
+	// record among them.
+	records, finished int
 	// maxID is the highest N among the job-N ids of the lines that parsed,
-	// reservations included (those are in keep, not in recs: they belong to
-	// no job).
+	// reservations included (those are in keep but belong to no job).
 	maxID int64
 }
 
@@ -103,14 +106,19 @@ func (r *scanResult) repaired() []byte {
 	return append(r.keep[:len(r.keep):len(r.keep)], reservationLine(r.idFloor())...)
 }
 
-// scanJournal classifies every line of a journal image. Pure function: no
+// scanJournal classifies every line of a journal image and folds each job
+// record it keeps into its job. The first record carrying a request is the
+// job's submit — a submitted record, or a clean hit's one finish record — and
+// a record of an unknown id is kept only when it carries one. Finish records
+// are last-wins: a job re-executed after a crash may legitimately append a
+// second one, and determinism makes them interchangeable. Pure function: no
 // I/O, no mutation of raw.
 func scanJournal(raw []byte) scanResult {
-	res := scanResult{claims: map[string]*journalRecord{}}
+	res := scanResult{held: map[string]struct{}{}}
 	var keep bytes.Buffer
-	seen := map[string]bool{}    // id -> submitted record seen
-	done := map[string]bool{}    // id -> finish record seen
-	progs := map[string]string{} // program id -> text, from intact program records
+	byID := map[string]*journalJob{}
+	progs := map[string]string{}          // program id -> text, from intact program records
+	claims := map[string]*journalRecord{} // claim id -> intact claim record, its text resolved
 	rest := raw
 	for len(rest) > 0 {
 		nl := bytes.IndexByte(rest, '\n')
@@ -155,18 +163,13 @@ func scanJournal(raw []byte) scanResult {
 				quarantine(fmt.Sprintf("reservation %q is not a job-N id", rec.ID))
 				continue
 			}
-			keep.Write(line)
-			keep.WriteByte('\n')
-			continue
 		case recProgram:
 			if programID(rec.Text) != rec.ID {
 				quarantine(fmt.Sprintf("program text does not match its id %s", rec.ID))
 				continue
 			}
 			progs[rec.ID] = rec.Text
-			keep.Write(line)
-			keep.WriteByte('\n')
-			continue
+			res.held[rec.ID] = struct{}{}
 		case recClaim:
 			switch {
 			case rec.Req == nil || rec.Result == nil:
@@ -180,13 +183,11 @@ func scanJournal(raw []byte) scanResult {
 				quarantine(reason)
 				continue
 			}
-			res.claims[rec.ID] = &rec
-			keep.Write(line)
-			keep.WriteByte('\n')
-			continue
+			claims[rec.ID] = &rec
+			res.held[rec.ID] = struct{}{}
 		case recSubmitted, recCompleted, recFailed:
 			if rec.Claim != "" {
-				c, ok := res.claims[rec.Claim]
+				c, ok := claims[rec.Claim]
 				switch {
 				case rec.Type != recCompleted || rec.Req != nil || rec.Result != nil || rec.Src != "":
 					quarantine(rec.Type + " record naming a claim is no completed record, or carries a request or a result")
@@ -199,43 +200,48 @@ func scanJournal(raw []byte) scanResult {
 				result.JobID = rec.ID
 				rec.Src, rec.Req, rec.Result = c.Src, c.Req, &result
 			}
+			jj := byID[rec.ID]
 			finish := rec.Type != recSubmitted
-			if finish && seen[rec.ID] {
+			if finish && jj != nil {
 				rec.Req, rec.Src = nil, "" // a clean hit's request: the first submit wins
 			}
 			switch {
 			case !finish && rec.Req == nil:
 				quarantine("submitted record without request")
 				continue
-			case rec.Req == nil && !seen[rec.ID]:
+			case rec.Req == nil && jj == nil:
 				quarantine(fmt.Sprintf("finish record for unknown job %s (its submitted record is missing or damaged)", rec.ID))
 				continue
 			case rec.Type == recCompleted && rec.Result == nil:
 				quarantine("completed record without result")
 				continue
 			}
-			if rec.Req != nil {
-				if rec.Claim == "" { // a claim's text is resolved already
-					if reason := resolveText(&rec, progs); reason != "" {
-						quarantine(reason)
-						continue
-					}
-				}
-				if !seen[rec.ID] {
-					seen[rec.ID] = true
-					res.jobs++
+			if rec.Req != nil && rec.Claim == "" { // a claim's text is resolved already
+				if reason := resolveText(&rec, progs); reason != "" {
+					quarantine(reason)
+					continue
 				}
 			}
-			if finish && !done[rec.ID] {
-				done[rec.ID] = true
+			if jj == nil {
+				jj = &journalJob{id: rec.ID, req: *rec.Req}
+				byID[rec.ID] = jj
+				res.jobs = append(res.jobs, jj)
+			}
+			if finish && !jj.done {
+				jj.done = true
 				res.finished++
 			}
+			switch rec.Type {
+			case recCompleted:
+				jj.result, jj.errMsg, jj.errKind = rec.Result, "", ""
+			case recFailed:
+				jj.result, jj.errMsg, jj.errKind = nil, rec.Error, rec.Kind
+			}
+			res.records++
 		default:
 			quarantine(fmt.Sprintf("unknown record type %q", rec.Type))
 			continue
 		}
-		r := rec
-		res.recs = append(res.recs, &r)
 		keep.Write(line)
 		keep.WriteByte('\n')
 	}
@@ -353,8 +359,8 @@ func ScrubJournal(fsys vfs.FS, path string, apply bool) (ScrubReport, error) {
 	}
 	res := scanJournal(raw)
 	rep := ScrubReport{
-		Records:     len(res.recs),
-		Jobs:        res.jobs,
+		Records:     res.records,
+		Jobs:        len(res.jobs),
 		Finished:    res.finished,
 		Quarantined: len(res.quarantined),
 		TornBytes:   res.tornBytes,

@@ -359,9 +359,9 @@ func TestScanOneRecordHits(t *testing.T) {
 			if tc.want != nil {
 				jobs, finished = 1, 1
 			}
-			if len(scan.quarantined) != tc.wantQuar || scan.jobs != jobs || scan.finished != finished {
+			if len(scan.quarantined) != tc.wantQuar || len(scan.jobs) != jobs || scan.finished != finished {
 				t.Fatalf("scan: %d quarantined %+v, %d jobs, %d finished; want %d, %d, %d",
-					len(scan.quarantined), scan.quarantined, scan.jobs, scan.finished, tc.wantQuar, jobs, finished)
+					len(scan.quarantined), scan.quarantined, len(scan.jobs), scan.finished, tc.wantQuar, jobs, finished)
 			}
 			path := filepath.Join(t.TempDir(), "jobs.journal")
 			if err := os.WriteFile(path, raw, 0o644); err != nil {

@@ -244,7 +244,7 @@ func (s *Service) CheckSnapshotRecords(ctx context.Context, lines [][]byte) erro
 		return &diag.CorruptionError{Source: "journal snapshot",
 			Detail: fmt.Sprintf("%d damaged lines, %d torn trailing bytes", len(scan.quarantined), scan.tornBytes)}
 	}
-	claims, err := s.journaledClaims("snapshot cross-check", replayJobs(scan.recs, make(map[string]string)))
+	claims, err := s.journaledClaims("snapshot cross-check", scan.jobs)
 	if err != nil {
 		return err
 	}
