@@ -544,8 +544,8 @@ func TestLargeBodyLeavesThePool(t *testing.T) {
 }
 
 // TestConcurrentDecodeSharesMemo: eight handlers at once decode four texts
-// through one node's source memo, and each reply is its own text's: the hash
-// Service.Do gives that text, which the four do not share.
+// through one node's program table, and each reply is its own text's: the
+// hash Service.Do gives that text, which the four do not share.
 func TestConcurrentDecodeSharesMemo(t *testing.T) {
 	node, err := cluster.Open(cluster.Config{Self: "127.0.0.1:0", Service: service.Config{Workers: 2}})
 	if err != nil {
@@ -644,8 +644,8 @@ func warmHandler(t testing.TB, body []byte) (serveHit func(), done func()) {
 // BenchmarkServeHit is a result-cache hit through the mounted handler: what
 // the HTTP front end adds around Service.Do, per request and per body byte.
 // distinct/ sends the 1 kB program under a new comment every time: a text's
-// first request, which the source memo copies (its instrumentation misses,
-// its result is the same module's and hits).
+// first request, which the decoder unescapes and copies (its instrumentation
+// misses, its result is the same module's and hits).
 func BenchmarkServeHit(b *testing.B) {
 	for _, name := range []string{"1kB", "36kB"} {
 		body := hitBodies(b)[name]

@@ -8,8 +8,11 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/harness"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -21,9 +24,13 @@ import (
 // pairs produce identical schedules and cycle counts, so a stored result IS
 // the result of re-execution. Two layers:
 //
-//   - the instrumentation cache maps (IR source, options) — the request
-//     fields themselves, it never leaves the process — to the instrumented
-//     module and pass statistics: instrumentation is a pure function of them;
+//   - the program table maps a program text to its *program, and the
+//     instrumentation cache maps (program, options) — the request fields
+//     themselves, it never leaves the process — to the instrumented module
+//     and pass statistics: instrumentation is a pure function of them. The
+//     table is the text's one name in the process: the front end resolves a
+//     source literal through it, a hit finds its program by the string's
+//     identity, and the journal takes the program's id from it;
 //   - the result cache maps hash(instrumented module, SimConfig) to the
 //     simulation outcome — keyed on the *instrumented* text so two sources
 //     that instrument to the same module share one entry.
@@ -34,12 +41,14 @@ import (
 // corruption) surfaces as a typed DivergenceError instead of silently
 // serving a wrong answer.
 
-// lruCache is a small bounded LRU: map + intrusive recency list.
+// lruCache is a small bounded LRU: map + intrusive recency list. evict, when
+// set, is called under mu with each entry trim or remove drops.
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // of *lruEntry[K, V]; front = most recently used
 	items map[K]*list.Element
+	evict func(K, V)
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -99,9 +108,15 @@ func (c *lruCache[K, V]) addCold(key K, val V) {
 // trim evicts least recently used entries until at most n remain.
 func (c *lruCache[K, V]) trim(n int) {
 	for c.ll.Len() > n {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
+		c.drop(c.ll.Back())
+	}
+}
+
+func (c *lruCache[K, V]) drop(el *list.Element) {
+	ent := c.ll.Remove(el).(*lruEntry[K, V])
+	delete(c.items, ent.key)
+	if c.evict != nil {
+		c.evict(ent.key, ent.val)
 	}
 }
 
@@ -127,8 +142,7 @@ func (c *lruCache[K, V]) remove(key K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.drop(el)
 	}
 }
 
@@ -144,7 +158,7 @@ type instrEntry struct {
 	// printed text — the content address every result key of this module
 	// resumes from (digestKey).
 	keyState []byte
-	// entry and baseline are the request fields of instrKey a result key
+	// entry and baseline are the fields of instrKey a result key
 	// hashes besides the module: the same for every job of this entry.
 	entry    string
 	baseline bool
@@ -223,19 +237,143 @@ func entryFromPeer(res *Result, req *Request) *resultEntry {
 	return ent
 }
 
-// instrKey addresses an instrumentation: the exact source text plus every
-// option that changes the instrumented module. The map compares the fields
-// themselves, so a lookup costs a map hash and a memeq over the source.
-type instrKey struct {
-	source, entry, preset string
-	baseline              bool
+// programTable is the service's one table of program texts: each text is
+// one *program, which keys the text's instrumentation entries and lives
+// exactly as long as the last of them, so the table holds at most
+// InstrCacheSize texts. A text is found by its string's identity first (a
+// request the front end decoded holds the table's string), then by its
+// content; a JSON literal, by the spelling the front end last read a held
+// text from. Identity is sound because the table holds the string: its
+// address cannot be reused while the program is found by it. Everything is
+// guarded by mu, the entries' LRU included.
+type programTable struct {
+	mu                 sync.Mutex
+	entries            *lruCache[instrKey, *instrEntry]
+	byRef              map[textRef]*program
+	byText, bySpelling map[string]*program
 }
 
-func instrKeyOf(req *Request) instrKey {
-	if req.Baseline { // not instrumented: the preset cannot matter
-		return instrKey{source: req.Source, entry: req.Entry, baseline: true}
+// program is one program text the table holds. entries counts the
+// instrumentation entries it keys; id is its journal record's, computed on
+// first journaled use, so a service without a journal hashes no text.
+type program struct {
+	text, spelling string
+	entries        int
+	idOnce         sync.Once
+	id             string
+}
+
+// textRef is a string's identity: the address and length of its bytes.
+type textRef struct {
+	data *byte
+	n    int
+}
+
+func refOf(s string) textRef { return textRef{unsafe.StringData(s), len(s)} }
+
+// newProgram is the one place a program is made, and refuses a text that is
+// not valid UTF-8 (notUTF8) before anything caches or journals it.
+func newProgram(text string) (*program, error) {
+	if !utf8.ValidString(text) {
+		return nil, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: diag.ErrBadConfig, Detail: notUTF8}
 	}
-	return instrKey{source: req.Source, entry: req.Entry, preset: req.Preset}
+	return &program{text: text}, nil
+}
+
+func (p *program) journalID() string {
+	p.idOnce.Do(func() { p.id = programID(p.text) })
+	return p.id
+}
+
+// instrKey addresses an instrumentation: the program plus every option that
+// changes the instrumented module.
+type instrKey struct {
+	prog          *program
+	entry, preset string
+	baseline      bool
+}
+
+func instrKeyOf(p *program, req *Request) instrKey {
+	if req.Baseline { // not instrumented: the preset cannot matter
+		return instrKey{prog: p, entry: req.Entry, baseline: true}
+	}
+	return instrKey{prog: p, entry: req.Entry, preset: req.Preset}
+}
+
+func newProgramTable(capacity int) *programTable {
+	t := &programTable{entries: newLRU[instrKey, *instrEntry](capacity),
+		byRef: map[textRef]*program{}, byText: map[string]*program{}, bySpelling: map[string]*program{}}
+	t.entries.evict = func(k instrKey, _ *instrEntry) {
+		p := k.prog
+		if p.entries--; p.entries == 0 {
+			delete(t.byRef, refOf(p.text))
+			delete(t.byText, p.text)
+			delete(t.bySpelling, p.spelling)
+		}
+	}
+	return t
+}
+
+func (t *programTable) findLocked(text string) *program {
+	if p, ok := t.byRef[refOf(text)]; ok {
+		return p
+	}
+	return t.byText[text]
+}
+
+// get returns the program of req's text and the entry of req's options, each
+// nil when the table holds none; touch marks the entry most recently used.
+func (t *programTable) get(req *Request, touch bool) (p *program, ie *instrEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p = t.findLocked(req.Source); p != nil {
+		ie, _ = t.entries.lookup(instrKeyOf(p, req), touch)
+	}
+	return p, ie
+}
+
+// add files ie as the entry of req's options under the table's program of
+// p's text, p itself when the table holds none.
+func (t *programTable) add(p *program, req *Request, ie *instrEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if q := t.findLocked(p.text); q != nil {
+		p = q
+	} else {
+		t.byRef[refOf(p.text)], t.byText[p.text] = p, p
+	}
+	k := instrKeyOf(p, req)
+	if _, ok := t.entries.peek(k); !ok {
+		p.entries++
+		t.entries.add(k, ie)
+	}
+}
+
+// spelt returns the text of the held program last read from raw, the bytes
+// between a JSON literal's quotes.
+func (t *programTable) spelt(raw []byte) (string, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p, ok := t.bySpelling[unsafe.String(unsafe.SliceData(raw), len(raw))]
+	if !ok {
+		return "", false
+	}
+	return p.text, true
+}
+
+// spell makes raw, a literal read as text, the spelling of the program of
+// text and returns the program's string; text when no program holds it.
+func (t *programTable) spell(raw []byte, text string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p := t.byText[text]
+	if p == nil {
+		return text
+	}
+	delete(t.bySpelling, p.spelling)
+	p.spelling = string(raw)
+	t.bySpelling[p.spelling] = p
+	return p.text
 }
 
 // keyTextCap is the largest buffer keyTextPool keeps: program texts are

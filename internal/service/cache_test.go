@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -154,10 +156,30 @@ func TestLRUConcurrentEviction(t *testing.T) {
 func TestCacheKeySensitivity(t *testing.T) {
 	base := Request{Source: "module m", Entry: "main", Threads: 4, Preset: "all"}
 
-	// The instrumentation key is compared field by field, never hashed: a
-	// source built at run time must equal the same text held elsewhere.
-	if copied := (Request{Source: strings.Clone(base.Source), Entry: "main", Preset: "all"}); instrKeyOf(&copied) != instrKeyOf(&base) {
-		t.Fatal("instrKey not stable")
+	// The instrumentation key names the table's program of the text: the
+	// table's own string, a copy built at run time and a view into a longer
+	// string all find one program and its one entry.
+	tab := newProgramTable(4)
+	held := holdText(tab, strings.Clone(base.Source))
+	longer := "; " + base.Source + "\n"
+	for _, src := range []string{held, strings.Clone(base.Source), longer[2 : 2+len(base.Source)]} {
+		req := Request{Source: src}
+		if p, ie := tab.get(&req, false); p == nil || p.text != held || ie == nil {
+			t.Fatalf("%q found program %v and entry %v", src, p, ie)
+		}
+	}
+	if n, progs := tab.entries.len(), len(tab.byText); n != 1 || progs != 1 {
+		t.Fatalf("the table holds %d entries and %d programs, want 1 and 1", n, progs)
+	}
+	if p, _ := tab.get(&Request{Source: "module n"}, false); p != nil {
+		t.Fatalf("another text of the same length found program %.20q", p.text)
+	}
+	progs := map[string]*program{}
+	keyOf := func(r *Request) instrKey {
+		if progs[r.Source] == nil {
+			progs[r.Source] = &program{text: r.Source}
+		}
+		return instrKeyOf(progs[r.Source], r)
 	}
 	variants := []Request{
 		{Source: "module m2", Entry: "main", Threads: 4, Preset: "all"},
@@ -166,20 +188,20 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{Source: "module m", Entry: "main", Threads: 4, Preset: "all", Baseline: true},
 	}
 	for i, v := range variants {
-		if instrKeyOf(&v) == instrKeyOf(&base) {
+		if keyOf(&v) == keyOf(&base) {
 			t.Errorf("instr variant %d collided with base", i)
 		}
 	}
 	// Threads, seed, and race do not affect instrumentation…
 	same := base
 	same.Threads, same.PerturbSeed, same.Race = 8, 99, true
-	if instrKeyOf(&same) != instrKeyOf(&base) {
+	if keyOf(&same) != keyOf(&base) {
 		t.Error("sim-only fields leaked into instrKey")
 	}
 	// …nor does the preset of a module that is not instrumented…
 	b1, b2 := variants[3], variants[3]
 	b2.Preset = "O2"
-	if instrKeyOf(&b1) != instrKeyOf(&b2) {
+	if keyOf(&b1) != keyOf(&b2) {
 		t.Error("baseline instrKey depends on the preset")
 	}
 	// …but all affect the result key.
@@ -192,6 +214,60 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	if resultKey(mod, &base) != resultKey(moduleKeyState("mod"), &base) {
 		t.Error("resultKey not stable")
+	}
+}
+
+// TestProgramTableConcurrentDo: goroutines Do two texts through a table of
+// one entry, each text as one shared string, as fresh copies and as decoded
+// from one body, so its program is made, found by identity, by content and by
+// spelling, and evicted under them. Every answer is its text's.
+func TestProgramTableConcurrentDo(t *testing.T) {
+	s := New(Config{Workers: 2, InstrCacheSize: 1})
+	defer s.Close(context.Background())
+	texts := []string{fastProgram, hitPrograms(t)["1kB"]}
+	var want []string
+	for _, text := range texts {
+		ref := referenceCore(t, Request{Source: text, Threads: 2})
+		want = append(want, ref.Core())
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 60 {
+				i := (g + k) % len(texts)
+				req := Request{Source: texts[i], Threads: 2}
+				switch k % 3 {
+				case 1:
+					req.Source = strings.Clone(req.Source)
+				case 2:
+					body, _ := json.Marshal(req)
+					if err := s.DecodeRequestJSON(body, &req); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				res, err := s.Do(context.Background(), req)
+				if err != nil || res.Core() != want[i] {
+					t.Errorf("text %d: %v, %v; want core %s", i, res, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	tab := s.programs
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if tab.entries.len() != 1 || len(tab.byText) != 1 || len(tab.byRef) != 1 || len(tab.bySpelling) > 1 {
+		t.Fatalf("the table holds %d entries, %d texts, %d refs and %d spellings; capacity 1",
+			tab.entries.len(), len(tab.byText), len(tab.byRef), len(tab.bySpelling))
+	}
+	for text, p := range tab.byText {
+		if p.text != text || tab.byRef[refOf(text)] != p || p.entries != 1 {
+			t.Fatalf("program %.20q: text %.20q, found by identity %v, %d entries", text, p.text, tab.byRef[refOf(text)] == p, p.entries)
+		}
 	}
 }
 
@@ -255,8 +331,8 @@ func memoEntry(t *testing.T, s *Service, req Request) (*instrEntry, Request) {
 	if err := normalize(&req); err != nil {
 		t.Fatal(err)
 	}
-	ie, ok := s.instr.peek(instrKeyOf(&req))
-	if !ok {
+	_, ie := s.programs.get(&req, false)
+	if ie == nil {
 		t.Fatal("KeyFor left no instrumentation entry")
 	}
 	return ie, req

@@ -219,7 +219,7 @@ func (s *Service) KeyFor(req Request) (string, error) {
 	if err := normalize(&req); err != nil {
 		return "", err
 	}
-	ie, _, err := s.instrumented(&req, new(StageLatency))
+	ie, _, err := s.instrumented(&req, nil, new(StageLatency))
 	if err != nil {
 		return "", err
 	}

@@ -72,7 +72,7 @@ func TestVerifyAtInsertion(t *testing.T) {
 			}
 		})
 	}
-	if n := s.instr.len(); n != 0 {
+	if n := s.programs.entries.len(); n != 0 {
 		t.Fatalf("%d unverifiable modules in the instrumentation cache", n)
 	}
 }
@@ -168,7 +168,7 @@ func TestSharedModuleRuns(t *testing.T) {
 			}
 		}
 	}
-	if n := s.instr.len(); n != 2 {
+	if n := s.programs.entries.len(); n != 2 {
 		t.Fatalf("instrumentation cache holds %d entries, want 2", n)
 	}
 }
@@ -191,12 +191,15 @@ func TestWarmEntryDecodesNothing(t *testing.T) {
 	// AllocsPerRun(1, f) calls f twice, once to warm up: two fresh entries.
 	var fresh []*instrEntry
 	for range 2 {
-		ie, hit, err := s.instrumented(&req, new(StageLatency))
+		ie, hit, err := s.instrumented(&req, nil, new(StageLatency))
 		if err != nil || hit {
 			t.Fatalf("hit %v, err %v", hit, err)
 		}
 		fresh = append(fresh, ie)
-		s.instr.remove(instrKeyOf(&req))
+		p, _ := s.programs.get(&req, false)
+		s.programs.mu.Lock()
+		s.programs.entries.remove(instrKeyOf(p, &req))
+		s.programs.mu.Unlock()
 	}
 	warmEntry := fresh[0]
 	cold := testing.AllocsPerRun(1, func() {

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -146,6 +145,7 @@ func (s *Service) setStatus(j *job, st Status) {
 // carries it from its submitter to its worker, so nothing is counted, and the
 // self-check sampler is not drawn, twice for one job.
 type found struct {
+	prog     *program     // the text's program: the table's, or the one submit made
 	ie       *instrEntry  // nil: not cached when last probed
 	instrHit bool         // ie came from the cache rather than from a build
 	key      string       // result key, once ie is known
@@ -161,8 +161,11 @@ type found struct {
 // while the service is journal-degraded.
 func (s *Service) lookup(req *Request, f *found) {
 	if f.ie == nil {
-		ie, ok := s.instr.get(instrKeyOf(req))
-		if !ok {
+		p, ie := s.programs.get(req, true)
+		if p != nil {
+			f.prog = p
+		}
+		if ie == nil {
 			return
 		}
 		s.ctr.InstrCacheHits.Add(1)
@@ -208,7 +211,7 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 
 	if f.ie == nil {
 		var err error
-		if f.ie, f.instrHit, err = s.instrumented(req, &lat); err != nil {
+		if f.ie, f.instrHit, err = s.instrumented(req, f.prog, &lat); err != nil {
 			return nil, err
 		}
 	}
@@ -297,16 +300,20 @@ func (s *Service) peerFill(ctx context.Context, key string, j *job) (*resultEntr
 
 // instrumented returns the cached instrumentation for req, building it on a
 // miss: parse, instrument in place (verify only, if baseline), print. Either
-// way the module is verified here, once, in the form every job will run.
-func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bool, error) {
-	ik := instrKeyOf(req)
-	if ie, ok := s.instr.get(ik); ok {
+// way the module is verified here, once, in the form every job will run. p is
+// the program a job holds for req's text, or nil: one is made on a miss. The
+// table files the entry under its own program of the text when it has one.
+func (s *Service) instrumented(req *Request, p *program, lat *StageLatency) (*instrEntry, bool, error) {
+	if _, ie := s.programs.get(req, true); ie != nil {
 		s.ctr.InstrCacheHits.Add(1)
 		return ie, true, nil
 	}
 	s.ctr.InstrCacheMisses.Add(1)
-	if !utf8.ValidString(req.Source) {
-		return nil, false, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: diag.ErrBadConfig, Detail: notUTF8}
+	if p == nil {
+		var err error
+		if p, err = newProgram(req.Source); err != nil {
+			return nil, false, err
+		}
 	}
 
 	start := time.Now()
@@ -317,7 +324,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 		return nil, false, fmt.Errorf("service: parse: %w", err)
 	}
 
-	ie := &instrEntry{mod: mod, decoded: interp.NewDCache(), entry: ik.entry, baseline: ik.baseline}
+	ie := &instrEntry{mod: mod, decoded: interp.NewDCache(), entry: req.Entry, baseline: req.Baseline}
 	if req.Baseline {
 		if err := mod.Verify(s.est.Has); err != nil {
 			// Worded as by interp.NewMachine, which made this check per run.
@@ -336,7 +343,7 @@ func (s *Service) instrumented(req *Request, lat *StageLatency) (*instrEntry, bo
 		}
 	}
 	ie.keyState = keyStateOf(mod)
-	s.instr.add(ik, ie)
+	s.programs.add(p, req, ie)
 	return ie, false, nil
 }
 

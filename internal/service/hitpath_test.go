@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/ir"
 )
@@ -274,8 +276,8 @@ func TestEvictedEntryFreesStreams(t *testing.T) {
 		if err := normalize(&req); err != nil {
 			t.Fatal(err)
 		}
-		ie, ok := s.instr.peek(instrKeyOf(&req))
-		if !ok {
+		_, ie := s.programs.get(&req, false)
+		if ie == nil {
 			t.Fatal("entry not cached")
 		}
 		// A function points at its module and the module at its functions,
@@ -287,7 +289,7 @@ func TestEvictedEntryFreesStreams(t *testing.T) {
 		runtime.SetFinalizer(ie.decoded, func(any) { freed <- "streams" })
 	}()
 	mustDo(t, s, Request{Source: progs["1kB"]}) // capacity 1: evicts
-	if n := s.instr.len(); n != 1 {
+	if n := s.programs.entries.len(); n != 1 {
 		t.Fatalf("instrumentation cache holds %d entries, want 1", n)
 	}
 	got := map[string]bool{}
@@ -298,6 +300,44 @@ func TestEvictedEntryFreesStreams(t *testing.T) {
 			got[what] = true
 		case <-deadline:
 			t.Fatalf("evicted entry still reachable: freed only %v", got)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestEvictedProgramFreesText: a program's text and its spelling belong to
+// the program table while an instrumentation entry keys the program. Once the
+// LRU drops its last entry, and retention and the result cache have let go
+// of the job and its request, nothing may keep either string reachable.
+func TestEvictedProgramFreesText(t *testing.T) {
+	s := New(Config{Workers: 1, InstrCacheSize: 1, ResultCacheSize: 1, RetainJobs: 1})
+	defer s.Kill()
+	progs := hitPrograms(t)
+	freed := make(chan string, 2)
+	func() {
+		text := strings.Clone(progs["1kB"])
+		mustDo(t, s, Request{Source: text})
+		body, _ := json.Marshal(Request{Source: text})
+		var req Request
+		if err := s.DecodeRequestJSON(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		p, _ := s.programs.get(&req, false)
+		if p == nil || unsafe.StringData(p.text) != unsafe.StringData(text) || p.spelling == "" {
+			t.Fatalf("the table holds %+v for the text it ran", p)
+		}
+		runtime.SetFinalizer(unsafe.StringData(p.text), func(*byte) { freed <- "text" })
+		runtime.SetFinalizer(unsafe.StringData(p.spelling), func(*byte) { freed <- "spelling" })
+	}()
+	mustDo(t, s, Request{Source: progs["36kB"]}) // capacity 1: evicts
+	got := map[string]bool{}
+	for deadline := time.After(10 * time.Second); len(got) < 2; {
+		runtime.GC()
+		select {
+		case what := <-freed:
+			got[what] = true
+		case <-deadline:
+			t.Fatalf("evicted program still reachable: freed only %v", got)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

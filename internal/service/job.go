@@ -191,9 +191,8 @@ const maxThreads = 256
 // text that is not valid UTF-8. The journal could not keep such a text: its
 // writer replaces each bad byte with U+FFFD, so the text read back would no
 // longer hash to its program id, and every record naming it would be
-// quarantined (DESIGN §9). A text is checked once, while nothing cached holds
-// it: by submit when it finds no instrumentation entry, and by instrumented
-// before it builds one.
+// quarantined (DESIGN §9). A text is checked once, where its program is made
+// (newProgram): nothing cached or journaled holds it before.
 const notUTF8 = "program source is not valid UTF-8"
 
 // normalize validates a request and fills defaults. Every rejection is a

@@ -315,17 +315,18 @@ func finishRecord(id string, res *Result, err error) journalRecord {
 
 // appendJob appends one job record. With req set it is the job's first
 // record — a submitted record, or a clean hit's one finish record in the
-// inline form — carrying req: the reservation its id crosses and its text's
-// program record go first. With durable set the record — and everything
-// appended ahead of it — is written and fsynced before returning, so Submit
-// never acknowledges a job a crash could lose; so is a first record whose
-// reservation is not yet durable. Other records join the pending buffer,
-// committed once it holds fsyncEvery records and the disk is idle: a crash
-// loses at most what was buffered, which recovery repairs by re-execution.
-func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error {
+// inline form — carrying req, whose text is p's: the reservation its id
+// crosses and p's program record go first. With durable set the record —
+// and everything appended ahead of it — is written and fsynced before
+// returning, so Submit never acknowledges a job a crash could lose; so is a
+// first record whose reservation is not yet durable. Other records join the
+// pending buffer, committed once it holds fsyncEvery records and the disk is
+// idle: a crash loses at most what was buffered, which recovery repairs by
+// re-execution.
+func (j *journal) appendJob(rec journalRecord, req *Request, p *program, durable bool) error {
 	var pid string
 	if req != nil {
-		pid = programID(req.Source) // outside mu: a first record waits for a sync anyway
+		pid = p.journalID() // outside mu: a first record waits for a sync anyway
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -342,7 +343,7 @@ func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error
 	if err := j.reserveLocked(rec.ID); err != nil {
 		return err
 	}
-	if err := j.holdLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
+	if err := j.holdLocked(journalRecord{Type: recProgram, ID: pid, Text: p.text}); err != nil {
 		return err
 	}
 	j.scratch = *req
@@ -358,11 +359,11 @@ func (j *journal) appendJob(rec journalRecord, req *Request, durable bool) error
 }
 
 // appendHit appends a clean hit's one record, a completed record naming the
-// claim of req and res, and returns the claim's id. cid is the id the caller
-// remembers for req, or "": a claim the log does not hold yet is digested and
-// written first, behind its program record, so the two commit together.
-// Durability is appendJob's for a first record.
-func (j *journal) appendHit(id string, req *Request, res *Result, cid string, durable bool) (string, error) {
+// claim of req and res, and returns the claim's id. req's text is p's. cid is
+// the id the caller remembers for req, or "": a claim the log does not hold
+// yet is digested and written first, behind its program record, so the two
+// commit together. Durability is appendJob's for a first record.
+func (j *journal) appendHit(id string, req *Request, p *program, res *Result, cid string, durable bool) (string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.admitLocked(); err != nil {
@@ -373,7 +374,7 @@ func (j *journal) appendHit(id string, req *Request, res *Result, cid string, du
 	}
 	if _, ok := j.held[cid]; !ok {
 		var err error
-		if cid, err = j.claimLocked(req, res); err != nil {
+		if cid, err = j.claimLocked(req, p, res); err != nil {
 			return "", err
 		}
 	}
@@ -411,11 +412,11 @@ func (j *journal) holdLocked(rec journalRecord) error {
 }
 
 // claimLocked returns the id of the claim of req and res — res without its
-// job id and artifacts — appending its program record and its claim record
+// job id and artifacts — appending p's program record and the claim record
 // unless the log holds them.
-func (j *journal) claimLocked(req *Request, res *Result) (string, error) {
-	pid := programID(req.Source)
-	if err := j.holdLocked(journalRecord{Type: recProgram, ID: pid, Text: req.Source}); err != nil {
+func (j *journal) claimLocked(req *Request, p *program, res *Result) (string, error) {
+	pid := p.journalID()
+	if err := j.holdLocked(journalRecord{Type: recProgram, ID: pid, Text: p.text}); err != nil {
 		return "", err
 	}
 	j.scratch = *req

@@ -113,12 +113,12 @@ func hitJobs() []inlineJob {
 // writeHitJobs is journal_hit.golden's recipe at de8cd36.
 func writeHitJobs(t *testing.T, jn *journal, want []inlineJob) {
 	for _, j := range want[:2] {
-		if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: j.id}, &j.req, true); err != nil {
+		if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: j.id}, &j.req, progOf(&j.req), true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, j := range want[2:] {
-		if err := jn.appendJob(finishRecord(j.id, j.result, nil), &j.req, i == 2); err != nil {
+		if err := jn.appendJob(finishRecord(j.id, j.result, nil), &j.req, progOf(&j.req), i == 2); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -342,7 +343,7 @@ func TestHeldIndexesRecordIDs(t *testing.T) {
 		if i%4 != 0 {
 			continue
 		}
-		cid, err := jn.appendHit(jobID(int64(2*i+2)), &req, &Result{ScheduleHash: "00"}, "", false)
+		cid, err := jn.appendHit(jobID(int64(2*i+2)), &req, progOf(&req), &Result{ScheduleHash: "00"}, "", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +611,12 @@ func FuzzJournalReplay(f *testing.F) {
 	svc := New(Config{Workers: 1})
 	f.Cleanup(func() { svc.Close(context.Background()) })
 
+	// Each input's journals live in memory (memFS). On the disk this was
+	// measured on, removing the files an input had synced cost tens of
+	// milliseconds, so minimizing a new input (thousands of runs) used up the
+	// run's whole budget.
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fsys := memFS{}
 		scan := scanJournal(data)
 		damaged := len(scan.quarantined) > 0 || scan.tornBytes > 0
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -623,11 +629,9 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("snapshot check of a clean image: err = %v, want nil or a divergence", err)
 		}
 
-		path := filepath.Join(t.TempDir(), "fuzz.journal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jn, jobs, err := openJournal(nil, path, 1, nil)
+		path := "fuzz.journal"
+		fsys[path] = bytes.Clone(data)
+		jn, jobs, err := openJournal(fsys, path, 1, nil)
 		if err != nil {
 			t.Fatalf("openJournal rejected arbitrary bytes instead of truncating: %v", err)
 		}
@@ -652,11 +656,9 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		image := filepath.Join(t.TempDir(), "image.journal")
-		if err := os.WriteFile(image, bytes.Join(lines, nil), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ij, ijobs, err := openJournal(nil, image, 1, nil)
+		image := "image.journal"
+		fsys[image] = bytes.Join(lines, nil)
+		ij, ijobs, err := openJournal(fsys, image, 1, nil)
 		if err != nil {
 			t.Fatalf("openJournal rejected a snapshot image: %v", err)
 		}
@@ -682,7 +684,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("close after repair: %v", err)
 		}
 		// ...and replay back to exactly the pre-damage jobs plus the probe.
-		jn2, jobs2, err := openJournal(nil, path, 1, nil)
+		jn2, jobs2, err := openJournal(fsys, path, 1, nil)
 		if err != nil {
 			t.Fatalf("reopen after repair: %v", err)
 		}
@@ -707,6 +709,60 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 	})
 }
+
+// memFS is a vfs.FS held in memory, file name to contents, for one
+// goroutine: a file is written by appending, and a sync does nothing.
+type memFS map[string][]byte
+
+func (m memFS) ReadFile(name string) ([]byte, error) {
+	b, ok := m[name]
+	if !ok {
+		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
+	}
+	return bytes.Clone(b), nil
+}
+
+func (m memFS) OpenFile(name string, flag int, _ os.FileMode) (vfs.File, error) {
+	if _, ok := m[name]; !ok && flag&os.O_CREATE == 0 {
+		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
+	}
+	if _, ok := m[name]; !ok || flag&os.O_TRUNC != 0 {
+		m[name] = []byte{}
+	}
+	return memFile{m, name}, nil
+}
+
+func (m memFS) Rename(oldpath, newpath string) error {
+	b, ok := m[oldpath]
+	if !ok {
+		return &fs.PathError{Op: "rename", Path: oldpath, Err: fs.ErrNotExist}
+	}
+	delete(m, oldpath)
+	m[newpath] = b
+	return nil
+}
+
+func (m memFS) Remove(name string) error {
+	if _, ok := m[name]; !ok {
+		return &fs.PathError{Op: "remove", Path: name, Err: fs.ErrNotExist}
+	}
+	delete(m, name)
+	return nil
+}
+
+type memFile struct {
+	fs   memFS
+	name string
+}
+
+func (f memFile) Write(p []byte) (int, error) {
+	f.fs[f.name] = append(f.fs[f.name], p...)
+	return len(p), nil
+}
+
+func (f memFile) Seek(int64, int) (int64, error) { return int64(len(f.fs[f.name])), nil }
+func (memFile) Sync() error                      { return nil }
+func (memFile) Close() error                     { return nil }
 
 // TestJournalOversizedRecordQuarantined: a line past maxJournalRecord cannot
 // be a record this journal wrote, so the recovery scrub quarantines it —
@@ -770,7 +826,15 @@ func TestJournalAppendAfterClose(t *testing.T) {
 // appendSubmitted appends a job's submitted record the way Submit does, synced
 // before it returns when durable is set.
 func (j *journal) appendSubmitted(id string, req *Request, durable bool) error {
-	return j.appendJob(journalRecord{Type: recSubmitted, ID: id}, req, durable)
+	return j.appendJob(journalRecord{Type: recSubmitted, ID: id}, req, progOf(req), durable)
+}
+
+// progOf is the program a test journals req's text by; nil without req.
+func progOf(req *Request) *program {
+	if req == nil {
+		return nil
+	}
+	return &program{text: req.Source}
 }
 
 // appendFinished appends a job's finish record: completed with res, else
@@ -780,5 +844,5 @@ func (j *journal) appendFinished(id string, res *Result, errMsg, errKind string)
 	if res != nil {
 		rec = finishRecord(id, res, nil)
 	}
-	return j.appendJob(rec, nil, false)
+	return j.appendJob(rec, nil, nil, false)
 }

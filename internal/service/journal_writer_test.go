@@ -75,7 +75,7 @@ func writeJournalSequence(t *testing.T, path string) []byte {
 		{finishRecord("job-2", nil, fmt.Errorf("%w: %s", diag.ErrDeadlock, awkward)), nil, false},
 		{journalRecord{Type: recSubmitted, ID: "job-1025"}, &Request{Source: progB, Threads: -3}, true},
 	} {
-		if err := jn.appendJob(step.rec, step.req, step.durable); err != nil {
+		if err := jn.appendJob(step.rec, step.req, progOf(step.req), step.durable); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func writeClaimSequence(t *testing.T, path string) []byte {
 	var cid string
 	for _, id := range []string{"job-1", "job-2"} {
 		res.JobID = id
-		if cid, err = jn.appendHit(id, &req, &res, cid, false); err != nil {
+		if cid, err = jn.appendHit(id, &req, progOf(&req), &res, cid, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestNotUTF8Refused(t *testing.T) {
 		refused("Submit", err)
 		_, err = s.KeyFor(bad)
 		refused("KeyFor", err)
-		if n := s.instr.len(); n != 0 {
+		if n := s.programs.entries.len(); n != 0 {
 			t.Fatalf("journaled=%v: %d instrumentation entries after refusals, want 0", journaled, n)
 		}
 		good := mustDo(t, s, Request{Source: fastProgram, Threads: 1})

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
-	"unsafe"
 
 	"repro/internal/bin"
 )
@@ -23,11 +22,12 @@ import (
 // json.Unmarshal into a zero Request does. The plain shape — the exact
 // lowercase keys once each, ASCII strings, decimal integers, true / false —
 // is decoded in one pass; anything else is json.Unmarshal's to decode or to
-// diagnose, so every error returned is its error. A source literal accepted
-// before, byte for byte, yields the same string without being unescaped.
+// diagnose, so every error returned is its error. A source literal is
+// resolved through the program table: its text is the table's string, and a
+// literal the table read before, byte for byte, is not unescaped again.
 func (s *Service) DecodeRequestJSON(body []byte, req *Request) error {
 	*req = Request{}
-	d := reqDecoder{body: body, sources: s.sources}
+	d := reqDecoder{body: body, programs: s.programs}
 	if d.request(req) {
 		return nil
 	}
@@ -91,9 +91,9 @@ func (res *Result) decodeJSON(b []byte) error {
 // reports false at the first byte it is not certain encoding/json reads the
 // same way; the value may be half filled by then.
 type reqDecoder struct {
-	body    []byte
-	i       int
-	sources *lruCache[string, string] // accepted source literal (raw bytes) → its value
+	body     []byte
+	i        int
+	programs *programTable // what source resolves a literal through
 }
 
 // plainByte reports whether a JSON string holds c as itself: ASCII from 0x20
@@ -258,9 +258,11 @@ func (d *reqDecoder) strs(out *[]string) bool {
 	return true
 }
 
-// source decodes the source string through the memo: the literal, up to the
-// first quote after an even run of backslashes, is looked up by a view of its
-// raw bytes, and only a literal str accepts is copied in.
+// source decodes the source string through the program table: the literal,
+// up to the first quote after an even run of backslashes, is looked up by a
+// view of its raw bytes among the spellings of the programs held; any other
+// is decoded by str, and when the table holds its text the literal becomes
+// that program's spelling. Only a literal str accepts is copied in.
 func (d *reqDecoder) source(out *string) bool {
 	if !d.lit(`"`) {
 		return false
@@ -277,7 +279,7 @@ func (d *reqDecoder) source(out *string) bool {
 		end++
 	}
 	raw := d.body[start:end]
-	if v, ok := d.sources.get(unsafe.String(unsafe.SliceData(raw), len(raw))); ok {
+	if v, ok := d.programs.spelt(raw); ok {
 		*out = v
 		d.i = end + 1
 		return true
@@ -285,7 +287,7 @@ func (d *reqDecoder) source(out *string) bool {
 	d.i = start - 1 // str consumes the opening quote itself
 	ok := d.str(out)
 	if ok && d.i == end+1 { // str closed the literal where the scan did
-		d.sources.add(string(raw), *out)
+		*out = d.programs.spell(raw, *out)
 	}
 	return ok
 }

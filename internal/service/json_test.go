@@ -97,10 +97,10 @@ var decodeSeeds = struct{ taken, declined []string }{
 	},
 }
 
-// takes reports whether the one-pass decoder, with nothing remembered,
+// takes reports whether the one-pass decoder, with no program held,
 // decodes body itself rather than handing it to encoding/json.
 func takes(body []byte) bool {
-	d := reqDecoder{body: body, sources: newLRU[string, string](1)}
+	d := reqDecoder{body: body, programs: newProgramTable(1)}
 	return d.request(&Request{})
 }
 
@@ -130,21 +130,31 @@ func TestDecodeRequestFastPath(t *testing.T) {
 }
 
 // memoService is the Service checkDecode decodes through, the decoder's only
-// state its source memo: shared, so every body also meets the literals of the
-// bodies decoded before it.
-var memoService = &Service{sources: newLRU[string, string](128)}
+// state its program table: shared, so every body also meets the texts and
+// literals of the bodies decoded before it.
+var memoService = &Service{programs: newProgramTable(128)}
+
+// holdText files a bare instrumentation entry for text, so that the table
+// holds a program of it, and returns the table's string for it.
+func holdText(tab *programTable, text string) string {
+	req := Request{Source: text}
+	tab.add(&program{text: text}, &req, &instrEntry{})
+	p, _ := tab.get(&req, false)
+	return p.text
+}
 
 // checkDecode is the decoder's whole contract: on any bytes it answers as
 // json.Unmarshal into a zero Request does — the same error text, or the same
-// value — whether its source literal is new to the memo or remembered. A body
-// the decoder takes is decoded twice, and the repeat gets the first decode's
-// string back.
+// value — whether its text is new to the program table, held by it, or held
+// with this very literal as its spelling. A body the decoder takes is
+// decoded three times: the first decode's text is then held, and both
+// repeats get the table's string back.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
 	var want Request
 	wantErr := json.Unmarshal(body, &want)
-	var first string
-	for pass := 0; pass < 2; pass++ { // the first fills the memo, the second hits it
+	var held string
+	for pass := 0; pass < 3; pass++ { // a new text, a held text, a held spelling
 		got := Request{Source: "stale", Threads: 9, Artifacts: Artifacts{Stats: true}} // a reused value is overwritten
 		gotErr := memoService.DecodeRequestJSON(body, &got)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -153,10 +163,12 @@ func checkDecode(t *testing.T, body []byte) {
 		if wantErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q, pass %d:\n got %+v\nwant %+v", body, pass, got, want)
 		}
-		if pass == 1 && got.Source != "" && unsafe.StringData(got.Source) != unsafe.StringData(first) && takes(body) {
-			t.Fatalf("%.80q: a repeated source literal was decoded again", body)
+		if pass > 0 && got.Source != "" && unsafe.StringData(got.Source) != unsafe.StringData(held) && takes(body) {
+			t.Fatalf("%.80q, pass %d: a source literal of a held text was not resolved to the table's string", body, pass)
 		}
-		first = got.Source
+		if pass == 0 && gotErr == nil && got.Source != "" {
+			held = holdText(memoService.programs, got.Source)
+		}
 	}
 }
 
@@ -228,7 +240,7 @@ func TestWideResultCountsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: "job-1"}, &Request{Source: "module m\n"}, true); err != nil {
+	if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: "job-1"}, &Request{Source: "module m\n"}, &program{text: "module m\n"}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := jn.close(); err != nil {
@@ -269,39 +281,56 @@ func TestDecodeRequestMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeMemoEviction: the memo holds as many literals as the
-// instrumentation cache holds texts, and a text it evicted is decoded again,
-// to the same value.
+// TestDecodeMemoEviction: the program table holds as many texts, and
+// spellings, as the instrumentation cache holds entries; a literal of a held
+// text resolves to the table's string, and a text it evicted is decoded
+// again, to the same value.
 func TestDecodeMemoEviction(t *testing.T) {
 	s := New(Config{Workers: 1, InstrCacheSize: 1})
 	defer s.Close(context.Background())
-	bodies := [][]byte{[]byte(`{"source":"text a\n"}`), []byte(`{"source":"text b\n"}`)}
+	texts := [2]string{fastProgram + "; a\n", fastProgram + "; b\n"}
 	var last [2]string
 	for round := 0; round < 3; round++ {
-		for i, body := range bodies {
-			var req Request
-			if err := s.DecodeRequestJSON(body, &req); err != nil || req.Source != fmt.Sprintf("text %c\n", 'a'+i) {
-				t.Fatalf("round %d, text %d: %q, %v", round, i, req.Source, err)
+		for i, text := range texts {
+			body, _ := json.Marshal(Request{Source: text})
+			decode := func() string {
+				var req Request
+				if err := s.DecodeRequestJSON(body, &req); err != nil || req.Source != text {
+					t.Fatalf("round %d, text %d: %q, %v", round, i, req.Source, err)
+				}
+				return req.Source
 			}
-			if round > 0 && unsafe.StringData(req.Source) == unsafe.StringData(last[i]) {
-				t.Fatalf("round %d: text %d was answered from the memo after the other text evicted it", round, i)
+			src := decode()
+			if round > 0 && unsafe.StringData(src) == unsafe.StringData(last[i]) {
+				t.Fatalf("round %d: text %d was answered from the table after the other text evicted it", round, i)
 			}
-			last[i] = req.Source
-			if n := s.sources.len(); n != 1 {
-				t.Fatalf("the memo holds %d literals, capacity 1", n)
+			mustDo(t, s, Request{Source: src}) // the table holds src, and only src
+			if again := decode(); unsafe.StringData(again) != unsafe.StringData(src) {
+				t.Fatalf("round %d: text %d is held but was decoded again", round, i)
+			}
+			last[i] = src
+			tab := s.programs
+			tab.mu.Lock()
+			entries, progs, spellings := tab.entries.len(), len(tab.byText), len(tab.bySpelling)
+			tab.mu.Unlock()
+			if entries != 1 || progs != 1 || spellings != 1 {
+				t.Fatalf("the table holds %d entries, %d texts and %d spellings; capacity 1", entries, progs, spellings)
 			}
 		}
 	}
 }
 
-// TestDecodeRepeatAllocs: a remembered source costs a lookup, not a copy.
+// TestDecodeRepeatAllocs: a literal the program table holds costs a lookup,
+// not a copy.
 func TestDecodeRepeatAllocs(t *testing.T) {
 	body := detloadBody(t)
-	s := &Service{sources: newLRU[string, string](1)}
+	s := New(Config{Workers: 1, InstrCacheSize: 1})
+	defer s.Kill()
 	var req Request
 	if err := s.DecodeRequestJSON(body, &req); err != nil {
 		t.Fatal(err)
 	}
+	mustDo(t, s, req) // the table holds the text
 	// One object is the preset's three bytes, which are not remembered.
 	if n := testing.AllocsPerRun(100, func() { s.DecodeRequestJSON(body, &req) }); n > 1 {
 		t.Fatalf("a repeated 1 kB request allocates %.0f objects, want 1", n)
@@ -400,11 +429,11 @@ func TestRecordWithArtifactIsMarshalError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = jn.appendJob(journalRecord{Type: recCompleted, ID: "job-1", Result: res}, nil, false)
+		err = jn.appendJob(journalRecord{Type: recCompleted, ID: "job-1", Result: res}, nil, nil, false)
 		if err == nil || !strings.HasPrefix(err.Error(), "journal: marshal: ") || len(jn.pending) != 0 {
 			t.Fatalf("append: %v, %d bytes pending", err, len(jn.pending))
 		}
-		if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: "job-2"}, &Request{Source: "m"}, false); !errors.Is(err, errJournalBroken) {
+		if err := jn.appendJob(journalRecord{Type: recSubmitted, ID: "job-2"}, &Request{Source: "m"}, &program{text: "m"}, false); !errors.Is(err, errJournalBroken) {
 			t.Fatalf("the next append: %v, want errJournalBroken", err)
 		}
 		jn.kill()

@@ -52,6 +52,63 @@ func TestRecoveryChecksEachDistinctClaim(t *testing.T) {
 	}
 }
 
+// waitChecks waits until recovery has started its checks of checks distinct
+// claims and the result cache holds cached entries.
+func waitChecks(t *testing.T, s *Service, checks int64, cached int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		snap := s.Snapshot()
+		if snap.RecoveryChecks == checks && snap.ResultCacheSize == cached {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d recovery checks and %d cached results, want %d and %d", snap.RecoveryChecks, snap.ResultCacheSize, checks, cached)
+		}
+	}
+}
+
+// TestRecoveryKeepsVerifiedEntry: the recompute that reproduces a journaled
+// claim stays in the result cache, so after a restart the claim's first
+// request is a clean hit, journaled as one record naming the claim the log
+// already holds.
+func TestRecoveryKeepsVerifiedEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	cfg := Config{Workers: 1, JournalPath: path}
+	req := Request{Source: fastProgram, Threads: 2}
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDo(t, svc, req)
+	mustDo(t, svc, req) // a hit: the log holds its claim record
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitChecks(t, svc, 1, 1)
+	if res := mustDo(t, svc, req); !res.Cached {
+		t.Fatal("the first request after the restart was not a hit")
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := string(after[len(before):])
+	if n := strings.Count(added, `"claim":"claim-`); n != 1 || strings.Contains(added, `"type":"submitted"`) || strings.Contains(added, `"type":"claim"`) {
+		t.Fatalf("the hit after the restart appended:\n%s\nwant one completed record naming the claim", added)
+	}
+}
+
 // TestRecoveryChecksShareWorkers: recovery's checks run in the workers'
 // turns, not beside them, so a restart never simulates more than Workers
 // requests at a time. With its one worker parked on a recovered incomplete

@@ -31,7 +31,7 @@ func TestSimulateReadsDeadlineOffTheClock(t *testing.T) {
 	if err := normalize(&req); err != nil {
 		t.Fatal(err)
 	}
-	ie, _, err := svc.instrumented(&req, new(StageLatency))
+	ie, _, err := svc.instrumented(&req, nil, new(StageLatency))
 	if err != nil {
 		t.Fatal(err)
 	}

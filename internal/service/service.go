@@ -65,7 +65,8 @@ type Config struct {
 	// QueueDepth bounds the job queue (default 256). Submissions beyond it
 	// are rejected with ErrQueueFull, never blocked.
 	QueueDepth int
-	// InstrCacheSize bounds the instrumentation cache (default 128 entries).
+	// InstrCacheSize bounds the instrumentation cache (default 128 entries),
+	// and with it the program texts the service holds.
 	InstrCacheSize int
 	// ResultCacheSize bounds the LRU result cache (default 512 entries).
 	ResultCacheSize int
@@ -214,10 +215,9 @@ type Service struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	instr   *lruCache[instrKey, *instrEntry]
-	results *lruCache[string, *resultEntry]
-	sources *lruCache[string, string] // accepted source literals, raw bytes → value (json.go)
-	check   *sampler
+	programs *programTable // program texts and their instrumentation entries
+	results  *lruCache[string, *resultEntry]
+	check    *sampler
 
 	// Telemetry. ctr holds every counter cell (statsOf, stats.go); the rest
 	// is the live state behind the snapshot's gauges that nothing else holds.
@@ -261,19 +261,18 @@ func New(cfg Config) *Service {
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:     cfg,
-		jobs:    make(map[string]*job),
-		done:    make([]string, cfg.RetainJobs),
-		lent:    make(map[string]*job),
-		queue:   make(chan *job, cfg.QueueDepth),
-		instr:   newLRU[instrKey, *instrEntry](cfg.InstrCacheSize),
-		results: newLRU[string, *resultEntry](cfg.ResultCacheSize),
-		sources: newLRU[string, string](cfg.InstrCacheSize),
-		check:   newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
-		breaker: newBreaker(cfg.BreakerThreshold, breakerCooldown),
-		back:    newBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
-		costs:   ir.DefaultCostModel(),
-		est:     estimates.DefaultTable(),
+		cfg:      cfg,
+		jobs:     make(map[string]*job),
+		done:     make([]string, cfg.RetainJobs),
+		lent:     make(map[string]*job),
+		queue:    make(chan *job, cfg.QueueDepth),
+		programs: newProgramTable(cfg.InstrCacheSize),
+		results:  newLRU[string, *resultEntry](cfg.ResultCacheSize),
+		check:    newSampler(cfg.SelfCheckRate, cfg.SelfCheckSeed),
+		breaker:  newBreaker(cfg.BreakerThreshold, breakerCooldown),
+		back:     newBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
+		costs:    ir.DefaultCostModel(),
+		est:      estimates.DefaultTable(),
 
 		failures:      newRing[FailureRecord](failureRingSize),
 		latParse:      newStageAgg(),
@@ -379,7 +378,7 @@ func (s *Service) Snapshot() StatsSnapshot {
 	snap.Workers = s.cfg.Workers
 	snap.QueueHighWater = int(s.queueHighWater.Load())
 	snap.RejectByCause = s.rejects.snapshot()
-	snap.InstrCacheSize = s.instr.len()
+	snap.InstrCacheSize = s.programs.entries.len()
 	snap.ResultCacheSize = s.results.len()
 	snap.InflightBytes = s.inflight.Load()
 	snap.MaxInflightBytes = s.cfg.MaxInflightBytes

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"unicode/utf8"
 
 	"repro/internal/diag"
 )
@@ -38,11 +37,14 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 	// Admission control, cheapest checks first; all run before any journal
 	// write or pipeline work, so overload sheds at near-zero cost.
 	ok, probe := s.breaker.allow()
-	misuse := func(kind error, detail string) (*job, error) {
+	refuse := func(err error) (*job, error) {
 		s.breaker.release(probe) // a refused probe gives no verdict
 		s.ctr.JobsRejected.Add(1)
-		s.rejects.bump(Classify(kind))
-		return nil, &diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail}
+		s.rejects.bump(Classify(err))
+		return nil, err
+	}
+	misuse := func(kind error, detail string) (*job, error) {
+		return refuse(&diag.MisuseError{Op: "service.Submit", ThreadID: -1, Kind: kind, Detail: detail})
 	}
 	if !ok {
 		return misuse(ErrCircuitOpen, "determinism divergences tripped the breaker")
@@ -99,13 +101,17 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 			hit = err == nil // cannot fail: cleanHit saw the overhead row computed
 		}
 	}
-	// An instrumentation entry holds only a text already checked (notUTF8);
-	// any other text is checked here, before its first record.
-	if j.found.ie == nil && !utf8.ValidString(req.Source) {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
-		return misuse(diag.ErrBadConfig, notUTF8)
+	// A text the program table does not hold gets its program here, before
+	// its first record names it; newProgram refuses one that is not UTF-8.
+	if j.found.prog == nil {
+		p, perr := newProgram(req.Source)
+		if perr != nil {
+			s.mu.Lock()
+			delete(s.jobs, id)
+			s.mu.Unlock()
+			return refuse(perr)
+		}
+		j.found.prog = p
 	}
 
 	if s.journal != nil && !s.degraded.Load() {
@@ -117,9 +123,9 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 		// the batch.
 		var jerr error
 		if hit {
-			jerr = s.journalHit(j.found.ent, id, &req, res, clientCtx == nil)
+			jerr = s.journalHit(&j.found, id, &req, res, clientCtx == nil)
 		} else {
-			jerr = s.journal.appendJob(journalRecord{Type: recSubmitted, ID: id}, &req, true)
+			jerr = s.journal.appendJob(journalRecord{Type: recSubmitted, ID: id}, &req, j.found.prog, true)
 		}
 		if errors.Is(jerr, errJournalClosed) {
 			s.mu.Lock()
@@ -179,11 +185,11 @@ func (s *Service) submit(clientCtx context.Context, req Request) (*job, error) {
 
 // journalHit journals a clean hit by the claim its entry remembers for req;
 // a claim the journal digests afresh is remembered for the next hit.
-func (s *Service) journalHit(ent *resultEntry, id string, req *Request, res *Result, durable bool) error {
-	known := ent.claimFor(req)
-	cid, err := s.journal.appendHit(id, req, res, known, durable)
+func (s *Service) journalHit(f *found, id string, req *Request, res *Result, durable bool) error {
+	known := f.ent.claimFor(req)
+	cid, err := s.journal.appendHit(id, req, f.prog, res, known, durable)
 	if err == nil && cid != known {
-		ent.claim.Store(&memoClaim{req: *req, id: cid})
+		f.ent.claim.Store(&memoClaim{req: *req, id: cid})
 	}
 	return err
 }
@@ -195,7 +201,7 @@ func (s *Service) journalFinished(j *job, res *Result, err error) {
 	if s.journal == nil || s.degraded.Load() {
 		return
 	}
-	if jerr := s.journal.appendJob(finishRecord(j.id, res, err), nil, false); jerr != nil && !errors.Is(jerr, errJournalClosed) {
+	if jerr := s.journal.appendJob(finishRecord(j.id, res, err), nil, nil, false); jerr != nil && !errors.Is(jerr, errJournalClosed) {
 		s.degrade(jerr)
 	}
 }

@@ -76,7 +76,7 @@ func (s *Service) recompute(ctx context.Context, req *Request) (ent *resultEntry
 	if err := normalize(&r); err != nil {
 		return nil, err
 	}
-	ie, _, err := s.instrumented(&r, new(StageLatency))
+	ie, _, err := s.instrumented(&r, nil, new(StageLatency))
 	if err != nil {
 		return nil, err
 	}
@@ -159,21 +159,30 @@ func (s *Service) journaledClaims(site string, jobs []*journalJob) ([]*journaled
 }
 
 // checkClaim is recovery's cross-check of one distinct claim, run by a
-// worker in its turn (worker): recompute the claim once and, when that does
-// not reproduce it, fail every recovered job that made it and journal the
-// verdict. After Kill it does nothing; the next restart redoes it.
+// worker in its turn (worker): recompute the claim once and, when that
+// reproduces it, keep the recompute in the result cache, so the claim's next
+// request is a clean hit; when it does not, fail every recovered job that
+// made it and journal the verdict. After Kill it does nothing; the next
+// restart redoes it.
 func (s *Service) checkClaim(c *journaledClaim) {
 	if s.rootCtx.Err() != nil {
 		return
 	}
 	s.ctr.RecoveryChecks.Add(1)
-	err := s.crossCheck(s.rootCtx, "recovery cross-check "+c.ids[0], c.ids[0], c.req, claim{hash: c.hash})
+	fresh, err := s.verdict(s.rootCtx, "recovery cross-check "+c.ids[0], c.req, claim{hash: c.hash})
 	if err == nil {
 		s.breaker.onSuccess()
+		if _, ie := s.programs.get(c.req, false); ie != nil && !s.degraded.Load() {
+			key := ie.resultKey(simConfigOf(c.req))
+			if _, ok := s.results.peek(key); !ok {
+				s.results.add(key, fresh)
+			}
+		}
 	}
 	if !errors.Is(err, diag.ErrDivergence) {
 		return // reproduced, or shutdown raced the check
 	}
+	s.diverged(c.ids[0], err)
 	s.mu.Lock()
 	for _, id := range c.ids {
 		if j, ok := s.jobs[id]; ok {
