@@ -63,7 +63,8 @@ func TestFramesRoundTripAndRefuse(t *testing.T) {
 	sched := trace.New()
 	sched.Record(3, 1, 40)
 	sched.Record(-3, 0, 77)
-	res := &service.Result{JobID: "j", ScheduleHash: "00ff", ScheduleLen: 2, Cycles: -9, Clockable: []string{"f", ""}, Schedule: sched}
+	res := &service.Result{JobID: "j", Outcome: service.Outcome{
+		ScheduleHash: "00ff", ScheduleLen: 2, Cycles: -9, Clockable: []string{"f", ""}, Schedule: sched}}
 	req := &service.Request{Source: "module m\xff", Threads: -2, Race: true}
 	jobs := stolenJobs{{ID: "job-1", Req: *req}, {}}
 	doer := &replayDoer{}

@@ -55,7 +55,7 @@ func table() []testRoute {
 // type.
 func routeSamples(t testing.TB) map[string][2]any {
 	t.Helper()
-	res := &service.Result{ScheduleHash: "00ff", ScheduleLen: 1}
+	res := &service.Result{Outcome: service.Outcome{ScheduleHash: "00ff", ScheduleLen: 1}}
 	req := &service.Request{Source: "module m"}
 	view := staticView([]string{"node-a", "node-b"})
 	line := [][]byte{[]byte("#c1 00000000 2 {}\n")}

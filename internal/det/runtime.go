@@ -442,7 +442,7 @@ func (t *Thread) Join(child *Thread) error {
 			panic(err)
 		}
 		if child.done {
-			t.clock.Store(maxInt64(t.clock.Load(), child.finalClock) + 1)
+			t.clock.Store(max(t.clock.Load(), child.finalClock) + 1)
 			t.unblockLocked()
 			perr := child.panicErr
 			rt.mu.Unlock()
@@ -454,13 +454,6 @@ func (t *Thread) Join(child *Thread) error {
 		rt.mu.Unlock()
 		runtime.Gosched()
 	}
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String identifies the thread for diagnostics.

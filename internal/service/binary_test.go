@@ -56,9 +56,10 @@ func randRequest(rng *detrand.Rand) Request {
 func randResult(rng *detrand.Rand) *Result {
 	coin := func() bool { return rng.IntN(2) == 0 }
 	res := &Result{
-		JobID: randString(rng), ScheduleHash: randString(rng), ScheduleLen: int(randInt(rng)),
+		JobID: randString(rng), Outcome: Outcome{
+			ScheduleHash: randString(rng), ScheduleLen: int(randInt(rng)), Cycles: randInt(rng),
+			WaitCycles: randInt(rng), Acquisitions: randInt(rng), ClockUpdates: randInt(rng)},
 		Cached: coin(), InstrCached: coin(), SelfChecked: coin(), PeerFilled: coin(), Remote: coin(),
-		Cycles: randInt(rng), WaitCycles: randInt(rng), Acquisitions: randInt(rng), ClockUpdates: randInt(rng),
 		Stage: StageLatency{ParseNS: randInt(rng), InstrumentNS: randInt(rng), SimulateNS: randInt(rng), OverheadNS: randInt(rng)},
 	}
 	for n := rng.IntN(4); n > 0; n-- {
@@ -164,9 +165,10 @@ func TestBinaryCodecCoversEveryField(t *testing.T) {
 		{Request{}, "Source string; Entry string; Threads int; Preset string; Baseline bool; PerturbSeed int64; Race bool; DeadlineMS int64; Artifacts service.Artifacts"},
 		{Artifacts{}, "Schedule bool; Stats bool; OverheadRow bool"},
 		{StageLatency{}, "ParseNS int64; InstrumentNS int64; SimulateNS int64; OverheadNS int64"},
-		{Result{}, "JobID string; Cached bool; InstrCached bool; SelfChecked bool; PeerFilled bool; Remote bool; ScheduleHash string; ScheduleLen int; " +
-			"Cycles int64; WaitCycles int64; Acquisitions int64; ClockUpdates int64; Clockable []string; Schedule *trace.Schedule; " +
-			"Overhead *harness.OverheadRow; Stage service.StageLatency"},
+		{Result{}, "JobID string; Cached bool; InstrCached bool; SelfChecked bool; PeerFilled bool; Remote bool; Outcome service.Outcome; " +
+			"Stage service.StageLatency"},
+		{Outcome{}, "ScheduleHash string; ScheduleLen int; Cycles int64; WaitCycles int64; Acquisitions int64; ClockUpdates int64; " +
+			"Clockable []string; Schedule *trace.Schedule; Overhead *harness.OverheadRow"},
 		{StolenJob{}, "ID string; Req service.Request"},
 		{trace.Event{}, "Seq int64; Lock int; Thread int; Clock int64"},
 		{harness.OverheadRow{}, "BaselineCycles int64; BaselineMS float64; LocksPerSec float64; Clockable int; ClocksPct float64; DetPct float64"},
@@ -190,8 +192,9 @@ func medianFillReply() *Result {
 	for i := 0; i < 22; i++ {
 		sched.Record(i%3, i%4, int64(40+37*i))
 	}
-	return &Result{ScheduleHash: fmt.Sprintf("%016x", sched.Hash()), ScheduleLen: sched.Len(),
-		Cycles: 2731, WaitCycles: 412, Acquisitions: 22, ClockUpdates: 187, Schedule: sched}
+	return &Result{Outcome: Outcome{
+		ScheduleHash: fmt.Sprintf("%016x", sched.Hash()), ScheduleLen: sched.Len(), Cycles: 2731,
+		WaitCycles: 412, Acquisitions: 22, ClockUpdates: 187, Schedule: sched}}
 }
 
 // TestFillReplyCodecBudget pins what one encode + decode of the median fill
@@ -207,7 +210,7 @@ func TestFillReplyCodecBudget(t *testing.T) {
 		var got Result
 		r := bin.NewReader(enc)
 		got.DecodeBinary(r)
-		if r.Done() != nil || !selfConsistent(&got) {
+		if r.Done() != nil || !got.selfConsistent() {
 			t.Fatal("the reply did not survive its round trip")
 		}
 	})

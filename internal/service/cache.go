@@ -16,7 +16,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/trace"
 )
 
 // Content-addressed caching is the service's central soundness claim: by the
@@ -171,14 +170,13 @@ type instrEntry struct {
 	decoded *interp.DCache
 }
 
-// resultEntry is one result-cache value: the canonical outcome of a
-// (instrumented module, sim config) pair. The schedule is always stored —
-// it is the self-check's comparison reference and serves Schedule artifact
-// requests. The overhead row is filled lazily by the first job that asks
-// for it.
+// resultEntry is one result-cache value: the Outcome of a (instrumented
+// module, sim config) pair. Its schedule is always set — it is the
+// self-check's comparison reference and serves Schedule artifact requests —
+// and its overhead row never: that is filled lazily, below, by the first job
+// that asks for it.
 type resultEntry struct {
-	res      Result // canonical fields only; job-specific fields zeroed
-	schedule *trace.Schedule
+	out Outcome
 	// req is the originating request when known (local simulation, peer fill,
 	// offers that carry it) — what lets the anti-entropy repair loop arbitrate
 	// a divergent entry by deterministic recompute. Nil for entries installed
@@ -209,27 +207,21 @@ func (ent *resultEntry) claimFor(req *Request) string {
 	return ""
 }
 
-// exportEntry renders a cache entry in wire form: the canonical result core
-// with the schedule attached — what peer fill responses, offers, and journal
-// shipping exchange between nodes. Job-specific fields stay zero.
+// exportEntry renders a cache entry in wire form: its Outcome, schedule
+// attached — what peer fill responses, offers, and journal shipping exchange
+// between nodes. Job-specific fields stay zero.
 func exportEntry(ent *resultEntry) *Result {
-	res := ent.res // copy: canonical fields only
-	res.Schedule = ent.schedule
-	return &res
+	return &Result{Outcome: ent.out}
 }
 
-// entryFromPeer rebuilds a cache entry from a peer's wire-form result,
-// stripping every job- and transport-specific field so the installed entry
-// is indistinguishable from one computed locally. Callers have already
+// entryFromPeer rebuilds a cache entry from a peer's wire-form result: its
+// Outcome, less the overhead row the entry fills itself, so the installed
+// entry is indistinguishable from one computed locally. Callers have already
 // verified the schedule hashes to res.ScheduleHash. req, when known, makes
 // the entry recheckable by the repair loop; nil is allowed.
 func entryFromPeer(res *Result, req *Request) *resultEntry {
-	r := *res
-	sched := r.Schedule
-	r.JobID, r.Cached, r.InstrCached, r.SelfChecked, r.PeerFilled, r.Remote = "", false, false, false, false, false
-	r.Schedule, r.Overhead = nil, nil
-	r.Stage = StageLatency{}
-	ent := &resultEntry{res: r, schedule: sched}
+	ent := &resultEntry{out: res.Outcome}
+	ent.out.Overhead = nil
 	if req != nil {
 		rc := *req
 		ent.req = &rc

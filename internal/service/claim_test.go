@@ -315,17 +315,18 @@ func TestClaimDamage(t *testing.T) {
 		return string(frameLine(w.b))
 	}
 	program := line(journalRecord{Type: recProgram, ID: pid, Text: text})
-	claim := journalRecord{Type: recClaim, Src: pid, Req: &Request{Threads: 4}, Result: &Result{Cached: true, InstrCached: true, ScheduleHash: "00"}}
+	claim := journalRecord{Type: recClaim, Src: pid, Req: &Request{Threads: 4},
+		Result: &Result{Cached: true, InstrCached: true, Outcome: Outcome{ScheduleHash: "00"}}}
 	claim.ID = claimIDOf(claim)
 	hit := func(id, cid string) string { return line(journalRecord{Type: recCompleted, ID: id, Claim: cid}) }
 	forged := claim
-	forged.Result = &Result{ScheduleHash: "ff"}
+	forged.Result = &Result{Outcome: Outcome{ScheduleHash: "ff"}}
 	orphan := claim
 	orphan.Src = programID("module n")
 	orphan.ID = claimIDOf(orphan)
 	noResult := journalRecord{Type: recClaim, Src: pid, Req: &Request{Threads: 4}}
 	noResult.ID = claimIDOf(noResult)
-	both := journalRecord{Type: recCompleted, ID: "job-3", Claim: claim.ID, Result: &Result{ScheduleHash: "00"}}
+	both := journalRecord{Type: recCompleted, ID: "job-3", Claim: claim.ID, Result: &Result{Outcome: Outcome{ScheduleHash: "00"}}}
 	// The claim as a writer with one more field would write it.
 	var w jsonWriter
 	blank := claim

@@ -166,14 +166,14 @@ func (s *Service) OfferResult(key string, res *Result, req *Request) error {
 	if s.degraded.Load() {
 		return nil // cache is off; accepting would be a silent no-op anyway
 	}
-	if !selfConsistent(res) {
+	if !res.selfConsistent() {
 		s.ctr.PeerFillRejects.Add(1)
 		return &diag.MisuseError{Op: "service.OfferResult", ThreadID: -1, Kind: diag.ErrBadConfig,
 			Detail: "offered schedule does not hash to its claimed ScheduleHash"}
 	}
 	offered := entryFromPeer(res, req)
 	if ent, ok := s.results.get(key); ok {
-		err := claimOf(ent).mismatch(fmt.Sprintf("offered result for %.12s", key), offered)
+		err := ent.out.mismatch(fmt.Sprintf("offered result for %.12s", key), &offered.out)
 		if err != nil {
 			s.diverged("", err)
 		}

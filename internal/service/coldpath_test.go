@@ -119,9 +119,9 @@ func referenceCore(t testing.TB, req Request) Result {
 	}
 	sched := trace.FromSim(stats.Trace)
 	return Result{
-		ScheduleHash: fmt.Sprintf("%016x", sched.Hash()), ScheduleLen: sched.Len(),
-		Cycles: stats.Makespan, WaitCycles: stats.WaitCycles,
-		Acquisitions: stats.Acquisitions, ClockUpdates: mach.ClockUpdates,
+		Outcome: Outcome{
+			ScheduleHash: fmt.Sprintf("%016x", sched.Hash()), ScheduleLen: sched.Len(), Cycles: stats.Makespan,
+			WaitCycles: stats.WaitCycles, Acquisitions: stats.Acquisitions, ClockUpdates: mach.ClockUpdates},
 	}
 }
 
@@ -150,9 +150,10 @@ func TestSharedModuleRuns(t *testing.T) {
 				}
 				hashes[i] = res.ScheduleHash
 				got := Result{
-					ScheduleHash: res.ScheduleHash, ScheduleLen: res.ScheduleLen,
-					Cycles: res.Cycles, WaitCycles: res.WaitCycles,
-					Acquisitions: res.Acquisitions, ClockUpdates: res.ClockUpdates,
+					Outcome: Outcome{
+						ScheduleHash: res.ScheduleHash, ScheduleLen: res.ScheduleLen, Cycles: res.Cycles,
+						WaitCycles: res.WaitCycles, Acquisitions: res.Acquisitions,
+						ClockUpdates: res.ClockUpdates},
 				}
 				if want := referenceCore(t, req); !reflect.DeepEqual(got, want) {
 					t.Errorf("baseline %v seed %d: core %+v, reference %+v", baseline, i, got, want)

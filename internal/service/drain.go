@@ -75,7 +75,7 @@ func (s *Service) CacheScan() []CacheKey {
 	}
 	var out []CacheKey
 	s.results.each(func(k string, ent *resultEntry) {
-		out = append(out, CacheKey{Key: k, ScheduleHash: ent.res.ScheduleHash})
+		out = append(out, CacheKey{Key: k, ScheduleHash: ent.out.ScheduleHash})
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

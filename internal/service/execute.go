@@ -223,7 +223,7 @@ func (s *Service) execute(ctx context.Context, j *job) (*Result, error) {
 			selfChecked := false
 			if f.sampled {
 				s.ctr.SelfChecks.Add(1)
-				if err := s.crossCheck(ctx, "self-check", j.id, req, claimOf(f.ent)); err != nil {
+				if err := s.crossCheck(ctx, "self-check", j.id, req, &f.ent.out); err != nil {
 					return nil, err
 				}
 				selfChecked = true
@@ -283,14 +283,14 @@ func (s *Service) peerFill(ctx context.Context, key string, j *job) (*resultEntr
 		return nil, nil
 	}
 	// A corrupted transfer is treated as a miss, not an answer.
-	if !selfConsistent(pr) {
+	if !pr.selfConsistent() {
 		s.ctr.PeerFillRejects.Add(1)
 		return nil, nil
 	}
 	ent := entryFromPeer(pr, &j.req)
 	if s.check.sample() {
 		s.ctr.PeerFillChecks.Add(1)
-		if err := s.crossCheck(ctx, "peer-fill cross-check", j.id, &j.req, claimOf(ent)); err != nil {
+		if err := s.crossCheck(ctx, "peer-fill cross-check", j.id, &j.req, &ent.out); err != nil {
 			return nil, err
 		}
 	}
@@ -391,19 +391,17 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 		return nil, err
 	}
 	sched := trace.FromSim(stats.Trace)
-	ent := &resultEntry{
-		res: Result{
-			ScheduleHash: fmt.Sprintf("%016x", sched.Hash()),
-			ScheduleLen:  sched.Len(),
-			Cycles:       stats.Makespan,
-			WaitCycles:   stats.WaitCycles,
-			Acquisitions: stats.Acquisitions,
-			ClockUpdates: mach.ClockUpdates,
-		},
-		schedule: sched,
-	}
+	ent := &resultEntry{out: Outcome{
+		ScheduleHash: fmt.Sprintf("%016x", sched.Hash()),
+		ScheduleLen:  sched.Len(),
+		Cycles:       stats.Makespan,
+		WaitCycles:   stats.WaitCycles,
+		Acquisitions: stats.Acquisitions,
+		ClockUpdates: mach.ClockUpdates,
+		Schedule:     sched,
+	}}
 	if ie.pass != nil {
-		ent.res.Clockable = ie.pass.ClockableNames()
+		ent.out.Clockable = ie.pass.ClockableNames()
 	}
 	rc := *req
 	ent.req = &rc
@@ -413,16 +411,12 @@ func (s *Service) simulate(ctx context.Context, ie *instrEntry, req *Request) (*
 // assemble builds the job-facing result from a cache entry, honoring the
 // requested artifacts.
 func (s *Service) assemble(j *job, ent *resultEntry, cached, instrCached, selfChecked bool, lat *StageLatency) (*Result, error) {
-	res := ent.res // copy
-	res.JobID = j.id
-	res.Cached = cached
-	res.InstrCached = instrCached
-	res.SelfChecked = selfChecked
+	res := &Result{JobID: j.id, Cached: cached, InstrCached: instrCached, SelfChecked: selfChecked, Outcome: ent.out}
 	if !j.req.Artifacts.Stats {
 		res.Clockable = nil
 	}
-	if j.req.Artifacts.Schedule {
-		res.Schedule = ent.schedule
+	if !j.req.Artifacts.Schedule {
+		res.Schedule = nil
 	}
 	if j.req.Artifacts.OverheadRow {
 		row, err := s.overheadRow(&j.req, ent, lat)
@@ -432,7 +426,7 @@ func (s *Service) assemble(j *job, ent *resultEntry, cached, instrCached, selfCh
 		res.Overhead = row
 	}
 	res.Stage = *lat
-	return &res, nil
+	return res, nil
 }
 
 // overheadRow returns the entry's Table-I-style row, computing and caching

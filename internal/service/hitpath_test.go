@@ -130,8 +130,9 @@ func BenchmarkDoHitJournaled(b *testing.B) {
 // journaled hit appends, through json.Encoder (what the journal encoded with
 // before its record writer) and through the writer, in one process.
 func BenchmarkJournalRecord(b *testing.B) {
-	res := &Result{JobID: "job-123456", Cached: true, InstrCached: true, ScheduleHash: "0123456789abcdef",
-		ScheduleLen: 22, Cycles: 2731, WaitCycles: 412, Acquisitions: 22, ClockUpdates: 187, Clockable: []string{"worker", "main"}}
+	res := &Result{JobID: "job-123456", Cached: true, InstrCached: true, Outcome: Outcome{
+		ScheduleHash: "0123456789abcdef", ScheduleLen: 22, Cycles: 2731, WaitCycles: 412, Acquisitions: 22,
+		ClockUpdates: 187, Clockable: []string{"worker", "main"}}}
 	rec := finishRecord(res.JobID, res, nil)
 	rec.Src = programID(hitPrograms(b)["1kB"])
 	rec.Req = &Request{Threads: 4, Preset: "all", PerturbSeed: 3, Artifacts: Artifacts{Stats: true}}

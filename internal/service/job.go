@@ -94,6 +94,18 @@ type Result struct {
 	// this node.
 	Remote bool `json:"remote,omitempty"`
 
+	Outcome
+
+	Stage StageLatency `json:"stage_latency"`
+}
+
+// Outcome is the part of a result the weak-determinism contract fixes: a
+// function of the request, equal on every node and every run. It is what the
+// result cache holds, what peers and the journal transfer, and what the
+// verifier holds a recompute to. Result embeds it between the delivery flags
+// and the stage latencies; its JSON and binary forms are Result's, field by
+// field, at that position.
+type Outcome struct {
 	// ScheduleHash is the %016x FNV-1a digest of the synchronization
 	// schedule — equal hashes across runs are the weak-determinism contract.
 	ScheduleHash string `json:"schedule_hash"`
@@ -110,17 +122,15 @@ type Result struct {
 	Schedule *trace.Schedule `json:"schedule,omitempty"`
 	// Overhead is the Table-I-style row (OverheadRow artifact).
 	Overhead *harness.OverheadRow `json:"overhead,omitempty"`
-
-	Stage StageLatency `json:"stage_latency"`
 }
 
-// Core projects the result onto its deterministic core, the fields the weak
-// determinism contract fixes, as "hash/len/cycles/wait/acquisitions/clock
-// updates". Serving metadata (cache flags, stage latencies) legitimately
-// varies across runs and restarts and is left out.
-func (r *Result) Core() string {
+// Core renders the outcome's counters as "hash/len/cycles/wait/acquisitions/
+// clock updates", the artifacts left out. A Result's delivery metadata
+// (cache flags, stage latencies) legitimately varies across runs and
+// restarts and is not part of its Outcome.
+func (o *Outcome) Core() string {
 	return fmt.Sprintf("%s/%d/%d/%d/%d/%d",
-		r.ScheduleHash, r.ScheduleLen, r.Cycles, r.WaitCycles, r.Acquisitions, r.ClockUpdates)
+		o.ScheduleHash, o.ScheduleLen, o.Cycles, o.WaitCycles, o.Acquisitions, o.ClockUpdates)
 }
 
 // Status is a job's lifecycle state.

@@ -314,9 +314,9 @@ func finishRecord(id string, res *Result, err error) journalRecord {
 }
 
 // appendJob appends one job record. With req set it is the job's first
-// record — a submitted record, or a clean hit's one finish record in the
-// inline form — carrying req, whose text is p's: the reservation its id
-// crosses and p's program record go first. With durable set the record —
+// record, carrying req, whose text is p's: the reservation its id crosses and
+// p's program record go first. The service's one such record is a submitted
+// record; a clean hit's is appendHit's. With durable set the record —
 // and everything appended ahead of it — is written and fsynced before
 // returning, so Submit never acknowledges a job a crash could lose; so is a
 // first record whose reservation is not yet durable. Other records join the

@@ -59,12 +59,15 @@ func srcJobs() []inlineJob {
 	a, b := inlinePrograms[0], inlinePrograms[1]
 	return []inlineJob{
 		{id: "job-1", req: Request{Source: a, Entry: "main", Threads: 4, Preset: "all"},
-			result: &Result{JobID: "job-1", ScheduleHash: "00000000000000a1", ScheduleLen: 12, Cycles: 345, WaitCycles: 6, Acquisitions: 7, ClockUpdates: 8}},
+			result: &Result{JobID: "job-1", Outcome: Outcome{
+				ScheduleHash: "00000000000000a1", ScheduleLen: 12, Cycles: 345, WaitCycles: 6, Acquisitions: 7,
+				ClockUpdates: 8}}},
 		{id: "job-2", req: Request{Source: b, Entry: "main", Threads: 2, Preset: "O2", PerturbSeed: 9},
 			errMsg: "deadlock: wait-for cycle t0 -> t1 -> t0", errKind: "deadlock"},
 		{id: "job-3", req: Request{Source: a, Entry: "main", Threads: 8, Baseline: true, DeadlineMS: 50}},
 		{id: "job-4", req: Request{Source: b, Entry: "main", Threads: 4, Preset: "all", Artifacts: Artifacts{Stats: true}},
-			result: &Result{JobID: "job-4", Cached: true, InstrCached: true, ScheduleHash: "00000000000000b4", ScheduleLen: 3, Cycles: 90, Clockable: []string{"main"}}},
+			result: &Result{JobID: "job-4", Cached: true, InstrCached: true, Outcome: Outcome{
+				ScheduleHash: "00000000000000b4", ScheduleLen: 3, Cycles: 90, Clockable: []string{"main"}}}},
 	}
 }
 
@@ -96,12 +99,15 @@ func hitJobs() []inlineJob {
 	late := hit
 	late.DeadlineMS = 250
 	hitResult := func(id string) *Result {
-		return &Result{JobID: id, Cached: true, InstrCached: true, ScheduleHash: "00000000000000b4", ScheduleLen: 3, Cycles: 90,
-			WaitCycles: 2, Acquisitions: 3, ClockUpdates: 5, Clockable: []string{"main"}}
+		return &Result{JobID: id, Cached: true, InstrCached: true, Outcome: Outcome{
+			ScheduleHash: "00000000000000b4", ScheduleLen: 3, Cycles: 90, WaitCycles: 2, Acquisitions: 3,
+			ClockUpdates: 5, Clockable: []string{"main"}}}
 	}
 	return []inlineJob{
 		{id: "job-1", req: Request{Source: a, Entry: "main", Threads: 4, Preset: "all"},
-			result: &Result{JobID: "job-1", ScheduleHash: "00000000000000a1", ScheduleLen: 12, Cycles: 345, WaitCycles: 6, Acquisitions: 7, ClockUpdates: 8}},
+			result: &Result{JobID: "job-1", Outcome: Outcome{
+				ScheduleHash: "00000000000000a1", ScheduleLen: 12, Cycles: 345, WaitCycles: 6, Acquisitions: 7,
+				ClockUpdates: 8}}},
 		{id: "job-2", req: Request{Source: a, Entry: "main", Threads: 2, Preset: "O2", PerturbSeed: 9},
 			errMsg: "deadlock: wait-for cycle t0 -> t1 -> t0", errKind: "deadlock"},
 		{id: "job-3", req: hit, result: hitResult("job-3")},

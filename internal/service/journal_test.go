@@ -176,7 +176,7 @@ func TestJournalTornTail(t *testing.T) {
 	req := Request{Source: "m", Threads: 4, Entry: "main", Preset: "all"}
 	rec := func(r journalRecord) string { return string(recLine(t, &r)) }
 	content := rec(journalRecord{Type: recSubmitted, ID: "job-1", Req: &req}) +
-		rec(journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: "aa"}}) +
+		rec(journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{Outcome: Outcome{ScheduleHash: "aa"}}}) +
 		rec(journalRecord{Type: recSubmitted, ID: "job-2", Req: &req}) +
 		`{"type":"completed","id":"job-2","resu` // torn mid-write (and unframed: truncated, never parsed)
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -198,7 +198,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal("job-2 replayed as done from a torn record")
 	}
 	// The torn bytes are gone: appending and re-reading stays parseable.
-	if err := jn.appendFinished("job-2", &Result{ScheduleHash: "bb"}, "", ""); err != nil {
+	if err := jn.appendFinished("job-2", &Result{Outcome: Outcome{ScheduleHash: "bb"}}, "", ""); err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
 	if err := jn.close(); err != nil {
@@ -234,7 +234,7 @@ func TestDuplicateFinishesReplayLastWins(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3; i++ {
 			id := fmt.Sprintf("job-%d", i+1)
-			if err := jn.appendFinished(id, &Result{ScheduleHash: fmt.Sprintf("h%d", round)}, "", ""); err != nil {
+			if err := jn.appendFinished(id, &Result{Outcome: Outcome{ScheduleHash: fmt.Sprintf("h%d", round)}}, "", ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -343,7 +343,7 @@ func TestHeldIndexesRecordIDs(t *testing.T) {
 		if i%4 != 0 {
 			continue
 		}
-		cid, err := jn.appendHit(jobID(int64(2*i+2)), &req, progOf(&req), &Result{ScheduleHash: "00"}, "", false)
+		cid, err := jn.appendHit(jobID(int64(2*i+2)), &req, progOf(&req), &Result{Outcome: Outcome{ScheduleHash: "00"}}, "", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +583,7 @@ func FuzzJournalReplay(f *testing.F) {
 	// to its id, a claim naming an unknown program, and a record carrying
 	// both a claim and a request and result.
 	claimOn := func(src, hash string) journalRecord {
-		rec := journalRecord{Type: recClaim, Src: src, Req: &Request{Threads: 4}, Result: &Result{Cached: true, ScheduleHash: hash}}
+		rec := journalRecord{Type: recClaim, Src: src, Req: &Request{Threads: 4}, Result: &Result{Cached: true, Outcome: Outcome{ScheduleHash: hash}}}
 		rec.ID = claimIDOf(rec)
 		return rec
 	}
@@ -597,7 +597,7 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	cm, cn := claimOn(pm, "00"), claimOn(pn, "00")
 	forged := cm
-	forged.Result = &Result{ScheduleHash: "ff"}
+	forged.Result = &Result{Outcome: Outcome{ScheduleHash: "ff"}}
 	f.Add([]byte(progM + line(cm) + named("job-1", cm.ID) + user("job-2", pm) + named("job-3", cm.ID) + line(cm) + named("job-4", cm.ID)))
 	f.Add([]byte(progM + named("job-1", cm.ID) + line(cm) + named("job-2", cm.ID)))
 	f.Add([]byte(progM + line(forged) + named("job-1", cm.ID) + named("job-2", forged.ID)))
@@ -677,7 +677,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := jn.appendSubmitted(probe, &Request{Source: "module m"}, true); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
-		if err := jn.appendFinished(probe, &Result{ScheduleHash: "feedface00000000"}, "", ""); err != nil {
+		if err := jn.appendFinished(probe, &Result{Outcome: Outcome{ScheduleHash: "feedface00000000"}}, "", ""); err != nil {
 			t.Fatalf("finish after repair: %v", err)
 		}
 		if err := jn.close(); err != nil {

@@ -58,11 +58,13 @@ func writeJournalSequence(t *testing.T, path string) []byte {
 		PerturbSeed: -7, Race: true, DeadlineMS: 1500, Artifacts: Artifacts{Schedule: true, Stats: true, OverheadRow: true}}
 	sched := trace.New()
 	sched.Record(0, 1, 40)
-	worker := &Result{JobID: "job-1", SelfChecked: true, PeerFilled: true, Remote: true, ScheduleHash: "00000000000000a1",
-		ScheduleLen: 12, Cycles: -345, WaitCycles: 6, Acquisitions: 7, ClockUpdates: 1 << 40, Clockable: []string{},
-		Schedule: sched, Stage: StageLatency{ParseNS: 1, InstrumentNS: 2, SimulateNS: 3, OverheadNS: 4}}
-	hit := &Result{JobID: "job-3", Cached: true, InstrCached: true, ScheduleHash: "00000000000000b4", ScheduleLen: 3,
-		Cycles: 90, Clockable: []string{"main", "worker" + awkward, ""}}
+	worker := &Result{JobID: "job-1", SelfChecked: true, PeerFilled: true, Remote: true, Outcome: Outcome{
+		ScheduleHash: "00000000000000a1", ScheduleLen: 12, Cycles: -345, WaitCycles: 6, Acquisitions: 7,
+		ClockUpdates: 1 << 40, Clockable: []string{}, Schedule: sched},
+		Stage: StageLatency{ParseNS: 1, InstrumentNS: 2, SimulateNS: 3, OverheadNS: 4}}
+	hit := &Result{JobID: "job-3", Cached: true, InstrCached: true, Outcome: Outcome{
+		ScheduleHash: "00000000000000b4", ScheduleLen: 3, Cycles: 90,
+		Clockable: []string{"main", "worker" + awkward, ""}}}
 	for _, step := range []struct {
 		rec     journalRecord
 		req     *Request
@@ -96,7 +98,9 @@ func writeJournalSequence(t *testing.T, path string) []byte {
 func claimedHit() (Request, Result) {
 	return Request{Source: "module c\n; " + strings.ReplaceAll(awkward, "\xff", "") + "\n", Entry: "main" + awkward, Threads: 2, Preset: "<&>", DeadlineMS: 9,
 			Artifacts: Artifacts{Stats: true}},
-		Result{Cached: true, InstrCached: true, ScheduleHash: "00000000000000c1", ScheduleLen: 5, Cycles: 77, Clockable: []string{"worker" + awkward}}
+		Result{Cached: true, InstrCached: true, Outcome: Outcome{
+			ScheduleHash: "00000000000000c1", ScheduleLen: 5, Cycles: 77,
+			Clockable: []string{"worker" + awkward}}}
 }
 
 // writeClaimSequence appends two clean hits of one request to a fresh

@@ -411,7 +411,7 @@ func TestAppendJSONIndentMatchesEncoder(t *testing.T) {
 		t.Fatalf("the seeds covered %d of 22 field states: %v", len(seen), seen)
 	}
 	for _, s := range []string{`"`, `\`, "<", ">", "&", "\x00", "\x1f", "\x7f", "\b", "\f", "\n", "\r", "\t", "é", "\u2028", "\u2029", "\xff", "\xe2\x80"} {
-		for _, res := range []*Result{{JobID: "a" + s}, {ScheduleHash: s + "a"}, {Clockable: []string{"ok", s}}} {
+		for _, res := range []*Result{{JobID: "a" + s}, {Outcome: Outcome{ScheduleHash: s + "a"}}, {Outcome: Outcome{Clockable: []string{"ok", s}}}} {
 			if out, ok := res.AppendJSONIndent(nil); !ok || !bytes.Equal(out, encoderBytes(t, res, true)) {
 				t.Errorf("a result holding %q: accepted %v\n got %s\nwant %s", s, ok, out, encoderBytes(t, res, true))
 			}
@@ -424,7 +424,7 @@ func TestAppendJSONIndentMatchesEncoder(t *testing.T) {
 // walk, fails its append as a marshal error and leaves the journal broken, as
 // an encoder failure did; nothing of it reaches the log.
 func TestRecordWithArtifactIsMarshalError(t *testing.T) {
-	for _, res := range []*Result{{Schedule: trace.New()}, {Overhead: &harness.OverheadRow{}}} {
+	for _, res := range []*Result{{Outcome: Outcome{Schedule: trace.New()}}, {Outcome: Outcome{Overhead: &harness.OverheadRow{}}}} {
 		jn, _, err := openJournal(nil, filepath.Join(t.TempDir(), "jobs.journal"), 16, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -452,8 +452,8 @@ func FuzzRecordMatchesEncoder(f *testing.F) {
 		req := &Request{Source: a, Entry: b, Threads: int(x), Preset: c, Baseline: bit(0), PerturbSeed: y, Race: bit(1), DeadlineMS: x ^ y,
 			Artifacts: Artifacts{Schedule: bit(2), Stats: bit(3), OverheadRow: bit(4)}}
 		res := &Result{JobID: b, Cached: bit(5), InstrCached: bit(6), SelfChecked: bit(7), PeerFilled: bit(8), Remote: bit(9),
-			ScheduleHash: c, ScheduleLen: int(y), Cycles: x, WaitCycles: -x, Acquisitions: y, ClockUpdates: x + y,
-			Stage: StageLatency{ParseNS: x, InstrumentNS: y, SimulateNS: x ^ y, OverheadNS: int64(bits)}}
+			Outcome: Outcome{ScheduleHash: c, ScheduleLen: int(y), Cycles: x, WaitCycles: -x, Acquisitions: y, ClockUpdates: x + y},
+			Stage:   StageLatency{ParseNS: x, InstrumentNS: y, SimulateNS: x ^ y, OverheadNS: int64(bits)}}
 		if bit(10) {
 			res.Clockable = []string{a, c, ""}[:bits>>11&3]
 		}
@@ -531,8 +531,9 @@ func takesResult(body []byte) bool {
 // filledResult is a value decoded into on a repeat: every field the one pass
 // may write set, so a field it leaves out shows as a kept value.
 func filledResult() Result {
-	return Result{JobID: "stale", Cached: true, Remote: true, ScheduleHash: "h", ScheduleLen: 9, Cycles: -1,
-		Clockable: []string{"old", "older"}, Stage: StageLatency{ParseNS: 5, OverheadNS: 3}}
+	return Result{JobID: "stale", Cached: true, Remote: true, Outcome: Outcome{
+		ScheduleHash: "h", ScheduleLen: 9, Cycles: -1, Clockable: []string{"old", "older"}},
+		Stage: StageLatency{ParseNS: 5, OverheadNS: 3}}
 }
 
 // checkDecodeResult is the result decoder's contract: on any bytes it
@@ -558,8 +559,9 @@ func checkDecodeResult(t *testing.T, body []byte) {
 // hitReply is the reply to a clean hit asking for its stats, as detserve
 // writes it.
 func hitReply() []byte {
-	res := &Result{JobID: "job-123456", Cached: true, InstrCached: true, ScheduleHash: "0123456789abcdef",
-		ScheduleLen: 22, Cycles: 2731, WaitCycles: 412, Acquisitions: 22, ClockUpdates: 187, Clockable: []string{"worker", "main"},
+	res := &Result{JobID: "job-123456", Cached: true, InstrCached: true, Outcome: Outcome{
+		ScheduleHash: "0123456789abcdef", ScheduleLen: 22, Cycles: 2731, WaitCycles: 412, Acquisitions: 22,
+		ClockUpdates: 187, Clockable: []string{"worker", "main"}},
 		Stage: StageLatency{SimulateNS: 48211}}
 	out, _ := res.AppendJSONIndent(nil)
 	return out
@@ -607,7 +609,7 @@ func TestDecodeResultFastPath(t *testing.T) {
 		}
 	}
 	var w jsonWriter // compact, as a journal record holds it
-	res := Result{JobID: "job-1", Cached: true, ScheduleHash: "00000000000000a1", Clockable: []string{"main"}}
+	res := Result{JobID: "job-1", Cached: true, Outcome: Outcome{ScheduleHash: "00000000000000a1", Clockable: []string{"main"}}}
 	if res.writeJSON(&w); !takesResult(w.b) {
 		t.Errorf("declined a journaled result: %s", w.b)
 	}

@@ -126,8 +126,8 @@ func TestRecoveryChecksShareWorkers(t *testing.T) {
 	if err := svc.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// A job submitted and never finished: Open queues it the moment the
-	// worker starts, so the worker's first few turns reach it.
+	// A job submitted and never finished: Open queues it before the worker
+	// starts, so the worker's first few turns reach it.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +179,9 @@ func TestRecoveryConflictingClaims(t *testing.T) {
 	var image []byte
 	for _, rec := range []journalRecord{
 		{Type: recSubmitted, ID: "job-1", Req: &req},
-		{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: honest}},
+		{Type: recCompleted, ID: "job-1", Result: &Result{Outcome: Outcome{ScheduleHash: honest}}},
 		{Type: recSubmitted, ID: "job-2", Req: &req},
-		{Type: recCompleted, ID: "job-2", Result: &Result{ScheduleHash: "deadbeefdeadbeef"}},
+		{Type: recCompleted, ID: "job-2", Result: &Result{Outcome: Outcome{ScheduleHash: "deadbeefdeadbeef"}}},
 	} {
 		image = append(image, journalLine(t, rec)...)
 	}
@@ -242,7 +242,7 @@ func TestSnapshotRefusesConflictingClaims(t *testing.T) {
 		var out [][]byte
 		for _, c := range jobs {
 			out = append(out, journalLine(t, journalRecord{Type: recSubmitted, ID: c.id, Req: &c.req}),
-				journalLine(t, journalRecord{Type: recCompleted, ID: c.id, Result: &Result{ScheduleHash: c.hash}}))
+				journalLine(t, journalRecord{Type: recCompleted, ID: c.id, Result: &Result{Outcome: Outcome{ScheduleHash: c.hash}}}))
 		}
 		return out
 	}

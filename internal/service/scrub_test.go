@@ -121,7 +121,7 @@ func TestJournalInteriorCorruptionRecovery(t *testing.T) {
 		return recLine(t, &journalRecord{Type: recSubmitted, ID: id, Req: &req})
 	}
 	fin := func(id string) []byte {
-		return recLine(t, &journalRecord{Type: recCompleted, ID: id, Result: &Result{ScheduleHash: "aa"}})
+		return recLine(t, &journalRecord{Type: recCompleted, ID: id, Result: &Result{Outcome: Outcome{ScheduleHash: "aa"}}})
 	}
 	// Program records: use names req's text by its program id; forged holds
 	// another text under that id.
@@ -311,7 +311,7 @@ func TestScanOneRecordHits(t *testing.T) {
 	prog := recLine(t, &journalRecord{Type: recProgram, ID: pid, Text: text})
 	sub := recLine(t, &journalRecord{Type: recSubmitted, ID: "job-1", Src: pid, Req: &Request{Threads: 4}})
 	hit := func(src string, req Request) []byte {
-		return recLine(t, &journalRecord{Type: recCompleted, ID: "job-1", Src: src, Req: &req, Result: &Result{ScheduleHash: "aa"}})
+		return recLine(t, &journalRecord{Type: recCompleted, ID: "job-1", Src: src, Req: &req, Result: &Result{Outcome: Outcome{ScheduleHash: "aa"}}})
 	}
 	cases := []struct {
 		name     string
@@ -322,7 +322,7 @@ func TestScanOneRecordHits(t *testing.T) {
 		{
 			name:  "one-record completed",
 			image: [][]byte{prog, hit(pid, Request{Threads: 8})},
-			want:  &journalJob{req: Request{Source: text, Threads: 8}, done: true, result: &Result{ScheduleHash: "aa"}},
+			want:  &journalJob{req: Request{Source: text, Threads: 8}, done: true, result: &Result{Outcome: Outcome{ScheduleHash: "aa"}}},
 		},
 		{
 			name: "one-record failed",
@@ -343,11 +343,12 @@ func TestScanOneRecordHits(t *testing.T) {
 		{
 			name:  "finish carrying a request after its submit",
 			image: [][]byte{prog, sub, hit(programID("module n"), Request{Threads: 8})},
-			want:  &journalJob{req: Request{Source: text, Threads: 4}, done: true, result: &Result{ScheduleHash: "aa"}},
+			want:  &journalJob{req: Request{Source: text, Threads: 4}, done: true, result: &Result{Outcome: Outcome{ScheduleHash: "aa"}}},
 		},
 		{
-			name:     "finish without a request for an unseen id",
-			image:    [][]byte{prog, recLine(t, &journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: "aa"}})},
+			name: "finish without a request for an unseen id",
+			image: [][]byte{prog, recLine(t, &journalRecord{Type: recCompleted, ID: "job-1",
+				Result: &Result{Outcome: Outcome{ScheduleHash: "aa"}}})},
 			wantQuar: 1,
 		},
 	}

@@ -299,14 +299,18 @@ func Open(cfg Config) (*Service, error) {
 		recovered = s.installRecovered(replayed)
 	}
 
+	// Recovered work that fits is queued before the pool starts, so a worker
+	// weighs it against recovery's checks from its first turn; the rest drains
+	// through the queue once the workers receive (blocking sends here).
+	n := min(len(recovered), cap(s.queue))
+	for _, j := range recovered[:n] {
+		s.queue <- j
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	// Recovered work is enqueued after the pool starts so a recovery load
-	// larger than the queue simply drains through it (blocking sends here,
-	// workers receiving concurrently).
-	for _, j := range recovered {
+	for _, j := range recovered[n:] {
 		s.queue <- j
 	}
 	return s, nil

@@ -207,13 +207,13 @@ func TestServiceSelfCheckDetectsCorruption(t *testing.T) {
 	for _, el := range svc.results.items {
 		ent := el.Value.(*lruEntry[string, *resultEntry]).val
 		bad := trace.New()
-		for i, e := range ent.schedule.Events() {
+		for i, e := range ent.out.Schedule.Events() {
 			if i == 0 {
 				e.Thread++
 			}
 			bad.Record(e.Lock, e.Thread, e.Clock)
 		}
-		ent.schedule = bad
+		ent.out.Schedule = bad
 	}
 	svc.results.mu.Unlock()
 

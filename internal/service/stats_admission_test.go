@@ -207,7 +207,7 @@ func TestAdmissionAgainstModel(t *testing.T) {
 					s.CompleteStolen(id, nil) // handed back: queued again
 					m.queued++
 				} else {
-					s.CompleteStolen(id, &Result{ScheduleHash: "0000000000000000"})
+					s.CompleteStolen(id, &Result{Outcome: Outcome{ScheduleHash: "0000000000000000"}})
 					m.inflight -= size[id]
 				}
 			case op == 19:

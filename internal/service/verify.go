@@ -19,47 +19,37 @@ import (
 // (Aviram et al.: re-execution is a proof). Every site holding bytes that
 // claim to be a result (DESIGN §9 tabulates them) states that proof through
 // this file: recompute never looks at a stored result, so a check cannot be
-// satisfied by the bytes it is checking; claim.mismatch is the one
-// comparison; selfConsistent the one test that a transferred schedule is the
-// one its summary describes; diverged the one place a failed check is
-// counted, recorded and fed to the admission circuit breaker.
+// satisfied by the bytes it is checking; Outcome.mismatch is the one
+// comparison; Outcome.selfConsistent the one test that a transferred
+// schedule is the one its summary describes; diverged the one place a failed
+// check is counted, recorded and fed to the admission circuit breaker.
 
-// claim is what a cross-check holds a recompute to: the schedule hash that
-// stored, journaled or peer-supplied bytes assert, and the schedule itself
-// when those bytes carry one.
-type claim struct {
-	hash     string
-	schedule *trace.Schedule // nil when only the hash is known
-}
-
-func claimOf(ent *resultEntry) claim {
-	return claim{hash: ent.res.ScheduleHash, schedule: ent.schedule}
-}
-
-// mismatch is nil when fresh's schedule hash — and, where the claim carries
-// its schedule, every event — agrees with the claim; otherwise a typed
-// divergence naming the first differing event (or just both hashes).
-func (c claim) mismatch(site string, fresh *resultEntry) error {
-	if c.schedule != nil {
-		if d := trace.Compare(c.schedule, fresh.schedule); d.Diverged {
+// mismatch is nil when fresh's schedule hash — and, where the claimed outcome
+// c carries its schedule, every event — agrees with c; otherwise a typed
+// divergence naming the first differing event (or just both hashes). A claim
+// is the Outcome some bytes assert: stored, journaled or peer-supplied; its
+// Schedule is nil when only the hash is known.
+func (c *Outcome) mismatch(site string, fresh *Outcome) error {
+	if c.Schedule != nil {
+		if d := trace.Compare(c.Schedule, fresh.Schedule); d.Diverged {
 			return fmt.Errorf("service: %s: %w", site, trace.DivergenceError(1, d))
 		}
 	}
-	if c.hash != fresh.res.ScheduleHash {
+	if c.ScheduleHash != fresh.ScheduleHash {
 		return fmt.Errorf("service: %s: %w: schedule hash %s claimed, %s found",
-			site, diag.ErrDivergence, c.hash, fresh.res.ScheduleHash)
+			site, diag.ErrDivergence, c.ScheduleHash, fresh.ScheduleHash)
 	}
 	return nil
 }
 
-// selfConsistent reports whether a transferred result's schedule is the one
+// selfConsistent reports whether a transferred outcome's schedule is the one
 // its summary describes: it hashes to ScheduleHash and has ScheduleLen events.
-func selfConsistent(res *Result) bool {
+func (o *Outcome) selfConsistent() bool {
 	var raw [8]byte
 	var digits [16]byte // ScheduleHash is %016x: compared without building it
-	binary.BigEndian.PutUint64(raw[:], res.Schedule.Hash())
+	binary.BigEndian.PutUint64(raw[:], o.Schedule.Hash())
 	hex.Encode(digits[:], raw[:])
-	return string(digits[:]) == res.ScheduleHash && res.Schedule.Len() == res.ScheduleLen
+	return string(digits[:]) == o.ScheduleHash && o.Schedule.Len() == o.ScheduleLen
 }
 
 // recompute executes req from scratch: the instrumentation cache (a pure
@@ -83,15 +73,16 @@ func (s *Service) recompute(ctx context.Context, req *Request) (ent *resultEntry
 	return s.simulate(ctx, ie, &r)
 }
 
-// verdict recomputes req and holds the outcome to c: the fresh entry and nil
-// when the claim reproduces; the context's error when the recompute was
-// interrupted (no verdict either way); otherwise diag.ErrDivergence — the
-// schedules differ, or c claims "completed" for a request this node cannot.
-func (s *Service) verdict(ctx context.Context, site string, req *Request, c claim) (*resultEntry, error) {
+// verdict recomputes req and holds the fresh outcome to the claimed one, c:
+// the fresh entry and nil when the claim reproduces; the context's error when
+// the recompute was interrupted (no verdict either way); otherwise
+// diag.ErrDivergence — the schedules differ, or c claims "completed" for a
+// request this node cannot.
+func (s *Service) verdict(ctx context.Context, site string, req *Request, c *Outcome) (*resultEntry, error) {
 	fresh, err := s.recompute(ctx, req)
 	switch {
 	case err == nil:
-		return fresh, c.mismatch(site, fresh)
+		return fresh, c.mismatch(site, &fresh.out)
 	case ctx.Err() != nil:
 		return nil, ctx.Err()
 	default:
@@ -101,7 +92,7 @@ func (s *Service) verdict(ctx context.Context, site string, req *Request, c clai
 
 // crossCheck is verdict plus the bookkeeping: a divergence is accounted
 // through diverged under id before it is returned.
-func (s *Service) crossCheck(ctx context.Context, site, id string, req *Request, c claim) error {
+func (s *Service) crossCheck(ctx context.Context, site, id string, req *Request, c *Outcome) error {
 	_, err := s.verdict(ctx, site, req, c)
 	if errors.Is(err, diag.ErrDivergence) {
 		s.diverged(id, err)
@@ -169,7 +160,7 @@ func (s *Service) checkClaim(c *journaledClaim) {
 		return
 	}
 	s.ctr.RecoveryChecks.Add(1)
-	fresh, err := s.verdict(s.rootCtx, "recovery cross-check "+c.ids[0], c.req, claim{hash: c.hash})
+	fresh, err := s.verdict(s.rootCtx, "recovery cross-check "+c.ids[0], c.req, &Outcome{ScheduleHash: c.hash})
 	if err == nil {
 		s.breaker.onSuccess()
 		if _, ie := s.programs.get(c.req, false); ie != nil && !s.degraded.Load() {
@@ -216,7 +207,7 @@ func (s *Service) RecheckResult(ctx context.Context, key string) error {
 		return &diag.CorruptionError{Source: "result cache",
 			Detail: fmt.Sprintf("entry %.12s carries no originating request; evicted as unverifiable", key)}
 	}
-	fresh, err := s.verdict(ctx, "repair recheck", ent.req, claimOf(ent))
+	fresh, err := s.verdict(ctx, "repair recheck", ent.req, &ent.out)
 	if !errors.Is(err, diag.ErrDivergence) {
 		return err // reproduced, or interrupted
 	}
@@ -258,7 +249,7 @@ func (s *Service) CheckSnapshotRecords(ctx context.Context, lines [][]byte) erro
 		return err
 	}
 	for _, c := range claims[:min(len(claims), snapshotChecks)] {
-		if err := s.crossCheck(ctx, "snapshot cross-check "+c.ids[0], c.ids[0], c.req, claim{hash: c.hash}); err != nil {
+		if err := s.crossCheck(ctx, "snapshot cross-check "+c.ids[0], c.ids[0], c.req, &Outcome{ScheduleHash: c.hash}); err != nil {
 			return err
 		}
 	}

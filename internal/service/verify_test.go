@@ -37,10 +37,9 @@ func wrongEntryFor(t *testing.T, svc *Service, req Request) (Request, *Result) {
 	defer donor.Close(context.Background())
 	other := mustDo(t, donor, Request{Source: srcOf(t, "raytrace"), Artifacts: Artifacts{Schedule: true}})
 	wrong := &Result{
-		Schedule:     other.Schedule,
-		ScheduleHash: fmt.Sprintf("%016x", other.Schedule.Hash()),
-		ScheduleLen:  other.Schedule.Len(),
-		Cycles:       other.Cycles,
+		Outcome: Outcome{
+			Schedule: other.Schedule, ScheduleHash: fmt.Sprintf("%016x", other.Schedule.Hash()),
+			ScheduleLen: other.Schedule.Len(), Cycles: other.Cycles},
 	}
 	if err := svc.OfferResult(key, wrong, &req); err != nil {
 		t.Fatalf("installing the wrong entry through the offer path: %v", err)
@@ -63,7 +62,8 @@ func TestSnapshotCheckIsCacheBlind(t *testing.T) {
 
 	lines := [][]byte{
 		journalLine(t, journalRecord{Type: recSubmitted, ID: "job-1", Req: &req}),
-		journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: wrong.ScheduleHash, ScheduleLen: wrong.ScheduleLen}}),
+		journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{Outcome: Outcome{
+			ScheduleHash: wrong.ScheduleHash, ScheduleLen: wrong.ScheduleLen}}}),
 	}
 	err := svc.CheckSnapshotRecords(context.Background(), lines)
 	if !errors.Is(err, diag.ErrDivergence) {
@@ -81,7 +81,7 @@ func TestSnapshotCheckIsCacheBlind(t *testing.T) {
 	ref := New(Config{Workers: 1})
 	defer ref.Close(context.Background())
 	honest := mustDo(t, ref, req)
-	lines[1] = journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: honest.ScheduleHash}})
+	lines[1] = journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{Outcome: Outcome{ScheduleHash: honest.ScheduleHash}}})
 	if err := svc.CheckSnapshotRecords(context.Background(), lines); err != nil {
 		t.Fatalf("honest snapshot refused: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestSnapshotCheckRefusesDamage(t *testing.T) {
 	defer svc.Close(context.Background())
 	req := Request{Source: srcOf(t, "ocean")}
 	sub := journalLine(t, journalRecord{Type: recSubmitted, ID: "job-1", Req: &req})
-	done := journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{ScheduleHash: "00"}})
+	done := journalLine(t, journalRecord{Type: recCompleted, ID: "job-1", Result: &Result{Outcome: Outcome{ScheduleHash: "00"}}})
 	flipped := append([]byte(nil), sub...)
 	flipped[len(flipped)-3] ^= 0x01
 	pid := programID(req.Source)
@@ -135,7 +135,7 @@ func TestSnapshotCheckTakesHitRequest(t *testing.T) {
 	for seed := range int64(2) {
 		res := mustDo(t, ref, Request{Source: src, PerturbSeed: seed})
 		lines = append(lines, journalLine(t, journalRecord{Type: recCompleted, ID: jobID(seed + 1), Src: pid,
-			Req: &Request{PerturbSeed: seed}, Result: &Result{ScheduleHash: res.ScheduleHash}}))
+			Req: &Request{PerturbSeed: seed}, Result: &Result{Outcome: Outcome{ScheduleHash: res.ScheduleHash}}}))
 	}
 	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())

@@ -614,7 +614,7 @@ func (e *Engine) settleAcquirers(now int64) {
 			switch e.cfg.Policy {
 			case PolicyFCFS:
 				if !l.held {
-					e.grant(a, maxI64(a.phys, a.readyAt))
+					e.grant(a, max(a.phys, a.readyAt))
 				} else {
 					a.status = tsBlocked
 					l.waiters = append(l.waiters, a.id)
@@ -627,7 +627,7 @@ func (e *Engine) settleAcquirers(now int64) {
 				if !l.held {
 					// Kendo: tick after acquisition.
 					a.clock++
-					e.grant(a, maxI64(a.phys, now))
+					e.grant(a, max(a.phys, now))
 				} else {
 					a.status = tsBlocked
 					l.waiters = append(l.waiters, a.id)
@@ -668,7 +668,7 @@ func (e *Engine) settleAcquirersRef(now int64) {
 			switch e.cfg.Policy {
 			case PolicyFCFS:
 				if !l.held {
-					e.grant(a, maxI64(a.phys, a.readyAt))
+					e.grant(a, max(a.phys, a.readyAt))
 				} else {
 					a.status = tsBlocked
 					l.waiters = append(l.waiters, a.id)
@@ -681,7 +681,7 @@ func (e *Engine) settleAcquirersRef(now int64) {
 				if !l.held {
 					// Kendo: tick after acquisition.
 					a.clock++
-					e.grant(a, maxI64(a.phys, now))
+					e.grant(a, max(a.phys, now))
 				} else {
 					a.status = tsBlocked
 					l.waiters = append(l.waiters, a.id)
@@ -767,7 +767,7 @@ func (e *Engine) unlock(t *tstate, obj int) {
 	if waited > 0 {
 		e.stats.WaitCycles += waited
 	}
-	w.phys = maxI64(w.phys, t.phys)
+	w.phys = max(w.phys, t.phys)
 	w.status = tsRunnable
 	e.heapPush(w)
 	e.stats.Acquisitions++
@@ -853,9 +853,9 @@ func (e *Engine) join(t *tstate, target int) {
 	}
 	tgt := e.threads[target]
 	if tgt.status == tsDone {
-		t.phys = maxI64(t.phys, tgt.phys)
+		t.phys = max(t.phys, tgt.phys)
 		if e.cfg.Policy == PolicyDet {
-			t.clock = maxI64(t.clock, tgt.clock) + 1
+			t.clock = max(t.clock, tgt.clock) + 1
 		}
 		if e.cfg.Observer != nil {
 			e.cfg.Observer.Joined(t.id, target)
@@ -876,9 +876,9 @@ func (e *Engine) settleJoiners(done *tstate) {
 		if waited := done.phys - t.phys; waited > 0 {
 			e.stats.WaitCycles += waited
 		}
-		t.phys = maxI64(t.phys, done.phys)
+		t.phys = max(t.phys, done.phys)
 		if e.cfg.Policy == PolicyDet {
-			t.clock = maxI64(t.clock, done.clock) + 1
+			t.clock = max(t.clock, done.clock) + 1
 		}
 		t.status = tsRunnable
 		e.heapPush(t)
@@ -886,11 +886,4 @@ func (e *Engine) settleJoiners(done *tstate) {
 			e.cfg.Observer.Joined(t.id, done.id)
 		}
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
