@@ -23,9 +23,6 @@ type Mutex struct {
 
 	// acquisitions counts grants on this mutex.
 	acquisitions int64
-	// lastAcquirer and lastClock describe the most recent grant, for traces.
-	lastAcquirer int
-	lastClock    int64
 
 	// observer, when set, is called at every acquisition (under the runtime
 	// lock) with the acquiring thread and its post-acquisition clock. Used by
@@ -92,8 +89,6 @@ func (m *Mutex) take(t *Thread, newClock int64) {
 	m.held = true
 	m.holder = t
 	m.acquisitions++
-	m.lastAcquirer = t.id
-	m.lastClock = newClock
 	t.clock.Store(newClock)
 	t.lastAcqRes = m.name()
 	t.lastAcqClock = newClock

@@ -113,7 +113,7 @@ type Runner struct {
 	// dcache shares decoded instruction streams across the sweep's machines
 	// and cache memoizes benchmark construction and instrumentation
 	// (prep.go). Both are pointers, so Runner copies (a copy with
-	// Reference flipped, say) share them; zero-value Runners run uncached.
+	// Reference flipped, say) share them; NewRunner is the one constructor.
 	dcache *interp.DCache
 	cache  *prepCache
 }
@@ -140,8 +140,7 @@ func (r *Runner) Run(b *splash.Benchmark, opt core.Options, mode Mode, kendoChun
 	// cached instrumented clone (prep.go).
 	m := b.Module
 	if mode == ModeClocksOnly || mode == ModeDet {
-		opt.Roots = []string{b.Entry}
-		im, clockable, err := r.instrument(b.Module, opt)
+		im, clockable, err := r.instrument(b.Module, opt, b.Entry)
 		if err != nil {
 			return nil, fmt.Errorf("harness: instrument %s: %w", b.Name, err)
 		}

@@ -108,3 +108,39 @@ func TestTablesShareModules(t *testing.T) {
 			benches, len(r.cache.bench), clones, len(r.cache.inst))
 	}
 }
+
+// TestPrepCacheBounded: the prep caches have no size bound, so a repeated
+// sweep must find every input it needs already there. Rendering Table I and
+// Table II a second time on one Runner adds no benchmark, no instrumented
+// clone and no verified module.
+func TestPrepCacheBounded(t *testing.T) {
+	r := NewRunner()
+	r.Workers = 2
+	sizes := func() [3]int {
+		r.cache.mu.Lock()
+		defer r.cache.mu.Unlock()
+		return [3]int{len(r.cache.bench), len(r.cache.inst), len(r.cache.verified)}
+	}
+	var after [2][3]int
+	var rendered [2]string
+	for pass := range after {
+		t1, err := r.TableI()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, err := r.TableII()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after[pass], rendered[pass] = sizes(), t1.Render()+t2.Render()
+	}
+	if after[0] != after[1] {
+		t.Fatalf("second sweep grew the caches: (bench, inst, verified) %v → %v", after[0], after[1])
+	}
+	if after[0][0] == 0 || after[0][1] == 0 || after[0][2] == 0 {
+		t.Fatalf("sweep left a cache empty: (bench, inst, verified) %v", after[0])
+	}
+	if rendered[0] != rendered[1] {
+		t.Fatal("second sweep rendered different tables")
+	}
+}

@@ -7,7 +7,7 @@ package harness
 // is deterministic in its inputs, so the Runner memoizes it:
 //
 //   - benchFor caches splash.New per (name, threads);
-//   - instrumented caches the instrumented clone per (module, options,
+//   - instrument caches the instrumented clone per (module, options,
 //     entry) — the ClocksOnly and Det runs of one preset share one module;
 //   - runs that do not instrument execute b.Module directly (no clone): the
 //     interpreter copies global initializers into per-machine buffers and
@@ -18,6 +18,10 @@ package harness
 // pointer-stable functions. None of this changes any result — every cached
 // artifact is bit-identical to the one a cold run would rebuild, and the
 // equivalence property tests cover the cached paths.
+//
+// The maps are unbounded: a Runner memoizes only the benchmarks its caller
+// hands it, whose decoded functions its DCache keeps alive anyway; a
+// repeated sweep adds no entry (TestPrepCacheBounded).
 
 import (
 	"fmt"
@@ -34,13 +38,11 @@ type benchKey struct {
 }
 
 // instKey identifies one instrumentation result. Options holds a slice
-// (Roots), so the key carries its printed form with Roots cleared — still
-// exhaustive if fields are added — and the entry field pins the single
-// root Run always uses.
+// (Roots), so the key carries its printed form, still exhaustive if fields
+// are added.
 type instKey struct {
-	mod   *ir.Module
-	opt   string
-	entry string
+	mod *ir.Module
+	opt string
 }
 
 type instrumented struct {
@@ -69,34 +71,24 @@ func newPrepCache() *prepCache {
 // verified reports whether m already passed Verify against the runner's
 // estimates table, verifying and memoizing on first sight. Cached modules
 // are immutable from the moment they are shared across runs, so the memo
-// cannot go stale. A false return (no cache, or a verify failure) just
-// means the machine will verify for itself.
+// cannot go stale. A false return (a verify failure) just means the machine
+// will verify for itself and report the error.
 func (r *Runner) verified(m *ir.Module) bool {
 	c := r.cache
-	if c == nil {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ok, seen := c.verified[m]; seen {
 		return ok
 	}
 	ok := m.Verify(r.Est.Has) == nil
-	if len(c.verified) >= 1024 {
-		c.verified = map[*ir.Module]bool{}
-	}
 	c.verified[m] = ok
 	return ok
 }
 
-// benchFor returns the (cached) splash benchmark for name at the runner's
-// thread count. Runners built as struct literals have no cache and fall
-// back to constructing a fresh benchmark.
+// benchFor returns the cached splash benchmark for name at the runner's
+// thread count, building it on first request.
 func (r *Runner) benchFor(name string) (*splash.Benchmark, error) {
 	c := r.cache
-	if c == nil {
-		return splash.New(name, r.Threads)
-	}
 	key := benchKey{name: name, threads: r.Threads}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -126,44 +118,24 @@ func (r *Runner) benchesFor(names []string) ([]*splash.Benchmark, error) {
 	return benches, nil
 }
 
-// instrument returns mod's instrumented clone under opt, cached per
-// (module, options, entry). The lock is held across core.Instrument so
-// concurrent workers requesting the same cell share one result.
-func (r *Runner) instrument(mod *ir.Module, opt core.Options) (*ir.Module, int, error) {
-	build := func() (*ir.Module, int, error) {
-		m := mod.Clone()
-		res, err := core.Instrument(m, r.Costs, r.Est, opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, len(res.Clockable), nil
-	}
+// instrument returns mod's instrumented clone under opt with entry as its
+// one root, cached per (module, options). The lock is held across
+// core.Instrument so concurrent workers requesting the same cell share one
+// result.
+func (r *Runner) instrument(mod *ir.Module, opt core.Options, entry string) (*ir.Module, int, error) {
+	opt.Roots = []string{entry}
+	key := instKey{mod: mod, opt: fmt.Sprintf("%+v", opt)}
 	c := r.cache
-	if c == nil || len(opt.Roots) > 1 {
-		return build()
-	}
-	key := instKey{mod: mod}
-	if len(opt.Roots) == 1 {
-		key.entry = opt.Roots[0]
-	}
-	flags := opt
-	flags.Roots = nil
-	key.opt = fmt.Sprintf("%+v", flags)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p := c.inst[key]; p != nil {
 		return p.mod, p.clockable, nil
 	}
-	m, clockable, err := build()
+	m := mod.Clone()
+	res, err := core.Instrument(m, r.Costs, r.Est, opt)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Modules live as long as the Runner once cached; bound the map so a
-	// long-lived Runner fed a stream of distinct modules cannot grow it
-	// without limit.
-	if len(c.inst) >= 1024 {
-		c.inst = map[instKey]*instrumented{}
-	}
-	c.inst[key] = &instrumented{mod: m, clockable: clockable}
-	return m, clockable, nil
+	c.inst[key] = &instrumented{mod: m, clockable: len(res.Clockable)}
+	return m, len(res.Clockable), nil
 }

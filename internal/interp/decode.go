@@ -171,8 +171,8 @@ type daux struct {
 	irop     ir.Op // original opcode for dBadOp errors
 }
 
-// estimate mirrors estimates.Estimate without importing its package here
-// (the decode site copies the fields; Eval stays allocation-free).
+// estimate is estimates.Estimate without its Name, which would repeat
+// daux.name in every daux; eval mirrors Estimate.Eval, allocation-free.
 type estimate struct {
 	base, scaleV int64
 	argIndex     int

@@ -403,17 +403,8 @@ func (t *Thread) setReg(r ir.Reg, v int64) {
 // operation, completion, or the per-step cycle bound. With jitter enabled
 // the yielded span gains deterministic extra physical cycles — never a
 // logical-clock change, so deterministic schedules are jitter-invariant.
-func (t *Thread) Step() (sim.Step, error) {
-	var st sim.Step
-	err := t.StepInto(&st)
-	return st, err
-}
-
-// StepInto is the out-parameter form of Step (sim.StepperInto): the engine
-// calls it on the optimized path so the decoded dispatch loop writes the
-// step straight into the engine's stack slot instead of copying the struct
-// through two interface returns.
-func (t *Thread) StepInto(st *sim.Step) error {
+// *st is the engine's slot: the decoded dispatch loop fills it in place.
+func (t *Thread) Step(st *sim.Step) error {
 	if t.plain {
 		// Decoded dispatch, no jitter: the common case.
 		return t.stepFast(st)

@@ -60,19 +60,10 @@ type Step struct {
 }
 
 // Program is a steppable simulated thread (implemented by package interp).
-// Step is called only while the thread is runnable.
+// Step is called only while the thread is runnable and writes the step into
+// *out, the engine's one reused slot; on error *out is unspecified.
 type Program interface {
-	Step() (Step, error)
-}
-
-// StepperInto is an optional Program extension: StepInto writes the step
-// into *out instead of returning it, sparing the per-event copy of the Step
-// struct through the interface return. The engine uses it when available
-// (detected once per thread, never under Config.Reference — the reference
-// scheduler exercises the original interface). On error *out is
-// unspecified. Semantics are otherwise identical to Step.
-type StepperInto interface {
-	StepInto(out *Step) error
+	Step(out *Step) error
 }
 
 // SyncObserver receives synchronization events as the engine resolves them,
@@ -135,9 +126,9 @@ type Config struct {
 	Reference bool
 }
 
-// Acquisition is one lock grant, for determinism checking. The JSON tags
-// define the wire format used when traces are persisted (service layer,
-// examples/replay).
+// Acquisition is one lock grant, for determinism checking. Nothing persists
+// it: the service and examples/replay store the trace.Schedule that
+// trace.FromSim builds from a run's acquisitions.
 type Acquisition struct {
 	Lock   int   `json:"lock"`
 	Thread int   `json:"thread"`
@@ -183,7 +174,6 @@ const (
 type tstate struct {
 	id     int
 	prog   Program
-	into   StepperInto // non-nil when prog implements StepperInto (optimized path)
 	status tstatus
 	phys   int64
 	clock  int64
@@ -257,9 +247,6 @@ func New(cfg Config, progs []Program) *Engine {
 	}
 	for i, p := range progs {
 		t := &tstate{id: i, prog: p, hpos: -1}
-		if !cfg.Reference {
-			t.into, _ = p.(StepperInto)
-		}
 		e.threads = append(e.threads, t)
 		e.heapPush(t)
 	}
@@ -343,12 +330,11 @@ func (e *Engine) heapDown(i int) {
 // Run executes the simulation to completion and returns the statistics.
 func (e *Engine) Run() (*Stats, error) {
 	ref := e.cfg.Reference
-	// st lives outside the loop: its address crosses the StepInto interface
-	// call, so an in-loop declaration would escape and heap-allocate once
-	// per engine event. Every step assigns the full struct, so reuse is
-	// safe.
+	// st lives outside the loop: its address crosses the Program.Step
+	// interface call, so an in-loop declaration would escape and
+	// heap-allocate once per engine event. Every step assigns the full
+	// struct, so reuse is safe.
 	var st Step
-	var err error
 	for {
 		var t *tstate
 		if ref {
@@ -376,12 +362,7 @@ func (e *Engine) Run() (*Stats, error) {
 				return nil, fmt.Errorf("%w after %d steps: %w", ErrCanceled, e.stats.Steps, cerr)
 			}
 		}
-		if t.into != nil {
-			err = t.into.StepInto(&st)
-		} else {
-			st, err = t.prog.Step()
-		}
-		if err != nil {
+		if err := t.prog.Step(&st); err != nil {
 			return nil, fmt.Errorf("sim: thread %d: %w", t.id, err)
 		}
 		t.phys += st.Cycles
@@ -826,9 +807,6 @@ func (e *Engine) barrierArrive(t *tstate, obj int) {
 func (e *Engine) spawn(parent *tstate, st Step) {
 	id := len(e.threads)
 	child := &tstate{id: id, prog: st.NewProg(id), phys: parent.phys, hpos: -1}
-	if !e.cfg.Reference {
-		child.into, _ = child.prog.(StepperInto)
-	}
 	if e.cfg.Policy == PolicyDet {
 		child.clock = parent.clock + 1
 		parent.clock++

@@ -14,13 +14,13 @@ type scriptProg struct {
 	pos   int
 }
 
-func (p *scriptProg) Step() (Step, error) {
+func (p *scriptProg) Step(out *Step) error {
 	if p.pos >= len(p.steps) {
-		return Step{}, errors.New("script exhausted")
+		return errors.New("script exhausted")
 	}
-	s := p.steps[p.pos]
+	*out = p.steps[p.pos]
 	p.pos++
-	return s, nil
+	return nil
 }
 
 func adv(cycles, clock int64) Step {
@@ -178,7 +178,7 @@ func TestStepLimit(t *testing.T) {
 
 type endlessProg struct{}
 
-func (p *endlessProg) Step() (Step, error) { return adv(1, 1), nil }
+func (p *endlessProg) Step(out *Step) error { *out = adv(1, 1); return nil }
 
 func TestUnlockNotHeldPanics(t *testing.T) {
 	defer func() {
